@@ -214,6 +214,13 @@ pub struct Cell {
     pub bandwidth: u64,
 }
 
+/// `cells` without its repeats, in first-seen order: the one dedup every
+/// sweep entry point (local, client, server) applies to a requested grid.
+pub(crate) fn unique_cells(cells: impl IntoIterator<Item = Cell>) -> Vec<Cell> {
+    let mut seen = std::collections::HashSet::new();
+    cells.into_iter().filter(|c| seen.insert(*c)).collect()
+}
+
 /// The outcome of one cell.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -796,12 +803,7 @@ impl Sweeper {
     ) -> Vec<CellOutcome> {
         assert!(threads > 0);
         // Unique not-yet-memoized cells, in first-seen order.
-        let mut todo: Vec<Cell> = Vec::new();
-        for c in cells {
-            if !self.memo.contains_key(c) && !todo.contains(c) {
-                todo.push(*c);
-            }
-        }
+        let mut todo = unique_cells(cells.iter().copied().filter(|c| !self.memo.contains_key(c)));
         if let Some(remote) = self.remote.clone() {
             match self.sweep_remote(&remote, w, cells, todo.clone(), &on_cell) {
                 Ok(outcomes) => return outcomes,

@@ -1,12 +1,16 @@
-//! Minimal hand-rolled JSON for the `sweepd` wire protocol.
+//! Minimal hand-rolled JSON: the `sweepd` wire protocol's codec, and the
+//! reader the tests validate the trace and metrics exports with.
 //!
 //! The workspace is offline and serde-free by policy, and the protocol only
 //! needs flat objects, arrays, strings, booleans, and unsigned integers — so
 //! this is a small recursive-descent parser plus a writer, not a general
 //! JSON library. Numbers are kept as raw text and parsed on demand, which
 //! keeps round-trips lossless without dragging floats into a protocol that
-//! only carries cycle counts.
+//! only carries cycle counts. The parser accepts exactly the JSON grammar
+//! (strict numbers, no raw control bytes in strings), bounds nesting, and
+//! runs in time linear in the input: its input arrives from a socket.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -29,13 +33,9 @@ pub enum Json {
 impl Json {
     /// Parse one complete JSON value; trailing non-whitespace is an error.
     pub fn parse(src: &str) -> Result<Json, String> {
-        let mut p = Parser { s: src.as_bytes(), i: 0 };
-        p.skip_ws();
+        let mut p = Parser::new(src);
         let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.s.len() {
-            return Err(format!("trailing garbage at byte {}", p.i));
-        }
+        p.end()?;
         Ok(v)
     }
 
@@ -57,6 +57,14 @@ impl Json {
 
     /// The value as a `u64`, if this is an unsigned integer.
     pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(raw) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The value as an `f64`, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(raw) => raw.parse().ok(),
             _ => None,
@@ -151,20 +159,46 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    s: &'a [u8],
+/// Containers may nest this deep and no deeper: the parser recurses per
+/// level, and a request line of a million `[` must come back as an error,
+/// not as a stack overflow in a handler thread.
+const MAX_DEPTH: usize = 128;
+
+/// The recursive-descent parser behind [`Json::parse`]. Crate-visible so a
+/// caller that knows the shape it expects ([`Parser::object_with`],
+/// [`Parser::u64`]) can decode it in place instead of through a tree.
+pub(crate) struct Parser<'a> {
+    src: &'a str,
     i: usize,
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    pub(crate) fn new(src: &'a str) -> Self {
+        Parser { src, i: 0, depth: 0 }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
+    /// Only whitespace may remain.
+    pub(crate) fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.i != self.src.len() {
+            return Err(format!("trailing garbage at byte {}", self.i));
+        }
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
-        while self.i < self.s.len() && matches!(self.s[self.i], b' ' | b'\t' | b'\n' | b'\r') {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.i += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
+        self.bytes().get(self.i).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -177,7 +211,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.i..].starts_with(word.as_bytes()) {
             self.i += word.len();
             Ok(v)
         } else {
@@ -185,145 +219,207 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Any value, as a tree. Leading whitespace is skipped.
+    pub(crate) fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object_with(|p, key| {
+                    fields.push((key.into_owned(), p.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(fields))
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => {
+                Ok(Json::Num(self.number_text()?.to_string()))
+            }
             Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.i)),
             None => Err("unexpected end of input".into()),
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// An unsigned integer, without the intermediate [`Json::Num`].
+    pub(crate) fn u64(&mut self) -> Result<u64, String> {
+        self.skip_ws();
+        let at = self.i;
+        self.number_text()?.parse().map_err(|_| format!("expected a u64 at byte {at}"))
+    }
+
+    fn digits(&mut self) -> bool {
+        let from = self.i;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.i += 1;
+        }
+        self.i > from
+    }
+
+    /// One number by the JSON grammar (`-? int frac? exp?`), as source text.
+    fn number_text(&mut self) -> Result<&'a str, String> {
         let start = self.i;
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-') {
-                self.i += 1;
-            } else {
-                break;
-            }
+        let int_from = self.i;
+        let mut ok = self.digits() && (self.bytes()[int_from] != b'0' || self.i == int_from + 1);
+        if ok && self.peek() == Some(b'.') {
+            self.i += 1;
+            ok = self.digits();
         }
-        if self.i == start {
+        if ok && matches!(self.peek(), Some(b'e' | b'E')) {
+            self.i += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.i += 1;
+            }
+            ok = self.digits();
+        }
+        if !ok {
             return Err(format!("bad number at byte {start}"));
         }
-        Ok(Json::Num(std::str::from_utf8(&self.s[start..self.i]).unwrap().to_string()))
+        // Sign, digits, '.', 'e': ASCII by construction.
+        Ok(&self.src[start..self.i])
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// One string. Everything between two `"`/`\` bytes is taken as a whole
+    /// run (a slice of the source, already UTF-8; one copy per run, so cost is
+    /// linear in the input), and a string with no escape at all is borrowed,
+    /// not copied.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut unescaped: Option<String> = None;
         loop {
+            let start = self.i;
+            while self.peek().is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20) {
+                self.i += 1;
+            }
+            // Both ends sit next to an ASCII byte, so this is a char boundary.
+            let run = &self.src[start..self.i];
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.i += 1;
-                    return Ok(out);
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
                     self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .s
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            // Surrogate pairs are not needed by this protocol;
-                            // map them to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.i += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.i)),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so the
-                    // bytes are valid; find the char boundary).
-                    let rest = std::str::from_utf8(&self.s[self.i..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
+                    let c = self.escape()?;
+                    let out = unescaped.get_or_insert_with(String::new);
+                    out.push_str(run);
                     out.push(c);
-                    self.i += c.len_utf8();
+                }
+                Some(c) => {
+                    return Err(format!("raw control byte {c:#04x} in string at byte {}", self.i))
                 }
             }
         }
+    }
+
+    /// The character an escape stands for; `self.i` is just past the `\`.
+    fn escape(&mut self) -> Result<char, String> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let hex =
+                    self.bytes().get(self.i + 1..self.i + 5).ok_or("truncated \\u escape")?;
+                let mut code = 0u32;
+                for &h in hex {
+                    code = code * 16 + (h as char).to_digit(16).ok_or("bad \\u escape")?;
+                }
+                self.i += 4;
+                // Surrogate pairs are not needed by this protocol; map them
+                // to the replacement character.
+                char::from_u32(code).unwrap_or('\u{FFFD}')
+            }
+            _ => return Err(format!("bad escape at byte {}", self.i)),
+        };
+        self.i += 1;
+        Ok(c)
+    }
+
+    fn nest(&mut self) -> Result<(), String> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(format!("nested deeper than {MAX_DEPTH} at byte {}", self.i));
+        }
+        Ok(())
     }
 
     fn array(&mut self) -> Result<Json, String> {
         self.expect(b'[')?;
+        self.nest()?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
+        if self.peek() != Some(b']') {
+            loop {
+                items.push(self.value()?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.i += 1,
+                    Some(b']') => break,
+                    _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
             }
         }
+        self.i += 1;
+        self.depth -= 1;
+        Ok(Json::Arr(items))
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
+    /// One object, handing each key to `field` with the parser standing at
+    /// that key's value; `field` must consume exactly the value. The tree
+    /// builder and the result-line decoder are both callers, so there is one
+    /// object grammar.
+    pub(crate) fn object_with(
+        &mut self,
+        mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
+        self.expect(b'{')?;
+        self.nest()?;
+        self.skip_ws();
+        if self.peek() != Some(b'}') {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                field(self, key)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.i += 1,
+                    Some(b'}') => break,
+                    _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
             }
         }
+        self.i += 1;
+        self.depth -= 1;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdv_engine::Rng;
 
     #[test]
     fn round_trips_protocol_shapes() {
@@ -367,9 +463,94 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "1 2", "{\"a\" 1}"] {
+        for bad in [
+            "", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "1 2", "{\"a\" 1}", "01", "-",
+            "1.", "1e", "1e+", ".5", "+1", "\"raw\ttab\"", "\"\\u12\"", "\"\\u+123\"", "\"\\x\"",
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+        for good in ["0", "-0", "10", "1.5", "-1.25e-3", "2E+9", "\"\\u00e9\\/\\b\\f\""] {
+            assert!(Json::parse(good).is_ok(), "{good:?} must parse");
+        }
+        assert_eq!(Json::parse("2.5e1").unwrap().as_f64(), Some(25.0));
+        assert_eq!(Json::parse("\"\\u00e9\\/\"").unwrap().as_str(), Some("é/"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let deep = "[".repeat(1 << 20);
+        assert!(Json::parse(&deep).unwrap_err().contains("nested deeper"));
+        let ok = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok(), "the bound itself is allowed");
+        let over = format!("{}1{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
+        // Siblings do not accumulate depth.
+        let wide = format!("[{}[]]", "[[]],".repeat(10 * MAX_DEPTH));
+        assert!(Json::parse(&wide).is_ok());
+    }
+
+    /// Parse cost must be per byte, not per byte squared: 2 MB of strings —
+    /// one long one with multi-byte characters and an escape every few
+    /// bytes, then many short keys and values — in a generous wall bound.
+    /// (Re-validating the rest of the input once per character, as this
+    /// parser used to, makes that 2·10¹² byte visits: hours.)
+    #[test]
+    fn two_megabytes_of_strings_parse_in_linear_time() {
+        let long = "päper \\n \"quoted\" ✓ ".repeat(40_000);
+        let mut fields = vec![("long".to_string(), Json::str(long.as_str()))];
+        for i in 0..40_000 {
+            fields.push((format!("tile{}.vpu.stat{i}", i % 16), Json::str(format!("value {i}"))));
+        }
+        let v = Json::Obj(fields);
+        let line = v.to_line();
+        assert!(line.len() > 2 << 20, "{} bytes", line.len());
+        let t = std::time::Instant::now();
+        let back = Json::parse(&line).unwrap();
+        let took = t.elapsed();
+        assert!(back == v, "a 2 MB line must round-trip");
+        assert!(took < std::time::Duration::from_secs(10), "2 MB took {took:?}");
+    }
+
+    fn random_string(rng: &mut Rng) -> String {
+        const ALPHABET: [&str; 16] = [
+            "a", "Z", "0", " ", ".", "\"", "\\", "/", "\n", "\r", "\t", "\u{1}", "\u{1f}", "é",
+            "✓", "𝄞",
+        ];
+        (0..rng.below(12)).map(|_| ALPHABET[rng.index(ALPHABET.len())]).collect()
+    }
+
+    fn random_tree(rng: &mut Rng, depth: u32) -> Json {
+        match rng.below(if depth == 0 { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.chance(0.5)),
+            2 => {
+                Json::num(if rng.chance(0.1) { u64::MAX } else { rng.next_u64() >> rng.below(64) })
+            }
+            3 => Json::str(random_string(rng)),
+            4 => Json::Arr((0..rng.below(5)).map(|_| random_tree(rng, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..rng.below(5))
+                    .map(|_| (random_string(rng), random_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn random_trees_round_trip() {
+        let mut rng = Rng::new(0x1503);
+        for case in 0..2000 {
+            let v = random_tree(&mut rng, 4);
+            let line = v.to_line();
+            assert!(!line.contains('\n'), "case {case} must stay line-delimited: {line}");
+            assert_eq!(Json::parse(&line).as_ref(), Ok(&v), "case {case}: {line}");
+        }
+        // What the writer never emits but a peer may send: \u for any
+        // character, an escaped solidus, empty strings as keys and values.
+        let v = Json::parse(r#"{"":"","\u0041\u00e9\u2713":"\/\u0000"}"#).unwrap();
+        assert_eq!(v.get("").and_then(Json::as_str), Some(""));
+        assert_eq!(v.get("Aé✓").and_then(Json::as_str), Some("/\u{0}"));
+        assert_eq!(Json::parse(&v.to_line()), Ok(v));
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!   predicted host cost (the same long-pole-first policy the in-process
 //!   [`Sweeper`](crate::Sweeper) uses), bounding grid makespan.
 //! * **streaming** — sweep results are written back in completion order as
-//!   they land, followed by a `done` summary line.
+//!   they land, followed by a `done` summary line. A result line is rendered
+//!   once, by the worker that publishes the cell; a request for a finished
+//!   cell is answered by copying those bytes to the socket.
 //! * **honesty** — a sweep request carries the client's workload name,
 //!   workload content fingerprint, and canonical config text; the server
 //!   verifies all three (and the backend) against its own and rejects
@@ -63,16 +65,19 @@
 
 use crate::cache::{backend_name, CacheKey, ResultCache};
 use crate::chaos::{ChaosPlan, ServerChaos, DELAY_RESPONSE};
-use crate::harness::{predicted_cost, run_guarded, Cell, CellOutcome, RunResult, Workloads};
-use crate::json::Json;
+use crate::harness::{
+    predicted_cost, run_guarded, unique_cells, Cell, CellOutcome, RunResult, Workloads,
+};
+use crate::json::{Json, Parser};
 use sdv_core::SdvMachine;
 use sdv_engine::{Rng, SimError, Stats};
 use sdv_rvv::Backend;
 use sdv_uarch::TimingConfig;
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -87,8 +92,9 @@ pub const DEFAULT_MAX_QUEUE: usize = 4096;
 /// Default per-connection socket read/write timeout.
 const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// How often the accept loop wakes to supervise workers, check the external
-/// shutdown signal, and test drain completion.
+/// The longest the accept loop waits for a connection before it supervises
+/// workers, checks the external shutdown signal, and tests drain completion.
+/// A connection itself wakes the loop at once.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// A cloneable external shutdown request — how the `sweepd` binary's signal
@@ -192,11 +198,53 @@ struct WorkerHealth {
     current: Option<Cell>,
 }
 
+/// Unique cells awaiting a worker. The set answers "is it queued?" in
+/// constant time — admission asks that once per requested cell while holding
+/// the state lock — and both live behind `push`/`pop_costliest` so they
+/// cannot drift apart.
+#[derive(Default)]
+struct JobQueue {
+    cells: Vec<Cell>,
+    members: HashSet<Cell>,
+}
+
+impl JobQueue {
+    fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    fn contains(&self, c: &Cell) -> bool {
+        self.members.contains(c)
+    }
+
+    /// Enqueue `c` unless it is queued already.
+    fn push(&mut self, c: Cell) {
+        if self.members.insert(c) {
+            self.cells.push(c);
+        }
+    }
+
+    /// Take the queued cell with the highest predicted host cost.
+    fn pop_costliest(&mut self) -> Option<Cell> {
+        let i = (0..self.cells.len()).max_by_key(|&i| predicted_cost(&self.cells[i]))?;
+        let c = self.cells.swap_remove(i);
+        self.members.remove(&c);
+        Some(c)
+    }
+}
+
 #[derive(Default)]
 struct State {
-    queue: Vec<Cell>,
+    queue: JobQueue,
     inflight: HashSet<Cell>,
-    results: HashMap<Cell, CellOutcome>,
+    /// Every finished cell as the response line it is answered with,
+    /// rendered once by the worker that published it: a memoized answer
+    /// costs each later client a reference count and a copy to its socket.
+    results: HashMap<Cell, Arc<str>>,
     workers: Vec<WorkerHealth>,
     /// Cells this server actually simulated (the exactly-once counter).
     simulated: u64,
@@ -275,10 +323,34 @@ pub fn serve(listener: TcpListener, sc: ServerConfig) -> std::io::Result<()> {
         std::thread::spawn(move || worker(&shared, id))
     };
     let mut workers: Vec<_> = (0..threads).map(spawn_worker).collect();
-    // Non-blocking accepts: the same loop that accepts connections also
-    // supervises workers, watches the shutdown signal, and completes drains
-    // — no self-connect tricks needed to unblock it.
-    listener.set_nonblocking(true)?;
+    // Accepts block in a thread of their own and arrive here over a channel,
+    // so a connection is picked up the moment it lands while the loop still
+    // ticks every ACCEPT_POLL to supervise workers, watch the shutdown
+    // signal, and complete drains.
+    let wake_addr = listener.local_addr()?;
+    let stop_accepting = Arc::new(AtomicBool::new(false));
+    let (conn_tx, conns) = mpsc::channel();
+    let acceptor = {
+        let stop = Arc::clone(&stop_accepting);
+        std::thread::spawn(move || {
+            for conn in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    break; // the wake-up connect (or a client that lost the race)
+                }
+                let failed = conn.is_err();
+                if conn_tx.send(conn).is_err() {
+                    break;
+                }
+                if failed {
+                    // Out of descriptors, most likely: accept would fail
+                    // again at once, so let handlers finish first.
+                    std::thread::sleep(ACCEPT_POLL);
+                }
+            }
+            // The listener drops here, so the port is free once this thread
+            // has been joined.
+        })
+    };
     loop {
         if signal.requested() {
             let mut st = lock_state(&shared);
@@ -287,17 +359,13 @@ pub fn serve(listener: TcpListener, sc: ServerConfig) -> std::io::Result<()> {
                 eprintln!("sweepd: shutdown signal received; draining");
             }
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match conns.recv_timeout(ACCEPT_POLL) {
+            Ok(Ok(stream)) => {
                 if ServerChaos::hit(&shared.chaos.drop_connection) {
                     // Chaos: the client sees a closed connection and must
                     // retry (the request, being idempotent, is safe to).
                     drop(stream);
                 } else {
-                    // Accepted sockets can inherit the listener's
-                    // non-blocking flag on some platforms; handlers want
-                    // plain blocking reads bounded by the io timeout.
-                    let _ = stream.set_nonblocking(false);
                     let _ = stream.set_read_timeout(io_timeout);
                     let _ = stream.set_write_timeout(io_timeout);
                     let shared = Arc::clone(&shared);
@@ -308,13 +376,12 @@ pub fn serve(listener: TcpListener, sc: ServerConfig) -> std::io::Result<()> {
                             eprintln!("sweepd: connection reaped: {e}");
                         }
                     });
-                    continue; // look for more connections before housekeeping
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => eprintln!("sweepd: accept failed: {e}"),
+            Ok(Err(e)) => eprintln!("sweepd: accept failed: {e}"),
+            Err(RecvTimeoutError::Timeout) => {}
+            // No acceptor, no wake-ups: keep the tick by hand.
+            Err(RecvTimeoutError::Disconnected) => std::thread::sleep(ACCEPT_POLL),
         }
         supervise(&shared, &mut workers, &spawn_worker);
         let mut st = lock_state(&shared);
@@ -326,6 +393,12 @@ pub fn serve(listener: TcpListener, sc: ServerConfig) -> std::io::Result<()> {
             break;
         }
     }
+    stop_accepting.store(true, Ordering::SeqCst);
+    if wake_acceptor(wake_addr, &acceptor) {
+        let _ = acceptor.join();
+    } else {
+        eprintln!("sweepd: could not wake the acceptor; the port stays bound until exit");
+    }
     for h in workers {
         let _ = h.join();
     }
@@ -333,6 +406,29 @@ pub fn serve(listener: TcpListener, sc: ServerConfig) -> std::io::Result<()> {
         cache.flush();
     }
     Ok(())
+}
+
+/// Unblock the acceptor thread, which sits in `accept` and has just been
+/// told to stop: connect to the listener ourselves. If a real client's
+/// connection woke it first, the listener is gone and the connect is refused;
+/// either way the thread ends, so try until it has (or a second has passed).
+/// Returns whether it ended.
+fn wake_acceptor(mut addr: SocketAddr, acceptor: &std::thread::JoinHandle<()>) -> bool {
+    if addr.ip().is_unspecified() {
+        // Bound to every interface: loopback is one of them.
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    for _ in 0..1000 {
+        if acceptor.is_finished() {
+            return true;
+        }
+        let _ = TcpStream::connect_timeout(&addr, ACCEPT_POLL);
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    acceptor.is_finished()
 }
 
 /// Respawn any worker thread that died (escaped panic or injected chaos),
@@ -361,7 +457,7 @@ fn supervise(
             health.alive = true;
             if let Some(cell) = health.current.take() {
                 st.inflight.remove(&cell);
-                if !st.results.contains_key(&cell) && !st.queue.contains(&cell) {
+                if !st.results.contains_key(&cell) {
                     st.queue.push(cell);
                 }
             }
@@ -383,9 +479,7 @@ fn worker(shared: &Shared, id: usize) {
                 if st.shutdown {
                     return;
                 }
-                if let Some(i) = (0..st.queue.len()).max_by_key(|&i| predicted_cost(&st.queue[i]))
-                {
-                    let c = st.queue.swap_remove(i);
+                if let Some(c) = st.queue.pop_costliest() {
                     st.inflight.insert(c);
                     st.workers[id].current = Some(c);
                     break c;
@@ -432,6 +526,11 @@ fn worker(shared: &Shared, id: usize) {
             }
         };
         let failed = matches!(out, CellOutcome::Failed { .. });
+        // Rendered once, here, outside the lock; every client that asks for
+        // this cell from now on is sent these bytes. Nothing reads the outcome
+        // again, so it is freed here too rather than under the lock.
+        let line: Arc<str> = outcome_to_json(&out).to_line().into();
+        drop(out);
         let mut st = lock_state(shared);
         st.inflight.remove(&cell);
         let health = &mut st.workers[id];
@@ -449,7 +548,7 @@ fn worker(shared: &Shared, id: usize) {
         } else {
             st.simulated += 1;
         }
-        st.results.insert(cell, out);
+        st.results.insert(cell, line);
         drop(st);
         shared.done.notify_all();
     }
@@ -601,17 +700,10 @@ fn handle_sweep(
     let Some(cell_values) = req.get("cells").and_then(Json::as_arr) else {
         return respond(shared, writer, &error_line("sweep request needs a 'cells' array"));
     };
-    let mut pending: Vec<Cell> = Vec::new();
-    for v in cell_values {
-        match cell_from_json(v) {
-            Ok(c) => {
-                if !pending.contains(&c) {
-                    pending.push(c);
-                }
-            }
-            Err(e) => return respond(shared, writer, &error_line(&format!("bad cell: {e}"))),
-        }
-    }
+    let pending = match cell_values.iter().map(cell_from_json).collect::<Result<Vec<Cell>, _>>() {
+        Ok(cells) => unique_cells(cells),
+        Err(e) => return respond(shared, writer, &error_line(&format!("bad cell: {e}"))),
+    };
     let total = pending.len();
     // Admission control and the drain gate share one critical section with
     // the enqueue: a sweep either is fully admitted (and holds the drain
@@ -641,7 +733,9 @@ fn handle_sweep(
             );
             return respond(shared, writer, &classed_error(&msg, "overloaded"));
         }
-        st.queue.extend(fresh);
+        for c in fresh {
+            st.queue.push(c);
+        }
         st.active_sweeps += 1;
         drop(st);
         shared.work.notify_all();
@@ -650,12 +744,12 @@ fn handle_sweep(
     // Stream results in completion order.
     let mut pending: HashSet<Cell> = pending.into_iter().collect();
     while !pending.is_empty() {
-        let ready: Vec<CellOutcome> = {
+        let ready: Vec<(Cell, Arc<str>)> = {
             let mut st = lock_state(shared);
             loop {
-                let ready: Vec<CellOutcome> = pending
+                let ready: Vec<(Cell, Arc<str>)> = pending
                     .iter()
-                    .filter_map(|c| st.results.get(c).cloned())
+                    .filter_map(|c| Some((*c, Arc::clone(st.results.get(c)?))))
                     .collect();
                 if !ready.is_empty() {
                     st.served += ready.len() as u64;
@@ -674,10 +768,13 @@ fn handle_sweep(
                 st = wait_on(&shared.done, st);
             }
         };
-        for out in ready {
-            pending.remove(&out.cell());
-            respond(shared, writer, &outcome_to_json(&out))?;
+        // One flush per batch: a cold sweep still sees each cell the moment
+        // it completes (batches of one), a warm one is not a syscall a line.
+        for (cell, line) in ready {
+            pending.remove(&cell);
+            write_line(shared, writer, &line)?;
         }
+        writer.flush()?;
     }
     let (simulated, cache_hits) = {
         let st = lock_state(shared);
@@ -695,13 +792,24 @@ fn handle_sweep(
     )
 }
 
-/// Write one response line (with the chaos delay-response hook).
+/// Write and flush one response line.
 fn respond(shared: &Shared, writer: &mut BufWriter<TcpStream>, msg: &Json) -> std::io::Result<()> {
+    write_line(shared, writer, &msg.to_line())?;
+    writer.flush()
+}
+
+/// Buffer one already-rendered response line (with the chaos delay-response
+/// hook, which fires once per line whoever rendered it).
+fn write_line(
+    shared: &Shared,
+    writer: &mut BufWriter<TcpStream>,
+    line: &str,
+) -> std::io::Result<()> {
     if ServerChaos::hit(&shared.chaos.delay_response) {
         std::thread::sleep(DELAY_RESPONSE);
     }
-    writeln!(writer, "{}", msg.to_line())?;
-    writer.flush()
+    writer.write_all(line.as_bytes())?;
+    writer.write_all(b"\n")
 }
 
 fn error_line(msg: &str) -> Json {
@@ -754,21 +862,64 @@ fn outcome_to_json(out: &CellOutcome) -> Json {
     Json::Obj(fields)
 }
 
-fn outcome_from_json(v: &Json) -> Result<CellOutcome, String> {
-    let cell = cell_from_json(v)?;
-    if let Some(err) = v.get("error").and_then(Json::as_str) {
-        // The server's structured error crossed the wire as text; it comes
-        // back as a Remote failure so exit codes still classify correctly.
-        return Ok(CellOutcome::Failed { cell, error: SimError::Remote { what: err.to_string() } });
-    }
-    let cycles = v.get("cycles").and_then(Json::as_u64).ok_or("result needs cycles or error")?;
+/// What one line of a sweep response says.
+#[derive(Debug)]
+enum SweepReply {
+    /// One cell's result.
+    Outcome(CellOutcome),
+    /// The closing summary: every requested cell has been streamed.
+    Done(SweepSummary),
+    /// The server turned the whole request away.
+    Rejected(SimError),
+}
+
+/// Decode one sweep response line. A result line is a handful of scalar
+/// fields plus a `stats` object of some hundred counters, so the counters go
+/// straight into a [`Stats`] registry and only the scalars become a tree.
+fn decode_reply(line: &str) -> Result<SweepReply, String> {
+    let mut fields = Vec::new();
     let mut stats = Stats::new();
-    if let Some(Json::Obj(fields)) = v.get("stats") {
-        for (k, val) in fields {
-            stats.set(k, val.as_u64().ok_or_else(|| format!("stat '{k}' must be a u64"))?);
+    let mut p = Parser::new(line);
+    p.object_with(|p, key| {
+        if key == "stats" {
+            p.object_with(|p, stat| {
+                let v = p.u64().map_err(|e| format!("stat '{stat}': {e}"))?;
+                stats.set(&stat, v);
+                Ok(())
+            })
+        } else {
+            fields.push((key.into_owned(), p.value()?));
+            Ok(())
+        }
+    })?;
+    p.end()?;
+    let v = Json::Obj(fields);
+    let error = v.get("error").and_then(Json::as_str);
+    if v.get("kernel").is_none() {
+        // No cell fields: a rejection of the request, or the summary.
+        if let Some(msg) = error {
+            return Ok(SweepReply::Rejected(rejection_error(&v, "sweep", msg)));
+        }
+        if v.get("done").and_then(Json::as_bool) == Some(true) {
+            let count = |k| v.get(k).and_then(Json::as_u64).unwrap_or(0);
+            return Ok(SweepReply::Done(SweepSummary {
+                cells: count("cells"),
+                simulated: count("simulated"),
+                cache_hits: count("cache_hits"),
+            }));
         }
     }
-    Ok(CellOutcome::Done(RunResult { cell, cycles, stats }))
+    let cell = cell_from_json(&v)?;
+    Ok(SweepReply::Outcome(match error {
+        // The server's structured error crossed the wire as text; it comes
+        // back as a Remote failure so exit codes still classify correctly.
+        Some(err) => CellOutcome::Failed { cell, error: remote_err(err) },
+        None => {
+            let cycles =
+                v.get("cycles").and_then(Json::as_u64).ok_or("result needs cycles or error")?;
+            CellOutcome::Done(RunResult { cell, cycles, stats })
+        }
+    }))
 }
 
 fn remote_err(what: impl std::fmt::Display) -> SimError {
@@ -859,12 +1010,7 @@ pub fn client_sweep(
     mut on_result: impl FnMut(CellOutcome),
 ) -> Result<SweepSummary, SimError> {
     // Unique cells, first-seen order (matches the server's own dedup).
-    let mut want: Vec<Cell> = Vec::new();
-    for &c in cells {
-        if !want.contains(&c) {
-            want.push(c);
-        }
-    }
+    let want = unique_cells(cells.iter().copied());
     let mut got: HashSet<Cell> = HashSet::new();
     let mut summary = SweepSummary::default();
     let mut failures = 0u32;
@@ -921,27 +1067,22 @@ fn sweep_attempt(
     ]);
     writeln!(writer, "{}", req.to_line()).map_err(unavailable)?;
     writer.flush().map_err(unavailable)?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line.map_err(unavailable)?;
-        let v = Json::parse(&line).map_err(|e| remote_err(format!("bad response line: {e}")))?;
-        if let Some(msg) = v.get("error").and_then(Json::as_str) {
-            // Top-level rejection has no cell fields; per-cell errors do and
-            // parse as outcomes below.
-            if v.get("kernel").is_none() {
-                return Err(rejection_error(&v, "sweep", msg));
-            }
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    loop {
+        line.clear();
+        reader.read_line(&mut line).map_err(unavailable)?;
+        if !line.ends_with('\n') {
+            // End of stream, or a server that died mid-line: transient
+            // either way, and what did arrive whole has been delivered.
+            return Err(unavailable("connection closed before the sweep finished"));
         }
-        if v.get("done").and_then(Json::as_bool) == Some(true) {
-            return Ok(SweepSummary {
-                cells: v.get("cells").and_then(Json::as_u64).unwrap_or(0),
-                simulated: v.get("simulated").and_then(Json::as_u64).unwrap_or(0),
-                cache_hits: v.get("cache_hits").and_then(Json::as_u64).unwrap_or(0),
-            });
+        match decode_reply(&line).map_err(|e| remote_err(format!("bad response line: {e}")))? {
+            SweepReply::Outcome(out) => on_result(out),
+            SweepReply::Done(summary) => return Ok(summary),
+            SweepReply::Rejected(e) => return Err(e),
         }
-        on_result(outcome_from_json(&v).map_err(remote_err)?);
     }
-    Err(unavailable("connection closed before the sweep finished"))
 }
 
 /// Send one single-shot op (`ping`, `stats`, `status`, `shutdown`) and
@@ -994,6 +1135,13 @@ mod tests {
         assert!(cell_from_json(&Json::obj([("kernel", Json::str("SPMV"))])).is_err());
     }
 
+    fn decode_outcome(line: &str) -> CellOutcome {
+        match decode_reply(line) {
+            Ok(SweepReply::Outcome(out)) => out,
+            other => panic!("not a result line: {other:?}"),
+        }
+    }
+
     #[test]
     fn outcome_wire_format_round_trips() {
         let cell = Cell {
@@ -1005,7 +1153,7 @@ mod tests {
         let mut stats = Stats::new();
         stats.set("l2.miss", 7);
         let done = CellOutcome::Done(RunResult { cell, cycles: 12345, stats });
-        let back = outcome_from_json(&outcome_to_json(&done)).unwrap();
+        let back = decode_outcome(&outcome_to_json(&done).to_line());
         assert_eq!(back.cycles(), Some(12345));
         match &back {
             CellOutcome::Done(r) => assert_eq!(r.stats.get("l2.miss"), 7),
@@ -1015,7 +1163,7 @@ mod tests {
             cell,
             error: SimError::Deadlock { cycle: 9, diagnostic: "queue full".into() },
         };
-        let back = outcome_from_json(&outcome_to_json(&failed)).unwrap();
+        let back = decode_outcome(&outcome_to_json(&failed).to_line());
         let err = back.error().expect("failure must survive the wire");
         assert!(matches!(err, SimError::Remote { .. }), "wire failures are Remote");
         assert!(err.to_string().contains("Deadlock"), "original class text survives: {err}");
@@ -1056,12 +1204,140 @@ mod tests {
     /// Spawn a 1-thread small-workload server on an ephemeral port with fast
     /// io timeouts; returns (addr, serve-thread handle).
     fn spawn_raw_server() -> (String, std::thread::JoinHandle<()>) {
+        spawn_raw_server_with(TimingConfig::default())
+    }
+
+    fn spawn_raw_server_with(cfg: TimingConfig) -> (String, std::thread::JoinHandle<()>) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let mut sc = ServerConfig::new("small", TimingConfig::default(), Backend::default(), 1);
+        let mut sc = ServerConfig::new("small", cfg, Backend::default(), 1);
         sc.io_timeout = Some(Duration::from_secs(5));
         let handle = std::thread::spawn(move || serve(listener, sc).unwrap());
         (addr, handle)
+    }
+
+    fn spmv256() -> Cell {
+        Cell {
+            kernel: KernelKind::Spmv,
+            imp: ImplKind::Vector { maxvl: 256 },
+            extra_latency: 0,
+            bandwidth: 64,
+        }
+    }
+
+    /// The line a server under `cfg` answers a one-cell sweep with, read raw
+    /// off the socket.
+    fn served_line(addr: &str, w: &Workloads, cfg: TimingConfig, cell: Cell) -> String {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut wr = BufWriter::new(stream.try_clone().unwrap());
+        let req = Json::obj([
+            ("op", Json::str("sweep")),
+            ("workload", Json::str("small")),
+            ("workload_fp", Json::str(w.fingerprint())),
+            ("cfg", Json::str(cfg.canonical())),
+            ("backend", Json::str(backend_name(Backend::default()))),
+            ("cells", Json::Arr(vec![cell_to_json(cell)])),
+        ]);
+        writeln!(wr, "{}", req.to_line()).unwrap();
+        wr.flush().unwrap();
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        assert!(line.ends_with('\n'), "a whole line: {line:?}");
+        line.pop();
+        line
+    }
+
+    /// The server renders a result line once, when the cell is published;
+    /// what it streams — first time and from the memo — must be what
+    /// `outcome_to_json` says of the same outcome, for both kinds of outcome.
+    #[test]
+    fn memoized_line_is_outcome_to_json_of_the_outcome() {
+        let w = Workloads::small();
+        let mut tight = TimingConfig::default();
+        tight.watchdog.cycle_budget = 500;
+        for cfg in [TimingConfig::default(), tight] {
+            let local = run_guarded(&mut None, &w, spmv256(), cfg, Backend::default(), None);
+            assert_eq!(local.is_done(), cfg.watchdog.cycle_budget == 0, "{local:?}");
+            let want = outcome_to_json(&local).to_line();
+            let (addr, handle) = spawn_raw_server_with(cfg);
+            let first = served_line(&addr, &w, cfg, spmv256());
+            let again = served_line(&addr, &w, cfg, spmv256());
+            assert_eq!(first, want, "as published");
+            assert_eq!(again, want, "from the memo");
+            let stats = client_request(&addr, "stats", &RetryPolicy::none()).unwrap();
+            assert_eq!(stats.get("simulated").and_then(Json::as_u64), Some(1));
+            assert_eq!(stats.get("served").and_then(Json::as_u64), Some(2));
+            client_request(&addr, "shutdown", &RetryPolicy::none()).unwrap();
+            handle.join().unwrap();
+        }
+    }
+
+    /// A connection wakes the accept loop; it does not wait out a poll
+    /// interval. Median over fresh connections to an idle server, so one
+    /// descheduled round trip cannot fail it.
+    #[test]
+    fn a_fresh_connection_is_answered_well_inside_the_poll_interval() {
+        let (addr, handle) = spawn_raw_server();
+        // Once a ping is answered the workload is built and the loop running.
+        client_request(&addr, "ping", &RetryPolicy::none()).unwrap();
+        let mut rtts: Vec<Duration> = (0..20)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                client_request(&addr, "status", &RetryPolicy::none()).unwrap();
+                t.elapsed()
+            })
+            .collect();
+        rtts.sort();
+        assert!(rtts[10] < ACCEPT_POLL / 4, "median status round trip {:?}", rtts[10]);
+        client_request(&addr, "shutdown", &RetryPolicy::none()).unwrap();
+        handle.join().unwrap();
+    }
+
+    /// Hostile bytes (ROADMAP 4d): seeded mutations of real response lines
+    /// must come back from both decoders as a value or an error — never a
+    /// panic, never a hang.
+    #[test]
+    fn mutated_response_lines_never_panic_the_decoders() {
+        let w = Workloads::small();
+        let cfg = TimingConfig::default();
+        let done = run_guarded(&mut None, &w, spmv256(), cfg, Backend::default(), None);
+        let failed = CellOutcome::Failed {
+            cell: spmv256(),
+            error: SimError::Deadlock { cycle: 9, diagnostic: "queue \"full\"\n\ttile0 é".into() },
+        };
+        let summary = Json::obj([("done", Json::Bool(true)), ("cells", Json::num(u64::MAX))]);
+        let lines = [
+            outcome_to_json(&done).to_line(),
+            outcome_to_json(&failed).to_line(),
+            summary.to_line(),
+        ];
+        const SYNTAX: &[u8] = b"\"\\{}[]:,0-e.u";
+        let mut rng = Rng::new(0x4d);
+        let (mut decoded, mut refused) = (0u32, 0u32);
+        for case in 0..6000 {
+            let mut bytes = lines[case % lines.len()].clone().into_bytes();
+            for _ in 0..1 + rng.below(3) {
+                let at = rng.index(bytes.len());
+                match rng.below(5) {
+                    0 => bytes[at] = rng.below(256) as u8,
+                    1 => bytes[at] = SYNTAX[rng.index(SYNTAX.len())],
+                    2 => bytes.insert(at, SYNTAX[rng.index(SYNTAX.len())]),
+                    3 if bytes.len() > 1 => drop(bytes.remove(at)),
+                    _ => bytes.truncate(at.max(1)),
+                }
+            }
+            // A line that is not UTF-8 never reaches a decoder: read_line
+            // refuses it first.
+            let Ok(text) = String::from_utf8(bytes) else { continue };
+            let tree = Json::parse(&text);
+            let reply = decode_reply(&text);
+            assert!(tree.is_ok() || reply.is_err(), "one grammar: {text}");
+            match reply {
+                Ok(_) => decoded += 1,
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(decoded > 100 && refused > 1000, "{decoded} decoded, {refused} refused");
     }
 
     #[test]

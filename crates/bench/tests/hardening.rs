@@ -173,3 +173,17 @@ fn armed_watchdog_never_perturbs_healthy_grids() {
         assert_eq!(o.cycles(), Some(p.cycles), "cell {:?}", p.cell);
     }
 }
+
+/// The end-of-run coherence audit's canary. On the paper's 2048-point FFT
+/// the scalar implementation merges a store into an in-flight fill whose
+/// tag has been evicted; the victim of that re-install used to stay in the
+/// directory as a phantom holder, and the cell came back `Failed` at every
+/// latency. The cycle count is the one `results/fig3.csv` records.
+#[test]
+fn paper_scale_fft_scalar_passes_the_coherence_audit() {
+    let w = Workloads { signal: sdv_kernels::fft::test_signal(2048), ..Workloads::small() };
+    let fft_scalar =
+        Cell { kernel: KernelKind::Fft, imp: ImplKind::Scalar, extra_latency: 0, bandwidth: 64 };
+    let r = sdv_bench::try_run_with_config(&w, fft_scalar, TimingConfig::default());
+    assert_eq!(r.map(|r| r.cycles).map_err(|e| e.to_string()), Ok(601181));
+}

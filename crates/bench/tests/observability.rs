@@ -4,251 +4,15 @@
 //! show — memory-stall fraction falling as MAXVL grows under added latency —
 //! must hold on a real sweep.
 //!
-//! The JSON validation uses a deliberately small recursive-descent parser
-//! (below) rather than a serde dependency: the crate has none, and the
-//! parser doubles as an executable spec of what "valid JSON" means here.
+//! The JSON is validated with the crate's one codec, [`sdv_bench::json`]:
+//! its parser accepts exactly the JSON grammar, so "it parses" means "it is
+//! valid JSON".
 
+use sdv_bench::json::Json;
 use sdv_bench::metrics::{metrics_json, StallBreakdown};
 use sdv_bench::{try_run_traced, Cell, CellOutcome, ImplKind, KernelKind, Sweeper, Workloads};
 use sdv_engine::ProbeConfig;
 use sdv_uarch::TimingConfig;
-use std::collections::BTreeMap;
-
-/// A parsed JSON value. `Num` keeps the raw text — the tests only need to
-/// compare a handful of integers and check that numbers lex correctly.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = Parser { s: text.as_bytes(), i: 0 };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.s.len() {
-            return Err(format!("trailing bytes at offset {}", p.i));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && matches!(self.s[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", b as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at offset {}", self.i)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        let digits = |p: &mut Self| {
-            let from = p.i;
-            while p.peek().is_some_and(|c| c.is_ascii_digit()) {
-                p.i += 1;
-            }
-            p.i > from
-        };
-        if !digits(self) {
-            return Err(format!("bad number at offset {start}"));
-        }
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            if !digits(self) {
-                return Err(format!("bad fraction at offset {start}"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            if !digits(self) {
-                return Err(format!("bad exponent at offset {start}"));
-            }
-        }
-        Ok(Json::Num(String::from_utf8_lossy(&self.s[start..self.i]).into_owned()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .s
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                            self.i += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.i += 1;
-                }
-                Some(c) if c < 0x20 => {
-                    return Err(format!("raw control byte {c:#x} in string"));
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through unsplit.
-                    let ch_len = {
-                        let rest = std::str::from_utf8(&self.s[self.i..])
-                            .map_err(|e| e.to_string())?;
-                        rest.chars().next().unwrap().len_utf8()
-                    };
-                    out.push_str(
-                        std::str::from_utf8(&self.s[self.i..self.i + ch_len]).unwrap(),
-                    );
-                    self.i += ch_len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected , or ] got {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(map));
-                }
-                other => return Err(format!("expected , or }} got {other:?}")),
-            }
-        }
-    }
-}
 
 fn traced_cell() -> Cell {
     Cell {
@@ -265,7 +29,7 @@ fn trace_export_is_valid_trace_event_json() {
     let (r, json) = try_run_traced(&w, traced_cell(), TimingConfig::default()).unwrap();
     assert!(r.cycles > 0);
 
-    let doc = Parser::parse(&json).expect("trace must parse as JSON");
+    let doc = Json::parse(&json).expect("trace must parse as JSON");
     let events = doc
         .get("traceEvents")
         .and_then(Json::as_arr)
@@ -319,7 +83,7 @@ fn metrics_export_is_valid_json_with_stall_breakdowns() {
     let outcomes = Sweeper::with_config(cfg).sweep_outcomes(&w, &cells, 1);
 
     let text = metrics_json("observability_test", &outcomes);
-    let doc = Parser::parse(&text).expect("metrics must parse as JSON");
+    let doc = Json::parse(&text).expect("metrics must parse as JSON");
     assert_eq!(doc.get("schema").and_then(Json::as_str), Some("sdv-metrics-v1"));
     let parsed = doc.get("cells").and_then(Json::as_arr).expect("cells array");
     assert_eq!(parsed.len(), 2);

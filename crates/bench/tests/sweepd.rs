@@ -3,6 +3,7 @@
 
 use std::time::Duration;
 
+use sdv_bench::json::Json;
 use sdv_bench::server::{client_request, client_sweep, RetryPolicy, ShutdownSignal, SweepSummary};
 use sdv_bench::{
     serve, Cell, CellOutcome, ChaosKind, ChaosPlan, ImplKind, KernelKind, ServerConfig, Sweeper,
@@ -30,7 +31,7 @@ fn spawn_server_with(
     (addr, handle)
 }
 
-fn ask(addr: &str, op: &str) -> sdv_bench::json::Json {
+fn ask(addr: &str, op: &str) -> Json {
     client_request(addr, op, &RetryPolicy::none()).unwrap()
 }
 
@@ -278,6 +279,102 @@ fn shutdown_signal_drains_in_flight_work_and_rejects_new_sweeps() {
         std::net::TcpStream::connect(&addr).is_err(),
         "the drained server no longer listens"
     );
+    // The acceptor thread owned the listener; serve() joined it, so the
+    // port is free for the next server the moment serve() is back.
+    std::net::TcpListener::bind(&addr).expect("the drained server released its port");
+}
+
+/// Submit `cells` over a raw socket and return the response lines as the
+/// server wrote them, result lines sorted (completion order is not part of
+/// the protocol), the `done` line last.
+fn raw_sweep_lines(addr: &str, w: &Workloads, cells: &[Cell]) -> Vec<String> {
+    use std::io::{BufRead, Write};
+    let cells = cells
+        .iter()
+        .map(|c| {
+            Json::obj([
+                ("kernel", Json::str(c.kernel.name())),
+                ("imp", Json::str(c.imp.to_string())),
+                ("lat", Json::num(c.extra_latency)),
+                ("bw", Json::num(c.bandwidth)),
+            ])
+        })
+        .collect();
+    let req = Json::obj([
+        ("op", Json::str("sweep")),
+        ("workload", Json::str("small")),
+        ("workload_fp", Json::str(w.fingerprint())),
+        ("cfg", Json::str(TimingConfig::default().canonical())),
+        ("backend", Json::str("scalar")),
+        ("cells", Json::Arr(cells)),
+    ]);
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    writeln!(stream, "{}", req.to_line()).unwrap();
+    let mut lines = Vec::new();
+    for line in std::io::BufReader::new(stream).lines() {
+        let line = line.unwrap();
+        let done = line.starts_with("{\"done\"");
+        lines.push(line);
+        if done {
+            break;
+        }
+    }
+    let results = lines.len() - 1;
+    lines[..results].sort();
+    lines
+}
+
+/// A memoized cell is answered with the bytes rendered when it was
+/// published: two clients asking at once get byte-identical lines, the same
+/// ones the cold client got, and nothing is simulated again.
+#[test]
+fn concurrent_warm_clients_get_byte_identical_lines_and_simulate_nothing() {
+    let (addr, handle) = spawn_server(2);
+    let w = Workloads::small();
+    let cells = [
+        spmv(ImplKind::Scalar),
+        spmv(ImplKind::Vector { maxvl: 8 }),
+        spmv(ImplKind::Vector { maxvl: 64 }),
+        spmv(ImplKind::Vector { maxvl: 256 }),
+    ];
+    let cold = raw_sweep_lines(&addr, &w, &cells);
+    assert_eq!(cold.len(), cells.len() + 1);
+    let simulated = |v: &Json| v.get("simulated").and_then(|n| n.as_u64());
+    assert_eq!(simulated(&ask(&addr, "stats")), Some(4));
+
+    let start = std::sync::Barrier::new(2);
+    let (a, b) = std::thread::scope(|s| {
+        let warm = || {
+            start.wait();
+            raw_sweep_lines(&addr, &w, &cells)
+        };
+        let ha = s.spawn(warm);
+        let hb = s.spawn(warm);
+        (ha.join().unwrap(), hb.join().unwrap())
+    });
+    assert_eq!(a, b, "two warm clients, one set of bytes");
+    assert_eq!(a, cold, "and they are the bytes the cold client was sent");
+    let stats = ask(&addr, "stats");
+    assert_eq!(simulated(&stats), Some(4), "a warm sweep simulates nothing");
+    assert_eq!(stats.get("served").and_then(|n| n.as_u64()), Some(12));
+
+    // The library client decodes those same lines to the same results.
+    let (_, outcomes) = sweep_from(&addr, &w, &cells);
+    for line in &cold[..cells.len()] {
+        let v = Json::parse(line).unwrap();
+        let cycles = v.get("cycles").and_then(|n| n.as_u64());
+        let imp = v.get("imp").and_then(|i| i.as_str()).unwrap();
+        let out = outcomes.iter().find(|o| o.cell().imp.to_string() == imp).unwrap();
+        assert_eq!(out.cycles(), cycles, "{imp}");
+        let CellOutcome::Done(r) = out else { panic!("{imp} failed") };
+        let Some(Json::Obj(stats)) = v.get("stats") else { panic!("no stats") };
+        assert_eq!(r.stats.iter().count(), stats.len(), "{imp}: every counter decoded");
+        for (k, n) in stats {
+            assert_eq!(Some(r.stats.get(k)), n.as_u64(), "{imp} {k}");
+        }
+    }
+    ask(&addr, "shutdown");
+    handle.join().unwrap();
 }
 
 /// With `--fallback-local` semantics enabled, an unreachable server

@@ -399,8 +399,16 @@ impl MemHierarchy {
             if ready > now {
                 self.ctr.l1_merged_miss += 1;
                 if is_write {
-                    // The merged store dirties the line once it arrives.
-                    self.l1[tile].fill(line, true);
+                    // The merged store dirties the line once it arrives. If
+                    // the line's tag was evicted while the fill was in
+                    // flight, this re-installs it over a victim, which the
+                    // victim's directory must stop counting as held here.
+                    // (A dirty victim's writeback is not modelled on this
+                    // path: see DESIGN.md, known simplifications.)
+                    if let Some(victim) = self.l1[tile].fill(line, true) {
+                        let vbank = self.amap.bank_of(victim.addr);
+                        self.banks[vbank].dir.evicted(victim.addr, req_l1_of(tile));
+                    }
                 }
                 return ready.max(t_l1);
             }
@@ -945,6 +953,27 @@ mod tests {
         h.banks[0].dir.caching_read(0, REQ_L1);
         let e = h.audit_coherence(0).unwrap_err();
         assert!(e.to_string().contains("but the L1 does not"), "{e}");
+    }
+
+    #[test]
+    fn a_store_merged_into_an_evicted_fill_leaves_no_phantom_holder() {
+        let mut h = hier();
+        let l1 = h.config().l1;
+        let set_stride = l1.num_sets() as u64 * l1.line_bytes;
+        // A load of line A goes out; while its data is in flight, as many
+        // more loads as the set has ways push A's tag out again.
+        let a = 0x10000;
+        let ready = h.core_access(a, false, 0);
+        for way in 1..=l1.ways as u64 {
+            h.core_access(a + way * set_stride, false, way);
+        }
+        let now = l1.ways as u64 + 1;
+        assert!(now < ready && !h.l1[0].contains(a), "A evicted with its fill in flight");
+        // The store merges into that fill and re-installs A over a victim.
+        assert_eq!(h.core_access(a, true, now), ready);
+        assert_eq!(h.stats().get("l1.merged_miss"), 1);
+        assert!(h.l1[0].contains(a));
+        assert_eq!(h.audit_coherence(ready), Ok(()), "the victim's directory must let go of it");
     }
 
     #[test]

@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tests (release) =="
 cargo test -q --workspace --release
 
+echo "== sdvbench unit tests (BENCHMARK.json == generated text, RecordingVm replay == SdvMachine) =="
+# benchmark/ is a workspace of its own, so the workspace test run above never
+# enters it.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== perf smoke =="
 # --against exercises the baseline-comparison path end to end. The huge
 # threshold makes it a smoke of the mechanism, not a perf gate: shared CI
@@ -172,10 +177,27 @@ if ! grep -q "workers" <<<"$status_out"; then
     echo "sweepd status: no worker health in: $status_out" >&2
     exit 1
 fi
+# The warm path: the whole fig3 grid through the server twice. The second
+# pass must be answered from the memo alone — the server's lifetime
+# `simulated` count does not move — with the same bytes, the golden ones.
+wire_cold="$(mktemp /tmp/fig3_wire_cold.XXXXXX.csv)"
+wire_warm="$(mktemp /tmp/fig3_wire_warm.XXXXXX.csv)"
+server_simulated() { ./target/release/sweepd stats --addr "$sweepd_addr" | awk '$1 == "simulated" { print $2 }'; }
+./target/release/fig3_latency --small --server "$sweepd_addr" --csv "$wire_cold" >/dev/null
+sim_cold="$(server_simulated)"
+./target/release/fig3_latency --small --server "$sweepd_addr" --csv "$wire_warm" >/dev/null
+sim_warm="$(server_simulated)"
+cmp "$wire_cold" "$wire_warm"
+diff -u results/golden/fig3_small.csv "$wire_warm"
+if [ -z "$sim_cold" ] || [ "$sim_cold" != "$sim_warm" ]; then
+    echo "sweepd warm resubmit simulated again: $sim_cold -> $sim_warm cells" >&2
+    exit 1
+fi
+rm -f "$wire_cold" "$wire_warm"
 ./target/release/sweepd shutdown --addr "$sweepd_addr" >/dev/null
 wait "$sweepd_pid"
 rm -f "$sweepd_log"
-echo "sweepd round trip ok ($submit_err)"
+echo "sweepd round trip ok ($submit_err); warm resubmit byte-identical, $sim_warm cells simulated once"
 
 echo "== sweepd graceful shutdown (SIGTERM: drain in-flight submit, exit 0) =="
 sweepd_log="$(mktemp /tmp/sweepd_term.XXXXXX.log)"
