@@ -9,13 +9,11 @@
 //!
 //! Usage: `perf_baseline [--smoke] [--threads N] [--label NAME] [--out PATH]
 //!                       [--against LABEL] [--threshold X]
-//!                       [--suite-threshold X] [--backend B] [--breakdown]
+//!                       [--suite-threshold X] [--breakdown]
 //!                       [--repeat N]`
 //!
 //! * `--smoke`  — tiny subset (one cell per kernel, reduced micro iters);
 //!   used by `scripts/check.sh` as a fast end-to-end sanity pass.
-//! * `--backend`— vector execution backend (`scalar` or `simd`). Simulated
-//!   cycles are identical either way; only host wall-clock changes.
 //! * `--threads`— worker threads for the pooled-sweep pass. Defaults to the
 //!   host's available parallelism.
 //! * `--label`  — name recorded in the JSON and used for the default output
@@ -41,13 +39,13 @@
 //!   adds time, so min-of-N is the low-variance estimate gating needs.
 
 use sdv_bench::cli;
+use sdv_bench::json::Json;
 use sdv_bench::{Cell, ImplKind, KernelKind, Sweeper, Workloads};
 use sdv_engine::BoundedQueue;
 use sdv_memsys::{AccessKind, Cache, CacheConfig, DramChannel};
 use sdv_noc::Mesh;
 use sdv_rvv::{
-    exec_into, exec_into_backend, ArithKind, Backend, ExecInfo, ExecScratch, FmaKind, Lmul,
-    MemAddr, Sew, VInst, VOp, VState,
+    exec_into, ArithKind, ExecInfo, ExecScratch, FmaKind, Lmul, MemAddr, Sew, VInst, VOp, VState,
 };
 use std::time::Instant;
 
@@ -111,8 +109,6 @@ fn main() {
     };
     let out = cli::arg_value(&args, "--out")
         .map_or_else(|| format!("results/perf/{label}.json"), str::to_string);
-    let backend = cli::parse_backend(&args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
-    println!("backend: {}", backend.describe());
 
     let w = Workloads::small();
     let cells = suite(smoke);
@@ -130,7 +126,6 @@ fn main() {
     for pass in 0..repeat {
         // Fresh pool per pass: the memo would otherwise shortcut repeats.
         let mut pool = Sweeper::new();
-        pool.set_backend(backend);
         for (i, &cell) in cells.iter().enumerate() {
             let t = Instant::now();
             let r = pool.run_cell(&w, cell);
@@ -151,7 +146,6 @@ fn main() {
     // empty memo forces every cell to be simulated again.
     let t_sweep = Instant::now();
     let mut sweep_pool = Sweeper::new();
-    sweep_pool.set_backend(backend);
     let swept = sweep_pool.sweep(&w, &cells, threads);
     let sweep_ms = t_sweep.elapsed().as_secs_f64() * 1e3;
     for (seq, sw) in reports.iter().zip(&swept) {
@@ -175,11 +169,10 @@ fn main() {
     print_human(&reports, &micro, sequential_ms, sweep_ms, cps);
 
     if breakdown {
-        print_breakdown(&w, &reports, backend);
+        print_breakdown(&w, &reports);
     }
 
-    let json =
-        render_json(&label, smoke, threads, backend, &reports, &micro, sequential_ms, sweep_ms);
+    let json = render_json(&label, smoke, threads, &reports, &micro, sequential_ms, sweep_ms);
     if let Some(dir) = std::path::Path::new(&out).parent() {
         std::fs::create_dir_all(dir).expect("create results dir");
     }
@@ -203,19 +196,19 @@ fn main() {
 /// same program — its wall clock is the functional share (RVV exec + kernel
 /// driver + simulated memory), and `timed - functional` is the timing model
 /// (scalar core, VPU, NoC, L2HN, DRAM bookkeeping).
-fn print_breakdown(w: &Workloads, reports: &[CellReport], backend: Backend) {
+fn print_breakdown(w: &Workloads, reports: &[CellReport]) {
     use sdv_uarch::TimingConfig;
     let mut m = sdv_core::SdvMachine::new(w.heap);
     // Warm the machine (heap pages, allocator high-water) so the measured
     // pass sees the same steady state the pooled timed runs saw.
     for r in reports {
-        sdv_bench::run_functional_only(&mut m, w, r.cell, TimingConfig::default(), backend);
+        sdv_bench::run_functional_only(&mut m, w, r.cell, TimingConfig::default());
     }
     let mut per: Vec<(KernelKind, f64, f64)> =
         KernelKind::all().iter().map(|&k| (k, 0.0, 0.0)).collect();
     for r in reports {
         let t = Instant::now();
-        sdv_bench::run_functional_only(&mut m, w, r.cell, TimingConfig::default(), backend);
+        sdv_bench::run_functional_only(&mut m, w, r.cell, TimingConfig::default());
         let f_ms = t.elapsed().as_secs_f64() * 1e3;
         let e = per.iter_mut().find(|(k, ..)| *k == r.cell.kernel).expect("kernel in all()");
         e.1 += r.wall_ms;
@@ -251,9 +244,8 @@ fn print_breakdown(w: &Workloads, reports: &[CellReport], backend: Backend) {
     );
 }
 
-/// A previously recorded perf_baseline JSON, re-read with a line-oriented
-/// parser (the writer emits one cell/micro per line; no JSON dependency
-/// needed to read our own output back).
+/// A previously recorded perf_baseline JSON, read back through the
+/// workspace's one JSON codec.
 struct Baseline {
     cells: Vec<(String, String, u64, u64, f64)>, // kernel, impl, +lat, cycles, wall_ms
     micro: Vec<(String, f64)>,                   // name, ns_per_iter
@@ -261,36 +253,34 @@ struct Baseline {
 }
 
 impl Baseline {
-    /// Every error names the file and, for parse errors, the 1-based line
-    /// where the reader gave up — a truncated or hand-edited baseline should
-    /// point at the damage, not just say "parse error".
+    /// Every error names the file and, for a malformed entry, which entry
+    /// and field — a truncated or hand-edited baseline should point at the
+    /// damage, not just say "parse error".
     fn load(path: &str) -> Result<Self, String> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
+        let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        let entries = |key: &str| doc.get(key).and_then(Json::as_arr).unwrap_or_default();
         let mut base = Baseline { cells: Vec::new(), micro: Vec::new(), sequential_ms: None };
-        for (idx, line) in text.lines().enumerate() {
-            let at = |what: &str| format!("{path}:{}: {what}", idx + 1);
-            if line.contains("\"kernel\"") {
-                base.cells.push((
-                    json_str(line, "kernel").ok_or_else(|| at("cell line missing kernel"))?,
-                    json_str(line, "impl").ok_or_else(|| at("cell line missing impl"))?,
-                    json_num(line, "extra_latency")
-                        .ok_or_else(|| at("cell line missing extra_latency"))?
-                        as u64,
-                    json_num(line, "cycles").ok_or_else(|| at("cell line missing cycles"))?
-                        as u64,
-                    json_num(line, "wall_ms").ok_or_else(|| at("cell line missing wall_ms"))?,
-                ));
-            } else if line.contains("\"ns_per_iter\"") {
-                base.micro.push((
-                    json_str(line, "name").ok_or_else(|| at("micro line missing name"))?,
-                    json_num(line, "ns_per_iter")
-                        .ok_or_else(|| at("micro line missing ns_per_iter"))?,
-                ));
-            } else if line.contains("\"sequential_ms\"") {
-                base.sequential_ms = json_num(line, "sequential_ms");
-            }
+        for (i, c) in entries("cells").iter().enumerate() {
+            let at = format!("{path}: cells[{i}]");
+            base.cells.push((
+                field(&at, c, "kernel", Json::as_str)?.to_string(),
+                field(&at, c, "impl", Json::as_str)?.to_string(),
+                field(&at, c, "extra_latency", Json::as_u64)?,
+                field(&at, c, "cycles", Json::as_u64)?,
+                field(&at, c, "wall_ms", Json::as_f64)?,
+            ));
         }
+        for (i, m) in entries("micro").iter().enumerate() {
+            let at = format!("{path}: micro[{i}]");
+            base.micro.push((
+                field(&at, m, "name", Json::as_str)?.to_string(),
+                field(&at, m, "ns_per_iter", Json::as_f64)?,
+            ));
+        }
+        base.sequential_ms =
+            doc.get("totals").and_then(|t| t.get("sequential_ms")).and_then(Json::as_f64);
         if base.cells.is_empty() && base.micro.is_empty() {
             return Err(format!("{path}: no cells or micros found"));
         }
@@ -298,23 +288,14 @@ impl Baseline {
     }
 }
 
-/// Extract `"key": "value"` from a single JSON line.
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(line[start..start + end].to_string())
-}
-
-/// Extract `"key": <number>` from a single JSON line.
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// `entry[name]` read through `get`, or an error naming the entry and field.
+fn field<'a, T>(
+    at: &str,
+    entry: &'a Json,
+    name: &str,
+    get: impl Fn(&'a Json) -> Option<T>,
+) -> Result<T, String> {
+    entry.get(name).and_then(get).ok_or_else(|| format!("{at} missing {name}"))
 }
 
 /// Print per-micro and per-cell deltas against `base`. Returns false when the
@@ -482,29 +463,6 @@ fn micro_suite(scale: u64) -> Vec<MicroReport> {
     out.push(time_micro("exec_vfmacc_vl256", 40_000 * scale, || {
         exec_into(std::hint::black_box(&vfmacc), &mut st, &mut mem, &mut scratch, &mut info);
     }));
-    // The same two ops through the host-SIMD backend: measures the
-    // dispatch-level win of the chunked/AVX2 kernels over the scalar batch
-    // loops (architectural results and cycles are identical either way).
-    out.push(time_micro("exec_vadd_simd_vl256", 40_000 * scale, || {
-        exec_into_backend(
-            std::hint::black_box(&vadd),
-            &mut st,
-            &mut mem,
-            &mut scratch,
-            &mut info,
-            Backend::Simd,
-        );
-    }));
-    out.push(time_micro("exec_vfmacc_simd_vl256", 40_000 * scale, || {
-        exec_into_backend(
-            std::hint::black_box(&vfmacc),
-            &mut st,
-            &mut mem,
-            &mut scratch,
-            &mut info,
-            Backend::Simd,
-        );
-    }));
     let vle = VInst::new(VOp::Load { vd: 1, addr: MemAddr::Unit { base: 0 } });
     out.push(time_micro("exec_vle_vl256", 40_000 * scale, || {
         exec_into(std::hint::black_box(&vle), &mut st, &mut mem, &mut scratch, &mut info);
@@ -634,12 +592,10 @@ fn host_info() -> (String, usize) {
     (cpu, cores)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     label: &str,
     smoke: bool,
     threads: usize,
-    backend: sdv_rvv::Backend,
     reports: &[CellReport],
     micro: &[MicroReport],
     sequential_ms: f64,
@@ -657,7 +613,6 @@ fn render_json(
     s.push_str(&format!("  \"timestamp_unix\": {unix_secs},\n"));
     s.push_str(&format!("  \"smoke\": {smoke},\n"));
     s.push_str(&format!("  \"threads\": {threads},\n"));
-    s.push_str(&format!("  \"backend\": \"{backend}\",\n"));
     s.push_str(&format!("  \"build\": \"{}\",\n", sdv_engine::build_info()));
     let (cpu, cores) = host_info();
     s.push_str(&format!("  \"host\": {{\"cpu\": \"{cpu}\", \"cores\": {cores}}},\n"));

@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! * `sweepd serve [--addr A | --port N] [--small] [--threads N]
-//!   [--cache|--cache-dir D] [--backend scalar|simd] [--probe-sampling]
+//!   [--cache|--cache-dir D] [--probe-sampling]
 //!   [--tiles N] [--mesh WxH] [--watchdog] [--cycle-budget N]
 //!   [--max-queue N] [--io-timeout-ms N] [--cell-wall-ms N]
 //!   [--chaos all|KIND [--chaos-seed S]]`
@@ -12,7 +12,7 @@
 //!   arrays, pooled machines, and result memo resident; every unique cell is
 //!   simulated at most once for the server's lifetime. `--port 0` binds an
 //!   ephemeral port; the bound address is printed on stderr either way.
-//! * `sweepd submit [--addr A] [--small] [--backend B] [--probe-sampling]
+//! * `sweepd submit [--addr A] [--small] [--probe-sampling]
 //!   [--tiles N] [--mesh WxH] [--watchdog] [--cycle-budget N]
 //!   [--retries N [--retry-seed S]]
 //!   --cells "SPMV,scalar,0,64;FFT,vl=256,128,64"`
@@ -127,8 +127,8 @@ fn serve(args: &[String], addr: &str) {
         Err(e) => cli::die_usage(BIN, &e),
     };
     let workload = if small { "small" } else { "paper" };
-    let backend = cli::parse_backend(args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
-    let mut sc = server::ServerConfig::new(workload, timing_config(args), backend, threads);
+    let mut sc =
+        server::ServerConfig::new(workload, timing_config(args), sdv_rvv::Backend, threads);
     sc.cache = cli::cache_dir(BIN, args).map(|dir| match ResultCache::open(&dir) {
         Ok(c) => c,
         Err(e) => cli::die_bad_input(BIN, &e.to_string()),
@@ -208,7 +208,6 @@ fn submit(args: &[String], addr: &str) {
     if cells.is_empty() {
         cli::die_usage(BIN, "--cells named no cells");
     }
-    let backend = cli::parse_backend(args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
     let policy = cli::retry_policy(args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
     let cfg = timing_config(args);
     let w = if small { Workloads::small() } else { Workloads::paper() };
@@ -218,7 +217,6 @@ fn submit(args: &[String], addr: &str) {
         if small { "small" } else { "paper" },
         &w.fingerprint(),
         &cfg.canonical(),
-        backend,
         &cells,
         &policy,
         |out| {
@@ -262,8 +260,8 @@ fn submit(args: &[String], addr: &str) {
     }
 }
 
-/// `KERNEL,impl,extra_latency,bandwidth` — the checkpoint line format
-/// without the trailing cycles column.
+/// `KERNEL,impl,extra_latency,bandwidth` — a `submit` output line without
+/// the trailing cycles column.
 fn parse_cell(spec: &str) -> Result<Cell, String> {
     let fields: Vec<&str> = spec.split(',').collect();
     if fields.len() != 4 {

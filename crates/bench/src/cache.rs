@@ -13,9 +13,6 @@
 //! * a content fingerprint of the workload inputs
 //!   ([`Workloads::fingerprint`](crate::Workloads::fingerprint)),
 //! * the program (kernel + implementation) and knob settings,
-//! * the execution backend (cycles are backend-identical, but the key keeps
-//!   backends separate so a backend-identity regression can never be masked
-//!   by the cache),
 //! * the code version ([`sdv_engine::build_info()`]) — new code never serves
 //!   old results.
 //!
@@ -28,8 +25,8 @@
 //! write points at a dying disk, and the evidence should survive the
 //! self-heal) and re-made by the next run; [`ResultCache::fsck`] scans the
 //! whole cache proactively and `sweepd fsck` exposes it operationally. Only
-//! completed cells are cached — failures re-run, exactly like the resume
-//! checkpoints.
+//! completed cells are cached — failures re-run. Re-running a killed sweep
+//! against the same directory is the one way to resume it.
 
 use crate::harness::{Cell, Workloads};
 use sdv_engine::{SimError, StableHash, Stats};
@@ -43,14 +40,11 @@ use std::time::SystemTime;
 /// a format change.
 const MAGIC: &str = "sdv-cache-v1";
 
-/// The stable CLI/key spelling of a backend ([`Backend::describe`] embeds
-/// runtime CPU detection, so it must never reach a cache key).
-pub fn backend_name(b: Backend) -> &'static str {
-    match b {
-        Backend::Scalar => "scalar",
-        Backend::Simd => "simd",
-    }
-}
+/// The `backend=` token of the key text and the `"backend"` value of the
+/// `sweepd` sweep/ping messages. There is one exec engine; the literal stays
+/// so that neither format moves (no `MAGIC` bump, old clients still talk to
+/// a new server, and a server still refuses a peer that names another).
+pub(crate) const BACKEND_TOKEN: &str = "scalar";
 
 /// A fully-resolved cache key: the canonical key text (stored inside the
 /// entry and verified on load) plus its 32-hex digest (the filename).
@@ -66,26 +60,26 @@ impl CacheKey {
     /// own tags so e.g. SELL and CSR-gather SpMV can never share an entry),
     /// `input_fp` fingerprints the workload content, `cfg` is the canonical
     /// config line, and `knobs` the per-cell sweep settings.
-    pub fn new(program: &str, input_fp: &str, cfg: &str, knobs: &str, backend: Backend) -> Self {
+    pub fn new(program: &str, input_fp: &str, cfg: &str, knobs: &str) -> Self {
         let text = format!(
-            "{MAGIC} build={} prog=[{program}] input={input_fp} backend={} knobs=[{knobs}] \
-             cfg=[{cfg}]",
+            "{MAGIC} build={} prog=[{program}] input={input_fp} backend={BACKEND_TOKEN} \
+             knobs=[{knobs}] cfg=[{cfg}]",
             sdv_engine::build_info(),
-            backend_name(backend),
         );
         let mut h = StableHash::new();
         h.str(&text);
         Self { hex: h.finish_hex(), text }
     }
 
-    /// The key for one sweep-grid [`Cell`].
-    pub fn for_cell(cell: Cell, input_fp: &str, cfg: &str, backend: Backend) -> Self {
+    /// The key for one sweep-grid [`Cell`]. The ignored `Backend` parameter
+    /// is frozen-API residue: `benchmark/` passes `Backend::default()` here
+    /// and may not be edited alongside other code (ROADMAP 3a).
+    pub fn for_cell(cell: Cell, input_fp: &str, cfg: &str, _: Backend) -> Self {
         Self::new(
             &format!("{}/{}", cell.kernel.name(), cell.imp),
             input_fp,
             cfg,
             &format!("lat={} bw={}", cell.extra_latency, cell.bandwidth),
-            backend,
         )
     }
 
@@ -104,8 +98,7 @@ impl CacheKey {
 ///
 /// Histograms are not persisted — they feed interactive observability
 /// reports, not figures — so a cache-served [`Stats`] holds counters only
-/// (the same contract checkpoint-preloaded results already have, except the
-/// cache keeps the counters the stall-breakdown figures need).
+/// (the counters the stall-breakdown figures need are kept).
 #[derive(Debug, Clone)]
 pub struct CachedResult {
     /// Simulated cycles.
@@ -394,19 +387,13 @@ impl CacheContext {
     }
 
     /// The key for a standard grid cell under `cfg`.
-    pub fn cell_key(&self, cell: Cell, cfg: &TimingConfig, backend: Backend) -> CacheKey {
-        CacheKey::for_cell(cell, &self.input_fp, &cfg.canonical(), backend)
+    pub fn cell_key(&self, cell: Cell, cfg: &TimingConfig) -> CacheKey {
+        CacheKey::for_cell(cell, &self.input_fp, &cfg.canonical(), Backend)
     }
 
     /// The key for a custom program (ablation variants, generated inputs).
-    pub fn custom_key(
-        &self,
-        program: &str,
-        knobs: &str,
-        cfg: &TimingConfig,
-        backend: Backend,
-    ) -> CacheKey {
-        CacheKey::new(program, &self.input_fp, &cfg.canonical(), knobs, backend)
+    pub fn custom_key(&self, program: &str, knobs: &str, cfg: &TimingConfig) -> CacheKey {
+        CacheKey::new(program, &self.input_fp, &cfg.canonical(), knobs)
     }
 }
 
@@ -423,7 +410,7 @@ pub fn cached_cycles(
     simulate: impl FnOnce() -> u64,
 ) -> u64 {
     let Some(ctx) = ctx else { return simulate() };
-    let key = ctx.custom_key(program, knobs, cfg, Backend::default());
+    let key = ctx.custom_key(program, knobs, cfg);
     if let Some(hit) = ctx.cache().load(&key) {
         return hit.cycles;
     }
@@ -499,7 +486,7 @@ mod tests {
     }
 
     fn key(tag: &str) -> CacheKey {
-        CacheKey::new(tag, "deadbeef", "lanes=8", "lat=0 bw=64", Backend::Scalar)
+        CacheKey::new(tag, "deadbeef", "lanes=8", "lat=0 bw=64")
     }
 
     #[test]
@@ -522,11 +509,10 @@ mod tests {
     fn key_parts_are_all_significant() {
         let base = key("SPMV/vl=64");
         let others = [
-            CacheKey::new("SPMV/vl=32", "deadbeef", "lanes=8", "lat=0 bw=64", Backend::Scalar),
-            CacheKey::new("SPMV/vl=64", "deadbeee", "lanes=8", "lat=0 bw=64", Backend::Scalar),
-            CacheKey::new("SPMV/vl=64", "deadbeef", "lanes=4", "lat=0 bw=64", Backend::Scalar),
-            CacheKey::new("SPMV/vl=64", "deadbeef", "lanes=8", "lat=8 bw=64", Backend::Scalar),
-            CacheKey::new("SPMV/vl=64", "deadbeef", "lanes=8", "lat=0 bw=64", Backend::Simd),
+            CacheKey::new("SPMV/vl=32", "deadbeef", "lanes=8", "lat=0 bw=64"),
+            CacheKey::new("SPMV/vl=64", "deadbeee", "lanes=8", "lat=0 bw=64"),
+            CacheKey::new("SPMV/vl=64", "deadbeef", "lanes=4", "lat=0 bw=64"),
+            CacheKey::new("SPMV/vl=64", "deadbeef", "lanes=8", "lat=8 bw=64"),
         ];
         for o in &others {
             assert_ne!(base.hex(), o.hex(), "{}", o.text());
@@ -541,12 +527,12 @@ mod tests {
             extra_latency: 128,
             bandwidth: 8,
         };
-        let k = CacheKey::for_cell(cell, "feed", "cfg", Backend::Scalar);
+        let k = CacheKey::for_cell(cell, "feed", "cfg", Backend);
         assert!(k.text().contains("SPMV/vl=64"), "{}", k.text());
         assert!(k.text().contains("lat=128 bw=8"), "{}", k.text());
         let mut other = cell;
         other.bandwidth = 16;
-        assert_ne!(k.hex(), CacheKey::for_cell(other, "feed", "cfg", Backend::Scalar).hex());
+        assert_ne!(k.hex(), CacheKey::for_cell(other, "feed", "cfg", Backend).hex());
     }
 
     fn quarantined_count(cache: &ResultCache) -> usize {

@@ -4,7 +4,7 @@
 //! workspace exit-code convention, so every binary fails the same way:
 //!
 //! * exit [`EXIT_USAGE`] (2) — malformed command line,
-//! * exit [`EXIT_BAD_INPUT`] (3) — an input file (baseline, checkpoint)
+//! * exit [`EXIT_BAD_INPUT`] (3) — an input file (baseline, cache directory)
 //!   exists but cannot be parsed,
 //! * exit [`EXIT_SIM_FAULT`] (4) — the simulation itself failed: watchdog
 //!   deadlock, cycle budget, invariant violation, or an isolated panic,
@@ -13,9 +13,8 @@
 //!   server draining for shutdown, or its port already bound. Transient by
 //!   nature — rerunning (or retrying harder) can succeed.
 
-use crate::{CacheContext, CellOutcome, Checkpoint, ResultCache, Sweeper, Workloads};
+use crate::{CacheContext, CellOutcome, ResultCache, Sweeper, Workloads};
 use sdv_engine::{FaultKind, FaultPlan, SimError};
-use sdv_rvv::Backend;
 use sdv_uarch::{TimingConfig, WatchdogConfig};
 
 /// Exit code for a malformed command line.
@@ -93,7 +92,9 @@ pub fn die_unavailable(bin: &str, msg: &str) -> ! {
 ///
 /// Injecting a fault implicitly arms the progress window (otherwise a
 /// wedged resource would hang the run instead of failing it cleanly).
+/// Flags removed in PR 15 are a usage error here ([`reject_removed_flags`]).
 pub fn hardening_config(args: &[String]) -> Result<TimingConfig, String> {
+    reject_removed_flags(args)?;
     let mut cfg = TimingConfig::default();
     if args.iter().any(|a| a == "--watchdog") {
         cfg.watchdog = WatchdogConfig::default_on();
@@ -156,22 +157,24 @@ pub fn mesh_for_tiles(tiles: usize) -> sdv_noc::MeshConfig {
     sdv_noc::MeshConfig::grid(side, side)
 }
 
-/// Parse the shared `--backend scalar|simd` flag. Defaults to `scalar`
-/// (the reference interpreter) when absent. Backend selection only changes
-/// host wall-clock: simulated cycles and every figure/CSV byte are
-/// identical either way (enforced by `scripts/check.sh`).
-pub fn parse_backend(args: &[String]) -> Result<Backend, String> {
-    match arg_value(args, "--backend") {
-        None => {
-            if args.iter().any(|a| a == "--backend") {
-                Err("--backend needs a value ('scalar' or 'simd')".into())
-            } else {
-                Ok(Backend::default())
+/// `--backend`, `--checkpoint` and `--resume` no longer exist. No binary
+/// validates its whole flag set, so without this they would be silently
+/// ignored — and a user passing `--checkpoint P --resume` would believe a
+/// killed sweep is still recoverable. Called from the two helpers that
+/// between them every sweep binary runs ([`hardening_config`],
+/// [`reject_sweep_acceleration`]).
+fn reject_removed_flags(args: &[String]) -> Result<(), String> {
+    for a in args {
+        let replacement = match a.as_str() {
+            "--backend" => "there is one exec engine; drop the flag",
+            "--checkpoint" | "--resume" => {
+                "re-run with the same --cache-dir DIR to resume a killed sweep"
             }
-        }
-        Some(v) => Backend::parse(v)
-            .ok_or_else(|| format!("--backend: bad value '{v}' (expected 'scalar' or 'simd')")),
+            _ => continue,
+        };
+        return Err(format!("{a} was removed: {replacement}"));
     }
+    Ok(())
 }
 
 /// Default root of the persistent result cache.
@@ -275,37 +278,17 @@ pub fn open_cache_context_tagged(
 /// Exit with a usage error if the sweep-acceleration flags are present —
 /// for binaries where cached or remote results would be *wrong*:
 /// `perf_baseline` measures this process's wall-clock, `chaos_smoke`
-/// exercises fault injection (failures are never cached by design).
+/// exercises fault injection (failures are never cached by design). Not every
+/// caller also runs [`hardening_config`], so the removed flags are refused
+/// here too.
 pub fn reject_sweep_acceleration(bin: &str, args: &[String], why: &str) {
+    if let Err(e) = reject_removed_flags(args) {
+        die_usage(bin, &e);
+    }
     for flag in ["--cache", "--cache-dir", "--server"] {
         if args.iter().any(|a| a == flag) {
             die_usage(bin, &format!("{flag} is not supported: {why}"));
         }
-    }
-}
-
-/// Open `--checkpoint PATH` if given. Without `--resume` an existing file is
-/// discarded (the sweep starts over); with it, previously recorded cells are
-/// available via [`Checkpoint::entries`] for preloading into a
-/// [`Sweeper`](crate::Sweeper). `--resume` without `--checkpoint` is a usage
-/// error; an unparseable checkpoint exits with [`EXIT_BAD_INPUT`].
-pub fn open_checkpoint(bin: &str, args: &[String]) -> Option<Checkpoint> {
-    let resume = args.iter().any(|a| a == "--resume");
-    let path = match arg_value(args, "--checkpoint") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => {
-            if resume {
-                die_usage(bin, "--resume requires --checkpoint PATH");
-            }
-            return None;
-        }
-    };
-    if !resume {
-        let _ = std::fs::remove_file(&path);
-    }
-    match Checkpoint::open(&path) {
-        Ok(ck) => Some(ck),
-        Err(e) => die_bad_input(bin, &e.to_string()),
     }
 }
 
@@ -403,14 +386,17 @@ mod tests {
     }
 
     #[test]
-    fn backend_flag_parses() {
-        assert_eq!(parse_backend(&args(&["fig3"])).unwrap(), Backend::Scalar);
-        assert_eq!(
-            parse_backend(&args(&["fig3", "--backend", "simd"])).unwrap(),
-            Backend::Simd
-        );
-        assert!(parse_backend(&args(&["fig3", "--backend", "avx"])).is_err());
-        assert!(parse_backend(&args(&["fig3", "--backend"])).is_err());
+    fn removed_flags_are_usage_errors_naming_the_replacement() {
+        for (flags, named, hint) in [
+            (&["fig3", "--backend", "simd"][..], "--backend", "one exec engine"),
+            (&["fig3", "--backend", "scalar"], "--backend", "one exec engine"),
+            (&["fig3", "--checkpoint", "ck.csv", "--resume"], "--checkpoint", "--cache-dir"),
+            (&["fig3", "--resume"], "--resume", "--cache-dir"),
+        ] {
+            let e = hardening_config(&args(flags)).unwrap_err();
+            assert!(e.starts_with(named) && e.contains("removed") && e.contains(hint), "{e}");
+        }
+        assert!(hardening_config(&args(&["fig3", "--cache-dir", "d", "--csv", "out"])).is_ok());
     }
 
     #[test]

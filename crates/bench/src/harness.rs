@@ -3,7 +3,6 @@
 use crate::cache::{CacheKey, ResultCache};
 use sdv_core::{SdvMachine, TiledMachine, Vm};
 use sdv_engine::{SimError, StableHash, Stats};
-use sdv_rvv::Backend;
 use sdv_kernels::fft::{self, Complexes};
 use sdv_kernels::{bfs, pagerank, spmv, CsrMatrix, Graph, SellCS};
 use sdv_uarch::TimingConfig;
@@ -282,7 +281,7 @@ impl CellOutcome {
 /// Run one cell on a fresh machine with the given timing configuration.
 pub fn run_with_config(w: &Workloads, cell: Cell, cfg: TimingConfig) -> RunResult {
     let mut m = SdvMachine::with_config(w.heap, cfg);
-    run_on(&mut m, w, cell, cfg, Backend::default())
+    run_on(&mut m, w, cell, cfg)
 }
 
 /// [`run_with_config`] through an optional result cache: consults the
@@ -296,7 +295,7 @@ pub fn run_with_config_cached(
     ctx: Option<&crate::cache::CacheContext>,
 ) -> RunResult {
     let Some(ctx) = ctx else { return run_with_config(w, cell, cfg) };
-    let key = ctx.cell_key(cell, &cfg, Backend::default());
+    let key = ctx.cell_key(cell, &cfg);
     if let Some(hit) = ctx.cache().load(&key) {
         return RunResult { cell, cycles: hit.cycles, stats: hit.stats };
     }
@@ -315,23 +314,17 @@ pub fn try_run_with_config(
     if cfg.mem.tiles > 1 {
         // Dispatch before building any machine: an over-capacity topology
         // must come back as a structured error, not a constructor panic.
-        return try_run_tiled(w, cell, cfg, Backend::default(), None);
+        return try_run_tiled(w, cell, cfg, None);
     }
     let mut m = SdvMachine::with_config(w.heap, cfg);
-    try_run_on(&mut m, w, cell, cfg, Backend::default())
+    try_run_on(&mut m, w, cell, cfg)
 }
 
 /// Run one cell on a pooled machine: rewinds it to the fresh state (keeping
 /// its allocations), then runs the kernel. Cycle counts are bit-identical to
 /// [`run_with_config`] on a brand-new machine.
-fn run_on(
-    m: &mut SdvMachine,
-    w: &Workloads,
-    cell: Cell,
-    cfg: TimingConfig,
-    backend: Backend,
-) -> RunResult {
-    try_run_on(m, w, cell, cfg, backend).unwrap_or_else(|e| {
+fn run_on(m: &mut SdvMachine, w: &Workloads, cell: Cell, cfg: TimingConfig) -> RunResult {
+    try_run_on(m, w, cell, cfg).unwrap_or_else(|e| {
         panic!("cell {}/{} failed: {e}", cell.kernel.name(), cell.imp)
     })
 }
@@ -344,9 +337,8 @@ fn try_run_on(
     w: &Workloads,
     cell: Cell,
     cfg: TimingConfig,
-    backend: Backend,
 ) -> Result<RunResult, SimError> {
-    try_run_on_walled(m, w, cell, cfg, backend, None)
+    try_run_on_walled(m, w, cell, cfg, None)
 }
 
 /// [`try_run_on`] with an optional wall-clock deadline armed for this cell.
@@ -359,17 +351,15 @@ fn try_run_on_walled(
     w: &Workloads,
     cell: Cell,
     cfg: TimingConfig,
-    backend: Backend,
     wall: Option<std::time::Duration>,
 ) -> Result<RunResult, SimError> {
     if cfg.mem.tiles > 1 {
-        return try_run_tiled(w, cell, cfg, backend, wall);
+        return try_run_tiled(w, cell, cfg, wall);
     }
     m.reset_with_config(cfg);
     if let Some(limit) = wall {
         m.set_wall_deadline(limit);
     }
-    m.set_backend(backend);
     m.set_extra_latency(cell.extra_latency);
     m.set_bandwidth_limit(cell.bandwidth);
     if let ImplKind::Vector { maxvl } = cell.imp {
@@ -395,7 +385,6 @@ fn try_run_tiled(
     w: &Workloads,
     cell: Cell,
     cfg: TimingConfig,
-    backend: Backend,
     wall: Option<std::time::Duration>,
 ) -> Result<RunResult, SimError> {
     // Validate the highest requestor id this topology will mint *before*
@@ -418,7 +407,6 @@ fn try_run_tiled(
     if let Some(limit) = wall {
         m.set_wall_deadline(limit);
     }
-    m.set_backend(backend);
     m.set_extra_latency(cell.extra_latency);
     m.set_bandwidth_limit(cell.bandwidth);
     m.set_maxvl_cap(maxvl);
@@ -486,16 +474,9 @@ fn drive_kernel(m: &mut SdvMachine, w: &Workloads, cell: Cell) {
 /// the difference is the timing model's share. Used by
 /// `perf_baseline --breakdown`; cycle counts are meaningless here, so none
 /// are returned.
-pub fn run_functional_only(
-    m: &mut SdvMachine,
-    w: &Workloads,
-    cell: Cell,
-    cfg: TimingConfig,
-    backend: Backend,
-) {
+pub fn run_functional_only(m: &mut SdvMachine, w: &Workloads, cell: Cell, cfg: TimingConfig) {
     m.reset_with_config(cfg);
     m.set_timing_bypass(true);
-    m.set_backend(backend);
     if let ImplKind::Vector { maxvl } = cell.imp {
         m.set_maxvl_cap(maxvl);
     }
@@ -522,12 +503,11 @@ pub(crate) fn run_guarded(
     w: &Workloads,
     cell: Cell,
     cfg: TimingConfig,
-    backend: Backend,
     wall: Option<std::time::Duration>,
 ) -> CellOutcome {
     let m = slot.get_or_insert_with(|| SdvMachine::new(w.heap));
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        try_run_on_walled(m, w, cell, cfg, backend, wall)
+        try_run_on_walled(m, w, cell, cfg, wall)
     })) {
         Ok(Ok(r)) => CellOutcome::Done(r),
         Ok(Err(error)) => CellOutcome::Failed { cell, error },
@@ -556,7 +536,7 @@ pub fn try_run_traced(
 ) -> Result<(RunResult, String), SimError> {
     cfg.probe.trace = true;
     let mut m = SdvMachine::with_config(w.heap, cfg);
-    let r = try_run_on(&mut m, w, cell, cfg, Backend::default())?;
+    let r = try_run_on(&mut m, w, cell, cfg)?;
     Ok((r, m.trace_json()))
 }
 
@@ -612,7 +592,6 @@ pub struct Sweeper {
     machines: Vec<std::sync::Mutex<Option<SdvMachine>>>,
     memo: std::collections::HashMap<Cell, CellOutcome>,
     cfg: TimingConfig,
-    backend: Backend,
     cache: Option<ResultCache>,
     remote: Option<RemoteSweep>,
     retry: crate::server::RetryPolicy,
@@ -651,7 +630,6 @@ impl Sweeper {
             machines: Vec::new(),
             memo: std::collections::HashMap::new(),
             cfg,
-            backend: Backend::default(),
             cache: None,
             remote: None,
             retry: crate::server::RetryPolicy::none(),
@@ -706,25 +684,9 @@ impl Sweeper {
         self.input_fp.get_or_insert_with(|| w.fingerprint()).clone()
     }
 
-    /// Select the vector execution backend for every subsequent cell
-    /// (`--backend scalar|simd` on the figure binaries). Architectural
-    /// results and simulated cycles are bit-identical across backends —
-    /// only host wall-clock changes — so the memo never needs to key on it.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-    }
-
     /// Number of distinct cells simulated so far.
     pub fn cells_simulated(&self) -> usize {
         self.memo.len()
-    }
-
-    /// Insert a previously-recorded result (e.g. from a resume checkpoint)
-    /// so sweeps treat the cell as already simulated. The stats registry of
-    /// a preloaded result is empty — checkpoints persist only cycles, which
-    /// is all the figure binaries consume.
-    pub fn preload(&mut self, cell: Cell, cycles: u64) {
-        self.memo.insert(cell, CellOutcome::Done(RunResult { cell, cycles, stats: Stats::new() }));
     }
 
     fn ensure_slots(&mut self, n: usize) {
@@ -792,8 +754,7 @@ impl Sweeper {
 
     /// [`Sweeper::sweep_outcomes`] with a progress callback, invoked from
     /// worker threads once per freshly-simulated cell (memo hits are not
-    /// reported) — the hook checkpointing uses to persist results as they
-    /// land, so a killed sweep can resume.
+    /// reported).
     pub fn sweep_outcomes_with(
         &mut self,
         w: &Workloads,
@@ -853,7 +814,6 @@ impl Sweeper {
         let machines = &self.machines;
         let todo_ref = &todo;
         let cfg = self.cfg;
-        let backend = self.backend;
         let on_cell = &on_cell;
         let cache = self.cache.as_ref();
         let key_ctx = key_ctx.as_ref();
@@ -872,15 +832,8 @@ impl Sweeper {
                         if i >= todo_ref.len() {
                             break;
                         }
-                        let out = run_cached(
-                            cache.zip(key_ctx),
-                            &mut guard,
-                            w,
-                            todo_ref[i],
-                            cfg,
-                            backend,
-                            fresh,
-                        );
+                        let out =
+                            run_cached(cache.zip(key_ctx), &mut guard, w, todo_ref[i], cfg, fresh);
                         on_cell(&out);
                         *slots[i].lock().unwrap() = Some(out);
                     }
@@ -917,7 +870,6 @@ impl Sweeper {
             &remote.workload,
             &input_fp,
             &cfg_text,
-            self.backend,
             &todo,
             &self.retry,
             |out| {
@@ -946,25 +898,24 @@ impl Sweeper {
 /// One worker-side cell execution: consult the cache (when attached), fall
 /// back to an isolated simulation, and persist completed results. Failures
 /// are never cached — a failing cell re-runs next time, keeping its
-/// diagnostic reproducible (the same policy the resume checkpoints use).
+/// diagnostic reproducible.
 fn run_cached(
     cache: Option<(&ResultCache, &(String, String))>,
     slot: &mut Option<SdvMachine>,
     w: &Workloads,
     cell: Cell,
     cfg: TimingConfig,
-    backend: Backend,
     fresh: &std::sync::atomic::AtomicUsize,
 ) -> CellOutcome {
     let key = cache.map(|(cache, (input_fp, cfg_text))| {
-        (cache, CacheKey::for_cell(cell, input_fp, cfg_text, backend))
+        (cache, CacheKey::for_cell(cell, input_fp, cfg_text, sdv_rvv::Backend))
     });
     if let Some((cache, key)) = &key {
         if let Some(hit) = cache.load(key) {
             return CellOutcome::Done(RunResult { cell, cycles: hit.cycles, stats: hit.stats });
         }
     }
-    let out = run_guarded(slot, w, cell, cfg, backend, None);
+    let out = run_guarded(slot, w, cell, cfg, None);
     fresh.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     if let (Some((cache, key)), CellOutcome::Done(r)) = (&key, &out) {
         cache.store(key, r.cycles, &r.stats);
@@ -1008,23 +959,16 @@ mod tests {
         let c = cell(KernelKind::Bfs, ImplKind::Scalar);
         let cfg = TimingConfig::default();
         let mut slot = None;
-        let clean = match run_guarded(&mut slot, &w, c, cfg, Backend::default(), None) {
+        let clean = match run_guarded(&mut slot, &w, c, cfg, None) {
             CellOutcome::Done(r) => r.cycles,
             other => panic!("clean run failed: {other:?}"),
         };
-        match run_guarded(
-            &mut slot,
-            &w,
-            c,
-            cfg,
-            Backend::default(),
-            Some(std::time::Duration::ZERO),
-        ) {
+        match run_guarded(&mut slot, &w, c, cfg, Some(std::time::Duration::ZERO)) {
             CellOutcome::Failed { error: SimError::DeadlineExceeded { .. }, .. } => {}
             other => panic!("zero deadline must fail the cell: {other:?}"),
         }
         assert!(slot.is_some(), "a structured failure keeps the pooled machine");
-        match run_guarded(&mut slot, &w, c, cfg, Backend::default(), None) {
+        match run_guarded(&mut slot, &w, c, cfg, None) {
             CellOutcome::Done(r) => {
                 assert_eq!(r.cycles, clean, "post-failure run must be bit-identical")
             }
@@ -1231,22 +1175,6 @@ mod tests {
             assert_eq!(a.cycles, b.cycles, "1-thread vs 4-thread: {:?}", a.cell);
         }
         assert_eq!(one[0].cycles, one[cells.len() - 1].cycles, "duplicate cell agrees");
-    }
-
-    #[test]
-    fn simd_backend_is_cycle_identical_end_to_end_small() {
-        let w = Workloads::small();
-        let mut scalar = Sweeper::new();
-        let mut simd = Sweeper::new();
-        simd.set_backend(Backend::Simd);
-        for k in [KernelKind::Spmv, KernelKind::Fft] {
-            let c = cell(k, ImplKind::Vector { maxvl: 256 });
-            assert_eq!(
-                scalar.run_cell(&w, c).cycles,
-                simd.run_cell(&w, c).cycles,
-                "{k:?}: backend changed simulated cycles"
-            );
-        }
     }
 
     #[test]

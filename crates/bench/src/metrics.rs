@@ -38,8 +38,8 @@ pub struct StallBreakdown {
 }
 
 impl StallBreakdown {
-    /// Extract from a run's statistics. `None` when the registry is empty —
-    /// preloaded checkpoint cells persist only cycles, not stats.
+    /// Extract from a run's statistics. `None` when the registry is empty
+    /// (simulated, cache-served and `sweepd`-served cells all carry stats).
     pub fn from_stats(cycles: u64, s: &Stats) -> Option<Self> {
         s.iter().next()?;
         Some(Self {
@@ -120,34 +120,13 @@ pub fn metrics_json(bin: &str, outcomes: &[CellOutcome]) -> String {
                 }
             }
             CellOutcome::Failed { error, .. } => {
-                let _ = write!(
-                    out,
-                    ",\"cycles\":null,\"stalls\":null,\"error\":\"{}\"",
-                    escape(&error.to_string()),
-                );
+                out.push_str(",\"cycles\":null,\"stalls\":null,\"error\":");
+                crate::json::write_escaped(&error.to_string(), &mut out);
             }
         }
         out.push('}');
     }
     out.push_str("\n]}\n");
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 
@@ -206,6 +185,7 @@ pub fn write_trace_if_requested(
 mod tests {
     use super::*;
     use crate::harness::{ImplKind, KernelKind, RunResult};
+    use sdv_engine::SimError;
 
     fn cell() -> Cell {
         Cell {
@@ -255,19 +235,23 @@ mod tests {
             cycles: 12345,
             stats: stats(&[("vpu.mem_wait_cycles", 6000)]),
         });
-        let preloaded =
+        let statless =
             CellOutcome::Done(RunResult { cell: cell(), cycles: 999, stats: Stats::new() });
-        let doc = metrics_json("fig_test", &[done, preloaded]);
+        let doc = metrics_json("fig_test", &[done, statless]);
         assert!(doc.starts_with("{\"schema\":\"sdv-metrics-v1\""), "{doc}");
         assert!(doc.contains("\"kernel\":\"SPMV\""), "{doc}");
         assert!(doc.contains("\"impl\":\"vl=256\""), "{doc}");
         assert!(doc.contains("\"cycles\":12345"), "{doc}");
-        assert!(doc.contains("\"stalls\":null"), "preloaded cells export null stalls: {doc}");
+        assert!(doc.contains("\"stalls\":null"), "an empty registry exports null stalls: {doc}");
         assert!(doc.contains("memory_stall_fraction"), "{doc}");
     }
 
     #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn failure_text_is_escaped_by_the_codec() {
+        let what = "a\"b\\c\nd".to_string();
+        let failed = CellOutcome::Failed { cell: cell(), error: SimError::Panic { what } };
+        let doc = metrics_json("fig_test", &[failed]);
+        assert!(doc.contains("a\\\"b\\\\c\\nd"), "{doc}");
+        crate::json::Json::parse(&doc).expect("a failed cell still yields valid JSON");
     }
 }

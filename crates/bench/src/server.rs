@@ -26,7 +26,7 @@
 //!   cell is answered by copying those bytes to the socket.
 //! * **honesty** — a sweep request carries the client's workload name,
 //!   workload content fingerprint, and canonical config text; the server
-//!   verifies all three (and the backend) against its own and rejects
+//!   verifies all three (and the one backend token) against its own and rejects
 //!   mismatches outright. A `sweepd` answer is either bit-identical to a
 //!   local simulation or an explicit error — never a silently-wrong number.
 //!
@@ -63,7 +63,7 @@
 //! [`ResultCache`](crate::ResultCache) when one is attached, so results
 //! survive server restarts.
 
-use crate::cache::{backend_name, CacheKey, ResultCache};
+use crate::cache::{CacheKey, ResultCache, BACKEND_TOKEN};
 use crate::chaos::{ChaosPlan, ServerChaos, DELAY_RESPONSE};
 use crate::harness::{
     predicted_cost, run_guarded, unique_cells, Cell, CellOutcome, RunResult, Workloads,
@@ -126,8 +126,6 @@ pub struct ServerConfig {
     pub workload: String,
     /// Timing configuration every cell runs under.
     pub cfg: TimingConfig,
-    /// Execution backend.
-    pub backend: Backend,
     /// Worker threads (pooled machines).
     pub threads: usize,
     /// Optional persistent cache behind the in-memory memo.
@@ -150,12 +148,13 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// A production-default configuration: bounded queue, 30 s socket
-    /// timeouts, no wall deadline, no chaos.
-    pub fn new(workload: &str, cfg: TimingConfig, backend: Backend, threads: usize) -> Self {
+    /// timeouts, no wall deadline, no chaos. The ignored `Backend` parameter
+    /// is frozen-API residue: `benchmark/` passes `Backend::default()` here
+    /// and may not be edited alongside other code (ROADMAP 3a).
+    pub fn new(workload: &str, cfg: TimingConfig, _: Backend, threads: usize) -> Self {
         Self {
             workload: workload.to_string(),
             cfg,
-            backend,
             threads,
             cache: None,
             max_queue: DEFAULT_MAX_QUEUE,
@@ -173,7 +172,6 @@ struct Shared {
     input_fp: String,
     cfg: TimingConfig,
     cfg_text: String,
-    backend: Backend,
     cache: Option<ResultCache>,
     max_queue: usize,
     cell_wall: Option<Duration>,
@@ -306,7 +304,6 @@ pub fn serve(listener: TcpListener, sc: ServerConfig) -> std::io::Result<()> {
         workload: sc.workload,
         cfg_text: sc.cfg.canonical(),
         cfg: sc.cfg,
-        backend: sc.backend,
         cache: sc.cache,
         max_queue: sc.max_queue,
         cell_wall: sc.cell_wall,
@@ -496,7 +493,7 @@ fn worker(shared: &Shared, id: usize) {
         let key = shared
             .cache
             .as_ref()
-            .map(|c| (c, CacheKey::for_cell(cell, &shared.input_fp, &shared.cfg_text, shared.backend)));
+            .map(|c| (c, CacheKey::for_cell(cell, &shared.input_fp, &shared.cfg_text, Backend)));
         let cached = key.as_ref().and_then(|(cache, key)| cache.load(key));
         let from_cache = cached.is_some();
         let out = match cached {
@@ -504,14 +501,7 @@ fn worker(shared: &Shared, id: usize) {
                 CellOutcome::Done(RunResult { cell, cycles: hit.cycles, stats: hit.stats })
             }
             None => {
-                let out = run_guarded(
-                    &mut slot,
-                    &shared.w,
-                    cell,
-                    shared.cfg,
-                    shared.backend,
-                    shared.cell_wall,
-                );
+                let out = run_guarded(&mut slot, &shared.w, cell, shared.cfg, shared.cell_wall);
                 if let (Some((cache, key)), CellOutcome::Done(r)) = (&key, &out) {
                     cache.store(key, r.cycles, &r.stats);
                     if ServerChaos::hit(&shared.chaos.corrupt_cache_entry) {
@@ -600,7 +590,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> 
                     ("build", Json::str(sdv_engine::build_info())),
                     ("workload", Json::str(shared.workload.as_str())),
                     ("workload_fp", Json::str(shared.input_fp.as_str())),
-                    ("backend", Json::str(backend_name(shared.backend))),
+                    ("backend", Json::str(BACKEND_TOKEN)),
                 ]),
             )?,
             Some("stats") => {
@@ -685,7 +675,7 @@ fn handle_sweep(
         ("workload", shared.workload.as_str()),
         ("workload_fp", shared.input_fp.as_str()),
         ("cfg", shared.cfg_text.as_str()),
-        ("backend", backend_name(shared.backend)),
+        ("backend", BACKEND_TOKEN),
     ];
     for (field, want) in checks {
         let got = req.get(field).and_then(Json::as_str).unwrap_or("<missing>");
@@ -998,13 +988,11 @@ pub struct SweepSummary {
 /// received — the server's exactly-once dedup makes re-submission free.
 /// Non-transient failures surface as [`SimError::Remote`]; transport
 /// failures that outlive the retry budget as [`SimError::Unavailable`].
-#[allow(clippy::too_many_arguments)]
 pub fn client_sweep(
     addr: &str,
     workload: &str,
     input_fp: &str,
     cfg_text: &str,
-    backend: Backend,
     cells: &[Cell],
     policy: &RetryPolicy,
     mut on_result: impl FnMut(CellOutcome),
@@ -1019,7 +1007,7 @@ pub fn client_sweep(
         if missing.is_empty() {
             break;
         }
-        match sweep_attempt(addr, workload, input_fp, cfg_text, backend, &missing, &mut |out| {
+        match sweep_attempt(addr, workload, input_fp, cfg_text, &missing, &mut |out| {
             if got.insert(out.cell()) {
                 on_result(out);
             }
@@ -1050,7 +1038,6 @@ fn sweep_attempt(
     workload: &str,
     input_fp: &str,
     cfg_text: &str,
-    backend: Backend,
     cells: &[Cell],
     on_result: &mut impl FnMut(CellOutcome),
 ) -> Result<SweepSummary, SimError> {
@@ -1062,7 +1049,7 @@ fn sweep_attempt(
         ("workload", Json::str(workload)),
         ("workload_fp", Json::str(input_fp)),
         ("cfg", Json::str(cfg_text)),
-        ("backend", Json::str(backend_name(backend))),
+        ("backend", Json::str(BACKEND_TOKEN)),
         ("cells", Json::Arr(cells.iter().map(|&c| cell_to_json(c)).collect())),
     ]);
     writeln!(writer, "{}", req.to_line()).map_err(unavailable)?;
@@ -1210,7 +1197,7 @@ mod tests {
     fn spawn_raw_server_with(cfg: TimingConfig) -> (String, std::thread::JoinHandle<()>) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let mut sc = ServerConfig::new("small", cfg, Backend::default(), 1);
+        let mut sc = ServerConfig::new("small", cfg, Backend, 1);
         sc.io_timeout = Some(Duration::from_secs(5));
         let handle = std::thread::spawn(move || serve(listener, sc).unwrap());
         (addr, handle)
@@ -1235,7 +1222,7 @@ mod tests {
             ("workload", Json::str("small")),
             ("workload_fp", Json::str(w.fingerprint())),
             ("cfg", Json::str(cfg.canonical())),
-            ("backend", Json::str(backend_name(Backend::default()))),
+            ("backend", Json::str(BACKEND_TOKEN)),
             ("cells", Json::Arr(vec![cell_to_json(cell)])),
         ]);
         writeln!(wr, "{}", req.to_line()).unwrap();
@@ -1256,7 +1243,7 @@ mod tests {
         let mut tight = TimingConfig::default();
         tight.watchdog.cycle_budget = 500;
         for cfg in [TimingConfig::default(), tight] {
-            let local = run_guarded(&mut None, &w, spmv256(), cfg, Backend::default(), None);
+            let local = run_guarded(&mut None, &w, spmv256(), cfg, None);
             assert_eq!(local.is_done(), cfg.watchdog.cycle_budget == 0, "{local:?}");
             let want = outcome_to_json(&local).to_line();
             let (addr, handle) = spawn_raw_server_with(cfg);
@@ -1300,7 +1287,7 @@ mod tests {
     fn mutated_response_lines_never_panic_the_decoders() {
         let w = Workloads::small();
         let cfg = TimingConfig::default();
-        let done = run_guarded(&mut None, &w, spmv256(), cfg, Backend::default(), None);
+        let done = run_guarded(&mut None, &w, spmv256(), cfg, None);
         let failed = CellOutcome::Failed {
             cell: spmv256(),
             error: SimError::Deadlock { cycle: 9, diagnostic: "queue \"full\"\n\ttile0 é".into() },

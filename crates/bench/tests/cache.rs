@@ -1,7 +1,7 @@
 //! Integration tests for the persistent result cache, driven through the
 //! real sweep entry points — what `--cache` actually exercises.
 
-use sdv_bench::{Cell, ImplKind, KernelKind, ResultCache, Sweeper, Workloads};
+use sdv_bench::{CacheKey, Cell, ImplKind, KernelKind, ResultCache, Sweeper, Workloads};
 use sdv_rvv::Backend;
 use sdv_uarch::TimingConfig;
 use std::path::PathBuf;
@@ -85,7 +85,7 @@ fn concurrent_writers_racing_one_key_leave_a_valid_entry() {
 }
 
 /// Every identity knob isolates its own entries: a sweep under a different
-/// timing config, backend, or workload must not hit entries written by
+/// timing config or workload must not hit entries written by
 /// another. (Key-part sensitivity is unit-tested in `cache.rs`; this checks
 /// the Sweeper actually routes those parts into the key.)
 #[test]
@@ -112,20 +112,35 @@ fn sweeper_cache_keys_separate_config_and_input() {
     other_cfg.sweep(&w, &[cell], 1);
     assert_eq!(other_cfg.fresh_simulations(), 1, "lane-count change must miss");
 
-    // Different backend -> different key (bit-identical results, but the
-    // key is conservative), so another fresh simulation.
-    let mut simd = Sweeper::new();
-    simd.set_backend(Backend::Simd);
-    simd.set_cache(ResultCache::open(&dir).unwrap());
-    simd.sweep(&w, &[cell], 1);
-    assert_eq!(simd.fresh_simulations(), 1, "backend change must miss");
-
     // Same identity as the first run -> pure hit.
     let mut again = Sweeper::new();
     again.set_cache(ResultCache::open(&dir).unwrap());
     again.sweep(&w, &[cell], 1);
     assert_eq!(again.fresh_simulations(), 0, "identical identity must hit");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The key text is a disk format: entries written before the exec backends
+/// were folded into one engine must still be addressable, so the text keeps
+/// its literal `backend=scalar` token and every other byte.
+#[test]
+fn cell_key_text_is_byte_identical_to_the_two_backend_era() {
+    let cell = Cell {
+        kernel: KernelKind::Spmv,
+        imp: ImplKind::Vector { maxvl: 64 },
+        extra_latency: 128,
+        bandwidth: 8,
+    };
+    let k = CacheKey::for_cell(cell, "feed", "lanes=8", Backend);
+    let want = format!(
+        "sdv-cache-v1 build={} prog=[SPMV/vl=64] input=feed backend=scalar \
+         knobs=[lat=128 bw=8] cfg=[lanes=8]",
+        sdv_engine::build_info()
+    );
+    assert_eq!(k.text(), want);
+    let mut h = sdv_engine::StableHash::new();
+    h.str(&want);
+    assert_eq!(k.hex(), h.finish_hex(), "entry file names derive from the text alone");
 }
 
 /// A bit-flipped entry is rejected (checksum), deleted, and transparently

@@ -1,10 +1,12 @@
 //! End-to-end tests for the hardened sweep stack: seeded fault injection is
 //! caught as structured per-cell failures, panics are isolated to their cell,
-//! cycle budgets split a grid without killing it, checkpointed sweeps resume
-//! bit-identically, and the armed watchdog never perturbs healthy runs.
+//! cycle budgets split a grid without killing it, a killed sweep resumes from
+//! its cache directory bit-identically (and only for the inputs that filled
+//! it), and the armed watchdog never perturbs healthy runs.
 
-use sdv_bench::{Cell, CellOutcome, Checkpoint, ImplKind, KernelKind, RunResult, Sweeper, Workloads};
-use sdv_engine::{FaultKind, FaultPlan, SimError, Stats};
+use sdv_bench::metrics::metrics_json;
+use sdv_bench::{Cell, CellOutcome, ImplKind, KernelKind, ResultCache, Sweeper, Workloads};
+use sdv_engine::{FaultKind, FaultPlan, SimError};
 use sdv_uarch::{TimingConfig, WatchdogConfig};
 
 fn cell(kernel: KernelKind, maxvl: usize, extra_latency: u64) -> Cell {
@@ -117,45 +119,49 @@ fn resumed_sweeps_are_bit_identical_to_uninterrupted_ones() {
         .iter()
         .flat_map(|&vl| [0u64, 64].map(|lat| cell(KernelKind::Spmv, vl, lat)))
         .collect();
+    let half = grid.len() / 2;
 
-    // The uninterrupted reference.
-    let reference: Vec<RunResult> = Sweeper::new().sweep(&w, &grid, 2);
+    // The uninterrupted reference, no cache anywhere.
+    let reference = Sweeper::new().sweep(&w, &grid, 2);
 
-    // Simulate a run killed part-way: a checkpoint holding only the first
-    // half of the grid (as `sweep_outcomes_with` would have recorded it).
-    let path = std::env::temp_dir().join(format!("sdv_resume_{}.csv", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let ck = Checkpoint::open(&path).unwrap();
-    for r in &reference[..grid.len() / 2] {
-        ck.record(&CellOutcome::Done(RunResult {
-            cell: r.cell,
-            cycles: r.cycles,
-            stats: Stats::new(),
-        }));
-    }
-    drop(ck);
+    // A run killed part-way: the cache directory holds the first half.
+    let dir = std::env::temp_dir().join(format!("sdv_resume_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut killed = Sweeper::new();
+    killed.set_cache(ResultCache::open(&dir).unwrap());
+    killed.sweep(&w, &grid[..half], 2);
+    drop(killed);
 
-    // Resume: preload the checkpoint, finish the grid, record as we go.
-    let ck = Checkpoint::open(&path).unwrap();
-    assert_eq!(ck.len(), grid.len() / 2, "checkpoint survived the 'crash'");
+    // Resume: a fresh process's sweeper over the same directory simulates
+    // exactly the missing half and returns everything the reference did.
     let mut sweeper = Sweeper::new();
-    for (c, cycles) in ck.entries() {
-        sweeper.preload(c, cycles);
-    }
-    let resumed = sweeper.sweep_outcomes_with(&w, &grid, 2, |o| ck.record(o));
-
+    sweeper.set_cache(ResultCache::open(&dir).unwrap());
+    let resumed = sweeper.sweep_outcomes(&w, &grid, 2);
+    assert_eq!(sweeper.fresh_simulations(), grid.len() - half, "only the missing half re-runs");
     for (r, o) in reference.iter().zip(&resumed) {
-        assert_eq!(o.cycles(), Some(r.cycles), "cell {:?}", r.cell);
+        let CellOutcome::Done(got) = o else { panic!("cell {:?} failed: {o:?}", r.cell) };
+        assert_eq!(got.cycles, r.cycles, "cell {:?}", r.cell);
+        assert_eq!(
+            got.stats.iter().collect::<Vec<_>>(),
+            r.stats.iter().collect::<Vec<_>>(),
+            "stats survive a resume: cell {:?}",
+            r.cell
+        );
     }
-    // And the final checkpoint now holds the full, identical grid.
-    let finished = Checkpoint::open(&path).unwrap();
-    assert_eq!(finished.len(), grid.len());
-    for r in &reference {
-        let entries = finished.entries();
-        let got = entries.iter().find(|(c, _)| *c == r.cell).map(|(_, cy)| *cy);
-        assert_eq!(got, Some(r.cycles));
-    }
-    let _ = std::fs::remove_file(&path);
+    let doc = metrics_json("hardening", &resumed);
+    assert!(!doc.contains("\"stalls\":null"), "every resumed cell exports its stalls: {doc}");
+
+    // Identity: a directory filled from one set of inputs serves nothing to
+    // a sweep over another, so a resume can never pass off the wrong figure.
+    let mat = sdv_kernels::CsrMatrix::cage_like(900, 0xCA6E);
+    let sell = sdv_kernels::SellCS::from_csr(&mat, 256, 256);
+    let other = Workloads { mat, sell, ..Workloads::small() };
+    let mut sweeper = Sweeper::new();
+    sweeper.set_cache(ResultCache::open(&dir).unwrap());
+    let fresh = sweeper.sweep(&other, &grid, 2);
+    assert_eq!(sweeper.fresh_simulations(), grid.len(), "different inputs must never hit");
+    assert_ne!(fresh[0].cycles, reference[0].cycles, "a hit would have been a wrong number");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

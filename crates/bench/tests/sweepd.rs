@@ -25,7 +25,7 @@ fn spawn_server_with(
 ) -> (String, std::thread::JoinHandle<()>) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let mut sc = ServerConfig::new("small", TimingConfig::default(), Backend::default(), threads);
+    let mut sc = ServerConfig::new("small", TimingConfig::default(), Backend, threads);
     tweak(&mut sc);
     let handle = std::thread::spawn(move || serve(listener, sc).unwrap());
     (addr, handle)
@@ -46,7 +46,6 @@ fn sweep_from(
         "small",
         &w.fingerprint(),
         &TimingConfig::default().canonical(),
-        Backend::default(),
         cells,
         &RetryPolicy::none(),
         |o| outcomes.push(o),
@@ -126,7 +125,6 @@ fn mismatched_identity_is_rejected() {
         "small",
         &w.fingerprint(),
         &cfg.canonical(),
-        Backend::default(),
         &[Cell {
             kernel: KernelKind::Spmv,
             imp: ImplKind::Scalar,
@@ -156,7 +154,6 @@ fn try_sweep_from(
         "small",
         &w.fingerprint(),
         &TimingConfig::default().canonical(),
-        Backend::default(),
         cells,
         policy,
         |o| outcomes.push(o),
@@ -284,11 +281,8 @@ fn shutdown_signal_drains_in_flight_work_and_rejects_new_sweeps() {
     std::net::TcpListener::bind(&addr).expect("the drained server released its port");
 }
 
-/// Submit `cells` over a raw socket and return the response lines as the
-/// server wrote them, result lines sorted (completion order is not part of
-/// the protocol), the `done` line last.
-fn raw_sweep_lines(addr: &str, w: &Workloads, cells: &[Cell]) -> Vec<String> {
-    use std::io::{BufRead, Write};
+/// The PR-13-format sweep request line for `cells`, naming `backend`.
+fn sweep_request_line(w: &Workloads, cells: &[Cell], backend: &str) -> String {
     let cells = cells
         .iter()
         .map(|c| {
@@ -305,13 +299,18 @@ fn raw_sweep_lines(addr: &str, w: &Workloads, cells: &[Cell]) -> Vec<String> {
         ("workload", Json::str("small")),
         ("workload_fp", Json::str(w.fingerprint())),
         ("cfg", Json::str(TimingConfig::default().canonical())),
-        ("backend", Json::str("scalar")),
+        ("backend", Json::str(backend)),
         ("cells", Json::Arr(cells)),
     ]);
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    writeln!(stream, "{}", req.to_line()).unwrap();
+    req.to_line()
+}
+
+/// Read one sweep's response lines as the server wrote them, result lines
+/// sorted (completion order is not part of the protocol), the `done` line
+/// last.
+fn read_sweep_lines(reader: impl std::io::BufRead) -> Vec<String> {
     let mut lines = Vec::new();
-    for line in std::io::BufReader::new(stream).lines() {
+    for line in reader.lines() {
         let line = line.unwrap();
         let done = line.starts_with("{\"done\"");
         lines.push(line);
@@ -322,6 +321,46 @@ fn raw_sweep_lines(addr: &str, w: &Workloads, cells: &[Cell]) -> Vec<String> {
     let results = lines.len() - 1;
     lines[..results].sort();
     lines
+}
+
+/// Submit `cells` over a raw socket and return [`read_sweep_lines`].
+fn raw_sweep_lines(addr: &str, w: &Workloads, cells: &[Cell]) -> Vec<String> {
+    use std::io::Write;
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    writeln!(stream, "{}", sweep_request_line(w, cells, "scalar")).unwrap();
+    read_sweep_lines(std::io::BufReader::new(stream))
+}
+
+/// The wire format did not move when the second exec backend was deleted: a
+/// request naming `simd` is refused by name (never silently served by the
+/// one engine), the connection survives the refusal, and the `scalar` token
+/// every PR-13 client sends is served.
+#[test]
+fn a_simd_request_is_refused_and_a_scalar_one_served_on_the_same_connection() {
+    use std::io::{BufRead, Write};
+    let (addr, handle) = spawn_server(1);
+    let w = Workloads::small();
+    let cells = [spmv(ImplKind::Vector { maxvl: 256 })];
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+
+    writeln!(stream, "{}", sweep_request_line(&w, &cells, "simd")).unwrap();
+    let mut refusal = String::new();
+    reader.read_line(&mut refusal).unwrap();
+    assert_eq!(
+        refusal.trim_end(),
+        r#"{"error":"backend mismatch: server has 'scalar', request has 'simd'"}"#
+    );
+
+    writeln!(stream, "{}", sweep_request_line(&w, &cells, "scalar")).unwrap();
+    let served = read_sweep_lines(&mut reader);
+    assert_eq!(served.len(), 2, "one result line and the done line: {served:?}");
+    let cycles = Json::parse(&served[0]).unwrap().get("cycles").and_then(Json::as_u64);
+    assert_eq!(cycles, Some(Sweeper::new().run_cell(&w, cells[0]).cycles));
+    drop((stream, reader)); // or the drain waits on this open connection
+
+    ask(&addr, "shutdown");
+    handle.join().unwrap();
 }
 
 /// A memoized cell is answered with the bytes rendered when it was

@@ -27,6 +27,7 @@
 //!   histograms + Chrome `trace_event` timelines).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod error;

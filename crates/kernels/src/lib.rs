@@ -12,6 +12,7 @@
 //! (sweeping maximum vector length) needs no kernel changes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bfs;
 pub mod cg;

@@ -22,6 +22,7 @@
 //! them into a timed hierarchy.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod addr;
 pub mod bwlimit;

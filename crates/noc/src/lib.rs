@@ -11,6 +11,7 @@
 //! real queueing delay under load.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod mesh;
 pub mod topology;

@@ -672,12 +672,11 @@ fn cvt_batch(sew: Sew, kind: CvtKind, xs: &[u64], out: &mut Vec<u64>) {
 ///
 /// **The fold order is pinned**: a strictly sequential left fold from the
 /// accumulator seed through element 0, 1, … VL−1, vfredosum-style. This is
-/// the *only* reduction implementation — the host-SIMD backend
-/// ([`crate::simd`]) deliberately does not intercept `VOp::Red`, because any
-/// reassociation (pairwise trees, per-lane partial sums) changes FP results
-/// under cancellation, ±0.0 signs, and NaN propagation. Do not add a
-/// tree-shaped or vectorized variant without preserving this exact order;
-/// `simd::tests::fp_reduction_order_is_pinned_across_backends` guards it.
+/// the *only* reduction implementation, because any reassociation (pairwise
+/// trees, per-lane partial sums) changes FP results under cancellation, ±0.0
+/// signs, and NaN propagation. Do not add a tree-shaped or vectorized variant
+/// without preserving this exact order;
+/// `differential::fp_reduction_fold_order_is_pinned` guards it.
 fn reduce_batch(sew: Sew, kind: RedKind, seed: u64, xs: &[u64], active: Option<&[bool]>) -> u64 {
     let mask = sew.value_mask();
     let sh = 64 - sew.bits() as u32;
@@ -863,31 +862,6 @@ pub fn exec<M: VMemory>(inst: &VInst, state: &mut VState, mem: &mut M) -> ExecIn
     let mut info = ExecInfo::default();
     exec_into(inst, state, mem, &mut scratch, &mut info);
     info
-}
-
-/// Execute one instruction under the selected backend. [`Backend::Simd`]
-/// intercepts the hot non-memory op families with host-SIMD batch kernels
-/// (see [`crate::simd`]); everything else — and every instruction under
-/// [`Backend::Scalar`] — runs through the reference interpreter
-/// [`exec_into`]. Results, `info`, and therefore simulated cycles are
-/// bit-identical across backends.
-///
-/// # Panics
-/// As [`exec_into`].
-pub fn exec_into_backend<M: VMemory>(
-    inst: &VInst,
-    state: &mut VState,
-    mem: &mut M,
-    scratch: &mut ExecScratch,
-    info: &mut ExecInfo,
-    backend: crate::simd::Backend,
-) {
-    if backend == crate::simd::Backend::Simd
-        && crate::simd::exec_simd(inst, state, scratch, info)
-    {
-        return;
-    }
-    exec_into(inst, state, mem, scratch, info);
 }
 
 /// Execute one instruction, reusing `scratch` buffers and writing the outcome
@@ -2932,20 +2906,72 @@ mod tests {
 
 #[cfg(test)]
 mod differential {
-    //! Differential tests: the batch backend behind [`exec_into`] against the
-    //! naive per-element [`reference`] interpreter, swept over every op
-    //! family × SEW × mask pattern × edge VLs. Equality is exact: the
-    //! returned [`ExecInfo`] (including the memory trace), all 32 registers,
-    //! and the full memory image must match bit for bit.
+    //! Differential tests: the batch kernels behind [`exec_into`] — the one
+    //! execution engine — against the naive per-element [`reference`]
+    //! interpreter, swept over every op family × SEW × mask pattern × edge
+    //! VLs, plus destination aliasing, a seeded mixed program, and the pinned
+    //! FP-reduction fold. Equality is exact: the returned [`ExecInfo`]
+    //! (including the memory trace), all 32 registers, and the full memory
+    //! image must match bit for bit.
 
     use super::reference::exec_ref;
     use super::*;
     use crate::instr::MaskSetKind;
     use crate::mem::FlatMemory;
     use crate::vtype::Lmul;
+    use sdv_engine::Rng;
 
     const MEM_SIZE: usize = 128 * 1024;
     const EDGE_VLS: [usize; 5] = [0, 1, 7, 255, 256];
+
+    const ARITH: [ArithKind; 14] = [
+        ArithKind::Add,
+        ArithKind::Sub,
+        ArithKind::Rsub,
+        ArithKind::And,
+        ArithKind::Or,
+        ArithKind::Xor,
+        ArithKind::Sll,
+        ArithKind::Srl,
+        ArithKind::Sra,
+        ArithKind::Mul,
+        ArithKind::Min,
+        ArithKind::Max,
+        ArithKind::Minu,
+        ArithKind::Maxu,
+    ];
+    const CMP_INT: [CmpKind; 8] = [
+        CmpKind::Eq,
+        CmpKind::Ne,
+        CmpKind::Lt,
+        CmpKind::Ltu,
+        CmpKind::Le,
+        CmpKind::Leu,
+        CmpKind::Gt,
+        CmpKind::Gtu,
+    ];
+    const CMP_FP: [CmpKind; 5] =
+        [CmpKind::Feq, CmpKind::Fne, CmpKind::Flt, CmpKind::Fle, CmpKind::Fgt];
+    const MASK: [MaskKind; 6] = [
+        MaskKind::And,
+        MaskKind::Or,
+        MaskKind::Xor,
+        MaskKind::AndNot,
+        MaskKind::Nand,
+        MaskKind::Nor,
+    ];
+    const FARITH: [FArithKind; 9] = [
+        FArithKind::Fadd,
+        FArithKind::Fsub,
+        FArithKind::Frsub,
+        FArithKind::Fmul,
+        FArithKind::Fdiv,
+        FArithKind::Fmin,
+        FArithKind::Fmax,
+        FArithKind::Fsgnj,
+        FArithKind::Fsgnjn,
+    ];
+    const FMA: [FmaKind; 3] = [FmaKind::Macc, FmaKind::Nmsac, FmaKind::Madd];
 
     /// Deterministic byte filler (splitmix-style LCG on the seed).
     fn fill(buf: &mut [u8], mut seed: u64) {
@@ -3036,51 +3062,20 @@ mod differential {
             SegLoad { vd: 8, base: 32768, nf: 8 },
             SegStore { vs: 8, base: 32768, nf: 8 },
         ];
-        for kind in [
-            ArithKind::Add,
-            ArithKind::Sub,
-            ArithKind::Rsub,
-            ArithKind::And,
-            ArithKind::Or,
-            ArithKind::Xor,
-            ArithKind::Sll,
-            ArithKind::Srl,
-            ArithKind::Sra,
-            ArithKind::Mul,
-            ArithKind::Min,
-            ArithKind::Max,
-            ArithKind::Minu,
-            ArithKind::Maxu,
-        ] {
+        for kind in ARITH {
             ops.push(ArithVV { kind, vd: 1, x: 2, y: 3 });
             ops.push(ArithVX { kind, vd: 1, x: 2, scalar: 0x1234_5678_9abc_def0 });
         }
         ops.push(IMaccVV { vd: 1, x: 2, y: 3 });
         ops.push(SatAddU { vd: 1, x: 2, y: 3 });
-        for kind in [
-            CmpKind::Eq,
-            CmpKind::Ne,
-            CmpKind::Lt,
-            CmpKind::Ltu,
-            CmpKind::Le,
-            CmpKind::Leu,
-            CmpKind::Gt,
-            CmpKind::Gtu,
-        ] {
+        for kind in CMP_INT {
             ops.push(CmpVV { kind, md: 5, x: 2, y: 3 });
             ops.push(CmpVX { kind, md: 5, x: 2, scalar: 0x80 });
         }
         for kind in [MaskSetKind::Sbf, MaskSetKind::Sif, MaskSetKind::Sof] {
             ops.push(MaskSet { kind, md: 5, m: 6 });
         }
-        for kind in [
-            MaskKind::And,
-            MaskKind::Or,
-            MaskKind::Xor,
-            MaskKind::AndNot,
-            MaskKind::Nand,
-            MaskKind::Nor,
-        ] {
+        for kind in MASK {
             ops.push(MaskOp { kind, md: 5, m1: 6, m2: 7 });
         }
         ops.push(Popc { m: 6 });
@@ -3122,17 +3117,7 @@ mod differential {
             ops.push(LoadWiden { vd: 6, addr: MemAddr::Indexed { base: 8192, index: 4 } });
         }
         if matches!(sew, Sew::E32 | Sew::E64) {
-            for kind in [
-                FArithKind::Fadd,
-                FArithKind::Fsub,
-                FArithKind::Frsub,
-                FArithKind::Fmul,
-                FArithKind::Fdiv,
-                FArithKind::Fmin,
-                FArithKind::Fmax,
-                FArithKind::Fsgnj,
-                FArithKind::Fsgnjn,
-            ] {
+            for kind in FARITH {
                 ops.push(FArithVV { kind, vd: 1, x: 2, y: 3 });
             }
             ops.push(FArithVF { kind: FArithKind::Fadd, vd: 1, x: 2, scalar: fbits(1.5) });
@@ -3140,11 +3125,11 @@ mod differential {
             for kind in [FUnaryKind::Fsqrt, FUnaryKind::Fneg, FUnaryKind::Fabs] {
                 ops.push(FUnary { kind, vd: 1, x: 2 });
             }
-            for kind in [FmaKind::Macc, FmaKind::Nmsac, FmaKind::Madd] {
+            for kind in FMA {
                 ops.push(FmaVV { kind, vd: 1, x: 2, y: 3 });
                 ops.push(FmaVF { kind, vd: 1, scalar: fbits(2.5), y: 3 });
             }
-            for kind in [CmpKind::Feq, CmpKind::Fne, CmpKind::Flt, CmpKind::Fle, CmpKind::Fgt] {
+            for kind in CMP_FP {
                 ops.push(CmpVV { kind, md: 5, x: 2, y: 3 });
                 ops.push(CmpVX { kind, md: 5, x: 2, scalar: fbits(0.5) });
             }
@@ -3158,8 +3143,9 @@ mod differential {
         ops
     }
 
-    /// Run one instruction through both backends from identical state and
-    /// assert bit-exact agreement on trace, registers, and memory.
+    /// Run one instruction through the engine and the reference from
+    /// identical state and assert bit-exact agreement on trace, registers,
+    /// and memory.
     fn run_case(op: &VOp, pat: MaskPat, sew: Sew, lmul: Lmul, vl: usize, st: &VState, mt: &FlatMemory) {
         let mut s1 = st.clone();
         let granted = s1.set_vl(vl, sew, lmul);
@@ -3168,7 +3154,7 @@ mod differential {
             s1.regs.set_mask(0, i, pat.bit(i));
         }
         // Controlled byte offsets for indexed addressing: in-bounds at every
-        // SEW (they truncate at E8/E16, which both backends must agree on),
+        // SEW (they truncate at E8/E16, which both sides must agree on),
         // unaligned on odd elements, colliding across elements.
         for i in 0..vl {
             let off = (((i * 37) % 512) * 8 + (i % 2) * 4) as u64;
@@ -3182,9 +3168,17 @@ mod differential {
         let want = exec_ref(&inst, &mut s2, &mut m2);
         let ctx = format!("{op:?} pat={pat:?} sew={sew:?} lmul={lmul:?} vl={vl}");
         assert_eq!(got, want, "ExecInfo diverged: {ctx}");
+        assert_regs_match(&s1, &s2, &ctx);
+        assert_mem_match(&m1, &m2, &ctx);
+    }
+
+    fn assert_regs_match(s1: &VState, s2: &VState, ctx: &str) {
         for r in 0..32u8 {
             assert_eq!(s1.regs.reg_bytes(r), s2.regs.reg_bytes(r), "v{r} diverged: {ctx}");
         }
+    }
+
+    fn assert_mem_match(m1: &FlatMemory, m2: &FlatMemory, ctx: &str) {
         let mut b1 = vec![0u8; MEM_SIZE];
         let mut b2 = vec![0u8; MEM_SIZE];
         m1.read_bytes(0, &mut b1);
@@ -3245,5 +3239,176 @@ mod differential {
                 }
             }
         }
+    }
+
+    /// Every family whose kernel stages lanes before writing, with the
+    /// destination aliasing a source (`vd == x`, `vd == y`) or the mask
+    /// register itself (`md == v0`), FMA accumulators included, under every
+    /// mask pattern at the edge VLs.
+    #[test]
+    fn aliased_destinations_match_reference() {
+        use VOp::*;
+        let (st, mt) = templates();
+        for sew in [Sew::E8, Sew::E16, Sew::E32, Sew::E64] {
+            let mut ops = Vec::new();
+            for kind in ARITH {
+                ops.push(ArithVV { kind, vd: 2, x: 2, y: 3 });
+                ops.push(ArithVX { kind, vd: 2, x: 2, scalar: 0x0123_4567_89ab_cdef });
+            }
+            for kind in CMP_INT {
+                ops.push(CmpVV { kind, md: 0, x: 2, y: 3 });
+                ops.push(CmpVX { kind, md: 0, x: 2, scalar: 77 });
+            }
+            if matches!(sew, Sew::E32 | Sew::E64) {
+                for kind in FARITH {
+                    ops.push(FArithVV { kind, vd: 3, x: 2, y: 3 });
+                }
+                for kind in FMA {
+                    ops.push(FmaVV { kind, vd: 2, x: 2, y: 3 });
+                    ops.push(FmaVV { kind, vd: 3, x: 2, y: 3 });
+                }
+                for kind in CMP_FP {
+                    ops.push(CmpVV { kind, md: 0, x: 2, y: 3 });
+                }
+            }
+            for op in &ops {
+                for pat in ALL_PATS {
+                    for vl in EDGE_VLS {
+                        run_case(op, pat, sew, Lmul::M1, vl, &st, &mt);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rewrite every NaN lane of an FP instruction's destination to the
+    /// canonical quiet NaN. NaN sign and payload are outside the contract:
+    /// Rust leaves them unspecified, so the optimizer may pick differently
+    /// commuted or negated FMA forms for the batch loop and the per-element
+    /// loop (seen in release builds with `target-cpu=native`). Applied to
+    /// both sides, so the two states stay in lockstep for later integer ops.
+    fn canonicalize_fp_result(s: &mut VState, op: &VOp, sew: Sew, vl: usize) {
+        use VOp::*;
+        let vd = match op {
+            FArithVV { vd, .. }
+            | FArithVF { vd, .. }
+            | FUnary { vd, .. }
+            | FmaVV { vd, .. }
+            | FmaVF { vd, .. }
+            | Red { kind: RedKind::Fsum, vd, .. } => *vd,
+            _ => return,
+        };
+        let mut lanes = Vec::new();
+        s.regs.read_elems_into(vd, sew, vl, &mut lanes);
+        for v in &mut lanes {
+            match sew {
+                Sew::E32 if f32::from_bits(*v as u32).is_nan() => *v = f32::NAN.to_bits() as u64,
+                Sew::E64 if f64::from_bits(*v).is_nan() => *v = f64::NAN.to_bits(),
+                _ => {}
+            }
+        }
+        s.regs.write_elems(vd, sew, &lanes);
+    }
+
+    /// A 600-step seeded program mixing the staged families with loads,
+    /// stores and reductions at random SEW/LMUL/VL/masking, so state carried
+    /// between instructions (mask registers, aliased groups, memory the
+    /// store region shares with the load region) flows through the engine and
+    /// the reference identically. Registers and `ExecInfo` are compared after
+    /// every step (FP results modulo NaN payload), the memory image at the
+    /// end.
+    #[test]
+    fn seeded_mixed_program_matches_reference() {
+        use VOp::*;
+        let mut rng = Rng::new(0xf1e1d);
+        let (mut s1, mut m1) = templates();
+        let (mut s2, mut m2) = (s1.clone(), m1.clone());
+        let (mut scratch, mut info) = (ExecScratch::default(), ExecInfo::default());
+        let mut pool = Vec::new();
+        for kind in ARITH {
+            pool.push(ArithVV { kind, vd: 12, x: 4, y: 8 });
+            pool.push(ArithVX { kind, vd: 12, x: 4, scalar: 0x0123_4567_89ab_cdef });
+            pool.push(ArithVV { kind, vd: 4, x: 4, y: 8 });
+        }
+        for kind in FARITH {
+            pool.push(FArithVV { kind, vd: 12, x: 4, y: 8 });
+            pool.push(FArithVF { kind, vd: 12, x: 4, scalar: 2.5f64.to_bits() });
+            pool.push(FArithVV { kind, vd: 8, x: 4, y: 8 });
+        }
+        for kind in [FUnaryKind::Fsqrt, FUnaryKind::Fneg, FUnaryKind::Fabs] {
+            pool.push(FUnary { kind, vd: 12, x: 4 });
+        }
+        for kind in FMA {
+            pool.push(FmaVV { kind, vd: 12, x: 4, y: 8 });
+            pool.push(FmaVF { kind, vd: 12, scalar: (-1.25f64).to_bits(), y: 8 });
+        }
+        for kind in CMP_INT.into_iter().chain(CMP_FP) {
+            pool.push(CmpVV { kind, md: 16, x: 4, y: 8 });
+            pool.push(CmpVX { kind, md: 16, x: 4, scalar: 77 });
+            pool.push(CmpVV { kind, md: 0, x: 4, y: 8 });
+        }
+        for kind in MASK {
+            pool.push(MaskOp { kind, md: 16, m1: 17, m2: 18 });
+        }
+        for step in 0..600 {
+            let sew = [Sew::E32, Sew::E64][rng.index(2)];
+            let lmul = [Lmul::M1, Lmul::M2, Lmul::M4][rng.index(3)];
+            let vl = rng.index(s1.regs.vlen_bits() / sew.bits() * lmul.factor() + 1);
+            assert_eq!(s1.set_vl(vl, sew, lmul), vl);
+            s2.set_vl(vl, sew, lmul);
+            let op = match rng.index(10) {
+                0 => Load { vd: 4, addr: MemAddr::Unit { base: 64 } },
+                1 => Store { vs: 8, addr: MemAddr::Unit { base: 4096 } },
+                2 => Red {
+                    kind: [RedKind::Fsum, RedKind::Sum, RedKind::Maxu][rng.index(3)],
+                    vd: 20,
+                    x: 4,
+                    acc: 8,
+                },
+                _ => pool[rng.index(pool.len())].clone(),
+            };
+            let inst = VInst { op, masked: rng.chance(0.4) };
+            exec_into(&inst, &mut s1, &mut m1, &mut scratch, &mut info);
+            let want = exec_ref(&inst, &mut s2, &mut m2);
+            let ctx = format!("step {step}: {inst:?} sew={sew:?} lmul={lmul:?} vl={vl}");
+            assert_eq!(info, want, "ExecInfo diverged: {ctx}");
+            canonicalize_fp_result(&mut s1, &inst.op, sew, vl);
+            canonicalize_fp_result(&mut s2, &inst.op, sew, vl);
+            assert_regs_match(&s1, &s2, &ctx);
+        }
+        assert_mem_match(&m1, &m2, "after the program");
+    }
+
+    /// The FP reduction order is *pinned*: a strictly sequential left fold
+    /// from the accumulator seed (vfredosum-style), in the engine and the
+    /// reference alike. Inputs are chosen so any reassociation (pairwise
+    /// tree, per-lane partial sums) changes the answer.
+    #[test]
+    fn fp_reduction_fold_order_is_pinned() {
+        let run = |lanes: &[f64], seed: f64| -> u64 {
+            let mut s = VState::paper_vpu();
+            let mut m = FlatMemory::new(64);
+            s.set_vl(lanes.len(), Sew::E64, Lmul::M1);
+            for (i, &v) in lanes.iter().enumerate() {
+                s.regs.set(4, Sew::E64, i, v.to_bits());
+            }
+            s.regs.set(8, Sew::E64, 0, seed.to_bits());
+            let (mut s2, mut m2) = (s.clone(), m.clone());
+            let inst = VInst::new(VOp::Red { kind: RedKind::Fsum, vd: 20, x: 4, acc: 8 });
+            exec(&inst, &mut s, &mut m);
+            exec_ref(&inst, &mut s2, &mut m2);
+            let got = s.regs.get(20, Sew::E64, 0);
+            assert_eq!(got, s2.regs.get(20, Sew::E64, 0), "engine and reference fold differently");
+            got
+        };
+        // Catastrophic cancellation: 1e16 + 1.0 rounds the 1.0 away, then
+        // -1e16 cancels to exactly 0.0. Any reordering yields 3.0 instead.
+        let pinned = (((1e16_f64 + 1.0) + -1e16) + 2.0).to_bits();
+        assert_eq!(pinned, 2.0f64.to_bits(), "the inputs must be order-sensitive");
+        assert_eq!(run(&[1.0, -1e16, 2.0], 1e16), pinned, "fold order changed");
+        // (-0.0) + (-0.0) keeps the sign; a +0.0-identity partial sum loses it.
+        assert_eq!(run(&[-0.0, -0.0], -0.0), (-0.0f64).to_bits(), "-0.0 sign lost");
+        // NaN propagates through the fold (identically: checked inside `run`).
+        assert!(f64::from_bits(run(&[1.0, f64::NAN, 3.0], 0.0)).is_nan());
     }
 }

@@ -17,6 +17,7 @@
 //!   read back cycles and statistics.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod energy;

@@ -61,31 +61,13 @@ print(f"metrics JSON valid: {len(cells)} cells")
 PYEOF
 rm -f "$tmp_metrics"
 
-echo "== portable-path build (sdv-rvv without simd-intrinsics) =="
-# The chunked portable loops must keep building (and stay warning-clean)
-# with the AVX2 intrinsics compiled out — this is the path every non-x86
-# host takes.
-cargo build -q -p sdv-rvv --no-default-features
-cargo clippy -q -p sdv-rvv --no-default-features --all-targets -- -D warnings
-
-echo "== SIMD backend cycle-identity (perf smoke under both backends) =="
-# Backend selection must never change simulated cycles: run the smoke suite
-# under --backend simd against the same recorded baseline the scalar smoke
-# used. Any cycle drift fails; the threshold neutralizes wall-clock noise.
-./target/release/perf_baseline --smoke --label check_simd --backend simd \
-    --against after_pr1 --threshold 1000
-
-echo "== golden CSV diff (small fig3, both backends, must be bit-identical) =="
+echo "== golden CSV diff (small fig3, must be bit-identical) =="
 tmp_csv="$(mktemp /tmp/fig3_small.XXXXXX.csv)"
 tmp_csv2="$(mktemp /tmp/fig3_small2.XXXXXX.csv)"
-tmp_csv3="$(mktemp /tmp/fig3_simd.XXXXXX.csv)"
-trap 'rm -f "$tmp_csv" "$tmp_csv2" "$tmp_csv3"' EXIT
-./target/release/fig3_latency --small --backend scalar --csv "$tmp_csv" >/dev/null
+trap 'rm -f "$tmp_csv" "$tmp_csv2"' EXIT
+./target/release/fig3_latency --small --csv "$tmp_csv" >/dev/null
 diff -u results/golden/fig3_small.csv "$tmp_csv"
-echo "golden CSV matches (scalar backend)"
-./target/release/fig3_latency --small --backend simd --csv "$tmp_csv3" >/dev/null
-diff -u results/golden/fig3_small.csv "$tmp_csv3"
-echo "golden CSV matches (simd backend)"
+echo "golden CSV matches"
 
 echo "== determinism (two fig3 runs, different thread counts, same CSV) =="
 ./target/release/fig3_latency --small --threads 1 --csv "$tmp_csv2" >/dev/null
@@ -144,6 +126,29 @@ fi
 ./target/release/fig3_latency --small --cache-dir "$cache_dir" --csv "$cache_warm" >/dev/null
 diff -u results/golden/fig3_small.csv "$cache_warm"
 echo "fsck quarantined the corrupt entry; rerun healed the cache"
+
+echo "== kill and resume (SIGKILL mid-sweep; same --cache-dir finishes the figure) =="
+# The cache is the one way to resume: every completed cell was published
+# with fsync + rename before the kill, so the rerun simulates only what is
+# missing and the figure is the golden one. Correct for any kill point — no
+# cell cached yet, all of them, or mid-store: the only thing a killed writer
+# can leave behind is its own tmp file, never a damaged entry, so fsck must
+# quarantine exactly those strays (0 or 1 with one thread) and nothing else.
+kill_dir="$(mktemp -d /tmp/sdv_kill.XXXXXX)"
+timeout -s KILL 0.3 ./target/release/fig3_latency --small --threads 1 \
+    --cache-dir "$kill_dir" >/dev/null 2>&1 || true
+survivors="$(find "$kill_dir" -maxdepth 1 -name '*.entry' | wc -l)"
+strays="$(find "$kill_dir" -maxdepth 1 -name '*.tmp*' | wc -l)"
+./target/release/fig3_latency --small --threads 1 --cache-dir "$kill_dir" --csv "$cache_warm" >/dev/null
+diff -u results/golden/fig3_small.csv "$cache_warm"
+fsck_out="$(./target/release/sweepd fsck --cache-dir "$kill_dir" 2>/dev/null)"
+if ! grep -qE "quarantined now +${strays}\$" <<<"$fsck_out"; then
+    echo "fsck after kill+resume quarantined something other than the $strays stray tmp file(s):" >&2
+    echo "$fsck_out" >&2
+    exit 1
+fi
+rm -rf "$kill_dir" "$cache_warm"
+echo "killed with $survivors cells cached; resumed run matches the golden CSV; no entry quarantined"
 
 echo "== cache gc smoke (LRU eviction empties an over-budget cache) =="
 ./target/release/sweepd gc --cache-dir "$cache_dir" --max-bytes 1
