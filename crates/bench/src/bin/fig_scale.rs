@@ -17,9 +17,10 @@
 //!
 //! `--tiles` takes a comma-separated list of tile counts; each count runs on
 //! the smallest of the study's square meshes (2×2, 4×4, 8×8) that seats it,
-//! with one L2HN bank per mesh node. 1-tile cells run on the classic
-//! single-tile machine (bit-identical to every other figure binary, so they
-//! share cache entries); multi-tile cells run the partitioned drivers.
+//! with one L2HN bank per mesh node. 1-tile cells run the paper's
+//! single-stream programs (bit-identical to every other figure binary, so
+//! they share cache entries); multi-tile cells run the partitioned drivers
+//! on the same machine type.
 //!
 //! `--csv` exports the raw data in long format (`kernel,impl,tiles,mesh,
 //! kind,name,value`): per-tile stall attribution (`kind=stall`), per-bank
@@ -38,10 +39,6 @@ use sdv_bench::{Cell, CellOutcome, ImplKind, KernelKind, RunResult, Sweeper, Wor
 use sdv_uarch::TimingConfig;
 
 const BIN: &str = "fig_scale";
-
-/// The three kernels with partitioned multi-tile drivers (FFT's butterfly
-/// network does not decompose into disjoint tile ranges).
-const KERNELS: [KernelKind; 3] = [KernelKind::Spmv, KernelKind::Bfs, KernelKind::Pr];
 
 /// Parse a comma-separated list of positive integers.
 fn parse_list(bin: &str, args: &[String], key: &str, default: &[usize]) -> Vec<usize> {
@@ -64,18 +61,6 @@ fn parse_list(bin: &str, args: &[String], key: &str, default: &[usize]) -> Vec<u
         cli::die_usage(bin, &format!("{key} named no values"));
     }
     list
-}
-
-/// The timing configuration for one tile count: the shared hardening flags
-/// plus the topology (auto-sized square mesh, one bank per node).
-fn config_for_tiles(base: TimingConfig, tiles: usize) -> TimingConfig {
-    let mut cfg = base;
-    if tiles > 1 {
-        cfg.mem.tiles = tiles;
-        cfg.mem.mesh = cli::mesh_for_tiles(tiles);
-        cfg.mem.num_banks = cfg.mem.mesh.nodes();
-    }
-    cfg
 }
 
 /// `WxH` label for a topology's mesh.
@@ -165,7 +150,9 @@ fn main() {
     let w = if small { Workloads::small() } else { Workloads::paper() };
     let workload = if small { "small" } else { "paper" };
 
-    let cells: Vec<Cell> = KERNELS
+    let kernels: Vec<KernelKind> =
+        KernelKind::all().into_iter().filter(|k| k.partitionable()).collect();
+    let cells: Vec<Cell> = kernels
         .iter()
         .flat_map(|&kernel| {
             vls.iter().map(move |&maxvl| Cell {
@@ -181,7 +168,7 @@ fn main() {
     // configuration (and therefore in every cache / sweepd identity).
     let mut grids: Vec<(usize, TimingConfig, Vec<CellOutcome>)> = Vec::new();
     for &tiles in &tile_counts {
-        let cfg = config_for_tiles(base, tiles);
+        let cfg = cli::with_tiles(base, tiles);
         let mut sweeper = Sweeper::with_config(cfg);
         cli::configure_sweeper(BIN, &args, &mut sweeper, workload);
         let outcomes = sweeper.sweep_outcomes(&w, &cells, threads);
@@ -192,7 +179,7 @@ fn main() {
     };
 
     let mut sums_ok = true;
-    for (ki, kernel) in KERNELS.iter().enumerate() {
+    for (ki, kernel) in kernels.iter().enumerate() {
         let headers: Vec<String> = vls
             .iter()
             .flat_map(|vl| [format!("vl={vl}"), "speedup".to_string()])
@@ -256,7 +243,7 @@ fn main() {
     if let Some(path) = csv {
         use std::fmt::Write as _;
         let mut out = String::from("kernel,impl,tiles,mesh,kind,name,value\n");
-        for (ki, kernel) in KERNELS.iter().enumerate() {
+        for (ki, kernel) in kernels.iter().enumerate() {
             for (gi, (tiles, cfg, _)) in grids.iter().enumerate() {
                 let mesh = mesh_label(cfg);
                 for (vi, _) in vls.iter().enumerate() {

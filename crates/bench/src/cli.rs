@@ -131,9 +131,7 @@ pub fn apply_topology(args: &[String], cfg: &mut TimingConfig) -> Result<(), Str
         if tiles == 0 {
             return Err("--tiles must be positive".into());
         }
-        cfg.mem.tiles = tiles;
-        cfg.mem.mesh = mesh_for_tiles(tiles);
-        cfg.mem.num_banks = cfg.mem.mesh.nodes();
+        *cfg = with_tiles(*cfg, tiles);
     }
     if let Some(spec) = parse_arg::<String>(args, "--mesh")? {
         let (w, h) = spec
@@ -147,6 +145,15 @@ pub fn apply_topology(args: &[String], cfg: &mut TimingConfig) -> Result<(), Str
         cfg.mem.num_banks = w * h;
     }
     Ok(())
+}
+
+/// `cfg` with `tiles` core+VPU tiles on [`mesh_for_tiles`]'s geometry, one
+/// L2HN bank per mesh node. One tile is the default 2×2 / four-bank machine.
+pub fn with_tiles(mut cfg: TimingConfig, tiles: usize) -> TimingConfig {
+    cfg.mem.tiles = tiles;
+    cfg.mem.mesh = mesh_for_tiles(tiles);
+    cfg.mem.num_banks = cfg.mem.mesh.nodes();
+    cfg
 }
 
 /// The smallest of the scaling study's square meshes (2×2, 4×4, 8×8) whose

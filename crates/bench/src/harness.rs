@@ -1,7 +1,7 @@
 //! The experiment runner.
 
 use crate::cache::{CacheKey, ResultCache};
-use sdv_core::{SdvMachine, TiledMachine, Vm};
+use sdv_core::{SdvMachine, Vm};
 use sdv_engine::{SimError, StableHash, Stats};
 use sdv_kernels::fft::{self, Complexes};
 use sdv_kernels::{bfs, pagerank, spmv, CsrMatrix, Graph, SellCS};
@@ -34,6 +34,13 @@ impl KernelKind {
             KernelKind::Pr => "PR",
             KernelKind::Fft => "FFT",
         }
+    }
+
+    /// Whether the kernel's vector implementation has a partitioned
+    /// multi-tile driver. FFT's butterfly network does not decompose into
+    /// disjoint tile ranges.
+    pub fn partitionable(self) -> bool {
+        !matches!(self, KernelKind::Fft)
     }
 }
 
@@ -213,6 +220,17 @@ pub struct Cell {
     pub bandwidth: u64,
 }
 
+impl Cell {
+    /// Whether this cell can run on more than one tile: the vector
+    /// implementation of a partitionable kernel (scalar codes are one
+    /// instruction stream). The one statement of which cells have a
+    /// partitioned driver — the sweep rejection, `drive_kernel` and
+    /// `fig_scale`'s kernel list all read it.
+    pub fn partitionable(&self) -> bool {
+        self.kernel.partitionable() && matches!(self.imp, ImplKind::Vector { .. })
+    }
+}
+
 /// `cells` without its repeats, in first-seen order: the one dedup every
 /// sweep entry point (local, client, server) applies to a requested grid.
 pub(crate) fn unique_cells(cells: impl IntoIterator<Item = Cell>) -> Vec<Cell> {
@@ -280,8 +298,9 @@ impl CellOutcome {
 
 /// Run one cell on a fresh machine with the given timing configuration.
 pub fn run_with_config(w: &Workloads, cell: Cell, cfg: TimingConfig) -> RunResult {
-    let mut m = SdvMachine::with_config(w.heap, cfg);
-    run_on(&mut m, w, cell, cfg)
+    try_run_with_config(w, cell, cfg).unwrap_or_else(|e| {
+        panic!("cell {}/{} failed: {e}", cell.kernel.name(), cell.imp)
+    })
 }
 
 /// [`run_with_config`] through an optional result cache: consults the
@@ -311,37 +330,16 @@ pub fn try_run_with_config(
     cell: Cell,
     cfg: TimingConfig,
 ) -> Result<RunResult, SimError> {
-    if cfg.mem.tiles > 1 {
-        // Dispatch before building any machine: an over-capacity topology
-        // must come back as a structured error, not a constructor panic.
-        return try_run_tiled(w, cell, cfg, None);
-    }
-    let mut m = SdvMachine::with_config(w.heap, cfg);
-    try_run_on(&mut m, w, cell, cfg)
+    try_run_on_walled(&mut SdvMachine::new(w.heap), w, cell, cfg, None)
 }
 
-/// Run one cell on a pooled machine: rewinds it to the fresh state (keeping
-/// its allocations), then runs the kernel. Cycle counts are bit-identical to
-/// [`run_with_config`] on a brand-new machine.
-fn run_on(m: &mut SdvMachine, w: &Workloads, cell: Cell, cfg: TimingConfig) -> RunResult {
-    try_run_on(m, w, cell, cfg).unwrap_or_else(|e| {
-        panic!("cell {}/{} failed: {e}", cell.kernel.name(), cell.imp)
-    })
-}
-
-/// Fallible pooled-machine run: the kernel always executes to completion
-/// (its control flow depends only on functional state), then any latched
-/// watchdog failure or audit violation is surfaced.
-fn try_run_on(
-    m: &mut SdvMachine,
-    w: &Workloads,
-    cell: Cell,
-    cfg: TimingConfig,
-) -> Result<RunResult, SimError> {
-    try_run_on_walled(m, w, cell, cfg, None)
-}
-
-/// [`try_run_on`] with an optional wall-clock deadline armed for this cell.
+/// Run one cell on a pooled machine, with an optional wall-clock deadline
+/// armed for it: rewinds the machine to the fresh state of `cfg`'s topology
+/// (keeping its allocations), runs the kernel to completion (its control
+/// flow depends only on functional state), then surfaces any latched
+/// watchdog failure or audit violation. Cycle counts are bit-identical to a
+/// brand-new machine's.
+///
 /// The deadline is host-speed dependent, so it lives outside [`TimingConfig`]
 /// (it must never reach a cache key or the client/server identity check);
 /// `sweepd` arms it per cell to convert runaway work into a structured
@@ -353,8 +351,20 @@ fn try_run_on_walled(
     cfg: TimingConfig,
     wall: Option<std::time::Duration>,
 ) -> Result<RunResult, SimError> {
-    if cfg.mem.tiles > 1 {
-        return try_run_tiled(w, cell, cfg, wall);
+    // Validate before the reset builds a timing model: the highest requestor
+    // id this topology will mint must fit the directory mask (an oversized
+    // one panics in MemHierarchy::new), and a cell without a partitioned
+    // driver is rejected rather than silently run on one tile of many.
+    let tiles = cfg.mem.tiles;
+    sdv_memsys::requestor_id(2 * tiles - 1)?;
+    if tiles > 1 && !cell.partitionable() {
+        return Err(SimError::BadInput {
+            what: format!(
+                "{}/{} has no partitioned multi-tile driver",
+                cell.kernel.name(),
+                cell.imp
+            ),
+        });
     }
     m.reset_with_config(cfg);
     if let Some(limit) = wall {
@@ -370,67 +380,11 @@ fn try_run_on_walled(
     Ok(RunResult { cell, cycles, stats: m.stats() })
 }
 
-/// Multi-tile variant of [`try_run_on_walled`]: runs the cell on a fresh
-/// [`TiledMachine`] partitioned across `cfg.mem.tiles` core+VPU tiles.
-///
-/// Tiled machines are not pooled: the capture/replay traces and per-tile
-/// architectural states make rewind-in-place subtle, and multi-tile sweeps
-/// are dominated by simulation time, not construction. A fresh machine per
-/// cell also guarantees cross-run bit-identity by construction.
-///
-/// Only the vector implementations of SpMV, BFS, and PageRank have
-/// partitioned drivers; scalar cells and FFT come back as structured
-/// [`SimError::BadInput`] failures rather than silently running one tile.
-fn try_run_tiled(
-    w: &Workloads,
-    cell: Cell,
-    cfg: TimingConfig,
-    wall: Option<std::time::Duration>,
-) -> Result<RunResult, SimError> {
-    // Validate the highest requestor id this topology will mint *before*
-    // MemHierarchy::new can panic on an oversized directory mask.
-    sdv_memsys::requestor_id(2 * cfg.mem.tiles - 1)?;
-    let maxvl = match (cell.kernel, cell.imp) {
-        (KernelKind::Fft, _) => {
-            return Err(SimError::BadInput {
-                what: format!("{} has no partitioned multi-tile driver", cell.kernel.name()),
-            });
-        }
-        (_, ImplKind::Scalar) => {
-            return Err(SimError::BadInput {
-                what: "scalar implementations have no partitioned multi-tile driver".to_string(),
-            });
-        }
-        (_, ImplKind::Vector { maxvl }) => maxvl,
-    };
-    let mut m = TiledMachine::with_config(w.heap, cfg);
-    if let Some(limit) = wall {
-        m.set_wall_deadline(limit);
-    }
-    m.set_extra_latency(cell.extra_latency);
-    m.set_bandwidth_limit(cell.bandwidth);
-    m.set_maxvl_cap(maxvl);
-    match cell.kernel {
-        KernelKind::Spmv => {
-            let dev = spmv::setup_spmv(&mut m.vm(0), &w.mat, &w.sell);
-            sdv_kernels::spmv_vector_sell_tiled(&mut m, &dev);
-        }
-        KernelKind::Bfs => {
-            let dev = bfs::setup_bfs(&mut m.vm(0), &w.graph, 256, w.bfs_src);
-            sdv_kernels::bfs_vector_tiled(&mut m, &dev);
-        }
-        KernelKind::Pr => {
-            let dev = pagerank::setup_pagerank(&mut m.vm(0), &w.graph, 256, 0.85, w.pr_iters);
-            sdv_kernels::pagerank_vector_tiled(&mut m, &dev);
-        }
-        KernelKind::Fft => unreachable!("rejected above"),
-    }
-    let cycles = m.try_finish()?;
-    Ok(RunResult { cell, cycles, stats: m.stats() })
-}
-
-/// Dispatch one cell's kernel onto a configured machine.
+/// Dispatch one cell's kernel onto a configured machine. A partitionable
+/// cell on a machine with more than one tile runs its partitioned driver;
+/// one tile runs the paper's single-stream program.
 fn drive_kernel(m: &mut SdvMachine, w: &Workloads, cell: Cell) {
+    let partitioned = m.tiles() > 1 && cell.partitionable();
     match (cell.kernel, cell.imp) {
         (KernelKind::Spmv, ImplKind::Scalar) => {
             let dev = spmv::setup_spmv(m, &w.mat, &w.sell);
@@ -438,7 +392,11 @@ fn drive_kernel(m: &mut SdvMachine, w: &Workloads, cell: Cell) {
         }
         (KernelKind::Spmv, ImplKind::Vector { .. }) => {
             let dev = spmv::setup_spmv(m, &w.mat, &w.sell);
-            spmv::spmv_vector_sell(m, &dev);
+            if partitioned {
+                spmv::spmv_vector_sell_tiled(m, &dev);
+            } else {
+                spmv::spmv_vector_sell(m, &dev);
+            }
         }
         (KernelKind::Bfs, ImplKind::Scalar) => {
             let dev = bfs::setup_bfs(m, &w.graph, 256, w.bfs_src);
@@ -446,7 +404,11 @@ fn drive_kernel(m: &mut SdvMachine, w: &Workloads, cell: Cell) {
         }
         (KernelKind::Bfs, ImplKind::Vector { .. }) => {
             let dev = bfs::setup_bfs(m, &w.graph, 256, w.bfs_src);
-            bfs::bfs_vector(m, &dev);
+            if partitioned {
+                bfs::bfs_vector_tiled(m, &dev);
+            } else {
+                bfs::bfs_vector(m, &dev);
+            }
         }
         (KernelKind::Pr, ImplKind::Scalar) => {
             let dev = pagerank::setup_pagerank(m, &w.graph, 256, 0.85, w.pr_iters);
@@ -454,7 +416,11 @@ fn drive_kernel(m: &mut SdvMachine, w: &Workloads, cell: Cell) {
         }
         (KernelKind::Pr, ImplKind::Vector { .. }) => {
             let dev = pagerank::setup_pagerank(m, &w.graph, 256, 0.85, w.pr_iters);
-            pagerank::pagerank_vector(m, &dev);
+            if partitioned {
+                pagerank::pagerank_vector_tiled(m, &dev);
+            } else {
+                pagerank::pagerank_vector(m, &dev);
+            }
         }
         (KernelKind::Fft, ImplKind::Scalar) => {
             let dev = fft::setup_fft(m, &w.signal.0, &w.signal.1);
@@ -535,8 +501,8 @@ pub fn try_run_traced(
     mut cfg: TimingConfig,
 ) -> Result<(RunResult, String), SimError> {
     cfg.probe.trace = true;
-    let mut m = SdvMachine::with_config(w.heap, cfg);
-    let r = try_run_on(&mut m, w, cell, cfg)?;
+    let mut m = SdvMachine::new(w.heap);
+    let r = try_run_on_walled(&mut m, w, cell, cfg, None)?;
     Ok((r, m.trace_json()))
 }
 
@@ -1032,25 +998,68 @@ mod tests {
     }
 
     #[test]
-    fn one_tile_on_a_4x4_mesh_matches_the_classic_machine() {
-        // The capture/replay machine with one tile must be bit-identical to
-        // the classic machine running the same kernel program — here on a
-        // non-default 4×4 mesh, so the equivalence covers scaled topologies
-        // too. (The *partitioned* drivers are a different op stream even on
-        // one tile: PageRank's adds a rank-mass merge phase.)
+    fn one_tile_on_a_4x4_mesh_is_the_same_through_vm0_and_the_machine() {
+        // One tile programmed through `vm(0)` and through `impl Vm for
+        // SdvMachine` is one op stream — here on a non-default 4×4 mesh, so
+        // the equivalence covers scaled topologies too. (The *partitioned*
+        // drivers are a different op stream even on one tile: PageRank's
+        // adds a rank-mass merge phase.)
         let w = Workloads::small();
         let c = cell(KernelKind::Pr, ImplKind::Vector { maxvl: 64 });
         let mut cfg = TimingConfig::default();
         cfg.mem.mesh = sdv_noc::MeshConfig::grid(4, 4);
         cfg.mem.num_banks = 16;
-        let classic = try_run_with_config(&w, c, cfg).expect("classic 4x4 run");
+        let direct = try_run_with_config(&w, c, cfg).expect("4x4 run through the harness");
 
-        let mut m = sdv_core::TiledMachine::with_config(w.heap, cfg);
+        let mut m = SdvMachine::with_config(w.heap, cfg);
         m.set_maxvl_cap(64);
         let dev = pagerank::setup_pagerank(&mut m.vm(0), &w.graph, 256, 0.85, w.pr_iters);
         pagerank::pagerank_vector(&mut m.vm(0), &dev);
-        let cycles = m.try_finish().expect("tiled 1-tile run");
-        assert_eq!(cycles, classic.cycles, "1 tile on 4x4 must match the classic machine");
+        let cycles = m.try_finish().expect("4x4 run through vm(0)");
+        assert_eq!(cycles, direct.cycles, "vm(0) on 4x4 must match the machine as Vm");
+        assert_eq!(format!("{:?}", m.stats()), format!("{:?}", direct.stats));
+    }
+
+    #[test]
+    fn traced_multi_tile_cell_returns_the_trace_of_the_machine_that_ran() {
+        // The trace must come from the machine that ran the cell, whatever
+        // its tile count.
+        let w = Workloads::small();
+        let c = cell(KernelKind::Spmv, ImplKind::Vector { maxvl: 256 });
+        let untraced = try_run_with_config(&w, c, tiled_cfg(4)).expect("4-tile SpMV");
+        let (traced, json) = try_run_traced(&w, c, tiled_cfg(4)).expect("traced 4-tile SpMV");
+        assert_eq!(traced.cycles, untraced.cycles, "probes are pure observers");
+        let doc = crate::json::Json::parse(&json).expect("trace is JSON");
+        let events = doc.get("traceEvents").and_then(|e| e.as_arr()).expect("traceEvents");
+        let spans = events.iter().filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"));
+        assert!(spans.count() > 0, "a traced run must carry its vector-instruction spans");
+    }
+
+    #[test]
+    fn pooled_slot_serves_changing_topologies_bit_identically() {
+        // One worker's machine across 4 -> 1 -> 4 tiles, with a deadline
+        // failure latched during the first 4-tile cell's replay (vl=8: the
+        // cell must issue more ops than the deadline's check stride).
+        let w = Workloads::small();
+        let c = cell(KernelKind::Bfs, ImplKind::Vector { maxvl: 8 });
+        let fresh = |cfg: TimingConfig| {
+            let r = try_run_with_config(&w, c, cfg).expect("fresh run");
+            (r.cycles, format!("{:?}", r.stats))
+        };
+        let (four, one) = (fresh(tiled_cfg(4)), fresh(TimingConfig::default()));
+        let mut slot = None;
+        match run_guarded(&mut slot, &w, c, tiled_cfg(4), Some(std::time::Duration::ZERO)) {
+            CellOutcome::Failed { error: SimError::DeadlineExceeded { .. }, .. } => {}
+            other => panic!("zero deadline must fail the cell: {other:?}"),
+        }
+        for (cfg, want) in [(tiled_cfg(4), &four), (tiled_cfg(1), &one), (tiled_cfg(4), &four)] {
+            match run_guarded(&mut slot, &w, c, cfg, None) {
+                CellOutcome::Done(r) => {
+                    assert_eq!((r.cycles, format!("{:?}", r.stats)), *want, "{} tiles", cfg.mem.tiles)
+                }
+                other => panic!("pooled run failed: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -14,32 +14,41 @@ pub struct FunctionalMachine {
     state: VState,
     mem: SimMemory,
     ops: u64,
-    stats: Stats,
+    ctr: FuncCounters,
     scratch: ExecScratch,
     info: ExecInfo,
+}
+
+/// Per-category op counters, kept as plain fields because they are bumped
+/// on every op — the registry view is assembled in
+/// [`FunctionalMachine::stats`].
+#[derive(Debug, Default, Clone, Copy)]
+struct FuncCounters {
+    loads: u64,
+    stores: u64,
+    branches: u64,
+    vector_instrs: u64,
+    vector_elems: u64,
 }
 
 impl FunctionalMachine {
     /// A machine with the paper's VPU (VLEN = 16384 bits) and `heap` bytes of
     /// simulated memory.
     pub fn new(heap: usize) -> Self {
-        Self {
-            state: VState::paper_vpu(),
-            mem: SimMemory::new(heap),
-            ops: 0,
-            stats: Stats::new(),
-            scratch: ExecScratch::default(),
-            info: ExecInfo::default(),
-        }
+        Self::with_state(VState::paper_vpu(), heap)
     }
 
     /// A machine with a custom VLEN in bits.
     pub fn with_vlen(vlen_bits: usize, heap: usize) -> Self {
+        Self::with_state(VState::new(vlen_bits), heap)
+    }
+
+    fn with_state(state: VState, heap: usize) -> Self {
         Self {
-            state: VState::new(vlen_bits),
+            state,
             mem: SimMemory::new(heap),
             ops: 0,
-            stats: Stats::new(),
+            ctr: FuncCounters::default(),
             scratch: ExecScratch::default(),
             info: ExecInfo::default(),
         }
@@ -61,8 +70,14 @@ impl FunctionalMachine {
     }
 
     /// Per-category op statistics.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    pub fn stats(&self) -> Stats {
+        let mut s = Stats::new();
+        s.set("func.loads", self.ctr.loads);
+        s.set("func.stores", self.ctr.stores);
+        s.set("func.branches", self.ctr.branches);
+        s.set("func.vector_instrs", self.ctr.vector_instrs);
+        s.set("func.vector_elems", self.ctr.vector_elems);
+        s
     }
 }
 
@@ -81,37 +96,37 @@ impl Vm for FunctionalMachine {
 
     fn load_f64(&mut self, addr: u64) -> f64 {
         self.ops += 1;
-        self.stats.inc("func.loads");
+        self.ctr.loads += 1;
         self.mem.peek_f64(addr)
     }
 
     fn store_f64(&mut self, addr: u64, v: f64) {
         self.ops += 1;
-        self.stats.inc("func.stores");
+        self.ctr.stores += 1;
         self.mem.poke_f64(addr, v);
     }
 
     fn load_u64(&mut self, addr: u64) -> u64 {
         self.ops += 1;
-        self.stats.inc("func.loads");
+        self.ctr.loads += 1;
         self.mem.peek_u64(addr)
     }
 
     fn store_u64(&mut self, addr: u64, v: u64) {
         self.ops += 1;
-        self.stats.inc("func.stores");
+        self.ctr.stores += 1;
         self.mem.poke_u64(addr, v);
     }
 
     fn load_u32(&mut self, addr: u64) -> u32 {
         self.ops += 1;
-        self.stats.inc("func.loads");
+        self.ctr.loads += 1;
         self.mem.peek_u32(addr)
     }
 
     fn store_u32(&mut self, addr: u64, v: u32) {
         self.ops += 1;
-        self.stats.inc("func.stores");
+        self.ctr.stores += 1;
         self.mem.poke_u32(addr, v);
     }
 
@@ -125,7 +140,7 @@ impl Vm for FunctionalMachine {
 
     fn branch(&mut self, _taken: bool) {
         self.ops += 1;
-        self.stats.inc("func.branches");
+        self.ctr.branches += 1;
     }
 
     fn setvl(&mut self, avl: usize, sew: Sew, lmul: Lmul) -> usize {
@@ -147,9 +162,9 @@ impl Vm for FunctionalMachine {
 
     fn exec_v(&mut self, inst: VInst) -> Option<u64> {
         self.ops += 1;
-        self.stats.inc("func.vector_instrs");
+        self.ctr.vector_instrs += 1;
         exec_into(&inst, &mut self.state, &mut self.mem, &mut self.scratch, &mut self.info);
-        self.stats.add("func.vector_elems", self.info.active as u64);
+        self.ctr.vector_elems += self.info.active as u64;
         self.info.scalar
     }
 
@@ -232,5 +247,30 @@ mod tests {
         assert_eq!(m.load_u32(a + 8), 77);
         m.store_u64(a + 16, u64::MAX);
         assert_eq!(m.load_u64(a + 16), u64::MAX);
+    }
+
+    #[test]
+    fn stats_report_the_five_op_categories() {
+        let mut m = FunctionalMachine::new(1 << 16);
+        let a = m.alloc(64, 64);
+        m.store_u64(a, 7);
+        m.load_u64(a);
+        m.load_u32(a);
+        m.branch(false);
+        m.setvl(8, Sew::E64, Lmul::M1);
+        m.vid(1);
+        m.vle(2, a);
+        let s = m.stats();
+        let got: Vec<(&str, u64)> = s.iter().collect();
+        assert_eq!(
+            got,
+            [
+                ("func.branches", 1),
+                ("func.loads", 2),
+                ("func.stores", 1),
+                ("func.vector_elems", 16),
+                ("func.vector_instrs", 2),
+            ]
+        );
     }
 }

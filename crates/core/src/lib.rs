@@ -10,7 +10,11 @@
 //!   the DRAM channel with the paper's two experiment knobs:
 //!   [`timed::SdvMachine::set_extra_latency`] (§2.2 Latency Controller) and
 //!   [`timed::SdvMachine::set_bandwidth_limit`] (§2.3 Bandwidth Limiter),
-//!   plus the MAXVL CSR cap ([`vm::Vm::set_maxvl_cap`], §2.1).
+//!   plus the MAXVL CSR cap ([`vm::Vm::set_maxvl_cap`], §2.1). It is the
+//!   only timed machine: `cfg.mem.tiles` (default 1, the paper's platform)
+//!   core+VPU tiles share the hierarchy, each programmed through
+//!   [`timed::SdvMachine::vm`] and synchronized by
+//!   [`timed::SdvMachine::barrier`]; the machine itself is tile 0's [`Vm`].
 //!
 //! ```
 //! use sdv_core::{SdvMachine, Vm};
@@ -32,14 +36,17 @@
 
 pub mod functional;
 pub mod memory;
-pub mod tiled;
 pub mod timed;
 pub mod trace;
 pub mod vm;
 
 pub use functional::FunctionalMachine;
 pub use memory::SimMemory;
-pub use tiled::{TileVm, TiledMachine};
-pub use timed::SdvMachine;
+pub use timed::{SdvMachine, TileVm};
 pub use trace::{TraceEvent, TracingMachine};
 pub use vm::Vm;
+
+/// Frozen-API residue: the multi-tile machine was a type of its own until it
+/// was folded into [`SdvMachine`]. `benchmark/` still imports the old name
+/// and could not be edited by the change that did the fold.
+pub type TiledMachine = SdvMachine;

@@ -1,25 +1,63 @@
-//! The timed platform: the FPGA-SDV machine.
+//! The timed platform: the FPGA-SDV machine, one tile or many.
 //!
 //! [`SdvMachine`] couples the functional RVV engine with the full timing
 //! model (scalar core, VPU, mesh, L2HN banks, DRAM + knobs). Every `Vm` call
 //! both computes the architectural result *and* advances simulated time, so
 //! `rdcycle` behaves exactly like the hardware counter the paper reads.
+//!
+//! `cfg.mem.tiles` core+VPU tiles share one [`SimMemory`] and one
+//! [`SdvTiming`]; each tile has its own architectural vector state and is
+//! programmed through [`SdvMachine::vm`] (`impl Vm for SdvMachine` is tile
+//! 0). Functional effects always land immediately. Timing ops take one path,
+//! capture-then-replay, whose epoch length follows from the tile count:
+//!
+//! * **Capture** — tile programs run one after another (in logical tile
+//!   order, or a caller-supplied permutation), each queueing the dynamic
+//!   [`Op`] stream it produces. Sequential capture is the model's
+//!   relaxed-consistency approximation: within one step a tile observes the
+//!   functional writes of tiles captured before it, so partitioned kernels
+//!   must keep intra-step cross-tile writes disjoint or idempotent (the
+//!   SpMV/BFS/PageRank drivers do).
+//! * **Replay** — at [`SdvMachine::barrier`] the queues interleave through
+//!   the calendar-wheel [`EventQueue`]: every tile is scheduled at its
+//!   scalar clock (seeded in logical tile order), the earliest
+//!   `(cycle, tile, seq)` event pops, that tile issues exactly one op, and
+//!   reschedules at its advanced clock. FIFO-on-tie makes the interleaving —
+//!   and so every shared-resource conflict (bank reservations, directory
+//!   state, DRAM admission, mesh links) — a pure function of the queues:
+//!   multi-tile cycles are bit-reproducible across runs, hosts and capture
+//!   permutations.
+//!
+//! With one tile there is nothing to interleave with, so an op's replay
+//! position is known the moment it is produced: the epoch is one op long and
+//! the op issues inline. A one-tile program driven through `vm(0)` and
+//! through `impl Vm for SdvMachine` is the same op stream in the same order.
 
 use crate::memory::SimMemory;
 use crate::vm::Vm;
-use sdv_engine::{Cycle, Stats};
+use sdv_engine::{Cycle, EventQueue, SimError, Stats};
 use sdv_rvv::{exec_into, ExecInfo, ExecScratch, Lmul, Sew, VInst, VState};
 use sdv_uarch::op::classify_into;
 use sdv_uarch::{Op, SdvTiming, TimingConfig, VClass, VectorOp};
 
-/// The FPGA-SDV platform model.
+/// The FPGA-SDV platform model. `cfg.mem.tiles` selects the tile count; the
+/// default single tile is the paper's machine.
 pub struct SdvMachine {
-    state: VState,
+    /// Per-tile architectural vector state (tiles strip-mine independently).
+    states: Vec<VState>,
+    /// The simulated heap every tile reads and writes.
     mem: SimMemory,
     timing: SdvTiming,
     cfg: TimingConfig,
     line_bytes: u64,
+    /// The §2.2 knob lives in the DRAM channel; kept here for `describe`.
     extra_latency_for_display: Cycle,
+    /// Captured-but-not-yet-replayed ops, per tile. Stays empty on a
+    /// one-tile machine, which issues inline.
+    pending: Vec<Vec<Op>>,
+    /// The order tile programs are captured in (a permutation of `0..tiles`).
+    /// Replay ignores it — determinism across permutations is the point.
+    capture_order: Vec<usize>,
     /// Reusable execution buffers: no per-instruction heap traffic.
     scratch: ExecScratch,
     info: ExecInfo,
@@ -33,20 +71,28 @@ impl SdvMachine {
         Self::with_config(heap, TimingConfig::default())
     }
 
-    /// A machine with custom timing parameters.
+    /// A machine with custom timing parameters (`cfg.mem.tiles` tiles).
     pub fn with_config(heap: usize, cfg: TimingConfig) -> Self {
-        let line_bytes = cfg.mem.l1.line_bytes;
+        let tiles = cfg.mem.tiles;
+        assert!(tiles >= 1, "need at least one tile");
         Self {
-            state: VState::paper_vpu(),
+            states: (0..tiles).map(|_| VState::paper_vpu()).collect(),
             mem: SimMemory::new(heap),
             timing: SdvTiming::new(cfg),
             cfg,
-            line_bytes,
+            line_bytes: cfg.mem.l1.line_bytes,
             extra_latency_for_display: 0,
+            pending: vec![Vec::new(); tiles],
+            capture_order: (0..tiles).collect(),
             scratch: ExecScratch::default(),
             info: ExecInfo::default(),
             lines_pool: Vec::new(),
         }
+    }
+
+    /// Number of tiles.
+    pub fn tiles(&self) -> usize {
+        self.states.len()
     }
 
     /// The timing configuration in effect.
@@ -75,9 +121,12 @@ impl SdvMachine {
     }
 
     /// Rewind this machine to the state `with_config(heap, cfg)` would build,
-    /// reusing the large allocations (register file, simulated heap, exec
-    /// scratch). Timing state is rebuilt from scratch — cycle counts of a
-    /// reset machine are bit-identical to those of a fresh one.
+    /// reusing the large allocations (register files, simulated heap, exec
+    /// scratch). `cfg` may name a different tile count than the machine has:
+    /// the per-tile states are resized, pending queues dropped (their
+    /// capacity freed) and the capture order returns to the identity. Timing
+    /// state is rebuilt from scratch — cycle counts of a reset machine are
+    /// bit-identical to those of a fresh one.
     ///
     /// "From scratch" includes the hardening state: a latched fault
     /// (watchdog deadlock, cycle budget, wall-clock deadline) and any armed
@@ -86,12 +135,42 @@ impl SdvMachine {
     /// workers rely on this — only a *panicking* cell forces them to discard
     /// a machine.
     pub fn reset_with_config(&mut self, cfg: TimingConfig) {
-        self.state.reset();
+        let tiles = cfg.mem.tiles;
+        assert!(tiles >= 1, "need at least one tile");
+        self.states.truncate(tiles);
+        for s in &mut self.states {
+            s.reset();
+        }
+        self.states.resize_with(tiles, VState::paper_vpu);
         self.mem.reset();
         self.timing = SdvTiming::new(cfg);
         self.line_bytes = cfg.mem.l1.line_bytes;
         self.cfg = cfg;
         self.extra_latency_for_display = 0;
+        self.pending.clear();
+        self.pending.resize_with(tiles, Vec::new);
+        self.capture_order.clear();
+        self.capture_order.extend(0..tiles);
+    }
+
+    /// Override the order tile programs are captured in. Must be a
+    /// permutation of `0..tiles`. Cycle counts and stats are bit-identical
+    /// across capture orders for correctly partitioned kernels — the
+    /// determinism property test exercises exactly this.
+    pub fn set_capture_order(&mut self, order: Vec<usize>) {
+        let n = self.tiles();
+        assert_eq!(order.len(), n, "capture order must cover every tile");
+        let mut seen = vec![false; n];
+        for &t in &order {
+            assert!(t < n && !seen[t], "capture order must be a permutation of 0..{n}");
+            seen[t] = true;
+        }
+        self.capture_order = order;
+    }
+
+    /// The capture order in effect (partitioned kernel drivers iterate this).
+    pub fn capture_order(&self) -> &[usize] {
+        &self.capture_order
     }
 
     /// The paper's §2.2 knob: extra DRAM latency in cycles.
@@ -110,24 +189,71 @@ impl SdvMachine {
         self.timing.set_bandwidth_fraction(num, den);
     }
 
-    /// Finish the program: drain all in-flight work, return final cycles.
+    /// The [`Vm`] of one tile.
+    pub fn vm(&mut self, tile: usize) -> TileVm<'_> {
+        assert!(tile < self.tiles(), "tile {tile} out of range");
+        TileVm { m: self, tile }
+    }
+
+    /// Cross-tile barrier: replay every queued op in deterministic
+    /// `(cycle, tile, seq)` order, drain every tile's VPU and store buffer,
+    /// and align all tile clocks to the slowest. Returns the barrier cycle.
+    /// On one tile nothing is queued, so this is a fence plus a store-buffer
+    /// drain.
+    pub fn barrier(&mut self) -> Cycle {
+        self.replay();
+        self.timing.barrier()
+    }
+
+    fn replay(&mut self) {
+        let n = self.tiles();
+        if n == 1 {
+            return;
+        }
+        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut cursors = vec![0usize; n];
+        // Seed in logical tile order: ties at the same cycle pop FIFO, so
+        // the interleaving is independent of the capture permutation.
+        for t in 0..n {
+            if !self.pending[t].is_empty() {
+                q.schedule(self.timing.now_of(t), t);
+            }
+        }
+        while let Some((_, t)) = q.pop() {
+            self.timing.issue_on(t, &self.pending[t][cursors[t]]);
+            cursors[t] += 1;
+            if cursors[t] < self.pending[t].len() {
+                q.schedule(self.timing.now_of(t), t);
+            }
+        }
+        for queue in &mut self.pending {
+            queue.clear();
+        }
+    }
+
+    /// Finish the program: replay anything still queued, drain every tile,
+    /// and return the final cycle count (the slowest tile's clock).
     pub fn finish(&mut self) -> Cycle {
+        self.replay();
         self.timing.finish()
     }
 
     /// Finish the program, surfacing any failure the watchdog latched during
     /// the run and then running the end-of-run invariant audits. `Ok` carries
     /// the final cycle count; `Err` means the cycle numbers are meaningless.
-    pub fn try_finish(&mut self) -> Result<Cycle, sdv_engine::SimError> {
+    pub fn try_finish(&mut self) -> Result<Cycle, SimError> {
+        self.replay();
         self.timing.try_finish()
     }
 
     /// The first structured failure latched by the watchdog, if any.
-    pub fn fault(&self) -> Option<&sdv_engine::SimError> {
+    pub fn fault(&self) -> Option<&SimError> {
         self.timing.fault()
     }
 
-    /// Merged statistics from every modelled component.
+    /// Merged statistics from every modelled component. One tile emits the
+    /// historical key set; more tiles add per-tile counters under `tileN.`
+    /// beside the unprefixed cross-tile sums.
     pub fn stats(&self) -> Stats {
         self.timing.stats()
     }
@@ -142,7 +268,7 @@ impl SdvMachine {
     /// textual equivalent of the paper's Figures 1 and 2 block diagrams.
     pub fn describe(&self) -> String {
         let c = &self.cfg;
-        let vlen_bits = self.state.regs.vlen_bits();
+        let vlen_bits = self.states[0].regs.vlen_bits();
         format!(
             "FPGA-SDV platform model\n\
                core   : in-order superscalar, {}-wide issue, {} MSHRs, run-ahead {} ops\n\
@@ -174,27 +300,155 @@ impl SdvMachine {
             c.mem.l2_bank.ways,
             c.mem.l2_hit_latency,
             c.mem.dram.service_latency,
-            self.timing_extra_latency(),
-            if self.state.maxvl_cap == usize::MAX {
+            self.extra_latency_for_display,
+            if self.states[0].maxvl_cap == usize::MAX {
                 "none".to_string()
             } else {
-                self.state.maxvl_cap.to_string()
+                self.states[0].maxvl_cap.to_string()
             },
-            self.timing_extra_latency(),
+            self.extra_latency_for_display,
         )
     }
 
-    fn timing_extra_latency(&self) -> Cycle {
-        // The knob lives in the DRAM channel; surface it for display.
-        self.extra_latency_for_display
+    /// The one place a timing op leaves the functional half of the machine.
+    /// One tile: issue now, and take the vector line buffer back for the
+    /// next memory instruction. More tiles: queue for the barrier.
+    #[inline]
+    fn emit(&mut self, tile: usize, op: Op) {
+        if self.states.len() > 1 {
+            self.pending[tile].push(op);
+            return;
+        }
+        self.timing.issue(&op);
+        if let Op::Vector(VectorOp { mem: Some(m), .. }) = op {
+            self.lines_pool = m.lines;
+            self.lines_pool.clear();
+        }
     }
 
-    /// Architectural vector state.
-    pub fn state(&self) -> &VState {
-        &self.state
+    /// A scalar load or store as a timing op.
+    #[inline]
+    fn emit_access(&mut self, tile: usize, addr: u64, size: u8, is_store: bool) {
+        self.emit(tile, if is_store { Op::Store { addr, size } } else { Op::Load { addr, size } });
     }
 }
 
+/// One tile of an [`SdvMachine`] as a [`Vm`]. Functional effects land
+/// immediately in the shared memory; timing ops go through the machine's
+/// emit path (inline on one tile, replayed at the next barrier otherwise).
+pub struct TileVm<'a> {
+    m: &'a mut SdvMachine,
+    tile: usize,
+}
+
+impl Vm for TileVm<'_> {
+    fn alloc(&mut self, bytes: usize, align: usize) -> u64 {
+        self.m.mem.alloc(bytes, align)
+    }
+
+    fn mem(&self) -> &SimMemory {
+        &self.m.mem
+    }
+
+    fn mem_mut(&mut self) -> &mut SimMemory {
+        &mut self.m.mem
+    }
+
+    fn load_f64(&mut self, addr: u64) -> f64 {
+        self.m.emit_access(self.tile, addr, 8, false);
+        self.m.mem.peek_f64(addr)
+    }
+
+    fn store_f64(&mut self, addr: u64, v: f64) {
+        self.m.emit_access(self.tile, addr, 8, true);
+        self.m.mem.poke_f64(addr, v);
+    }
+
+    fn load_u64(&mut self, addr: u64) -> u64 {
+        self.m.emit_access(self.tile, addr, 8, false);
+        self.m.mem.peek_u64(addr)
+    }
+
+    fn store_u64(&mut self, addr: u64, v: u64) {
+        self.m.emit_access(self.tile, addr, 8, true);
+        self.m.mem.poke_u64(addr, v);
+    }
+
+    fn load_u32(&mut self, addr: u64) -> u32 {
+        self.m.emit_access(self.tile, addr, 4, false);
+        self.m.mem.peek_u32(addr)
+    }
+
+    fn store_u32(&mut self, addr: u64, v: u32) {
+        self.m.emit_access(self.tile, addr, 4, true);
+        self.m.mem.poke_u32(addr, v);
+    }
+
+    fn int_ops(&mut self, n: u32) {
+        if n > 0 {
+            self.m.emit(self.tile, Op::IntOps(n));
+        }
+    }
+
+    fn fp_ops(&mut self, n: u32) {
+        if n > 0 {
+            self.m.emit(self.tile, Op::FpOps(n));
+        }
+    }
+
+    fn branch(&mut self, taken: bool) {
+        self.m.emit(self.tile, Op::Branch { taken });
+    }
+
+    fn setvl(&mut self, avl: usize, sew: Sew, lmul: Lmul) -> usize {
+        let vl = self.m.states[self.tile].set_vl(avl, sew, lmul);
+        self.m.emit(
+            self.tile,
+            Op::Vector(VectorOp {
+                class: VClass::SetVl,
+                vl,
+                active: 0,
+                mem: None,
+                produces_scalar: false,
+                is_fp: false,
+            }),
+        );
+        vl
+    }
+
+    fn vl(&self) -> usize {
+        self.m.states[self.tile].vl
+    }
+
+    fn maxvl(&self, sew: Sew) -> usize {
+        let s = &self.m.states[self.tile];
+        (s.regs.vlen_bits() / sew.bits()).min(s.maxvl_cap)
+    }
+
+    fn set_maxvl_cap(&mut self, cap: usize) {
+        self.m.states[self.tile].set_maxvl_cap(cap);
+    }
+
+    fn exec_v(&mut self, inst: VInst) -> Option<u64> {
+        let m = &mut *self.m;
+        exec_into(&inst, &mut m.states[self.tile], &mut m.mem, &mut m.scratch, &mut m.info);
+        let vop = classify_into(&inst, &m.info, m.line_bytes, &mut m.lines_pool);
+        m.emit(self.tile, Op::Vector(vop));
+        m.info.scalar
+    }
+
+    fn rdcycle(&mut self) -> u64 {
+        // With more than one tile this is the pre-step clock: queued ops
+        // have not replayed yet. Partitioned drivers read time at barriers.
+        self.m.timing.now_of(self.tile)
+    }
+
+    fn fence(&mut self) {
+        self.m.emit(self.tile, Op::Sync);
+    }
+}
+
+/// Tile 0 of the machine — on the default one-tile machine, all of it.
 impl Vm for SdvMachine {
     fn alloc(&mut self, bytes: usize, align: usize) -> u64 {
         self.mem.alloc(bytes, align)
@@ -209,97 +463,71 @@ impl Vm for SdvMachine {
     }
 
     fn load_f64(&mut self, addr: u64) -> f64 {
-        self.timing.issue(&Op::Load { addr, size: 8 });
-        self.mem.peek_f64(addr)
+        self.vm(0).load_f64(addr)
     }
 
     fn store_f64(&mut self, addr: u64, v: f64) {
-        self.timing.issue(&Op::Store { addr, size: 8 });
-        self.mem.poke_f64(addr, v);
+        self.vm(0).store_f64(addr, v)
     }
 
     fn load_u64(&mut self, addr: u64) -> u64 {
-        self.timing.issue(&Op::Load { addr, size: 8 });
-        self.mem.peek_u64(addr)
+        self.vm(0).load_u64(addr)
     }
 
     fn store_u64(&mut self, addr: u64, v: u64) {
-        self.timing.issue(&Op::Store { addr, size: 8 });
-        self.mem.poke_u64(addr, v);
+        self.vm(0).store_u64(addr, v)
     }
 
     fn load_u32(&mut self, addr: u64) -> u32 {
-        self.timing.issue(&Op::Load { addr, size: 4 });
-        self.mem.peek_u32(addr)
+        self.vm(0).load_u32(addr)
     }
 
     fn store_u32(&mut self, addr: u64, v: u32) {
-        self.timing.issue(&Op::Store { addr, size: 4 });
-        self.mem.poke_u32(addr, v);
+        self.vm(0).store_u32(addr, v)
     }
 
     fn int_ops(&mut self, n: u32) {
-        if n > 0 {
-            self.timing.issue(&Op::IntOps(n));
-        }
+        self.vm(0).int_ops(n)
     }
 
     fn fp_ops(&mut self, n: u32) {
-        if n > 0 {
-            self.timing.issue(&Op::FpOps(n));
-        }
+        self.vm(0).fp_ops(n)
     }
 
     fn branch(&mut self, taken: bool) {
-        self.timing.issue(&Op::Branch { taken });
+        self.vm(0).branch(taken)
     }
 
     fn setvl(&mut self, avl: usize, sew: Sew, lmul: Lmul) -> usize {
-        let vl = self.state.set_vl(avl, sew, lmul);
-        self.timing.issue(&Op::Vector(VectorOp {
-            class: VClass::SetVl,
-            vl,
-            active: 0,
-            mem: None,
-            produces_scalar: false,
-            is_fp: false,
-        }));
-        vl
+        self.vm(0).setvl(avl, sew, lmul)
     }
 
     fn vl(&self) -> usize {
-        self.state.vl
+        self.states[0].vl
     }
 
     fn maxvl(&self, sew: Sew) -> usize {
-        (self.state.regs.vlen_bits() / sew.bits()).min(self.state.maxvl_cap)
+        (self.states[0].regs.vlen_bits() / sew.bits()).min(self.states[0].maxvl_cap)
     }
 
+    /// The experiment knob is machine-wide: every tile's MAXVL CSR is
+    /// programmed. One tile's alone: `vm(tile).set_maxvl_cap(cap)`.
     fn set_maxvl_cap(&mut self, cap: usize) {
-        self.state.set_maxvl_cap(cap);
+        for s in &mut self.states {
+            s.set_maxvl_cap(cap);
+        }
     }
 
     fn exec_v(&mut self, inst: VInst) -> Option<u64> {
-        exec_into(&inst, &mut self.state, &mut self.mem, &mut self.scratch, &mut self.info);
-        let vop = classify_into(&inst, &self.info, self.line_bytes, &mut self.lines_pool);
-        let op = Op::Vector(vop);
-        self.timing.issue(&op);
-        // Reclaim the line buffer for the next memory instruction.
-        if let Op::Vector(v) = op {
-            if let Some(m) = v.mem {
-                self.lines_pool = m.lines;
-                self.lines_pool.clear();
-            }
-        }
-        self.info.scalar
+        self.vm(0).exec_v(inst)
     }
 
     fn rdcycle(&mut self) -> u64 {
-        self.timing.now()
+        self.vm(0).rdcycle()
     }
 
     fn fence(&mut self) {
-        self.timing.issue(&Op::Sync);
+        self.vm(0).fence()
     }
 }
 
@@ -455,5 +683,198 @@ mod tests {
         let t1 = m.finish();
         let t2 = m.finish();
         assert_eq!(t1, t2);
+    }
+
+    fn tiled_cfg(tiles: usize) -> TimingConfig {
+        let mut cfg = TimingConfig::default();
+        cfg.mem.tiles = tiles;
+        cfg
+    }
+
+    fn stream_program<V: Vm>(vm: &mut V, base: u64, n: u64) {
+        vm.setvl(256, Sew::E64, Lmul::M1);
+        let mut off = 0;
+        while off < n {
+            vm.vle(1, base + off * 8);
+            vm.vfmacc_vf(1, 2.0, 1);
+            vm.vse(1, base + off * 8);
+            vm.int_ops(2);
+            vm.branch(off + 256 < n);
+            off += 256;
+        }
+        vm.fence();
+    }
+
+    #[test]
+    fn one_tile_through_vm0_matches_the_machine_as_vm() {
+        let n = 4096u64;
+        let direct = {
+            let mut m = SdvMachine::new(1 << 22);
+            let a = m.alloc((n * 8) as usize, 64);
+            stream_program(&mut m, a, n);
+            (m.try_finish().expect("clean run"), format!("{:?}", m.stats()))
+        };
+        let through_tile = {
+            let mut m = SdvMachine::new(1 << 22);
+            let a = m.vm(0).alloc((n * 8) as usize, 64);
+            stream_program(&mut m.vm(0), a, n);
+            assert!(m.pending[0].is_empty(), "one tile issues inline, nothing queues");
+            (m.try_finish().expect("clean run"), format!("{:?}", m.stats()))
+        };
+        assert_eq!(direct, through_tile, "vm(0) and impl Vm are the same op stream");
+    }
+
+    #[test]
+    fn barrier_on_one_tile_drains_and_is_idempotent() {
+        let mut m = SdvMachine::new(1 << 22);
+        let a = m.alloc(8 * 1024, 64);
+        stream_program(&mut m, a, 1024);
+        let at = m.barrier();
+        assert_eq!(at, m.rdcycle(), "the barrier cycle is the tile's clock");
+        assert_eq!(m.barrier(), at, "nothing in flight: a second barrier is free");
+        assert_eq!(m.try_finish().expect("clean run"), at);
+    }
+
+    #[test]
+    fn multi_tile_runs_replay_deterministically() {
+        let run = |order: Option<Vec<usize>>| {
+            let mut m = SdvMachine::with_config(1 << 22, tiled_cfg(4));
+            if let Some(o) = order {
+                m.set_capture_order(o);
+            }
+            let n = 2048u64;
+            let a = m.vm(0).alloc((n * 8) as usize, 64);
+            for &t in &m.capture_order().to_vec() {
+                let lo = n / 4 * t as u64;
+                stream_program(&mut m.vm(t), a + lo * 8, n / 4);
+            }
+            m.barrier();
+            let t = m.try_finish().expect("clean run");
+            (t, format!("{:?}", m.stats()))
+        };
+        let a = run(None);
+        let b = run(None);
+        let c = run(Some(vec![3, 1, 0, 2]));
+        assert_eq!(a, b, "repeat runs must be bit-identical");
+        assert_eq!(a, c, "capture permutation must not change cycles or stats");
+    }
+
+    fn compute_program<V: Vm>(vm: &mut V, base: u64, n: u64) {
+        vm.setvl(256, Sew::E64, Lmul::M1);
+        let mut off = 0;
+        while off < n {
+            vm.vle(1, base + off * 8);
+            for _ in 0..16 {
+                vm.vfmacc_vf(1, 1.0000001, 1);
+            }
+            vm.vse(1, base + off * 8);
+            vm.branch(off + 256 < n);
+            off += 256;
+        }
+        vm.fence();
+    }
+
+    #[test]
+    fn more_tiles_speed_up_compute_bound_partitions() {
+        // The scale-out sanity check: a compute-bound workload split across
+        // 4 tiles must be faster than one tile doing all of it. (A pure
+        // memory stream need not speed up — the tiles share one DRAM.)
+        let n = 8192u64;
+        let one = {
+            let mut m = SdvMachine::new(1 << 23);
+            let a = m.alloc((n * 8) as usize, 64);
+            compute_program(&mut m, a, n);
+            m.try_finish().expect("clean run")
+        };
+        let four = {
+            let mut m = SdvMachine::with_config(1 << 23, tiled_cfg(4));
+            let a = m.alloc((n * 8) as usize, 64);
+            for t in 0..4u64 {
+                compute_program(&mut m.vm(t as usize), a + (n / 4) * t * 8, n / 4);
+            }
+            m.try_finish().expect("clean run")
+        };
+        assert!(
+            four * 2 < one,
+            "4 tiles must speed up compute-bound work by >2x: {four} vs {one}"
+        );
+    }
+
+    #[test]
+    fn multi_tile_stats_carry_per_tile_and_aggregate_keys() {
+        let mut m = SdvMachine::with_config(1 << 22, tiled_cfg(2));
+        let a = m.alloc(8 * 1024, 64);
+        for t in 0..2 {
+            stream_program(&mut m.vm(t), a + 4096 * t as u64, 512);
+        }
+        m.try_finish().expect("clean run");
+        let s = m.stats();
+        assert!(s.get("tile0.vpu.instrs") > 0);
+        assert!(s.get("tile1.vpu.instrs") > 0);
+        assert_eq!(
+            s.get("vpu.instrs"),
+            s.get("tile0.vpu.instrs") + s.get("tile1.vpu.instrs"),
+            "unprefixed keys are cross-tile sums"
+        );
+    }
+
+    #[test]
+    fn machine_wide_maxvl_cap_reaches_every_tile() {
+        let mut m = SdvMachine::with_config(1 << 16, tiled_cfg(2));
+        m.set_maxvl_cap(16);
+        assert_eq!(m.vm(1).setvl(1000, Sew::E64, Lmul::M1), 16);
+        m.vm(1).set_maxvl_cap(8);
+        assert_eq!(m.vm(1).maxvl(Sew::E64), 8);
+        assert_eq!(m.maxvl(Sew::E64), 16, "a tile's own cap stays on that tile");
+    }
+
+    /// A partitioned program long enough per tile (scalar loads, one op
+    /// each) that a zero wall deadline latches during the replay.
+    fn partitioned_program(m: &mut SdvMachine) -> Result<Cycle, SimError> {
+        let tiles = m.tiles() as u64;
+        let n = 4096u64;
+        let a = m.alloc((n * 8) as usize, 64);
+        for &t in &m.capture_order().to_vec() {
+            let share = n / tiles;
+            let base = a + share * t as u64 * 8;
+            stream_program(&mut m.vm(t), base, share);
+            for i in 0..20_000 / tiles {
+                m.vm(t).load_f64(base + (i % share) * 8);
+            }
+        }
+        m.barrier();
+        m.try_finish()
+    }
+
+    #[test]
+    fn pooled_reset_across_topologies_matches_fresh_machines() {
+        let fresh = |tiles: usize| {
+            let mut m = SdvMachine::with_config(1 << 22, tiled_cfg(tiles));
+            let cycles = partitioned_program(&mut m).expect("clean run");
+            (cycles, format!("{:?}", m.stats()))
+        };
+        let (four, one) = (fresh(4), fresh(1));
+        assert_ne!(four.0, one.0, "the topologies must be told apart");
+
+        let mut m = SdvMachine::with_config(1 << 22, tiled_cfg(4));
+        m.set_capture_order(vec![2, 0, 3, 1]);
+        // Fail the first cell mid-replay: the deadline is only consulted as
+        // ops issue, and on four tiles they issue at the barrier.
+        m.set_wall_deadline(std::time::Duration::ZERO);
+        let e = partitioned_program(&mut m).expect_err("a zero deadline fires in the replay");
+        assert!(matches!(e, SimError::DeadlineExceeded { .. }), "{e}");
+
+        for (tiles, want) in [(1, &one), (4, &four), (1, &one)] {
+            m.reset_with_config(tiled_cfg(tiles));
+            assert!(m.fault().is_none(), "reset must clear the latched fault");
+            assert_eq!(m.tiles(), tiles);
+            assert_eq!(m.capture_order(), (0..tiles).collect::<Vec<_>>(), "identity order");
+            assert!(
+                m.pending.len() == tiles && m.pending.iter().all(|q| q.capacity() == 0),
+                "reset must free the previous cell's queues"
+            );
+            let cycles = partitioned_program(&mut m).expect("deadline must not survive reset");
+            assert_eq!((cycles, format!("{:?}", m.stats())), *want, "pooled at {tiles} tiles");
+        }
     }
 }

@@ -8,13 +8,19 @@
 //!   compare, gathers neighbour distances, and conditionally scatters the
 //!   next level — masked gathers/scatters and `vpopc` synchronizations are
 //!   exactly the operations whose latency behaviour the paper studies.
+//! * [`bfs_vector_tiled`] — the same level body partitioned by slice range
+//!   across the tiles of an [`SdvMachine`], one barrier per level. Tiles
+//!   scatter `level+1` into the shared `dist[]` directly (same-value writes
+//!   are idempotent) and per-tile discovered counts merge by sum for the
+//!   termination decision.
 //!
 //! Distances are u64 with `INF = u64::MAX`; padding lanes point at the BFS
 //! source (never INF once the search starts), so they can never trigger a
 //! spurious update.
 
 use crate::graph::{Graph, SlicedGraph};
-use sdv_core::Vm;
+use crate::tile_range;
+use sdv_core::{SdvMachine, Vm};
 use sdv_rvv::{Lmul, Reg, Sew};
 
 /// "Unvisited" marker.
@@ -30,6 +36,7 @@ const M_UPD: Reg = 6;
 const V_CNT: Reg = 7;
 const V_LVL: Reg = 8;
 const V_RED: Reg = 9;
+const M_NEW: Reg = 10;
 
 /// Simulated-memory layout of one BFS instance.
 #[derive(Debug, Clone)]
@@ -124,69 +131,13 @@ pub fn bfs_scalar<V: Vm>(vm: &mut V, dev: &BfsDevice) {
     }
 }
 
-/// Long-vector level-synchronous BFS over the sliced layout (timed).
+/// Long-vector level-synchronous BFS over the sliced layout (timed): the
+/// full-range composition of the partition units the tiled driver runs.
 pub fn bfs_vector<V: Vm>(vm: &mut V, dev: &BfsDevice) {
-    let maxvl = vm.maxvl(Sew::E64);
-    // Initialize distances with vector stores.
-    vm.setvl(maxvl, Sew::E64, Lmul::M1);
-    vm.vmv_vx(V_DIST, INF);
-    let mut v = 0u64;
-    while (v as usize) < dev.n {
-        let vl = vm.setvl(dev.n - v as usize, Sew::E64, Lmul::M1) as u64;
-        vm.vse(V_DIST, dev.dist + 8 * v);
-        v += vl;
-        vm.int_ops(1);
-        vm.branch((v as usize) < dev.n);
-    }
-    vm.store_u64(dev.dist + 8 * dev.src as u64, 0);
-
+    bfs_init_range(vm, dev, 0, dev.n);
     let mut level = 0u64;
     loop {
-        // Per-level setup: zero the update counter, broadcast level+1.
-        vm.setvl(maxvl, Sew::E64, Lmul::M1);
-        vm.vmv_vx(V_CNT, 0);
-        vm.vmv_vx(V_LVL, level + 1);
-        for s in 0..dev.num_slices as u64 {
-            let base = vm.load_u64(dev.slice_ptr + 8 * s);
-            let w = vm.load_u32(dev.slice_width + 4 * s) as u64;
-            let row0 = s * dev.c as u64;
-            let h = (dev.n as u64 - row0).min(dev.c as u64);
-            vm.int_ops(4);
-            let mut off = 0u64;
-            while off < h {
-                let vl = vm.setvl((h - off) as usize, Sew::E64, Lmul::M1) as u64;
-                vm.vle(V_DIST, dev.dist + 8 * (row0 + off));
-                vm.vmseq_vx(0, V_DIST, level); // v0 = frontier lanes
-                let front = vm.vpopc(0); // scalar<->vector sync
-                vm.branch(front == 0);
-                if front != 0 {
-                    vm.vmand(M_FRONT, 0, 0); // save frontier mask
-                    for j in 0..w {
-                        let eoff = base + j * h + off;
-                        vm.vmand(0, M_FRONT, M_FRONT); // v0 = frontier
-                        vm.vmv_vx(V_NBR, 0);
-                        vm.vlwu_m(V_NBR, dev.sadj + 4 * eoff);
-                        vm.vsll_vx(V_NOFF, V_NBR, 3);
-                        vm.vmv_vx(V_DN, 0);
-                        vm.vlxe_m(V_DN, dev.dist, V_NOFF); // gather dist[nbr]
-                        vm.vmseq_vx(M_UPD, V_DN, INF); // unvisited?
-                        vm.vmand(0, M_UPD, M_FRONT); // v0 = updates
-                        vm.vsxe_m(V_LVL, dev.dist, V_NOFF); // scatter level+1
-                        vm.vadd_vx_m(V_CNT, V_CNT, 1); // count them
-                        vm.int_ops(3);
-                        vm.branch(j + 1 != w);
-                    }
-                }
-                off += vl;
-                vm.branch(off < h);
-            }
-            vm.branch(s + 1 != dev.num_slices as u64);
-        }
-        // Level barrier: did anything update?
-        vm.setvl(maxvl, Sew::E64, Lmul::M1);
-        vm.vmv_sx(V_RED, 0);
-        vm.vredsum(V_RED, V_CNT, V_RED);
-        let updates = vm.vmv_xs(V_RED); // sync
+        let updates = bfs_level_range(vm, dev, level, 0, dev.num_slices, false);
         level += 1;
         vm.branch(updates != 0);
         if updates == 0 || level as usize > dev.n {
@@ -194,6 +145,125 @@ pub fn bfs_vector<V: Vm>(vm: &mut V, dev: &BfsDevice) {
         }
     }
     vm.fence();
+}
+
+/// Tiled level-synchronous BFS: slices partition across tiles, one barrier
+/// per level. Returns the number of levels run.
+pub fn bfs_vector_tiled(m: &mut SdvMachine, dev: &BfsDevice) -> u64 {
+    let tiles = m.tiles();
+    let order = m.capture_order().to_vec();
+    for &t in &order {
+        let (lo, hi) = tile_range(dev.n, tiles, t);
+        bfs_init_range(&mut m.vm(t), dev, lo, hi);
+    }
+    m.barrier();
+
+    let mut level = 0u64;
+    loop {
+        let mut updates = 0u64;
+        for &t in &order {
+            let (slo, shi) = tile_range(dev.num_slices, tiles, t);
+            updates += bfs_level_range(&mut m.vm(t), dev, level, slo, shi, tiles > 1);
+        }
+        m.barrier();
+        level += 1;
+        // Termination depends only on the sum's zero-ness, which is
+        // capture-order invariant (every discovery is counted by at least
+        // one tile, and only discoveries are counted).
+        if updates == 0 || level as usize > dev.n {
+            break;
+        }
+    }
+    level
+}
+
+/// Fill `dist[lo..hi)` with INF using vector stores; the range owning the
+/// source then seeds it (ownership, not tile 0 — a later-captured owner
+/// must not wipe the seed).
+fn bfs_init_range<V: Vm>(vm: &mut V, dev: &BfsDevice, lo: usize, hi: usize) {
+    let maxvl = vm.maxvl(Sew::E64);
+    vm.setvl(maxvl, Sew::E64, Lmul::M1);
+    vm.vmv_vx(V_DIST, INF);
+    let mut v = lo as u64;
+    while (v as usize) < hi {
+        let vl = vm.setvl(hi - v as usize, Sew::E64, Lmul::M1) as u64;
+        vm.vse(V_DIST, dev.dist + 8 * v);
+        v += vl;
+        vm.int_ops(1);
+        vm.branch((v as usize) < hi);
+    }
+    if (lo..hi).contains(&dev.src) {
+        vm.store_u64(dev.dist + 8 * dev.src as u64, 0);
+    }
+}
+
+/// One BFS level over the slices `[slice_lo, slice_hi)`: scan for frontier
+/// lanes, scatter `level+1` to newly reached neighbours, and return the
+/// range's update count (a scalar<->vector sync).
+///
+/// `peers` says another tile may discover the same vertex in this level.
+/// The update mask then accepts `level+1` as well as `INF`, so a vertex an
+/// earlier-captured tile just reached classifies identically — and the whole
+/// op stream stays identical — in every capture order; the re-scatter writes
+/// the same value.
+fn bfs_level_range<V: Vm>(
+    vm: &mut V,
+    dev: &BfsDevice,
+    level: u64,
+    slice_lo: usize,
+    slice_hi: usize,
+    peers: bool,
+) -> u64 {
+    // Per-level setup: zero the update counter, broadcast level+1.
+    let maxvl = vm.maxvl(Sew::E64);
+    vm.setvl(maxvl, Sew::E64, Lmul::M1);
+    vm.vmv_vx(V_CNT, 0);
+    vm.vmv_vx(V_LVL, level + 1);
+    for s in slice_lo as u64..slice_hi as u64 {
+        let base = vm.load_u64(dev.slice_ptr + 8 * s);
+        let w = vm.load_u32(dev.slice_width + 4 * s) as u64;
+        let row0 = s * dev.c as u64;
+        let h = (dev.n as u64 - row0).min(dev.c as u64);
+        vm.int_ops(4);
+        let mut off = 0u64;
+        while off < h {
+            let vl = vm.setvl((h - off) as usize, Sew::E64, Lmul::M1) as u64;
+            vm.vle(V_DIST, dev.dist + 8 * (row0 + off));
+            vm.vmseq_vx(0, V_DIST, level); // v0 = frontier lanes
+            let front = vm.vpopc(0); // scalar<->vector sync
+            vm.branch(front == 0);
+            if front != 0 {
+                vm.vmand(M_FRONT, 0, 0); // save frontier mask
+                for j in 0..w {
+                    let eoff = base + j * h + off;
+                    vm.vmand(0, M_FRONT, M_FRONT); // v0 = frontier
+                    vm.vmv_vx(V_NBR, 0);
+                    vm.vlwu_m(V_NBR, dev.sadj + 4 * eoff);
+                    vm.vsll_vx(V_NOFF, V_NBR, 3);
+                    vm.vmv_vx(V_DN, 0);
+                    vm.vlxe_m(V_DN, dev.dist, V_NOFF); // gather dist[nbr]
+                    vm.vmseq_vx(M_UPD, V_DN, INF); // unvisited?
+                    if peers {
+                        vm.vmseq_vx(M_NEW, V_DN, level + 1);
+                        vm.vmor(M_UPD, M_UPD, M_NEW);
+                    }
+                    vm.vmand(0, M_UPD, M_FRONT); // v0 = updates
+                    vm.vsxe_m(V_LVL, dev.dist, V_NOFF); // scatter level+1
+                    vm.vadd_vx_m(V_CNT, V_CNT, 1); // count them
+                    vm.int_ops(3);
+                    vm.branch(j + 1 != w);
+                }
+            }
+            off += vl;
+            vm.branch(off < h);
+        }
+        vm.branch(s + 1 != slice_hi as u64);
+    }
+    // Did anything update?
+    vm.setvl(maxvl, Sew::E64, Lmul::M1);
+    vm.vmv_sx(V_RED, 0);
+    vm.vredsum(V_RED, V_CNT, V_RED);
+    vm.vmv_xs(V_RED)
 }
 
 #[cfg(test)]
@@ -269,5 +339,57 @@ mod tests {
     fn star_graph_one_level() {
         let edges: Vec<(u32, u32)> = (1..64).map(|i| (0, i)).collect();
         check_both(&Graph::from_edges(64, &edges), 16, 0);
+    }
+
+    #[test]
+    fn vector_op_stream_is_pinned() {
+        // Recorded before the level body was shared with the tiled driver:
+        // retired ops on the functional machine, cycles on the timed one.
+        let g = Graph::uniform(700, 6, 3);
+        let mut f = FunctionalMachine::new(16 << 20);
+        let dev = setup_bfs(&mut f, &g, 256, 0);
+        bfs_vector(&mut f, &dev);
+        assert_eq!(f.ops(), 3609);
+        let mut t = SdvMachine::new(16 << 20);
+        let dev = setup_bfs(&mut t, &g, 256, 0);
+        bfs_vector(&mut t, &dev);
+        assert_eq!(t.try_finish().expect("clean run"), 51615);
+    }
+
+    fn machine(tiles: usize) -> SdvMachine {
+        let mut cfg = sdv_uarch::TimingConfig::default();
+        cfg.mem.tiles = tiles;
+        SdvMachine::with_config(512 << 20, cfg)
+    }
+
+    #[test]
+    fn tiled_bfs_matches_reference_on_1_2_4_tiles() {
+        let g = Graph::uniform(700, 6, 3);
+        let want = reference(&g, 0);
+        for tiles in [1, 2, 4] {
+            let mut m = machine(tiles);
+            let dev = setup_bfs(&mut m, &g, 256, 0);
+            bfs_vector_tiled(&mut m, &dev);
+            m.try_finish().expect("clean run");
+            assert_eq!(read_levels(&m, &dev), want, "tiled BFS mismatch at {tiles} tiles");
+        }
+    }
+
+    #[test]
+    fn tiled_kernels_are_deterministic_across_capture_orders() {
+        let g = Graph::uniform(600, 6, 9);
+        let run = |order: Option<Vec<usize>>| {
+            let mut m = machine(4);
+            if let Some(o) = order {
+                m.set_capture_order(o);
+            }
+            let dev = setup_bfs(&mut m, &g, 256, 2);
+            bfs_vector_tiled(&mut m, &dev);
+            let cycles = m.try_finish().expect("clean run");
+            (cycles, read_levels(&m, &dev), format!("{:?}", m.stats()))
+        };
+        let a = run(None);
+        let b = run(Some(vec![2, 0, 3, 1]));
+        assert_eq!(a, b, "capture order must not change BFS cycles, levels, or stats");
     }
 }

@@ -22,8 +22,16 @@ pub mod graph;
 pub mod pagerank;
 pub mod sparse;
 pub mod spmv;
-pub mod tiled;
 
+pub use bfs::bfs_vector_tiled;
 pub use graph::{Graph, SlicedGraph};
-pub use tiled::{bfs_vector_tiled, pagerank_vector_tiled, spmv_vector_sell_tiled};
+pub use pagerank::pagerank_vector_tiled;
 pub use sparse::{CsrMatrix, SellCS};
+pub use spmv::spmv_vector_sell_tiled;
+
+/// The contiguous share of `total` units owned by tile `t` of `tiles` — the
+/// partition every tiled driver uses (slices for the sparse loops, vertices
+/// for the streaming ones).
+pub(crate) fn tile_range(total: usize, tiles: usize, t: usize) -> (usize, usize) {
+    (total * t / tiles, total * (t + 1) / tiles)
+}
