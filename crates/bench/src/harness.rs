@@ -1038,7 +1038,7 @@ mod tests {
     #[test]
     fn pooled_slot_serves_changing_topologies_bit_identically() {
         // One worker's machine across 4 -> 1 -> 4 tiles, with a deadline
-        // failure latched during the first 4-tile cell's replay (vl=8: the
+        // failure latched during the first 4-tile cell's merge (vl=8: the
         // cell must issue more ops than the deadline's check stride).
         let w = Workloads::small();
         let c = cell(KernelKind::Bfs, ImplKind::Vector { maxvl: 8 });
@@ -1049,9 +1049,22 @@ mod tests {
         let (four, one) = (fresh(tiled_cfg(4)), fresh(TimingConfig::default()));
         let mut slot = None;
         match run_guarded(&mut slot, &w, c, tiled_cfg(4), Some(std::time::Duration::ZERO)) {
-            CellOutcome::Failed { error: SimError::DeadlineExceeded { .. }, .. } => {}
+            CellOutcome::Failed { error: e @ SimError::DeadlineExceeded { .. }, .. } => {
+                assert!(!e.transient(), "a blown deadline is the cell's failure, not the server's")
+            }
             other => panic!("zero deadline must fail the cell: {other:?}"),
         }
+        // The deadline is consulted as ops issue, and ops issue while the
+        // epoch is still being captured: before the fault and after it the
+        // cell never held more than one slice per tile, of the two each tile
+        // owns. A BFS slice at vl=8 is 32 strips of at most `width` 14-op
+        // inner iterations, 8 ops of strip overhead, 16 of slice and level
+        // overhead.
+        let sliced = sdv_kernels::SlicedGraph::new(&w.graph, 256, 0);
+        let width = sliced.slice_width.iter().copied().max().expect("slices") as usize;
+        let peak = slot.as_ref().expect("the failed cell kept its machine").peak_queued_ops();
+        let bound = 4 * (32 * (width * 14 + 8) + 16);
+        assert!(0 < peak && peak <= bound, "queued {peak} ops at once; one slice per tile is {bound}");
         for (cfg, want) in [(tiled_cfg(4), &four), (tiled_cfg(1), &one), (tiled_cfg(4), &four)] {
             match run_guarded(&mut slot, &w, c, cfg, None) {
                 CellOutcome::Done(r) => {

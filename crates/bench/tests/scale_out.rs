@@ -6,13 +6,17 @@
 //!   must still sum to exactly 23,497,211 cycles (the pinned total in
 //!   `results/perf/` baselines and the `/verify` recipe), and the tiles=1
 //!   column of the scale-out study is the golden fig3 column.
-//! * **Multi-tile is pinned** — every `cycles` row of
+//! * **Multi-tile is pinned** — every row of
 //!   `results/golden/fig_scale_small.csv` (1, 4 and 16 tiles × vl 8 and 256
 //!   × SpMV/BFS/PageRank, recorded before the two machine types were
-//!   folded into one) is reproduced exactly.
+//!   folded into one: cycles, per-tile stalls, per-bank directory traffic,
+//!   per-link NoC busy cycles) is reproduced byte for byte by the built
+//!   `fig_scale` binary.
 //! * **Multi-tile is reproducible** — the same topology swept twice (and
 //!   across thread counts) returns byte-identical cycles and stats; the
-//!   replay interleaving is a pure function of the captured traces.
+//!   merge's interleaving is a pure function of the tiles' op streams.
+//! * **The merge's queue is bounded by the partition, not the input** — no
+//!   tile ever holds more than one slice's ops, however large the epoch.
 //!
 //! If a deliberate model change moves a pinned number, update the constant
 //! or regenerate the golden file (`fig_scale --small --check --tiles 1,4,16
@@ -21,14 +25,19 @@
 //! explaining why.
 
 use sdv_bench::{Cell, CellOutcome, ImplKind, KernelKind, Sweeper, Workloads};
+use sdv_core::{SdvMachine, Vm};
+use sdv_kernels::{bfs, pagerank, spmv, CsrMatrix, Graph, SellCS, SlicedGraph};
 use sdv_uarch::TimingConfig;
-use std::collections::BTreeMap;
+
+/// A committed golden CSV, whole.
+fn golden_text(name: &str) -> String {
+    let path = format!("{}/../../results/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
 
 /// A committed golden CSV as rows of fields (header dropped).
 fn golden_rows(name: &str) -> Vec<Vec<String>> {
-    let path = format!("{}/../../results/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    text.lines().skip(1).map(|l| l.split(',').map(str::to_string).collect()).collect()
+    golden_text(name).lines().skip(1).map(|l| l.split(',').map(str::to_string).collect()).collect()
 }
 
 fn vector_cell(kernel: &str, imp: &str) -> Cell {
@@ -103,24 +112,25 @@ fn multi_tile_sweep_is_reproducible_across_runs_and_threads() {
 }
 
 #[test]
-fn fig_scale_golden_cycles_are_reproduced() {
-    // kernel,impl,tiles,mesh,kind,name,value — the `cycles` rows only.
-    let mut by_tiles: BTreeMap<usize, Vec<(Cell, u64)>> = BTreeMap::new();
-    for row in golden_rows("fig_scale_small.csv").iter().filter(|r| r[4] == "cycles") {
-        let tiles: usize = row[2].parse().expect("tile count");
-        let want: u64 = row[6].parse().expect("cycle count");
-        by_tiles.entry(tiles).or_default().push((vector_cell(&row[0], &row[1]), want));
+fn fig_scale_golden_csv_is_reproduced_byte_for_byte() {
+    // All 1,704 rows, not only the 18 `cycles` ones: per-tile stalls,
+    // per-bank directory traffic and per-link busy cycles are the rows a
+    // wrong interleaving moves first. `--check` also enforces the binary's
+    // exact-sum gates on every topology.
+    let csv = std::env::temp_dir().join(format!("sdv_fig_scale_{}.csv", std::process::id()));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fig_scale"))
+        .args(["--small", "--check", "--tiles", "1,4,16", "--vls", "8,256", "--csv"])
+        .arg(&csv)
+        .output()
+        .expect("fig_scale runs");
+    assert!(out.status.success(), "fig_scale failed: {}", String::from_utf8_lossy(&out.stderr));
+    let got = std::fs::read_to_string(&csv).expect("fig_scale wrote its CSV");
+    let _ = std::fs::remove_file(&csv);
+    let want = golden_text("fig_scale_small.csv");
+    for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "line {} moved off the golden CSV", n + 1);
     }
-    assert_eq!(by_tiles.keys().copied().collect::<Vec<_>>(), [1, 4, 16]);
-    let w = Workloads::small();
-    for (tiles, rows) in by_tiles {
-        assert_eq!(rows.len(), 6, "3 kernels x vl 8,256 at {tiles} tiles");
-        let cells: Vec<Cell> = rows.iter().map(|(c, _)| *c).collect();
-        let got = Sweeper::with_config(sdv_bench::cli::with_tiles(TimingConfig::default(), tiles)).sweep(&w, &cells, 2);
-        for ((cell, want), r) in rows.iter().zip(&got) {
-            assert_eq!(r.cycles, *want, "{cell:?} at {tiles} tiles moved off the golden CSV");
-        }
-    }
+    assert!(got == want, "row count or line endings differ from the golden CSV");
 }
 
 #[test]
@@ -145,4 +155,98 @@ fn one_tile_scale_out_column_is_the_golden_fig3_column() {
         checked += 1;
     }
     assert_eq!(checked, 3, "SpMV, BFS and PageRank overlap with fig3");
+}
+
+/// A partitioned vector kernel run directly on a `tiles`-tile machine at
+/// `maxvl`: `(peak_queued_ops, issue slots consumed)`. Every op takes at
+/// least one issue slot, so the second is a lower-bounded count of ops.
+fn tiled_run(w: &Workloads, kernel: KernelKind, tiles: usize, maxvl: usize) -> (usize, u64) {
+    let cfg = sdv_bench::cli::with_tiles(TimingConfig::default(), tiles);
+    let mut m = SdvMachine::with_config(w.heap, cfg);
+    m.set_maxvl_cap(maxvl);
+    match kernel {
+        KernelKind::Spmv => {
+            let dev = spmv::setup_spmv(&mut m, &w.mat, &w.sell);
+            spmv::spmv_vector_sell_tiled(&mut m, &dev);
+        }
+        KernelKind::Bfs => {
+            let dev = bfs::setup_bfs(&mut m, &w.graph, 256, w.bfs_src);
+            bfs::bfs_vector_tiled(&mut m, &dev);
+        }
+        KernelKind::Pr => {
+            let dev = pagerank::setup_pagerank(&mut m, &w.graph, 256, 0.85, w.pr_iters);
+            pagerank::pagerank_vector_tiled(&mut m, &dev);
+        }
+        KernelKind::Fft => unreachable!("FFT has no partitioned driver"),
+    }
+    m.try_finish().expect("clean run");
+    (m.peak_queued_ops(), m.stats().get("scalar.ops"))
+}
+
+/// The most ops one slice of `kernel` can queue at `maxvl`: `256 / maxvl`
+/// strips, each at most the widest slice's inner iterations (7 ops each in
+/// SpMV, 14 in BFS with peers, 6 in the PageRank pull) plus at most 8 ops of
+/// strip overhead, plus the slice header and the range's prologue/epilogue.
+fn piece_bound(w: &Workloads, kernel: KernelKind, maxvl: usize) -> usize {
+    let graph_width = || {
+        let sliced = SlicedGraph::new(&w.graph, 256, 0);
+        sliced.slice_width.iter().copied().max().expect("at least one slice")
+    };
+    let (inner, width) = match kernel {
+        KernelKind::Spmv => (7, w.sell.slice_width.iter().copied().max().expect("slices")),
+        KernelKind::Bfs => (14, graph_width()),
+        KernelKind::Pr => (6, graph_width()),
+        KernelKind::Fft => unreachable!("FFT has no partitioned driver"),
+    };
+    (256 / maxvl) * (width as usize * inner + 8) + 16
+}
+
+#[test]
+fn queued_ops_are_bounded_by_one_slice_per_tile_not_by_the_input() {
+    // `Workloads::small()` and the same generators at twice the rows and
+    // vertices (same degree). At 4 tiles every tile owns several slices of
+    // either input, so a machine that queued whole epochs would double its
+    // peak with the input; at 16 tiles each tile owns at most one slice and
+    // the bound is all that can be said.
+    let small = Workloads::small();
+    let mat = CsrMatrix::cage_like(2 * small.mat.nrows, 0xCA6E);
+    let double = Workloads {
+        sell: SellCS::from_csr(&mat, 256, 256),
+        mat,
+        graph: Graph::uniform(2 * small.graph.n, 16, 0x6AF),
+        ..Workloads::small()
+    };
+    for kernel in [KernelKind::Spmv, KernelKind::Bfs, KernelKind::Pr] {
+        for tiles in [4, 16] {
+            let (peak_1x, ops_1x) = tiled_run(&small, kernel, tiles, 8);
+            let (peak_2x, ops_2x) = tiled_run(&double, kernel, tiles, 8);
+            for (w, peak) in [(&small, peak_1x), (&double, peak_2x)] {
+                let bound = tiles * piece_bound(w, kernel, 8);
+                assert!(
+                    0 < peak && peak <= bound,
+                    "{kernel:?} at {tiles} tiles queued {peak} ops; one slice per tile is {bound}"
+                );
+            }
+            assert!(
+                ops_2x * 10 >= ops_1x * 17,
+                "{kernel:?} at {tiles} tiles: twice the input must be about twice the work \
+                 ({ops_1x} -> {ops_2x})"
+            );
+            if tiles == 4 {
+                assert!(
+                    peak_2x * 10 <= peak_1x * 12,
+                    "{kernel:?}: the queue must not grow with the input ({peak_1x} -> {peak_2x})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn paper_scale_bfs_queues_a_twentieth_of_what_it_issues() {
+    // The cell that set the parent's footprint: 16 tiles at vl=8, whose
+    // largest level alone is 1.66 M ops — all of which used to be queued
+    // before the first one issued.
+    let (peak, ops) = tiled_run(&Workloads::paper(), KernelKind::Bfs, 16, 8);
+    assert!(peak > 0 && peak as u64 * 20 <= ops, "queued {peak} of {ops} ops at once");
 }

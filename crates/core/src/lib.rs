@@ -13,7 +13,8 @@
 //!   plus the MAXVL CSR cap ([`vm::Vm::set_maxvl_cap`], §2.1). It is the
 //!   only timed machine: `cfg.mem.tiles` (default 1, the paper's platform)
 //!   core+VPU tiles share the hierarchy, each programmed through
-//!   [`timed::SdvMachine::vm`] and synchronized by
+//!   [`timed::SdvMachine::vm`] — a piece at a time, pulled by
+//!   [`timed::SdvMachine::epoch`] — and synchronized by
 //!   [`timed::SdvMachine::barrier`]; the machine itself is tile 0's [`Vm`].
 //!
 //! ```

@@ -9,29 +9,47 @@
 //! [`SdvTiming`]; each tile has its own architectural vector state and is
 //! programmed through [`SdvMachine::vm`] (`impl Vm for SdvMachine` is tile
 //! 0). Functional effects always land immediately. Timing ops take one path,
-//! capture-then-replay, whose epoch length follows from the tile count:
+//! a pull-driven merge that runs once per barrier-to-barrier **epoch**
+//! ([`SdvMachine::epoch`]):
 //!
-//! * **Capture** — tile programs run one after another (in logical tile
-//!   order, or a caller-supplied permutation), each queueing the dynamic
-//!   [`Op`] stream it produces. Sequential capture is the model's
-//!   relaxed-consistency approximation: within one step a tile observes the
-//!   functional writes of tiles captured before it, so partitioned kernels
-//!   must keep intra-step cross-tile writes disjoint or idempotent (the
-//!   SpMV/BFS/PageRank drivers do).
-//! * **Replay** — at [`SdvMachine::barrier`] the queues interleave through
-//!   the calendar-wheel [`EventQueue`]: every tile is scheduled at its
-//!   scalar clock (seeded in logical tile order), the earliest
-//!   `(cycle, tile, seq)` event pops, that tile issues exactly one op, and
-//!   reschedules at its advanced clock. FIFO-on-tie makes the interleaving —
-//!   and so every shared-resource conflict (bank reservations, directory
-//!   state, DRAM admission, mesh links) — a pure function of the queues:
-//!   multi-tile cycles are bit-reproducible across runs, hosts and capture
-//!   permutations.
+//! * **Who calls whom** — the kernel driver hands the machine a `step`
+//!   closure: "capture this tile's next *piece* of program, say whether it
+//!   has more before the barrier". A piece runs functionally against the
+//!   shared memory and queues the dynamic [`Op`]s it produces on its tile's
+//!   ring. The machine, not the driver, decides when each tile's next piece
+//!   is captured: only when the merge needs an op from a tile whose ring is
+//!   empty. No tile ever holds more than one piece.
+//! * **The merge** — every tile with an op is scheduled on the
+//!   calendar-wheel [`EventQueue`] at its scalar clock (first pieces pulled
+//!   in capture order, tiles seeded in logical order); the earliest
+//!   `(cycle, tile, seq)` event pops, that tile issues exactly one op, its
+//!   ring refills from `step` if that was its last, and it reschedules at its
+//!   advanced clock iff it still has an op. FIFO-on-tie makes the
+//!   interleaving — and so every shared-resource conflict (bank
+//!   reservations, directory state, DRAM admission, mesh links) — a pure
+//!   function of the per-tile op streams.
+//! * **Why a partial merge is exact** — whether a tile is rescheduled after
+//!   an op depends only on whether *it* has another op, and the time it is
+//!   scheduled at only on its own clock. Capturing a tile's stream a piece
+//!   at a time therefore produces the same `schedule(time, tile)` calls in
+//!   the same order as capturing every stream whole and merging afterwards
+//!   (the `cfg(test)` reference the differential test drives), provided the
+//!   op streams themselves do not depend on when they are captured. That is
+//!   the partitioned kernels' contract: within an epoch, cross-tile writes
+//!   are disjoint or idempotent and classified identically either way, so a
+//!   tile's ops are the same whether its neighbours' pieces ran before or
+//!   after. The same contract makes results independent of the capture
+//!   permutation.
 //!
-//! With one tile there is nothing to interleave with, so an op's replay
-//! position is known the moment it is produced: the epoch is one op long and
-//! the op issues inline. A one-tile program driven through `vm(0)` and
-//! through `impl Vm for SdvMachine` is the same op stream in the same order.
+//! Ops queued by plain [`SdvMachine::vm`] calls outside an epoch wait on the
+//! rings and merge at the next [`SdvMachine::barrier`] (an epoch with no
+//! producer) or [`SdvMachine::finish`].
+//!
+//! With one tile there is nothing to interleave with, so an op's position in
+//! the merge is known the moment it is produced: the op issues inline, and
+//! an epoch just runs `step` until it reports the end. A one-tile program
+//! driven through `vm(0)` and through `impl Vm for SdvMachine` is the same op
+//! stream in the same order.
 
 use crate::memory::SimMemory;
 use crate::vm::Vm;
@@ -39,6 +57,7 @@ use sdv_engine::{Cycle, EventQueue, SimError, Stats};
 use sdv_rvv::{exec_into, ExecInfo, ExecScratch, Lmul, Sew, VInst, VState};
 use sdv_uarch::op::classify_into;
 use sdv_uarch::{Op, SdvTiming, TimingConfig, VClass, VectorOp};
+use std::collections::VecDeque;
 
 /// The FPGA-SDV platform model. `cfg.mem.tiles` selects the tile count; the
 /// default single tile is the paper's machine.
@@ -52,17 +71,30 @@ pub struct SdvMachine {
     line_bytes: u64,
     /// The §2.2 knob lives in the DRAM channel; kept here for `describe`.
     extra_latency_for_display: Cycle,
-    /// Captured-but-not-yet-replayed ops, per tile. Stays empty on a
-    /// one-tile machine, which issues inline.
-    pending: Vec<Vec<Op>>,
-    /// The order tile programs are captured in (a permutation of `0..tiles`).
-    /// Replay ignores it — determinism across permutations is the point.
+    /// Captured-but-not-yet-issued ops, per tile: at most one piece each
+    /// while an epoch merges. Stays empty on a one-tile machine, which
+    /// issues inline.
+    rings: Vec<VecDeque<Op>>,
+    /// The merge's scheduler. Empty between merges; a field so its arena
+    /// survives from epoch to epoch.
+    wheel: EventQueue<usize>,
+    /// The order tiles' first pieces are captured in (a permutation of
+    /// `0..tiles`). The merge ignores it — determinism across permutations
+    /// is the point.
     capture_order: Vec<usize>,
+    /// The cycle the last barrier returned: what `rdcycle` reads on more
+    /// than one tile, where per-tile clocks move as the merge progresses.
+    epoch_start: Cycle,
+    /// Most ops ever queued at once across all rings since the last reset.
+    peak_queued: usize,
     /// Reusable execution buffers: no per-instruction heap traffic.
     scratch: ExecScratch,
     info: ExecInfo,
-    /// Recycled line-address buffer for vector memory classification.
+    /// The line-address buffer the next vector memory instruction is
+    /// classified into; it leaves with that instruction's op.
     lines_pool: Vec<u64>,
+    /// Line buffers handed back by issued ops, restocking `lines_pool`.
+    lines_free: Vec<Vec<u64>>,
 }
 
 impl SdvMachine {
@@ -82,11 +114,15 @@ impl SdvMachine {
             cfg,
             line_bytes: cfg.mem.l1.line_bytes,
             extra_latency_for_display: 0,
-            pending: vec![Vec::new(); tiles],
+            rings: (0..tiles).map(|_| VecDeque::new()).collect(),
+            wheel: EventQueue::new(),
             capture_order: (0..tiles).collect(),
+            epoch_start: 0,
+            peak_queued: 0,
             scratch: ExecScratch::default(),
             info: ExecInfo::default(),
             lines_pool: Vec::new(),
+            lines_free: Vec::new(),
         }
     }
 
@@ -121,12 +157,13 @@ impl SdvMachine {
     }
 
     /// Rewind this machine to the state `with_config(heap, cfg)` would build,
-    /// reusing the large allocations (register files, simulated heap, exec
-    /// scratch). `cfg` may name a different tile count than the machine has:
-    /// the per-tile states are resized, pending queues dropped (their
-    /// capacity freed) and the capture order returns to the identity. Timing
-    /// state is rebuilt from scratch — cycle counts of a reset machine are
-    /// bit-identical to those of a fresh one.
+    /// reusing the allocations (register files, simulated heap, exec scratch,
+    /// op rings, line buffers, the merge's scheduler). `cfg` may name a
+    /// different tile count than the machine has: the per-tile states and
+    /// rings are resized, anything still queued is dropped and the capture
+    /// order returns to the identity. Timing state is rebuilt from scratch —
+    /// cycle counts of a reset machine are bit-identical to those of a fresh
+    /// one.
     ///
     /// "From scratch" includes the hardening state: a latched fault
     /// (watchdog deadlock, cycle budget, wall-clock deadline) and any armed
@@ -147,13 +184,18 @@ impl SdvMachine {
         self.line_bytes = cfg.mem.l1.line_bytes;
         self.cfg = cfg;
         self.extra_latency_for_display = 0;
-        self.pending.clear();
-        self.pending.resize_with(tiles, Vec::new);
+        self.rings.truncate(tiles);
+        self.rings.iter_mut().for_each(VecDeque::clear);
+        self.rings.resize_with(tiles, VecDeque::new);
+        // Only a program that unwound mid-merge leaves events behind.
+        while self.wheel.pop().is_some() {}
         self.capture_order.clear();
         self.capture_order.extend(0..tiles);
+        self.epoch_start = 0;
+        self.peak_queued = 0;
     }
 
-    /// Override the order tile programs are captured in. Must be a
+    /// Override the order tiles' first pieces are captured in. Must be a
     /// permutation of `0..tiles`. Cycle counts and stats are bit-identical
     /// across capture orders for correctly partitioned kernels — the
     /// determinism property test exercises exactly this.
@@ -168,9 +210,15 @@ impl SdvMachine {
         self.capture_order = order;
     }
 
-    /// The capture order in effect (partitioned kernel drivers iterate this).
+    /// The capture order in effect.
     pub fn capture_order(&self) -> &[usize] {
         &self.capture_order
+    }
+
+    /// Most ops queued at once, over all tiles, since the last reset: the
+    /// merge's memory high-water mark in ops. Zero on a one-tile machine.
+    pub fn peak_queued_ops(&self) -> usize {
+        self.peak_queued
     }
 
     /// The paper's §2.2 knob: extra DRAM latency in cycles.
@@ -195,46 +243,83 @@ impl SdvMachine {
         TileVm { m: self, tile }
     }
 
-    /// Cross-tile barrier: replay every queued op in deterministic
-    /// `(cycle, tile, seq)` order, drain every tile's VPU and store buffer,
-    /// and align all tile clocks to the slowest. Returns the barrier cycle.
-    /// On one tile nothing is queued, so this is a fence plus a store-buffer
-    /// drain.
-    pub fn barrier(&mut self) -> Cycle {
-        self.replay();
-        self.timing.barrier()
+    /// Run one barrier-to-barrier epoch of a partitioned program. `step`
+    /// captures the next piece of the program of the tile it is handed
+    /// ([`TileVm::tile`]) and returns whether that tile has more before the
+    /// barrier; the machine calls it for a tile only when the merge has run
+    /// out of that tile's ops, so a tile never queues more than one piece
+    /// (a piece may be empty). Every op is issued in deterministic
+    /// `(cycle, tile, seq)` order, then every tile's VPU and store buffer
+    /// drain and all tile clocks align to the slowest. Returns the barrier
+    /// cycle.
+    pub fn epoch(&mut self, mut step: impl FnMut(&mut TileVm<'_>) -> bool) -> Cycle {
+        self.merge(&mut step);
+        self.epoch_start = self.timing.barrier();
+        self.epoch_start
     }
 
-    fn replay(&mut self) {
+    /// Cross-tile barrier: the epoch with no producer. Ops queued by direct
+    /// [`SdvMachine::vm`] calls merge and issue, then the tiles drain and
+    /// align. On one tile nothing is queued, so this is a fence plus a
+    /// store-buffer drain.
+    pub fn barrier(&mut self) -> Cycle {
+        self.epoch(|_| false)
+    }
+
+    /// The one merge loop: issue every queued op, and every op `step` goes on
+    /// to produce, in `(cycle, tile, seq)` order.
+    fn merge(&mut self, step: &mut dyn FnMut(&mut TileVm<'_>) -> bool) {
         let n = self.tiles();
         if n == 1 {
+            // Ops issue inline as `step` produces them.
+            while step(&mut self.vm(0)) {}
             return;
         }
-        let mut q: EventQueue<usize> = EventQueue::new();
-        let mut cursors = vec![0usize; n];
+        let mut more = vec![true; n];
+        for i in 0..n {
+            self.refill(self.capture_order[i], &mut more, step);
+        }
         // Seed in logical tile order: ties at the same cycle pop FIFO, so
         // the interleaving is independent of the capture permutation.
         for t in 0..n {
-            if !self.pending[t].is_empty() {
-                q.schedule(self.timing.now_of(t), t);
+            if !self.rings[t].is_empty() {
+                self.wheel.schedule(self.timing.now_of(t), t);
             }
         }
-        while let Some((_, t)) = q.pop() {
-            self.timing.issue_on(t, &self.pending[t][cursors[t]]);
-            cursors[t] += 1;
-            if cursors[t] < self.pending[t].len() {
-                q.schedule(self.timing.now_of(t), t);
+        while let Some((_, t)) = self.wheel.pop() {
+            let op = self.rings[t].pop_front().expect("a scheduled tile has an op queued");
+            self.timing.issue_on(t, &op);
+            self.recycle(op);
+            if self.rings[t].is_empty() {
+                self.refill(t, &mut more, step);
             }
-        }
-        for queue in &mut self.pending {
-            queue.clear();
+            if !self.rings[t].is_empty() {
+                self.wheel.schedule(self.timing.now_of(t), t);
+            }
         }
     }
 
-    /// Finish the program: replay anything still queued, drain every tile,
+    /// Pull pieces of tile `t`'s program until it has an op queued or its
+    /// producer is done.
+    fn refill(
+        &mut self,
+        t: usize,
+        more: &mut [bool],
+        step: &mut dyn FnMut(&mut TileVm<'_>) -> bool,
+    ) {
+        while self.rings[t].is_empty() && more[t] {
+            more[t] = step(&mut self.vm(t));
+        }
+        // Rings only grow inside `step` (or before the merge, which pulls
+        // through here for every tile first), so this sees every peak.
+        let queued = self.rings.iter().map(VecDeque::len).sum();
+        self.peak_queued = self.peak_queued.max(queued);
+    }
+
+    /// Finish the program: issue anything still queued, drain every tile,
     /// and return the final cycle count (the slowest tile's clock).
     pub fn finish(&mut self) -> Cycle {
-        self.replay();
+        self.merge(&mut |_| false);
         self.timing.finish()
     }
 
@@ -242,7 +327,7 @@ impl SdvMachine {
     /// the run and then running the end-of-run invariant audits. `Ok` carries
     /// the final cycle count; `Err` means the cycle numbers are meaningless.
     pub fn try_finish(&mut self) -> Result<Cycle, SimError> {
-        self.replay();
+        self.merge(&mut |_| false);
         self.timing.try_finish()
     }
 
@@ -311,18 +396,26 @@ impl SdvMachine {
     }
 
     /// The one place a timing op leaves the functional half of the machine.
-    /// One tile: issue now, and take the vector line buffer back for the
-    /// next memory instruction. More tiles: queue for the barrier.
+    /// One tile: issue now. More tiles: queue for the merge.
     #[inline]
     fn emit(&mut self, tile: usize, op: Op) {
         if self.states.len() > 1 {
-            self.pending[tile].push(op);
+            self.rings[tile].push_back(op);
             return;
         }
         self.timing.issue(&op);
-        if let Op::Vector(VectorOp { mem: Some(m), .. }) = op {
-            self.lines_pool = m.lines;
-            self.lines_pool.clear();
+        self.recycle(op);
+    }
+
+    /// Take an issued op's line buffer back for a later memory instruction
+    /// (an instruction with no active element never allocated one).
+    #[inline]
+    fn recycle(&mut self, op: Op) {
+        if let Op::Vector(VectorOp { mem: Some(mut m), .. }) = op {
+            if m.lines.capacity() != 0 {
+                m.lines.clear();
+                self.lines_free.push(m.lines);
+            }
         }
     }
 
@@ -335,10 +428,17 @@ impl SdvMachine {
 
 /// One tile of an [`SdvMachine`] as a [`Vm`]. Functional effects land
 /// immediately in the shared memory; timing ops go through the machine's
-/// emit path (inline on one tile, replayed at the next barrier otherwise).
+/// emit path (inline on one tile, merged with the other tiles' otherwise).
 pub struct TileVm<'a> {
     m: &'a mut SdvMachine,
     tile: usize,
+}
+
+impl TileVm<'_> {
+    /// Which tile this is.
+    pub fn tile(&self) -> usize {
+        self.tile
+    }
 }
 
 impl Vm for TileVm<'_> {
@@ -432,14 +532,26 @@ impl Vm for TileVm<'_> {
     fn exec_v(&mut self, inst: VInst) -> Option<u64> {
         let m = &mut *self.m;
         exec_into(&inst, &mut m.states[self.tile], &mut m.mem, &mut m.scratch, &mut m.info);
+        if m.lines_pool.capacity() == 0 {
+            // The last memory instruction's op left with the buffer. A new
+            // one is sized once, for a full vector of the current length: a
+            // gather touches at most one line per element.
+            let fresh = || Vec::with_capacity(m.info.vl);
+            m.lines_pool = m.lines_free.pop().unwrap_or_else(fresh);
+        }
         let vop = classify_into(&inst, &m.info, m.line_bytes, &mut m.lines_pool);
         m.emit(self.tile, Op::Vector(vop));
         m.info.scalar
     }
 
     fn rdcycle(&mut self) -> u64 {
-        // With more than one tile this is the pre-step clock: queued ops
-        // have not replayed yet. Partitioned drivers read time at barriers.
+        if self.m.states.len() > 1 {
+            // Time is only defined at barriers: mid-epoch the tile's clock
+            // is wherever the merge happens to have got to, which depends on
+            // piece boundaries and capture order. Every read inside an epoch
+            // sees the cycle of the barrier that opened it.
+            return self.m.epoch_start;
+        }
         self.m.timing.now_of(self.tile)
     }
 
@@ -718,7 +830,8 @@ mod tests {
             let mut m = SdvMachine::new(1 << 22);
             let a = m.vm(0).alloc((n * 8) as usize, 64);
             stream_program(&mut m.vm(0), a, n);
-            assert!(m.pending[0].is_empty(), "one tile issues inline, nothing queues");
+            assert!(m.rings[0].is_empty(), "one tile issues inline, nothing queues");
+            assert_eq!(m.peak_queued_ops(), 0);
             (m.try_finish().expect("clean run"), format!("{:?}", m.stats()))
         };
         assert_eq!(direct, through_tile, "vm(0) and impl Vm are the same op stream");
@@ -829,20 +942,27 @@ mod tests {
     }
 
     /// A partitioned program long enough per tile (scalar loads, one op
-    /// each) that a zero wall deadline latches during the replay.
+    /// each) that a zero wall deadline latches during the merge: per tile a
+    /// vector streaming piece, then the loads in five pieces.
     fn partitioned_program(m: &mut SdvMachine) -> Result<Cycle, SimError> {
         let tiles = m.tiles() as u64;
         let n = 4096u64;
         let a = m.alloc((n * 8) as usize, 64);
-        for &t in &m.capture_order().to_vec() {
-            let share = n / tiles;
+        let share = n / tiles;
+        let mut piece = vec![0u64; tiles as usize];
+        m.epoch(|vm| {
+            let t = vm.tile();
             let base = a + share * t as u64 * 8;
-            stream_program(&mut m.vm(t), base, share);
-            for i in 0..20_000 / tiles {
-                m.vm(t).load_f64(base + (i % share) * 8);
+            if piece[t] == 0 {
+                stream_program(vm, base, share);
+            } else {
+                for i in 0..4_000 / tiles {
+                    vm.load_f64(base + (i % share) * 8);
+                }
             }
-        }
-        m.barrier();
+            piece[t] += 1;
+            piece[t] <= 5
+        });
         m.try_finish()
     }
 
@@ -858,11 +978,12 @@ mod tests {
 
         let mut m = SdvMachine::with_config(1 << 22, tiled_cfg(4));
         m.set_capture_order(vec![2, 0, 3, 1]);
-        // Fail the first cell mid-replay: the deadline is only consulted as
-        // ops issue, and on four tiles they issue at the barrier.
+        // Fail the first cell mid-epoch: the deadline is consulted as ops
+        // issue, with every tile's later pieces still uncaptured.
         m.set_wall_deadline(std::time::Duration::ZERO);
-        let e = partitioned_program(&mut m).expect_err("a zero deadline fires in the replay");
+        let e = partitioned_program(&mut m).expect_err("a zero deadline fires in the merge");
         assert!(matches!(e, SimError::DeadlineExceeded { .. }), "{e}");
+        assert!(m.peak_queued_ops() > 0, "four tiles queue");
 
         for (tiles, want) in [(1, &one), (4, &four), (1, &one)] {
             m.reset_with_config(tiled_cfg(tiles));
@@ -870,11 +991,240 @@ mod tests {
             assert_eq!(m.tiles(), tiles);
             assert_eq!(m.capture_order(), (0..tiles).collect::<Vec<_>>(), "identity order");
             assert!(
-                m.pending.len() == tiles && m.pending.iter().all(|q| q.capacity() == 0),
-                "reset must free the previous cell's queues"
+                m.rings.len() == tiles && m.rings.iter().all(VecDeque::is_empty),
+                "reset must leave one empty ring per tile"
             );
+            assert_eq!(m.peak_queued_ops(), 0, "the high-water mark is per cell");
             let cycles = partitioned_program(&mut m).expect("deadline must not survive reset");
             assert_eq!((cycles, format!("{:?}", m.stats())), *want, "pooled at {tiles} tiles");
+        }
+    }
+
+    #[test]
+    fn rdcycle_inside_an_epoch_reads_the_barrier_that_opened_it() {
+        // Mid-epoch a tile's own clock is wherever the merge has got to,
+        // which depends on piece boundaries and capture order; `rdcycle`
+        // must not expose that.
+        let run = |order: Vec<usize>| {
+            let mut m = SdvMachine::with_config(1 << 22, tiled_cfg(4));
+            m.set_capture_order(order);
+            let a = m.alloc(8 * 4096, 64);
+            for t in 0..4 {
+                stream_program(&mut m.vm(t), a + 8192 * t as u64, 512);
+            }
+            let opened = m.barrier();
+            assert!(opened > 0);
+            let mut piece = [0u64; 4];
+            let mut reads = Vec::new();
+            let closed = m.epoch(|vm| {
+                let t = vm.tile();
+                reads.push(vm.rdcycle());
+                stream_program(vm, a + 8192 * t as u64, 256 * (1 + t as u64));
+                reads.push(vm.rdcycle());
+                piece[t] += 1;
+                piece[t] < 3
+            });
+            assert_eq!(reads.len(), 4 * 3 * 2, "every piece of every tile read twice");
+            assert!(reads.iter().all(|&r| r == opened), "{reads:?} vs barrier {opened}");
+            assert!(closed > opened);
+            assert_eq!(m.vm(2).rdcycle(), closed, "the next epoch reads the new barrier");
+            (opened, closed)
+        };
+        assert_eq!(run(vec![0, 1, 2, 3]), run(vec![3, 1, 0, 2]));
+    }
+
+    /// The collect-everything merge this machine used before capture became
+    /// pull-driven, kept as the differential reference: every tile's whole
+    /// barrier-to-barrier op stream is in `pending` before one op issues.
+    fn replay_reference(timing: &mut SdvTiming, pending: &[Vec<Op>]) {
+        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut cursors = vec![0usize; pending.len()];
+        for (t, ops) in pending.iter().enumerate() {
+            if !ops.is_empty() {
+                q.schedule(timing.now_of(t), t);
+            }
+        }
+        while let Some((_, t)) = q.pop() {
+            timing.issue_on(t, &pending[t][cursors[t]]);
+            cursors[t] += 1;
+            if cursors[t] < pending[t].len() {
+                q.schedule(timing.now_of(t), t);
+            }
+        }
+    }
+
+    /// One instruction of a seeded program; each is exactly one timing op.
+    #[derive(Debug, Clone, Copy)]
+    enum Ins {
+        Int(u32),
+        Load(u64),
+        Store(u64),
+        Branch(bool),
+        SetVl(usize),
+        Vle(u64),
+        Vse(u64),
+        Vlse(u64, i64),
+        Fma,
+        Fence,
+    }
+
+    fn apply<V: Vm>(vm: &mut V, base: u64, ins: Ins) {
+        match ins {
+            Ins::Int(n) => vm.int_ops(n),
+            Ins::Load(off) => {
+                vm.load_u64(base + off);
+            }
+            Ins::Store(off) => vm.store_u64(base + off, off),
+            Ins::Branch(taken) => vm.branch(taken),
+            Ins::SetVl(avl) => {
+                vm.setvl(avl, Sew::E64, Lmul::M1);
+            }
+            Ins::Vle(off) => vm.vle(1, base + off),
+            Ins::Vse(off) => vm.vse(1, base + off),
+            Ins::Vlse(off, stride) => vm.vlse(2, base + off, stride),
+            Ins::Fma => vm.vfmacc_vf(1, 1.5, 2),
+            Ins::Fence => vm.fence(),
+        }
+    }
+
+    fn random_ins(rng: &mut sdv_engine::Rng) -> Ins {
+        let off = 8 * rng.below(1 << 15);
+        match rng.below(20) {
+            0..=3 => Ins::Int(1 + rng.below(6) as u32),
+            4..=6 => Ins::Load(off),
+            7..=8 => Ins::Store(off),
+            9..=10 => Ins::Branch(rng.chance(0.5)),
+            11 => Ins::SetVl(1 + rng.index(256)),
+            12..=13 => Ins::Vle(off),
+            14..=15 => Ins::Vse(off),
+            16 => Ins::Vlse(off, 8 * (1 + rng.below(40)) as i64),
+            17..=18 => Ins::Fma,
+            _ => Ins::Fence,
+        }
+    }
+
+    /// One barrier-to-barrier stretch of a seeded program. Per tile: ops
+    /// queued by direct `vm(t)` calls, then the pieces an `epoch` pulls.
+    /// With no pieces anywhere the stretch ends in a bare `barrier()`.
+    struct Stretch {
+        direct: Vec<Vec<Ins>>,
+        pieces: Vec<Vec<Vec<Ins>>>,
+    }
+
+    fn random_stretch(rng: &mut sdv_engine::Rng, tiles: usize) -> Stretch {
+        let bare = rng.chance(0.2);
+        let mut direct = Vec::new();
+        let mut pieces = Vec::new();
+        for _ in 0..tiles {
+            let queued = if bare || rng.chance(0.25) { rng.index(12) } else { 0 };
+            direct.push((0..queued).map(|_| random_ins(rng)).collect());
+            pieces.push(if bare { Vec::new() } else { random_pieces(rng) });
+        }
+        Stretch { direct, pieces }
+    }
+
+    /// One tile's share of an epoch, cut into pieces. A fifth of the time the
+    /// tile sits the epoch out (no ops, though maybe empty pieces); otherwise
+    /// lengths differ by up to 80 ops, so some tiles finish long before
+    /// others, and cuts are frequent enough that empty and one-op pieces are
+    /// common.
+    fn random_pieces(rng: &mut sdv_engine::Rng) -> Vec<Vec<Ins>> {
+        let len = if rng.chance(0.2) { 0 } else { rng.index(80) };
+        let mut pieces = vec![Vec::new()];
+        for _ in 0..len {
+            while rng.chance(0.3) {
+                pieces.push(Vec::new());
+            }
+            pieces.last_mut().expect("starts with one piece").push(random_ins(rng));
+        }
+        while rng.chance(0.3) {
+            pieces.push(Vec::new());
+        }
+        pieces
+    }
+
+    #[test]
+    fn streaming_merge_matches_the_collect_everything_reference() {
+        let mut rng = sdv_engine::Rng::new(0x5EED_0017);
+        for case in 0..240 {
+            let tiles = 2 + rng.index(4);
+            let program: Vec<Stretch> =
+                (0..1 + rng.index(4)).map(|_| random_stretch(&mut rng, tiles)).collect();
+            let tail: Vec<Ins> = (0..rng.index(6)).map(|_| random_ins(&mut rng)).collect();
+            let mut order: Vec<usize> = (0..tiles).collect();
+            rng.shuffle(&mut order);
+            let heap = 1 << 20;
+
+            // Under test: pieces pulled by the merge, in a shuffled order.
+            let mut m = SdvMachine::with_config(heap, tiled_cfg(tiles));
+            m.set_capture_order(order.clone());
+            let base = m.alloc(1 << 19, 64);
+            let mut got_barriers = Vec::new();
+            let mut bound = 0;
+            for st in &program {
+                for (t, ins) in st.direct.iter().enumerate() {
+                    ins.iter().for_each(|&i| apply(&mut m.vm(t), base, i));
+                }
+                bound = bound.max(
+                    (0..tiles)
+                        .map(|t| {
+                            st.direct[t].len()
+                                + st.pieces[t].iter().map(Vec::len).max().unwrap_or(0)
+                        })
+                        .sum(),
+                );
+                if st.pieces.iter().all(Vec::is_empty) {
+                    got_barriers.push(m.barrier());
+                    continue;
+                }
+                let mut next = vec![0usize; tiles];
+                got_barriers.push(m.epoch(|vm| {
+                    let t = vm.tile();
+                    if let Some(piece) = st.pieces[t].get(next[t]) {
+                        piece.iter().for_each(|&i| apply(vm, base, i));
+                        next[t] += 1;
+                    }
+                    next[t] < st.pieces[t].len()
+                }));
+                assert!(m.rings.iter().all(VecDeque::is_empty), "case {case}: an epoch drains");
+            }
+            tail.iter().for_each(|&i| apply(&mut m.vm(tiles - 1), base, i));
+            let got = m.try_finish().expect("clean run");
+            assert!(
+                m.peak_queued_ops() <= bound,
+                "case {case}: {} ops queued at once, one piece per tile allows {bound}",
+                m.peak_queued_ops()
+            );
+
+            // Reference: the same per-tile instruction sequences collected
+            // whole, tile after tile, then merged by the old loop.
+            let mut r = SdvMachine::with_config(heap, tiled_cfg(tiles));
+            assert_eq!(r.alloc(1 << 19, 64), base);
+            let mut want_barriers = Vec::new();
+            let collect_and_replay = |r: &mut SdvMachine| {
+                let pending: Vec<Vec<Op>> =
+                    r.rings.iter_mut().map(|q| q.drain(..).collect()).collect();
+                replay_reference(&mut r.timing, &pending);
+            };
+            for st in &program {
+                for t in 0..tiles {
+                    let all = st.direct[t].iter().chain(st.pieces[t].iter().flatten());
+                    all.for_each(|&i| apply(&mut r.vm(t), base, i));
+                }
+                collect_and_replay(&mut r);
+                want_barriers.push(r.timing.barrier());
+            }
+            tail.iter().for_each(|&i| apply(&mut r.vm(tiles - 1), base, i));
+            collect_and_replay(&mut r);
+            let want = r.timing.try_finish().expect("clean reference run");
+
+            assert_eq!(got_barriers, want_barriers, "case {case}: barrier cycles ({tiles} tiles)");
+            assert_eq!(got, want, "case {case}: final cycles ({tiles} tiles, order {order:?})");
+            assert_eq!(
+                format!("{:?}", m.stats()),
+                format!("{:?}", r.timing.stats()),
+                "case {case}: stats"
+            );
         }
     }
 }

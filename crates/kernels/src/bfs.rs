@@ -19,7 +19,7 @@
 //! spurious update.
 
 use crate::graph::{Graph, SlicedGraph};
-use crate::tile_range;
+use crate::{sliced_epoch, tile_range};
 use sdv_core::{SdvMachine, Vm};
 use sdv_rvv::{Lmul, Reg, Sew};
 
@@ -151,21 +151,23 @@ pub fn bfs_vector<V: Vm>(vm: &mut V, dev: &BfsDevice) {
 /// per level. Returns the number of levels run.
 pub fn bfs_vector_tiled(m: &mut SdvMachine, dev: &BfsDevice) -> u64 {
     let tiles = m.tiles();
-    let order = m.capture_order().to_vec();
-    for &t in &order {
-        let (lo, hi) = tile_range(dev.n, tiles, t);
-        bfs_init_range(&mut m.vm(t), dev, lo, hi);
-    }
-    m.barrier();
+    // The init strip loop is short: one piece per tile.
+    m.epoch(|vm| {
+        let (lo, hi) = tile_range(dev.n, tiles, vm.tile());
+        bfs_init_range(vm, dev, lo, hi);
+        false
+    });
 
     let mut level = 0u64;
     loop {
         let mut updates = 0u64;
-        for &t in &order {
-            let (slo, shi) = tile_range(dev.num_slices, tiles, t);
-            updates += bfs_level_range(&mut m.vm(t), dev, level, slo, shi, tiles > 1);
-        }
-        m.barrier();
+        sliced_epoch(
+            m,
+            dev.num_slices,
+            |vm| bfs_level_begin(vm, level),
+            |vm, s, hi| bfs_level_slice(vm, dev, level, s, hi, tiles > 1),
+            |vm| updates += bfs_level_end(vm),
+        );
         level += 1;
         // Termination depends only on the sum's zero-ness, which is
         // capture-order invariant (every discovery is counted by at least
@@ -200,12 +202,6 @@ fn bfs_init_range<V: Vm>(vm: &mut V, dev: &BfsDevice, lo: usize, hi: usize) {
 /// One BFS level over the slices `[slice_lo, slice_hi)`: scan for frontier
 /// lanes, scatter `level+1` to newly reached neighbours, and return the
 /// range's update count (a scalar<->vector sync).
-///
-/// `peers` says another tile may discover the same vertex in this level.
-/// The update mask then accepts `level+1` as well as `INF`, so a vertex an
-/// earlier-captured tile just reached classifies identically — and the whole
-/// op stream stays identical — in every capture order; the re-scatter writes
-/// the same value.
 fn bfs_level_range<V: Vm>(
     vm: &mut V,
     dev: &BfsDevice,
@@ -214,52 +210,80 @@ fn bfs_level_range<V: Vm>(
     slice_hi: usize,
     peers: bool,
 ) -> u64 {
-    // Per-level setup: zero the update counter, broadcast level+1.
+    bfs_level_begin(vm, level);
+    for s in slice_lo..slice_hi {
+        bfs_level_slice(vm, dev, level, s, slice_hi, peers);
+    }
+    bfs_level_end(vm)
+}
+
+/// Per-level setup: zero the update counter, broadcast level+1.
+fn bfs_level_begin<V: Vm>(vm: &mut V, level: u64) {
     let maxvl = vm.maxvl(Sew::E64);
     vm.setvl(maxvl, Sew::E64, Lmul::M1);
     vm.vmv_vx(V_CNT, 0);
     vm.vmv_vx(V_LVL, level + 1);
-    for s in slice_lo as u64..slice_hi as u64 {
-        let base = vm.load_u64(dev.slice_ptr + 8 * s);
-        let w = vm.load_u32(dev.slice_width + 4 * s) as u64;
-        let row0 = s * dev.c as u64;
-        let h = (dev.n as u64 - row0).min(dev.c as u64);
-        vm.int_ops(4);
-        let mut off = 0u64;
-        while off < h {
-            let vl = vm.setvl((h - off) as usize, Sew::E64, Lmul::M1) as u64;
-            vm.vle(V_DIST, dev.dist + 8 * (row0 + off));
-            vm.vmseq_vx(0, V_DIST, level); // v0 = frontier lanes
-            let front = vm.vpopc(0); // scalar<->vector sync
-            vm.branch(front == 0);
-            if front != 0 {
-                vm.vmand(M_FRONT, 0, 0); // save frontier mask
-                for j in 0..w {
-                    let eoff = base + j * h + off;
-                    vm.vmand(0, M_FRONT, M_FRONT); // v0 = frontier
-                    vm.vmv_vx(V_NBR, 0);
-                    vm.vlwu_m(V_NBR, dev.sadj + 4 * eoff);
-                    vm.vsll_vx(V_NOFF, V_NBR, 3);
-                    vm.vmv_vx(V_DN, 0);
-                    vm.vlxe_m(V_DN, dev.dist, V_NOFF); // gather dist[nbr]
-                    vm.vmseq_vx(M_UPD, V_DN, INF); // unvisited?
-                    if peers {
-                        vm.vmseq_vx(M_NEW, V_DN, level + 1);
-                        vm.vmor(M_UPD, M_UPD, M_NEW);
-                    }
-                    vm.vmand(0, M_UPD, M_FRONT); // v0 = updates
-                    vm.vsxe_m(V_LVL, dev.dist, V_NOFF); // scatter level+1
-                    vm.vadd_vx_m(V_CNT, V_CNT, 1); // count them
-                    vm.int_ops(3);
-                    vm.branch(j + 1 != w);
+}
+
+/// Slice `s` of a range that ends at `slice_hi`: the one level loop body.
+///
+/// `peers` says another tile may discover the same vertex in this level.
+/// The update mask then accepts `level+1` as well as `INF`, so a vertex
+/// another tile has just reached classifies identically — and the whole op
+/// stream stays identical — however the tiles' slices interleave in capture;
+/// the re-scatter writes the same value.
+fn bfs_level_slice<V: Vm>(
+    vm: &mut V,
+    dev: &BfsDevice,
+    level: u64,
+    s: usize,
+    slice_hi: usize,
+    peers: bool,
+) {
+    let s = s as u64;
+    let base = vm.load_u64(dev.slice_ptr + 8 * s);
+    let w = vm.load_u32(dev.slice_width + 4 * s) as u64;
+    let row0 = s * dev.c as u64;
+    let h = (dev.n as u64 - row0).min(dev.c as u64);
+    vm.int_ops(4);
+    let mut off = 0u64;
+    while off < h {
+        let vl = vm.setvl((h - off) as usize, Sew::E64, Lmul::M1) as u64;
+        vm.vle(V_DIST, dev.dist + 8 * (row0 + off));
+        vm.vmseq_vx(0, V_DIST, level); // v0 = frontier lanes
+        let front = vm.vpopc(0); // scalar<->vector sync
+        vm.branch(front == 0);
+        if front != 0 {
+            vm.vmand(M_FRONT, 0, 0); // save frontier mask
+            for j in 0..w {
+                let eoff = base + j * h + off;
+                vm.vmand(0, M_FRONT, M_FRONT); // v0 = frontier
+                vm.vmv_vx(V_NBR, 0);
+                vm.vlwu_m(V_NBR, dev.sadj + 4 * eoff);
+                vm.vsll_vx(V_NOFF, V_NBR, 3);
+                vm.vmv_vx(V_DN, 0);
+                vm.vlxe_m(V_DN, dev.dist, V_NOFF); // gather dist[nbr]
+                vm.vmseq_vx(M_UPD, V_DN, INF); // unvisited?
+                if peers {
+                    vm.vmseq_vx(M_NEW, V_DN, level + 1);
+                    vm.vmor(M_UPD, M_UPD, M_NEW);
                 }
+                vm.vmand(0, M_UPD, M_FRONT); // v0 = updates
+                vm.vsxe_m(V_LVL, dev.dist, V_NOFF); // scatter level+1
+                vm.vadd_vx_m(V_CNT, V_CNT, 1); // count them
+                vm.int_ops(3);
+                vm.branch(j + 1 != w);
             }
-            off += vl;
-            vm.branch(off < h);
         }
-        vm.branch(s + 1 != slice_hi as u64);
+        off += vl;
+        vm.branch(off < h);
     }
-    // Did anything update?
+    vm.branch(s + 1 != slice_hi as u64);
+}
+
+/// Did anything update? Reduce the counter and read it back.
+fn bfs_level_end<V: Vm>(vm: &mut V) -> u64 {
+    let maxvl = vm.maxvl(Sew::E64);
     vm.setvl(maxvl, Sew::E64, Lmul::M1);
     vm.vmv_sx(V_RED, 0);
     vm.vredsum(V_RED, V_CNT, V_RED);

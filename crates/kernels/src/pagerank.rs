@@ -16,7 +16,7 @@
 //! pinned to 0.0, so padded gathers are harmless.
 
 use crate::graph::{Graph, SlicedGraph};
-use crate::tile_range;
+use crate::{sliced_epoch, tile_range};
 use sdv_core::{SdvMachine, Vm};
 use sdv_rvv::{Lmul, Reg, Sew};
 
@@ -163,29 +163,32 @@ pub fn pagerank_vector<V: Vm>(vm: &mut V, dev: &PrDevice) {
 /// ~1.0 and doubles as a cross-tile coherence exercise.
 pub fn pagerank_vector_tiled(m: &mut SdvMachine, dev: &PrDevice) -> f64 {
     let tiles = m.tiles();
-    let order = m.capture_order().to_vec();
     let mass = m.alloc(8 * tiles, 64);
     let base_rank = (1.0 - dev.d) / dev.n as f64;
     let (mut cur, mut next) = (dev.pr, dev.pr_new);
     for _it in 0..dev.iters {
-        for &t in &order {
-            let (lo, hi) = tile_range(dev.n, tiles, t);
-            pagerank_contrib_range(&mut m.vm(t), dev, cur, lo, hi);
-        }
-        m.barrier();
-        for &t in &order {
-            let (slo, shi) = tile_range(dev.num_slices, tiles, t);
-            pagerank_pull_range(&mut m.vm(t), dev, next, base_rank, slo, shi);
-        }
-        m.barrier();
+        // The contribution strip loop is short: one piece per tile.
+        m.epoch(|vm| {
+            let (lo, hi) = tile_range(dev.n, tiles, vm.tile());
+            pagerank_contrib_range(vm, dev, cur, lo, hi);
+            false
+        });
+        sliced_epoch(
+            m,
+            dev.num_slices,
+            |_| {},
+            |vm, s, hi| pagerank_pull_slice(vm, dev, next, base_rank, s, hi),
+            |_| {},
+        );
         std::mem::swap(&mut cur, &mut next);
     }
-    // Merge phase, step 1: per-tile partial rank mass.
-    for &t in &order {
+    // Merge phase, step 1: per-tile partial rank mass (one piece per tile).
+    m.epoch(|vm| {
+        let t = vm.tile();
         let (lo, hi) = tile_range(dev.n, tiles, t);
-        pagerank_mass_range(&mut m.vm(t), cur, mass, t, lo, hi);
-    }
-    m.barrier();
+        pagerank_mass_range(vm, cur, mass, t, lo, hi);
+        false
+    });
     // Merge phase, step 2: tile 0 combines the partials (scalar loads of
     // lines the other tiles just wrote — real recall traffic).
     let mut total = 0.0f64;
@@ -225,34 +228,47 @@ fn pagerank_pull_range<V: Vm>(
     slice_lo: usize,
     slice_hi: usize,
 ) {
-    for s in slice_lo as u64..slice_hi as u64 {
-        let base = vm.load_u64(dev.slice_ptr + 8 * s);
-        let w = vm.load_u32(dev.slice_width + 4 * s) as u64;
-        let row0 = s * dev.c as u64;
-        let h = (dev.n as u64 - row0).min(dev.c as u64);
-        vm.int_ops(4);
-        let mut off = 0u64;
-        while off < h {
-            let vl = vm.setvl((h - off) as usize, Sew::E64, Lmul::M1) as u64;
-            vm.vfmv_vf(V_ACC, 0.0);
-            for j in 0..w {
-                let eoff = base + j * h + off;
-                vm.vlwu(V_NBR, dev.sadj + 4 * eoff);
-                vm.vsll_vx(V_NOFF, V_NBR, 3);
-                vm.vlxe(V_C, dev.contrib, V_NOFF);
-                vm.vfadd_vv(V_ACC, V_ACC, V_C);
-                vm.int_ops(3);
-                vm.branch(j + 1 != w);
-            }
-            vm.vfmul_vf(V_ACC, V_ACC, dev.d);
-            vm.vfadd_vf(V_ACC, V_ACC, base_rank);
-            vm.vse(V_ACC, next + 8 * (row0 + off));
-            vm.int_ops(2);
-            off += vl;
-            vm.branch(off < h);
-        }
-        vm.branch(s + 1 != slice_hi as u64);
+    for s in slice_lo..slice_hi {
+        pagerank_pull_slice(vm, dev, next, base_rank, s, slice_hi);
     }
+}
+
+/// Slice `s` of a range that ends at `slice_hi`: the one pull loop body.
+fn pagerank_pull_slice<V: Vm>(
+    vm: &mut V,
+    dev: &PrDevice,
+    next: u64,
+    base_rank: f64,
+    s: usize,
+    slice_hi: usize,
+) {
+    let s = s as u64;
+    let base = vm.load_u64(dev.slice_ptr + 8 * s);
+    let w = vm.load_u32(dev.slice_width + 4 * s) as u64;
+    let row0 = s * dev.c as u64;
+    let h = (dev.n as u64 - row0).min(dev.c as u64);
+    vm.int_ops(4);
+    let mut off = 0u64;
+    while off < h {
+        let vl = vm.setvl((h - off) as usize, Sew::E64, Lmul::M1) as u64;
+        vm.vfmv_vf(V_ACC, 0.0);
+        for j in 0..w {
+            let eoff = base + j * h + off;
+            vm.vlwu(V_NBR, dev.sadj + 4 * eoff);
+            vm.vsll_vx(V_NOFF, V_NBR, 3);
+            vm.vlxe(V_C, dev.contrib, V_NOFF);
+            vm.vfadd_vv(V_ACC, V_ACC, V_C);
+            vm.int_ops(3);
+            vm.branch(j + 1 != w);
+        }
+        vm.vfmul_vf(V_ACC, V_ACC, dev.d);
+        vm.vfadd_vf(V_ACC, V_ACC, base_rank);
+        vm.vse(V_ACC, next + 8 * (row0 + off));
+        vm.int_ops(2);
+        off += vl;
+        vm.branch(off < h);
+    }
+    vm.branch(s + 1 != slice_hi as u64);
 }
 
 /// One tile's merge partial: rank mass of `[lo, hi)` into `mass[t]`.

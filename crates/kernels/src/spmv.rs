@@ -16,7 +16,7 @@
 //!   one barrier at the end.
 
 use crate::sparse::{CsrMatrix, SellCS};
-use crate::tile_range;
+use crate::sliced_epoch;
 use sdv_core::{SdvMachine, Vm};
 use sdv_rvv::{Lmul, Reg, Sew};
 
@@ -160,51 +160,59 @@ pub fn spmv_vector_sell_range<V: Vm>(
     slice_hi: usize,
 ) {
     debug_assert!(slice_lo <= slice_hi && slice_hi <= dev.num_slices);
-    for s in slice_lo as u64..slice_hi as u64 {
-        let base = vm.load_u64(dev.sell_slice_ptr + 8 * s);
-        let w = vm.load_u32(dev.sell_width + 4 * s) as u64;
-        let row0 = s * dev.sell_c as u64;
-        let h = (dev.n as u64 - row0).min(dev.sell_c as u64);
-        vm.int_ops(4);
-        let mut off = 0u64;
-        while off < h {
-            let vl = vm.setvl((h - off) as usize, Sew::E64, Lmul::M1) as u64;
-            vm.vfmv_vf(V_ACC, 0.0);
-            for j in 0..w {
-                let eoff = base + j * h + off;
-                // Unit-stride u32 columns, widened to u64 lanes.
-                vm.vlwu(V_COL, dev.sell_cols + 4 * eoff);
-                // Scale to byte offsets and gather x.
-                vm.vsll_vx(V_COL, V_COL, 3);
-                vm.vlxe(V_XV, x, V_COL);
-                // Unit-stride values; fused multiply-accumulate.
-                vm.vle(V_AV, dev.sell_vals + 8 * eoff);
-                vm.vfmacc_vv(V_ACC, V_AV, V_XV);
-                vm.int_ops(3); // j loop: address updates
-                vm.branch(j + 1 != w);
-            }
-            // Scatter the slice's results to y[perm[...]].
-            vm.vlwu(V_PERM, dev.sell_perm + 4 * (row0 + off));
-            vm.vsll_vx(V_PERM, V_PERM, 3);
-            vm.vsxe(V_ACC, y, V_PERM);
-            vm.int_ops(2);
-            off += vl;
-            vm.branch(off < h);
-        }
-        vm.branch(s + 1 != slice_hi as u64);
+    for s in slice_lo..slice_hi {
+        sell_slice(vm, dev, x, y, s, slice_hi);
     }
     vm.fence();
 }
 
-/// Tiled SELL-C-σ SpMV: each tile processes a contiguous slice range
-/// (disjoint output rows through the SELL permutation), then one barrier.
-pub fn spmv_vector_sell_tiled(m: &mut SdvMachine, dev: &SpmvDevice) {
-    let tiles = m.tiles();
-    for &t in &m.capture_order().to_vec() {
-        let (lo, hi) = tile_range(dev.num_slices, tiles, t);
-        spmv_vector_sell_range(&mut m.vm(t), dev, dev.x, dev.y, lo, hi);
+/// Slice `s` of a range that ends at `slice_hi`: the one SELL loop body.
+fn sell_slice<V: Vm>(vm: &mut V, dev: &SpmvDevice, x: u64, y: u64, s: usize, slice_hi: usize) {
+    let s = s as u64;
+    let base = vm.load_u64(dev.sell_slice_ptr + 8 * s);
+    let w = vm.load_u32(dev.sell_width + 4 * s) as u64;
+    let row0 = s * dev.sell_c as u64;
+    let h = (dev.n as u64 - row0).min(dev.sell_c as u64);
+    vm.int_ops(4);
+    let mut off = 0u64;
+    while off < h {
+        let vl = vm.setvl((h - off) as usize, Sew::E64, Lmul::M1) as u64;
+        vm.vfmv_vf(V_ACC, 0.0);
+        for j in 0..w {
+            let eoff = base + j * h + off;
+            // Unit-stride u32 columns, widened to u64 lanes.
+            vm.vlwu(V_COL, dev.sell_cols + 4 * eoff);
+            // Scale to byte offsets and gather x.
+            vm.vsll_vx(V_COL, V_COL, 3);
+            vm.vlxe(V_XV, x, V_COL);
+            // Unit-stride values; fused multiply-accumulate.
+            vm.vle(V_AV, dev.sell_vals + 8 * eoff);
+            vm.vfmacc_vv(V_ACC, V_AV, V_XV);
+            vm.int_ops(3); // j loop: address updates
+            vm.branch(j + 1 != w);
+        }
+        // Scatter the slice's results to y[perm[...]].
+        vm.vlwu(V_PERM, dev.sell_perm + 4 * (row0 + off));
+        vm.vsll_vx(V_PERM, V_PERM, 3);
+        vm.vsxe(V_ACC, y, V_PERM);
+        vm.int_ops(2);
+        off += vl;
+        vm.branch(off < h);
     }
-    m.barrier();
+    vm.branch(s + 1 != slice_hi as u64);
+}
+
+/// Tiled SELL-C-σ SpMV: each tile processes a contiguous slice range
+/// (disjoint output rows through the SELL permutation), captured a slice at
+/// a time, then one barrier.
+pub fn spmv_vector_sell_tiled(m: &mut SdvMachine, dev: &SpmvDevice) {
+    sliced_epoch(
+        m,
+        dev.num_slices,
+        |_| {},
+        |vm, s, hi| sell_slice(vm, dev, dev.x, dev.y, s, hi),
+        |vm| vm.fence(),
+    );
 }
 
 /// Row-at-a-time vector CSR SpMV (ablation: short vectors + per-row sync).

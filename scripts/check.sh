@@ -273,7 +273,10 @@ wait "$serve_job"
 rm -f "$retry_log"
 echo "client retry + bind-conflict exit codes ok"
 
-echo "== tile scale-out gate (fig_scale golden CSV + counter sums + warm cache) =="
+echo "== tile scale-out gate (fig_scale counter sums + warm cache) =="
+# The golden-CSV comparison (all 1,704 rows of results/golden/
+# fig_scale_small.csv) runs under `cargo test`:
+# crates/bench/tests/scale_out.rs drives the built binary.
 scale_cache="$(mktemp -d /tmp/sdv_scale_cache.XXXXXX)"
 scale_a="$(mktemp /tmp/fig_scale_a.XXXXXX.csv)"
 scale_b="$(mktemp /tmp/fig_scale_b.XXXXXX.csv)"
@@ -281,15 +284,13 @@ scale_b="$(mktemp /tmp/fig_scale_b.XXXXXX.csv)"
 # aggregates, per-tile stalls vs unprefixed sums) on every topology.
 ./target/release/fig_scale --small --check --tiles 1,4,16 --vls 8,256 \
     --cache-dir "$scale_cache" --csv "$scale_a" >/dev/null
-# Every cycle, stall, directory and link counter of every topology is pinned.
-diff -u results/golden/fig_scale_small.csv "$scale_a"
 # Warm rerun at a different thread count: multi-tile sweeps must replay
 # from the cache byte-identically — topology is part of every cache key.
 ./target/release/fig_scale --small --check --tiles 1,4,16 --vls 8,256 \
     --cache-dir "$scale_cache" --threads 1 --csv "$scale_b" >/dev/null
 diff -u "$scale_a" "$scale_b"
 rm -rf "$scale_cache" "$scale_a" "$scale_b"
-echo "fig_scale matches the golden CSV; warm rerun byte-identical"
+echo "fig_scale counter sums hold; warm rerun byte-identical"
 
 echo "== multi-tile sweepd smoke (4-tile server, topology-matched submit) =="
 tiled_log="$(mktemp /tmp/sweepd_tiled.XXXXXX.log)"
