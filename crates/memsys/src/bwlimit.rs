@@ -69,7 +69,10 @@ impl BandwidthLimiter {
     /// admission bookkeeping is monotone like the hardware counter it models.
     pub fn admit(&mut self, now: Cycle) -> Cycle {
         let den = self.den as Cycle;
-        let mut w = now / den;
+        // Runs on every DRAM request: shift for a power-of-two window (every
+        // value the 1-64 B/cycle knob programs); both branches compute the
+        // same quotient.
+        let mut w = if den.is_power_of_two() { now >> den.trailing_zeros() } else { now / den };
         if w < self.window {
             // `now` is earlier than our bookkeeping window: admission can
             // happen no earlier than the tracked window.
@@ -169,6 +172,47 @@ mod tests {
         let a = l.admit(0);
         let b = l.admit(0);
         assert_eq!(b - a, 10);
+    }
+
+    #[test]
+    fn shift_and_division_windows_admit_identically() {
+        use sdv_engine::Rng;
+        // `admit` with the window found by division only, as it was before
+        // the power-of-two shift.
+        fn admit_by_division(l: &mut BandwidthLimiter, now: Cycle) -> Cycle {
+            let den = l.den as Cycle;
+            let mut w = (now / den).max(l.window);
+            loop {
+                if w > l.window {
+                    l.window = w;
+                    l.used = 0;
+                }
+                if l.used < l.num {
+                    l.used += 1;
+                    return now.max(w * den);
+                }
+                w += 1;
+            }
+        }
+        let mut rng = Rng::new(64);
+        for den in 1..=64u32 {
+            for num in [1, 3] {
+                let mut by_shift = BandwidthLimiter::new(num, den);
+                let mut by_division = by_shift;
+                let mut now: Cycle = 0;
+                for _ in 0..2_000 {
+                    // Mostly nondecreasing arrivals, bursts at one cycle, and
+                    // the occasional rewind behind the tracked window.
+                    now = match rng.below(8) {
+                        0 => now.saturating_sub(rng.below(4 * den as u64 + 1)),
+                        1 | 2 => now,
+                        _ => now + rng.below(2 * den as u64 + 2),
+                    };
+                    let want = admit_by_division(&mut by_division, now);
+                    assert_eq!(by_shift.admit(now), want, "{num}/{den} at {now}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -137,39 +137,36 @@ impl Cache {
         self.find(base, tag).is_some()
     }
 
-    /// Access the line containing `addr`. On hit the LRU state is updated and
-    /// a write marks the line dirty. Returns `true` on hit.
-    pub fn access(&mut self, addr: u64, kind: AccessKind) -> bool {
+    /// Probe for the line containing `addr`, counting a hit or a miss. On a
+    /// hit the LRU state is updated, a write marks the line dirty, and the
+    /// line's slot is returned (valid for [`Self::touch`] until the next
+    /// install or invalidation in this cache).
+    #[inline]
+    pub fn lookup(&mut self, addr: u64, kind: AccessKind) -> Option<usize> {
         self.tick += 1;
-        let tick = self.tick;
         let (base, tag) = self.base_and_tag(addr);
-        if let Some(slot) = self.find(base, tag) {
-            self.last_use[slot] = tick;
-            if kind == AccessKind::Write {
-                self.dirty[slot] = true;
-            }
-            self.hits += 1;
-            true
-        } else {
+        let Some(slot) = self.find(base, tag) else {
             self.misses += 1;
-            false
+            return None;
+        };
+        self.last_use[slot] = self.tick;
+        if kind == AccessKind::Write {
+            self.dirty[slot] = true;
         }
+        self.hits += 1;
+        Some(slot)
     }
 
-    /// Allocate (fill) the line containing `addr`, marking it dirty when
-    /// `dirty` (write-allocate). Returns the victim if a valid line was
-    /// evicted. Filling an already-present line just updates its state.
-    pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<Victim> {
+    /// Allocate the line containing `addr`, which must be absent (its
+    /// [`Self::lookup`] just missed, with nothing installed in between): no
+    /// tag scan. Prefers an invalid way, otherwise evicts the LRU. Returns the
+    /// line's slot and the victim if a valid line was evicted.
+    #[inline]
+    pub fn install(&mut self, addr: u64, dirty: bool) -> (usize, Option<Victim>) {
         self.tick += 1;
-        let tick = self.tick;
         let (base, tag) = self.base_and_tag(addr);
         debug_assert!(tag != INVALID_TAG, "address collides with the empty-way sentinel");
-        if let Some(slot) = self.find(base, tag) {
-            self.last_use[slot] = tick;
-            self.dirty[slot] |= dirty;
-            return None;
-        }
-        // Prefer an invalid way; otherwise evict the LRU.
+        debug_assert!(self.find(base, tag).is_none(), "install of a line that is present");
         let set_tags = &self.tags[base..base + self.ways];
         let slot = if let Some(w) = set_tags.iter().position(|&t| t == INVALID_TAG) {
             base + w
@@ -187,8 +184,40 @@ impl Cache {
         };
         self.tags[slot] = tag;
         self.dirty[slot] = dirty;
-        self.last_use[slot] = tick;
-        victim
+        self.last_use[slot] = self.tick;
+        (slot, victim)
+    }
+
+    /// A counted read hit on a slot that [`Self::lookup`] or
+    /// [`Self::install`] just returned: what `access(addr, Read)` does once it
+    /// has found the line, without finding it again.
+    #[inline]
+    pub fn touch(&mut self, slot: usize) {
+        self.tick += 1;
+        self.last_use[slot] = self.tick;
+        self.hits += 1;
+    }
+
+    /// Access the line containing `addr`. On hit the LRU state is updated and
+    /// a write marks the line dirty. Returns `true` on hit.
+    pub fn access(&mut self, addr: u64, kind: AccessKind) -> bool {
+        self.lookup(addr, kind).is_some()
+    }
+
+    /// Allocate (fill) the line containing `addr`, marking it dirty when
+    /// `dirty` (write-allocate). Returns the victim if a valid line was
+    /// evicted. Filling an already-present line just updates its state.
+    pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<Victim> {
+        let (base, tag) = self.base_and_tag(addr);
+        match self.find(base, tag) {
+            Some(slot) => {
+                self.tick += 1;
+                self.last_use[slot] = self.tick;
+                self.dirty[slot] |= dirty;
+                None
+            }
+            None => self.install(addr, dirty).1,
+        }
     }
 
     /// Invalidate the line containing `addr` if present. Returns
@@ -338,6 +367,111 @@ mod tests {
         c.fill(0x0C0, false); // set 1
         c.fill(0x140, false); // set 1 -> evicts within set 1 only
         assert!(c.contains(0x000), "set 0 untouched by set-1 pressure");
+    }
+
+    /// The pre-slot `access`/`fill`, kept verbatim as the reference the slot
+    /// primitives are checked against: each scans the set itself.
+    impl Cache {
+        fn ref_access(&mut self, addr: u64, kind: AccessKind) -> bool {
+            self.tick += 1;
+            let tick = self.tick;
+            let (base, tag) = self.base_and_tag(addr);
+            if let Some(slot) = self.find(base, tag) {
+                self.last_use[slot] = tick;
+                if kind == AccessKind::Write {
+                    self.dirty[slot] = true;
+                }
+                self.hits += 1;
+                true
+            } else {
+                self.misses += 1;
+                false
+            }
+        }
+
+        fn ref_fill(&mut self, addr: u64, dirty: bool) -> Option<Victim> {
+            self.tick += 1;
+            let tick = self.tick;
+            let (base, tag) = self.base_and_tag(addr);
+            if let Some(slot) = self.find(base, tag) {
+                self.last_use[slot] = tick;
+                self.dirty[slot] |= dirty;
+                return None;
+            }
+            let set_tags = &self.tags[base..base + self.ways];
+            let slot = if let Some(w) = set_tags.iter().position(|&t| t == INVALID_TAG) {
+                base + w
+            } else {
+                let lru = &self.last_use[base..base + self.ways];
+                base + lru.iter().enumerate().min_by_key(|(_, &t)| t).map(|(w, _)| w).unwrap()
+            };
+            let victim = (self.tags[slot] != INVALID_TAG).then(|| Victim {
+                addr: self.tags[slot] * self.cfg.line_bytes,
+                dirty: self.dirty[slot],
+            });
+            self.tags[slot] = tag;
+            self.dirty[slot] = dirty;
+            self.last_use[slot] = tick;
+            victim
+        }
+    }
+
+    #[test]
+    fn slot_primitives_match_the_scanning_reference() {
+        use sdv_engine::Rng;
+        // The hierarchy's probe / fill-on-miss / post-fill read, three ways:
+        // the reference, the public compositions, and the slot primitives
+        // used the way `memhier` uses them. Writebacks into present lines,
+        // invalidations and cleans keep invalid ways and dirty bits in play.
+        let two_by_four = CacheConfig { size_bytes: 2 * 4 * 64, ways: 4, line_bytes: 64 };
+        for (cfg, lines, seed) in [(two_by_four, 24u64, 18), (CacheConfig::l2_bank(), 12_000, 81)] {
+            let mut rng = Rng::new(seed);
+            let (mut r, mut p, mut s) = (Cache::new(cfg), Cache::new(cfg), Cache::new(cfg));
+            for step in 0..200_000u32 {
+                let addr = rng.below(lines) * 64 + rng.below(64);
+                match rng.below(16) {
+                    0 => {
+                        let dirty = rng.chance(0.5);
+                        let v = r.ref_fill(addr, dirty);
+                        assert_eq!(p.fill(addr, dirty), v, "step {step}");
+                        assert_eq!(s.fill(addr, dirty), v, "step {step}");
+                    }
+                    1 => {
+                        let was = r.invalidate(addr);
+                        assert_eq!((p.invalidate(addr), s.invalidate(addr)), (was, was));
+                    }
+                    2 => {
+                        let was = r.clean(addr);
+                        assert_eq!((p.clean(addr), s.clean(addr)), (was, was));
+                    }
+                    op => {
+                        let kind = if op < 6 { AccessKind::Write } else { AccessKind::Read };
+                        let hit = r.ref_access(addr, kind);
+                        assert_eq!(p.access(addr, kind), hit, "step {step}");
+                        let slot = s.lookup(addr, kind);
+                        assert_eq!(slot.is_some(), hit, "step {step}");
+                        if !hit {
+                            let v = r.ref_fill(addr, false);
+                            assert!(r.ref_access(addr, AccessKind::Read));
+                            assert_eq!(p.fill(addr, false), v, "step {step}");
+                            assert!(p.access(addr, AccessKind::Read));
+                            let (slot, sv) = s.install(addr, false);
+                            assert_eq!(sv, v, "step {step}");
+                            s.touch(slot);
+                        }
+                    }
+                }
+                assert_eq!((p.hits(), p.misses()), (r.hits(), r.misses()), "step {step}");
+                assert_eq!((s.hits(), s.misses()), (r.hits(), r.misses()), "step {step}");
+            }
+            assert!(r.hits() > 10_000 && r.misses() > 10_000, "both outcomes exercised");
+            for line in 0..lines {
+                let a = line * 64;
+                assert_eq!((p.contains(a), p.is_dirty(a)), (r.contains(a), r.is_dirty(a)));
+                assert_eq!((s.contains(a), s.is_dirty(a)), (r.contains(a), r.is_dirty(a)));
+            }
+            assert_eq!((&s.tags, &s.last_use), (&r.tags, &r.last_use), "same ways, same LRU order");
+        }
     }
 
     #[test]

@@ -75,12 +75,12 @@ enum DirState {
 }
 
 /// What the home node must do before granting an access.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirAction {
     /// Requestor that must write back and downgrade/invalidate (owner recall).
     pub recall_from: Option<Requestor>,
-    /// Requestors whose copies must be invalidated.
-    pub invalidate: Vec<Requestor>,
+    /// Requestors whose copies must be invalidated, one bit each.
+    pub invalidate: SharerMask,
     /// Whether the grant is exclusive (E/M) rather than shared.
     pub exclusive: bool,
 }
@@ -111,20 +111,20 @@ impl Directory {
         match self.state(line) {
             DirState::Uncached => {
                 self.lines.insert(line, DirState::Exclusive(who));
-                DirAction { recall_from: None, invalidate: vec![], exclusive: true }
+                DirAction { recall_from: None, invalidate: 0, exclusive: true }
             }
             DirState::Shared(mask) => {
                 self.lines.insert(line, DirState::Shared(mask | bit(who)));
-                DirAction { recall_from: None, invalidate: vec![], exclusive: false }
+                DirAction { recall_from: None, invalidate: 0, exclusive: false }
             }
             DirState::Exclusive(owner) if owner == who => {
-                DirAction { recall_from: None, invalidate: vec![], exclusive: true }
+                DirAction { recall_from: None, invalidate: 0, exclusive: true }
             }
             DirState::Exclusive(owner) => {
                 // Owner downgrades to shared; data may need writeback.
                 self.lines.insert(line, DirState::Shared(bit(owner) | bit(who)));
                 self.downgrades += 1;
-                DirAction { recall_from: Some(owner), invalidate: vec![], exclusive: false }
+                DirAction { recall_from: Some(owner), invalidate: 0, exclusive: false }
             }
         }
     }
@@ -134,23 +134,23 @@ impl Directory {
     pub fn caching_write(&mut self, line: u64, who: Requestor) -> DirAction {
         assert!((who as usize) < MAX_REQUESTORS);
         let action = match self.state(line) {
-            DirState::Uncached => DirAction { recall_from: None, invalidate: vec![], exclusive: true },
+            DirState::Uncached => DirAction { recall_from: None, invalidate: 0, exclusive: true },
             DirState::Shared(mask) => {
-                let inv = sharers(mask & !bit(who));
-                self.invalidations += inv.len() as u64;
+                let inv = mask & !bit(who);
+                self.invalidations += inv.count_ones() as u64;
                 DirAction { recall_from: None, invalidate: inv, exclusive: true }
             }
             DirState::Exclusive(owner) if owner == who => {
                 // Already the exclusive owner: the directory entry is
                 // correct as-is, skip the redundant re-insert.
-                return DirAction { recall_from: None, invalidate: vec![], exclusive: true };
+                return DirAction { recall_from: None, invalidate: 0, exclusive: true };
             }
             DirState::Exclusive(owner) => {
                 // Recall-with-invalidate: one recall, and the implied
                 // invalidation of the owner's copy rides along with it
                 // (counted under `recalls` only).
                 self.recalls += 1;
-                DirAction { recall_from: Some(owner), invalidate: vec![owner], exclusive: true }
+                DirAction { recall_from: Some(owner), invalidate: bit(owner), exclusive: true }
             }
         };
         self.lines.insert(line, DirState::Exclusive(who));
@@ -165,9 +165,9 @@ impl Directory {
             DirState::Exclusive(owner) if owner != who => {
                 self.lines.insert(line, DirState::Shared(bit(owner)));
                 self.downgrades += 1;
-                DirAction { recall_from: Some(owner), invalidate: vec![], exclusive: false }
+                DirAction { recall_from: Some(owner), invalidate: 0, exclusive: false }
             }
-            _ => DirAction { recall_from: None, invalidate: vec![], exclusive: false },
+            _ => DirAction { recall_from: None, invalidate: 0, exclusive: false },
         }
     }
 
@@ -185,19 +185,19 @@ impl Directory {
             self.lines.remove(&line);
         }
         match state {
-            DirState::Uncached => DirAction { recall_from: None, invalidate: vec![], exclusive: false },
+            DirState::Uncached => DirAction { recall_from: None, invalidate: 0, exclusive: false },
             DirState::Shared(mask) => {
-                let inv = sharers(mask & !bit(who));
-                self.invalidations += inv.len() as u64;
+                let inv = mask & !bit(who);
+                self.invalidations += inv.count_ones() as u64;
                 DirAction { recall_from: None, invalidate: inv, exclusive: false }
             }
             DirState::Exclusive(owner) if owner == who => {
-                DirAction { recall_from: None, invalidate: vec![], exclusive: false }
+                DirAction { recall_from: None, invalidate: 0, exclusive: false }
             }
             DirState::Exclusive(owner) => {
                 // Recall-with-invalidate (see `caching_write`).
                 self.recalls += 1;
-                DirAction { recall_from: Some(owner), invalidate: vec![owner], exclusive: false }
+                DirAction { recall_from: Some(owner), invalidate: bit(owner), exclusive: false }
             }
         }
     }
@@ -272,10 +272,6 @@ impl Directory {
     }
 }
 
-fn sharers(mask: SharerMask) -> Vec<Requestor> {
-    (0..MAX_REQUESTORS as Requestor).filter(|&r| mask & bit(r) != 0).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,7 +285,7 @@ mod tests {
         let a = d.caching_read(0x40, L1);
         assert!(a.exclusive);
         assert!(a.recall_from.is_none());
-        assert!(a.invalidate.is_empty());
+        assert_eq!(a.invalidate, 0);
     }
 
     #[test]
@@ -298,7 +294,7 @@ mod tests {
         d.caching_write(0x40, L1); // L1 owns the line in M
         let a = d.noncaching_read(0x40, VPU);
         assert_eq!(a.recall_from, Some(L1), "home node must recall M data");
-        assert!(a.invalidate.is_empty(), "read recall downgrades, no invalidation");
+        assert_eq!(a.invalidate, 0, "read recall downgrades, no invalidation");
         assert_eq!(d.downgrades(), 1, "read recall is a downgrade, not a recall-with-invalidate");
         assert_eq!(d.recalls(), 0);
         // Subsequent VPU reads need nothing.
@@ -313,7 +309,7 @@ mod tests {
         d.caching_read(0x80, L1);
         let a = d.noncaching_write(0x80, VPU);
         assert_eq!(a.recall_from, Some(L1), "exclusive clean copy still recalled in MESI-E");
-        assert_eq!(a.invalidate, vec![L1]);
+        assert_eq!(a.invalidate, bit(L1));
         assert_eq!(d.recalls(), 1);
         assert_eq!(d.invalidations(), 0, "owner invalidation rides with the recall");
         // L1 re-reads later: fresh grant, no recall.
@@ -328,7 +324,7 @@ mod tests {
         d.noncaching_read(0xC0, VPU); // downgrades E(L1) -> Shared{L1}
         // After the noncaching read, L1 retains a shared copy.
         let a = d.noncaching_write(0xC0, VPU);
-        assert_eq!(a.invalidate, vec![L1]);
+        assert_eq!(a.invalidate, bit(L1));
         assert_eq!(d.invalidations(), 1);
         assert_eq!(d.recalls(), 0, "clean shared invalidate is not a recall");
     }
@@ -340,7 +336,7 @@ mod tests {
         d.caching_read(0x100, 2); // second caching requestor -> Shared{L1,2}
         let a = d.caching_write(0x100, L1);
         assert!(a.exclusive);
-        assert_eq!(a.invalidate, vec![2]);
+        assert_eq!(a.invalidate, bit(2));
         assert_eq!(d.invalidations(), 1);
     }
 
@@ -366,7 +362,7 @@ mod tests {
         let a = d.caching_write(0x180, L1);
         assert!(a.exclusive);
         assert!(a.recall_from.is_none());
-        assert!(a.invalidate.is_empty());
+        assert_eq!(a.invalidate, 0);
         assert_eq!(d.recalls(), 0);
     }
 
@@ -443,7 +439,7 @@ mod tests {
         assert_eq!(seen, vec![(0x40, (1u128 << 127) | (1u128 << 63) | 1)]);
         // A write by L1 invalidates exactly the two high sharers.
         let a = d.caching_write(0x40, L1);
-        assert_eq!(a.invalidate, vec![63, hi]);
+        assert_eq!(a.invalidate, bit(63) | bit(hi));
         assert_eq!(d.invalidations(), 2);
         assert!(!d.held_by_others(0x40, L1));
     }
@@ -525,10 +521,10 @@ mod tests {
                 assert_eq!(dr, recall_inv as u64, "recalls: {ctx}");
                 assert_eq!(dg, recall_down as u64, "downgrades: {ctx}");
                 if recall_inv {
-                    assert_eq!(a.invalidate, vec![a.recall_from.unwrap()], "{ctx}");
+                    assert_eq!(a.invalidate, bit(a.recall_from.unwrap()), "{ctx}");
                     assert_eq!(di, 0, "owner invalidate must not double-count: {ctx}");
                 } else {
-                    assert_eq!(di, a.invalidate.len() as u64, "invalidations: {ctx}");
+                    assert_eq!(di, a.invalidate.count_ones() as u64, "invalidations: {ctx}");
                 }
             }
         }

@@ -17,7 +17,9 @@ use sdv_engine::{
     ArmedFault, Cycle, FastMap, FaultKind, FaultPlan, MonotoneRing, Probe, SimError, Stats,
     TraceEvent, WEDGE,
 };
-use sdv_memsys::{AccessKind, AddressMap, Cache, Directory, DramChannel, Requestor, SharerMask};
+use sdv_memsys::{
+    AccessKind, AddressMap, Cache, DirAction, Directory, DramChannel, Requestor, SharerMask,
+};
 use sdv_noc::Mesh;
 
 /// Coherence requestor id of tile 0's L1D.
@@ -35,6 +37,17 @@ pub fn req_l1_of(tile: usize) -> Requestor {
 #[inline]
 pub fn req_vpu_of(tile: usize) -> Requestor {
     (2 * tile + 1) as Requestor
+}
+
+/// The requestor ids named by a sharer mask, in ascending order.
+fn requestors_in(mut mask: SharerMask) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let r = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            r
+        })
+    })
 }
 
 struct Bank {
@@ -65,6 +78,10 @@ pub struct MemHierarchy {
     l1: Vec<Cache>,
     banks: Vec<Bank>,
     mesh: Mesh,
+    /// Mesh node of each tile, by tile id (see [`Self::tile_node`]): the
+    /// placement divides by two run-time values, so it is worked out once
+    /// here instead of on every access.
+    tile_nodes: Vec<usize>,
     dram: DramChannel,
     /// Per-tile in-flight L1 fills: line -> ready time (merges same-line
     /// misses within a tile; cross-tile sharing goes through the directory).
@@ -137,6 +154,9 @@ impl MemHierarchy {
         sdv_memsys::requestor_id(2 * cfg.tiles - 1)
             .expect("tile count exceeds directory requestor capacity");
         let amap = AddressMap::new(cfg.l1.line_bytes, cfg.num_banks as u64);
+        let nodes = cfg.mesh.nodes();
+        let tile_nodes =
+            (0..cfg.tiles).map(|tile| (cfg.core_node + tile * nodes / cfg.tiles) % nodes).collect();
         let banks = (0..cfg.num_banks)
             .map(|_| Bank { cache: Cache::new(cfg.l2_bank), dir: Directory::new(), next_free: 0 })
             .collect();
@@ -145,6 +165,7 @@ impl MemHierarchy {
             l1: (0..cfg.tiles).map(|_| Cache::new(cfg.l1)).collect(),
             banks,
             mesh: Mesh::new(cfg.mesh),
+            tile_nodes,
             dram: DramChannel::new(cfg.dram),
             l1_inflight: vec![FastMap::default(); cfg.tiles],
             l2_inflight: FastMap::default(),
@@ -220,8 +241,7 @@ impl MemHierarchy {
     /// (so single-tile placement is unchanged); further tiles are spread
     /// evenly around the mesh in tile order.
     pub fn tile_node(&self, tile: usize) -> usize {
-        let nodes = self.cfg.mesh.nodes();
-        (self.cfg.core_node + tile * nodes / self.cfg.tiles) % nodes
+        self.tile_nodes[tile]
     }
 
     /// Number of tiles sharing the hierarchy.
@@ -267,13 +287,17 @@ impl MemHierarchy {
     }
 
     /// Fetch `line` into the L2 bank (or merge with an in-flight fetch).
-    /// `t` is when the bank discovered the miss. Returns when the line is
-    /// available at the bank.
-    fn l2_fill(&mut self, bank: usize, line: u64, t: Cycle) -> Cycle {
+    /// `t` is when the bank discovered the miss: every caller comes straight
+    /// from a missed probe of this bank for this line, with nothing touching
+    /// the bank's tags in between, so the line is installed without looking
+    /// for it again. Returns when the line is available at the bank, and the
+    /// slot it was installed in — `None` when the fetch merged into one still
+    /// in flight whose tag has since been evicted, which installs nothing.
+    fn l2_fill(&mut self, bank: usize, line: u64, t: Cycle) -> (Cycle, Option<usize>) {
         if let Some(&ready) = self.l2_inflight.get(&line) {
             if ready > t {
                 self.ctr.l2_merged_miss += 1;
-                return ready;
+                return (ready, None);
             }
             self.l2_inflight.remove(&line);
         }
@@ -290,7 +314,8 @@ impl MemHierarchy {
             self.l2_fill_times.insert(done);
             self.probe.sample("memsys.l2_mshr_occupancy", self.l2_fill_times.len() as u64);
         }
-        if let Some(victim) = self.banks[bank].cache.fill(line, false) {
+        let (slot, victim) = self.banks[bank].cache.install(line, false);
+        if let Some(victim) = victim {
             if victim.dirty {
                 // Dirty L2 victim: the writeback leaves the bank alongside
                 // the demand fetch and consumes a DRAM admission slot then —
@@ -313,7 +338,7 @@ impl MemHierarchy {
             self.l2_prune_at = prune_inflight(&mut self.l2_inflight, low);
         }
         self.l2_inflight.insert(line, done);
-        done
+        (done, Some(slot))
     }
 
     /// Recall/invalidate foreign L1 copies named by a directory action.
@@ -324,31 +349,31 @@ impl MemHierarchy {
         &mut self,
         bank: usize,
         line: u64,
-        recall_from: Option<Requestor>,
-        invalidate: &[Requestor],
+        action: DirAction,
         kill_owner_copy: bool,
         mut t_bank: Cycle,
     ) -> Cycle {
-        if let Some(owner) = recall_from {
+        let invalidate = action.invalidate;
+        if let Some(owner) = action.recall_from {
             debug_assert_eq!(owner % 2, 0, "only caching L1s can own lines");
             self.ctr.coherence_recall += 1;
             // Home node recalls the (possibly dirty) owner copy.
             t_bank += self.cfg.recall_latency;
             let owner_tile = owner as usize / 2;
-            if kill_owner_copy || invalidate.contains(&owner) {
+            if kill_owner_copy || (invalidate >> owner) & 1 != 0 {
                 self.l1[owner_tile].invalidate(line);
             } else {
                 self.l1[owner_tile].clean(line);
             }
             // Recalled data merges into the L2 copy.
             self.banks[bank].cache.fill(line, true);
-        } else if !invalidate.is_empty() {
-            self.ctr.coherence_invalidate += invalidate.len() as u64;
+        } else if invalidate != 0 {
+            self.ctr.coherence_invalidate += invalidate.count_ones() as u64;
             // Invalidations broadcast in parallel: one latency charge.
             t_bank += self.cfg.recall_latency;
-            for &r in invalidate {
+            for r in requestors_in(invalidate) {
                 debug_assert_eq!(r % 2, 0, "only caching L1s can share lines");
-                self.l1[r as usize / 2].invalidate(line);
+                self.l1[r / 2].invalidate(line);
             }
         }
         t_bank
@@ -405,7 +430,7 @@ impl MemHierarchy {
                     // victim's directory must stop counting as held here.
                     // (A dirty victim's writeback is not modelled on this
                     // path: see DESIGN.md, known simplifications.)
-                    if let Some(victim) = self.l1[tile].fill(line, true) {
+                    if let (_, Some(victim)) = self.l1[tile].install(line, true) {
                         let vbank = self.amap.bank_of(victim.addr);
                         self.banks[vbank].dir.evicted(victim.addr, req_l1_of(tile));
                     }
@@ -430,26 +455,21 @@ impl MemHierarchy {
         // With one tile there is no other caching requestor, so these
         // branches are never taken (single-tile timing is unchanged); with
         // several, foreign L1 copies are recalled or invalidated here.
-        let t_bank = self.apply_foreign_copies(
-            bank,
-            line,
-            action.recall_from,
-            &action.invalidate,
-            is_write,
-            t_bank,
-        );
+        let t_bank = self.apply_foreign_copies(bank, line, action, is_write, t_bank);
         let hit = self.banks[bank].cache.access(line, AccessKind::Read);
         let t_data = if hit {
             self.ctr.l2_hit += 1;
             self.l2_ready_no_earlier_than(line, t_bank + self.cfg.l2_hit_latency)
         } else {
             let t_miss = t_bank + self.cfg.l2_hit_latency;
-            self.l2_fill(bank, line, t_miss)
+            self.l2_fill(bank, line, t_miss).0
         };
         // Response with the line.
         let t_resp = self.mesh.send(node, home, self.line_bytes(), t_data);
-        // Install in L1; dirty victims write back to their own bank.
-        if let Some(victim) = self.l1[tile].fill(line, is_write) {
+        // Install in L1 (the probe above missed, and a directory action never
+        // names the requester, so the line is still absent); dirty victims
+        // write back to their own bank.
+        if let (_, Some(victim)) = self.l1[tile].install(line, is_write) {
             let vbank = self.amap.bank_of(victim.addr);
             self.banks[vbank].dir.evicted(victim.addr, req);
             if victim.dirty {
@@ -502,23 +522,16 @@ impl MemHierarchy {
         let t_bank = self.claim_bank(bank, t_req);
         let req = req_l1_of(tile);
         let action = self.banks[bank].dir.caching_read(line, req);
-        let t_bank = self.apply_foreign_copies(
-            bank,
-            line,
-            action.recall_from,
-            &action.invalidate,
-            false,
-            t_bank,
-        );
+        let t_bank = self.apply_foreign_copies(bank, line, action, false, t_bank);
         let hit = self.banks[bank].cache.access(line, AccessKind::Read);
         let t_data = if hit {
             self.ctr.l2_hit += 1;
             self.l2_ready_no_earlier_than(line, t_bank + self.cfg.l2_hit_latency)
         } else {
-            self.l2_fill(bank, line, t_bank + self.cfg.l2_hit_latency)
+            self.l2_fill(bank, line, t_bank + self.cfg.l2_hit_latency).0
         };
         let t_resp = self.mesh.send(node, home, self.line_bytes(), t_data);
-        if let Some(victim) = self.l1[tile].fill(line, false) {
+        if let (_, Some(victim)) = self.l1[tile].install(line, false) {
             let vbank = self.amap.bank_of(victim.addr);
             self.banks[vbank].dir.evicted(victim.addr, req);
             if victim.dirty {
@@ -575,14 +588,7 @@ impl MemHierarchy {
         } else {
             self.banks[bank].dir.noncaching_read(line, req)
         };
-        let t_bank = self.apply_foreign_copies(
-            bank,
-            line,
-            action.recall_from,
-            &action.invalidate,
-            is_write,
-            t_bank,
-        );
+        let t_bank = self.apply_foreign_copies(bank, line, action, is_write, t_bank);
         let hit = self.banks[bank].cache.access(
             line,
             if is_write { AccessKind::Write } else { AccessKind::Read },
@@ -602,8 +608,16 @@ impl MemHierarchy {
             done
         } else {
             let t_miss = t_bank + self.cfg.l2_hit_latency;
-            let done = self.l2_fill(bank, line, t_miss);
-            self.banks[bank].cache.access(line, AccessKind::Read);
+            let (done, slot) = self.l2_fill(bank, line, t_miss);
+            // The load then reads the line it brought in: a counted hit on
+            // the slot just filled, or — when nothing was installed — a
+            // second counted miss.
+            match slot {
+                Some(slot) => self.banks[bank].cache.touch(slot),
+                None => {
+                    self.banks[bank].cache.access(line, AccessKind::Read);
+                }
+            }
             done
         };
         if is_write {
@@ -685,11 +699,13 @@ impl MemHierarchy {
                 b.dir.downgrades(),
             );
         }
+        // The maps keep completed fills until a sweep: count the live ones.
+        let live = |m: &FastMap<u64, Cycle>| m.values().filter(|&&ready| ready > now).count();
         let _ = writeln!(
             s,
             "fills in flight: l1={}, l2={}; dram busy until {}",
-            self.l1_inflight.len(),
-            self.l2_inflight.len(),
+            self.l1_inflight.iter().map(live).sum::<usize>(),
+            live(&self.l2_inflight),
             self.dram_busy_until(),
         );
         let _ = write!(
@@ -720,10 +736,7 @@ impl MemHierarchy {
                     ));
                     return;
                 }
-                let mut m: SharerMask = holders;
-                while m != 0 {
-                    let r = m.trailing_zeros() as usize;
-                    m &= m - 1;
+                for r in requestors_in(holders) {
                     if r % 2 == 1 {
                         bad = Some(format!(
                             "non-caching VPU (requestor {r}) registered as holder of line \
@@ -1021,6 +1034,44 @@ mod tests {
         assert!(d.contains("bank0:"), "{d}");
         assert!(d.contains("dram busy until"), "{d}");
         assert!(!d.contains("WEDGED"), "{d}");
+    }
+
+    #[test]
+    fn diagnostic_counts_live_fills_not_tiles_or_dead_entries() {
+        let mut h = hier();
+        h.set_extra_latency(1024);
+        let done = (0..3u64).map(|i| h.core_access(i * 4096, false, i)).max().unwrap();
+        let d = h.diagnostic(3);
+        assert!(d.contains("fills in flight: l1=3, l2=3;"), "{d}");
+        // The entries are still in the maps; none of them is in flight.
+        let d = h.diagnostic(done);
+        assert!(d.contains("fills in flight: l1=0, l2=0;"), "{d}");
+    }
+
+    #[test]
+    fn tile_node_table_matches_the_placement_formula() {
+        for side in [2usize, 4, 8] {
+            for tiles in [1usize, 2, 4, 16, 64] {
+                for core_node in [0, 1] {
+                    let cfg = MemHierConfig {
+                        tiles,
+                        core_node,
+                        num_banks: side * side,
+                        mesh: sdv_noc::MeshConfig::grid(side, side),
+                        ..MemHierConfig::default()
+                    };
+                    let h = MemHierarchy::new(cfg);
+                    let nodes = side * side;
+                    for tile in 0..tiles {
+                        assert_eq!(
+                            h.tile_node(tile),
+                            (core_node + tile * nodes / tiles) % nodes,
+                            "{tiles} tiles on {side}x{side}, tile {tile}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

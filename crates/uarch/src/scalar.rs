@@ -12,7 +12,7 @@
 
 use crate::config::ScalarConfig;
 use crate::memhier::MemHierarchy;
-use sdv_engine::{Cycle, FastMap, Ring, Stats};
+use sdv_engine::{Cycle, Ring, Stats};
 
 #[derive(Debug, Default, Clone, Copy)]
 struct PendingLoad {
@@ -62,22 +62,21 @@ pub struct ScalarCore {
     /// pending load consumes one op slot in it), so the ring is pre-sized at
     /// construction and never grows.
     pending: Ring<PendingLoad>,
-    /// In-flight line -> completion for miss merging. Entries go stale once
-    /// their completion passes; they are dropped lazily on lookup, so the
-    /// merge check is one hash probe instead of a scan over `pending`.
-    /// Swept wholesale when `inflight_prune_at` is reached (the core's cycle
-    /// is monotone, so passed completions can never affect a later merge
-    /// decision) — otherwise the map grows by one dead entry per missed line
-    /// and every load probes an ever-larger, host-cache-hostile table.
-    inflight_lines: FastMap<u64, Cycle>,
-    /// Sweep trigger for `inflight_lines`; doubles if a sweep reclaims
-    /// nothing so the amortized cost per load stays O(1).
-    inflight_prune_at: usize,
-    /// Completion times of primary (MSHR-holding) loads. At most
+    /// `(line, completion)` of each primary (MSHR-holding) load. At most
     /// `max_outstanding_loads` (4 by default) entries, so an unordered array
-    /// with a linear min-scan beats any heap: push is a bounds-checked store
-    /// and the scan is a handful of straight-line compares.
-    primaries: Vec<Cycle>,
+    /// with a linear scan beats any heap or map: push is a bounds-checked
+    /// store and a scan is a handful of straight-line compares. It serves
+    /// both questions a load asks: which MSHR frees first (min completion),
+    /// and whether its line is already being fetched (a later load to the
+    /// line of a primary whose `completion > cycle` merges with it and holds
+    /// no MSHR of its own, so two live primaries never share a line).
+    /// Entries whose completion has passed are dead to both and are dropped
+    /// by `drain_primaries`.
+    primaries: Vec<(u64, Cycle)>,
+    /// The line -> completion map that used to answer the merge question,
+    /// kept as the reference every load's scan is checked against.
+    #[cfg(test)]
+    shadow_inflight: std::collections::HashMap<u64, Cycle>,
     /// Store-buffer retirement times, FIFO. Bounded by `store_buffer`.
     stores: Ring<Cycle>,
     ctr: ScalarCounters,
@@ -100,9 +99,9 @@ impl ScalarCore {
             slot: 0,
             op_idx: 0,
             pending: Ring::with_capacity(cfg.runahead_window + 2),
-            inflight_lines: FastMap::default(),
-            inflight_prune_at: 1024,
             primaries: Vec::with_capacity(cfg.max_outstanding_loads),
+            #[cfg(test)]
+            shadow_inflight: Default::default(),
             stores: Ring::with_capacity(cfg.store_buffer),
             ctr: ScalarCounters::default(),
         }
@@ -179,7 +178,7 @@ impl ScalarCore {
     /// swap-retain over at most `max_outstanding_loads` entries.
     fn drain_primaries(&mut self) {
         let cycle = self.cycle;
-        self.primaries.retain(|&c| c > cycle);
+        self.primaries.retain(|&(_, c)| c > cycle);
     }
 
     /// Enforce the run-ahead window before issuing the next op.
@@ -248,22 +247,22 @@ impl ScalarCore {
         let line = hier.line_bytes();
         let line_addr = addr & !(line - 1);
         // Merge with an in-flight load of the same line: no new MSHR. A
-        // stale map entry (fill already returned) is NOT merged with — the
-        // line re-fetches through the hierarchy, exactly as a retired entry
-        // would have behaved.
-        // The emptiness guard skips the hash probe entirely on workloads with
-        // no scalar-load overlap (host-time only; the merge decision is
-        // unchanged).
-        if !self.inflight_lines.is_empty() {
-            if let Some(&completion) = self.inflight_lines.get(&line_addr) {
-                if completion > self.cycle {
-                    self.pending.push_back(PendingLoad { completion, op_idx: self.op_idx });
-                    self.issue_slots(1);
-                    self.ctr.loads += 1;
-                    return;
-                }
-                self.inflight_lines.remove(&line_addr);
-            }
+        // primary whose fill already returned is NOT merged with — the line
+        // re-fetches through the hierarchy.
+        let cycle = self.cycle;
+        let merged =
+            self.primaries.iter().find(|&&(l, c)| l == line_addr && c > cycle).map(|&(_, c)| c);
+        #[cfg(test)]
+        assert_eq!(
+            merged,
+            self.shadow_inflight.get(&line_addr).copied().filter(|&c| c > cycle),
+            "MSHR scan and in-flight map disagree on line {line_addr:#x} at cycle {cycle}"
+        );
+        if let Some(completion) = merged {
+            self.pending.push_back(PendingLoad { completion, op_idx: self.op_idx });
+            self.issue_slots(1);
+            self.ctr.loads += 1;
+            return;
         }
         // MSHR cap: stall until the earliest-finishing primary completes.
         // Draining leaves only future completions, so each iteration
@@ -271,7 +270,7 @@ impl ScalarCore {
         self.drain_primaries();
         while self.primaries.len() >= self.cfg.max_outstanding_loads {
             let next =
-                self.primaries.iter().copied().min().expect("cap > 0 implies non-empty");
+                self.primaries.iter().map(|&(_, c)| c).min().expect("cap > 0 implies non-empty");
             debug_assert!(next > self.cycle, "drain left a completed primary behind");
             self.ctr.mshr_stalls += 1;
             let d = self.advance_counting(next);
@@ -281,13 +280,9 @@ impl ScalarCore {
         }
         let completion = hier.core_access_tile(self.tile, addr, false, self.cycle);
         self.pending.push_back(PendingLoad { completion, op_idx: self.op_idx });
-        if self.inflight_lines.len() >= self.inflight_prune_at {
-            let cycle = self.cycle;
-            self.inflight_lines.retain(|_, &mut c| c > cycle);
-            self.inflight_prune_at = (self.inflight_lines.len() * 2).max(1024);
-        }
-        self.inflight_lines.insert(line_addr, completion);
-        self.primaries.push(completion);
+        #[cfg(test)]
+        self.shadow_inflight.insert(line_addr, completion);
+        self.primaries.push((line_addr, completion));
         self.issue_slots(1);
         self.ctr.loads += 1;
     }
@@ -474,6 +469,43 @@ mod tests {
         assert_eq!(s.get("scalar.stall.vpu_queue_cycles"), 17);
         assert_eq!(s.get("scalar.stall.vpu_sync_cycles"), 23);
         assert_eq!(s.get("scalar.stall.branch_cycles"), ScalarConfig::default().branch_penalty);
+    }
+
+    #[test]
+    fn mshr_scan_agrees_with_the_inflight_map_on_a_random_stream() {
+        use sdv_engine::Rng;
+        // `load` asserts on every call that the scan over the MSHR list and
+        // the shadow line map make the same merge decision with the same
+        // completion; this drives it through reuse at every distance, from
+        // back-to-back same-line loads to lines re-fetched long after their
+        // fill returned, with the MSHRs both scarce and plentiful.
+        for extra in [0, 32, 1024] {
+            for mshrs in [1, 4, 8] {
+                let cfg = ScalarConfig { max_outstanding_loads: mshrs, ..ScalarConfig::default() };
+                let mut c = ScalarCore::new(cfg);
+                let mut h = MemHierarchy::new(MemHierConfig::default());
+                h.set_extra_latency(extra);
+                let mut rng = Rng::new(extra * 16 + mshrs as u64);
+                let mut recent = [0u64; 8];
+                for i in 0..200_000usize {
+                    match rng.below(8) {
+                        0 => c.int_ops(1 + rng.below(40) as u32),
+                        1 => c.store(&mut h, rng.below(1 << 20)),
+                        2 => c.branch(rng.chance(0.3)),
+                        3..=5 => c.load(&mut h, recent[rng.index(8)] + rng.below(64)),
+                        _ => {
+                            let addr = rng.below(1 << 14) * 64;
+                            recent[i % 8] = addr;
+                            c.load(&mut h, addr);
+                        }
+                    }
+                }
+                c.drain();
+                let merged = c.stats().get("scalar.loads") - h.stats().get("l1.load");
+                assert!(merged > 1_000, "+{extra}, {mshrs} MSHRs: only {merged} loads merged");
+                assert!(c.primaries.len() <= mshrs);
+            }
+        }
     }
 
     #[test]

@@ -45,15 +45,21 @@ pub struct VpuTiming {
     /// In-flight line-request completions — shared across instructions:
     /// this is the hardware request window, so total vector MLP is
     /// `min(queue_depth × lines-per-instruction, vmem_outstanding)` — short
-    /// VLs are queue-bound, long VLs window-bound. Deliberately still a
-    /// binary heap: completions mix latency classes (L2 hits tens of cycles
-    /// out, DRAM misses hundreds), so the stream is *not* near-monotone —
-    /// measured on PR/vl=256/+512, a sorted ring shifts 44 elements per
-    /// insert on average re-sorting that bimodal interleave (and a
-    /// run-decomposed variant fared no better), while the heap inserts a
-    /// late completion at a leaf in O(1) and pays `O(log window)` only on
-    /// pop. See EXPERIMENTS.md ("scheduler engine") for the numbers.
+    /// VLs are queue-bound, long VLs window-bound. A min-heap, used three
+    /// ways: below capacity a credit is pushed (a late completion lands at a
+    /// leaf in O(1)); at capacity, returned credits are popped off the top;
+    /// and when the window is still full after that, the line stalls until
+    /// the top returns and its own credit *replaces* the top in place — one
+    /// sift-down instead of a pop and a push. A sorted ring does not work
+    /// here: completions mix latency classes (L2 hits tens of cycles out,
+    /// DRAM misses hundreds), so the stream is not near-monotone. See
+    /// EXPERIMENTS.md ("scheduler engine") for the numbers.
     outstanding: BinaryHeap<Reverse<Cycle>>,
+    /// The window as it was run before the in-place replace (pop the top,
+    /// push the new credit), kept as the reference `memory_op` checks every
+    /// line against.
+    #[cfg(test)]
+    shadow_outstanding: BinaryHeap<Reverse<Cycle>>,
     /// In-order completion horizon.
     last_completion: Cycle,
     /// Armed wedge-credit fault (`None` when injection is off: the hot loop
@@ -103,6 +109,8 @@ impl VpuTiming {
             exec_free: 0,
             vmem_free: 0,
             outstanding: BinaryHeap::with_capacity(cfg.vmem_outstanding + 1),
+            #[cfg(test)]
+            shadow_outstanding: BinaryHeap::new(),
             last_completion: 0,
             credit_fault: None,
             probe: Probe::off(),
@@ -282,6 +290,8 @@ impl VpuTiming {
             if t < last_issue {
                 t = last_issue;
             }
+            #[cfg(test)]
+            let shadow_t = self.shadow_window_admit(t);
             // Outstanding-window backpressure: the mechanism that converts
             // latency into (amortized) throughput for long vectors. Returned
             // slots (completion <= t) are pruned lazily, only when the raw
@@ -289,6 +299,7 @@ impl VpuTiming {
             // the run, so a stale entry stays stale, is never the stalling
             // minimum, and cannot flip the at-capacity decision — while the
             // common under-capacity case skips the heap entirely.
+            let mut window_full = false;
             if self.outstanding.len() >= self.cfg.vmem_outstanding {
                 while let Some(&Reverse(c)) = self.outstanding.peek() {
                     if c <= t {
@@ -298,13 +309,18 @@ impl VpuTiming {
                     }
                 }
                 if self.outstanding.len() >= self.cfg.vmem_outstanding {
-                    let Reverse(earliest) = self.outstanding.pop().expect("non-empty");
-                    if earliest > t {
-                        self.ctr.vmem_window_stall_cycles += earliest - t;
-                        t = earliest;
-                    }
+                    // Every credit at or before `t` was just popped, so the
+                    // top is later: wait for it. It stays in the heap until
+                    // this line's own credit overwrites it below.
+                    let &Reverse(earliest) = self.outstanding.peek().expect("non-empty");
+                    debug_assert!(earliest > t, "the prune left a returned credit on top");
+                    self.ctr.vmem_window_stall_cycles += earliest - t;
+                    t = earliest;
+                    window_full = true;
                 }
             }
+            #[cfg(test)]
+            assert_eq!(t, shadow_t, "replace-top and pop+push windows admit line {k} differently");
             let done = hier.vpu_access_tile(self.tile, line, !mem.is_load, t);
             // Injected wedge: the credit for this line is never returned —
             // the entry sits in the window at `WEDGE` forever. Data still
@@ -319,7 +335,20 @@ impl VpuTiming {
                 }
                 None => done,
             };
-            self.outstanding.push(Reverse(credit_done));
+            if window_full {
+                *self.outstanding.peek_mut().expect("non-empty") = Reverse(credit_done);
+            } else {
+                self.outstanding.push(Reverse(credit_done));
+            }
+            #[cfg(test)]
+            {
+                self.shadow_outstanding.push(Reverse(credit_done));
+                assert_eq!(
+                    self.outstanding.clone().into_sorted_vec(),
+                    self.shadow_outstanding.clone().into_sorted_vec(),
+                    "window contents diverged at line {k}"
+                );
+            }
             last_issue = t;
             data_done = data_done.max(done);
         }
@@ -337,6 +366,23 @@ impl VpuTiming {
             data_done
         };
         (completion, issue_bound)
+    }
+
+    /// The pre-replace window discipline on the shadow heap: prune returned
+    /// credits at capacity, then pop the minimum to make room. Returns the
+    /// issue time it grants a line that wants to go at `t`.
+    #[cfg(test)]
+    fn shadow_window_admit(&mut self, mut t: Cycle) -> Cycle {
+        if self.shadow_outstanding.len() >= self.cfg.vmem_outstanding {
+            while self.shadow_outstanding.peek().is_some_and(|&Reverse(c)| c <= t) {
+                self.shadow_outstanding.pop();
+            }
+            if self.shadow_outstanding.len() >= self.cfg.vmem_outstanding {
+                let Reverse(earliest) = self.shadow_outstanding.pop().expect("non-empty");
+                t = t.max(earliest);
+            }
+        }
+        t
     }
 
     /// Completion time of the last instruction dispatched so far.
@@ -583,6 +629,43 @@ mod tests {
         let e = v.audit(v.all_done()).unwrap_err();
         assert!(matches!(e, SimError::InvariantViolation { .. }), "{e}");
         assert!(e.to_string().contains("credit leak"), "{e}");
+    }
+
+    #[test]
+    fn replace_top_window_matches_pop_then_push_on_seeded_gathers() {
+        use sdv_engine::Rng;
+        // `memory_op` asserts per line that the in-place window and the
+        // shadow pop+push window grant the same issue time and hold the same
+        // credits. Gathers over a footprint a few times the L2 mix hits and
+        // DRAM misses, so credits return out of order; windows of 1, 2 and 4
+        // are full on nearly every line, 256 only under +1024.
+        for extra in [0, 1024] {
+            for window in [1, 2, 4, 256] {
+                let cfg = VpuConfig { vmem_outstanding: window, ..VpuConfig::default() };
+                let mut v = VpuTiming::new(cfg);
+                let mut h = MemHierarchy::new(MemHierConfig::default());
+                h.set_extra_latency(extra);
+                let mut rng = Rng::new(extra + window as u64);
+                let mut now = 0;
+                for _ in 0..400 {
+                    let n = 1 + rng.index(64);
+                    let unit = rng.chance(0.3);
+                    let base = rng.below(1 << 12);
+                    let lines: Vec<u64> = (0..n as u64)
+                        .map(|i| if unit { (base + i) * 64 } else { rng.below(1 << 12) * 64 })
+                        .collect();
+                    let mut op = load_op(256, lines, unit);
+                    op.mem.as_mut().unwrap().is_load = rng.chance(0.8);
+                    now = v.dispatch(&op, now, &mut h).accepted_at + rng.below(4);
+                }
+                assert_eq!(v.audit(v.all_done()), Ok(()));
+                let stalled = v.stats().get("vpu.vmem_window_stall_cycles");
+                assert!(
+                    (window == 256 && extra == 0) || stalled > 0,
+                    "window {window} at +{extra} never filled"
+                );
+            }
+        }
     }
 
     #[test]

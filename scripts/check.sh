@@ -18,6 +18,39 @@ echo "== sdvbench unit tests (BENCHMARK.json == generated text, RecordingVm repl
 # enters it.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "== paper-scale exactness (five sdvbench workloads == benchmark/baselines/pr12.json) =="
+# The golden CSVs pin the --small grids; this pins the paper-scale cells. A
+# short traced run covers each workload's whole grid, and every metric below
+# is a count or a ratio of counts, so it repeats to the last digit.
+# benchmark/baselines/pr12.json is only read.
+exact_line="$(mktemp /tmp/sdvbench_exact.XXXXXX.json)"
+for w in scalar_latency longvec_latency shortvec_bandwidth tiles_scaleout service_small; do
+    bash benchmark/run.sh --workload "$w" --seed 0 --seconds 2 --trace 1 2>/dev/null \
+        | tail -n 1 >"$exact_line"
+    python3 - "$w" "$exact_line" benchmark/baselines/pr12.json <<'PYEOF'
+import json, sys
+workload, line_path, baseline_path = sys.argv[1:4]
+run = json.load(open(line_path))
+want = json.load(open(baseline_path))["workloads"][workload]["per_layer"]["metrics"]
+got = {name: m["value"] for name, m in run["metrics"].items()}
+exact = """rvv.vinstrs rvv.elements uarch.sim_cycles uarch.ops uarch.accesses
+uarch.scalar_stall_cycles uarch.vpu_mem_wait_cycles uarch.stats_hash48
+memsys.l1_miss_ratio memsys.l2_miss_ratio memsys.dram_bytes memsys.coherence_msgs
+noc.packets noc.link_wait_cycles engine.events bench.cache.hit_ratio
+bench.server.simulated bench.server.simulated_after_warm bench.server.cache_hits
+bench.server.dup_sim_ratio anchor.err_pct""".split()
+bad = [f"{k}: {got.get(k)} != {want[k]}" for k in exact if got.get(k) != want[k]]
+# The one value that moved since pr12.json on purpose: PR 13 fixed the
+# paper-scale FFT/scalar coherence failure, so the canary reads 0 now.
+zero = {"canary.fft_scalar_failed": got.get("canary.fft_scalar_failed"), "failed": run["failed"]}
+bad += [f"{k}: {v} != 0" for k, v in zero.items() if v != 0]
+if bad:
+    sys.exit(f"{workload}: simulated numbers moved:\n  " + "\n  ".join(bad))
+print(f"{workload}: {len(exact)} exact metrics match, canary 0, failed 0 of {run['attempted']}")
+PYEOF
+done
+rm -f "$exact_line"
+
 echo "== perf smoke =="
 # --against exercises the baseline-comparison path end to end. The huge
 # threshold makes it a smoke of the mechanism, not a perf gate: shared CI
