@@ -42,12 +42,7 @@ const BIN: &str = "fig_scale";
 
 /// Parse a comma-separated list of positive integers.
 fn parse_list(bin: &str, args: &[String], key: &str, default: &[usize]) -> Vec<usize> {
-    let Some(spec) = cli::arg_value(args, key) else {
-        if args.iter().any(|a| a == key) {
-            cli::die_usage(bin, &format!("{key} needs a comma-separated list"));
-        }
-        return default.to_vec();
-    };
+    let Some(spec) = cli::arg_value(args, key) else { return default.to_vec() };
     let list: Vec<usize> = spec
         .split(',')
         .map(|s| match s.trim().parse::<usize>() {
@@ -128,13 +123,9 @@ fn check_sums(r: &RunResult, tiles: usize) -> Result<(), String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    cli::check_sweep_flags(BIN, &args, &["--check"], &["--tiles", "--vls"]);
     let small = args.iter().any(|a| a == "--small");
-    let threads = match cli::parse_arg::<usize>(&args, "--threads") {
-        Ok(Some(0)) => cli::die_usage(BIN, "--threads must be positive"),
-        Ok(Some(n)) => n,
-        Ok(None) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        Err(e) => cli::die_usage(BIN, &e),
-    };
+    let threads = cli::threads(BIN, &args);
     let check = args.iter().any(|a| a == "--check");
     let csv = cli::arg_value(&args, "--csv").map(str::to_string);
     let tile_counts = parse_list(BIN, &args, "--tiles", &[1, 4, 16]);

@@ -44,13 +44,9 @@ fn pct(part: u64, total: u64) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    cli::check_sweep_flags(BIN, &args, &["--check"], &["--latency", "--trace", "--trace-kernel"]);
     let small = args.iter().any(|a| a == "--small");
-    let threads = match cli::parse_arg::<usize>(&args, "--threads") {
-        Ok(Some(0)) => cli::die_usage(BIN, "--threads must be positive"),
-        Ok(Some(n)) => n,
-        Ok(None) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        Err(e) => cli::die_usage(BIN, &e),
-    };
+    let threads = cli::threads(BIN, &args);
     let stressed = match cli::parse_arg::<u64>(&args, "--latency") {
         Ok(Some(0)) => cli::die_usage(BIN, "--latency must be positive (0 is always measured)"),
         Ok(Some(n)) => n,

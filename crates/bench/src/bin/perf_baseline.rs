@@ -9,11 +9,10 @@
 //!
 //! Usage: `perf_baseline [--smoke] [--threads N] [--label NAME] [--out PATH]
 //!                       [--against LABEL] [--threshold X]
-//!                       [--suite-threshold X] [--breakdown]
-//!                       [--repeat N]`
+//!                       [--suite-threshold X] [--repeat N]`
 //!
-//! * `--smoke`  — tiny subset (one cell per kernel, reduced micro iters);
-//!   used by `scripts/check.sh` as a fast end-to-end sanity pass.
+//! * `--smoke`  — tiny subset (one cell per kernel, reduced micro iters):
+//!   a ten-second end-to-end sanity pass.
 //! * `--threads`— worker threads for the pooled-sweep pass. Defaults to the
 //!   host's available parallelism.
 //! * `--label`  — name recorded in the JSON and used for the default output
@@ -30,10 +29,6 @@
 //!   per-cell noise that makes tight per-cell gates flaky, so check.sh can
 //!   gate the suite at 1.05 (>5% throughput regression fails) while the
 //!   per-cell threshold stays generous.
-//! * `--breakdown` — after the suite, replay every cell with the timing
-//!   model bypassed (ops accepted and discarded; kernels are driven by
-//!   functional state only, so the program is identical) and print the
-//!   per-kernel timing-model vs functional-execution wall-time split.
 //! * `--repeat`   — run the sequential pass N times (fresh pool each pass)
 //!   and keep each cell's minimum wall time. Noise on a shared host only
 //!   adds time, so min-of-N is the low-variance estimate gating needs.
@@ -41,7 +36,6 @@
 use sdv_bench::cli;
 use sdv_bench::json::Json;
 use sdv_bench::{Cell, ImplKind, KernelKind, Sweeper, Workloads};
-use sdv_engine::BoundedQueue;
 use sdv_memsys::{AccessKind, Cache, CacheConfig, DramChannel};
 use sdv_noc::Mesh;
 use sdv_rvv::{
@@ -84,12 +78,7 @@ fn main() {
          or remote results would report the cache's speed, not the simulator's",
     );
     let smoke = args.iter().any(|a| a == "--smoke");
-    let threads = match cli::parse_arg::<usize>(&args, "--threads") {
-        Ok(Some(0)) => cli::die_usage(BIN, "--threads must be positive"),
-        Ok(Some(n)) => n,
-        Ok(None) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        Err(e) => cli::die_usage(BIN, &e),
-    };
+    let threads = cli::threads(BIN, &args);
     let label =
         cli::arg_value(&args, "--label").map_or_else(|| "latest".to_string(), str::to_string);
     let against = cli::arg_value(&args, "--against").map(str::to_string);
@@ -101,7 +90,13 @@ fn main() {
         Ok(v) => v,
         Err(e) => cli::die_usage(BIN, &e),
     };
-    let breakdown = args.iter().any(|a| a == "--breakdown");
+    if args.iter().any(|a| a == "--breakdown") {
+        cli::die_usage(
+            BIN,
+            "--breakdown was removed: `sdvbench --trace 1` reports the same split at paper \
+             scale (rvv.exec_share, uarch.timing_share)",
+        );
+    }
     let repeat: usize = match cli::parse_arg::<usize>(&args, "--repeat") {
         Ok(Some(0)) => cli::die_usage(BIN, "--repeat must be positive"),
         Ok(v) => v.unwrap_or(1),
@@ -168,10 +163,6 @@ fn main() {
     let cps = sim_cycles as f64 / (sequential_ms / 1e3);
     print_human(&reports, &micro, sequential_ms, sweep_ms, cps);
 
-    if breakdown {
-        print_breakdown(&w, &reports);
-    }
-
     let json = render_json(&label, smoke, threads, &reports, &micro, sequential_ms, sweep_ms);
     if let Some(dir) = std::path::Path::new(&out).parent() {
         std::fs::create_dir_all(dir).expect("create results dir");
@@ -187,61 +178,6 @@ fn main() {
             std::process::exit(1);
         }
     }
-}
-
-/// The satellite measurement behind every "the timing model is the long
-/// pole" claim: replay each suite cell with the timing model bypassed and
-/// charge the difference to the timing model. Kernels drive their op stream
-/// from functional state only, so the bypassed replay executes the exact
-/// same program — its wall clock is the functional share (RVV exec + kernel
-/// driver + simulated memory), and `timed - functional` is the timing model
-/// (scalar core, VPU, NoC, L2HN, DRAM bookkeeping).
-fn print_breakdown(w: &Workloads, reports: &[CellReport]) {
-    use sdv_uarch::TimingConfig;
-    let mut m = sdv_core::SdvMachine::new(w.heap);
-    // Warm the machine (heap pages, allocator high-water) so the measured
-    // pass sees the same steady state the pooled timed runs saw.
-    for r in reports {
-        sdv_bench::run_functional_only(&mut m, w, r.cell, TimingConfig::default());
-    }
-    let mut per: Vec<(KernelKind, f64, f64)> =
-        KernelKind::all().iter().map(|&k| (k, 0.0, 0.0)).collect();
-    for r in reports {
-        let t = Instant::now();
-        sdv_bench::run_functional_only(&mut m, w, r.cell, TimingConfig::default());
-        let f_ms = t.elapsed().as_secs_f64() * 1e3;
-        let e = per.iter_mut().find(|(k, ..)| *k == r.cell.kernel).expect("kernel in all()");
-        e.1 += r.wall_ms;
-        e.2 += f_ms;
-    }
-    println!("\nper-kernel host-time breakdown (timed suite vs functional-only replay)");
-    println!(
-        "{:<8} {:>10} {:>15} {:>11} {:>13}",
-        "kernel", "timed ms", "functional ms", "timing ms", "timing share"
-    );
-    let (mut tw, mut tf) = (0.0, 0.0);
-    for &(k, w_ms, f_ms) in &per {
-        let timing = (w_ms - f_ms).max(0.0);
-        println!(
-            "{:<8} {:>10.2} {:>15.2} {:>11.2} {:>12.1}%",
-            k.name(),
-            w_ms,
-            f_ms,
-            timing,
-            100.0 * timing / w_ms
-        );
-        tw += w_ms;
-        tf += f_ms;
-    }
-    let timing = (tw - tf).max(0.0);
-    println!(
-        "{:<8} {:>10.2} {:>15.2} {:>11.2} {:>12.1}%",
-        "total",
-        tw,
-        tf,
-        timing,
-        100.0 * timing / tw
-    );
 }
 
 /// A previously recorded perf_baseline JSON, read back through the
@@ -441,8 +377,8 @@ fn time_micro(name: &'static str, iters: u64, mut f: impl FnMut()) -> MicroRepor
 }
 
 /// Component microbenchmarks: functional RVV ops, cache, DRAM, NoC, and the
-/// bounded queue's out-of-order removal. These replace the former Criterion
-/// benches with a zero-dependency equivalent.
+/// event queue. These replace the former Criterion benches with a
+/// zero-dependency equivalent.
 fn micro_suite(scale: u64) -> Vec<MicroReport> {
     let mut out = Vec::new();
 
@@ -500,25 +436,6 @@ fn micro_suite(scale: u64) -> Vec<MicroReport> {
     out.push(time_micro("noc_send_diagonal", 200_000 * scale, || {
         t += 1;
         std::hint::black_box(mesh.send(0, 3, 64, t));
-    }));
-
-    // Out-of-order removal from a full queue — the pattern that motivated
-    // the non-shifting `remove_first`.
-    let mut q: BoundedQueue<u64> = BoundedQueue::new(64);
-    let mut k = 0u64;
-    while !q.is_full() {
-        q.push(k).expect("the is_full loop guard leaves room for this push");
-        k += 1;
-    }
-    out.push(time_micro("bounded_queue_remove_first", 200_000 * scale, || {
-        let victim = k.wrapping_mul(0x9E37_79B9) % 64;
-        let got = q.remove_first(|&v| v % 64 == victim % 64);
-        std::hint::black_box(&got);
-        if got.is_some() {
-            // One element was just removed, so the queue has exactly one slot.
-            q.push(k).expect("a successful remove_first frees a slot for this push");
-            k += 1;
-        }
     }));
 
     // The calendar-wheel event queue in its steady production pattern:

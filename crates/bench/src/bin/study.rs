@@ -1,0 +1,853 @@
+//! study — the design-choice ablations (ABL1–4) and extension studies
+//! (EXT1–7) behind the headline figures, plus the `calibrate` smoke.
+//!
+//! Usage: `study --list`
+//!        `study NAME [--small] [--threads N] [--cache | --cache-dir DIR]`
+//!
+//! `roofline` also takes `--bw N`; `calibrate` also takes kernel names
+//! (`study calibrate SPMV BFS`). Every study runs the paper-scale inputs
+//! unless `--small` is given.
+//!
+//! A study is a plain function in [`STUDIES`]: it builds its [`Cell`]s, runs
+//! them through [`Run::grid`] — a [`Sweeper`], so every study inherits worker
+//! threads, the persistent result cache with content-fingerprinted keys and
+//! per-cell fault isolation (`FAILED` cells, exit 4) — and formats rows with
+//! `table::render`. `results/NAME.txt` is `study NAME`'s stdout.
+
+use sdv_bench::cache::{CacheKey, ResultCache};
+use sdv_bench::table::{render, slowdown_cell};
+use sdv_bench::{cli, Cell, CellOutcome, ImplKind, KernelKind, RunResult, Sweeper, Workloads};
+use sdv_core::{SdvMachine, Vm};
+use sdv_engine::Stats;
+use sdv_kernels::{dense, spmv, CsrMatrix, Graph, SellCS};
+use sdv_noc::MeshConfig;
+use sdv_uarch::{estimate_energy, EnergyConfig, TimingConfig};
+
+const BIN: &str = "study";
+
+/// `(name, id, about, function)`: `results/NAME.txt` is named after `name`,
+/// `id` is DESIGN.md's experiment index.
+type Study = (&'static str, &'static str, &'static str, fn(&mut Run));
+
+const STUDIES: &[Study] = &[
+    ("ablation_spmv", "ABL1", "SpMV format: SELL-C-σ vs row-at-a-time CSR gather", ablation_spmv),
+    ("ablation_mlp", "ABL2", "MLP is the mechanism: MSHRs, run-ahead, VPU queue", ablation_mlp),
+    ("ablation_banks", "ABL3", "L2HN banking: 1x1 vs 2x2 vs 4x4 mesh", ablation_banks),
+    ("ablation_sigma", "ABL4", "SELL-C-σ sorting window: σ = 1, C, n", ablation_sigma),
+    ("inputs_study", "EXT1", "input sensitivity: matrix and graph families", inputs_study),
+    ("dense_contrast", "EXT2", "STREAM triad and DGEMM through the same two knobs", dense_contrast),
+    ("ablation_prefetch", "EXT3", "scalar next-line prefetcher depth", ablation_prefetch),
+    ("energy_study", "EXT4", "counts-based energy and EDP of the SpMV grid", energy_study),
+    ("roofline", "EXT5", "roofline placement of the four kernels", roofline),
+    ("lanes_study", "EXT6", "VPU lane-count sweep at fixed VLEN", lanes_study),
+    ("ablation_rows", "EXT7", "flat vs open-row DRAM model", ablation_rows),
+    ("calibrate", "-", "reduced grid with wall time per cell: speed and shape smoke", calibrate),
+];
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    if args.iter().any(|a| a == "--paper") {
+        cli::die_usage(BIN, "--paper was removed: studies run paper scale unless --small is given");
+    }
+    let positional = cli::check_flags(
+        &args,
+        &["--list", "--small", "--cache"],
+        &["--threads", "--cache-dir", "--bw"],
+    )
+    .unwrap_or_else(|e| cli::die_usage(BIN, &e));
+    if args.iter().any(|a| a == "--list") {
+        for (name, id, about, _) in STUDIES {
+            println!("{name:<18} {id:<5} {about}");
+        }
+        return;
+    }
+    let names = STUDIES.iter().map(|s| s.0).collect::<Vec<_>>().join(", ");
+    let Some((name, rest)) = positional.split_first() else {
+        cli::die_usage(BIN, &format!("name a study (or --list): {names}"));
+    };
+    let Some((.., study)) = STUDIES.iter().find(|s| s.0 == *name) else {
+        cli::die_usage(BIN, &format!("unknown study '{name}'; studies: {names}"));
+    };
+    let bw = cli::parse_arg::<u64>(&args, "--bw").unwrap_or_else(|e| cli::die_usage(BIN, &e));
+    if bw.is_some() && *name != "roofline" {
+        cli::die_usage(BIN, "--bw belongs to `study roofline`");
+    }
+    if let Some(arg) = rest.first().filter(|_| *name != "calibrate") {
+        cli::die_usage(BIN, &format!("unexpected argument '{arg}'"));
+    }
+    let mut run = Run {
+        small: args.iter().any(|a| a == "--small"),
+        threads: cli::threads(BIN, &args),
+        cache_dir: cli::cache_dir(BIN, &args),
+        bw,
+        rest,
+        outcomes: Vec::new(),
+    };
+    study(&mut run);
+    cli::report_failures_and_exit(BIN, &run.outcomes);
+}
+
+/// What the command line asked of one study, and every outcome it produced.
+struct Run<'a> {
+    small: bool,
+    threads: usize,
+    cache_dir: Option<std::path::PathBuf>,
+    /// `roofline`'s bandwidth cap.
+    bw: Option<u64>,
+    /// Positional arguments after the study's name (`calibrate`'s kernels).
+    rest: &'a [&'a str],
+    outcomes: Vec<CellOutcome>,
+}
+
+impl Run<'_> {
+    fn workloads(&self) -> Workloads {
+        if self.small {
+            Workloads::small()
+        } else {
+            Workloads::paper()
+        }
+    }
+
+    fn cache(&self) -> Option<ResultCache> {
+        self.cache_dir.as_ref().map(|dir| {
+            ResultCache::open(dir).unwrap_or_else(|e| cli::die_bad_input(BIN, &e.to_string()))
+        })
+    }
+
+    /// Run `cells` on inputs `w` under `cfg`, in input order. One `Sweeper`
+    /// serves one `(Workloads, TimingConfig)` pair, so each grid gets its own
+    /// and drops it (machines and memo) when done.
+    fn grid(&mut self, w: &Workloads, cfg: TimingConfig, cells: &[Cell]) -> Vec<CellOutcome> {
+        let mut sweeper = Sweeper::with_config(cfg);
+        if let Some(cache) = self.cache() {
+            sweeper.set_cache(cache);
+        }
+        let outcomes = sweeper.sweep_outcomes(w, cells, self.threads);
+        self.outcomes.extend(outcomes.iter().cloned());
+        outcomes
+    }
+
+    /// Cycles of a program that is not a [`Cell`] — TRIAD, DGEMM and
+    /// CSR-gather SpMV; `KernelKind` is the paper's four kernels — through
+    /// the result cache when one was requested. The only execution in this
+    /// binary that is not a `Sweeper`'s. `input_fp` must determine the input
+    /// content, or `knobs` must carry every parameter it is generated from.
+    fn custom_cycles(
+        &self,
+        program: &str,
+        input_fp: &str,
+        knobs: &str,
+        cfg: &TimingConfig,
+        simulate: impl FnOnce() -> u64,
+    ) -> u64 {
+        let Some(cache) = self.cache() else {
+            return simulate();
+        };
+        let key = CacheKey::new(program, input_fp, &cfg.canonical(), knobs);
+        if let Some(hit) = cache.load(&key) {
+            return hit.cycles;
+        }
+        let cycles = simulate();
+        cache.store(&key, cycles, &Stats::new());
+        cycles
+    }
+}
+
+/// Kernels × implementations × added latencies at full bandwidth, the last
+/// varying fastest: cell `(k, i, l)` is `[(k * impls.len() + i) * lats.len() + l]`.
+fn cross(kernels: &[KernelKind], impls: &[ImplKind], lats: &[u64]) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for &kernel in kernels {
+        for &imp in impls {
+            for &extra_latency in lats {
+                cells.push(Cell { kernel, imp, extra_latency, bandwidth: 64 });
+            }
+        }
+    }
+    cells
+}
+
+/// The stat-derived columns of a completed cell, or one `FAILED` column.
+fn stat_columns(o: &CellOutcome, columns: impl FnOnce(&RunResult) -> Vec<String>) -> Vec<String> {
+    match o {
+        CellOutcome::Done(r) => columns(r),
+        CellOutcome::Failed { .. } => strings(&["FAILED"]),
+    }
+}
+
+const VL8: ImplKind = ImplKind::Vector { maxvl: 8 };
+const VL64: ImplKind = ImplKind::Vector { maxvl: 64 };
+const VL256: ImplKind = ImplKind::Vector { maxvl: 256 };
+
+/// Table rows: a label and one string per column.
+type Rows = Vec<(String, Vec<String>)>;
+
+fn table(title: &str, row_header: &str, col_headers: &[String], rows: &Rows) {
+    println!("{}", render(title, row_header, col_headers, rows));
+}
+
+fn strings(xs: &[&str]) -> Vec<String> {
+    xs.iter().map(|s| s.to_string()).collect()
+}
+
+/// A cell's cycle count, or `FAILED`.
+fn cycles(o: &CellOutcome) -> String {
+    o.cycles().map_or_else(|| "FAILED".to_string(), |c| c.to_string())
+}
+
+/// `num`'s cycles over `den`'s through `fmt`, or `FAILED` if either failed.
+fn ratio(num: &CellOutcome, den: &CellOutcome, fmt: impl Fn(f64) -> String) -> String {
+    match (num.cycles(), den.cycles()) {
+        (Some(n), Some(d)) => fmt(n as f64 / d as f64),
+        _ => "FAILED".to_string(),
+    }
+}
+
+/// ABL1 — SpMV format ablation: SELL-C-σ vs row-at-a-time CSR
+/// vectorization, across the latency sweep.
+///
+/// The paper uses the SELL-style long-vector SpMV; this ablation shows why:
+/// CSR row-gather runs at VL = row length (≈13 for CAGE10) regardless of
+/// the machine's MAXVL, and pays a scalar synchronization per row, so it
+/// gains almost nothing from longer vectors and tolerates latency far
+/// worse.
+fn ablation_spmv(run: &mut Run) {
+    let w = run.workloads();
+    let cfg = TimingConfig::default();
+    let latencies = [0u64, 64, 256, 1024];
+    let maxvls = [8usize, 64, 256];
+    let sell = run.grid(&w, cfg, &cross(&[KernelKind::Spmv], &[VL8, VL64, VL256], &latencies));
+    let mut rows: Rows = maxvls
+        .iter()
+        .zip(sell.chunks(latencies.len()))
+        .map(|(vl, row)| (format!("Sell vl={vl}"), row.iter().map(cycles).collect()))
+        .collect();
+    // Same matrix, same knobs, another program: the key's program tag is
+    // what keeps CSR-gather entries apart from the SELL cells above.
+    let input_fp = w.fingerprint();
+    for maxvl in maxvls {
+        let row = latencies
+            .iter()
+            .map(|&lat| {
+                let (program, knobs) =
+                    (format!("SPMV-CsrGather/vl={maxvl}"), format!("lat={lat} bw=64"));
+                run.custom_cycles(&program, &input_fp, &knobs, &cfg, || {
+                    let mut m = SdvMachine::new(w.heap);
+                    m.set_extra_latency(lat);
+                    m.set_maxvl_cap(maxvl);
+                    let dev = spmv::setup_spmv(&mut m, &w.mat, &w.sell);
+                    spmv::spmv_vector_csr(&mut m, &dev);
+                    m.finish()
+                })
+                .to_string()
+            })
+            .collect();
+        rows.push((format!("CsrGather vl={maxvl}"), row));
+    }
+    let headers: Vec<String> = latencies.iter().map(|l| format!("+{l}")).collect();
+    table("ABL1 — SpMV format ablation: cycles vs added latency", "format", &headers, &rows);
+    println!("Expected: SELL improves steeply with VL; CsrGather barely moves (row length caps its effective VL).");
+}
+
+/// ABL2 — MLP ablation: the *mechanism* behind Figure 3.
+///
+/// DESIGN.md attributes the latency results to memory-level parallelism:
+/// the scalar core's MLP is bounded by its MSHRs and run-ahead window, the
+/// VPU's by its decoupling queue and outstanding-request window. This
+/// ablation sweeps those four structures on SpMV and reports the +1024
+/// slowdown each configuration yields — demonstrating that the headline
+/// result is produced by MLP, not by incidental parameters.
+fn ablation_mlp(run: &mut Run) {
+    let w = run.workloads();
+    let mut slowdown = |imp, cfg| {
+        let o = run.grid(&w, cfg, &cross(&[KernelKind::Spmv], &[imp], &[0, 1024]));
+        ratio(&o[1], &o[0], slowdown_cell)
+    };
+
+    // One table: `rows` × `cols` values of two structures, set by `set`.
+    let mut sweep = |title,
+                     row_header,
+                     rows: [(usize, String); 3],
+                     cols: [(usize, String); 3],
+                     imp,
+                     set: fn(&mut TimingConfig, usize, usize)| {
+        let body: Rows = rows
+            .iter()
+            .map(|(r, label)| {
+                let row = cols
+                    .iter()
+                    .map(|(c, _)| {
+                        let mut cfg = TimingConfig::default();
+                        set(&mut cfg, *r, *c);
+                        slowdown(imp, cfg)
+                    })
+                    .collect();
+                (label.clone(), row)
+            })
+            .collect();
+        table(title, row_header, &cols.map(|(_, label)| label), &body);
+    };
+    sweep(
+        "ABL2a — scalar SpMV +1024-latency slowdown vs MSHRs x run-ahead window",
+        "scalar",
+        [1, 4, 16].map(|m| (m, format!("{m} MSHRs"))),
+        [8, 32, 128].map(|w| (w, format!("win={w}"))),
+        ImplKind::Scalar,
+        |cfg, mshrs, window| {
+            cfg.scalar.max_outstanding_loads = mshrs;
+            cfg.scalar.runahead_window = window;
+        },
+    );
+    sweep(
+        "ABL2b — vl=256 SpMV +1024-latency slowdown vs VPU queue depth x request window",
+        "vpu",
+        [1, 4, 16].map(|d| (d, format!("queue={d}"))),
+        [16, 64, 256].map(|o| (o, format!("out={o}"))),
+        VL256,
+        |cfg, depth, outstanding| {
+            cfg.vpu.queue_depth = depth;
+            cfg.vpu.vmem_outstanding = outstanding;
+        },
+    );
+    println!(
+        "Reading the tables: MLP is min(window-limited, MSHR/queue-limited), so growing a\n\
+         non-binding structure changes little (flat rows/columns away from the diagonal),\n\
+         and shrinking the queue can even *lower* the ratio by inflating the zero-latency\n\
+         baseline. The bottom-right corners — both structures deep — give the paper's\n\
+         latency tolerance; the top-left corners behave like the scalar core."
+    );
+}
+
+/// ABL3 — L2HN bank / NoC ablation.
+///
+/// The FPGA-SDV distributes the shared L2 over four banks on a 2×2 mesh.
+/// This ablation compares 1 bank (1×1 mesh) against 4 banks (2×2) and a
+/// hypothetical 16-bank 4×4 mesh on SpMV and PageRank: banking raises the
+/// L2's aggregate request throughput, which long vectors — firing many
+/// concurrent line requests — feel far more than the scalar core does.
+fn ablation_banks(run: &mut Run) {
+    let w = run.workloads();
+    let meshes = [(1usize, 1usize), (2, 2), (4, 4)];
+    let kernels = [KernelKind::Spmv, KernelKind::Pr];
+    let impls = [ImplKind::Scalar, VL8, VL256];
+    let cells = cross(&kernels, &impls, &[0]);
+    let by_mesh: Vec<Vec<CellOutcome>> = meshes
+        .iter()
+        .map(|&(width, height)| {
+            let mut cfg = TimingConfig::default();
+            cfg.mem.num_banks = width * height;
+            cfg.mem.mesh = MeshConfig { width, height, ..MeshConfig::default() };
+            // Keep total L2 capacity constant (64 KiB) across bank counts so
+            // the ablation isolates throughput, not capacity.
+            cfg.mem.l2_bank.size_bytes = (64 * 1024 / cfg.mem.num_banks) as u64;
+            run.grid(&w, cfg, &cells)
+        })
+        .collect();
+    let headers: Vec<String> = meshes.iter().map(|(mw, mh)| format!("{mw}x{mh} mesh")).collect();
+    for (ki, kernel) in kernels.iter().enumerate() {
+        let rows: Rows = impls
+            .iter()
+            .enumerate()
+            .map(|(ii, imp)| {
+                (
+                    imp.to_string(),
+                    by_mesh.iter().map(|o| cycles(&o[ki * impls.len() + ii])).collect(),
+                )
+            })
+            .collect();
+        table(
+            &format!("ABL3 — {} cycles vs L2HN banking (total L2 capacity fixed)", kernel.name()),
+            "impl",
+            &headers,
+            &rows,
+        );
+    }
+    println!(
+        "Reading the tables: vl=256 gains from 1x1 to 2x2 (parallel banks serve its\n\
+         concurrent line requests) and saturates by 4x4 (smaller per-bank slices, longer\n\
+         routes); the latency-bound scalar core actually *loses* as the mesh grows —\n\
+         banking is a vector-unit design decision, which is why EPAC pairs the VPU with\n\
+         a banked L2HN."
+    );
+}
+
+/// ABL4 — SELL-C-σ sorting-window ablation (extension).
+///
+/// σ controls how far rows may be reordered before slicing: σ=1 keeps
+/// natural order (no sorting, most padding), σ=C sorts within each slice
+/// (less padding, locality preserved), σ=n sorts globally (least padding,
+/// but scatters the x-gather's banded locality across slices). The paper's
+/// SpMV inherits this trade-off from Gómez et al.; this ablation shows why
+/// each side of the trade-off is measurable on a cage-like matrix.
+fn ablation_sigma(run: &mut Run) {
+    // The standard matrix, re-sliced: each σ is a `Workloads` of its own, so
+    // its cache keys differ by content fingerprint.
+    let mut w = Workloads { heap: 256 << 20, ..run.workloads() };
+    let (n, c) = (w.mat.nrows, 256);
+    let rows: Rows = [("sigma=1 (none)", 1), ("sigma=C (local)", c), ("sigma=n (global)", n)]
+        .iter()
+        .map(|&(label, sigma)| {
+            w.sell = SellCS::from_csr(&w.mat, c, sigma);
+            let cells = cross(&[KernelKind::Spmv], &[VL256], &[0, 1024]);
+            let o = run.grid(&w, TimingConfig::default(), &cells);
+            let fill = format!("{:.2}x", w.sell.fill_ratio(w.mat.nnz()));
+            (label.to_string(), vec![fill, cycles(&o[0]), cycles(&o[1])])
+        })
+        .collect();
+    table(
+        &format!("ABL4 — SELL-C-σ sorting window on a cage-like matrix (n={n}, C={c})"),
+        "window",
+        &strings(&["fill ratio", "cycles +0", "cycles +1024"]),
+        &rows,
+    );
+    println!(
+        "Two competing effects: σ=n eliminates padding (fill →1.0) and is fastest at\n\
+              zero latency, but globally-sorted slices scatter the x-gathers' banded\n\
+              locality, so its +1024 slowdown is ~2x worse than σ=C's; σ=C keeps rows\n\
+              near the diagonal together, preserving the latency tolerance the paper\n\
+              measures (the figure harness uses σ=C). On cage-like matrices σ=1 buys\n\
+              nothing over σ=C: row lengths within a 256-row window are already similar."
+    );
+}
+
+/// EXT1 — input-sensitivity study (extension beyond the paper).
+///
+/// The paper evaluates SpMV on CAGE10 and the graph kernels on one 2^15
+/// graph. This study re-runs the latency experiment on inputs with very
+/// different locality — banded (best-case gathers), cage-like (the paper's
+/// regime), and uniform-random (worst case) matrices; uniform vs RMAT
+/// graphs — showing the latency-tolerance conclusion is not an artifact of
+/// one input.
+fn inputs_study(run: &mut Run) {
+    let (n, gn, lat) = if run.small { (1200, 11, 512u64) } else { (11397, 15, 1024) };
+    let impls = [ImplKind::Scalar, VL8, VL256];
+    let headers: Vec<String> = impls.iter().map(|i| i.to_string()).collect();
+    // Each family is a `Workloads` of its own (the fields its kernel does
+    // not read keep the standard inputs), keyed by content fingerprint.
+    let base = || Workloads { heap: 256 << 20, bfs_src: 0, ..run.workloads() };
+    let mats = [
+        ("banded", CsrMatrix::banded(n, 6, 1)),
+        ("cage-like", CsrMatrix::cage_like(n, 2)),
+        ("uniform", CsrMatrix::random_uniform(n, 13, 3)),
+    ];
+    let graphs = [("uniform", Graph::uniform(1 << gn, 16, 4)), ("rmat", Graph::rmat(gn, 16, 5))];
+    let spmv = mats.map(|(name, mat)| {
+        (name, Workloads { sell: SellCS::from_csr(&mat, 256, 256), mat, ..base() })
+    });
+    let bfs = graphs.map(|(name, graph)| (name, Workloads { graph, ..base() }));
+    for (title, family, kernel, inputs) in [
+        ("SpMV", "matrix", KernelKind::Spmv, &spmv[..]),
+        ("BFS", "graph", KernelKind::Bfs, &bfs[..]),
+    ] {
+        let rows: Rows = inputs
+            .iter()
+            .map(|(name, w)| {
+                let o = run.grid(w, TimingConfig::default(), &cross(&[kernel], &impls, &[0, lat]));
+                let row =
+                    o.chunks(2).map(|pair| ratio(&pair[1], &pair[0], slowdown_cell)).collect();
+                (name.to_string(), row)
+            })
+            .collect();
+        let title = format!("EXT1 — {title} +{lat}-latency slowdown across {family} families");
+        table(&title, family, &headers, &rows);
+    }
+    println!(
+        "Expected: the scalar column dominates every row — latency tolerance of long\n\
+              vectors is input-independent, even where absolute locality differs wildly."
+    );
+}
+
+#[derive(Clone, Copy)]
+enum Dense {
+    Triad,
+    Gemm,
+}
+
+/// Cycles of one dense kernel (not a [`Cell`]: see [`Run::custom_cycles`]).
+/// Its input is generated from `(n, seed 1)` — TRIAD's scale is the constant
+/// 3.0 — so the program tag and knobs determine the cell.
+fn dense_cycles(
+    run: &Run,
+    kernel: Dense,
+    n: usize,
+    imp: ImplKind,
+    cfg: TimingConfig,
+    lat: u64,
+    bw: u64,
+) -> u64 {
+    let name = match kernel {
+        Dense::Triad => "TRIAD",
+        Dense::Gemm => "DGEMM",
+    };
+    let knobs = format!("n={n} seed=1 lat={lat} bw={bw}");
+    run.custom_cycles(&format!("{name}/{imp}"), "generated", &knobs, &cfg, || {
+        let mut m = SdvMachine::with_config(128 << 20, cfg);
+        if let ImplKind::Vector { maxvl } = imp {
+            m.set_maxvl_cap(maxvl);
+        }
+        m.set_extra_latency(lat);
+        m.set_bandwidth_limit(bw);
+        let vector = matches!(imp, ImplKind::Vector { .. });
+        match kernel {
+            Dense::Triad => {
+                let dev = dense::setup_triad(&mut m, n, 3.0, 1);
+                if vector {
+                    dense::triad_vector(&mut m, &dev);
+                } else {
+                    dense::triad_scalar(&mut m, &dev);
+                }
+            }
+            Dense::Gemm => {
+                let dev = dense::setup_gemm(&mut m, n, 1);
+                if vector {
+                    dense::gemm_vector(&mut m, &dev);
+                } else {
+                    dense::gemm_scalar(&mut m, &dev);
+                }
+            }
+        }
+        m.finish()
+    })
+}
+
+/// EXT2 — dense-vs-non-dense contrast (extension beyond the paper).
+///
+/// The paper's pitch: long vectors help *beyond* dense linear algebra. This
+/// study quantifies the other side of that sentence on the same platform —
+/// STREAM triad and DGEMM through the identical latency/bandwidth knobs —
+/// so both halves of the claim are measurable: dense kernels vectorize well
+/// (as everyone expects), and the four non-dense codes keep most of that
+/// benefit (the paper's contribution).
+fn dense_contrast(run: &mut Run) {
+    let (triad_n, gemm_n) = if run.small { (1 << 14, 48) } else { (1 << 17, 128) };
+    let impls = [ImplKind::Scalar, VL8, VL64, VL256];
+    let headers: Vec<String> = impls.iter().map(|i| i.to_string()).collect();
+    for (name, kernel, n) in [("TRIAD", Dense::Triad, triad_n), ("DGEMM", Dense::Gemm, gemm_n)] {
+        // Both tables divide by a baseline cell; simulate each cell once.
+        let mut memo = std::collections::HashMap::new();
+        let mut cycles_at = |imp: ImplKind, lat: u64, bw: u64| {
+            *memo.entry((imp, lat, bw)).or_insert_with(|| {
+                dense_cycles(run, kernel, n, imp, TimingConfig::default(), lat, bw) as f64
+            })
+        };
+        // Latency slowdowns (the Fig. 4 view, dense edition).
+        let rows: Rows = [0, 256, 1024]
+            .iter()
+            .map(|&lat| {
+                let slowdown =
+                    |&imp| slowdown_cell(cycles_at(imp, lat, 64) / cycles_at(imp, 0, 64));
+                (format!("+{lat}"), impls.iter().map(slowdown).collect())
+            })
+            .collect();
+        table(&format!("EXT2 — {name} latency slowdown (n={n})"), "+latency", &headers, &rows);
+        // Bandwidth exploitation (the Fig. 5 view).
+        let rows: Rows = [1, 8, 64]
+            .iter()
+            .map(|&bw| {
+                let norm = |&imp| format!("{:.3}", cycles_at(imp, 0, bw) / cycles_at(imp, 0, 1));
+                (format!("{bw} B/cy"), impls.iter().map(norm).collect())
+            })
+            .collect();
+        let title = format!("EXT2 — {name} time vs bandwidth cap (normalized to 1 B/cy)");
+        table(&title, "bandwidth", &headers, &rows);
+    }
+    println!(
+        "Dense kernels show the same two effects, amplified — the paper's non-dense codes\n\
+              retain most of this benefit, which is its 'hope beyond dense algebra' message."
+    );
+}
+
+/// EXT3 — scalar next-line prefetcher ablation (extension).
+///
+/// A natural "what if" behind Figure 3: how much of the scalar core's
+/// latency pain would a stream prefetcher remove, as a function of its
+/// depth? Streaming kernels (triad, FFT) recover with deep prefetch;
+/// gather-dominated kernels (SpMV, PR) barely move at any depth —
+/// sharpening the paper's point that the *vector* way of expressing
+/// gathers is what tolerates latency, not just "more prefetch".
+fn ablation_prefetch(run: &mut Run) {
+    let w = run.workloads();
+    let triad_n = if run.small { 1 << 14 } else { 1 << 16 };
+    let depths = [0usize, 1, 4, 16];
+    let lats = [0u64, 1024];
+    let kernels = [KernelKind::Fft, KernelKind::Spmv, KernelKind::Pr];
+    let cells = cross(&kernels, &[ImplKind::Scalar], &lats);
+    let cfg = |depth| {
+        let mut c = TimingConfig::default();
+        c.mem.l1_prefetch_depth = depth;
+        c
+    };
+    let by_depth: Vec<Vec<CellOutcome>> =
+        depths.iter().map(|&d| run.grid(&w, cfg(d), &cells)).collect();
+
+    let headers: Vec<String> = depths
+        .iter()
+        .map(|&d| if d == 0 { "no pf".into() } else { format!("depth {d}") })
+        .collect();
+    for (li, &lat) in lats.iter().enumerate() {
+        let triad = depths
+            .iter()
+            .map(|&d| {
+                dense_cycles(run, Dense::Triad, triad_n, ImplKind::Scalar, cfg(d), lat, 64)
+                    .to_string()
+            })
+            .collect();
+        let mut rows = vec![("TRIAD (stream)".to_string(), triad)];
+        for (ki, kernel) in kernels.iter().enumerate() {
+            rows.push((
+                format!("{} (scalar)", kernel.name()),
+                by_depth.iter().map(|o| cycles(&o[ki * lats.len() + li])).collect(),
+            ));
+        }
+        table(
+            &format!("EXT3 — scalar cycles at +{lat} DRAM latency vs prefetch depth"),
+            "kernel",
+            &headers,
+            &rows,
+        );
+    }
+    println!(
+        "Expected: streaming rows (TRIAD, FFT) improve with depth; gather rows (SpMV,\n\
+              PR) move far less — and even depth-16 covers only a few hundred cycles of\n\
+              lookahead, nowhere near +1024. The VPU hides the same latency for gathers\n\
+              with hundreds of outstanding requests; that is the paper's point."
+    );
+}
+
+/// EXT4 — first-order energy study (extension).
+///
+/// Attaches the counts-based energy model to the Figure 3 grid: for each
+/// implementation of SpMV, estimate energy and energy-delay product at zero
+/// and high added latency. Long vectors don't just run faster — less time
+/// means less static energy, and fewer instructions mean less control
+/// overhead, while DRAM energy stays roughly constant (same data moved).
+fn energy_study(run: &mut Run) {
+    let w = run.workloads();
+    let energy = EnergyConfig::default();
+    let impls = [ImplKind::Scalar, VL8, VL64, VL256];
+    let lats = [0u64, 1024];
+    let outcomes =
+        run.grid(&w, TimingConfig::default(), &cross(&[KernelKind::Spmv], &impls, &lats));
+    let headers = strings(&["cycles", "energy [uJ]", "EDP [uJ*Mcy]", "dram share", "static share"]);
+    for (li, lat) in lats.iter().enumerate() {
+        let rows: Rows = impls
+            .iter()
+            .enumerate()
+            .map(|(ii, imp)| {
+                let columns = stat_columns(&outcomes[ii * lats.len() + li], |r| {
+                    let e = estimate_energy(&energy, &r.stats, r.cycles);
+                    vec![
+                        format!("{}", r.cycles),
+                        format!("{:.1}", e.total_nj / 1000.0),
+                        format!("{:.1}", e.edp() / 1e9),
+                        format!("{:.0}%", 100.0 * e.fraction("dram")),
+                        format!("{:.0}%", 100.0 * e.fraction("static")),
+                    ]
+                });
+                (imp.to_string(), columns)
+            })
+            .collect();
+        table(
+            &format!("EXT4 — SpMV energy estimate at +{lat} cycles of DRAM latency"),
+            "impl",
+            &headers,
+            &rows,
+        );
+    }
+    println!(
+        "Long vectors cut static energy (shorter runs) and scalar-control energy;\n\
+              DRAM energy is workload-bound — so the energy win tracks the speedup but\n\
+              saturates once runtime is DRAM-dominated."
+    );
+}
+
+/// EXT5 — roofline placement of the four kernels (extension).
+///
+/// For each kernel and implementation, compute achieved FLOP/cycle and
+/// operational intensity (FLOPs per DRAM byte) from the run's statistics,
+/// and place them against the machine's two roofs: peak FP throughput
+/// (8 lanes × 1 FMA ≈ 8 FLOP/cycle at SEW=64) and the memory roof
+/// (bandwidth cap × intensity; `--bw N` sets the cap). Shows at a glance
+/// that all four paper kernels sit on or near the memory roof — they are
+/// exactly the workloads where the bandwidth/latency knobs matter.
+fn roofline(run: &mut Run) {
+    let bw = run.bw.unwrap_or(64);
+    let w = run.workloads();
+    let impls = [ImplKind::Scalar, VL256];
+    let cells: Vec<Cell> = impls
+        .iter()
+        .flat_map(|&imp| {
+            KernelKind::all().map(|kernel| Cell { kernel, imp, extra_latency: 0, bandwidth: bw })
+        })
+        .collect();
+    let outcomes = run.grid(&w, TimingConfig::default(), &cells);
+
+    let lanes_peak = 8.0; // FLOP/cycle at SEW=64 (8 lanes, 1 op each)
+    println!("machine roofs: compute {lanes_peak:.0} FLOP/cy, memory {bw} B/cy\n");
+    let headers = strings(&["FLOPs", "DRAM bytes", "intensity", "FLOP/cy", "bound by"]);
+    for (imp, block) in impls.iter().zip(outcomes.chunks(KernelKind::all().len())) {
+        let rows: Rows = block
+            .iter()
+            .map(|o| {
+                let columns = stat_columns(o, |r| {
+                    // Scalar fp ops are mostly FMAs (2 FLOPs); vector fp element
+                    // ops likewise. Factor 2 is the roofline convention.
+                    let fp_ops = r.stats.get("scalar.fp_ops") + r.stats.get("vpu.fp_elements");
+                    let flops = 2.0 * fp_ops as f64;
+                    let bytes = r.stats.get("dram.bytes") as f64;
+                    let intensity = flops / bytes.max(1.0);
+                    let perf = flops / r.cycles as f64;
+                    let bound =
+                        if bw as f64 * intensity < lanes_peak { "memory" } else { "compute" };
+                    vec![
+                        format!("{flops:.2e}"),
+                        format!("{bytes:.2e}"),
+                        format!("{intensity:.3}"),
+                        format!("{perf:.3}"),
+                        bound.to_string(),
+                    ]
+                });
+                (format!("{} {imp}", o.cell().kernel.name()), columns)
+            })
+            .collect();
+        table(&format!("EXT5 — roofline placement ({imp})"), "kernel", &headers, &rows);
+    }
+    println!(
+        "Ridge point at {bw} B/cy: {:.3} FLOP/byte. The four kernels sit at or below the\n\
+         ridge even at full bandwidth (BFS is integer-only: intensity 0), and under the\n\
+         paper's throttled settings (1-16 B/cy) the ridge moves to {:.2}-{:.2} FLOP/byte —\n\
+         every kernel is then firmly memory-bound, which is why VL, latency, and\n\
+         bandwidth (not FP throughput) decide their performance.",
+        lanes_peak / bw as f64,
+        lanes_peak / 16.0,
+        lanes_peak / 1.0,
+    );
+}
+
+/// EXT6 — lane-count study (extension).
+///
+/// The paper's §1 cites "the optimal vector length [and] the ideal vector
+/// register size" as open questions; lanes are the third side of that
+/// triangle. This study sweeps the VPU's lane count at fixed VLEN and
+/// MAXVL=256 across the four kernels: memory-bound kernels saturate early
+/// (more lanes only shorten the arithmetic occupancy, which is not the
+/// bottleneck), so the FPGA-SDV's 8 lanes are a sensible design point.
+fn lanes_study(run: &mut Run) {
+    let w = run.workloads();
+    let lane_counts = [2usize, 4, 8, 16, 32];
+    let cells = cross(&KernelKind::all(), &[VL256], &[0]);
+    let by_lanes: Vec<Vec<CellOutcome>> = lane_counts
+        .iter()
+        .map(|&lanes| {
+            let mut cfg = TimingConfig::default();
+            cfg.vpu.lanes = lanes;
+            run.grid(&w, cfg, &cells)
+        })
+        .collect();
+    let rows: Rows = KernelKind::all()
+        .iter()
+        .enumerate()
+        .map(|(ki, kernel)| {
+            (kernel.name().to_string(), by_lanes.iter().map(|o| cycles(&o[ki])).collect())
+        })
+        .collect();
+    let headers: Vec<String> = lane_counts.iter().map(|l| format!("{l} lanes")).collect();
+    table(
+        "EXT6 — vl=256 cycles vs VPU lane count (VLEN fixed at 16384 bits)",
+        "kernel",
+        &headers,
+        &rows,
+    );
+    println!(
+        "Expected: clear gains up to ~8 lanes, then saturation — the non-dense kernels\n\
+              are memory-bound, so datapath width stops being the bottleneck (the paper's\n\
+              Vitruvius ships 8 lanes)."
+    );
+}
+
+/// EXT7 — DRAM row-buffer sensitivity (extension).
+///
+/// The baseline model (and the calibrated figures) use a flat DRAM service
+/// latency. This study turns on the open-row model (8 KiB rows, 8 banks,
+/// +20-cycle activate penalty) and re-runs the kernels: streaming-dominant
+/// kernels barely change (high row-hit rate), gather-dominant kernels pay —
+/// confirming the paper's latency knob, which shifts *all* accesses equally,
+/// is a clean instrument on top of either DRAM model.
+fn ablation_rows(run: &mut Run) {
+    let w = run.workloads();
+    let cells = cross(&KernelKind::all(), &[ImplKind::Scalar, VL256], &[0]);
+    let mut open_row = TimingConfig::default();
+    open_row.mem.dram.row_bits = 13; // 8 KiB rows
+    open_row.mem.dram.dram_banks = 8;
+    open_row.mem.dram.row_miss_penalty = 20;
+    let flat = run.grid(&w, TimingConfig::default(), &cells);
+    let open = run.grid(&w, open_row, &cells);
+    let rows: Rows = cells
+        .iter()
+        .zip(flat.iter().zip(&open))
+        .map(|(c, (flat, open))| {
+            let mut columns = vec![cycles(flat), cycles(open)];
+            columns.extend(stat_columns(open, |r| {
+                let hits = r.stats.get("dram.row_hits") as f64;
+                let reqs = r.stats.get("dram.requests").max(1) as f64;
+                vec![format!("{:.0}%", 100.0 * hits / reqs)]
+            }));
+            (format!("{} {}", c.kernel.name(), c.imp), columns)
+        })
+        .collect();
+    let headers = strings(&["flat DRAM", "open-row DRAM", "row hit rate"]);
+    table("EXT7 — cycles under flat vs open-row DRAM models", "kernel", &headers, &rows);
+    println!(
+        "Streaming traffic keeps high row-hit rates (small delta); scattered gathers\n\
+              activate constantly. Either way the knobs' semantics are unchanged — the\n\
+              calibrated figures use the flat model."
+    );
+}
+
+/// Calibration smoke: run a reduced grid and print cycles plus key stats,
+/// for checking simulation speed and the qualitative shape before full
+/// figure sweeps. Kernel names after `calibrate` restrict the grid. Each
+/// cell is a grid of its own so that it has a wall time (on a fresh
+/// machine); with a cache the wall times measure the cache, not the
+/// simulator — the cycles column is unchanged.
+fn calibrate(run: &mut Run) {
+    let named: Vec<KernelKind> = run
+        .rest
+        .iter()
+        .map(|a| a.to_ascii_uppercase().parse().unwrap_or_else(|e: String| cli::die_usage(BIN, &e)))
+        .collect();
+    let kernels = if named.is_empty() { KernelKind::all().to_vec() } else { named };
+    let w = run.workloads();
+    println!(
+        "workloads: {} (matrix n={} nnz={}, graph n={} edges={}, fft n={})",
+        if run.small { "small" } else { "paper" },
+        w.mat.nrows,
+        w.mat.nnz(),
+        w.graph.n,
+        w.graph.num_edges(),
+        w.signal.0.len()
+    );
+    for kernel in kernels {
+        for imp in [ImplKind::Scalar, VL8, VL64, VL256] {
+            for (lat, bw) in [(0u64, 64u64), (1024, 64), (0, 1)] {
+                let t0 = std::time::Instant::now();
+                let cell = Cell { kernel, imp, extra_latency: lat, bandwidth: bw };
+                let o = run.grid(&w, TimingConfig::default(), &[cell]).remove(0);
+                let wall = t0.elapsed();
+                let dram_lines =
+                    stat_columns(&o, |r| vec![r.stats.get("dram.requests").to_string()]);
+                println!(
+                    "{:<5} {:<8} lat={:<5} bw={:<3} cycles={:<12} dram_lines={:<9} wall={:?}",
+                    kernel.name(),
+                    imp,
+                    lat,
+                    bw,
+                    cycles(&o),
+                    dram_lines[0],
+                    wall
+                );
+            }
+        }
+        println!();
+    }
+}

@@ -120,12 +120,7 @@ fn chaos_plan(args: &[String]) -> ChaosPlan {
 
 fn serve(args: &[String], addr: &str) {
     let small = args.iter().any(|a| a == "--small");
-    let threads = match cli::parse_arg::<usize>(args, "--threads") {
-        Ok(Some(0)) => cli::die_usage(BIN, "--threads must be positive"),
-        Ok(Some(n)) => n,
-        Ok(None) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        Err(e) => cli::die_usage(BIN, &e),
-    };
+    let threads = cli::threads(BIN, args);
     let workload = if small { "small" } else { "paper" };
     let mut sc =
         server::ServerConfig::new(workload, timing_config(args), sdv_rvv::Backend, threads);

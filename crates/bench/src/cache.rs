@@ -28,10 +28,9 @@
 //! completed cells are cached — failures re-run. Re-running a killed sweep
 //! against the same directory is the one way to resume it.
 
-use crate::harness::{Cell, Workloads};
+use crate::harness::Cell;
 use sdv_engine::{SimError, StableHash, Stats};
 use sdv_rvv::Backend;
-use sdv_uarch::TimingConfig;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
@@ -56,8 +55,8 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// Assemble a key from its parts. `program` names what ran (for grid
-    /// cells, the kernel/implementation pair; ablation binaries pass their
-    /// own tags so e.g. SELL and CSR-gather SpMV can never share an entry),
+    /// cells, the kernel/implementation pair; `study`'s non-`Cell` programs
+    /// pass their own tags so e.g. SELL and CSR-gather SpMV never share an entry),
     /// `input_fp` fingerprints the workload content, `cfg` is the canonical
     /// config line, and `knobs` the per-cell sweep settings.
     pub fn new(program: &str, input_fp: &str, cfg: &str, knobs: &str) -> Self {
@@ -356,67 +355,6 @@ impl ResultCache {
             let _ = d.sync_all();
         }
     }
-}
-
-/// A [`ResultCache`] bundled with the workload fingerprint it serves —
-/// what the simple (non-`Sweeper`) study binaries thread through their run
-/// helpers. The fingerprint is computed once per process, not per cell.
-#[derive(Debug)]
-pub struct CacheContext {
-    cache: ResultCache,
-    input_fp: String,
-}
-
-impl CacheContext {
-    /// A context for the standard [`Workloads`] (fingerprints the content).
-    pub fn new(cache: ResultCache, w: &Workloads) -> Self {
-        Self { cache, input_fp: w.fingerprint() }
-    }
-
-    /// A context for custom inputs. `input_fp` must determine the input
-    /// content — binaries that generate inputs from seeded parameters can
-    /// pass a tag as long as every generator parameter is folded into the
-    /// key's `program`/`knobs` strings instead.
-    pub fn with_fingerprint(cache: ResultCache, input_fp: String) -> Self {
-        Self { cache, input_fp }
-    }
-
-    /// The underlying cache.
-    pub fn cache(&self) -> &ResultCache {
-        &self.cache
-    }
-
-    /// The key for a standard grid cell under `cfg`.
-    pub fn cell_key(&self, cell: Cell, cfg: &TimingConfig) -> CacheKey {
-        CacheKey::for_cell(cell, &self.input_fp, &cfg.canonical(), Backend)
-    }
-
-    /// The key for a custom program (ablation variants, generated inputs).
-    pub fn custom_key(&self, program: &str, knobs: &str, cfg: &TimingConfig) -> CacheKey {
-        CacheKey::new(program, &self.input_fp, &cfg.canonical(), knobs)
-    }
-}
-
-/// Cache a cycles-only measurement: look up `(program, knobs, cfg)` in the
-/// context, or run `simulate` and store what it returns. The escape hatch
-/// for study binaries whose cells are not standard [`Cell`] grids (SpMV
-/// format variants, generated inputs, raw-machine drivers) — every
-/// distinguishing parameter must be folded into `program`/`knobs`.
-pub fn cached_cycles(
-    ctx: Option<&CacheContext>,
-    program: &str,
-    knobs: &str,
-    cfg: &TimingConfig,
-    simulate: impl FnOnce() -> u64,
-) -> u64 {
-    let Some(ctx) = ctx else { return simulate() };
-    let key = ctx.custom_key(program, knobs, cfg);
-    if let Some(hit) = ctx.cache().load(&key) {
-        return hit.cycles;
-    }
-    let cycles = simulate();
-    ctx.cache().store(&key, cycles, &Stats::new());
-    cycles
 }
 
 /// Mark an entry as recently used. Best-effort: `relatime` mounts may defer

@@ -13,7 +13,7 @@
 //!   server draining for shutdown, or its port already bound. Transient by
 //!   nature — rerunning (or retrying harder) can succeed.
 
-use crate::{CacheContext, CellOutcome, ResultCache, Sweeper, Workloads};
+use crate::{CellOutcome, ResultCache, Sweeper};
 use sdv_engine::{FaultKind, FaultPlan, SimError};
 use sdv_uarch::{TimingConfig, WatchdogConfig};
 
@@ -49,6 +49,77 @@ where
     v.parse::<T>()
         .map(Some)
         .map_err(|e| format!("{key} (argument {}): bad value '{v}': {e}", i + 1))
+}
+
+/// Validate a binary's whole command line: every `--token` must be one of
+/// `switches` (no value) or `valued` (followed by a value that is not itself
+/// a `--token`). Anything else — a typo such as `--smal`, a flag another
+/// binary owns — is an error naming the argument and its position, so a
+/// mistyped flag can never silently change what is simulated. Flags removed
+/// in PR 15 keep their own message ([`reject_removed_flags`]). Returns the
+/// positional arguments (everything that is neither a flag nor a flag's
+/// value), in order.
+pub fn check_flags<'a>(
+    args: &'a [String],
+    switches: &[&str],
+    valued: &[&str],
+) -> Result<Vec<&'a str>, String> {
+    reject_removed_flags(args)?;
+    let mut positional = Vec::new();
+    let mut i = 1;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if valued.contains(&a) {
+            if args.get(i + 1).is_none_or(|v| v.starts_with("--")) {
+                return Err(format!("{a} (argument {i}) needs a value"));
+            }
+            i += 1;
+        } else if a.starts_with("--") {
+            if !switches.contains(&a) {
+                let mut known: Vec<&str> = switches.iter().chain(valued).copied().collect();
+                known.sort_unstable();
+                return Err(format!(
+                    "unknown argument '{a}' (argument {i}); accepted: {}",
+                    known.join(" ")
+                ));
+            }
+        } else {
+            positional.push(a);
+        }
+        i += 1;
+    }
+    Ok(positional)
+}
+
+/// [`check_flags`] for a `Sweeper`-driven figure binary, which exits
+/// [`EXIT_USAGE`] on any violation: the flags of [`hardening_config`],
+/// [`configure_sweeper`] and `--metrics-json` plus the binary's own
+/// `switches` and `valued`, and no positional argument.
+pub fn check_sweep_flags(bin: &str, args: &[String], switches: &[&str], valued: &[&str]) {
+    let switches = [SWEEP_SWITCHES, switches].concat();
+    let valued = [SWEEP_VALUED, valued].concat();
+    let stray = check_flags(args, &switches, &valued).unwrap_or_else(|e| die_usage(bin, &e));
+    if let Some(arg) = stray.first() {
+        die_usage(bin, &format!("unexpected argument '{arg}'"));
+    }
+}
+
+const SWEEP_SWITCHES: &[&str] = &["--small", "--watchdog", "--cache", "--fallback-local"];
+#[rustfmt::skip]
+const SWEEP_VALUED: &[&str] = &[
+    "--threads", "--csv", "--metrics-json", "--cycle-budget", "--fault", "--fault-seed",
+    "--cache-dir", "--server", "--retries", "--retry-seed",
+];
+
+/// `--threads N`: worker threads for a sweep. Defaults to the host's
+/// available parallelism; zero or a non-number is a usage error.
+pub fn threads(bin: &str, args: &[String]) -> usize {
+    match parse_arg::<usize>(args, "--threads") {
+        Ok(Some(0)) => die_usage(bin, "--threads must be positive"),
+        Ok(Some(n)) => n,
+        Ok(None) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        Err(e) => die_usage(bin, &e),
+    }
 }
 
 /// Report a command-line error and exit with [`EXIT_USAGE`].
@@ -164,12 +235,12 @@ pub fn mesh_for_tiles(tiles: usize) -> sdv_noc::MeshConfig {
     sdv_noc::MeshConfig::grid(side, side)
 }
 
-/// `--backend`, `--checkpoint` and `--resume` no longer exist. No binary
-/// validates its whole flag set, so without this they would be silently
-/// ignored — and a user passing `--checkpoint P --resume` would believe a
-/// killed sweep is still recoverable. Called from the two helpers that
-/// between them every sweep binary runs ([`hardening_config`],
-/// [`reject_sweep_acceleration`]).
+/// `--backend`, `--checkpoint` and `--resume` no longer exist. An unknown
+/// flag is a usage error anyway ([`check_flags`]); these three say what
+/// replaced them — a user passing `--checkpoint P --resume` should learn
+/// that the cache directory is how a killed sweep is recovered. Also called
+/// from [`hardening_config`] and [`reject_sweep_acceleration`], which
+/// binaries that do not check their whole flag set still run.
 fn reject_removed_flags(args: &[String]) -> Result<(), String> {
     for a in args {
         let replacement = match a.as_str() {
@@ -256,32 +327,6 @@ pub fn configure_sweeper(bin: &str, args: &[String], sweeper: &mut Sweeper, work
     }
 }
 
-/// Open the `--cache`/`--cache-dir` flags into a [`CacheContext`] over the
-/// standard workloads — for binaries that drive
-/// [`run_with_config_cached`](crate::run_with_config_cached) directly
-/// instead of a [`Sweeper`]. Returns `None` when caching was not requested.
-pub fn open_cache_context(bin: &str, args: &[String], w: &Workloads) -> Option<CacheContext> {
-    cache_dir(bin, args).map(|dir| match ResultCache::open(&dir) {
-        Ok(c) => CacheContext::new(c, w),
-        Err(e) => die_bad_input(bin, &e.to_string()),
-    })
-}
-
-/// [`open_cache_context`] for binaries with custom (non-[`Workloads`])
-/// inputs: `input_fp` must determine the input content — a fixed tag is
-/// sound only if every generator parameter lands in the key's
-/// `program`/`knobs` strings (see [`CacheContext::with_fingerprint`]).
-pub fn open_cache_context_tagged(
-    bin: &str,
-    args: &[String],
-    input_fp: &str,
-) -> Option<CacheContext> {
-    cache_dir(bin, args).map(|dir| match ResultCache::open(&dir) {
-        Ok(c) => CacheContext::with_fingerprint(c, input_fp.to_string()),
-        Err(e) => die_bad_input(bin, &e.to_string()),
-    })
-}
-
 /// Exit with a usage error if the sweep-acceleration flags are present —
 /// for binaries where cached or remote results would be *wrong*:
 /// `perf_baseline` measures this process's wall-clock, `chaos_smoke`
@@ -353,6 +398,25 @@ mod tests {
         let a = args(&["fig3", "--csv"]);
         let e = parse_arg::<String>(&a, "--csv").unwrap_err();
         assert!(e.contains("needs a value"), "{e}");
+    }
+
+    #[test]
+    fn check_flags_names_the_offending_argument_and_returns_positionals() {
+        let ok = args(&["study", "roofline", "--small", "--bw", "8", "spmv"]);
+        assert_eq!(check_flags(&ok, &["--small"], &["--bw"]).unwrap(), ["roofline", "spmv"]);
+
+        let typo = args(&["fig3", "--smal"]);
+        let e = check_flags(&typo, SWEEP_SWITCHES, SWEEP_VALUED).unwrap_err();
+        assert!(e.contains("'--smal'") && e.contains("argument 1") && e.contains("--small"), "{e}");
+
+        for dangling in [&["fig3", "--csv"][..], &["fig3", "--csv", "--small"]] {
+            let e = check_flags(&args(dangling), SWEEP_SWITCHES, SWEEP_VALUED).unwrap_err();
+            assert!(e.contains("--csv") && e.contains("needs a value"), "{e}");
+        }
+
+        let removed = args(&["fig3", "--checkpoint", "ck.csv"]);
+        let e = check_flags(&removed, SWEEP_SWITCHES, SWEEP_VALUED).unwrap_err();
+        assert!(e.contains("removed") && e.contains("--cache-dir"), "{e}");
     }
 
     #[test]

@@ -296,35 +296,8 @@ impl CellOutcome {
     }
 }
 
-/// Run one cell on a fresh machine with the given timing configuration.
-pub fn run_with_config(w: &Workloads, cell: Cell, cfg: TimingConfig) -> RunResult {
-    try_run_with_config(w, cell, cfg).unwrap_or_else(|e| {
-        panic!("cell {}/{} failed: {e}", cell.kernel.name(), cell.imp)
-    })
-}
-
-/// [`run_with_config`] through an optional result cache: consults the
-/// context first, simulates and stores on a miss, and passes straight
-/// through when no cache was requested. Failures (which panic here, as in
-/// [`run_with_config`]) are never cached.
-pub fn run_with_config_cached(
-    w: &Workloads,
-    cell: Cell,
-    cfg: TimingConfig,
-    ctx: Option<&crate::cache::CacheContext>,
-) -> RunResult {
-    let Some(ctx) = ctx else { return run_with_config(w, cell, cfg) };
-    let key = ctx.cell_key(cell, &cfg);
-    if let Some(hit) = ctx.cache().load(&key) {
-        return RunResult { cell, cycles: hit.cycles, stats: hit.stats };
-    }
-    let r = run_with_config(w, cell, cfg);
-    ctx.cache().store(&key, r.cycles, &r.stats);
-    r
-}
-
-/// Fallible variant of [`run_with_config`]: surfaces watchdog and audit
-/// failures instead of panicking.
+/// Run one cell on a fresh machine with the given timing configuration,
+/// surfacing watchdog and audit failures as a structured error.
 pub fn try_run_with_config(
     w: &Workloads,
     cell: Cell,
@@ -433,22 +406,6 @@ fn drive_kernel(m: &mut SdvMachine, w: &Workloads, cell: Cell) {
     }
 }
 
-/// Replay one cell with the timing model bypassed: the kernel executes
-/// functionally (its control flow depends only on functional state) while
-/// every timing op is accepted and discarded. The wall clock of this call
-/// is therefore the functional/exec share of a timed run of the same cell;
-/// the difference is the timing model's share. Used by
-/// `perf_baseline --breakdown`; cycle counts are meaningless here, so none
-/// are returned.
-pub fn run_functional_only(m: &mut SdvMachine, w: &Workloads, cell: Cell, cfg: TimingConfig) {
-    m.reset_with_config(cfg);
-    m.set_timing_bypass(true);
-    if let ImplKind::Vector { maxvl } = cell.imp {
-        m.set_maxvl_cap(maxvl);
-    }
-    drive_kernel(m, w, cell);
-}
-
 /// Render a caught panic payload for a [`SimError::Panic`].
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -487,9 +444,11 @@ pub(crate) fn run_guarded(
     }
 }
 
-/// Run one cell with the default machine configuration.
+/// Run one cell with the default machine configuration. Panics if the cell
+/// fails; [`try_run_with_config`] returns the error instead.
 pub fn run(w: &Workloads, cell: Cell) -> RunResult {
-    run_with_config(w, cell, TimingConfig::default())
+    try_run_with_config(w, cell, TimingConfig::default())
+        .unwrap_or_else(|e| panic!("cell {}/{} failed: {e}", cell.kernel.name(), cell.imp))
 }
 
 /// Run one cell on a fresh machine with timeline tracing enabled, returning
@@ -504,44 +463,6 @@ pub fn try_run_traced(
     let mut m = SdvMachine::new(w.heap);
     let r = try_run_on_walled(&mut m, w, cell, cfg, None)?;
     Ok((r, m.trace_json()))
-}
-
-/// SpMV vectorization strategy (for the ABL1 format ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpmvVariant {
-    /// SELL-C-σ slices (the paper's long-vector format).
-    Sell,
-    /// Row-at-a-time CSR gather + reduce (naive vectorization).
-    CsrGather,
-}
-
-/// Run one SpMV variant under the given knobs; returns cycles.
-pub fn run_spmv_variant(
-    w: &Workloads,
-    variant: SpmvVariant,
-    maxvl: usize,
-    extra_latency: u64,
-    bandwidth: u64,
-) -> u64 {
-    let mut m = SdvMachine::new(w.heap);
-    m.set_extra_latency(extra_latency);
-    m.set_bandwidth_limit(bandwidth);
-    m.set_maxvl_cap(maxvl);
-    let dev = spmv::setup_spmv(&mut m, &w.mat, &w.sell);
-    match variant {
-        SpmvVariant::Sell => spmv::spmv_vector_sell(&mut m, &dev),
-        SpmvVariant::CsrGather => spmv::spmv_vector_csr(&mut m, &dev),
-    }
-    m.finish()
-}
-
-/// Run a grid of cells across OS threads. Results come back in input order.
-/// Each simulation is single-threaded and deterministic, so the grid is
-/// embarrassingly parallel. Convenience wrapper over a one-shot [`Sweeper`];
-/// figure binaries that run several overlapping grids should hold a single
-/// `Sweeper` instead so machines and duplicate cells are shared.
-pub fn sweep(w: &Workloads, cells: &[Cell], threads: usize) -> Vec<RunResult> {
-    Sweeper::new().sweep(w, cells, threads)
 }
 
 /// A persistent experiment runner.
@@ -1155,7 +1076,7 @@ mod tests {
             cell(KernelKind::Spmv, ImplKind::Scalar),
             cell(KernelKind::Spmv, ImplKind::Vector { maxvl: 64 }),
         ];
-        let swept = sweep(&w, &cells, 2);
+        let swept = Sweeper::new().sweep(&w, &cells, 2);
         for (c, r) in cells.iter().zip(&swept) {
             let solo = run(&w, *c);
             assert_eq!(solo.cycles, r.cycles, "determinism across threads");

@@ -7,15 +7,18 @@
 //!   graph, 2048-point FFT), built once and shared across runs,
 //! * [`run`] — execute one (kernel, implementation, knob-setting) cell on a
 //!   fresh [`sdv_core::SdvMachine`] and report cycles,
-//! * [`sweep`] — run a grid of cells across OS threads (each simulation is
-//!   single-threaded and deterministic; the grid is embarrassingly
-//!   parallel),
+//! * [`Sweeper`] — run a grid of cells across OS threads (each simulation
+//!   is single-threaded and deterministic; the grid is embarrassingly
+//!   parallel), with pooled machines, a memo, the persistent result cache
+//!   and per-cell fault isolation: the one way a cell is keyed and executed,
 //! * binaries `fig3_latency`, `fig4_slowdown`, `fig5_bandwidth` print the
-//!   paper's figures; `ablation_*` cover the design-choice studies.
+//!   paper's figures through [`figure::main`]; `study NAME` runs the
+//!   design-choice ablations and extension studies.
 
 pub mod cache;
 pub mod chaos;
 pub mod cli;
+pub mod figure;
 pub mod harness;
 pub mod json;
 pub mod metrics;
@@ -23,14 +26,11 @@ pub mod plot;
 pub mod server;
 pub mod table;
 
-pub use cache::{
-    cached_cycles, CacheContext, CacheKey, CachedResult, FsckSummary, GcSummary, ResultCache,
-};
+pub use cache::{CacheKey, CachedResult, FsckSummary, GcSummary, ResultCache};
 pub use chaos::{ChaosKind, ChaosPlan, ServerChaos};
 pub use harness::{
-    run, run_functional_only, run_spmv_variant, run_with_config, run_with_config_cached, sweep,
-    try_run_traced, try_run_with_config, Cell, CellOutcome, ImplKind, KernelKind, RemoteSweep,
-    RunResult, SpmvVariant, Sweeper, Workloads,
+    run, try_run_traced, try_run_with_config, Cell, CellOutcome, ImplKind, KernelKind,
+    RemoteSweep, RunResult, Sweeper, Workloads,
 };
 pub use metrics::StallBreakdown;
 pub use server::{

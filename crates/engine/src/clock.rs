@@ -6,92 +6,3 @@
 
 /// A point in simulated time, measured in emulated clock cycles.
 pub type Cycle = u64;
-
-/// A monotonically advancing clock.
-///
-/// Components never hold their own notion of "now"; the machine owns a single
-/// `Clock` and passes the current cycle into every `tick`.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Clock {
-    now: Cycle,
-}
-
-impl Clock {
-    /// A clock starting at cycle 0.
-    pub fn new() -> Self {
-        Self { now: 0 }
-    }
-
-    /// The current cycle.
-    #[inline]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Advance by exactly one cycle and return the new time.
-    #[inline]
-    pub fn step(&mut self) -> Cycle {
-        self.now += 1;
-        self.now
-    }
-
-    /// Advance by `n` cycles and return the new time.
-    #[inline]
-    pub fn advance(&mut self, n: Cycle) -> Cycle {
-        self.now += n;
-        self.now
-    }
-
-    /// Jump directly to `t`.
-    ///
-    /// # Panics
-    /// Panics if `t` is in the past — simulated time never runs backwards.
-    #[inline]
-    pub fn jump_to(&mut self, t: Cycle) {
-        assert!(t >= self.now, "clock moved backwards: {} -> {}", self.now, t);
-        self.now = t;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn starts_at_zero() {
-        assert_eq!(Clock::new().now(), 0);
-    }
-
-    #[test]
-    fn step_advances_by_one() {
-        let mut c = Clock::new();
-        assert_eq!(c.step(), 1);
-        assert_eq!(c.step(), 2);
-        assert_eq!(c.now(), 2);
-    }
-
-    #[test]
-    fn advance_adds_n() {
-        let mut c = Clock::new();
-        c.advance(10);
-        c.advance(5);
-        assert_eq!(c.now(), 15);
-    }
-
-    #[test]
-    fn jump_to_future_ok() {
-        let mut c = Clock::new();
-        c.jump_to(100);
-        assert_eq!(c.now(), 100);
-        c.jump_to(100); // same time is allowed
-        assert_eq!(c.now(), 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "clock moved backwards")]
-    fn jump_to_past_panics() {
-        let mut c = Clock::new();
-        c.advance(10);
-        c.jump_to(9);
-    }
-}

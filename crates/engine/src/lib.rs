@@ -13,8 +13,8 @@
 //!   as a calendar wheel over free-listed arena slots (plus
 //!   [`HeapEventQueue`], the retained `BinaryHeap` reference model the
 //!   randomized differential tests drive),
-//! * [`BoundedQueue`] — a fixed-capacity FIFO used to model hardware queues
-//!   with backpressure (NoC ports, MSHR files, instruction queues),
+//! * [`Ring`] / [`MonotoneRing`] — the fixed-capacity rings every hardware
+//!   queue with backpressure is modelled on,
 //! * [`Stats`] / [`Counter`] / [`Histogram`] — a lightweight statistics
 //!   registry every component reports into,
 //! * [`Rng`] — a small, seedable xoshiro256** generator so workload
@@ -35,7 +35,6 @@ pub mod events;
 pub mod fault;
 pub mod hash;
 pub mod probe;
-pub mod queue;
 pub mod ring;
 pub mod rng;
 pub mod stats;
@@ -56,7 +55,6 @@ pub fn build_info() -> &'static str {
     env!("SDV_BUILD_INFO")
 }
 pub use probe::{chrome_trace_json, Probe, ProbeConfig, TraceEvent};
-pub use queue::BoundedQueue;
 pub use ring::{MonotoneRing, Ring};
 pub use rng::Rng;
 pub use stats::{Counter, Histogram, Stats};

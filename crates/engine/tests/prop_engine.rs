@@ -2,7 +2,7 @@
 //! deterministic [`Rng`] so the suite needs no external crates and replays
 //! identically on every run.
 
-use sdv_engine::{BoundedQueue, EventQueue, HeapEventQueue, Rng};
+use sdv_engine::{EventQueue, HeapEventQueue, Rng};
 
 #[test]
 fn wheel_matches_heap_model_through_randomized_interleavings() {
@@ -120,81 +120,6 @@ fn event_queue_pop_due_is_a_filtered_pop() {
         let expected = events.iter().filter(|&&t| t <= now).count();
         assert_eq!(due.len(), expected);
         assert!(due.windows(2).all(|w| w[0] <= w[1]));
-    }
-}
-
-#[test]
-fn bounded_queue_is_fifo_under_mixed_ops() {
-    let mut rng = Rng::new(0xE1E1_0003);
-    for _ in 0..128 {
-        let cap = 1 + rng.index(15);
-        let n_ops = rng.index(200);
-        // chance(0.55) = push of a random value, else pop. Model against a
-        // plain VecDeque.
-        let mut q = BoundedQueue::new(cap);
-        let mut model = std::collections::VecDeque::new();
-        for _ in 0..n_ops {
-            if rng.chance(0.55) {
-                let v = rng.next_u64() as u16;
-                let r = q.push(v);
-                if model.len() < cap {
-                    assert!(r.is_ok());
-                    model.push_back(v);
-                } else {
-                    assert_eq!(r, Err(v));
-                }
-            } else {
-                assert_eq!(q.pop(), model.pop_front());
-            }
-            assert_eq!(q.len(), model.len());
-            assert_eq!(q.is_full(), model.len() == cap);
-            assert_eq!(q.front().copied(), model.front().copied());
-        }
-    }
-}
-
-#[test]
-fn bounded_queue_remove_first_preserves_order_under_interleaved_completes() {
-    // Out-of-order completion (the MSHR pattern): remove matching entries
-    // from the middle while pushes and pops continue. Relative order of the
-    // survivors must be exactly the model's.
-    let mut rng = Rng::new(0xE1E1_0004);
-    for _ in 0..128 {
-        let cap = 2 + rng.index(14);
-        let mut q: BoundedQueue<u32> = BoundedQueue::new(cap);
-        let mut model: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
-        let mut next_id = 0u32;
-        for _ in 0..300 {
-            match rng.index(4) {
-                0 | 1 => {
-                    let v = next_id;
-                    next_id += 1;
-                    let r = q.push(v);
-                    if model.len() < cap {
-                        assert!(r.is_ok());
-                        model.push_back(v);
-                    } else {
-                        assert_eq!(r, Err(v));
-                    }
-                }
-                2 => {
-                    // Complete a random in-flight entry (same residue class),
-                    // not necessarily the head.
-                    if !model.is_empty() {
-                        let residue = rng.next_u64() as u32 % 3;
-                        let got = q.remove_first(|&v| v % 3 == residue);
-                        let want_idx = model.iter().position(|&v| v % 3 == residue);
-                        assert_eq!(got, want_idx.map(|i| model.remove(i).unwrap()));
-                    }
-                }
-                _ => {
-                    assert_eq!(q.pop(), model.pop_front());
-                }
-            }
-            assert_eq!(q.len(), model.len());
-            assert_eq!(q.front().copied(), model.front().copied());
-            assert!(q.iter().copied().eq(model.iter().copied()), "relative order preserved");
-        }
     }
 }
 

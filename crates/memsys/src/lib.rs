@@ -5,10 +5,6 @@
 //! * [`cache::Cache`] — set-associative cache with LRU replacement and
 //!   per-line MESI state (used for both the core's L1D and the shared L2
 //!   banks),
-//! * [`mshr::MshrFile`] — miss-status holding registers with same-line
-//!   merging; MSHR capacity is what bounds each requestor's memory-level
-//!   parallelism, the first-order mechanism behind the paper's latency
-//!   results,
 //! * [`mesi::Directory`] — the Home Node directory keeping the L1 coherent
 //!   with the (non-caching) VPU, as in the paper's L2HN slices,
 //! * [`latency::LatencyController`] — the paper's §2.2 knob: a pipelined
@@ -30,7 +26,6 @@ pub mod cache;
 pub mod dram;
 pub mod latency;
 pub mod mesi;
-pub mod mshr;
 
 pub use addr::AddressMap;
 pub use bwlimit::BandwidthLimiter;
@@ -38,4 +33,3 @@ pub use cache::{AccessKind, Cache, CacheConfig, Victim};
 pub use dram::{DramChannel, DramConfig};
 pub use latency::LatencyController;
 pub use mesi::{requestor_id, DirAction, Directory, Requestor, SharerMask, MAX_REQUESTORS};
-pub use mshr::{AllocOutcome, MshrFile};

@@ -4,8 +4,8 @@
 
 use sdv_engine::Rng;
 use sdv_memsys::{
-    AccessKind, AddressMap, AllocOutcome, BandwidthLimiter, Cache, CacheConfig, DramChannel,
-    DramConfig, LatencyController, MshrFile,
+    AccessKind, AddressMap, BandwidthLimiter, Cache, CacheConfig, DramChannel, DramConfig,
+    LatencyController,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -125,41 +125,6 @@ fn dram_completion_bounds() {
             last = done;
         }
         assert_eq!(d.requests(), sorted.len() as u64);
-    }
-}
-
-#[test]
-fn mshr_file_bookkeeping() {
-    let mut rng = Rng::new(0x3E3_0006);
-    for _ in 0..64 {
-        let n = 1 + rng.index(99);
-        let lines: Vec<u64> = (0..n).map(|_| rng.below(8)).collect();
-        let mut m: MshrFile<usize> = MshrFile::new(4);
-        let mut live: HashMap<u64, usize> = HashMap::new(); // line -> waiters
-        for (i, &l) in lines.iter().enumerate() {
-            let line = l * 64;
-            match m.alloc(line, i) {
-                AllocOutcome::Primary => {
-                    assert!(!live.contains_key(&line));
-                    live.insert(line, 1);
-                }
-                AllocOutcome::Secondary => {
-                    *live.get_mut(&line).unwrap() += 1;
-                }
-                AllocOutcome::Full => {
-                    assert_eq!(live.len(), 4);
-                    // Drain one to make room.
-                    let (&oldest, _) = live.iter().next().unwrap();
-                    let ws = m.complete(oldest);
-                    assert_eq!(ws.len(), live.remove(&oldest).unwrap());
-                }
-            }
-            assert_eq!(m.in_flight(), live.len());
-        }
-        for (line, waiters) in live {
-            assert_eq!(m.complete(line).len(), waiters);
-        }
-        assert!(m.is_empty());
     }
 }
 
