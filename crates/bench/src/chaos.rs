@@ -9,8 +9,9 @@
 //!   reading its request (clients must retry),
 //! * **delay-response** — stall one response line (clients must tolerate a
 //!   slow server without wedging),
-//! * **kill-worker** — one worker thread dies before taking a cell (the
-//!   supervisor must requeue the cell and respawn the worker),
+//! * **kill-worker** — one worker thread dies holding the group of cells it
+//!   just took (the supervisor must requeue every one and respawn the
+//!   worker),
 //! * **corrupt-cache-entry** — flip a byte of a just-written persistent
 //!   cache entry (the next load must quarantine it and re-simulate).
 //!
@@ -35,7 +36,7 @@ pub enum ChaosKind {
     DropConnection,
     /// Sleep before writing one response line.
     DelayResponse,
-    /// A worker thread exits before taking a queued cell.
+    /// A worker thread exits holding the group of cells it just took.
     KillWorker,
     /// Flip one byte of a just-stored persistent cache entry.
     CorruptCacheEntry,
@@ -197,7 +198,7 @@ pub struct ServerChaos {
     pub drop_connection: Option<Trigger>,
     /// Fires at the n-th response line written.
     pub delay_response: Option<Trigger>,
-    /// Fires at the n-th cell taken off the job queue.
+    /// Fires at the n-th group taken off the job queue.
     pub kill_worker: Option<Trigger>,
     /// Fires at the n-th persistent cache store.
     pub corrupt_cache_entry: Option<Trigger>,

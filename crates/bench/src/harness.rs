@@ -1,7 +1,7 @@
 //! The experiment runner.
 
 use crate::cache::{CacheKey, ResultCache};
-use sdv_core::{SdvMachine, Vm};
+use sdv_core::{Knobs, SdvMachine, Vm};
 use sdv_engine::{SimError, StableHash, Stats};
 use sdv_kernels::fft::{self, Complexes};
 use sdv_kernels::{bfs, pagerank, spmv, CsrMatrix, Graph, SellCS};
@@ -303,54 +303,102 @@ pub fn try_run_with_config(
     cell: Cell,
     cfg: TimingConfig,
 ) -> Result<RunResult, SimError> {
-    try_run_on_walled(&mut SdvMachine::new(w.heap), w, cell, cfg, None)
+    try_run_on(&mut SdvMachine::new(w.heap), w, cell, cfg)
 }
 
-/// Run one cell on a pooled machine, with an optional wall-clock deadline
-/// armed for it: rewinds the machine to the fresh state of `cfg`'s topology
-/// (keeping its allocations), runs the kernel to completion (its control
-/// flow depends only on functional state), then surfaces any latched
-/// watchdog failure or audit violation. Cycle counts are bit-identical to a
-/// brand-new machine's.
-///
-/// The deadline is host-speed dependent, so it lives outside [`TimingConfig`]
-/// (it must never reach a cache key or the client/server identity check);
-/// `sweepd` arms it per cell to convert runaway work into a structured
-/// [`SimError::DeadlineExceeded`] failure instead of a wedged worker.
-fn try_run_on_walled(
+/// One cell on `m`: the one-cell group, no deadline.
+fn try_run_on(
     m: &mut SdvMachine,
     w: &Workloads,
     cell: Cell,
     cfg: TimingConfig,
-    wall: Option<std::time::Duration>,
 ) -> Result<RunResult, SimError> {
+    try_run_group(m, w, &[cell], cfg, None).pop().expect("one cell in, one result out")
+}
+
+/// Most cells one functional pass times at once: the paper's widest knob
+/// axis (eight latencies). A requested grid may name any number of knob
+/// values for one program, and every replica is a whole timing model.
+pub(crate) const GROUP_MAX: usize = 8;
+
+/// Run a group of cells — one program, i.e. equal `(kernel, imp)`, under
+/// different knob settings — on a pooled machine in **one functional pass**:
+/// the machine is rewound to the fresh state of `cfg`'s topology (keeping its
+/// allocations) with one timing replica per cell, the kernel runs to
+/// completion once (its control flow depends only on functional state; no
+/// kernel reads `rdcycle`), and each replica then surfaces its own latched
+/// watchdog failure or audit violation. Every cell's cycles and statistics
+/// are bit-identical to a brand-new machine running that cell alone; results
+/// come back in `cells` order.
+///
+/// `wall` is the wall-clock deadline of *one* cell; the group is armed with
+/// the sum over its cells, since that is the work the one run stands for. The
+/// deadline is host-speed dependent, so it lives outside [`TimingConfig`] (it
+/// must never reach a cache key or the client/server identity check);
+/// `sweepd` arms it to convert runaway work into structured
+/// [`SimError::DeadlineExceeded`] failures instead of a wedged worker.
+///
+/// On more than one tile the merge order of the tiles' ops depends on the
+/// timing model's clocks, so there is no one op stream to share: the cells
+/// run one after another, each a group of its own.
+///
+/// # Panics
+/// Panics if `cells` is empty or names more than one program. Every cell is
+/// a whole timing model held at once; sweeps cap a group at eight.
+pub fn try_run_group(
+    m: &mut SdvMachine,
+    w: &Workloads,
+    cells: &[Cell],
+    cfg: TimingConfig,
+    wall: Option<std::time::Duration>,
+) -> Vec<Result<RunResult, SimError>> {
+    let program = cells.first().expect("a group holds at least one cell");
+    assert!(
+        cells.iter().all(|c| (c.kernel, c.imp) == (program.kernel, program.imp)),
+        "a group shares one program: {cells:?}"
+    );
+    let tiles = cfg.mem.tiles;
+    if tiles > 1 && cells.len() > 1 {
+        return cells
+            .iter()
+            .flat_map(|c| try_run_group(m, w, std::slice::from_ref(c), cfg, wall))
+            .collect();
+    }
     // Validate before the reset builds a timing model: the highest requestor
     // id this topology will mint must fit the directory mask (an oversized
     // one panics in MemHierarchy::new), and a cell without a partitioned
     // driver is rejected rather than silently run on one tile of many.
-    let tiles = cfg.mem.tiles;
-    sdv_memsys::requestor_id(2 * tiles - 1)?;
-    if tiles > 1 && !cell.partitionable() {
-        return Err(SimError::BadInput {
+    let rejected = sdv_memsys::requestor_id(2 * tiles - 1).err().or_else(|| {
+        (tiles > 1 && !program.partitionable()).then(|| SimError::BadInput {
             what: format!(
                 "{}/{} has no partitioned multi-tile driver",
-                cell.kernel.name(),
-                cell.imp
+                program.kernel.name(),
+                program.imp
             ),
-        });
+        })
+    });
+    if let Some(e) = rejected {
+        return cells.iter().map(|_| Err(e.clone())).collect();
     }
-    m.reset_with_config(cfg);
+    let knobs: Vec<Knobs> = cells
+        .iter()
+        .map(|c| Knobs { extra_latency: c.extra_latency, bandwidth: c.bandwidth })
+        .collect();
+    m.reset_with_replicas(cfg, &knobs);
     if let Some(limit) = wall {
-        m.set_wall_deadline(limit);
+        m.set_wall_deadline(limit * cells.len() as u32);
     }
-    m.set_extra_latency(cell.extra_latency);
-    m.set_bandwidth_limit(cell.bandwidth);
-    if let ImplKind::Vector { maxvl } = cell.imp {
+    if let ImplKind::Vector { maxvl } = program.imp {
         m.set_maxvl_cap(maxvl);
     }
-    drive_kernel(m, w, cell);
-    let cycles = m.try_finish()?;
-    Ok(RunResult { cell, cycles, stats: m.stats() })
+    drive_kernel(m, w, *program);
+    let finished = m.try_finish_each();
+    finished
+        .into_iter()
+        .zip(cells)
+        .enumerate()
+        .map(|(i, (cycles, &cell))| Ok(RunResult { cell, cycles: cycles?, stats: m.stats_of(i) }))
+        .collect()
 }
 
 /// Dispatch one cell's kernel onto a configured machine. A partitionable
@@ -417,10 +465,50 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run one cell inside a panic-isolation boundary. A panicking cell leaves
-/// the pooled machine in an unknown state, so the slot is cleared and the
-/// next cell on this worker rebuilds it; the panic becomes a structured
-/// [`SimError::Panic`] outcome instead of tearing down the whole grid.
+/// Run one group inside a panic-isolation boundary. A panic leaves the
+/// pooled machine in an unknown state, so the slot is cleared and the next
+/// run on this worker rebuilds it. A panic also names no replica, so a group
+/// that panics is run again one cell at a time: a cell that panics alone
+/// becomes a structured [`SimError::Panic`] outcome, the others get the
+/// results they would have had on their own — outcomes under any fault plan
+/// are those of a cell-by-cell sweep, and no panic tears down the grid.
+pub(crate) fn run_group_guarded(
+    slot: &mut Option<SdvMachine>,
+    w: &Workloads,
+    cells: &[Cell],
+    cfg: TimingConfig,
+    wall: Option<std::time::Duration>,
+) -> Vec<CellOutcome> {
+    let m = slot.get_or_insert_with(|| SdvMachine::new(w.heap));
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        try_run_group(m, w, cells, cfg, wall)
+    })) {
+        Ok(results) => results
+            .into_iter()
+            .zip(cells)
+            .map(|(r, &cell)| match r {
+                Ok(r) => CellOutcome::Done(r),
+                Err(error) => CellOutcome::Failed { cell, error },
+            })
+            .collect(),
+        Err(payload) => {
+            *slot = None;
+            match cells {
+                &[cell] => vec![CellOutcome::Failed {
+                    cell,
+                    error: SimError::Panic { what: panic_message(payload.as_ref()) },
+                }],
+                _ => cells
+                    .iter()
+                    .flat_map(|c| run_group_guarded(slot, w, std::slice::from_ref(c), cfg, wall))
+                    .collect(),
+            }
+        }
+    }
+}
+
+/// [`run_group_guarded`] for one cell.
+#[cfg(test)]
 pub(crate) fn run_guarded(
     slot: &mut Option<SdvMachine>,
     w: &Workloads,
@@ -428,20 +516,7 @@ pub(crate) fn run_guarded(
     cfg: TimingConfig,
     wall: Option<std::time::Duration>,
 ) -> CellOutcome {
-    let m = slot.get_or_insert_with(|| SdvMachine::new(w.heap));
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        try_run_on_walled(m, w, cell, cfg, wall)
-    })) {
-        Ok(Ok(r)) => CellOutcome::Done(r),
-        Ok(Err(error)) => CellOutcome::Failed { cell, error },
-        Err(payload) => {
-            *slot = None;
-            CellOutcome::Failed {
-                cell,
-                error: SimError::Panic { what: panic_message(payload.as_ref()) },
-            }
-        }
-    }
+    run_group_guarded(slot, w, &[cell], cfg, wall).pop().expect("one cell in, one outcome out")
 }
 
 /// Run one cell with the default machine configuration. Panics if the cell
@@ -461,7 +536,7 @@ pub fn try_run_traced(
 ) -> Result<(RunResult, String), SimError> {
     cfg.probe.trace = true;
     let mut m = SdvMachine::new(w.heap);
-    let r = try_run_on_walled(&mut m, w, cell, cfg, None)?;
+    let r = try_run_on(&mut m, w, cell, cfg)?;
     Ok((r, m.trace_json()))
 }
 
@@ -682,28 +757,29 @@ impl Sweeper {
             // memoized already — only simulate the remainder locally.
             todo.retain(|c| !self.memo.contains_key(c));
         }
-        // Long-pole-first schedule: start the predicted-slowest cells first
-        // so no worker is left simulating a multi-second cell alone at the
-        // end of the grid (makespan, not throughput, bounds a sweep). The
-        // sort is stable, so equal-cost cells keep first-seen order, and
-        // results still come back in input order via the memo below.
-        todo.sort_by_key(|c| std::cmp::Reverse(predicted_cost(c)));
-        let workers = threads.min(todo.len().max(1));
+        // Cells that share a program run as one group, one functional pass
+        // (`try_run_group`); a cell with a program to itself is a group of one.
+        let groups = schedule_groups(todo, threads);
+        let workers = threads.min(groups.len().max(1));
         self.ensure_slots(workers);
         // Cache keys need the workload fingerprint and canonical config;
         // compute them once, outside the workers (the fingerprint hashes
         // every input array).
         let key_ctx: Option<(String, String)> =
             self.cache.is_some().then(|| (self.input_fingerprint(w), self.cfg.canonical()));
+        let cache = self.cache.as_ref().zip(key_ctx.as_ref()).map(|(c, (fp, cfg))| CacheContext {
+            cache: c,
+            input_fp: fp,
+            cfg_text: cfg,
+        });
         let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Option<CellOutcome>>> =
-            (0..todo.len()).map(|_| std::sync::Mutex::new(None)).collect();
+        let slots: Vec<std::sync::Mutex<Vec<CellOutcome>>> =
+            groups.iter().map(|_| std::sync::Mutex::new(Vec::new())).collect();
         let machines = &self.machines;
-        let todo_ref = &todo;
+        let groups = &groups;
         let cfg = self.cfg;
         let on_cell = &on_cell;
-        let cache = self.cache.as_ref();
-        let key_ctx = key_ctx.as_ref();
+        let cache = cache.as_ref();
         let fresh = &self.fresh_simulations;
         std::thread::scope(|s| {
             for machine in machines.iter().take(workers) {
@@ -711,25 +787,27 @@ impl Sweeper {
                 let next = &next;
                 s.spawn(move || {
                     // Each worker owns one pooled machine for the whole
-                    // grid. Cells run inside a panic-isolation boundary, so
+                    // grid. Groups run inside a panic-isolation boundary, so
                     // one diseased cell cannot take the grid down with it.
                     let mut guard = machine.lock().unwrap();
                     loop {
                         let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= todo_ref.len() {
-                            break;
-                        }
-                        let out =
-                            run_cached(cache.zip(key_ctx), &mut guard, w, todo_ref[i], cfg, fresh);
-                        on_cell(&out);
-                        *slots[i].lock().unwrap() = Some(out);
+                        let Some(group) = groups.get(i) else { break };
+                        let outs =
+                            run_group_cached(cache, &mut guard, w, group, cfg, None, |_, _| {});
+                        let simulated = outs.iter().filter(|(_, from_cache)| !from_cache).count();
+                        fresh.fetch_add(simulated, std::sync::atomic::Ordering::Relaxed);
+                        let outs: Vec<CellOutcome> =
+                            outs.into_iter().map(|(out, _)| out).inspect(on_cell).collect();
+                        *slots[i].lock().unwrap() = outs;
                     }
                 });
             }
         });
-        for (c, slot) in todo.iter().zip(slots) {
-            let r = slot.into_inner().unwrap().expect("worker filled every slot");
-            self.memo.insert(*c, r);
+        for slot in slots {
+            for out in slot.into_inner().unwrap() {
+                self.memo.insert(out.cell(), out);
+            }
         }
         cells.iter().map(|c| self.memo[c].clone()).collect()
     }
@@ -782,32 +860,98 @@ impl Sweeper {
     }
 }
 
-/// One worker-side cell execution: consult the cache (when attached), fall
-/// back to an isolated simulation, and persist completed results. Failures
-/// are never cached — a failing cell re-runs next time, keeping its
-/// diagnostic reproducible.
-fn run_cached(
-    cache: Option<(&ResultCache, &(String, String))>,
+/// Where a worker looks cells up and stores them: the cache plus the two
+/// texts, fixed for a sweep, that go into every key beside the cell.
+#[derive(Clone, Copy)]
+pub(crate) struct CacheContext<'a> {
+    pub(crate) cache: &'a ResultCache,
+    pub(crate) input_fp: &'a str,
+    pub(crate) cfg_text: &'a str,
+}
+
+/// One worker-side group execution, shared by the in-process sweep and the
+/// `sweepd` worker: look every cell up in the cache (when attached), simulate
+/// the misses — and only those — as one isolated group, persist the completed
+/// ones, and call `stored` on each entry just published. Failures are never
+/// cached: a failing cell re-runs next time, keeping its diagnostic
+/// reproducible. Outcomes come back in `cells` order, each with whether the
+/// cache answered it.
+pub(crate) fn run_group_cached(
+    cache: Option<&CacheContext<'_>>,
     slot: &mut Option<SdvMachine>,
     w: &Workloads,
-    cell: Cell,
+    cells: &[Cell],
     cfg: TimingConfig,
-    fresh: &std::sync::atomic::AtomicUsize,
-) -> CellOutcome {
-    let key = cache.map(|(cache, (input_fp, cfg_text))| {
-        (cache, CacheKey::for_cell(cell, input_fp, cfg_text, sdv_rvv::Backend))
-    });
-    if let Some((cache, key)) = &key {
-        if let Some(hit) = cache.load(key) {
-            return CellOutcome::Done(RunResult { cell, cycles: hit.cycles, stats: hit.stats });
+    wall: Option<std::time::Duration>,
+    stored: impl Fn(&ResultCache, &CacheKey),
+) -> Vec<(CellOutcome, bool)> {
+    let key_of = |ctx: &CacheContext<'_>, cell| {
+        CacheKey::for_cell(cell, ctx.input_fp, ctx.cfg_text, sdv_rvv::Backend)
+    };
+    let mut outs: Vec<Option<(CellOutcome, bool)>> = cells
+        .iter()
+        .map(|&cell| {
+            let hit = cache.and_then(|ctx| ctx.cache.load(&key_of(ctx, cell)))?;
+            let done = RunResult { cell, cycles: hit.cycles, stats: hit.stats };
+            Some((CellOutcome::Done(done), true))
+        })
+        .collect();
+    let misses: Vec<Cell> =
+        cells.iter().zip(&outs).filter(|(_, out)| out.is_none()).map(|(&c, _)| c).collect();
+    if !misses.is_empty() {
+        let mut ran = run_group_guarded(slot, w, &misses, cfg, wall).into_iter();
+        for out in outs.iter_mut().filter(|out| out.is_none()) {
+            let fresh = ran.next().expect("one outcome per simulated cell");
+            if let (Some(ctx), CellOutcome::Done(r)) = (cache, &fresh) {
+                let key = key_of(ctx, r.cell);
+                ctx.cache.store(&key, r.cycles, &r.stats);
+                stored(ctx.cache, &key);
+            }
+            *out = Some((fresh, false));
         }
     }
-    let out = run_guarded(slot, w, cell, cfg, None);
-    fresh.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    if let (Some((cache, key)), CellOutcome::Done(r)) = (&key, &out) {
-        cache.store(key, r.cycles, &r.stats);
+    outs.into_iter().map(|out| out.expect("hit or simulated")).collect()
+}
+
+/// Summed [`predicted_cost`] of a group.
+fn group_cost(cells: &[Cell]) -> u64 {
+    cells.iter().map(predicted_cost).sum()
+}
+
+/// Unique `cells` as the groups a sweep runs: cells with equal
+/// `(kernel, imp)` together, first-seen order inside a group, at most
+/// [`GROUP_MAX`] to a group. Sharing a pass only pays while every worker has
+/// one, so while there are fewer groups than `workers` the costliest group
+/// that still can be is halved. Long-pole-first on the groups' summed
+/// predicted cost: the predicted-slowest group starts first, so no worker is
+/// left simulating a multi-second group alone at the end of the grid
+/// (makespan, not throughput, bounds a sweep). The sort is stable, and
+/// results still come back in input order via the memo.
+fn schedule_groups(cells: Vec<Cell>, workers: usize) -> Vec<Vec<Cell>> {
+    let mut index = std::collections::HashMap::new();
+    let mut programs: Vec<Vec<Cell>> = Vec::new();
+    for c in cells {
+        let at = *index.entry((c.kernel, c.imp)).or_insert_with(|| {
+            programs.push(Vec::new());
+            programs.len() - 1
+        });
+        programs[at].push(c);
     }
-    out
+    let mut groups: Vec<Vec<Cell>> =
+        programs.iter().flat_map(|p| p.chunks(GROUP_MAX).map(<[Cell]>::to_vec)).collect();
+    while groups.len() < workers {
+        let Some(big) = (0..groups.len())
+            .filter(|&i| groups[i].len() > 1)
+            .max_by_key(|&i| (group_cost(&groups[i]), std::cmp::Reverse(i)))
+        else {
+            break;
+        };
+        let half = groups[big].len() / 2;
+        let tail = groups[big].split_off(half);
+        groups.push(tail);
+    }
+    groups.sort_by_key(|g| std::cmp::Reverse(group_cost(g)));
+    groups
 }
 
 /// Relative host-cost estimate for scheduling (arbitrary units). Calibrated
@@ -1021,6 +1165,43 @@ mod tests {
             predicted_cost(&cell(KernelKind::Pr, ImplKind::Vector { maxvl: 8 }))
                 > predicted_cost(&cell(KernelKind::Pr, ImplKind::Vector { maxvl: 256 }))
         );
+    }
+
+    #[test]
+    fn groups_share_a_program_hold_at_most_eight_and_leave_no_worker_idle() {
+        let at = |kernel, imp, extra_latency| Cell { kernel, imp, extra_latency, bandwidth: 64 };
+        let vl8 = ImplKind::Vector { maxvl: 8 };
+        // Interleaved on purpose: grouping is by program, not by position.
+        let mut cells = Vec::new();
+        for lat in 0..11 {
+            cells.push(at(KernelKind::Pr, vl8, lat));
+            if lat < 3 {
+                cells.push(at(KernelKind::Fft, ImplKind::Scalar, lat));
+            }
+        }
+        cells.push(at(KernelKind::Bfs, vl8, 0));
+        let lats = |g: &[Cell]| g.iter().map(|c| c.extra_latency).collect::<Vec<_>>();
+
+        let groups = schedule_groups(cells.clone(), 1);
+        for g in &groups {
+            assert!(g.iter().all(|c| (c.kernel, c.imp) == (g[0].kernel, g[0].imp)), "{g:?}");
+        }
+        // Costliest first: eleven PR cells are a full group and a rest.
+        assert_eq!(groups.iter().map(Vec::len).collect::<Vec<_>>(), [8, 3, 1, 3]);
+        assert_eq!(lats(&groups[0]), [0, 1, 2, 3, 4, 5, 6, 7], "first-seen order inside a group");
+        assert_eq!(lats(&groups[1]), [8, 9, 10]);
+        assert_eq!(groups[3][0].kernel, KernelKind::Fft, "the cheapest program goes last");
+
+        // Six workers, four groups: the costliest splittable group is halved
+        // until every worker has one; no cell is lost or repeated.
+        let groups = schedule_groups(cells.clone(), 6);
+        assert_eq!(groups.iter().map(Vec::len).collect::<Vec<_>>(), [4, 3, 2, 2, 1, 3]);
+        let mut all: Vec<Cell> = groups.concat();
+        all.sort_by_key(|c| (c.kernel.name(), c.extra_latency));
+        cells.sort_by_key(|c| (c.kernel.name(), c.extra_latency));
+        assert_eq!(all, cells);
+        // More workers than cells: singletons, and the loop ends.
+        assert_eq!(schedule_groups(cells.clone(), 64).len(), cells.len());
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! * [`Sweeper`] — run a grid of cells across OS threads (each simulation
 //!   is single-threaded and deterministic; the grid is embarrassingly
 //!   parallel), with pooled machines, a memo, the persistent result cache
-//!   and per-cell fault isolation: the one way a cell is keyed and executed,
+//!   and per-cell fault isolation: the one way a cell is keyed and executed.
+//!   Cells that differ only in a knob share one functional pass
+//!   ([`try_run_group`]),
 //! * binaries `fig3_latency`, `fig4_slowdown`, `fig5_bandwidth` print the
 //!   paper's figures through [`figure::main`]; `study NAME` runs the
 //!   design-choice ablations and extension studies.
@@ -29,8 +31,8 @@ pub mod table;
 pub use cache::{CacheKey, CachedResult, FsckSummary, GcSummary, ResultCache};
 pub use chaos::{ChaosKind, ChaosPlan, ServerChaos};
 pub use harness::{
-    run, try_run_traced, try_run_with_config, Cell, CellOutcome, ImplKind, KernelKind,
-    RemoteSweep, RunResult, Sweeper, Workloads,
+    run, try_run_group, try_run_traced, try_run_with_config, Cell, CellOutcome, ImplKind,
+    KernelKind, RemoteSweep, RunResult, Sweeper, Workloads,
 };
 pub use metrics::StallBreakdown;
 pub use server::{

@@ -17,13 +17,17 @@
 //!   queue before enqueueing, so duplicate-heavy concurrent clients share
 //!   work instead of repeating it. Dedup also makes every request
 //!   idempotent, which is what lets clients retry blindly.
-//! * **scheduling** — workers always pick the queued cell with the highest
-//!   predicted host cost (the same long-pole-first policy the in-process
-//!   [`Sweeper`](crate::Sweeper) uses), bounding grid makespan.
+//! * **scheduling** — a worker takes a *group*: the queued cells of one
+//!   program (equal kernel and implementation, any knob values), of all
+//!   programs the one with the highest summed predicted host cost — the same
+//!   long-pole-first policy the in-process [`Sweeper`](crate::Sweeper) uses,
+//!   bounding grid makespan — and simulates it in one functional pass.
+//!   Dedup, the cache, `simulated` and failures all stay per cell.
 //! * **streaming** — sweep results are written back in completion order as
-//!   they land, followed by a `done` summary line. A result line is rendered
-//!   once, by the worker that publishes the cell; a request for a finished
-//!   cell is answered by copying those bytes to the socket.
+//!   they land — the cells of a group land together — followed by a `done`
+//!   summary line. A result line is rendered once, by the worker that
+//!   publishes the cell; a request for a finished cell is answered by copying
+//!   those bytes to the socket.
 //! * **honesty** — a sweep request carries the client's workload name,
 //!   workload content fingerprint, and canonical config text; the server
 //!   verifies all three (and the one backend token) against its own and rejects
@@ -36,10 +40,11 @@
 //! clients':
 //!
 //! * **supervision** — cells already run inside `catch_unwind`
-//!   ([`run_guarded`]); on top of that, the accept loop watches every worker
-//!   thread and respawns any that dies (a panic that escapes the boundary,
-//!   or injected chaos), requeueing the cell it held. Per-worker health is
-//!   visible through the `status` op.
+//!   ([`run_group_cached`]); on top of that, the accept loop watches every
+//!   worker thread and respawns any that dies (a panic that escapes the
+//!   boundary, or injected chaos), requeueing the cells it held. Per-worker
+//!   health, the cells a worker holds included, is visible through the
+//!   `status` op.
 //! * **backpressure** — the job queue is bounded
 //!   ([`ServerConfig::max_queue`]); a sweep that would overflow it is
 //!   rejected with a classed `overloaded` wire error instead of being
@@ -47,8 +52,9 @@
 //! * **deadlines** — per-connection socket read/write timeouts
 //!   ([`ServerConfig::io_timeout`]) reap stalled clients so a dead peer can
 //!   never wedge a handler thread, and an optional per-cell wall deadline
-//!   ([`ServerConfig::cell_wall`]) converts runaway cells into structured
-//!   [`SimError::DeadlineExceeded`] failures.
+//!   ([`ServerConfig::cell_wall`]; a group is allowed the sum over its cells)
+//!   converts runaway cells into structured [`SimError::DeadlineExceeded`]
+//!   failures.
 //! * **graceful shutdown** — a `shutdown` op or an external
 //!   [`ShutdownSignal`] (SIGTERM in the `sweepd` binary) starts a *drain*:
 //!   new sweeps are rejected with a classed `draining` error, in-flight
@@ -63,10 +69,11 @@
 //! [`ResultCache`](crate::ResultCache) when one is attached, so results
 //! survive server restarts.
 
-use crate::cache::{CacheKey, ResultCache, BACKEND_TOKEN};
+use crate::cache::{ResultCache, BACKEND_TOKEN};
 use crate::chaos::{ChaosPlan, ServerChaos, DELAY_RESPONSE};
 use crate::harness::{
-    predicted_cost, run_guarded, unique_cells, Cell, CellOutcome, RunResult, Workloads,
+    predicted_cost, run_group_cached, unique_cells, CacheContext, Cell, CellOutcome, ImplKind,
+    KernelKind, RunResult, Workloads, GROUP_MAX,
 };
 use crate::json::{Json, Parser};
 use sdv_core::SdvMachine;
@@ -191,15 +198,15 @@ struct WorkerHealth {
     cache_hits: u64,
     failed: u64,
     restarts: u64,
-    /// The cell this worker currently holds — what the supervisor requeues
-    /// if the worker dies mid-cell.
-    current: Option<Cell>,
+    /// The cells this worker currently holds (one group) — what the
+    /// supervisor requeues if the worker dies holding them.
+    current: Vec<Cell>,
 }
 
 /// Unique cells awaiting a worker. The set answers "is it queued?" in
 /// constant time — admission asks that once per requested cell while holding
-/// the state lock — and both live behind `push`/`pop_costliest` so they
-/// cannot drift apart.
+/// the state lock — and both live behind `push`/`pop_costliest_group` so
+/// they cannot drift apart.
 #[derive(Default)]
 struct JobQueue {
     cells: Vec<Cell>,
@@ -226,12 +233,30 @@ impl JobQueue {
         }
     }
 
-    /// Take the queued cell with the highest predicted host cost.
-    fn pop_costliest(&mut self) -> Option<Cell> {
-        let i = (0..self.cells.len()).max_by_key(|&i| predicted_cost(&self.cells[i]))?;
-        let c = self.cells.swap_remove(i);
-        self.members.remove(&c);
-        Some(c)
+    /// Take one group: of the queued programs the one whose cells have the
+    /// highest summed predicted host cost, and its first [`GROUP_MAX`] cells
+    /// in queue order. Empty only if the queue is.
+    fn pop_costliest_group(&mut self) -> Vec<Cell> {
+        let mut cost: HashMap<(KernelKind, ImplKind), u64> = HashMap::new();
+        for c in &self.cells {
+            *cost.entry((c.kernel, c.imp)).or_default() += predicted_cost(c);
+        }
+        let Some(program) = self.cells.iter().map(|c| (c.kernel, c.imp)).max_by_key(|p| cost[p])
+        else {
+            return Vec::new();
+        };
+        let mut group = Vec::new();
+        self.cells.retain(|c| {
+            let take = (c.kernel, c.imp) == program && group.len() < GROUP_MAX;
+            if take {
+                group.push(*c);
+            }
+            !take
+        });
+        for c in &group {
+            self.members.remove(c);
+        }
+        group
     }
 }
 
@@ -429,7 +454,7 @@ fn wake_acceptor(mut addr: SocketAddr, acceptor: &std::thread::JoinHandle<()>) -
 }
 
 /// Respawn any worker thread that died (escaped panic or injected chaos),
-/// requeueing the cell it held so no sweep waits forever on a dead worker.
+/// requeueing the cells it held so no sweep waits forever on a dead worker.
 fn supervise(
     shared: &Shared,
     workers: &mut [std::thread::JoinHandle<()>],
@@ -442,17 +467,17 @@ fn supervise(
         if !handle.is_finished() {
             continue;
         }
-        // Reclaim the dead worker's cell BEFORE spawning its replacement:
+        // Reclaim the dead worker's cells BEFORE spawning its replacement:
         // both share the health slot, and a replacement that starts first
-        // could grab a fresh cell into `current` — a late take() would then
-        // requeue that live cell and leave the dead worker's one stranded
-        // in `inflight`, hanging its sweep forever.
+        // could grab a fresh group into `current` — a late take() would then
+        // requeue those live cells and leave the dead worker's stranded in
+        // `inflight`, hanging their sweep forever.
         {
             let mut st = lock_state(shared);
             let health = &mut st.workers[id];
             health.restarts += 1;
             health.alive = true;
-            if let Some(cell) = health.current.take() {
+            for cell in std::mem::take(&mut health.current) {
                 st.inflight.remove(&cell);
                 if !st.results.contains_key(&cell) {
                     st.queue.push(cell);
@@ -466,79 +491,81 @@ fn supervise(
     }
 }
 
-/// One worker: owns one pooled machine, drains the queue long-pole-first.
+/// One worker: owns one pooled machine, drains the queue a group at a time,
+/// long-pole-first.
 fn worker(shared: &Shared, id: usize) {
     let mut slot: Option<SdvMachine> = None;
+    let cache = shared.cache.as_ref().map(|cache| CacheContext {
+        cache,
+        input_fp: &shared.input_fp,
+        cfg_text: &shared.cfg_text,
+    });
     loop {
-        let cell = {
+        let group = {
             let mut st = lock_state(shared);
             loop {
                 if st.shutdown {
                     return;
                 }
-                if let Some(c) = st.queue.pop_costliest() {
-                    st.inflight.insert(c);
-                    st.workers[id].current = Some(c);
-                    break c;
+                let group = st.queue.pop_costliest_group();
+                if !group.is_empty() {
+                    st.inflight.extend(&group);
+                    st.workers[id].current.clone_from(&group);
+                    break group;
                 }
                 st = wait_on(&shared.work, st);
             }
         };
         if ServerChaos::hit(&shared.chaos.kill_worker) {
-            // Chaos: die holding a cell. The supervisor requeues it and
-            // respawns this slot; no cleanup here, exactly like a crash.
+            // Chaos: die holding a group. The supervisor requeues its cells
+            // and respawns this slot; no cleanup here, exactly like a crash.
             lock_state(shared).workers[id].alive = false;
             return;
         }
-        let key = shared
-            .cache
-            .as_ref()
-            .map(|c| (c, CacheKey::for_cell(cell, &shared.input_fp, &shared.cfg_text, Backend)));
-        let cached = key.as_ref().and_then(|(cache, key)| cache.load(key));
-        let from_cache = cached.is_some();
-        let out = match cached {
-            Some(hit) => {
-                CellOutcome::Done(RunResult { cell, cycles: hit.cycles, stats: hit.stats })
-            }
-            None => {
-                let out = run_guarded(&mut slot, &shared.w, cell, shared.cfg, shared.cell_wall);
-                if let (Some((cache, key)), CellOutcome::Done(r)) = (&key, &out) {
-                    cache.store(key, r.cycles, &r.stats);
-                    if ServerChaos::hit(&shared.chaos.corrupt_cache_entry) {
-                        // Chaos: flip one byte of the entry just published.
-                        // This run's in-memory result is unaffected; the
-                        // next process to load it must quarantine and
-                        // re-simulate.
-                        corrupt_file(&cache.entry_file(key));
-                    }
+        let outs = run_group_cached(
+            cache.as_ref(),
+            &mut slot,
+            &shared.w,
+            &group,
+            shared.cfg,
+            shared.cell_wall,
+            |cache, key| {
+                if ServerChaos::hit(&shared.chaos.corrupt_cache_entry) {
+                    // Chaos: flip one byte of the entry just published. This
+                    // run's in-memory result is unaffected; the next process
+                    // to load it must quarantine and re-simulate.
+                    corrupt_file(&cache.entry_file(key));
                 }
-                out
-            }
-        };
-        let failed = matches!(out, CellOutcome::Failed { .. });
+            },
+        );
         // Rendered once, here, outside the lock; every client that asks for
-        // this cell from now on is sent these bytes. Nothing reads the outcome
-        // again, so it is freed here too rather than under the lock.
-        let line: Arc<str> = outcome_to_json(&out).to_line().into();
-        drop(out);
+        // one of these cells from now on is sent these bytes. Nothing reads
+        // the outcomes again, so they are freed here too rather than under
+        // the lock.
+        let published: Vec<(Cell, Arc<str>, bool, bool)> = outs
+            .into_iter()
+            .map(|(out, from_cache)| {
+                let line = outcome_to_json(&out).to_line().into();
+                (out.cell(), line, from_cache, !out.is_done())
+            })
+            .collect();
+        // One critical section for the group: its results arrive together.
         let mut st = lock_state(shared);
-        st.inflight.remove(&cell);
-        let health = &mut st.workers[id];
-        health.current = None;
-        if from_cache {
-            health.cache_hits += 1;
-        } else {
-            health.simulated += 1;
+        st.workers[id].current.clear();
+        for (cell, line, from_cache, failed) in published {
+            st.inflight.remove(&cell);
+            if from_cache {
+                st.cache_hits += 1;
+                st.workers[id].cache_hits += 1;
+            } else {
+                st.simulated += 1;
+                st.workers[id].simulated += 1;
+            }
+            if failed {
+                st.workers[id].failed += 1;
+            }
+            st.results.insert(cell, line);
         }
-        if failed {
-            health.failed += 1;
-        }
-        if from_cache {
-            st.cache_hits += 1;
-        } else {
-            st.simulated += 1;
-        }
-        st.results.insert(cell, line);
         drop(st);
         shared.done.notify_all();
     }
@@ -649,6 +676,7 @@ fn status_json(shared: &Shared) -> Json {
                 ("cache_hits", Json::num(h.cache_hits)),
                 ("failed", Json::num(h.failed)),
                 ("restarts", Json::num(h.restarts)),
+                ("current", Json::Arr(h.current.iter().map(|&c| cell_to_json(c)).collect())),
             ])
         })
         .collect();
@@ -1108,7 +1136,7 @@ fn request_attempt(addr: &str, op: &str) -> Result<Json, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{ImplKind, KernelKind};
+    use crate::harness::run_guarded;
 
     #[test]
     fn cell_wire_format_round_trips() {

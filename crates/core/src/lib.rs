@@ -43,7 +43,7 @@ pub mod vm;
 
 pub use functional::FunctionalMachine;
 pub use memory::SimMemory;
-pub use timed::{SdvMachine, TileVm};
+pub use timed::{Knobs, SdvMachine, TileVm, REPLAY_CHUNK};
 pub use trace::{TraceEvent, TracingMachine};
 pub use vm::Vm;
 

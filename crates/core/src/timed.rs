@@ -50,6 +50,23 @@
 //! an epoch just runs `step` until it reports the end. A one-tile program
 //! driven through `vm(0)` and through `impl Vm for SdvMachine` is the same op
 //! stream in the same order.
+//!
+//! # One functional pass, many timing models
+//!
+//! A one-tile machine can carry several timing **replicas**
+//! ([`SdvMachine::reset_with_replicas`]): [`SdvTiming`]s built from one
+//! [`TimingConfig`], each with its own setting of the paper's two memory
+//! knobs ([`Knobs`]). The program runs once — one set-up, one `exec_into`
+//! and one `classify_into` per instruction — and every replica is issued
+//! the same op stream, so each ends with the cycles and statistics of a
+//! machine that ran the program alone under its knobs. That is exact because
+//! nothing flows back: a program's control flow and addresses depend on
+//! functional state only, and a replica shares no state with another (each
+//! latches its own fault; `rdcycle`, which no kernel calls, reads the first
+//! replica). Ops reach the replicas a [`REPLAY_CHUNK`] at a time; a single
+//! replica issues inline and never buffers. More than one tile allows one
+//! replica only: the merge order follows the tiles' clocks, and those are
+//! the replica's.
 
 use crate::memory::SimMemory;
 use crate::vm::Vm;
@@ -59,6 +76,32 @@ use sdv_uarch::op::classify_into;
 use sdv_uarch::{Op, SdvTiming, TimingConfig, VClass, VectorOp};
 use std::collections::VecDeque;
 
+/// One timing replica's setting of the paper's two memory knobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Knobs {
+    /// Extra DRAM latency in cycles (§2.2).
+    pub extra_latency: Cycle,
+    /// DRAM bandwidth cap in bytes/cycle (§2.3), 64 = unthrottled.
+    pub bandwidth: u64,
+}
+
+/// Ops buffered before they are replayed through each replica in turn. One
+/// constant, not a knob. A replica's working set (cache tags, directory,
+/// in-flight maps, credit window) is what the host cache has to hold while it
+/// is being issued to: handing every op to all replicas as it is produced
+/// walks all of them per op, which costs nothing while they are small and
+/// several points once they are not, and a long chunk only adds buffered line
+/// lists. Host time of a whole fig3 grid run as groups of eight, over the
+/// same cells run one at a time by the same binary (one thread, medians;
+/// every run in `results/perf/pr21_pairs.json`):
+///
+/// | ops per chunk | `--small`, 224 cells | paper scale, 224 cells | its PageRank cells |
+/// |---------------|----------------------|------------------------|--------------------|
+/// | 1 (fan-out)   | 0.64 x               | 0.78 x                 | 0.90 x             |
+/// | 128           | 0.64 x               | 0.76 x                 | 0.84 x             |
+/// | 1024          | 0.68 x               | 0.80 x                 | 0.87 x             |
+pub const REPLAY_CHUNK: usize = 128;
+
 /// The FPGA-SDV platform model. `cfg.mem.tiles` selects the tile count; the
 /// default single tile is the paper's machine.
 pub struct SdvMachine {
@@ -66,7 +109,12 @@ pub struct SdvMachine {
     states: Vec<VState>,
     /// The simulated heap every tile reads and writes.
     mem: SimMemory,
-    timing: SdvTiming,
+    /// The timing models this machine's one op stream feeds: never empty,
+    /// exactly one unless [`SdvMachine::reset_with_replicas`] asked for more.
+    replicas: Vec<SdvTiming>,
+    /// Ops waiting to be replayed through every replica. Stays empty with
+    /// one replica, which issues inline.
+    chunk: Vec<Op>,
     cfg: TimingConfig,
     line_bytes: u64,
     /// The §2.2 knob lives in the DRAM channel; kept here for `describe`.
@@ -110,7 +158,8 @@ impl SdvMachine {
         Self {
             states: (0..tiles).map(|_| VState::paper_vpu()).collect(),
             mem: SimMemory::new(heap),
-            timing: SdvTiming::new(cfg),
+            replicas: vec![SdvTiming::new(cfg)],
+            chunk: Vec::new(),
             cfg,
             line_bytes: cfg.mem.l1.line_bytes,
             extra_latency_for_display: 0,
@@ -143,7 +192,7 @@ impl SdvMachine {
     /// its wall time from a timed run's to attribute the difference to the
     /// timing model.
     pub fn set_timing_bypass(&mut self, on: bool) {
-        self.timing.set_bypass(on);
+        self.replicas.iter_mut().for_each(|r| r.set_bypass(on));
     }
 
     /// Arm a wall-clock deadline for the current run: a cell still issuing
@@ -151,9 +200,10 @@ impl SdvMachine {
     /// [`sdv_engine::SimError::DeadlineExceeded`] instead of running
     /// unbounded. Cleared by [`SdvMachine::reset_with_config`] — arm it per
     /// cell, after the reset. A deadline that does not fire never changes
-    /// simulated cycles.
+    /// simulated cycles. Every replica is armed with the same `limit`: they
+    /// share the one run it bounds.
     pub fn set_wall_deadline(&mut self, limit: std::time::Duration) {
-        self.timing.set_wall_deadline(limit);
+        self.replicas.iter_mut().for_each(|r| r.set_wall_deadline(limit));
     }
 
     /// Rewind this machine to the state `with_config(heap, cfg)` would build,
@@ -172,15 +222,61 @@ impl SdvMachine {
     /// workers rely on this — only a *panicking* cell forces them to discard
     /// a machine.
     pub fn reset_with_config(&mut self, cfg: TimingConfig) {
+        self.rewind(cfg);
+        self.replicas.push(SdvTiming::new(cfg));
+    }
+
+    /// [`SdvMachine::reset_with_config`] with one timing replica per entry of
+    /// `knobs`, each a fresh model of `cfg` programmed with its entry: the
+    /// next program runs once and is timed under every setting (see the
+    /// module docs). Replica `i` answers [`SdvMachine::try_finish_each`] and
+    /// [`SdvMachine::stats_of`] at index `i`; every other accessor reads
+    /// replica 0, and the knob setters program all of them.
+    ///
+    /// # Panics
+    /// Panics if `knobs` is empty, or holds more than one entry for a
+    /// multi-tile `cfg` (the tiles' merge order depends on the replica's
+    /// clocks, so there is no one op stream to share).
+    pub fn reset_with_replicas(&mut self, cfg: TimingConfig, knobs: &[Knobs]) {
+        assert!(!knobs.is_empty(), "need at least one timing replica");
+        assert!(
+            cfg.mem.tiles == 1 || knobs.len() == 1,
+            "{} tiles cannot share one functional pass between {} timing replicas",
+            cfg.mem.tiles,
+            knobs.len()
+        );
+        self.rewind(cfg);
+        self.extra_latency_for_display = knobs[0].extra_latency;
+        self.replicas.extend(knobs.iter().map(|k| {
+            let mut timing = SdvTiming::new(cfg);
+            timing.set_extra_latency(k.extra_latency);
+            timing.set_bandwidth_limit(k.bandwidth);
+            timing
+        }));
+    }
+
+    /// Number of timing replicas (one unless
+    /// [`SdvMachine::reset_with_replicas`] asked for more).
+    pub fn replicas(&self) -> usize {
+        self.replicas.len()
+    }
+
+    /// Everything of a reset but the timing models: the caller pushes fresh
+    /// ones onto the emptied `replicas`.
+    fn rewind(&mut self, cfg: TimingConfig) {
         let tiles = cfg.mem.tiles;
         assert!(tiles >= 1, "need at least one tile");
+        // Old models go before new ones are built: a pooled machine never
+        // holds two generations of cache tags at once.
+        self.replicas.clear();
+        // Only a program that unwound mid-replay leaves ops behind.
+        self.chunk.clear();
         self.states.truncate(tiles);
         for s in &mut self.states {
             s.reset();
         }
         self.states.resize_with(tiles, VState::paper_vpu);
         self.mem.reset();
-        self.timing = SdvTiming::new(cfg);
         self.line_bytes = cfg.mem.l1.line_bytes;
         self.cfg = cfg;
         self.extra_latency_for_display = 0;
@@ -224,17 +320,17 @@ impl SdvMachine {
     /// The paper's §2.2 knob: extra DRAM latency in cycles.
     pub fn set_extra_latency(&mut self, extra: Cycle) {
         self.extra_latency_for_display = extra;
-        self.timing.set_extra_latency(extra);
+        self.replicas.iter_mut().for_each(|r| r.set_extra_latency(extra));
     }
 
     /// The paper's §2.3 knob: DRAM bandwidth cap in bytes/cycle (1–64).
     pub fn set_bandwidth_limit(&mut self, bytes_per_cycle: u64) {
-        self.timing.set_bandwidth_limit(bytes_per_cycle);
+        self.replicas.iter_mut().for_each(|r| r.set_bandwidth_limit(bytes_per_cycle));
     }
 
     /// Raw `(num, den)` limiter programming (the register-level interface).
     pub fn set_bandwidth_fraction(&mut self, num: u32, den: u32) {
-        self.timing.set_bandwidth_fraction(num, den);
+        self.replicas.iter_mut().for_each(|r| r.set_bandwidth_fraction(num, den));
     }
 
     /// The [`Vm`] of one tile.
@@ -254,7 +350,7 @@ impl SdvMachine {
     /// cycle.
     pub fn epoch(&mut self, mut step: impl FnMut(&mut TileVm<'_>) -> bool) -> Cycle {
         self.merge(&mut step);
-        self.epoch_start = self.timing.barrier();
+        self.epoch_start = first(self.replicas.iter_mut().map(SdvTiming::barrier));
         self.epoch_start
     }
 
@@ -271,10 +367,13 @@ impl SdvMachine {
     fn merge(&mut self, step: &mut dyn FnMut(&mut TileVm<'_>) -> bool) {
         let n = self.tiles();
         if n == 1 {
-            // Ops issue inline as `step` produces them.
+            // Ops issue inline as `step` produces them (through the replay
+            // chunk when there is more than one replica).
             while step(&mut self.vm(0)) {}
+            self.flush();
             return;
         }
+        // More than one tile means exactly one replica.
         let mut more = vec![true; n];
         for i in 0..n {
             self.refill(self.capture_order[i], &mut more, step);
@@ -283,18 +382,18 @@ impl SdvMachine {
         // the interleaving is independent of the capture permutation.
         for t in 0..n {
             if !self.rings[t].is_empty() {
-                self.wheel.schedule(self.timing.now_of(t), t);
+                self.wheel.schedule(self.replicas[0].now_of(t), t);
             }
         }
         while let Some((_, t)) = self.wheel.pop() {
             let op = self.rings[t].pop_front().expect("a scheduled tile has an op queued");
-            self.timing.issue_on(t, &op);
+            self.replicas[0].issue_on(t, &op);
             self.recycle(op);
             if self.rings[t].is_empty() {
                 self.refill(t, &mut more, step);
             }
             if !self.rings[t].is_empty() {
-                self.wheel.schedule(self.timing.now_of(t), t);
+                self.wheel.schedule(self.replicas[0].now_of(t), t);
             }
         }
     }
@@ -320,33 +419,45 @@ impl SdvMachine {
     /// and return the final cycle count (the slowest tile's clock).
     pub fn finish(&mut self) -> Cycle {
         self.merge(&mut |_| false);
-        self.timing.finish()
+        first(self.replicas.iter_mut().map(SdvTiming::finish))
     }
 
     /// Finish the program, surfacing any failure the watchdog latched during
     /// the run and then running the end-of-run invariant audits. `Ok` carries
     /// the final cycle count; `Err` means the cycle numbers are meaningless.
     pub fn try_finish(&mut self) -> Result<Cycle, SimError> {
+        self.try_finish_each().swap_remove(0)
+    }
+
+    /// [`SdvMachine::try_finish`] for every replica, in replica order: each
+    /// surfaces its own latched failure and runs its own audits, so one
+    /// replica's fault never costs another its result.
+    pub fn try_finish_each(&mut self) -> Vec<Result<Cycle, SimError>> {
         self.merge(&mut |_| false);
-        self.timing.try_finish()
+        self.replicas.iter_mut().map(SdvTiming::try_finish).collect()
     }
 
     /// The first structured failure latched by the watchdog, if any.
     pub fn fault(&self) -> Option<&SimError> {
-        self.timing.fault()
+        self.replicas[0].fault()
     }
 
     /// Merged statistics from every modelled component. One tile emits the
     /// historical key set; more tiles add per-tile counters under `tileN.`
     /// beside the unprefixed cross-tile sums.
     pub fn stats(&self) -> Stats {
-        self.timing.stats()
+        self.stats_of(0)
+    }
+
+    /// [`SdvMachine::stats`] of one replica.
+    pub fn stats_of(&self, replica: usize) -> Stats {
+        self.replicas[replica].stats()
     }
 
     /// The collected timeline as Chrome `trace_event` JSON (empty unless the
     /// config's probe enables tracing).
     pub fn trace_json(&self) -> String {
-        self.timing.trace_json()
+        self.replicas[0].trace_json()
     }
 
     /// A human-readable description of the instantiated platform — the
@@ -396,15 +507,38 @@ impl SdvMachine {
     }
 
     /// The one place a timing op leaves the functional half of the machine.
-    /// One tile: issue now. More tiles: queue for the merge.
+    /// One tile: issue now, or with several replicas once the chunk fills.
+    /// More tiles: queue for the merge.
     #[inline]
     fn emit(&mut self, tile: usize, op: Op) {
         if self.states.len() > 1 {
             self.rings[tile].push_back(op);
             return;
         }
-        self.timing.issue(&op);
-        self.recycle(op);
+        if let [only] = &mut self.replicas[..] {
+            only.issue(&op);
+            self.recycle(op);
+            return;
+        }
+        self.chunk.push(op);
+        if self.chunk.len() >= REPLAY_CHUNK {
+            self.flush();
+        }
+    }
+
+    /// Replay the buffered ops through each replica in turn, then take their
+    /// line buffers back. Runs before anything reads or moves a replica's
+    /// clock (`rdcycle`, barriers, finish).
+    fn flush(&mut self) {
+        if self.chunk.is_empty() {
+            return;
+        }
+        let mut chunk = std::mem::take(&mut self.chunk);
+        for timing in &mut self.replicas {
+            chunk.iter().for_each(|op| timing.issue(op));
+        }
+        chunk.drain(..).for_each(|op| self.recycle(op));
+        self.chunk = chunk;
     }
 
     /// Take an issued op's line buffer back for a later memory instruction
@@ -424,6 +558,13 @@ impl SdvMachine {
     fn emit_access(&mut self, tile: usize, addr: u64, size: u8, is_store: bool) {
         self.emit(tile, if is_store { Op::Store { addr, size } } else { Op::Load { addr, size } });
     }
+}
+
+/// The first replica's answer, after every replica has been driven.
+fn first<T>(mut each: impl Iterator<Item = T>) -> T {
+    let first = each.next().expect("a machine has at least one timing replica");
+    each.for_each(drop);
+    first
 }
 
 /// One tile of an [`SdvMachine`] as a [`Vm`]. Functional effects land
@@ -552,7 +693,8 @@ impl Vm for TileVm<'_> {
             // sees the cycle of the barrier that opened it.
             return self.m.epoch_start;
         }
-        self.m.timing.now_of(self.tile)
+        self.m.flush();
+        self.m.replicas[0].now_of(self.tile)
     }
 
     fn fence(&mut self) {
@@ -1103,6 +1245,146 @@ mod tests {
         }
     }
 
+    /// What a machine of its own reports for `program` under `knobs`:
+    /// cycles (or the failure) and every statistic.
+    fn alone(
+        cfg: TimingConfig,
+        knobs: Knobs,
+        program: &[Ins],
+    ) -> (Result<Cycle, SimError>, String) {
+        let mut m = SdvMachine::with_config(1 << 20, cfg);
+        m.set_extra_latency(knobs.extra_latency);
+        m.set_bandwidth_limit(knobs.bandwidth);
+        let base = m.alloc(1 << 19, 64);
+        program.iter().for_each(|&i| apply(&mut m, base, i));
+        (m.try_finish(), format!("{:?}", m.stats()))
+    }
+
+    /// Both knob axes, the unthrottled default twice.
+    const REPLICA_KNOBS: [Knobs; 5] = [
+        Knobs { extra_latency: 0, bandwidth: 64 },
+        Knobs { extra_latency: 512, bandwidth: 64 },
+        Knobs { extra_latency: 0, bandwidth: 2 },
+        Knobs { extra_latency: 128, bandwidth: 8 },
+        Knobs { extra_latency: 0, bandwidth: 64 },
+    ];
+
+    #[test]
+    fn replicas_match_machines_of_their_own_at_every_chunk_boundary() {
+        let cfg = TimingConfig::default();
+        let mut rng = sdv_engine::Rng::new(0x5EED_0021);
+        let mut m = SdvMachine::new(1 << 20);
+        let lengths =
+            [0, 1, REPLAY_CHUNK - 1, REPLAY_CHUNK, REPLAY_CHUNK + 1, 5 * REPLAY_CHUNK + 37];
+        for n in lengths {
+            let program: Vec<Ins> = (0..n).map(|_| random_ins(&mut rng)).collect();
+            m.reset_with_replicas(cfg, &REPLICA_KNOBS);
+            assert_eq!(m.replicas(), REPLICA_KNOBS.len());
+            let base = m.alloc(1 << 19, 64);
+            program.iter().for_each(|&i| apply(&mut m, base, i));
+            assert_eq!(m.chunk.len(), n % REPLAY_CHUNK, "{n} ops: one op an instruction");
+            let got = m.try_finish_each();
+            assert!(m.chunk.is_empty(), "{n} ops: finishing replays what was buffered");
+            for (i, &knobs) in REPLICA_KNOBS.iter().enumerate() {
+                let (cycles, stats) = alone(cfg, knobs, &program);
+                assert_eq!(got[i], cycles, "{n} ops, replica {i} ({knobs:?}): cycles");
+                assert_eq!(format!("{:?}", m.stats_of(i)), stats, "{n} ops, replica {i}: stats");
+            }
+            assert_eq!(got[0], got[4], "{n} ops: equal knobs, equal replicas");
+        }
+    }
+
+    #[test]
+    fn a_fence_a_clock_read_and_a_barrier_mid_chunk_replay_what_is_buffered() {
+        let cfg = TimingConfig::default();
+        let mut rng = sdv_engine::Rng::new(0x5EED_0121);
+        let stretch = |rng: &mut sdv_engine::Rng, n: usize| -> Vec<Ins> {
+            (0..n).map(|_| random_ins(rng)).chain([Ins::Fence]).collect()
+        };
+        let (a, b, c) = (stretch(&mut rng, 40), stretch(&mut rng, 30), stretch(&mut rng, 200));
+
+        // Replica 0's view on a machine of its own: the clock after the first
+        // stretch, the barrier after the second, the end.
+        let mut r = SdvMachine::new(1 << 20);
+        r.set_extra_latency(REPLICA_KNOBS[0].extra_latency);
+        r.set_bandwidth_limit(REPLICA_KNOBS[0].bandwidth);
+        let base = r.alloc(1 << 19, 64);
+        a.iter().for_each(|&i| apply(&mut r, base, i));
+        let want_clock = r.rdcycle();
+        b.iter().for_each(|&i| apply(&mut r, base, i));
+        let want_barrier = r.barrier();
+        c.iter().for_each(|&i| apply(&mut r, base, i));
+
+        let mut m = SdvMachine::new(1 << 20);
+        m.reset_with_replicas(cfg, &REPLICA_KNOBS);
+        assert_eq!(m.alloc(1 << 19, 64), base);
+        a.iter().for_each(|&i| apply(&mut m, base, i));
+        assert_eq!(m.chunk.len(), a.len(), "a fence is one more buffered op");
+        assert_eq!(m.rdcycle(), want_clock, "a clock read replays the chunk first");
+        assert!(m.chunk.is_empty());
+        b.iter().for_each(|&i| apply(&mut m, base, i));
+        assert_eq!(m.barrier(), want_barrier, "so does a barrier");
+        c.iter().for_each(|&i| apply(&mut m, base, i));
+        assert_eq!(m.chunk.len(), c.len() % REPLAY_CHUNK);
+        assert_eq!(m.try_finish(), r.try_finish(), "try_finish answers for replica 0");
+        assert_eq!(format!("{:?}", m.stats()), format!("{:?}", r.stats()));
+
+        // The other replicas took the same barrier on their own clocks.
+        for (i, &knobs) in REPLICA_KNOBS.iter().enumerate().skip(1) {
+            let mut r = SdvMachine::new(1 << 20);
+            r.set_extra_latency(knobs.extra_latency);
+            r.set_bandwidth_limit(knobs.bandwidth);
+            assert_eq!(r.alloc(1 << 19, 64), base);
+            a.iter().chain(&b).for_each(|&ins| apply(&mut r, base, ins));
+            r.barrier();
+            c.iter().for_each(|&ins| apply(&mut r, base, ins));
+            r.try_finish().expect("clean run");
+            assert_eq!(format!("{:?}", m.stats_of(i)), format!("{:?}", r.stats()), "replica {i}");
+        }
+    }
+
+    #[test]
+    fn every_replica_latches_its_own_fault() {
+        use sdv_uarch::WatchdogConfig;
+        // A budget the unthrottled replicas finish inside and the slowed ones
+        // blow: the op stream is shared, the verdicts are not.
+        let mut rng = sdv_engine::Rng::new(0x5EED_0221);
+        let program: Vec<Ins> = (0..600).map(|_| random_ins(&mut rng)).collect();
+        let free = TimingConfig::default();
+        let alone_free: Vec<Cycle> = REPLICA_KNOBS
+            .iter()
+            .map(|&k| alone(free, k, &program).0.expect("no budget, clean run"))
+            .collect();
+        let (fastest, slowest) =
+            (*alone_free.iter().min().unwrap(), *alone_free.iter().max().unwrap());
+        assert!(fastest < slowest);
+        let cfg = TimingConfig {
+            watchdog: WatchdogConfig { cycle_budget: (fastest + slowest) / 2, progress_window: 0 },
+            ..free
+        };
+        let mut m = SdvMachine::new(1 << 20);
+        m.reset_with_replicas(cfg, &REPLICA_KNOBS);
+        let base = m.alloc(1 << 19, 64);
+        program.iter().for_each(|&i| apply(&mut m, base, i));
+        let got = m.try_finish_each();
+        assert!(got.iter().any(Result::is_ok) && got.iter().any(Result::is_err), "{got:?}");
+        for (i, &knobs) in REPLICA_KNOBS.iter().enumerate() {
+            let (want, stats) = alone(cfg, knobs, &program);
+            assert_eq!(got[i], want, "replica {i} ({knobs:?})");
+            assert_eq!(format!("{:?}", m.stats_of(i)), stats, "replica {i}: stats");
+        }
+        // The next reset leaves one clean replica behind.
+        m.reset_with_config(free);
+        assert_eq!(m.replicas(), 1);
+        assert!(m.fault().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot share one functional pass")]
+    fn more_than_one_tile_takes_one_replica_only() {
+        SdvMachine::new(1 << 16).reset_with_replicas(tiled_cfg(2), &REPLICA_KNOBS);
+    }
+
     /// One barrier-to-barrier stretch of a seeded program. Per tile: ops
     /// queued by direct `vm(t)` calls, then the pieces an `epoch` pulls.
     /// With no pieces anywhere the stretch ends in a bare `barrier()`.
@@ -1204,7 +1486,7 @@ mod tests {
             let collect_and_replay = |r: &mut SdvMachine| {
                 let pending: Vec<Vec<Op>> =
                     r.rings.iter_mut().map(|q| q.drain(..).collect()).collect();
-                replay_reference(&mut r.timing, &pending);
+                replay_reference(&mut r.replicas[0], &pending);
             };
             for st in &program {
                 for t in 0..tiles {
@@ -1212,17 +1494,17 @@ mod tests {
                     all.for_each(|&i| apply(&mut r.vm(t), base, i));
                 }
                 collect_and_replay(&mut r);
-                want_barriers.push(r.timing.barrier());
+                want_barriers.push(r.replicas[0].barrier());
             }
             tail.iter().for_each(|&i| apply(&mut r.vm(tiles - 1), base, i));
             collect_and_replay(&mut r);
-            let want = r.timing.try_finish().expect("clean reference run");
+            let want = r.replicas[0].try_finish().expect("clean reference run");
 
             assert_eq!(got_barriers, want_barriers, "case {case}: barrier cycles ({tiles} tiles)");
             assert_eq!(got, want, "case {case}: final cycles ({tiles} tiles, order {order:?})");
             assert_eq!(
                 format!("{:?}", m.stats()),
-                format!("{:?}", r.timing.stats()),
+                format!("{:?}", r.replicas[0].stats()),
                 "case {case}: stats"
             );
         }

@@ -157,6 +157,7 @@ impl SdvTiming {
             }
         }
         let before = self.tiles[tile].scalar.now();
+        self.hier.note_tile_clock(tile, before);
         match op {
             Op::IntOps(n) => self.tiles[tile].scalar.int_ops(*n),
             Op::FpOps(n) => self.tiles[tile].scalar.fp_ops(*n),
@@ -753,6 +754,24 @@ mod tests {
         // Untraced machines emit only metadata — no span/counter events.
         let empty = machine().trace_json();
         assert!(!empty.contains("\"ph\":\"X\"") && !empty.contains("\"ph\":\"C\""), "{empty}");
+    }
+
+    #[test]
+    fn a_scalar_only_run_keeps_the_l2_inflight_map_bounded_by_live_fills() {
+        // No vector op ever issues, so the VPU-side floor stays 0: the sweep
+        // has to run off the scalar clock `issue_on` hands the hierarchy.
+        // 60,000 distinct lines are 60,000 L2 misses; a few dozen are in
+        // flight at any moment.
+        let mut m = machine();
+        m.set_extra_latency(1024);
+        for i in 0..60_000u64 {
+            m.issue(&Op::Load { addr: i * 64, size: 8 });
+            m.issue(&Op::IntOps(2));
+        }
+        m.try_finish().expect("clean run");
+        assert_eq!(m.stats().get("l2.miss"), 60_000);
+        let entries = m.hier.l2_inflight_entries();
+        assert!(entries < 2048, "{entries} entries for a few dozen live fills");
     }
 
     #[test]

@@ -64,10 +64,16 @@ const INFLIGHT_PRUNE_AT: usize = 1024;
 /// Drop entries whose ready time is at or below `low` (a proven lower bound
 /// on every future lookup's `now`). Pure host-time optimization: lookups
 /// treat `ready <= now` entries exactly like absent ones, so the sweep is
-/// invisible to simulated timing. Returns the next trigger size.
+/// invisible to simulated timing. Returns the next trigger size: eight times
+/// the survivors, not twice. A sweep that leaves the map half full comes
+/// round again after as many inserts as it kept, and every sweep turns the
+/// table's freed slots into tombstones the next probes walk over: on the
+/// prototype of PR 21, paper-scale PR/vl=256 at +1024 swept 2,518 times at
+/// 2x and ran 13 % slower than with no sweep at all, 183 times at 8x and
+/// 12 % faster (EXPERIMENTS.md).
 fn prune_inflight(map: &mut FastMap<u64, Cycle>, low: Cycle) -> usize {
     map.retain(|_, &mut ready| ready > low);
-    (map.len() * 2).max(INFLIGHT_PRUNE_AT)
+    (map.len() * 8).max(INFLIGHT_PRUNE_AT)
 }
 
 /// The assembled hierarchy.
@@ -98,6 +104,13 @@ pub struct MemHierarchy {
     core_now: Vec<Cycle>,
     /// Per-tile monotone floor of `now` across VPU-side accesses.
     vpu_now: Vec<Cycle>,
+    /// Per-tile scalar clock, as last handed over by the timing model
+    /// ([`Self::note_tile_clock`]). Every later access of the tile, core or
+    /// VPU, is issued at or after it, so it bounds the shared L2 map's sweep
+    /// even on a tile whose VPU never issues (`vpu_now` stays 0 there, and a
+    /// scalar cell's map used to grow by one dead entry per L2 miss for the
+    /// whole run). Stays 0 for callers that drive the hierarchy directly.
+    tile_clock: Vec<Cycle>,
     /// Sweep each tile's `l1_inflight` when it reaches this size (doubles if
     /// a sweep fails to reclaim, so sweeping stays amortized O(1) per insert).
     l1_prune_at: Vec<usize>,
@@ -171,6 +184,7 @@ impl MemHierarchy {
             l2_inflight: FastMap::default(),
             core_now: vec![0; cfg.tiles],
             vpu_now: vec![0; cfg.tiles],
+            tile_clock: vec![0; cfg.tiles],
             l1_prune_at: vec![INFLIGHT_PRUNE_AT; cfg.tiles],
             l2_prune_at: INFLIGHT_PRUNE_AT,
             cfg,
@@ -247,6 +261,25 @@ impl MemHierarchy {
     /// Number of tiles sharing the hierarchy.
     pub fn tiles(&self) -> usize {
         self.cfg.tiles
+    }
+
+    /// Record `tile`'s scalar clock: a promise that no later access of that
+    /// tile, through its core or its VPU, carries an earlier `now`. Only the
+    /// in-flight sweeps read it; timing never does.
+    #[inline]
+    pub fn note_tile_clock(&mut self, tile: usize, now: Cycle) {
+        debug_assert!(now >= self.tile_clock[tile], "a tile's scalar clock is monotone");
+        self.tile_clock[tile] = now;
+    }
+
+    /// A cycle no later access can be issued before: per tile the later of
+    /// its scalar clock and the floor of its two requestors' last accesses,
+    /// and the earliest of those over all tiles.
+    fn access_floor(&self) -> Cycle {
+        (0..self.cfg.tiles)
+            .map(|t| self.tile_clock[t].max(self.core_now[t].min(self.vpu_now[t])))
+            .min()
+            .unwrap_or(0)
     }
 
     /// Claim the bank pipeline: requests serialize at `l2_bank_occupancy`.
@@ -327,14 +360,8 @@ impl MemHierarchy {
         }
         if self.l2_inflight.len() >= self.l2_prune_at {
             // The L2 map serves every requestor: only entries dead to *all*
-            // clocks can go.
-            let low = self
-                .core_now
-                .iter()
-                .chain(self.vpu_now.iter())
-                .copied()
-                .min()
-                .unwrap_or(0);
+            // tiles can go.
+            let low = self.access_floor();
             self.l2_prune_at = prune_inflight(&mut self.l2_inflight, low);
         }
         self.l2_inflight.insert(line, done);
@@ -673,6 +700,12 @@ impl MemHierarchy {
             s.put_histogram("memsys.dram_queue_depth", h);
         }
         s
+    }
+
+    /// Entries in the shared in-flight L2 map, completed fills included.
+    #[cfg(test)]
+    pub(crate) fn l2_inflight_entries(&self) -> usize {
+        self.l2_inflight.len()
     }
 
     /// Latest cycle at which the DRAM channel is still busy.
