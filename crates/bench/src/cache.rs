@@ -72,7 +72,7 @@ impl CacheKey {
 
     /// The key for one sweep-grid [`Cell`]. The ignored `Backend` parameter
     /// is frozen-API residue: `benchmark/` passes `Backend::default()` here
-    /// and may not be edited alongside other code (ROADMAP 3a).
+    /// and may not be edited alongside other code (ROADMAP 1(a)).
     pub fn for_cell(cell: Cell, input_fp: &str, cfg: &str, _: Backend) -> Self {
         Self::new(
             &format!("{}/{}", cell.kernel.name(), cell.imp),

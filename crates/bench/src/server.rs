@@ -157,7 +157,7 @@ impl ServerConfig {
     /// A production-default configuration: bounded queue, 30 s socket
     /// timeouts, no wall deadline, no chaos. The ignored `Backend` parameter
     /// is frozen-API residue: `benchmark/` passes `Backend::default()` here
-    /// and may not be edited alongside other code (ROADMAP 3a).
+    /// and may not be edited alongside other code (ROADMAP 1(a)).
     pub fn new(workload: &str, cfg: TimingConfig, _: Backend, threads: usize) -> Self {
         Self {
             workload: workload.to_string(),
@@ -1308,7 +1308,7 @@ mod tests {
         handle.join().unwrap();
     }
 
-    /// Hostile bytes (ROADMAP 4d): seeded mutations of real response lines
+    /// Hostile bytes (ROADMAP 4(c)): seeded mutations of real response lines
     /// must come back from both decoders as a value or an error — never a
     /// panic, never a hang.
     #[test]

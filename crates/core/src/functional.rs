@@ -205,24 +205,37 @@ mod tests {
         }
     }
 
+    /// `0, 1, … 7` as u64 indices in `v1` and as f64 data in `v2`, both
+    /// `vle`-loaded from memory at VL=8.
+    fn load_ramp(m: &mut FunctionalMachine) {
+        let idx = m.alloc(8 * 8, 64);
+        let data = m.alloc(8 * 8, 64);
+        for i in 0..8 {
+            m.mem_mut().poke_u64(idx + 8 * i, i);
+            m.mem_mut().poke_f64(data + 8 * i, i as f64);
+        }
+        m.setvl(8, Sew::E64, Lmul::M1);
+        m.vle(1, idx);
+        m.vle(2, data);
+    }
+
     #[test]
     fn intrinsic_scalar_results() {
         let mut m = FunctionalMachine::new(1 << 16);
-        m.setvl(8, Sew::E64, Lmul::M1);
-        m.vid(1);
-        m.vmsltu_vx(2, 1, 3); // elements 0,1,2
-        assert_eq!(m.vpopc(2), 3);
-        assert_eq!(m.vfirst(2), 0);
-        m.vmnot(3, 2);
-        assert_eq!(m.vfirst(3), 3);
+        load_ramp(&mut m);
+        m.vmseq_vx(3, 1, 5); // element 5 only
+        assert_eq!(m.vpopc(3), 1);
+        m.vmor(4, 3, 3);
+        m.vmand(5, 4, 0); // v0 is all clear
+        assert_eq!(m.vpopc(4), 1);
+        assert_eq!(m.vpopc(5), 0);
+        assert_eq!(m.vmv_xs(1), 0);
     }
 
     #[test]
     fn reduction_via_intrinsics() {
         let mut m = FunctionalMachine::new(1 << 16);
-        m.setvl(8, Sew::E64, Lmul::M1);
-        m.vid(1);
-        m.vfcvt_f_xu(2, 1); // 0..7 as f64
+        load_ramp(&mut m); // v2 = 0..7 as f64
         m.vfmv_sf(3, 0.0);
         m.vfredsum(4, 2, 3);
         assert_eq!(m.vfmv_fs(4), 28.0);
@@ -258,7 +271,7 @@ mod tests {
         m.load_u32(a);
         m.branch(false);
         m.setvl(8, Sew::E64, Lmul::M1);
-        m.vid(1);
+        m.vfmv_vf(1, 1.0);
         m.vle(2, a);
         let s = m.stats();
         let got: Vec<(&str, u64)> = s.iter().collect();

@@ -1,9 +1,11 @@
 //! Instruction tracing.
 //!
 //! [`TracingMachine`] wraps any [`Vm`] and records the dynamic instruction
-//! stream — vector instructions as RVV-style assembly, scalar events in a
-//! compact form — up to a configurable cap. Used for debugging kernels and
-//! for inspecting exactly what a strip-mined loop emits at a given MAXVL.
+//! stream — vector instructions as the [`VInst`] itself (rendered as
+//! RVV-style assembly on demand), scalar events in a compact form — up to a
+//! configurable cap. Used for debugging kernels, for inspecting exactly what
+//! a strip-mined loop emits at a given MAXVL, and by the kernels' ISA
+//! coverage test to see which instructions a kernel executes.
 
 use crate::memory::SimMemory;
 use crate::vm::Vm;
@@ -12,10 +14,10 @@ use sdv_rvv::{Lmul, Sew, VInst};
 /// One recorded trace event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
-    /// A vector instruction (disassembly, VL it executed at).
+    /// A vector instruction and the VL it executed at.
     Vector {
-        /// RVV-style rendering.
-        asm: String,
+        /// The instruction.
+        inst: VInst,
         /// Vector length at execution.
         vl: usize,
     },
@@ -50,7 +52,7 @@ impl TraceEvent {
     /// Compact single-line rendering.
     pub fn render(&self) -> String {
         match self {
-            TraceEvent::Vector { asm, vl } => format!("{asm:<44} # vl={vl}"),
+            TraceEvent::Vector { inst, vl } => format!("{:<44} # vl={vl}", inst.to_string()),
             TraceEvent::SetVl { avl, granted } => format!("vsetvl avl={avl} -> vl={granted}"),
             TraceEvent::Load { addr, size } => format!("l{size} {addr:#x}"),
             TraceEvent::Store { addr, size } => format!("s{size} {addr:#x}"),
@@ -188,7 +190,7 @@ impl<V: Vm> Vm for TracingMachine<V> {
     }
 
     fn exec_v(&mut self, inst: VInst) -> Option<u64> {
-        self.record(TraceEvent::Vector { asm: inst.to_string(), vl: self.inner.vl() });
+        self.record(TraceEvent::Vector { inst: inst.clone(), vl: self.inner.vl() });
         self.inner.exec_v(inst)
     }
 

@@ -13,8 +13,8 @@
 //! provided methods are one-to-one with RVV instructions.
 
 use sdv_rvv::{
-    ArithKind, CmpKind, CvtKind, FArithKind, FmaKind, FUnaryKind, Lmul, MaskKind, MaskSetKind,
-    MemAddr, RedKind, Reg, Sew, SlideKind, VInst, VOp, WidenKind,
+    ArithKind, CmpKind, FArithKind, FmaKind, Lmul, MaskKind, MemAddr, RedKind, Reg, Sew, VInst,
+    VOp,
 };
 
 /// The machine interface kernels program against.
@@ -98,11 +98,6 @@ pub trait Vm {
         self.exec_v(VInst::new(VOp::Load { vd, addr: MemAddr::Unit { base } }));
     }
 
-    /// Masked unit-stride vector load.
-    fn vle_m(&mut self, vd: Reg, base: u64) {
-        self.exec_v(VInst::masked(VOp::Load { vd, addr: MemAddr::Unit { base } }));
-    }
-
     /// Strided vector load (`stride` in bytes).
     fn vlse(&mut self, vd: Reg, base: u64, stride: i64) {
         self.exec_v(VInst::new(VOp::Load { vd, addr: MemAddr::Strided { base, stride } }));
@@ -118,41 +113,20 @@ pub trait Vm {
         self.exec_v(VInst::masked(VOp::Load { vd, addr: MemAddr::Indexed { base, index } }));
     }
 
-    /// Unit-stride two-field segment load (`vlseg2e.v`): deinterleaves
-    /// AoS pairs (e.g. interleaved complex) into `vd` and `vd+1`.
-    fn vlseg2(&mut self, vd: Reg, base: u64) {
-        self.exec_v(VInst::new(VOp::SegLoad { vd, base, nf: 2 }));
-    }
-
-    /// Unit-stride two-field segment store (`vsseg2e.v`).
-    fn vsseg2(&mut self, vs: Reg, base: u64) {
-        self.exec_v(VInst::new(VOp::SegStore { vs, base, nf: 2 }));
-    }
-
     /// Widening unit-stride load (`vlwu.v`): reads SEW/2-wide unsigned
     /// elements, zero-extends into SEW lanes. Streams u32 index arrays.
     fn vlwu(&mut self, vd: Reg, base: u64) {
-        self.exec_v(VInst::new(VOp::LoadWiden { vd, addr: MemAddr::Unit { base } }));
+        self.exec_v(VInst::new(VOp::LoadWiden { vd, base }));
     }
 
     /// Masked widening unit-stride load.
     fn vlwu_m(&mut self, vd: Reg, base: u64) {
-        self.exec_v(VInst::masked(VOp::LoadWiden { vd, addr: MemAddr::Unit { base } }));
-    }
-
-    /// Widening indexed load (gather of u32 entries under SEW=64).
-    fn vlxwu(&mut self, vd: Reg, base: u64, index: Reg) {
-        self.exec_v(VInst::new(VOp::LoadWiden { vd, addr: MemAddr::Indexed { base, index } }));
+        self.exec_v(VInst::masked(VOp::LoadWiden { vd, base }));
     }
 
     /// Unit-stride vector store.
     fn vse(&mut self, vs: Reg, base: u64) {
         self.exec_v(VInst::new(VOp::Store { vs, addr: MemAddr::Unit { base } }));
-    }
-
-    /// Masked unit-stride store.
-    fn vse_m(&mut self, vs: Reg, base: u64) {
-        self.exec_v(VInst::masked(VOp::Store { vs, addr: MemAddr::Unit { base } }));
     }
 
     /// Strided store.
@@ -172,49 +146,9 @@ pub trait Vm {
 
     // ---- integer arithmetic ----
 
-    /// `vd[i] = x[i] + y[i]`.
-    fn vadd_vv(&mut self, vd: Reg, x: Reg, y: Reg) {
-        self.exec_v(VInst::new(VOp::ArithVV { kind: ArithKind::Add, vd, x, y }));
-    }
-
-    /// `vd[i] = x[i] + s`.
-    fn vadd_vx(&mut self, vd: Reg, x: Reg, s: u64) {
-        self.exec_v(VInst::new(VOp::ArithVX { kind: ArithKind::Add, vd, x, scalar: s }));
-    }
-
-    /// `vd[i] = x[i] - y[i]`.
-    fn vsub_vv(&mut self, vd: Reg, x: Reg, y: Reg) {
-        self.exec_v(VInst::new(VOp::ArithVV { kind: ArithKind::Sub, vd, x, y }));
-    }
-
-    /// `vd[i] = x[i] * y[i]` (integer).
-    fn vmul_vv(&mut self, vd: Reg, x: Reg, y: Reg) {
-        self.exec_v(VInst::new(VOp::ArithVV { kind: ArithKind::Mul, vd, x, y }));
-    }
-
-    /// `vd[i] = x[i] * s` (integer).
-    fn vmul_vx(&mut self, vd: Reg, x: Reg, s: u64) {
-        self.exec_v(VInst::new(VOp::ArithVX { kind: ArithKind::Mul, vd, x, scalar: s }));
-    }
-
     /// `vd[i] = x[i] << s`.
     fn vsll_vx(&mut self, vd: Reg, x: Reg, s: u64) {
         self.exec_v(VInst::new(VOp::ArithVX { kind: ArithKind::Sll, vd, x, scalar: s }));
-    }
-
-    /// `vd[i] = x[i] >> s` (logical).
-    fn vsrl_vx(&mut self, vd: Reg, x: Reg, s: u64) {
-        self.exec_v(VInst::new(VOp::ArithVX { kind: ArithKind::Srl, vd, x, scalar: s }));
-    }
-
-    /// `vd[i] = x[i] & s`.
-    fn vand_vx(&mut self, vd: Reg, x: Reg, s: u64) {
-        self.exec_v(VInst::new(VOp::ArithVX { kind: ArithKind::And, vd, x, scalar: s }));
-    }
-
-    /// `vd[i] = x[i] | y[i]`.
-    fn vor_vv(&mut self, vd: Reg, x: Reg, y: Reg) {
-        self.exec_v(VInst::new(VOp::ArithVV { kind: ArithKind::Or, vd, x, y }));
     }
 
     /// Masked `vd[i] = x[i] + s` under v0.t.
@@ -284,61 +218,6 @@ pub trait Vm {
         self.exec_v(VInst::new(VOp::FmaVF { kind: FmaKind::Nmsac, vd, scalar: s.to_bits(), y }));
     }
 
-    /// `vd[i] = sqrt(x[i])`.
-    fn vfsqrt(&mut self, vd: Reg, x: Reg) {
-        self.exec_v(VInst::new(VOp::FUnary { kind: FUnaryKind::Fsqrt, vd, x }));
-    }
-
-    /// `vd[i] = -x[i]`.
-    fn vfneg(&mut self, vd: Reg, x: Reg) {
-        self.exec_v(VInst::new(VOp::FUnary { kind: FUnaryKind::Fneg, vd, x }));
-    }
-
-    /// `vd[i] = |x[i]|`.
-    fn vfabs(&mut self, vd: Reg, x: Reg) {
-        self.exec_v(VInst::new(VOp::FUnary { kind: FUnaryKind::Fabs, vd, x }));
-    }
-
-    /// Integer `vd[i] += x[i] * y[i]` (vmacc).
-    fn vmacc_vv(&mut self, vd: Reg, x: Reg, y: Reg) {
-        self.exec_v(VInst::new(VOp::IMaccVV { vd, x, y }));
-    }
-
-    /// Unsigned saturating add.
-    fn vsaddu_vv(&mut self, vd: Reg, x: Reg, y: Reg) {
-        self.exec_v(VInst::new(VOp::SatAddU { vd, x, y }));
-    }
-
-    /// Widening unsigned add: SEW/2 sources, SEW result.
-    fn vwaddu_vv(&mut self, vd: Reg, x: Reg, y: Reg) {
-        self.exec_v(VInst::new(VOp::WidenBin { kind: WidenKind::Addu, vd, x, y }));
-    }
-
-    /// Widening unsigned multiply.
-    fn vwmulu_vv(&mut self, vd: Reg, x: Reg, y: Reg) {
-        self.exec_v(VInst::new(VOp::WidenBin { kind: WidenKind::Mulu, vd, x, y }));
-    }
-
-    /// Narrowing logical shift right: SEW source, SEW/2 result.
-    fn vnsrl(&mut self, vd: Reg, x: Reg, shamt: u32) {
-        self.exec_v(VInst::new(VOp::NarrowSrl { vd, x, shamt }));
-    }
-
-    /// Set-before-first mask.
-    fn vmsbf(&mut self, md: Reg, m: Reg) {
-        self.exec_v(VInst::new(VOp::MaskSet { kind: MaskSetKind::Sbf, md, m }));
-    }
-
-    /// Set-including-first mask.
-    fn vmsif(&mut self, md: Reg, m: Reg) {
-        self.exec_v(VInst::new(VOp::MaskSet { kind: MaskSetKind::Sif, md, m }));
-    }
-
-    /// Set-only-first mask.
-    fn vmsof(&mut self, md: Reg, m: Reg) {
-        self.exec_v(VInst::new(VOp::MaskSet { kind: MaskSetKind::Sof, md, m }));
-    }
-
     // ---- comparisons / masks ----
 
     /// Mask `md.bit[i] = (x[i] == s)` (integer).
@@ -346,34 +225,9 @@ pub trait Vm {
         self.exec_v(VInst::new(VOp::CmpVX { kind: CmpKind::Eq, md, x, scalar: s }));
     }
 
-    /// Mask `md.bit[i] = (x[i] != s)` (integer).
-    fn vmsne_vx(&mut self, md: Reg, x: Reg, s: u64) {
-        self.exec_v(VInst::new(VOp::CmpVX { kind: CmpKind::Ne, md, x, scalar: s }));
-    }
-
-    /// Mask `md.bit[i] = (x[i] < s)` unsigned.
-    fn vmsltu_vx(&mut self, md: Reg, x: Reg, s: u64) {
-        self.exec_v(VInst::new(VOp::CmpVX { kind: CmpKind::Ltu, md, x, scalar: s }));
-    }
-
-    /// Mask `md.bit[i] = (x[i] == y[i])` (integer).
-    fn vmseq_vv(&mut self, md: Reg, x: Reg, y: Reg) {
-        self.exec_v(VInst::new(VOp::CmpVV { kind: CmpKind::Eq, md, x, y }));
-    }
-
-    /// Mask `md.bit[i] = (x[i] > s)` (FP, f64 scalar bits).
-    fn vmfgt_vf(&mut self, md: Reg, x: Reg, s: f64) {
-        self.exec_v(VInst::new(VOp::CmpVX { kind: CmpKind::Fgt, md, x, scalar: s.to_bits() }));
-    }
-
     /// `md = m1 & m2`.
     fn vmand(&mut self, md: Reg, m1: Reg, m2: Reg) {
         self.exec_v(VInst::new(VOp::MaskOp { kind: MaskKind::And, md, m1, m2 }));
-    }
-
-    /// `md = m1 & !m2`.
-    fn vmandnot(&mut self, md: Reg, m1: Reg, m2: Reg) {
-        self.exec_v(VInst::new(VOp::MaskOp { kind: MaskKind::AndNot, md, m1, m2 }));
     }
 
     /// `md = m1 | m2`.
@@ -381,29 +235,9 @@ pub trait Vm {
         self.exec_v(VInst::new(VOp::MaskOp { kind: MaskKind::Or, md, m1, m2 }));
     }
 
-    /// `md = !m1` (vmnand m1,m1).
-    fn vmnot(&mut self, md: Reg, m1: Reg) {
-        self.exec_v(VInst::new(VOp::MaskOp { kind: MaskKind::Nand, md, m1, m2: m1 }));
-    }
-
     /// Count set mask bits in `[0, vl)` — synchronizes scalar and vector.
     fn vpopc(&mut self, m: Reg) -> u64 {
         self.exec_v(VInst::new(VOp::Popc { m })).expect("popc yields a scalar")
-    }
-
-    /// First set mask bit in `[0, vl)` or -1 — synchronizes.
-    fn vfirst(&mut self, m: Reg) -> i64 {
-        self.exec_v(VInst::new(VOp::First { m })).expect("vfirst yields a scalar") as i64
-    }
-
-    /// `vd[i] = popcount(m[0..i))`.
-    fn viota(&mut self, vd: Reg, m: Reg) {
-        self.exec_v(VInst::new(VOp::Iota { vd, m }));
-    }
-
-    /// `vd[i] = i`.
-    fn vid(&mut self, vd: Reg) {
-        self.exec_v(VInst::new(VOp::Id { vd }));
     }
 
     // ---- reductions ----
@@ -413,64 +247,12 @@ pub trait Vm {
         self.exec_v(VInst::new(VOp::Red { kind: RedKind::Fsum, vd, x, acc }));
     }
 
-    /// Masked FP sum reduction.
-    fn vfredsum_m(&mut self, vd: Reg, x: Reg, acc: Reg) {
-        self.exec_v(VInst::masked(VOp::Red { kind: RedKind::Fsum, vd, x, acc }));
-    }
-
-    /// FP max reduction.
-    fn vfredmax(&mut self, vd: Reg, x: Reg, acc: Reg) {
-        self.exec_v(VInst::new(VOp::Red { kind: RedKind::Fmax, vd, x, acc }));
-    }
-
     /// Integer sum reduction.
     fn vredsum(&mut self, vd: Reg, x: Reg, acc: Reg) {
         self.exec_v(VInst::new(VOp::Red { kind: RedKind::Sum, vd, x, acc }));
     }
 
-    /// Unsigned max reduction.
-    fn vredmaxu(&mut self, vd: Reg, x: Reg, acc: Reg) {
-        self.exec_v(VInst::new(VOp::Red { kind: RedKind::Maxu, vd, x, acc }));
-    }
-
-    // ---- permutation ----
-
-    /// `vd[i+n] = x[i]`.
-    fn vslideup(&mut self, vd: Reg, x: Reg, n: u64) {
-        self.exec_v(VInst::new(VOp::Slide { kind: SlideKind::Up, vd, x, amount: n }));
-    }
-
-    /// `vd[i] = x[i+n]`.
-    fn vslidedown(&mut self, vd: Reg, x: Reg, n: u64) {
-        self.exec_v(VInst::new(VOp::Slide { kind: SlideKind::Down, vd, x, amount: n }));
-    }
-
-    /// `vd[0] = bits; vd[i] = x[i-1]`.
-    fn vslide1up(&mut self, vd: Reg, x: Reg, bits: u64) {
-        self.exec_v(VInst::new(VOp::Slide { kind: SlideKind::OneUp, vd, x, amount: bits }));
-    }
-
-    /// `vd[i] = x[y[i]]` (register gather).
-    fn vrgather(&mut self, vd: Reg, x: Reg, y: Reg) {
-        self.exec_v(VInst::new(VOp::Gather { vd, x, y }));
-    }
-
-    /// Compress elements of `x` selected by mask `m` to the front of `vd`.
-    fn vcompress(&mut self, vd: Reg, x: Reg, m: Reg) {
-        self.exec_v(VInst::new(VOp::Compress { vd, x, m }));
-    }
-
-    /// `vd[i] = v0[i] ? x[i] : y[i]`.
-    fn vmerge_vvm(&mut self, vd: Reg, x: Reg, y: Reg) {
-        self.exec_v(VInst::new(VOp::Merge { vd, x, y }));
-    }
-
-    /// `vd[i] = v0[i] ? s : y[i]`.
-    fn vmerge_vxm(&mut self, vd: Reg, s: u64, y: Reg) {
-        self.exec_v(VInst::new(VOp::MergeVX { vd, scalar: s, y }));
-    }
-
-    // ---- moves / broadcast / conversion ----
+    // ---- moves / broadcast ----
 
     /// `vd[i] = x[i]` (active elements).
     fn vmv_vv(&mut self, vd: Reg, x: Reg) {
@@ -505,20 +287,5 @@ pub trait Vm {
     /// Read element 0 as an f64 — synchronizes.
     fn vfmv_fs(&mut self, x: Reg) -> f64 {
         f64::from_bits(self.vmv_xs(x))
-    }
-
-    /// Zero-extend SEW/2 elements of `x` into SEW elements of `vd`.
-    fn vwiden(&mut self, vd: Reg, x: Reg) {
-        self.exec_v(VInst::new(VOp::Widen { vd, x }));
-    }
-
-    /// Unsigned int -> FP, same SEW.
-    fn vfcvt_f_xu(&mut self, vd: Reg, x: Reg) {
-        self.exec_v(VInst::new(VOp::Cvt { kind: CvtKind::UToF, vd, x }));
-    }
-
-    /// FP -> unsigned int, same SEW.
-    fn vfcvt_xu_f(&mut self, vd: Reg, x: Reg) {
-        self.exec_v(VInst::new(VOp::Cvt { kind: CvtKind::FToU, vd, x }));
     }
 }

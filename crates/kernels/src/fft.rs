@@ -13,7 +13,9 @@
 //!   unit-stride, twiddle broadcast from a scalar.
 //!
 //! Data is split-format (separate re/im arrays), the standard layout for
-//! vector FFTs.
+//! vector FFTs. Unit-stride and strided accesses reach all of it, which is
+//! why `sdv-rvv` models no segment (`vlseg2e`) loads: an interleaved-complex
+//! kernel would be their only user.
 
 use sdv_core::Vm;
 use sdv_rvv::{Lmul, Reg, Sew};
@@ -321,148 +323,6 @@ pub fn fft_vector<V: Vm>(vm: &mut V, dev: &FftDevice) {
     vm.fence();
 }
 
-/// Simulated-memory layout of an *interleaved-complex* FFT instance
-/// (AoS `(re, im)` pairs — the layout most signal-processing code keeps its
-/// data in). The vector kernel deinterleaves on the fly with `vlseg2e`
-/// segment loads, avoiding the host-side split the split-format path needs.
-#[derive(Debug, Clone)]
-pub struct FftIDevice {
-    /// Transform size.
-    pub n: usize,
-    /// log2(n).
-    pub stages: u32,
-    /// Buffer A, interleaved complex (f64\[2n\]).
-    pub a: u64,
-    /// Buffer B, interleaved complex (f64\[2n\]).
-    pub b: u64,
-    /// Twiddle reals (f64\[n-1\]).
-    pub twr: u64,
-    /// Twiddle imags (f64\[n-1\]).
-    pub twi: u64,
-    /// Per-stage offsets into the twiddle tables.
-    pub tw_offs: Vec<usize>,
-}
-
-/// Allocate and populate an interleaved-complex FFT instance.
-pub fn setup_fft_interleaved<V: Vm>(vm: &mut V, re: &[f64], im: &[f64]) -> FftIDevice {
-    let n = re.len();
-    assert!(n.is_power_of_two() && n >= 2, "need a power-of-two size >= 2");
-    assert_eq!(im.len(), n);
-    let (twr_v, twi_v, tw_offs) = twiddles(n);
-    let dev = FftIDevice {
-        n,
-        stages: n.trailing_zeros(),
-        a: vm.alloc(16 * n, 64),
-        b: vm.alloc(16 * n, 64),
-        twr: vm.alloc(8 * twr_v.len(), 64),
-        twi: vm.alloc(8 * twi_v.len(), 64),
-        tw_offs,
-    };
-    let m = vm.mem_mut();
-    for i in 0..n {
-        m.poke_f64(dev.a + 16 * i as u64, re[i]);
-        m.poke_f64(dev.a + 16 * i as u64 + 8, im[i]);
-    }
-    m.poke_f64_slice(dev.twr, &twr_v);
-    m.poke_f64_slice(dev.twi, &twi_v);
-    dev
-}
-
-/// Read back the interleaved transform result as (re, im) vectors.
-pub fn read_result_interleaved<V: Vm>(vm: &V, dev: &FftIDevice) -> Complexes {
-    let buf = if dev.stages.is_multiple_of(2) { dev.a } else { dev.b };
-    let mut re = Vec::with_capacity(dev.n);
-    let mut im = Vec::with_capacity(dev.n);
-    for i in 0..dev.n as u64 {
-        re.push(vm.mem().peek_f64(buf + 16 * i));
-        im.push(vm.mem().peek_f64(buf + 16 * i + 8));
-    }
-    (re, im)
-}
-
-/// Long-vector Stockham FFT over interleaved complex data, using `vlseg2e` /
-/// `vsseg2e` for the contiguous stages and paired strided accesses for the
-/// strided stages (timed).
-pub fn fft_vector_interleaved<V: Vm>(vm: &mut V, dev: &FftIDevice) {
-    let n = dev.n;
-    let (mut src, mut dst) = (dev.a, dev.b);
-    for q in 0..dev.stages {
-        let n_cur = n >> q;
-        let m = (n_cur / 2) as u64;
-        let s = 1u64 << q;
-        let toff = dev.tw_offs[q as usize] as u64;
-        vm.int_ops(4);
-        if s >= m {
-            // Contiguous in k: segment loads deinterleave (re,im) pairs.
-            for pp in 0..m {
-                let wr = vm.load_f64(dev.twr + 8 * (toff + pp));
-                let wi = vm.load_f64(dev.twi + 8 * (toff + pp));
-                vm.int_ops(3);
-                let mut k = 0u64;
-                while k < s {
-                    let vl = vm.setvl((s - k) as usize, Sew::E64, Lmul::M1) as u64;
-                    vm.vlseg2(AR, src + 16 * (k + s * pp)); // AR, AI
-                    vm.vlseg2(BR, src + 16 * (k + s * (pp + m))); // BR, BI
-                    vm.vfsub_vv(TR, AR, BR);
-                    vm.vfsub_vv(TI, AI, BI);
-                    vm.vfadd_vv(UR, AR, BR);
-                    vm.vfadd_vv(UI, AI, BI);
-                    vm.vfmul_vf(OR, TR, wr);
-                    vm.vfnmsac_vf(OR, wi, TI);
-                    vm.vfmul_vf(OI, TR, wi);
-                    vm.vfmacc_vf(OI, wr, TI);
-                    vm.vsseg2(UR, dst + 16 * (k + s * 2 * pp));
-                    vm.vsseg2(OR, dst + 16 * (k + s * (2 * pp + 1)));
-                    vm.int_ops(4);
-                    k += vl;
-                    vm.branch(k < s);
-                }
-                vm.branch(pp + 1 != m);
-            }
-        } else {
-            // Strided in pp: paired strided loads/stores over the AoS layout.
-            let ld_stride = (16 * s) as i64;
-            let st_stride = (32 * s) as i64;
-            for k in 0..s {
-                let mut pp = 0u64;
-                vm.int_ops(2);
-                while pp < m {
-                    let vl = vm.setvl((m - pp) as usize, Sew::E64, Lmul::M1) as u64;
-                    let i0 = 16 * (k + s * pp);
-                    let i1 = 16 * (k + s * (pp + m));
-                    vm.vlse(AR, src + i0, ld_stride);
-                    vm.vlse(AI, src + i0 + 8, ld_stride);
-                    vm.vlse(BR, src + i1, ld_stride);
-                    vm.vlse(BI, src + i1 + 8, ld_stride);
-                    vm.vle(WR, dev.twr + 8 * (toff + pp));
-                    vm.vle(WI, dev.twi + 8 * (toff + pp));
-                    vm.vfsub_vv(TR, AR, BR);
-                    vm.vfsub_vv(TI, AI, BI);
-                    vm.vfadd_vv(UR, AR, BR);
-                    vm.vfadd_vv(UI, AI, BI);
-                    vm.vfmul_vv(OR, TR, WR);
-                    vm.vfnmsac_vv(OR, TI, WI);
-                    vm.vfmul_vv(OI, TR, WI);
-                    vm.vfmacc_vv(OI, TI, WR);
-                    let o0 = 16 * (k + s * 2 * pp);
-                    let o1 = 16 * (k + s * (2 * pp + 1));
-                    vm.vsse(UR, dst + o0, st_stride);
-                    vm.vsse(UI, dst + o0 + 8, st_stride);
-                    vm.vsse(OR, dst + o1, st_stride);
-                    vm.vsse(OI, dst + o1 + 8, st_stride);
-                    vm.int_ops(4);
-                    pp += vl;
-                    vm.branch(pp < m);
-                }
-                vm.branch(k + 1 != s);
-            }
-        }
-        std::mem::swap(&mut src, &mut dst);
-        vm.int_ops(2);
-    }
-    vm.fence();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,36 +407,6 @@ mod tests {
     fn odd_and_even_stage_counts_land_in_right_buffer() {
         check_device(4); // 2 stages: result in A
         check_device(8); // 3 stages: result in B
-    }
-
-    #[test]
-    fn interleaved_variant_matches_split() {
-        for n in [8usize, 64, 512, 2048] {
-            let (re, im) = test_signal(n);
-            let want = stockham_host(&re, &im);
-            let mut vm = FunctionalMachine::new(64 << 20);
-            let dev = setup_fft_interleaved(&mut vm, &re, &im);
-            fft_vector_interleaved(&mut vm, &dev);
-            let got = read_result_interleaved(&vm, &dev);
-            let tol = 1e-9 * n as f64;
-            assert!(close(&got.0, &want.0, tol), "interleaved re mismatch n={n}");
-            assert!(close(&got.1, &want.1, tol), "interleaved im mismatch n={n}");
-        }
-    }
-
-    #[test]
-    fn interleaved_respects_maxvl_cap() {
-        let n = 256;
-        let (re, im) = test_signal(n);
-        let want = stockham_host(&re, &im);
-        for cap in [8, 64] {
-            let mut vm = FunctionalMachine::new(32 << 20);
-            vm.set_maxvl_cap(cap);
-            let dev = setup_fft_interleaved(&mut vm, &re, &im);
-            fft_vector_interleaved(&mut vm, &dev);
-            let got = read_result_interleaved(&vm, &dev);
-            assert!(close(&got.0, &want.0, 1e-6), "cap={cap}");
-        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Assembly-style formatting of vector instructions.
 //!
-//! `VInst` renders as RVV-flavoured assembly (`vfmacc.vv v1, v2, v3` …),
-//! used by the platform's instruction tracer and handy in test failures.
+//! `VInst` renders as RVV-flavoured assembly (`vfmacc.vv v1, v2, v3` …):
+//! what `sdv_core::TraceEvent::render` prints for a vector instruction, and
+//! handy in test failures.
 
 use crate::instr::{
-    ArithKind, CmpKind, CvtKind, FArithKind, FmaKind, FUnaryKind, MaskKind, MaskSetKind, MemAddr,
-    RedKind, SlideKind, VInst, VOp, WidenKind,
+    ArithKind, CmpKind, FArithKind, FmaKind, MaskKind, MemAddr, RedKind, VInst, VOp,
 };
 use std::fmt;
 
@@ -29,20 +29,7 @@ impl fmt::Display for VInst {
                 };
                 write!(f, "{mn} v{vd}, {}{m}", mem_operand(addr))
             }
-            VOp::SegLoad { vd, base, nf } => {
-                write!(f, "vlseg{nf}e.v v{vd}, ({base:#x}){m}")
-            }
-            VOp::SegStore { vs, base, nf } => {
-                write!(f, "vsseg{nf}e.v v{vs}, ({base:#x}){m}")
-            }
-            VOp::LoadWiden { vd, addr } => {
-                let mn = match addr {
-                    MemAddr::Unit { .. } => "vlwu.v",
-                    MemAddr::Strided { .. } => "vlswu.v",
-                    MemAddr::Indexed { .. } => "vlxwu.v",
-                };
-                write!(f, "{mn} v{vd}, {}{m}", mem_operand(addr))
-            }
+            VOp::LoadWiden { vd, base } => write!(f, "vlwu.v v{vd}, ({base:#x}){m}"),
             VOp::Store { vs, addr } => {
                 let mn = match addr {
                     MemAddr::Unit { .. } => "vse.v",
@@ -68,38 +55,10 @@ impl fmt::Display for VInst {
                     f64::from_bits(*scalar)
                 )
             }
-            VOp::FUnary { kind, vd, x } => {
-                let mn = match kind {
-                    FUnaryKind::Fsqrt => "vfsqrt.v",
-                    FUnaryKind::Fneg => "vfneg.v",
-                    FUnaryKind::Fabs => "vfabs.v",
-                };
-                write!(f, "{mn} v{vd}, v{x}{m}")
-            }
-            VOp::IMaccVV { vd, x, y } => write!(f, "vmacc.vv v{vd}, v{x}, v{y}{m}"),
-            VOp::SatAddU { vd, x, y } => write!(f, "vsaddu.vv v{vd}, v{x}, v{y}{m}"),
-            VOp::WidenBin { kind, vd, x, y } => {
-                let mn = match kind {
-                    WidenKind::Addu => "vwaddu.vv",
-                    WidenKind::Subu => "vwsubu.vv",
-                    WidenKind::Mulu => "vwmulu.vv",
-                };
-                write!(f, "{mn} v{vd}, v{x}, v{y}{m}")
-            }
-            VOp::NarrowSrl { vd, x, shamt } => write!(f, "vnsrl.vi v{vd}, v{x}, {shamt}{m}"),
-            VOp::MaskSet { kind, md, m: src } => {
-                let mn = match kind {
-                    MaskSetKind::Sbf => "vmsbf.m",
-                    MaskSetKind::Sif => "vmsif.m",
-                    MaskSetKind::Sof => "vmsof.m",
-                };
-                write!(f, "{mn} v{md}, v{src}{m}")
-            }
             VOp::FmaVV { kind, vd, x, y } => {
                 let mn = match kind {
                     FmaKind::Macc => "vfmacc.vv",
                     FmaKind::Nmsac => "vfnmsac.vv",
-                    FmaKind::Madd => "vfmadd.vv",
                 };
                 write!(f, "{mn} v{vd}, v{x}, v{y}{m}")
             }
@@ -107,67 +66,31 @@ impl fmt::Display for VInst {
                 let mn = match kind {
                     FmaKind::Macc => "vfmacc.vf",
                     FmaKind::Nmsac => "vfnmsac.vf",
-                    FmaKind::Madd => "vfmadd.vf",
                 };
                 write!(f, "{mn} v{vd}, {}, v{y}{m}", f64::from_bits(*scalar))
             }
-            VOp::CmpVV { kind, md, x, y } => {
-                write!(f, "{}.vv v{md}, v{x}, v{y}{m}", cmp_mnemonic(*kind))
-            }
-            VOp::CmpVX { kind, md, x, scalar } => {
-                write!(f, "{}.vx v{md}, v{x}, {scalar}{m}", cmp_mnemonic(*kind))
+            VOp::CmpVX { kind: CmpKind::Eq, md, x, scalar } => {
+                write!(f, "vmseq.vx v{md}, v{x}, {scalar}{m}")
             }
             VOp::MaskOp { kind, md, m1, m2 } => {
                 let mn = match kind {
                     MaskKind::And => "vmand.mm",
                     MaskKind::Or => "vmor.mm",
-                    MaskKind::Xor => "vmxor.mm",
-                    MaskKind::AndNot => "vmandnot.mm",
-                    MaskKind::Nand => "vmnand.mm",
-                    MaskKind::Nor => "vmnor.mm",
                 };
                 write!(f, "{mn} v{md}, v{m1}, v{m2}")
             }
             VOp::Popc { m: src } => write!(f, "vpopc.m x_, v{src}{m}"),
-            VOp::First { m: src } => write!(f, "vfirst.m x_, v{src}{m}"),
-            VOp::Iota { vd, m: src } => write!(f, "viota.m v{vd}, v{src}{m}"),
-            VOp::Id { vd } => write!(f, "vid.v v{vd}{m}"),
             VOp::Red { kind, vd, x, acc } => {
                 let mn = match kind {
                     RedKind::Sum => "vredsum.vs",
-                    RedKind::Max => "vredmax.vs",
-                    RedKind::Min => "vredmin.vs",
-                    RedKind::Maxu => "vredmaxu.vs",
                     RedKind::Fsum => "vfredsum.vs",
-                    RedKind::Fmax => "vfredmax.vs",
-                    RedKind::Fmin => "vfredmin.vs",
                 };
                 write!(f, "{mn} v{vd}, v{x}, v{acc}{m}")
             }
-            VOp::Slide { kind, vd, x, amount } => match kind {
-                SlideKind::Up => write!(f, "vslideup.vi v{vd}, v{x}, {amount}{m}"),
-                SlideKind::Down => write!(f, "vslidedown.vi v{vd}, v{x}, {amount}{m}"),
-                SlideKind::OneUp => write!(f, "vslide1up.vx v{vd}, v{x}, {amount:#x}{m}"),
-                SlideKind::OneDown => write!(f, "vslide1down.vx v{vd}, v{x}, {amount:#x}{m}"),
-            },
-            VOp::Gather { vd, x, y } => write!(f, "vrgather.vv v{vd}, v{x}, v{y}{m}"),
-            VOp::Compress { vd, x, m: src } => write!(f, "vcompress.vm v{vd}, v{x}, v{src}"),
-            VOp::Merge { vd, x, y } => write!(f, "vmerge.vvm v{vd}, v{x}, v{y}, v0"),
-            VOp::MergeVX { vd, scalar, y } => write!(f, "vmerge.vxm v{vd}, {scalar}, v{y}, v0"),
             VOp::Mv { vd, x } => write!(f, "vmv.v.v v{vd}, v{x}{m}"),
             VOp::MvVX { vd, scalar } => write!(f, "vmv.v.x v{vd}, {scalar:#x}{m}"),
             VOp::MvSX { vd, scalar } => write!(f, "vmv.s.x v{vd}, {scalar:#x}"),
             VOp::MvXS { x } => write!(f, "vmv.x.s x_, v{x}"),
-            VOp::Widen { vd, x } => write!(f, "vzext.vf2 v{vd}, v{x}{m}"),
-            VOp::Cvt { kind, vd, x } => {
-                let mn = match kind {
-                    CvtKind::UToF => "vfcvt.f.xu.v",
-                    CvtKind::IToF => "vfcvt.f.x.v",
-                    CvtKind::FToU => "vfcvt.xu.f.v",
-                    CvtKind::FToI => "vfcvt.x.f.v",
-                };
-                write!(f, "{mn} v{vd}, v{x}{m}")
-            }
         }
     }
 }
@@ -175,19 +98,7 @@ impl fmt::Display for VInst {
 fn arith_mnemonic(k: ArithKind) -> &'static str {
     match k {
         ArithKind::Add => "vadd",
-        ArithKind::Sub => "vsub",
-        ArithKind::Rsub => "vrsub",
-        ArithKind::And => "vand",
-        ArithKind::Or => "vor",
-        ArithKind::Xor => "vxor",
         ArithKind::Sll => "vsll",
-        ArithKind::Srl => "vsrl",
-        ArithKind::Sra => "vsra",
-        ArithKind::Mul => "vmul",
-        ArithKind::Min => "vmin",
-        ArithKind::Max => "vmax",
-        ArithKind::Minu => "vminu",
-        ArithKind::Maxu => "vmaxu",
     }
 }
 
@@ -195,31 +106,8 @@ fn farith_mnemonic(k: FArithKind) -> &'static str {
     match k {
         FArithKind::Fadd => "vfadd",
         FArithKind::Fsub => "vfsub",
-        FArithKind::Frsub => "vfrsub",
         FArithKind::Fmul => "vfmul",
         FArithKind::Fdiv => "vfdiv",
-        FArithKind::Fmin => "vfmin",
-        FArithKind::Fmax => "vfmax",
-        FArithKind::Fsgnj => "vfsgnj",
-        FArithKind::Fsgnjn => "vfsgnjn",
-    }
-}
-
-fn cmp_mnemonic(k: CmpKind) -> &'static str {
-    match k {
-        CmpKind::Eq => "vmseq",
-        CmpKind::Ne => "vmsne",
-        CmpKind::Lt => "vmslt",
-        CmpKind::Ltu => "vmsltu",
-        CmpKind::Le => "vmsle",
-        CmpKind::Leu => "vmsleu",
-        CmpKind::Gt => "vmsgt",
-        CmpKind::Gtu => "vmsgtu",
-        CmpKind::Feq => "vmfeq",
-        CmpKind::Fne => "vmfne",
-        CmpKind::Flt => "vmflt",
-        CmpKind::Fle => "vmfle",
-        CmpKind::Fgt => "vmfgt",
     }
 }
 
@@ -235,7 +123,7 @@ mod tests {
         assert_eq!(i.to_string(), "vlxe.v v3, (0x20), v7, v0.t");
         let i = VInst::new(VOp::Store { vs: 2, addr: MemAddr::Strided { base: 0x40, stride: -16 } });
         assert_eq!(i.to_string(), "vsse.v v2, (0x40), stride=-16");
-        let i = VInst::new(VOp::LoadWiden { vd: 1, addr: MemAddr::Unit { base: 0 } });
+        let i = VInst::new(VOp::LoadWiden { vd: 1, base: 0 });
         assert_eq!(i.to_string(), "vlwu.v v1, (0x0)");
     }
 
@@ -255,8 +143,8 @@ mod tests {
         assert_eq!(i.to_string(), "vpopc.m x_, v0");
         let i = VInst::new(VOp::Red { kind: RedKind::Fsum, vd: 6, x: 7, acc: 6 });
         assert_eq!(i.to_string(), "vfredsum.vs v6, v7, v6");
-        let i = VInst::new(VOp::MaskSet { kind: MaskSetKind::Sbf, md: 4, m: 2 });
-        assert_eq!(i.to_string(), "vmsbf.m v4, v2");
+        let i = VInst::masked(VOp::CmpVX { kind: CmpKind::Eq, md: 4, x: 2, scalar: 7 });
+        assert_eq!(i.to_string(), "vmseq.vx v4, v2, 7, v0.t");
     }
 
     #[test]
@@ -264,36 +152,22 @@ mod tests {
         // Smoke over one instance of each variant.
         let ops = vec![
             VOp::Load { vd: 1, addr: MemAddr::Unit { base: 0 } },
-            VOp::LoadWiden { vd: 1, addr: MemAddr::Strided { base: 0, stride: 4 } },
+            VOp::LoadWiden { vd: 1, base: 0 },
             VOp::Store { vs: 1, addr: MemAddr::Indexed { base: 0, index: 2 } },
-            VOp::ArithVV { kind: ArithKind::Maxu, vd: 1, x: 2, y: 3 },
-            VOp::ArithVX { kind: ArithKind::Rsub, vd: 1, x: 2, scalar: 9 },
+            VOp::ArithVV { kind: ArithKind::Add, vd: 1, x: 2, y: 3 },
+            VOp::ArithVX { kind: ArithKind::Sll, vd: 1, x: 2, scalar: 9 },
             VOp::FArithVV { kind: FArithKind::Fdiv, vd: 1, x: 2, y: 3 },
-            VOp::FArithVF { kind: FArithKind::Fsgnjn, vd: 1, x: 2, scalar: 0 },
-            VOp::FUnary { kind: FUnaryKind::Fsqrt, vd: 1, x: 2 },
-            VOp::IMaccVV { vd: 1, x: 2, y: 3 },
-            VOp::SatAddU { vd: 1, x: 2, y: 3 },
-            VOp::WidenBin { kind: WidenKind::Mulu, vd: 1, x: 2, y: 3 },
-            VOp::NarrowSrl { vd: 1, x: 2, shamt: 8 },
-            VOp::MaskSet { kind: MaskSetKind::Sof, md: 1, m: 2 },
+            VOp::FArithVF { kind: FArithKind::Fsub, vd: 1, x: 2, scalar: 0 },
+            VOp::FmaVV { kind: FmaKind::Macc, vd: 1, x: 2, y: 3 },
             VOp::FmaVF { kind: FmaKind::Nmsac, vd: 1, scalar: 0, y: 2 },
-            VOp::CmpVV { kind: CmpKind::Flt, md: 1, x: 2, y: 3 },
-            VOp::CmpVX { kind: CmpKind::Gtu, md: 1, x: 2, scalar: 4 },
-            VOp::MaskOp { kind: MaskKind::Nor, md: 1, m1: 2, m2: 3 },
-            VOp::First { m: 1 },
-            VOp::Iota { vd: 1, m: 2 },
-            VOp::Id { vd: 1 },
-            VOp::Slide { kind: SlideKind::OneDown, vd: 1, x: 2, amount: 5 },
-            VOp::Gather { vd: 1, x: 2, y: 3 },
-            VOp::Compress { vd: 1, x: 2, m: 3 },
-            VOp::Merge { vd: 1, x: 2, y: 3 },
-            VOp::MergeVX { vd: 1, scalar: 7, y: 2 },
+            VOp::CmpVX { kind: CmpKind::Eq, md: 1, x: 2, scalar: 4 },
+            VOp::MaskOp { kind: MaskKind::Or, md: 1, m1: 2, m2: 3 },
+            VOp::Popc { m: 1 },
+            VOp::Red { kind: RedKind::Sum, vd: 1, x: 2, acc: 3 },
             VOp::Mv { vd: 1, x: 2 },
             VOp::MvVX { vd: 1, scalar: 3 },
             VOp::MvSX { vd: 1, scalar: 3 },
             VOp::MvXS { x: 1 },
-            VOp::Widen { vd: 1, x: 2 },
-            VOp::Cvt { kind: CvtKind::FToI, vd: 1, x: 2 },
         ];
         for op in ops {
             let s = VInst::new(op).to_string();

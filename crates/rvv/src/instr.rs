@@ -42,90 +42,22 @@ pub enum MemAddr {
 pub enum ArithKind {
     /// Wrapping addition.
     Add,
-    /// Wrapping subtraction `x - y`.
-    Sub,
-    /// Reverse subtraction `y - x` (vrsub).
-    Rsub,
-    /// Bitwise and.
-    And,
-    /// Bitwise or.
-    Or,
-    /// Bitwise xor.
-    Xor,
     /// Logical shift left by `y & (sew-1)`.
     Sll,
-    /// Logical shift right.
-    Srl,
-    /// Arithmetic shift right.
-    Sra,
-    /// Wrapping multiplication (low half).
-    Mul,
-    /// Signed minimum.
-    Min,
-    /// Signed maximum.
-    Max,
-    /// Unsigned minimum.
-    Minu,
-    /// Unsigned maximum.
-    Maxu,
 }
 
-/// Floating-point element-wise operations (VV and VF forms). Width follows SEW
-/// (E32 = f32, E64 = f64).
+/// Floating-point element-wise operations (VV and VF forms). Every FP
+/// instruction is double precision: it requires SEW=64.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FArithKind {
     /// Addition.
     Fadd,
     /// Subtraction `x - y`.
     Fsub,
-    /// Reverse subtraction `y - x`.
-    Frsub,
     /// Multiplication.
     Fmul,
     /// Division `x / y`.
     Fdiv,
-    /// IEEE minimum.
-    Fmin,
-    /// IEEE maximum.
-    Fmax,
-    /// Sign injection: `|x| * sign(y)` (vfsgnj).
-    Fsgnj,
-    /// Sign injection negated: `|x| * -sign(y)` (vfsgnjn).
-    Fsgnjn,
-}
-
-/// Floating-point unary operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FUnaryKind {
-    /// Square root.
-    Fsqrt,
-    /// Negation.
-    Fneg,
-    /// Absolute value.
-    Fabs,
-}
-
-/// Mask set-first flavours (vmsbf/vmsif/vmsof).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaskSetKind {
-    /// Set-before-first: 1s strictly before the first set bit.
-    Sbf,
-    /// Set-including-first: 1s up to and including the first set bit.
-    Sif,
-    /// Set-only-first: 1 only at the first set bit.
-    Sof,
-}
-
-/// Widening binary operations: sources read at SEW/2 (zero-extended),
-/// result written at SEW.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WidenKind {
-    /// `vd = zext(x) + zext(y)` (vwaddu).
-    Addu,
-    /// `vd = zext(x) - zext(y)` (vwsubu).
-    Subu,
-    /// `vd = zext(x) * zext(y)` (vwmulu).
-    Mulu,
 }
 
 /// Fused multiply-add flavours. All compute into `vd` using `vd`'s prior value.
@@ -135,8 +67,6 @@ pub enum FmaKind {
     Macc,
     /// `vd -= x*y` (vfnmsac).
     Nmsac,
-    /// `vd = x*vd + y` (vfmadd).
-    Madd,
 }
 
 /// Comparison kinds producing mask results.
@@ -144,30 +74,6 @@ pub enum FmaKind {
 pub enum CmpKind {
     /// Integer equal.
     Eq,
-    /// Integer not equal.
-    Ne,
-    /// Signed less-than.
-    Lt,
-    /// Unsigned less-than.
-    Ltu,
-    /// Signed less-or-equal.
-    Le,
-    /// Unsigned less-or-equal.
-    Leu,
-    /// Signed greater-than.
-    Gt,
-    /// Unsigned greater-than.
-    Gtu,
-    /// FP equal.
-    Feq,
-    /// FP not equal (quiet).
-    Fne,
-    /// FP less-than.
-    Flt,
-    /// FP less-or-equal.
-    Fle,
-    /// FP greater-than.
-    Fgt,
 }
 
 /// Mask-to-mask logical operations.
@@ -177,14 +83,6 @@ pub enum MaskKind {
     And,
     /// `md = m1 | m2`.
     Or,
-    /// `md = m1 ^ m2`.
-    Xor,
-    /// `md = m1 & !m2` (vmandnot).
-    AndNot,
-    /// `md = !(m1 & m2)`; `vmnand m,m` is RVV's idiomatic mask-not.
-    Nand,
-    /// `md = !(m1 | m2)`.
-    Nor,
 }
 
 /// Reduction kinds (`vd[0] = red(acc[0], x[0..vl])`).
@@ -192,44 +90,8 @@ pub enum MaskKind {
 pub enum RedKind {
     /// Integer sum.
     Sum,
-    /// Signed maximum.
-    Max,
-    /// Signed minimum.
-    Min,
-    /// Unsigned maximum.
-    Maxu,
     /// FP ordered sum (the paper's SpMV/PR use this heavily).
     Fsum,
-    /// FP maximum.
-    Fmax,
-    /// FP minimum.
-    Fmin,
-}
-
-/// Slide kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlideKind {
-    /// `vd[i+amount] = x[i]` (vslideup); elements below `amount` undisturbed.
-    Up,
-    /// `vd[i] = x[i+amount]` (vslidedown); tail reads as 0 beyond vl source.
-    Down,
-    /// `vd[0] = scalar; vd[i] = x[i-1]` (vslide1up).
-    OneUp,
-    /// `vd[i] = x[i+1]; vd[vl-1] = scalar` (vslide1down).
-    OneDown,
-}
-
-/// Conversion kinds (element-wise, same SEW).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CvtKind {
-    /// Unsigned int -> float of the same width.
-    UToF,
-    /// Signed int -> float.
-    IToF,
-    /// Float -> unsigned int (round-to-nearest-even, saturating at 0).
-    FToU,
-    /// Float -> signed int.
-    FToI,
 }
 
 /// A vector operation with its operands.
@@ -242,35 +104,16 @@ pub enum VOp {
         /// Addressing mode.
         addr: MemAddr,
     },
-    /// Unit-stride segment load (`vlseg<nf>e.v`): element i's field f comes
-    /// from `base + (i*nf + f)*SEW_bytes` and lands in register `vd + f` —
-    /// deinterleaving AoS data (e.g. interleaved complex) in one instruction.
-    SegLoad {
-        /// First destination register; fields use `vd..vd+nf`.
-        vd: Reg,
-        /// Base byte address of element 0, field 0.
-        base: u64,
-        /// Number of fields (2..=8).
-        nf: u8,
-    },
-    /// Unit-stride segment store: the inverse interleave of [`VOp::SegLoad`].
-    SegStore {
-        /// First source register; fields use `vs..vs+nf`.
-        vs: Reg,
-        /// Base byte address.
-        base: u64,
-        /// Number of fields (2..=8).
-        nf: u8,
-    },
-    /// Widening vector load (`vlwu.v`-style, RVV v0.7.1): reads SEW/2-wide
+    /// Widening unit-stride load (`vlwu.v`, RVV v0.7.1): reads SEW/2-wide
     /// unsigned elements from memory and zero-extends them into SEW-wide
     /// register elements. Used to stream u32 index/adjacency arrays under
     /// SEW=64 without paying double traffic.
     LoadWiden {
         /// Destination register (group), written at SEW.
         vd: Reg,
-        /// Addressing mode; element footprint in memory is SEW/2 bytes.
-        addr: MemAddr,
+        /// Byte address of element 0; element footprint in memory is SEW/2
+        /// bytes.
+        base: u64,
     },
     /// Vector store: `memory <- vs`.
     Store {
@@ -312,7 +155,7 @@ pub enum VOp {
         /// Right operand.
         y: Reg,
     },
-    /// FP arithmetic, vector-scalar (`scalar` is an f64/f32 bit pattern).
+    /// FP arithmetic, vector-scalar (`scalar` is an f64 bit pattern).
     FArithVF {
         /// Operation.
         kind: FArithKind,
@@ -320,65 +163,8 @@ pub enum VOp {
         vd: Reg,
         /// Vector operand.
         x: Reg,
-        /// Scalar operand, bit pattern at SEW width.
+        /// Scalar operand, f64 bit pattern.
         scalar: u64,
-    },
-    /// FP unary op: `vd[i] = op(x[i])`.
-    FUnary {
-        /// Operation.
-        kind: FUnaryKind,
-        /// Destination.
-        vd: Reg,
-        /// Source.
-        x: Reg,
-    },
-    /// Integer fused multiply-accumulate: `vd[i] += x[i] * y[i]` (vmacc).
-    IMaccVV {
-        /// Accumulator / destination.
-        vd: Reg,
-        /// Multiplicand.
-        x: Reg,
-        /// Multiplier.
-        y: Reg,
-    },
-    /// Unsigned saturating addition: `vd[i] = sat(x[i] + y[i])` (vsaddu).
-    SatAddU {
-        /// Destination.
-        vd: Reg,
-        /// Left operand.
-        x: Reg,
-        /// Right operand.
-        y: Reg,
-    },
-    /// Widening binary op: sources at SEW/2, destination at SEW.
-    WidenBin {
-        /// Operation.
-        kind: WidenKind,
-        /// Destination (at SEW).
-        vd: Reg,
-        /// Left source (at SEW/2).
-        x: Reg,
-        /// Right source (at SEW/2).
-        y: Reg,
-    },
-    /// Narrowing logical shift right: `vd[i](SEW/2) = x[i](SEW) >> shamt`
-    /// truncated (vnsrl).
-    NarrowSrl {
-        /// Destination (written at SEW/2).
-        vd: Reg,
-        /// Source (read at SEW).
-        x: Reg,
-        /// Shift amount.
-        shamt: u32,
-    },
-    /// Mask set-first family: vmsbf/vmsif/vmsof over `[0, vl)`.
-    MaskSet {
-        /// Flavour.
-        kind: MaskSetKind,
-        /// Destination mask.
-        md: Reg,
-        /// Source mask.
-        m: Reg,
     },
     /// FP fused multiply-add, vector-vector.
     FmaVV {
@@ -397,20 +183,9 @@ pub enum VOp {
         kind: FmaKind,
         /// Accumulator / destination.
         vd: Reg,
-        /// Scalar multiplicand, bit pattern at SEW width.
+        /// Scalar multiplicand, f64 bit pattern.
         scalar: u64,
         /// Vector multiplier.
-        y: Reg,
-    },
-    /// Comparison producing a mask: `md.bit[i] = cmp(x[i], y[i])`.
-    CmpVV {
-        /// Comparison.
-        kind: CmpKind,
-        /// Mask destination register.
-        md: Reg,
-        /// Left operand.
-        x: Reg,
-        /// Right operand.
         y: Reg,
     },
     /// Comparison against a scalar: `md.bit[i] = cmp(x[i], scalar)`.
@@ -421,7 +196,7 @@ pub enum VOp {
         md: Reg,
         /// Vector operand.
         x: Reg,
-        /// Scalar operand (int value or FP bit pattern per kind).
+        /// Scalar operand (truncated to SEW).
         scalar: u64,
     },
     /// Mask-register logical op: `md = op(m1, m2)` over all VLEN bits up to vl.
@@ -440,23 +215,6 @@ pub enum VOp {
         /// Mask source.
         m: Reg,
     },
-    /// Index of first set mask bit in `[0, vl)` or `-1` -> scalar (vfirst).
-    First {
-        /// Mask source.
-        m: Reg,
-    },
-    /// `vd[i] = number of set bits of m below i` (viota).
-    Iota {
-        /// Destination.
-        vd: Reg,
-        /// Mask source.
-        m: Reg,
-    },
-    /// `vd[i] = i` (vid).
-    Id {
-        /// Destination.
-        vd: Reg,
-    },
     /// Reduction: `vd[0] = red(acc[0], x[0..vl])`.
     Red {
         /// Reduction kind.
@@ -467,53 +225,6 @@ pub enum VOp {
         x: Reg,
         /// Register whose element 0 seeds the reduction.
         acc: Reg,
-    },
-    /// Slide operations.
-    Slide {
-        /// Which slide.
-        kind: SlideKind,
-        /// Destination.
-        vd: Reg,
-        /// Source vector.
-        x: Reg,
-        /// Slide distance (Up/Down) or scalar value bit pattern (One*).
-        amount: u64,
-    },
-    /// Register gather: `vd[i] = x[y[i]]`, 0 if the index is out of range.
-    Gather {
-        /// Destination.
-        vd: Reg,
-        /// Table vector.
-        x: Reg,
-        /// Index vector.
-        y: Reg,
-    },
-    /// Compress set-mask elements of `x` to the front of `vd` (vcompress).
-    Compress {
-        /// Destination.
-        vd: Reg,
-        /// Source.
-        x: Reg,
-        /// Mask selecting elements.
-        m: Reg,
-    },
-    /// Merge: `vd[i] = v0.bit[i] ? x[i] : y[i]` (vmerge.vvm semantics).
-    Merge {
-        /// Destination.
-        vd: Reg,
-        /// Taken when mask bit set.
-        x: Reg,
-        /// Taken when mask bit clear.
-        y: Reg,
-    },
-    /// Scalar merge: `vd[i] = v0.bit[i] ? scalar : y[i]` (vmerge.vxm).
-    MergeVX {
-        /// Destination.
-        vd: Reg,
-        /// Scalar taken when mask bit set.
-        scalar: u64,
-        /// Vector taken when mask bit clear.
-        y: Reg,
     },
     /// Whole-register move of the active elements: `vd[i] = x[i]` (vmv.v.v).
     Mv {
@@ -541,22 +252,6 @@ pub enum VOp {
         /// Source.
         x: Reg,
     },
-    /// Zero-extend elements of `x` read at SEW/2 into SEW-wide elements.
-    Widen {
-        /// Destination (read at SEW).
-        vd: Reg,
-        /// Source (read at SEW/2).
-        x: Reg,
-    },
-    /// Element-wise conversion at the current SEW.
-    Cvt {
-        /// Conversion kind.
-        kind: CvtKind,
-        /// Destination.
-        vd: Reg,
-        /// Source.
-        x: Reg,
-    },
 }
 
 /// A complete vector instruction: an operation plus the mask flag.
@@ -581,20 +276,13 @@ impl VInst {
 
     /// Whether this instruction touches memory.
     pub fn is_mem(&self) -> bool {
-        matches!(
-            self.op,
-            VOp::Load { .. }
-                | VOp::LoadWiden { .. }
-                | VOp::Store { .. }
-                | VOp::SegLoad { .. }
-                | VOp::SegStore { .. }
-        )
+        matches!(self.op, VOp::Load { .. } | VOp::LoadWiden { .. } | VOp::Store { .. })
     }
 
     /// Whether this instruction produces a scalar result the core must wait
     /// for (a scalar↔vector synchronization point in the timing model).
     pub fn produces_scalar(&self) -> bool {
-        matches!(self.op, VOp::Popc { .. } | VOp::First { .. } | VOp::MvXS { .. })
+        matches!(self.op, VOp::Popc { .. } | VOp::MvXS { .. })
     }
 }
 
@@ -613,15 +301,14 @@ mod tests {
     #[test]
     fn scalar_producers_flagged() {
         assert!(VInst::new(VOp::Popc { m: 0 }).produces_scalar());
-        assert!(VInst::new(VOp::First { m: 0 }).produces_scalar());
         assert!(VInst::new(VOp::MvXS { x: 3 }).produces_scalar());
-        assert!(!VInst::new(VOp::Id { vd: 1 }).produces_scalar());
+        assert!(!VInst::new(VOp::Mv { vd: 1, x: 2 }).produces_scalar());
     }
 
     #[test]
     fn masked_constructor_sets_flag() {
-        let i = VInst::masked(VOp::Id { vd: 1 });
+        let i = VInst::masked(VOp::Mv { vd: 1, x: 2 });
         assert!(i.masked);
-        assert!(!VInst::new(VOp::Id { vd: 1 }).masked);
+        assert!(!VInst::new(VOp::Mv { vd: 1, x: 2 }).masked);
     }
 }

@@ -157,16 +157,10 @@ impl VRegFile {
     /// the batch execution backend: one bounds check and a typed chunk walk
     /// instead of `n` independent element writes.
     pub fn write_elems(&mut self, reg: u8, sew: Sew, vals: &[u64]) {
-        self.write_elems_at(reg, sew, 0, vals);
-    }
-
-    /// Write elements `first..first + vals.len()` of the group at `reg`
-    /// (bulk [`Self::set`] starting at an element offset, used by slides).
-    pub fn write_elems_at(&mut self, reg: u8, sew: Sew, first: usize, vals: &[u64]) {
         if vals.is_empty() {
             return;
         }
-        let b = self.reg_base(reg) + first * sew.bytes();
+        let b = self.reg_base(reg);
         let bytes = &mut self.data[b..b + vals.len() * sew.bytes()];
         match sew {
             Sew::E8 => {
@@ -320,18 +314,6 @@ impl VRegFile {
         self.set(reg, Sew::E64, idx, v.to_bits());
     }
 
-    /// Read element `idx` as an f32.
-    #[inline]
-    pub fn get_f32(&self, reg: u8, idx: usize) -> f32 {
-        f32::from_bits(self.get(reg, Sew::E32, idx) as u32)
-    }
-
-    /// Write element `idx` as an f32.
-    #[inline]
-    pub fn set_f32(&mut self, reg: u8, idx: usize, v: f32) {
-        self.set(reg, Sew::E32, idx, v.to_bits() as u64);
-    }
-
     /// Read mask bit `idx` of register `reg` (LSB-first bit layout).
     #[inline]
     pub fn get_mask(&self, reg: u8, idx: usize) -> bool {
@@ -424,8 +406,6 @@ mod tests {
         let mut rf = VRegFile::new(256);
         rf.set_f64(7, 2, -3.75);
         assert_eq!(rf.get_f64(7, 2), -3.75);
-        rf.set_f32(8, 5, 1.5);
-        assert_eq!(rf.get_f32(8, 5), 1.5);
     }
 
     #[test]
@@ -474,18 +454,6 @@ mod tests {
             assert_eq!(a.reg_bytes(4), b.reg_bytes(4), "sew={sew:?}");
             assert_eq!(a.reg_bytes(5), b.reg_bytes(5), "sew={sew:?} spill");
         }
-    }
-
-    #[test]
-    fn write_elems_at_offsets_and_preserves_prefix() {
-        let mut rf = VRegFile::new(256);
-        rf.set(2, Sew::E64, 0, 111);
-        rf.write_elems_at(2, Sew::E64, 1, &[7, 8]);
-        assert_eq!(rf.get(2, Sew::E64, 0), 111, "prefix undisturbed");
-        assert_eq!(rf.get(2, Sew::E64, 1), 7);
-        assert_eq!(rf.get(2, Sew::E64, 2), 8);
-        // Empty write at an out-of-range offset is a no-op, not a panic.
-        rf.write_elems_at(2, Sew::E64, 1_000_000, &[]);
     }
 
     #[test]

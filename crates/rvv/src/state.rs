@@ -41,12 +41,6 @@ impl VState {
         self.vl
     }
 
-    /// `VLMAX` under the current vtype *and* the MAXVL cap — the largest VL
-    /// any request can be granted right now.
-    pub fn vlmax(&self) -> usize {
-        self.vtype.vlmax(self.regs.vlen_bits()).min(self.maxvl_cap)
-    }
-
     /// Program the MAXVL CSR (the experiment knob). Does not retroactively
     /// shrink the current `vl`; like the hardware, it takes effect at the
     /// next `vsetvl`.
@@ -94,7 +88,6 @@ mod tests {
     fn paper_vpu_vlmax() {
         let mut st = VState::paper_vpu();
         assert_eq!(st.set_vl(1 << 20, Sew::E64, Lmul::M1), 256);
-        assert_eq!(st.vlmax(), 256);
     }
 
     #[test]
@@ -102,7 +95,6 @@ mod tests {
         let mut st = VState::paper_vpu();
         st.set_maxvl_cap(32);
         assert_eq!(st.set_vl(1000, Sew::E64, Lmul::M1), 32);
-        assert_eq!(st.vlmax(), 32);
         st.set_maxvl_cap(8);
         assert_eq!(st.set_vl(1000, Sew::E64, Lmul::M1), 8);
     }

@@ -54,13 +54,6 @@ impl Sew {
             s => (1u64 << s.bits()) - 1,
         }
     }
-
-    /// Sign-extend a `bits()`-wide value held in a u64 to full i64.
-    #[inline]
-    pub fn sign_extend(self, v: u64) -> i64 {
-        let shift = 64 - self.bits();
-        ((v << shift) as i64) >> shift
-    }
 }
 
 /// Register-group multiplier.
@@ -154,14 +147,6 @@ mod tests {
         assert_eq!(Sew::E8.value_mask(), 0xFF);
         assert_eq!(Sew::E32.value_mask(), 0xFFFF_FFFF);
         assert_eq!(Sew::E64.value_mask(), u64::MAX);
-    }
-
-    #[test]
-    fn sign_extend_works() {
-        assert_eq!(Sew::E8.sign_extend(0x80), -128);
-        assert_eq!(Sew::E8.sign_extend(0x7F), 127);
-        assert_eq!(Sew::E32.sign_extend(0xFFFF_FFFF), -1);
-        assert_eq!(Sew::E64.sign_extend(u64::MAX), -1);
     }
 
     #[test]

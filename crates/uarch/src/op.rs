@@ -6,19 +6,17 @@
 //! branches, vector instructions (carrying their resolved memory footprint),
 //! and explicit scalar↔vector synchronization.
 
-use sdv_rvv::{ExecInfo, MemAccessKind, MemList, VInst, VOp};
+use sdv_rvv::{ExecInfo, FArithKind, MemAccessKind, MemList, RedKind, VInst, VOp};
 
 /// Classification of a vector instruction for costing purposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VClass {
-    /// Single-pass element-wise work (add/mul/FMA/compare/mask/merge/moves).
+    /// Single-pass element-wise work (add/mul/FMA/compare/mask/moves).
     Arith,
-    /// Long-latency element-wise work (divide, and square root if added).
+    /// Long-latency element-wise work (divide).
     ArithLong,
     /// Reductions (lane tree + drain).
     Reduction,
-    /// Cross-lane permutation (slides, gather-in-register, compress, iota).
-    Permute,
     /// Memory instruction (the footprint rides in [`VectorOp::mem`]).
     Memory,
     /// `vsetvl` — handled on the scalar side but kept for accounting.
@@ -52,7 +50,7 @@ pub struct VectorOp {
     /// Memory footprint for `VClass::Memory`.
     pub mem: Option<VectorMemOp>,
     /// Whether the scalar core consumes this instruction's scalar result
-    /// immediately (vpopc/vfirst/vmv.x.s) — a synchronization point.
+    /// immediately (vpopc/vmv.x.s) — a synchronization point.
     pub produces_scalar: bool,
     /// Whether this is a floating-point instruction (for FLOP accounting).
     pub is_fp: bool,
@@ -163,34 +161,14 @@ pub fn classify_into(
     lines_pool: &mut Vec<u64>,
 ) -> VectorOp {
     let class = match &inst.op {
-        VOp::Load { .. }
-        | VOp::LoadWiden { .. }
-        | VOp::Store { .. }
-        | VOp::SegLoad { .. }
-        | VOp::SegStore { .. } => VClass::Memory,
-        VOp::FArithVV { kind, .. } | VOp::FArithVF { kind, .. } => {
-            if matches!(kind, sdv_rvv::FArithKind::Fdiv) {
-                VClass::ArithLong
-            } else {
-                VClass::Arith
-            }
-        }
-        VOp::FUnary { kind, .. } => {
-            if matches!(kind, sdv_rvv::FUnaryKind::Fsqrt) {
-                VClass::ArithLong
-            } else {
-                VClass::Arith
-            }
-        }
+        VOp::Load { .. } | VOp::LoadWiden { .. } | VOp::Store { .. } => VClass::Memory,
+        VOp::FArithVV { kind: FArithKind::Fdiv, .. }
+        | VOp::FArithVF { kind: FArithKind::Fdiv, .. } => VClass::ArithLong,
         VOp::Red { .. } => VClass::Reduction,
-        VOp::Slide { .. } | VOp::Gather { .. } | VOp::Compress { .. } | VOp::Iota { .. } => {
-            VClass::Permute
-        }
         _ => VClass::Arith,
     };
     let mem = if class == VClass::Memory {
-        let is_load =
-            matches!(inst.op, VOp::Load { .. } | VOp::LoadWiden { .. } | VOp::SegLoad { .. });
+        let is_load = matches!(inst.op, VOp::Load { .. } | VOp::LoadWiden { .. });
         debug_assert!(info
             .mem
             .iter()
@@ -209,13 +187,9 @@ pub fn classify_into(
         inst.op,
         VOp::FArithVV { .. }
             | VOp::FArithVF { .. }
-            | VOp::FUnary { .. }
             | VOp::FmaVV { .. }
             | VOp::FmaVF { .. }
-            | VOp::Red { kind: sdv_rvv::RedKind::Fsum, .. }
-            | VOp::Red { kind: sdv_rvv::RedKind::Fmax, .. }
-            | VOp::Red { kind: sdv_rvv::RedKind::Fmin, .. }
-            | VOp::Cvt { .. }
+            | VOp::Red { kind: RedKind::Fsum, .. }
     );
     VectorOp {
         class,
@@ -305,12 +279,12 @@ mod tests {
         let info = ExecInfo { vl: 8, active: 8, ..Default::default() };
         let add = VInst::new(VOp::ArithVV { kind: ArithKind::Add, vd: 1, x: 2, y: 3 });
         assert_eq!(classify(&add, &info, 64).class, VClass::Arith);
-        let div = VInst::new(VOp::FArithVV { kind: sdv_rvv::FArithKind::Fdiv, vd: 1, x: 2, y: 3 });
+        let div = VInst::new(VOp::FArithVV { kind: FArithKind::Fdiv, vd: 1, x: 2, y: 3 });
         assert_eq!(classify(&div, &info, 64).class, VClass::ArithLong);
-        let red = VInst::new(VOp::Red { kind: sdv_rvv::RedKind::Fsum, vd: 1, x: 2, acc: 3 });
+        let mul = VInst::new(VOp::FArithVF { kind: FArithKind::Fmul, vd: 1, x: 2, scalar: 0 });
+        assert_eq!(classify(&mul, &info, 64).class, VClass::Arith);
+        let red = VInst::new(VOp::Red { kind: RedKind::Fsum, vd: 1, x: 2, acc: 3 });
         assert_eq!(classify(&red, &info, 64).class, VClass::Reduction);
-        let cmp = VInst::new(VOp::Compress { vd: 1, x: 2, m: 3 });
-        assert_eq!(classify(&cmp, &info, 64).class, VClass::Permute);
     }
 
     #[test]

@@ -163,13 +163,13 @@ impl VpuTiming {
         let mut mem_issue_bound = None;
         let completion = match vop.class {
             VClass::SetVl => accepted_at + 1,
-            VClass::Arith | VClass::ArithLong | VClass::Reduction | VClass::Permute => {
+            VClass::Arith | VClass::ArithLong | VClass::Reduction => {
                 let start = accepted_at.max(self.exec_free);
                 let batches = self.element_cycles(vop.vl);
-                let occupancy = match vop.class {
-                    VClass::ArithLong => batches * self.cfg.long_op_factor,
-                    VClass::Permute => batches * 2,
-                    _ => batches,
+                let occupancy = if vop.class == VClass::ArithLong {
+                    batches * self.cfg.long_op_factor
+                } else {
+                    batches
                 };
                 self.exec_free = start + occupancy;
                 let extra = if vop.class == VClass::Reduction {
@@ -202,7 +202,6 @@ impl VpuTiming {
                 VClass::Arith => "varith",
                 VClass::ArithLong => "varith.long",
                 VClass::Reduction => "vreduce",
-                VClass::Permute => "vpermute",
                 VClass::Memory => {
                     if vop.mem.as_ref().is_some_and(|m| m.is_load) {
                         "vload"
