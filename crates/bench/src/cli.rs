@@ -329,8 +329,8 @@ pub fn configure_sweeper(bin: &str, args: &[String], sweeper: &mut Sweeper, work
 
 /// Exit with a usage error if the sweep-acceleration flags are present —
 /// for binaries where cached or remote results would be *wrong*:
-/// `perf_baseline` measures this process's wall-clock, `chaos_smoke`
-/// exercises fault injection (failures are never cached by design). Not every
+/// `chaos_smoke` and `chaos_soak` exercise fault injection, which a cache or
+/// an outside server would mask (failures are never cached by design). Not every
 /// caller also runs [`hardening_config`], so the removed flags are refused
 /// here too.
 pub fn reject_sweep_acceleration(bin: &str, args: &[String], why: &str) {

@@ -2,10 +2,10 @@
 //!
 //! Three bit-identity contracts anchor the multi-tile work:
 //!
-//! * **Single-tile is untouched** — the classic 24-cell small perf suite
-//!   must still sum to exactly 23,497,211 cycles (the pinned total in
-//!   `results/perf/` baselines and the `/verify` recipe), and the tiles=1
-//!   column of the scale-out study is the golden fig3 column.
+//! * **Single-tile is untouched** — the classic 24-cell small suite (each
+//!   cell a row of `results/golden/fig3_small.csv`) must still sum to
+//!   exactly 23,497,211 cycles, and the tiles=1 column of the scale-out
+//!   study is the golden fig3 column.
 //! * **Multi-tile is pinned** — every row of
 //!   `results/golden/fig_scale_small.csv` (1, 4 and 16 tiles × vl 8 and 256
 //!   × SpMV/BFS/PageRank, recorded before the two machine types were
@@ -20,9 +20,8 @@
 //!
 //! If a deliberate model change moves a pinned number, update the constant
 //! or regenerate the golden file (`fig_scale --small --check --tiles 1,4,16
-//! --vls 8,256 --csv results/golden/fig_scale_small.csv`), the recorded
-//! perf baselines, and the `/verify` skill note in the same commit,
-//! explaining why.
+//! --vls 8,256 --csv results/golden/fig_scale_small.csv`) and the `/verify`
+//! skill note in the same commit, explaining why.
 
 use sdv_bench::{Cell, CellOutcome, ImplKind, KernelKind, Sweeper, Workloads};
 use sdv_core::{SdvMachine, Vm};

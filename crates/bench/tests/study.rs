@@ -164,7 +164,6 @@ fn figures_reproduce_their_golden_stdout_and_csv() {
 #[test]
 fn a_mistyped_or_foreign_flag_is_a_usage_error_not_a_different_simulation() {
     let fig3 = env!("CARGO_BIN_EXE_fig3_latency");
-    let perf = env!("CARGO_BIN_EXE_perf_baseline");
     for (bin, args, named) in [
         (fig3, &["--smal"][..], "--smal"),
         (fig3, &["--small", "--csv"], "--csv"),
@@ -175,7 +174,6 @@ fn a_mistyped_or_foreign_flag_is_a_usage_error_not_a_different_simulation() {
         (STUDY, &[], "ablation_sigma"),
         (STUDY, &["calibrate", "--paper"], "--small"),
         (STUDY, &["lanes_study", "--checkpoint", "ck"], "--cache-dir"),
-        (perf, &["--breakdown"], "sdvbench --trace 1"),
     ] {
         let out = run(bin, args);
         let stderr = String::from_utf8_lossy(&out.stderr);

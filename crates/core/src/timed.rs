@@ -19,8 +19,8 @@
 //!   ring. The machine, not the driver, decides when each tile's next piece
 //!   is captured: only when the merge needs an op from a tile whose ring is
 //!   empty. No tile ever holds more than one piece.
-//! * **The merge** — every tile with an op is scheduled on the
-//!   calendar-wheel [`EventQueue`] at its scalar clock (first pieces pulled
+//! * **The merge** — every tile with an op is scheduled on an
+//!   [`EventQueue`] at its scalar clock (first pieces pulled
 //!   in capture order, tiles seeded in logical order); the earliest
 //!   `(cycle, tile, seq)` event pops, that tile issues exactly one op, its
 //!   ring refills from `step` if that was its last, and it reschedules at its
@@ -123,9 +123,10 @@ pub struct SdvMachine {
     /// while an epoch merges. Stays empty on a one-tile machine, which
     /// issues inline.
     rings: Vec<VecDeque<Op>>,
-    /// The merge's scheduler. Empty between merges; a field so its arena
-    /// survives from epoch to epoch.
-    wheel: EventQueue<usize>,
+    /// The merge's scheduler: each tile with an op queued, at its scalar
+    /// clock. Empty between merges; a field so its buffer survives from
+    /// epoch to epoch.
+    tiles_by_clock: EventQueue<usize>,
     /// The order tiles' first pieces are captured in (a permutation of
     /// `0..tiles`). The merge ignores it — determinism across permutations
     /// is the point.
@@ -164,7 +165,7 @@ impl SdvMachine {
             line_bytes: cfg.mem.l1.line_bytes,
             extra_latency_for_display: 0,
             rings: (0..tiles).map(|_| VecDeque::new()).collect(),
-            wheel: EventQueue::new(),
+            tiles_by_clock: EventQueue::new(),
             capture_order: (0..tiles).collect(),
             epoch_start: 0,
             peak_queued: 0,
@@ -188,9 +189,9 @@ impl SdvMachine {
     /// Attribution measurement mode: when on, every timing op is accepted
     /// and discarded, so the run's wall clock measures only the functional
     /// (exec + kernel driver) half of the machine. Cycle counts of a
-    /// bypassed run are meaningless — `perf_baseline --breakdown` subtracts
-    /// its wall time from a timed run's to attribute the difference to the
-    /// timing model.
+    /// bypassed run are meaningless — `sdvbench --trace 1` subtracts its wall
+    /// time from a timed run's to attribute the difference to the timing
+    /// model (`uarch.timing_share`).
     pub fn set_timing_bypass(&mut self, on: bool) {
         self.replicas.iter_mut().for_each(|r| r.set_bypass(on));
     }
@@ -284,7 +285,7 @@ impl SdvMachine {
         self.rings.iter_mut().for_each(VecDeque::clear);
         self.rings.resize_with(tiles, VecDeque::new);
         // Only a program that unwound mid-merge leaves events behind.
-        while self.wheel.pop().is_some() {}
+        while self.tiles_by_clock.pop().is_some() {}
         self.capture_order.clear();
         self.capture_order.extend(0..tiles);
         self.epoch_start = 0;
@@ -382,10 +383,10 @@ impl SdvMachine {
         // the interleaving is independent of the capture permutation.
         for t in 0..n {
             if !self.rings[t].is_empty() {
-                self.wheel.schedule(self.replicas[0].now_of(t), t);
+                self.tiles_by_clock.schedule(self.replicas[0].now_of(t), t);
             }
         }
-        while let Some((_, t)) = self.wheel.pop() {
+        while let Some((_, t)) = self.tiles_by_clock.pop() {
             let op = self.rings[t].pop_front().expect("a scheduled tile has an op queued");
             self.replicas[0].issue_on(t, &op);
             self.recycle(op);
@@ -393,7 +394,7 @@ impl SdvMachine {
                 self.refill(t, &mut more, step);
             }
             if !self.rings[t].is_empty() {
-                self.wheel.schedule(self.replicas[0].now_of(t), t);
+                self.tiles_by_clock.schedule(self.replicas[0].now_of(t), t);
             }
         }
     }

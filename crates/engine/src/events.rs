@@ -1,410 +1,49 @@
 //! A deterministic future-event list.
 //!
-//! Components that model long-latency operations (DRAM accesses, NoC link
-//! traversals, …) schedule completions here instead of being ticked every
-//! cycle. Ties are broken by insertion order so that the simulation is
-//! bit-for-bit reproducible regardless of payload type.
+//! Events pop in `(time, seq)` order, where `seq` is the order they were
+//! scheduled in: the earliest time first, and FIFO among events at the same
+//! time, so the simulation is bit-for-bit reproducible regardless of payload
+//! type. Its one production user is the multi-tile merge in `sdv-core`,
+//! which holds at most one event per tile.
 //!
-//! Two implementations share the contract:
-//!
-//! * [`EventQueue`] — the production scheduler: a calendar wheel over
-//!   arena-allocated, free-listed slots. No allocation per schedule after
-//!   warm-up, no comparator on the hot path, O(1) amortized schedule/pop.
-//! * [`HeapEventQueue`] — the original `BinaryHeap` implementation, retained
-//!   as the differential reference model; the randomized tests in
-//!   `tests/prop_engine.rs` drive both through identical operation streams
-//!   and demand identical pop sequences.
-//!
-//! # Why the wheel pops in exactly `(time, seq)` order
-//!
-//! The wheel has [`WHEEL`] buckets, each one simulated cycle wide, covering
-//! the window `[base, base + WHEEL)`. Because the window is exactly `WHEEL`
-//! cycles wide, `time % WHEEL` is injective on it — so **every event in a
-//! bucket carries the same timestamp**, and appending to the bucket's tail
-//! keeps each bucket in strictly increasing `seq` order. Popping therefore
-//! takes the first occupied bucket at or after `base` (a 256-bit bitmap
-//! scan) and unlinks its head: the earliest time, and the smallest `seq`
-//! within it. Events beyond the window — or at/after the earliest overflow
-//! event's time — wait in an *overflow* list in insertion (= `seq`) order
-//! with a cached minimum time. The second routing clause maintains the
-//! load-bearing invariant that **every bucket time is strictly below
-//! `overflow_min`** (which never decreases below a live bucket time), so
-//! the wheel holds the global minimum whenever it is non-empty and two
-//! same-cycle events can only ever meet inside a single structure. When
-//! the wheel runs dry the window re-anchors at `overflow_min` and the due
-//! slice of the overflow migrates into the (empty) buckets **in list
-//! order**, which is `seq` order — so same-cycle FIFO survives migration.
-//! Events scheduled *before* `base`
-//! (legal: a component may schedule at a time earlier than the last popped
-//! event) go to a small `past` list kept sorted by `(time, seq)`; its
-//! entries are by construction earlier than everything in the wheel or the
-//! overflow, so they pop first. Each event is thus popped in exact
-//! `(time, seq)` order — the same total order the reference heap uses.
+//! The queue is a `BinaryHeap` of `(time, seq, payload)` tuples. `seq` is
+//! unique, so the payload never takes part in a comparison; it only has to
+//! be `Ord` for the tuple to be.
 
 use crate::clock::Cycle;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Number of one-cycle buckets in the wheel window. 256 covers the spread
-/// of in-flight completions for every shipped configuration (an L2 round
-/// trip plus DRAM service); anything further out sits in the overflow list
-/// until the window advances, so correctness never depends on this size.
-const WHEEL: usize = 256;
-/// Words in the bucket-occupancy bitmap.
-const WORDS: usize = WHEEL / 64;
-/// Null link / free-list terminator.
-const NIL: u32 = u32::MAX;
-
-/// One arena slot: an event plus its intrusive bucket/free-list link.
-#[derive(Debug, Clone)]
-struct Slot<T> {
-    time: Cycle,
-    seq: u64,
-    next: u32,
-    /// `Some` while the event is live; `None` marks a free-listed slot.
-    payload: Option<T>,
-}
-
-/// A min-queue of timed events with FIFO tie-breaking — the calendar-wheel
-/// scheduler. See the module docs for the ordering argument.
+/// A min-queue of timed events with FIFO tie-breaking.
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
-    /// Slot arena. Grows to the high-water mark of live events, then every
-    /// schedule reuses a free-listed slot: no per-schedule allocation.
-    slots: Vec<Slot<T>>,
-    /// Head of the free list threaded through `Slot::next`.
-    free: u32,
-    /// Per-bucket intrusive FIFO list heads/tails (indices into `slots`).
-    bucket_head: [u32; WHEEL],
-    bucket_tail: [u32; WHEEL],
-    /// One bit per non-empty bucket; min-scan is two or three word ops.
-    occupied: [u64; WORDS],
-    /// Start of the wheel window `[base, base + WHEEL)`.
-    base: Cycle,
-    /// Live event count across wheel + overflow + past.
-    len: usize,
+    heap: BinaryHeap<Reverse<(Cycle, u64, T)>>,
     /// Insertion stamp for FIFO tie-breaking.
     next_seq: u64,
-    /// Events with `time >= base + WHEEL`, in insertion (`seq`) order.
-    overflow: Vec<u32>,
-    /// Minimum time in `overflow` (`Cycle::MAX` when empty). Exact: updated
-    /// on push, recomputed by the migration sweep.
-    overflow_min: Cycle,
-    /// Events with `time < base`, sorted by `(time, seq)` *descending* so
-    /// the minimum pops from the back in O(1). Rare: only populated when a
-    /// component schedules earlier than an already-popped timestamp.
-    past: Vec<u32>,
 }
 
-impl<T> Default for EventQueue<T> {
+impl<T: Ord> Default for EventQueue<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> EventQueue<T> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self {
-            slots: Vec::new(),
-            free: NIL,
-            bucket_head: [NIL; WHEEL],
-            bucket_tail: [NIL; WHEEL],
-            occupied: [0; WORDS],
-            base: 0,
-            len: 0,
-            next_seq: 0,
-            overflow: Vec::new(),
-            overflow_min: Cycle::MAX,
-            past: Vec::new(),
-        }
-    }
-
-    /// Schedule `payload` to fire at absolute cycle `time`.
-    pub fn schedule(&mut self, time: Cycle, payload: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let idx = self.alloc(time, seq, payload);
-        if self.len == 0 {
-            // Empty queue: re-anchor the window at this event so it lands
-            // in a bucket no matter how far the clock has advanced.
-            self.base = time;
-        }
-        self.len += 1;
-        if time < self.base {
-            self.insert_past(idx);
-        } else if time < self.overflow_min && time - self.base < WHEEL as Cycle {
-            self.bucket_push(idx, time);
-        } else {
-            // Out of the window, *or* at/after the earliest overflow event.
-            // The second clause is what keeps ordering airtight once `base`
-            // has advanced past an overflow event's window entry point: a
-            // bucket never holds a time >= overflow_min, so the wheel
-            // always holds the global minimum whenever it is non-empty,
-            // and same-cycle events meet only inside one structure.
-            self.overflow_min = self.overflow_min.min(time);
-            self.overflow.push(idx);
-        }
-    }
-
-    /// The firing time of the earliest pending event, if any.
-    pub fn next_time(&self) -> Option<Cycle> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(&idx) = self.past.last() {
-            return Some(self.slots[idx as usize].time);
-        }
-        if let Some(b) = self.first_occupied() {
-            return Some(self.slots[self.bucket_head[b] as usize].time);
-        }
-        // Wheel and past both empty but len > 0: everything is overflow.
-        Some(self.overflow_min)
-    }
-
-    /// Pop the earliest event if it fires at or before `now`.
-    pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, T)> {
-        if self.next_time().is_some_and(|t| t <= now) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Pop the earliest event unconditionally.
-    pub fn pop(&mut self) -> Option<(Cycle, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(idx) = self.past.pop() {
-            return Some(self.take(idx));
-        }
-        let b = match self.first_occupied() {
-            Some(b) => b,
-            None => {
-                self.migrate_overflow();
-                self.first_occupied().expect("migration fills the wheel when len > 0")
-            }
-        };
-        let idx = self.bucket_head[b];
-        let next = self.slots[idx as usize].next;
-        self.bucket_head[b] = next;
-        if next == NIL {
-            self.bucket_tail[b] = NIL;
-            self.occupied[b / 64] &= !(1u64 << (b % 64));
-        }
-        // No earlier event remains anywhere in the wheel, so the window can
-        // start at the popped time; everything still in buckets stays
-        // inside [time, time + WHEEL).
-        self.base = self.slots[idx as usize].time;
-        Some(self.take(idx))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The timestamps of every pending event, in arena (not firing) order —
-    /// for end-of-run audits and diagnostics, not the hot path.
-    pub fn times(&self) -> impl Iterator<Item = Cycle> + '_ {
-        self.slots.iter().filter(|s| s.payload.is_some()).map(|s| s.time)
-    }
-
-    /// Take a slot from the free list (or grow the arena) and fill it.
-    fn alloc(&mut self, time: Cycle, seq: u64, payload: T) -> u32 {
-        if self.free != NIL {
-            let idx = self.free;
-            let s = &mut self.slots[idx as usize];
-            self.free = s.next;
-            s.time = time;
-            s.seq = seq;
-            s.next = NIL;
-            s.payload = Some(payload);
-            idx
-        } else {
-            assert!(self.slots.len() < NIL as usize, "event arena exhausted u32 indices");
-            self.slots.push(Slot { time, seq, next: NIL, payload: Some(payload) });
-            (self.slots.len() - 1) as u32
-        }
-    }
-
-    /// Consume a live slot: return its event and free-list the slot.
-    fn take(&mut self, idx: u32) -> (Cycle, T) {
-        let free = self.free;
-        let s = &mut self.slots[idx as usize];
-        let payload = s.payload.take().expect("slot is live");
-        s.next = free;
-        self.free = idx;
-        self.len -= 1;
-        (s.time, payload)
-    }
-
-    /// Append a slot to its bucket's FIFO tail. `time` must lie inside the
-    /// current window.
-    fn bucket_push(&mut self, idx: u32, time: Cycle) {
-        debug_assert!(time >= self.base && time - self.base < WHEEL as Cycle);
-        let b = (time % WHEEL as Cycle) as usize;
-        let tail = self.bucket_tail[b];
-        if tail == NIL {
-            self.bucket_head[b] = idx;
-            self.occupied[b / 64] |= 1u64 << (b % 64);
-        } else {
-            self.slots[tail as usize].next = idx;
-        }
-        self.bucket_tail[b] = idx;
-    }
-
-    /// Insert a slot into the `past` list, keeping it sorted by
-    /// `(time, seq)` descending (minimum at the back).
-    fn insert_past(&mut self, idx: u32) {
-        let key = {
-            let s = &self.slots[idx as usize];
-            (s.time, s.seq)
-        };
-        let pos = self.past.partition_point(|&i| {
-            let s = &self.slots[i as usize];
-            (s.time, s.seq) > key
-        });
-        self.past.insert(pos, idx);
-    }
-
-    /// First occupied bucket in circular order from the window start, i.e.
-    /// the bucket holding the earliest wheel event.
-    fn first_occupied(&self) -> Option<usize> {
-        let start = (self.base % WHEEL as Cycle) as usize;
-        let (sw, sb) = (start / 64, start % 64);
-        let w = self.occupied[sw] & (!0u64 << sb);
-        if w != 0 {
-            return Some(sw * 64 + w.trailing_zeros() as usize);
-        }
-        for k in 1..=WORDS {
-            let i = (sw + k) % WORDS;
-            let mut w = self.occupied[i];
-            if k == WORDS {
-                // Wrapped back to the start word: only the bits below the
-                // window start remain unexamined.
-                w &= !(!0u64 << sb);
-            }
-            if w != 0 {
-                return Some(i * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// The wheel ran dry: re-anchor the window at the earliest overflow
-    /// event and move every overflow entry now inside the window into its
-    /// bucket. The overflow list is in `seq` order and is swept in order,
-    /// so same-cycle events enter their bucket FIFO in `seq` order.
-    fn migrate_overflow(&mut self) {
-        debug_assert!(self.past.is_empty() && self.first_occupied().is_none());
-        debug_assert!(!self.overflow.is_empty());
-        self.base = self.overflow_min;
-        let mut retained_min = Cycle::MAX;
-        let mut keep = 0;
-        for i in 0..self.overflow.len() {
-            let idx = self.overflow[i];
-            let t = self.slots[idx as usize].time;
-            if t - self.base < WHEEL as Cycle {
-                self.bucket_push(idx, t);
-            } else {
-                retained_min = retained_min.min(t);
-                self.overflow[keep] = idx;
-                keep += 1;
-            }
-        }
-        self.overflow.truncate(keep);
-        self.overflow_min = retained_min;
-    }
-}
-
-/// An entry in the reference event heap. Ordered by `(time, seq)` ascending.
-struct Entry<T> {
-    time: Cycle,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// The original `BinaryHeap`-based event list, kept as the differential
-/// reference model for the calendar wheel: simple enough to be obviously
-/// correct, slow enough to stay out of production. The randomized suite
-/// drives both through identical operation streams.
-pub struct HeapEventQueue<T> {
-    heap: BinaryHeap<Entry<T>>,
-    next_seq: u64,
-}
-
-impl<T> Default for HeapEventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> HeapEventQueue<T> {
+impl<T: Ord> EventQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         Self { heap: BinaryHeap::new(), next_seq: 0 }
     }
 
-    /// Schedule `payload` to fire at absolute cycle `time`.
+    /// Schedule `payload` to fire at absolute cycle `time`. A time earlier
+    /// than an already-popped one is legal and pops next.
     pub fn schedule(&mut self, time: Cycle, payload: T) {
-        let seq = self.next_seq;
+        self.heap.push(Reverse((time, self.next_seq, payload)));
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, payload });
     }
 
-    /// The firing time of the earliest pending event, if any.
-    pub fn next_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Pop the earliest event if it fires at or before `now`.
-    pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, T)> {
-        if self.heap.peek().is_some_and(|e| e.time <= now) {
-            let e = self.heap.pop().unwrap();
-            Some((e.time, e.payload))
-        } else {
-            None
-        }
-    }
-
-    /// Pop the earliest event unconditionally.
+    /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(Cycle, T)> {
-        self.heap.pop().map(|e| (e.time, e.payload))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.pop().map(|Reverse((time, _, payload))| (time, payload))
     }
 }
 
@@ -412,127 +51,62 @@ impl<T> HeapEventQueue<T> {
 mod tests {
     use super::*;
 
-    /// Run the shared contract suite against both implementations.
-    macro_rules! contract_tests {
-        ($mod_name:ident, $Q:ident) => {
-            mod $mod_name {
-                use super::*;
-
-                #[test]
-                fn pops_in_time_order() {
-                    let mut q = $Q::new();
-                    q.schedule(30, "c");
-                    q.schedule(10, "a");
-                    q.schedule(20, "b");
-                    assert_eq!(q.pop(), Some((10, "a")));
-                    assert_eq!(q.pop(), Some((20, "b")));
-                    assert_eq!(q.pop(), Some((30, "c")));
-                    assert_eq!(q.pop(), None);
-                }
-
-                #[test]
-                fn ties_break_fifo() {
-                    let mut q = $Q::new();
-                    for i in 0..100 {
-                        q.schedule(7, i);
-                    }
-                    for i in 0..100 {
-                        assert_eq!(q.pop(), Some((7, i)));
-                    }
-                }
-
-                #[test]
-                fn pop_due_respects_now() {
-                    let mut q = $Q::new();
-                    q.schedule(5, 'x');
-                    q.schedule(10, 'y');
-                    assert_eq!(q.pop_due(4), None);
-                    assert_eq!(q.pop_due(5), Some((5, 'x')));
-                    assert_eq!(q.pop_due(5), None);
-                    assert_eq!(q.pop_due(100), Some((10, 'y')));
-                    assert!(q.is_empty());
-                }
-
-                #[test]
-                fn next_time_peeks() {
-                    let mut q = $Q::new();
-                    assert_eq!(q.next_time(), None);
-                    q.schedule(42, ());
-                    assert_eq!(q.next_time(), Some(42));
-                    assert_eq!(q.len(), 1);
-                }
-
-                #[test]
-                fn interleaved_schedule_and_pop_stays_ordered() {
-                    let mut q = $Q::new();
-                    q.schedule(10, 1);
-                    q.schedule(20, 2);
-                    assert_eq!(q.pop(), Some((10, 1)));
-                    q.schedule(15, 3);
-                    q.schedule(5, 4); // in the past relative to popped events; still fine
-                    assert_eq!(q.pop(), Some((5, 4)));
-                    assert_eq!(q.pop(), Some((15, 3)));
-                    assert_eq!(q.pop(), Some((20, 2)));
-                }
-
-                #[test]
-                fn far_future_events_cross_the_window() {
-                    // Times spanning many wheel windows, scheduled out of
-                    // order, including ties far beyond the first window.
-                    let mut q = $Q::new();
-                    q.schedule(1_000_000, "far-a");
-                    q.schedule(3, "near");
-                    q.schedule(1_000_000, "far-b");
-                    q.schedule(70_000, "mid");
-                    assert_eq!(q.pop(), Some((3, "near")));
-                    assert_eq!(q.pop(), Some((70_000, "mid")));
-                    assert_eq!(q.pop(), Some((1_000_000, "far-a")));
-                    assert_eq!(q.pop(), Some((1_000_000, "far-b")));
-                    assert_eq!(q.pop(), None);
-                }
-            }
-        };
+    #[test]
+    fn pops_in_time_order() {
+        let mut q = EventQueue::new();
+        q.schedule(30, "c");
+        q.schedule(10, "a");
+        q.schedule(20, "b");
+        assert_eq!(q.pop(), Some((10, "a")));
+        assert_eq!(q.pop(), Some((20, "b")));
+        assert_eq!(q.pop(), Some((30, "c")));
+        assert_eq!(q.pop(), None);
     }
 
-    contract_tests!(wheel, EventQueue);
-    contract_tests!(heap, HeapEventQueue);
-
     #[test]
-    fn wheel_reuses_slots_without_growing() {
+    fn ties_break_fifo() {
+        // Payloads in descending order: FIFO, not the payload, decides.
         let mut q = EventQueue::new();
-        // Steady-state churn: after warm-up the arena must stop growing.
-        for t in 0..64u64 {
-            q.schedule(t, t);
+        for i in (0..100).rev() {
+            q.schedule(7, i);
         }
-        let high_water = q.slots.len();
-        for round in 1..200u64 {
-            for t in 0..64u64 {
-                assert!(q.pop().is_some());
-                q.schedule(round * 64 + t, t);
-            }
-            assert_eq!(q.slots.len(), high_water, "steady churn must not grow the arena");
+        for i in (0..100).rev() {
+            assert_eq!(q.pop(), Some((7, i)));
         }
     }
 
     #[test]
-    fn wheel_times_iterator_sees_every_pending_event() {
+    fn interleaved_schedule_and_pop_stays_ordered() {
         let mut q = EventQueue::new();
-        q.schedule(5, ());
-        q.schedule(900, ()); // overflow
-        q.schedule(5, ());
-        let mut ts: Vec<Cycle> = q.times().collect();
-        ts.sort_unstable();
-        assert_eq!(ts, vec![5, 5, 900]);
-        q.pop();
-        assert_eq!(q.times().count(), 2);
+        q.schedule(10, 1);
+        q.schedule(20, 2);
+        assert_eq!(q.pop(), Some((10, 1)));
+        q.schedule(15, 3);
+        q.schedule(5, 4); // in the past relative to popped events; still fine
+        assert_eq!(q.pop(), Some((5, 4)));
+        assert_eq!(q.pop(), Some((15, 3)));
+        assert_eq!(q.pop(), Some((20, 2)));
     }
 
     #[test]
-    fn wheel_handles_past_schedules_after_deep_advance() {
+    fn far_future_events_keep_their_order() {
+        let mut q = EventQueue::new();
+        q.schedule(1_000_000, "far-a");
+        q.schedule(3, "near");
+        q.schedule(1_000_000, "far-b");
+        q.schedule(70_000, "mid");
+        assert_eq!(q.pop(), Some((3, "near")));
+        assert_eq!(q.pop(), Some((70_000, "mid")));
+        assert_eq!(q.pop(), Some((1_000_000, "far-a")));
+        assert_eq!(q.pop(), Some((1_000_000, "far-b")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn past_schedules_after_a_deep_advance_pop_first() {
         let mut q = EventQueue::new();
         q.schedule(10_000, "late");
         assert_eq!(q.pop(), Some((10_000, "late")));
-        // The window is now anchored at 10_000; schedule far earlier.
         q.schedule(2, "early-a");
         q.schedule(1, "earliest");
         q.schedule(2, "early-b");

@@ -9,10 +9,8 @@
 //! deliberately contains no concurrency. It provides:
 //!
 //! * [`Cycle`] — the global time unit (one emulated clock cycle),
-//! * [`EventQueue`] — a stable (FIFO-on-tie) future-event list implemented
-//!   as a calendar wheel over free-listed arena slots (plus
-//!   [`HeapEventQueue`], the retained `BinaryHeap` reference model the
-//!   randomized differential tests drive),
+//! * [`EventQueue`] — a stable (FIFO-on-tie) future-event list on a
+//!   `BinaryHeap`,
 //! * [`Ring`] / [`MonotoneRing`] — the fixed-capacity rings every hardware
 //!   queue with backpressure is modelled on,
 //! * [`Stats`] / [`Counter`] / [`Histogram`] — a lightweight statistics
@@ -41,7 +39,7 @@ pub mod stats;
 
 pub use clock::Cycle;
 pub use error::SimError;
-pub use events::{EventQueue, HeapEventQueue};
+pub use events::EventQueue;
 pub use fault::{ArmedFault, FaultKind, FaultPlan, WEDGE};
 pub use hash::{FastMap, FastSet, FxHasher, StableHash};
 
@@ -49,8 +47,8 @@ pub use hash::{FastMap, FastSet, FxHasher, StableHash};
 /// (with `-dirty` for uncommitted changes) or `v<crate-version>` outside a
 /// git checkout. The persistent result cache folds this into every entry's
 /// key, so results computed by older code can never be served for new code;
-/// `perf_baseline` and the `sdv-metrics-v1` export record it so any saved
-/// number can be traced back to the code that produced it.
+/// `sdvbench` and the `sdv-metrics-v1` export record it so any saved number
+/// can be traced back to the code that produced it.
 pub fn build_info() -> &'static str {
     env!("SDV_BUILD_INFO")
 }

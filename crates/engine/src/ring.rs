@@ -105,8 +105,7 @@ impl<T: Copy + Default> Ring<T> {
 /// backwards from the tail (zero steps in the common append case, a few
 /// element moves otherwise), and `pop_front`/pruning are O(1) head pops. A
 /// binary heap pays an O(log n) sift with unpredictable branches on every
-/// one of those operations; a calendar wheel pays overflow migration when
-/// latencies exceed its window. This structure is the fast path for both.
+/// one of those operations.
 #[derive(Debug, Clone)]
 pub struct MonotoneRing<T> {
     buf: Box<[T]>,

@@ -681,12 +681,6 @@ pub fn exec_into<M: VMemory>(
                 }
             }
         }
-        VOp::ArithVV { kind, vd, x, y } => {
-            state.regs.read_elems_into(*x, sew, vl, xs);
-            state.regs.read_elems_into(*y, sew, vl, ys);
-            int_bin_batch(sew, *kind, zip2(xs, ys), zs);
-            info.active = write_lanes(state, masked, *vd, sew, zs, bs);
-        }
         VOp::ArithVX { kind, vd, x, scalar } => {
             state.regs.read_elems_into(*x, sew, vl, xs);
             int_bin_batch(sew, *kind, with_scalar(xs, *scalar), zs);
@@ -872,16 +866,6 @@ pub(crate) mod reference {
                             info.mem.push(MemAccess { addr: a, size: sew.bytes() as u8, kind: MemAccessKind::Write });
                             info.active += 1;
                         }
-                    }
-                }
-            }
-            VOp::ArithVV { kind, vd, x, y } => {
-                state.regs.read_elems_into(*x, sew, vl, xs);
-                state.regs.read_elems_into(*y, sew, vl, ys);
-                for i in 0..vl {
-                    if state.active(masked, i) {
-                        state.regs.set(*vd, sew, i, int_bin(sew, *kind, xs[i], ys[i]));
-                        info.active += 1;
                     }
                 }
             }
@@ -1137,9 +1121,8 @@ mod tests {
         s.regs.set(10, Sew::E64, 4, 777); // beyond vl: must stay
         for i in 0..4 {
             s.regs.set(8, Sew::E64, i, i as u64);
-            s.regs.set(9, Sew::E64, i, 10);
         }
-        run(&mut s, VOp::ArithVV { kind: ArithKind::Add, vd: 10, x: 8, y: 9 });
+        run(&mut s, VOp::ArithVX { kind: ArithKind::Add, vd: 10, x: 8, scalar: 10 });
         for i in 0..4 {
             assert_eq!(s.regs.get(10, Sew::E64, i), i as u64 + 10);
         }
@@ -1164,13 +1147,12 @@ mod tests {
         s.set_vl(2, Sew::E8, Lmul::M1);
         s.regs.set(1, Sew::E8, 0, 0xF0);
         s.regs.set(1, Sew::E8, 1, 0x03);
-        s.regs.set(2, Sew::E8, 0, 0x20);
-        s.regs.set(2, Sew::E8, 1, 9); // shift amounts are taken mod SEW: 9 & 7 = 1
-        run(&mut s, VOp::ArithVV { kind: ArithKind::Add, vd: 3, x: 1, y: 2 });
+        run(&mut s, VOp::ArithVX { kind: ArithKind::Add, vd: 3, x: 1, scalar: 0x20 });
         assert_eq!(s.regs.get(3, Sew::E8, 0), 0x10, "0xF0 + 0x20 wraps at 8 bits");
-        run(&mut s, VOp::ArithVV { kind: ArithKind::Sll, vd: 3, x: 1, y: 2 });
+        // Shift amounts are taken mod SEW: 9 & 7 = 1.
+        run(&mut s, VOp::ArithVX { kind: ArithKind::Sll, vd: 3, x: 1, scalar: 9 });
         assert_eq!(s.regs.get(3, Sew::E8, 1), 0x06);
-        assert_eq!(s.regs.get(3, Sew::E8, 0), 0xF0, "0x20 & 7 = 0: unshifted");
+        assert_eq!(s.regs.get(3, Sew::E8, 0), 0xE0, "0xF0 << 1 wraps at 8 bits");
     }
 
     #[test]
@@ -1303,11 +1285,10 @@ mod tests {
         let mut s = st(4);
         for i in 0..4 {
             s.regs.set(1, Sew::E64, i, 10);
-            s.regs.set(2, Sew::E64, i, 1);
             s.regs.set(3, Sew::E64, i, 555);
             s.regs.set_mask(0, i, i >= 2);
         }
-        let info = run_masked(&mut s, VOp::ArithVV { kind: ArithKind::Add, vd: 3, x: 1, y: 2 });
+        let info = run_masked(&mut s, VOp::ArithVX { kind: ArithKind::Add, vd: 3, x: 1, scalar: 1 });
         assert_eq!(info.active, 2);
         assert_eq!(s.regs.get(3, Sew::E64, 0), 555);
         assert_eq!(s.regs.get(3, Sew::E64, 1), 555);
@@ -1319,7 +1300,7 @@ mod tests {
     fn vl_zero_is_a_nop() {
         let mut s = st(0);
         s.regs.set(2, Sew::E64, 0, 123);
-        let info = run(&mut s, VOp::ArithVV { kind: ArithKind::Add, vd: 2, x: 1, y: 1 });
+        let info = run(&mut s, VOp::ArithVX { kind: ArithKind::Add, vd: 2, x: 1, scalar: 1 });
         assert_eq!(info.active, 0);
         assert_eq!(s.regs.get(2, Sew::E64, 0), 123);
     }
@@ -1328,12 +1309,12 @@ mod tests {
     fn alias_safe_binary_op() {
         let mut s = st(4);
         for i in 0..4 {
-            s.regs.set(1, Sew::E64, i, i as u64 + 1);
+            s.regs.set_f64(1, i, i as f64 + 1.0);
         }
         // vd == x == y: vd[i] = x[i] + y[i] must read pre-write values.
-        run(&mut s, VOp::ArithVV { kind: ArithKind::Add, vd: 1, x: 1, y: 1 });
+        run(&mut s, VOp::FArithVV { kind: FArithKind::Fadd, vd: 1, x: 1, y: 1 });
         for i in 0..4 {
-            assert_eq!(s.regs.get(1, Sew::E64, i), 2 * (i as u64 + 1));
+            assert_eq!(s.regs.get_f64(1, i), 2.0 * (i as f64 + 1.0));
         }
     }
 
@@ -1597,7 +1578,6 @@ mod differential {
             Store { vs: 6, addr: MemAddr::Indexed { base: 8192, index: 4 } },
         ];
         for kind in ARITH {
-            ops.push(ArithVV { kind, vd: 1, x: 2, y: 3 });
             ops.push(ArithVX { kind, vd: 1, x: 2, scalar: 0x1234_5678_9abc_def0 });
         }
         ops.push(CmpVX { kind: CmpKind::Eq, md: 5, x: 2, scalar: 0x80 });
@@ -1610,9 +1590,6 @@ mod differential {
         ops.push(MvVX { vd: 1, scalar: 0xfeed_face });
         ops.push(MvSX { vd: 1, scalar: 0xfeed_face });
         ops.push(MvXS { x: 2 });
-        // Destination aliasing a source: batch kernels snapshot operands, the
-        // reference must agree.
-        ops.push(ArithVV { kind: ArithKind::Add, vd: 2, x: 2, y: 2 });
         if sew.half().is_some() {
             ops.push(LoadWiden { vd: 6, base: 4096 });
         }
@@ -1713,7 +1690,7 @@ mod differential {
             VOp::Load { vd: 8, addr: MemAddr::Unit { base: 4096 } },
             VOp::Store { vs: 8, addr: MemAddr::Unit { base: 4096 } },
             VOp::Load { vd: 8, addr: MemAddr::Indexed { base: 8192, index: 4 } },
-            VOp::ArithVV { kind: ArithKind::Add, vd: 8, x: 12, y: 16 },
+            VOp::FArithVV { kind: FArithKind::Fadd, vd: 8, x: 12, y: 16 },
             VOp::FmaVV { kind: FmaKind::Macc, vd: 8, x: 12, y: 16 },
             VOp::Red { kind: RedKind::Fsum, vd: 8, x: 12, acc: 16 },
         ];
@@ -1738,7 +1715,6 @@ mod differential {
         for sew in [Sew::E8, Sew::E16, Sew::E32, Sew::E64] {
             let mut ops = Vec::new();
             for kind in ARITH {
-                ops.push(ArithVV { kind, vd: 2, x: 2, y: 3 });
                 ops.push(ArithVX { kind, vd: 2, x: 2, scalar: 0x0123_4567_89ab_cdef });
             }
             ops.push(CmpVX { kind: CmpKind::Eq, md: 0, x: 2, scalar: 77 });
@@ -1810,9 +1786,8 @@ mod differential {
         let (mut scratch, mut info) = (ExecScratch::default(), ExecInfo::default());
         let mut pool = Vec::new();
         for kind in ARITH {
-            pool.push(ArithVV { kind, vd: 12, x: 4, y: 8 });
             pool.push(ArithVX { kind, vd: 12, x: 4, scalar: 0x0123_4567_89ab_cdef });
-            pool.push(ArithVV { kind, vd: 4, x: 4, y: 8 });
+            pool.push(ArithVX { kind, vd: 4, x: 4, scalar: 0x0123_4567_89ab_cdef });
         }
         for kind in FARITH {
             pool.push(FArithVV { kind, vd: 12, x: 4, y: 8 });

@@ -38,11 +38,12 @@ impl fmt::Display for VInst {
                 };
                 write!(f, "{mn} v{vs}, {}{m}", mem_operand(addr))
             }
-            VOp::ArithVV { kind, vd, x, y } => {
-                write!(f, "{}.vv v{vd}, v{x}, v{y}{m}", arith_mnemonic(*kind))
-            }
             VOp::ArithVX { kind, vd, x, scalar } => {
-                write!(f, "{}.vx v{vd}, v{x}, {scalar}{m}", arith_mnemonic(*kind))
+                let mn = match kind {
+                    ArithKind::Add => "vadd.vx",
+                    ArithKind::Sll => "vsll.vx",
+                };
+                write!(f, "{mn} v{vd}, v{x}, {scalar}{m}")
             }
             VOp::FArithVV { kind, vd, x, y } => {
                 write!(f, "{}.vv v{vd}, v{x}, v{y}{m}", farith_mnemonic(*kind))
@@ -92,13 +93,6 @@ impl fmt::Display for VInst {
             VOp::MvSX { vd, scalar } => write!(f, "vmv.s.x v{vd}, {scalar:#x}"),
             VOp::MvXS { x } => write!(f, "vmv.x.s x_, v{x}"),
         }
-    }
-}
-
-fn arith_mnemonic(k: ArithKind) -> &'static str {
-    match k {
-        ArithKind::Add => "vadd",
-        ArithKind::Sll => "vsll",
     }
 }
 
@@ -154,7 +148,6 @@ mod tests {
             VOp::Load { vd: 1, addr: MemAddr::Unit { base: 0 } },
             VOp::LoadWiden { vd: 1, base: 0 },
             VOp::Store { vs: 1, addr: MemAddr::Indexed { base: 0, index: 2 } },
-            VOp::ArithVV { kind: ArithKind::Add, vd: 1, x: 2, y: 3 },
             VOp::ArithVX { kind: ArithKind::Sll, vd: 1, x: 2, scalar: 9 },
             VOp::FArithVV { kind: FArithKind::Fdiv, vd: 1, x: 2, y: 3 },
             VOp::FArithVF { kind: FArithKind::Fsub, vd: 1, x: 2, scalar: 0 },

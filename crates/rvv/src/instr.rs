@@ -37,12 +37,13 @@ pub enum MemAddr {
     },
 }
 
-/// Integer element-wise operations (VV and VX forms).
+/// Integer element-wise operations (VX form only: the kernels add and shift
+/// by a scalar).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithKind {
     /// Wrapping addition.
     Add,
-    /// Logical shift left by `y & (sew-1)`.
+    /// Logical shift left by `scalar & (sew-1)`.
     Sll,
 }
 
@@ -121,17 +122,6 @@ pub enum VOp {
         vs: Reg,
         /// Addressing mode.
         addr: MemAddr,
-    },
-    /// Integer arithmetic, vector-vector: `vd[i] = op(x[i], y[i])`.
-    ArithVV {
-        /// Operation.
-        kind: ArithKind,
-        /// Destination.
-        vd: Reg,
-        /// Left operand register.
-        x: Reg,
-        /// Right operand register.
-        y: Reg,
     },
     /// Integer arithmetic, vector-scalar: `vd[i] = op(x[i], scalar)`.
     ArithVX {
@@ -293,7 +283,7 @@ mod tests {
     #[test]
     fn is_mem_classification() {
         let ld = VInst::new(VOp::Load { vd: 1, addr: MemAddr::Unit { base: 0 } });
-        let add = VInst::new(VOp::ArithVV { kind: ArithKind::Add, vd: 1, x: 2, y: 3 });
+        let add = VInst::new(VOp::ArithVX { kind: ArithKind::Add, vd: 1, x: 2, scalar: 3 });
         assert!(ld.is_mem());
         assert!(!add.is_mem());
     }

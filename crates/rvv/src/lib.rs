@@ -2,11 +2,12 @@
 //!
 //! A functional model of the RISC-V Vector instructions (RVV v0.7.1-style,
 //! as implemented by the Vitruvius VPU in the paper's FPGA-SDV platform)
-//! that the evaluated kernels execute — those and no others: seventeen
+//! that the evaluated kernels execute — those and no others: sixteen
 //! operations ([`VOp`]), pruned by a dynamic count over every committed grid
 //! (the table is in DESIGN.md) and kept that size by
 //! `crates/kernels/tests/isa_coverage.rs`. Loads and stores (unit-stride,
-//! strided, indexed, and the widening `vlwu`), integer add and shift,
+//! strided, indexed, and the widening `vlwu`), integer add and shift by a
+//! scalar,
 //! double-precision add/sub/mul/div and FMA, integer compare-equal, mask
 //! and/or, `vpopc`, integer and FP sum reductions, and the moves.
 //!

@@ -60,13 +60,14 @@ fn int_binary_ops_match_reference() {
         for i in 0..32.min(st.regs.elems_per_reg(sew)) {
             st.regs.set(3, sew, i, 0xAAAA_AAAA_AAAA_AAAA & sew.value_mask());
         }
-        let op = VOp::ArithVV { kind, vd: 3, x: 1, y: 2 };
+        let scalar = ys[0];
+        let op = VOp::ArithVX { kind, vd: 3, x: 1, scalar };
         let inst = if masked { VInst::masked(op) } else { VInst::new(op) };
         let mut mem = Mem(vec![0; 8]);
         exec(&inst, &mut st, &mut mem);
         let m = sew.value_mask();
         for i in 0..vl {
-            let (a, b) = (xs[i] & m, ys[i] & m);
+            let (a, b) = (xs[i] & m, scalar & m);
             let sh = (b as u32) & (sew.bits() as u32 - 1);
             let want = match kind {
                 ArithKind::Add => a.wrapping_add(b),

@@ -32,9 +32,9 @@ pub struct SdvTiming {
     /// Wall-clock deadline, when armed (the probes' single-branch
     /// `Option<Box>` idiom: one never-taken branch per op when off).
     wall: Option<Box<WallDeadline>>,
-    /// Measurement mode: accept and discard every op. Used by
-    /// `perf_baseline --breakdown` to time the functional half of a run in
-    /// isolation; cycle counts of a bypassed run are meaningless.
+    /// Measurement mode: accept and discard every op. `sdvbench --trace 1`
+    /// uses it to time the functional half of a run in isolation (its
+    /// `uarch.timing_share`); cycle counts of a bypassed run are meaningless.
     bypass: bool,
 }
 

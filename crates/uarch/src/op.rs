@@ -277,7 +277,7 @@ mod tests {
     #[test]
     fn classify_arith_kinds() {
         let info = ExecInfo { vl: 8, active: 8, ..Default::default() };
-        let add = VInst::new(VOp::ArithVV { kind: ArithKind::Add, vd: 1, x: 2, y: 3 });
+        let add = VInst::new(VOp::ArithVX { kind: ArithKind::Add, vd: 1, x: 2, scalar: 3 });
         assert_eq!(classify(&add, &info, 64).class, VClass::Arith);
         let div = VInst::new(VOp::FArithVV { kind: FArithKind::Fdiv, vd: 1, x: 2, y: 3 });
         assert_eq!(classify(&div, &info, 64).class, VClass::ArithLong);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo gate: build, test, cycle-drift check, and verify cycle outputs are
-# bit-identical to the golden figure-3 CSV and to results/. Run from anywhere.
+# Repo gate: build, test, paper-scale exactness and a loose wall gate, and
+# verify cycle outputs are bit-identical to the golden figure-3 CSV and to
+# results/. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,20 +19,29 @@ echo "== sdvbench unit tests (BENCHMARK.json == generated text, RecordingVm repl
 # enters it.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "== paper-scale exactness (five sdvbench workloads == benchmark/baselines/pr12.json) =="
+echo "== paper-scale exactness + loose wall gate (five sdvbench workloads vs benchmark/baselines/pr12.json) =="
 # The golden CSVs pin the --small grids; this pins the paper-scale cells. A
 # short traced run covers each workload's whole grid, and every metric below
-# is a count or a ratio of counts, so it repeats to the last digit.
+# is a count or a ratio of counts, so it repeats to the last digit. A second,
+# untraced run gates host time loosely: it fails if any cell failed or if
+# sim_host_s exceeds WALL_GATE times the workload's end_to_end value in the
+# baseline. Shared hosts have slow phases well past 1.3x on identical
+# binaries; a perf claim is a set of recorded pairs, not this gate.
 # benchmark/baselines/pr12.json is only read.
+WALL_GATE=1.5
 exact_line="$(mktemp /tmp/sdvbench_exact.XXXXXX.json)"
+wall_line="$(mktemp /tmp/sdvbench_wall.XXXXXX.json)"
 for w in scalar_latency longvec_latency shortvec_bandwidth tiles_scaleout service_small; do
     bash benchmark/run.sh --workload "$w" --seed 0 --seconds 2 --trace 1 2>/dev/null \
         | tail -n 1 >"$exact_line"
-    python3 - "$w" "$exact_line" benchmark/baselines/pr12.json <<'PYEOF'
+    bash benchmark/run.sh --workload "$w" --seed 0 --seconds 10 --trace 0 2>/dev/null \
+        | tail -n 1 >"$wall_line"
+    python3 - "$w" "$exact_line" "$wall_line" "$WALL_GATE" benchmark/baselines/pr12.json <<'PYEOF'
 import json, sys
-workload, line_path, baseline_path = sys.argv[1:4]
+workload, line_path, wall_path, gate, baseline_path = sys.argv[1:6]
 run = json.load(open(line_path))
-want = json.load(open(baseline_path))["workloads"][workload]["per_layer"]["metrics"]
+wall = json.load(open(wall_path))
+want = json.load(open(baseline_path))["workloads"][workload]
 got = {name: m["value"] for name, m in run["metrics"].items()}
 exact = """rvv.vinstrs rvv.elements uarch.sim_cycles uarch.ops uarch.accesses
 uarch.scalar_stall_cycles uarch.vpu_mem_wait_cycles uarch.stats_hash48
@@ -39,29 +49,23 @@ memsys.l1_miss_ratio memsys.l2_miss_ratio memsys.dram_bytes memsys.coherence_msg
 noc.packets noc.link_wait_cycles engine.events bench.cache.hit_ratio
 bench.server.simulated bench.server.simulated_after_warm bench.server.cache_hits
 bench.server.dup_sim_ratio anchor.err_pct""".split()
-bad = [f"{k}: {got.get(k)} != {want[k]}" for k in exact if got.get(k) != want[k]]
+layers = want["per_layer"]["metrics"]
+bad = [f"{k}: {got.get(k)} != {layers[k]}" for k in exact if got.get(k) != layers[k]]
 # The one value that moved since pr12.json on purpose: PR 13 fixed the
 # paper-scale FFT/scalar coherence failure, so the canary reads 0 now.
-zero = {"canary.fft_scalar_failed": got.get("canary.fft_scalar_failed"), "failed": run["failed"]}
+zero = {"canary.fft_scalar_failed": got.get("canary.fft_scalar_failed"), "failed": run["failed"],
+        "failed (untraced run)": wall["failed"]}
 bad += [f"{k}: {v} != 0" for k, v in zero.items() if v != 0]
+host, limit = wall["metrics"]["sim_host_s"]["value"], float(gate) * want["end_to_end"]["metrics"]["sim_host_s"]
+if host > limit:
+    bad.append(f"sim_host_s {host:.3f} s > {gate} x baseline = {limit:.3f} s")
 if bad:
-    sys.exit(f"{workload}: simulated numbers moved:\n  " + "\n  ".join(bad))
-print(f"{workload}: {len(exact)} exact metrics match, canary 0, failed 0 of {run['attempted']}")
+    sys.exit(f"{workload}: simulated numbers moved or host time blew the gate:\n  " + "\n  ".join(bad))
+print(f"{workload}: {len(exact)} exact metrics match, canary 0, failed 0 of {run['attempted']}; "
+      f"sim_host_s {host:.3f} s <= {limit:.3f} s")
 PYEOF
 done
-rm -f "$exact_line"
-
-echo "== cycle drift + loose wall gate (24-cell suite vs recorded after_pr18 baseline) =="
-# Every cell's simulated cycles must match the recorded baseline bit for bit
-# (all recorded baselines, after_pr1 through after_pr18, hold the same 24
-# counts; any drift fails regardless of thresholds). Wall-clock is gated only
-# on the suite total, loosely: this shared host has slow phases of 1.3-4x on
-# identical binaries, so --repeat keeps each cell's minimum over that many
-# passes. Tighten with SDV_SUITE_GATE=1.05 on a quiet host; host time per
-# layer, with a baseline behind it, is sdvbench's job (benchmark/).
-./target/release/perf_baseline --repeat "${SDV_PERF_REPEAT:-20}" \
-    --label check_perf --against after_pr18 --threshold 1000 \
-    --suite-threshold "${SDV_SUITE_GATE:-1.5}"
+rm -f "$exact_line" "$wall_line"
 
 echo "== fig_stalls smoke (stall attribution + monotone memory-stall fraction) =="
 tmp_metrics="$(mktemp /tmp/fig_stalls.XXXXXX.json)"

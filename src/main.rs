@@ -1,72 +1,84 @@
-//! `sdv` — command-line front end to the FPGA-SDV platform model.
+//! `longvec-sdv` — command-line front end to the FPGA-SDV platform model.
 //!
 //! ```text
-//! sdv describe                          print the instantiated platform (Fig. 1/2)
-//! sdv run [options]                     run one kernel cell and print cycles + stats
-//! sdv sweep [options]                   latency or bandwidth sweep for one kernel
+//! longvec-sdv describe                  print the instantiated platform (Fig. 1/2)
+//! longvec-sdv run [options]             run one kernel cell and print cycles + stats
 //!
 //! options:
 //!   --kernel spmv|bfs|pr|fft            (default spmv)
 //!   --impl scalar|vector                (default vector)
 //!   --vl N                              MAXVL cap for vector runs (default 256)
 //!   --latency N                         extra DRAM latency cycles (default 0)
-//!   --bw N                              bandwidth cap, bytes/cycle (default 64)
+//!   --bw N                              bandwidth cap, 1-64 bytes/cycle (default 64)
 //!   --small                             reduced workloads
 //!   --stats                             print component statistics after a run
-//!   --axis latency|bandwidth            sweep axis (default latency)
 //! ```
+//!
+//! A malformed command line is exit 2 naming the offending argument. Sweeps
+//! of either knob are `fig3_latency` and `fig5_bandwidth` (`crates/bench`).
 
+use sdv_bench::cli::{check_flags, die_usage, parse_arg};
 use sdv_bench::{run, Cell, ImplKind, KernelKind, Workloads};
 use sdv_core::SdvMachine;
 
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
-}
+const BIN: &str = "longvec-sdv";
+const USAGE: &str = "longvec-sdv — FPGA-SDV platform model (see README.md)\n\n\
+     usage: longvec-sdv describe\n       \
+     longvec-sdv run [--kernel K] [--impl I] [--vl N] [--latency N] [--bw N] [--small] [--stats]";
 
-fn parse_kernel(args: &[String]) -> KernelKind {
-    match arg_value(args, "--kernel").as_deref() {
-        None | Some("spmv") => KernelKind::Spmv,
-        Some("bfs") => KernelKind::Bfs,
-        Some("pr") => KernelKind::Pr,
-        Some("fft") => KernelKind::Fft,
-        Some(other) => {
-            eprintln!("unknown kernel '{other}' (spmv|bfs|pr|fft)");
-            std::process::exit(2);
-        }
+/// Exit 2 unless every argument after the command is one of these flags.
+fn check(args: &[String], switches: &[&str], valued: &[&str]) {
+    let stray = check_flags(args, switches, valued).unwrap_or_else(|e| die_usage(BIN, &e));
+    if let Some(arg) = stray.first() {
+        die_usage(BIN, &format!("unexpected argument '{arg}'"));
     }
 }
 
-fn parse_impl(args: &[String]) -> ImplKind {
-    let vl: usize = arg_value(args, "--vl").map_or(256, |v| v.parse().expect("--vl N"));
-    match arg_value(args, "--impl").as_deref() {
-        Some("scalar") => ImplKind::Scalar,
-        None | Some("vector") => ImplKind::Vector { maxvl: vl },
-        Some(other) => {
-            eprintln!("unknown impl '{other}' (scalar|vector)");
-            std::process::exit(2);
-        }
+/// The value of `key`, `default` when absent; exit 2 when malformed.
+fn value<T>(args: &[String], key: &str, default: T) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    parse_arg(args, key).unwrap_or_else(|e| die_usage(BIN, &e)).unwrap_or(default)
+}
+
+fn parse_cell(args: &[String]) -> Cell {
+    check(args, &["--small", "--stats"], &["--kernel", "--impl", "--vl", "--latency", "--bw"]);
+    let kernel: String = value(args, "--kernel", "spmv".into());
+    let kernel = kernel.to_ascii_uppercase().parse::<KernelKind>().unwrap_or_else(|_| {
+        die_usage(BIN, &format!("--kernel: unknown kernel '{kernel}' (spmv|bfs|pr|fft)"))
+    });
+    let maxvl: usize = value(args, "--vl", 256);
+    if maxvl == 0 {
+        die_usage(BIN, "--vl must be positive");
     }
+    let imp = match value(args, "--impl", String::from("vector")).as_str() {
+        "scalar" => ImplKind::Scalar,
+        "vector" => ImplKind::Vector { maxvl },
+        other => die_usage(BIN, &format!("--impl: unknown implementation '{other}' (scalar|vector)")),
+    };
+    let bandwidth: u64 = value(args, "--bw", 64);
+    if !(1..=64).contains(&bandwidth) {
+        die_usage(BIN, "--bw must be 1-64 bytes/cycle");
+    }
+    Cell { kernel, imp, extra_latency: value(args, "--latency", 0), bandwidth }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    match cmd {
-        "describe" => {
+    match args.first().map(String::as_str) {
+        None | Some("help" | "--help" | "-h") => println!("{USAGE}"),
+        Some("describe") => {
+            check(&args, &[], &[]);
             println!("{}", SdvMachine::new(1 << 12).describe());
         }
-        "run" => {
+        Some("run") => {
+            let cell = parse_cell(&args);
             let w = if args.iter().any(|a| a == "--small") {
                 Workloads::small()
             } else {
                 Workloads::paper()
-            };
-            let cell = Cell {
-                kernel: parse_kernel(&args),
-                imp: parse_impl(&args),
-                extra_latency: arg_value(&args, "--latency")
-                    .map_or(0, |v| v.parse().expect("--latency N")),
-                bandwidth: arg_value(&args, "--bw").map_or(64, |v| v.parse().expect("--bw N")),
             };
             let r = run(&w, cell);
             println!(
@@ -81,41 +93,11 @@ fn main() {
                 print!("{}", r.stats);
             }
         }
-        "sweep" => {
-            let w = if args.iter().any(|a| a == "--small") {
-                Workloads::small()
-            } else {
-                Workloads::paper()
-            };
-            let kernel = parse_kernel(&args);
-            let imp = parse_impl(&args);
-            let axis = arg_value(&args, "--axis").unwrap_or_else(|| "latency".into());
-            match axis.as_str() {
-                "latency" => {
-                    println!("{:<10} {:>14}", "+latency", "cycles");
-                    for lat in [0u64, 16, 32, 64, 128, 256, 512, 1024] {
-                        let r = run(&w, Cell { kernel, imp, extra_latency: lat, bandwidth: 64 });
-                        println!("{:<10} {:>14}", format!("+{lat}"), r.cycles);
-                    }
-                }
-                "bandwidth" => {
-                    println!("{:<10} {:>14}", "B/cy", "cycles");
-                    for bw in [1u64, 2, 4, 8, 16, 32, 64] {
-                        let r = run(&w, Cell { kernel, imp, extra_latency: 0, bandwidth: bw });
-                        println!("{:<10} {:>14}", bw, r.cycles);
-                    }
-                }
-                other => {
-                    eprintln!("unknown axis '{other}' (latency|bandwidth)");
-                    std::process::exit(2);
-                }
-            }
-        }
-        _ => {
-            println!(
-                "sdv — FPGA-SDV platform model (see README.md)\n\n\
-                 usage: sdv describe\n       sdv run   [--kernel K] [--impl I] [--vl N] [--latency N] [--bw N] [--small] [--stats]\n       sdv sweep [--kernel K] [--impl I] [--vl N] [--axis latency|bandwidth] [--small]"
-            );
-        }
+        Some("sweep") => die_usage(
+            BIN,
+            "sweep was removed: fig3_latency sweeps the latency knob and fig5_bandwidth the \
+             bandwidth knob, grouped and cached",
+        ),
+        Some(other) => die_usage(BIN, &format!("unknown command '{other}'\n{USAGE}")),
     }
 }
