@@ -196,13 +196,17 @@ impl ResultCache {
 
     /// Look up `key`. Returns the stored result only when the entry's
     /// checksum verifies *and* its embedded key text matches `key` exactly;
-    /// a corrupt or truncated entry is quarantined to `corrupt/` and
-    /// reported as a miss. Hits bump the entry's access time so `gc` evicts
-    /// least-recently-used entries first.
+    /// a corrupt, truncated or unreadable (e.g. not UTF-8) entry is
+    /// quarantined to `corrupt/` and reported as a miss. Hits bump the
+    /// entry's access time so `gc` evicts least-recently-used entries first.
     pub fn load(&self, key: &CacheKey) -> Option<CachedResult> {
         let path = self.entry_file(key);
-        let text = std::fs::read_to_string(&path).ok()?;
-        match parse_entry(&text) {
+        let parsed = match std::fs::read_to_string(&path) {
+            Ok(text) => parse_entry(&text),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+            Err(e) => Err(e.to_string()),
+        };
+        match parsed {
             Ok((stored_key, result)) => {
                 if stored_key != key.text() {
                     // Checksum-valid but a different key: a digest collision.
@@ -508,6 +512,46 @@ mod tests {
         assert!(cache.load(&k).is_none());
         assert!(!path.exists());
         assert_eq!(quarantined_count(&cache), 1);
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// Seeded hostile bytes: bit flips, truncations, insertions and 0xFF
+    /// bytes (not UTF-8) applied to a real entry. Every load returns the
+    /// stored result or misses with the damaged file moved to `corrupt/`.
+    #[test]
+    fn mutated_entries_load_as_stored_or_are_quarantined() {
+        let cache = ResultCache::open(&tmpdir("mutate")).unwrap();
+        let k = key("SPMV/vl=64");
+        let mut stats = Stats::new();
+        stats.set("l2.miss", 1234);
+        stats.set("scalar.stall.mem", 9);
+        cache.store(&k, 42_000, &stats);
+        let path = cache.entry_file(&k);
+        let original = std::fs::read(&path).unwrap();
+        let moved = cache.corrupt_dir().join(format!("{}.entry.{}", k.hex(), std::process::id()));
+        let want: Vec<(&str, u64)> = stats.iter().collect();
+        let mut rng = sdv_engine::Rng::new(0xC0FF_EE27);
+        for case in 0..2000 {
+            let mut bytes = original.clone();
+            let at = rng.index(bytes.len());
+            match case % 4 {
+                0 => bytes[at] ^= 1 << rng.index(8),
+                1 => bytes.truncate(at),
+                2 => bytes.insert(at, rng.below(256) as u8),
+                _ => bytes[at] = 0xFF,
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            match cache.load(&k) {
+                Some(got) => {
+                    assert_eq!(got.cycles, 42_000, "case {case}");
+                    assert_eq!(got.stats.iter().collect::<Vec<_>>(), want, "case {case}");
+                }
+                None => {
+                    assert!(!path.exists(), "case {case}: a damaged entry stayed live");
+                    assert_eq!(std::fs::read(&moved).unwrap(), bytes, "case {case}");
+                }
+            }
+        }
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

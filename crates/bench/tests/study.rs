@@ -146,17 +146,20 @@ fn calibrate_cycles_are_the_golden_fig3_cycles() {
 #[test]
 fn figures_reproduce_their_golden_stdout_and_csv() {
     let dir = scratch("figures");
-    for (bin, fig) in [
-        (env!("CARGO_BIN_EXE_fig3_latency"), "fig3"),
-        (env!("CARGO_BIN_EXE_fig4_slowdown"), "fig4"),
-        (env!("CARGO_BIN_EXE_fig5_bandwidth"), "fig5"),
+    // fig3 twice: the CSV must not depend on the thread count.
+    for (bin, fig, threads) in [
+        (env!("CARGO_BIN_EXE_fig3_latency"), "fig3", "2"),
+        (env!("CARGO_BIN_EXE_fig3_latency"), "fig3", "1"),
+        (env!("CARGO_BIN_EXE_fig4_slowdown"), "fig4", "2"),
+        (env!("CARGO_BIN_EXE_fig5_bandwidth"), "fig5", "2"),
     ] {
-        let csv = dir.join(format!("{fig}.csv")).to_str().expect("utf-8 temp path").to_string();
-        let got = stdout_of(bin, &["--small", "--threads", "2", "--csv", &csv]);
+        let csv = dir.join(format!("{fig}_t{threads}.csv"));
+        let csv = csv.to_str().expect("utf-8 temp path").to_string();
+        let got = stdout_of(bin, &["--small", "--threads", threads, "--csv", &csv]);
         let want = format!("{}wrote {csv}\n", golden(&format!("{fig}_small.txt")));
-        assert_eq!(got, want, "{fig} stdout");
+        assert_eq!(got, want, "{fig} stdout, {threads} threads");
         let got_csv = std::fs::read_to_string(&csv).expect("figure wrote its CSV");
-        assert_eq!(got_csv, golden(&format!("{fig}_small.csv")), "{fig} CSV");
+        assert_eq!(got_csv, golden(&format!("{fig}_small.csv")), "{fig} CSV, {threads} threads");
     }
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -35,17 +35,8 @@ impl FunctionalMachine {
     /// A machine with the paper's VPU (VLEN = 16384 bits) and `heap` bytes of
     /// simulated memory.
     pub fn new(heap: usize) -> Self {
-        Self::with_state(VState::paper_vpu(), heap)
-    }
-
-    /// A machine with a custom VLEN in bits.
-    pub fn with_vlen(vlen_bits: usize, heap: usize) -> Self {
-        Self::with_state(VState::new(vlen_bits), heap)
-    }
-
-    fn with_state(state: VState, heap: usize) -> Self {
         Self {
-            state,
+            state: VState::paper_vpu(),
             mem: SimMemory::new(heap),
             ops: 0,
             ctr: FuncCounters::default(),
@@ -152,8 +143,8 @@ impl Vm for FunctionalMachine {
         self.state.vl
     }
 
-    fn maxvl(&self, sew: Sew) -> usize {
-        (self.state.regs.vlen_bits() / sew.bits()).min(self.state.maxvl_cap)
+    fn maxvl(&self, _: Sew) -> usize {
+        self.state.maxvl()
     }
 
     fn set_maxvl_cap(&mut self, cap: usize) {

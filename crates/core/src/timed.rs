@@ -71,7 +71,7 @@
 use crate::memory::SimMemory;
 use crate::vm::Vm;
 use sdv_engine::{Cycle, EventQueue, SimError, Stats};
-use sdv_rvv::{exec_into, ExecInfo, ExecScratch, Lmul, Sew, VInst, VState};
+use sdv_rvv::{exec_into, ExecInfo, ExecScratch, Lmul, Sew, VInst, VState, VLEN, VLMAX};
 use sdv_uarch::op::classify_into;
 use sdv_uarch::{Op, SdvTiming, TimingConfig, VClass, VectorOp};
 use std::collections::VecDeque;
@@ -465,7 +465,6 @@ impl SdvMachine {
     /// textual equivalent of the paper's Figures 1 and 2 block diagrams.
     pub fn describe(&self) -> String {
         let c = &self.cfg;
-        let vlen_bits = self.states[0].regs.vlen_bits();
         format!(
             "FPGA-SDV platform model\n\
                core   : in-order superscalar, {}-wide issue, {} MSHRs, run-ahead {} ops\n\
@@ -484,8 +483,8 @@ impl SdvMachine {
             c.mem.l1.line_bytes,
             c.mem.l1_hit_latency,
             c.vpu.lanes,
-            vlen_bits,
-            vlen_bits / 64,
+            VLEN,
+            VLMAX,
             c.vpu.queue_depth,
             c.vpu.vmem_outstanding,
             c.mem.mesh.width,
@@ -662,9 +661,8 @@ impl Vm for TileVm<'_> {
         self.m.states[self.tile].vl
     }
 
-    fn maxvl(&self, sew: Sew) -> usize {
-        let s = &self.m.states[self.tile];
-        (s.regs.vlen_bits() / sew.bits()).min(s.maxvl_cap)
+    fn maxvl(&self, _: Sew) -> usize {
+        self.m.states[self.tile].maxvl()
     }
 
     fn set_maxvl_cap(&mut self, cap: usize) {
@@ -761,8 +759,8 @@ impl Vm for SdvMachine {
         self.states[0].vl
     }
 
-    fn maxvl(&self, sew: Sew) -> usize {
-        (self.states[0].regs.vlen_bits() / sew.bits()).min(self.states[0].maxvl_cap)
+    fn maxvl(&self, _: Sew) -> usize {
+        self.states[0].maxvl()
     }
 
     /// The experiment knob is machine-wide: every tile's MAXVL CSR is

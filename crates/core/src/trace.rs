@@ -21,7 +21,7 @@ pub enum TraceEvent {
         /// Vector length at execution.
         vl: usize,
     },
-    /// `vsetvl` — requested and granted lengths.
+    /// `vsetvli` — requested and granted lengths.
     SetVl {
         /// Application vector length requested.
         avl: usize,
@@ -53,7 +53,7 @@ impl TraceEvent {
     pub fn render(&self) -> String {
         match self {
             TraceEvent::Vector { inst, vl } => format!("{:<44} # vl={vl}", inst.to_string()),
-            TraceEvent::SetVl { avl, granted } => format!("vsetvl avl={avl} -> vl={granted}"),
+            TraceEvent::SetVl { avl, granted } => format!("vsetvli avl={avl} -> vl={granted}"),
             TraceEvent::Load { addr, size } => format!("l{size} {addr:#x}"),
             TraceEvent::Store { addr, size } => format!("s{size} {addr:#x}"),
             TraceEvent::Branch(taken) => format!("br {}", if *taken { "taken" } else { "fall" }),
@@ -219,7 +219,7 @@ mod tests {
         m.vse(1, a);
         m.fence();
         let dump = m.dump();
-        assert!(dump.contains("vsetvl avl=16 -> vl=16"), "{dump}");
+        assert!(dump.contains("vsetvli avl=16 -> vl=16"), "{dump}");
         assert!(dump.contains("vle.v v1"), "{dump}");
         assert!(dump.contains("vfmacc.vf v1, 2, v1"), "{dump}");
         assert!(dump.contains("# vl=16"), "{dump}");

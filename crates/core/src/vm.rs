@@ -61,13 +61,14 @@ pub trait Vm {
 
     // ---------------- vector configuration ----------------
 
-    /// `vsetvl`: request `avl` elements at `(sew, lmul)`; returns granted VL.
+    /// `vsetvli`: request `avl` elements; returns the granted VL,
+    /// `min(avl, 256, MAXVL cap)`. `Sew` and `Lmul` have one value each.
     fn setvl(&mut self, avl: usize, sew: Sew, lmul: Lmul) -> usize;
 
     /// Current VL.
     fn vl(&self) -> usize;
 
-    /// VLMAX at `sew` (LMUL=1) under the machine's MAXVL cap — what a
+    /// VLMAX (256) under the machine's MAXVL cap — what a
     /// VL-agnostic kernel strip-mines by.
     fn maxvl(&self, sew: Sew) -> usize;
 
@@ -113,8 +114,8 @@ pub trait Vm {
         self.exec_v(VInst::masked(VOp::Load { vd, addr: MemAddr::Indexed { base, index } }));
     }
 
-    /// Widening unit-stride load (`vlwu.v`): reads SEW/2-wide unsigned
-    /// elements, zero-extends into SEW lanes. Streams u32 index arrays.
+    /// Widening unit-stride load (`vlwu.v`): reads u32 elements,
+    /// zero-extends them into 64-bit lanes. Streams u32 index arrays.
     fn vlwu(&mut self, vd: Reg, base: u64) {
         self.exec_v(VInst::new(VOp::LoadWiden { vd, base }));
     }

@@ -7,7 +7,7 @@
 //! generators standing in for the paper's inputs (CAGE10, a 2^15-node
 //! graph, a 2048-point FFT).
 //!
-//! Every implementation is VL-agnostic: strip-mining via `vsetvl` adapts to
+//! Every implementation is VL-agnostic: strip-mining via `vsetvli` adapts to
 //! whatever the machine's MAXVL CSR grants, so the paper's §2.1 experiment
 //! (sweeping maximum vector length) needs no kernel changes.
 

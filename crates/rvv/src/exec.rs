@@ -8,11 +8,10 @@
 //! instruction; nothing in this module knows about cycles.
 
 use crate::instr::{
-    ArithKind, CmpKind, FArithKind, FmaKind, MaskKind, MemAddr, RedKind, VInst, VOp,
+    ArithKind, CmpKind, FArithKind, FmaKind, MaskKind, MemAddr, RedKind, Reg, VInst, VOp,
 };
 use crate::mem::VMemory;
 use crate::state::VState;
-use crate::vtype::Sew;
 
 /// Direction of a memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +27,7 @@ pub enum MemAccessKind {
 pub struct MemAccess {
     /// Byte address.
     pub addr: u64,
-    /// Access size in bytes (the SEW width).
+    /// Access size in bytes: 8, or 4 for `vlwu`.
     pub size: u8,
     /// Read or write.
     pub kind: MemAccessKind,
@@ -41,7 +40,7 @@ pub struct MemAccess {
 pub struct MemRun {
     /// Byte address of the first access in the run.
     pub addr: u64,
-    /// Per-access size in bytes (the SEW width).
+    /// Per-access size in bytes: 8, or 4 for `vlwu`.
     pub size: u8,
     /// Number of accesses in the run.
     pub count: u32,
@@ -196,18 +195,12 @@ impl ExecInfo {
     }
 }
 
-/// FP instructions are double precision only (the paper's kernels are; no
-/// committed grid executes one at another width), so each FP arm is written
-/// once, for f64. At any other SEW an FP instruction is a malformed program.
-#[inline]
-fn require_e64(sew: Sew) {
-    assert!(sew == Sew::E64, "FP ops require SEW=64, got {sew:?}");
-}
+/// Bytes per element in memory for `vlwu`, which zero-extends u32s.
+const WIDEN_BYTES: usize = 4;
 
 #[cfg(test)]
 #[inline]
-fn fp_bin(sew: Sew, kind: FArithKind, a: u64, b: u64) -> u64 {
-    require_e64(sew);
+fn fp_bin(kind: FArithKind, a: u64, b: u64) -> u64 {
     let (x, y) = (f64::from_bits(a), f64::from_bits(b));
     let r = match kind {
         FArithKind::Fadd => x + y,
@@ -220,8 +213,7 @@ fn fp_bin(sew: Sew, kind: FArithKind, a: u64, b: u64) -> u64 {
 
 #[cfg(test)]
 #[inline]
-fn fp_fma(sew: Sew, kind: FmaKind, acc: u64, a: u64, b: u64) -> u64 {
-    require_e64(sew);
+fn fp_fma(kind: FmaKind, acc: u64, a: u64, b: u64) -> u64 {
     let (d, x, y) = (f64::from_bits(acc), f64::from_bits(a), f64::from_bits(b));
     let r = match kind {
         FmaKind::Macc => x.mul_add(y, d),
@@ -232,13 +224,11 @@ fn fp_fma(sew: Sew, kind: FmaKind, acc: u64, a: u64, b: u64) -> u64 {
 
 #[cfg(test)]
 #[inline]
-fn int_bin(sew: Sew, kind: ArithKind, a: u64, b: u64) -> u64 {
-    let shamt = (b as u32) & (sew.bits() as u32 - 1);
-    let r = match kind {
+fn int_bin(kind: ArithKind, a: u64, b: u64) -> u64 {
+    match kind {
         ArithKind::Add => a.wrapping_add(b),
-        ArithKind::Sll => a << shamt,
-    };
-    r & sew.value_mask()
+        ArithKind::Sll => a << (b & 63),
+    }
 }
 
 /// Element addresses touched by a memory instruction, in element order.
@@ -249,7 +239,6 @@ fn element_addrs_into(
     masked: bool,
     out: &mut Vec<Option<u64>>,
 ) -> bool {
-    let sew = state.vtype.sew;
     let vl = state.vl;
     out.clear();
     out.reserve(vl);
@@ -260,25 +249,60 @@ fn element_addrs_into(
             continue;
         }
         let a = match addr {
-            MemAddr::Unit { base } => base + (i * sew.bytes()) as u64,
+            MemAddr::Unit { base } => base + 8 * i as u64,
             MemAddr::Strided { base, stride } => (*base as i64 + stride * i as i64) as u64,
-            MemAddr::Indexed { base, index } => base + state.regs.get(*index, sew, i),
+            MemAddr::Indexed { base, index } => base + state.regs.get(*index, i),
         };
         out.push(Some(a));
     }
     unit
 }
 
-/// Snapshot per-element activity: all-true when unmasked, else the low `vl`
-/// bits of `v0`. (Test-only: the batch backend uses
-/// [`VState::snapshot_active`]; the reference interpreter keeps this copy.)
-#[cfg(test)]
-fn fill_active(state: &VState, masked: bool, vl: usize, out: &mut Vec<bool>) {
-    if masked {
-        state.regs.read_mask_bits_into(0, vl, out);
-    } else {
-        out.clear();
-        out.resize(vl, true);
+/// Unmasked unit-stride load of `vl` elements of `W` bytes each (8 for
+/// `vle`, 4 for `vlwu`), zero-extended into `vd`: one bulk read staged
+/// through `bytes`, recorded as one run.
+fn load_unit<M: VMemory, const W: usize>(
+    state: &mut VState,
+    mem: &M,
+    vd: Reg,
+    base: u64,
+    bytes: &mut Vec<u8>,
+    info: &mut ExecInfo,
+) {
+    let vl = state.vl;
+    info.unit_stride = true;
+    if vl > 0 {
+        bytes.clear();
+        bytes.resize(vl * W, 0);
+        mem.read_bytes(base, bytes);
+        for (w, c) in state.regs.reg_mut(vd).iter_mut().zip(bytes.chunks_exact(W)) {
+            let mut b = [0u8; 8];
+            b[..W].copy_from_slice(c);
+            *w = u64::from_le_bytes(b);
+        }
+        info.mem.push_run(base, W as u8, vl as u32, MemAccessKind::Read);
+        info.active = vl;
+    }
+}
+
+/// Unmasked unit-stride store of `vl` elements of `vs`: one bulk write
+/// staged through `bytes`, recorded as one run.
+fn store_unit<M: VMemory>(
+    state: &VState,
+    mem: &mut M,
+    vs: Reg,
+    base: u64,
+    bytes: &mut Vec<u8>,
+    info: &mut ExecInfo,
+) {
+    let vl = state.vl;
+    info.unit_stride = true;
+    if vl > 0 {
+        bytes.clear();
+        bytes.extend(state.regs.reg(vs)[..vl].iter().flat_map(|w| w.to_le_bytes()));
+        mem.write_bytes(base, bytes);
+        info.mem.push_run(base, 8, vl as u32, MemAccessKind::Write);
+        info.active = vl;
     }
 }
 
@@ -287,17 +311,17 @@ fn fill_active(state: &VState, masked: bool, vl: usize, out: &mut Vec<bool>) {
 // ---------------------------------------------------------------------------
 //
 // The execution hot path works on whole-vector snapshots: operands are read
-// into `&[u64]` scratch slices, one `match` on (SEW, op kind) selects a
+// into `&[u64]` scratch slices, one `match` on the op kind selects a
 // monomorphized slice loop, and results are staged in `zs` then written back
-// in bulk. Neither per-element closures nor per-element SEW dispatch appear
-// inside any loop, so LLVM can unroll and autovectorize every kernel.
+// in bulk. No per-element closure or dispatch appears inside any loop, so
+// LLVM can unroll and autovectorize every kernel.
 //
 // Masked ops compute all `vl` lanes into the staging buffer and then write
 // only the active lanes ([`VRegFile::write_elems_where`]); every op is a pure
 // per-lane function, so computing an inactive lane and discarding it is
 // indistinguishable from skipping it. The activity mask is snapshotted before
-// the destination is written, so a masked op whose destination group overlaps
-// `v0` sees the pre-instruction mask for every lane.
+// the destination is written, so a masked op whose destination is `v0` sees
+// the pre-instruction mask for every lane.
 
 /// Paired element stream for the binary kernels (`vv` form): zips two
 /// register snapshots.
@@ -320,46 +344,31 @@ fn with_scalar(xs: &[u64], scalar: u64) -> impl Iterator<Item = (u64, u64)> + '_
 fn write_lanes(
     state: &mut VState,
     masked: bool,
-    vd: u8,
-    sew: Sew,
+    vd: Reg,
     vals: &[u64],
     act: &mut Vec<bool>,
 ) -> usize {
     if masked {
         state.regs.read_mask_bits_into(0, vals.len(), act);
-        state.regs.write_elems_where(vd, sew, vals, act)
+        state.regs.write_elems_where(vd, vals, act)
     } else {
-        state.regs.write_elems(vd, sew, vals);
+        state.regs.write_elems(vd, vals);
         vals.len()
     }
 }
 
 /// Integer binary ops over an element stream. The op-kind dispatch happens
-/// once; every arm is its own tight loop with the SEW mask hoisted to a loop
-/// invariant.
-fn int_bin_batch(
-    sew: Sew,
-    kind: ArithKind,
-    pairs: impl Iterator<Item = (u64, u64)>,
-    out: &mut Vec<u64>,
-) {
+/// once; every arm is its own tight loop.
+fn int_bin_batch(kind: ArithKind, pairs: impl Iterator<Item = (u64, u64)>, out: &mut Vec<u64>) {
     out.clear();
-    let mask = sew.value_mask();
-    let sb = sew.bits() as u32;
     match kind {
-        ArithKind::Add => out.extend(pairs.map(|(a, b)| a.wrapping_add(b) & mask)),
-        ArithKind::Sll => out.extend(pairs.map(|(a, b)| (a << ((b as u32) & (sb - 1))) & mask)),
+        ArithKind::Add => out.extend(pairs.map(|(a, b)| a.wrapping_add(b))),
+        ArithKind::Sll => out.extend(pairs.map(|(a, b)| a << (b & 63))),
     }
 }
 
 /// FP binary ops over an element stream, kind dispatch hoisted.
-fn fp_bin_batch(
-    sew: Sew,
-    kind: FArithKind,
-    pairs: impl Iterator<Item = (u64, u64)>,
-    out: &mut Vec<u64>,
-) {
-    require_e64(sew);
+fn fp_bin_batch(kind: FArithKind, pairs: impl Iterator<Item = (u64, u64)>, out: &mut Vec<u64>) {
     out.clear();
     macro_rules! fp {
         ($f:expr) => {
@@ -376,8 +385,7 @@ fn fp_bin_batch(
 
 /// FP fused multiply-add family, accumulating in place over `acc` (the `vd`
 /// snapshot): `acc[i] = fma(acc[i], x_i, y_i)` per [`FmaKind`].
-fn fp_fma_batch(sew: Sew, kind: FmaKind, acc: &mut [u64], srcs: impl Iterator<Item = (u64, u64)>) {
-    require_e64(sew);
+fn fp_fma_batch(kind: FmaKind, acc: &mut [u64], srcs: impl Iterator<Item = (u64, u64)>) {
     macro_rules! fp {
         ($f:expr) => {
             for (d, (a, b)) in acc.iter_mut().zip(srcs) {
@@ -401,8 +409,7 @@ fn fp_fma_batch(sew: Sew, kind: FmaKind, acc: &mut [u64], srcs: impl Iterator<It
 /// signs, and NaN propagation. Do not add a tree-shaped or vectorized variant
 /// without preserving this exact order;
 /// `differential::fp_reduction_fold_order_is_pinned` guards it.
-fn reduce_batch(sew: Sew, kind: RedKind, seed: u64, xs: &[u64], active: Option<&[bool]>) -> u64 {
-    let mask = sew.value_mask();
+fn reduce_batch(kind: RedKind, seed: u64, xs: &[u64], active: Option<&[bool]>) -> u64 {
     macro_rules! fold {
         ($f:expr) => {{
             let f = $f;
@@ -425,89 +432,57 @@ fn reduce_batch(sew: Sew, kind: RedKind, seed: u64, xs: &[u64], active: Option<&
         }};
     }
     match kind {
-        RedKind::Sum => fold!(|r: u64, v: u64| r.wrapping_add(v) & mask),
+        RedKind::Sum => fold!(|r: u64, v: u64| r.wrapping_add(v)),
         RedKind::Fsum => {
-            require_e64(sew);
             fold!(|r: u64, v: u64| (f64::from_bits(r) + f64::from_bits(v)).to_bits())
         }
     }
 }
 
-/// Gather `addrs.len()` elements of `W` bytes each into `vals`, recording
-/// the accesses in `list`. Contiguous streaks are accumulated in two locals
-/// and flushed as whole runs, so the run-length trace is built without a
-/// per-element merge check against the list tail; because the kind and size
-/// are constant across the loop, the resulting runs are identical to pushing
-/// each access individually.
-fn gather_w<M: VMemory, const W: usize>(
-    mem: &M,
-    addrs: &[u64],
-    vals: &mut Vec<u64>,
-    list: &mut MemList,
-) {
+/// Gather the elements at `addrs` into `vals`, recording the accesses in
+/// `list`. Contiguous streaks are accumulated in two locals and flushed as
+/// whole runs, so the run-length trace is built without a per-element merge
+/// check against the list tail; because the kind and size are constant
+/// across the loop, the resulting runs are identical to pushing each access
+/// individually.
+fn gather<M: VMemory>(mem: &M, addrs: &[u64], vals: &mut Vec<u64>, list: &mut MemList) {
     vals.clear();
     let mut run_addr = 0u64;
     let mut run_count = 0u32;
     for &a in addrs {
-        let mut buf = [0u8; 8];
-        mem.read_bytes(a, &mut buf[..W]);
-        vals.push(u64::from_le_bytes(buf));
-        if run_count > 0 && a == run_addr + W as u64 * run_count as u64 {
+        vals.push(mem.read_uint(a, 8));
+        if run_count > 0 && a == run_addr + 8 * run_count as u64 {
             run_count += 1;
         } else {
-            list.push_run(run_addr, W as u8, run_count, MemAccessKind::Read);
+            list.push_run(run_addr, 8, run_count, MemAccessKind::Read);
             run_addr = a;
             run_count = 1;
         }
     }
-    list.push_run(run_addr, W as u8, run_count, MemAccessKind::Read);
+    list.push_run(run_addr, 8, run_count, MemAccessKind::Read);
 }
 
-/// Scatter counterpart of [`gather_w`]: write `vals[i]` (low `W` bytes) to
-/// `addrs[i]`, recording run-compressed write accesses.
-fn scatter_w<M: VMemory, const W: usize>(
-    mem: &mut M,
-    addrs: &[u64],
-    vals: &[u64],
-    list: &mut MemList,
-) {
+/// Scatter counterpart of [`gather`]: write `vals[i]` to `addrs[i]`,
+/// recording run-compressed write accesses.
+fn scatter<M: VMemory>(mem: &mut M, addrs: &[u64], vals: &[u64], list: &mut MemList) {
     let mut run_addr = 0u64;
     let mut run_count = 0u32;
     for (&a, &v) in addrs.iter().zip(vals) {
-        mem.write_bytes(a, &v.to_le_bytes()[..W]);
-        if run_count > 0 && a == run_addr + W as u64 * run_count as u64 {
+        mem.write_uint(a, 8, v);
+        if run_count > 0 && a == run_addr + 8 * run_count as u64 {
             run_count += 1;
         } else {
-            list.push_run(run_addr, W as u8, run_count, MemAccessKind::Write);
+            list.push_run(run_addr, 8, run_count, MemAccessKind::Write);
             run_addr = a;
             run_count = 1;
         }
     }
-    list.push_run(run_addr, W as u8, run_count, MemAccessKind::Write);
-}
-
-/// Width dispatch for [`gather_w`]: monomorphizes the element size so the
-/// memory helper's byte slicing const-folds.
-fn gather_elems<M: VMemory>(
-    mem: &M,
-    width: usize,
-    addrs: &[u64],
-    vals: &mut Vec<u64>,
-    list: &mut MemList,
-) {
-    match width {
-        1 => gather_w::<M, 1>(mem, addrs, vals, list),
-        2 => gather_w::<M, 2>(mem, addrs, vals, list),
-        4 => gather_w::<M, 4>(mem, addrs, vals, list),
-        8 => gather_w::<M, 8>(mem, addrs, vals, list),
-        _ => unreachable!("element width {width} impossible: Sew::bits()/8 is 1, 2, 4, or 8"),
-    }
+    list.push_run(run_addr, 8, run_count, MemAccessKind::Write);
 }
 
 /// Compute the element addresses of an unmasked strided/indexed access into
-/// `out`. Unit-stride never reaches here — it takes the bulk memcpy path.
-/// `idx` is scratch for the index-register snapshot (read at full SEW, like
-/// the architecture).
+/// `out`. Unit-stride never reaches here — it takes the bulk path. `idx` is
+/// scratch for the index-register snapshot.
 fn addrs_unmasked(
     state: &VState,
     addr: &MemAddr,
@@ -522,26 +497,9 @@ fn addrs_unmasked(
             out.extend((0..vl).map(|i| (*base as i64 + stride * i as i64) as u64));
         }
         MemAddr::Indexed { base, index } => {
-            state.regs.read_elems_into(*index, state.vtype.sew, vl, idx);
+            state.regs.read_elems_into(*index, vl, idx);
             out.extend(idx.iter().map(|&o| base + o));
         }
-    }
-}
-
-/// Width dispatch for [`scatter_w`].
-fn scatter_elems<M: VMemory>(
-    mem: &mut M,
-    width: usize,
-    addrs: &[u64],
-    vals: &[u64],
-    list: &mut MemList,
-) {
-    match width {
-        1 => scatter_w::<M, 1>(mem, addrs, vals, list),
-        2 => scatter_w::<M, 2>(mem, addrs, vals, list),
-        4 => scatter_w::<M, 4>(mem, addrs, vals, list),
-        8 => scatter_w::<M, 8>(mem, addrs, vals, list),
-        _ => unreachable!("element width {width} impossible: Sew::bits()/8 is 1, 2, 4, or 8"),
     }
 }
 
@@ -550,8 +508,8 @@ fn scatter_elems<M: VMemory>(
 /// [`ExecScratch`] + [`ExecInfo`] and call [`exec_into`] directly.
 ///
 /// # Panics
-/// Panics on malformed programs (FP ops at SEW≠64, register-group overflow);
-/// these are programming errors in the kernel, not runtime conditions.
+/// Panics when an access falls outside the memory (a programming error in
+/// the kernel, not a runtime condition).
 pub fn exec<M: VMemory>(inst: &VInst, state: &mut VState, mem: &mut M) -> ExecInfo {
     let mut scratch = ExecScratch::default();
     let mut info = ExecInfo::default();
@@ -563,8 +521,8 @@ pub fn exec<M: VMemory>(inst: &VInst, state: &mut VState, mem: &mut M) -> ExecIn
 /// into `info` (which is reset first). Allocation-free after warm-up.
 ///
 /// # Panics
-/// Panics on malformed programs (FP ops at SEW≠64, register-group overflow);
-/// these are programming errors in the kernel, not runtime conditions.
+/// Panics when an access falls outside the memory (a programming error in
+/// the kernel, not a runtime condition).
 pub fn exec_into<M: VMemory>(
     inst: &VInst,
     state: &mut VState,
@@ -572,7 +530,6 @@ pub fn exec_into<M: VMemory>(
     scratch: &mut ExecScratch,
     info: &mut ExecInfo,
 ) {
-    let sew = state.vtype.sew;
     let vl = state.vl;
     let masked = inst.masked;
     info.reset(vl);
@@ -585,24 +542,14 @@ pub fn exec_into<M: VMemory>(
         VOp::Load { vd, addr } => {
             if !masked {
                 if let MemAddr::Unit { base } = addr {
-                    // Bulk path: one memcpy into the contiguous register
-                    // group. Registers and memory are both little-endian, so
-                    // the bytes land exactly where a per-element loop would
-                    // put them.
-                    info.unit_stride = true;
-                    if vl > 0 {
-                        let nbytes = vl * sew.bytes();
-                        mem.read_bytes(*base, state.regs.group_bytes_mut(*vd, nbytes));
-                        info.mem.push_run(*base, sew.bytes() as u8, vl as u32, MemAccessKind::Read);
-                        info.active = vl;
-                    }
+                    load_unit::<M, 8>(state, mem, *vd, *base, bytes, info);
                 } else {
                     // Strided/indexed gather: compute every address, then one
-                    // width-monomorphized element loop builds the value batch
-                    // and the run-compressed trace together.
+                    // element loop builds the value batch and the
+                    // run-compressed trace together.
                     addrs_unmasked(state, addr, vl, ys, xs);
-                    gather_elems(mem, sew.bytes(), xs, zs, &mut info.mem);
-                    state.regs.write_elems(*vd, sew, zs);
+                    gather(mem, xs, zs, &mut info.mem);
+                    state.regs.write_elems(*vd, zs);
                     info.active = vl;
                 }
             } else {
@@ -610,42 +557,24 @@ pub fn exec_into<M: VMemory>(
                 info.unit_stride = unit;
                 for (i, a) in addrs.iter().enumerate() {
                     if let Some(a) = *a {
-                        let v = mem.read_uint(a, sew.bytes());
-                        state.regs.set(*vd, sew, i, v);
-                        info.mem.push(MemAccess { addr: a, size: sew.bytes() as u8, kind: MemAccessKind::Read });
+                        state.regs.set(*vd, i, mem.read_uint(a, 8));
+                        info.mem.push(MemAccess { addr: a, size: 8, kind: MemAccessKind::Read });
                         info.active += 1;
                     }
                 }
             }
         }
         VOp::LoadWiden { vd, base } => {
-            let half = sew.half().expect("widening load requires SEW >= 16");
-            let hb = half.bytes();
-            info.unit_stride = true;
             if !masked {
-                // Stage the narrow elements with one bulk read, widen into
-                // the staging buffer, write back in bulk.
-                if vl > 0 {
-                    bytes.clear();
-                    bytes.resize(vl * hb, 0);
-                    mem.read_bytes(*base, bytes);
-                    zs.clear();
-                    zs.extend(bytes.chunks_exact(hb).map(|c| {
-                        let mut w = [0u8; 8];
-                        w[..hb].copy_from_slice(c);
-                        u64::from_le_bytes(w)
-                    }));
-                    state.regs.write_elems(*vd, sew, zs);
-                    info.mem.push_run(*base, hb as u8, vl as u32, MemAccessKind::Read);
-                    info.active = vl;
-                }
+                load_unit::<M, WIDEN_BYTES>(state, mem, *vd, *base, bytes, info);
             } else {
+                info.unit_stride = true;
                 for i in 0..vl {
                     if state.active(masked, i) {
-                        let a = base + (i * hb) as u64;
-                        let v = mem.read_uint(a, hb);
-                        state.regs.set(*vd, sew, i, v);
-                        info.mem.push(MemAccess { addr: a, size: hb as u8, kind: MemAccessKind::Read });
+                        let a = base + (i * WIDEN_BYTES) as u64;
+                        state.regs.set(*vd, i, mem.read_uint(a, WIDEN_BYTES));
+                        let size = WIDEN_BYTES as u8;
+                        info.mem.push(MemAccess { addr: a, size, kind: MemAccessKind::Read });
                         info.active += 1;
                     }
                 }
@@ -654,18 +583,11 @@ pub fn exec_into<M: VMemory>(
         VOp::Store { vs, addr } => {
             if !masked {
                 if let MemAddr::Unit { base } = addr {
-                    // Bulk path: one memcpy out of the contiguous group.
-                    info.unit_stride = true;
-                    if vl > 0 {
-                        let nbytes = vl * sew.bytes();
-                        mem.write_bytes(*base, state.regs.group_bytes(*vs, nbytes));
-                        info.mem.push_run(*base, sew.bytes() as u8, vl as u32, MemAccessKind::Write);
-                        info.active = vl;
-                    }
+                    store_unit(state, mem, *vs, *base, bytes, info);
                 } else {
-                    state.regs.read_elems_into(*vs, sew, vl, zs);
+                    state.regs.read_elems_into(*vs, vl, zs);
                     addrs_unmasked(state, addr, vl, ys, xs);
-                    scatter_elems(mem, sew.bytes(), xs, zs, &mut info.mem);
+                    scatter(mem, xs, zs, &mut info.mem);
                     info.active = vl;
                 }
             } else {
@@ -673,50 +595,48 @@ pub fn exec_into<M: VMemory>(
                 info.unit_stride = unit;
                 for (i, a) in addrs.iter().enumerate() {
                     if let Some(a) = *a {
-                        let v = state.regs.get(*vs, sew, i);
-                        mem.write_uint(a, sew.bytes(), v);
-                        info.mem.push(MemAccess { addr: a, size: sew.bytes() as u8, kind: MemAccessKind::Write });
+                        mem.write_uint(a, 8, state.regs.get(*vs, i));
+                        info.mem.push(MemAccess { addr: a, size: 8, kind: MemAccessKind::Write });
                         info.active += 1;
                     }
                 }
             }
         }
         VOp::ArithVX { kind, vd, x, scalar } => {
-            state.regs.read_elems_into(*x, sew, vl, xs);
-            int_bin_batch(sew, *kind, with_scalar(xs, *scalar), zs);
-            info.active = write_lanes(state, masked, *vd, sew, zs, bs);
+            state.regs.read_elems_into(*x, vl, xs);
+            int_bin_batch(*kind, with_scalar(xs, *scalar), zs);
+            info.active = write_lanes(state, masked, *vd, zs, bs);
         }
         VOp::FArithVV { kind, vd, x, y } => {
-            state.regs.read_elems_into(*x, sew, vl, xs);
-            state.regs.read_elems_into(*y, sew, vl, ys);
-            fp_bin_batch(sew, *kind, zip2(xs, ys), zs);
-            info.active = write_lanes(state, masked, *vd, sew, zs, bs);
+            state.regs.read_elems_into(*x, vl, xs);
+            state.regs.read_elems_into(*y, vl, ys);
+            fp_bin_batch(*kind, zip2(xs, ys), zs);
+            info.active = write_lanes(state, masked, *vd, zs, bs);
         }
         VOp::FArithVF { kind, vd, x, scalar } => {
-            state.regs.read_elems_into(*x, sew, vl, xs);
-            fp_bin_batch(sew, *kind, with_scalar(xs, *scalar), zs);
-            info.active = write_lanes(state, masked, *vd, sew, zs, bs);
+            state.regs.read_elems_into(*x, vl, xs);
+            fp_bin_batch(*kind, with_scalar(xs, *scalar), zs);
+            info.active = write_lanes(state, masked, *vd, zs, bs);
         }
         VOp::FmaVV { kind, vd, x, y } => {
-            state.regs.read_elems_into(*x, sew, vl, xs);
-            state.regs.read_elems_into(*y, sew, vl, ys);
-            state.regs.read_elems_into(*vd, sew, vl, zs);
-            fp_fma_batch(sew, *kind, zs, zip2(xs, ys));
-            info.active = write_lanes(state, masked, *vd, sew, zs, bs);
+            state.regs.read_elems_into(*x, vl, xs);
+            state.regs.read_elems_into(*y, vl, ys);
+            state.regs.read_elems_into(*vd, vl, zs);
+            fp_fma_batch(*kind, zs, zip2(xs, ys));
+            info.active = write_lanes(state, masked, *vd, zs, bs);
         }
         VOp::FmaVF { kind, vd, scalar, y } => {
-            state.regs.read_elems_into(*y, sew, vl, ys);
-            state.regs.read_elems_into(*vd, sew, vl, zs);
+            state.regs.read_elems_into(*y, vl, ys);
+            state.regs.read_elems_into(*vd, vl, zs);
             let s = *scalar;
-            fp_fma_batch(sew, *kind, zs, ys.iter().map(|&b| (s, b)));
-            info.active = write_lanes(state, masked, *vd, sew, zs, bs);
+            fp_fma_batch(*kind, zs, ys.iter().map(|&b| (s, b)));
+            info.active = write_lanes(state, masked, *vd, zs, bs);
         }
         VOp::CmpVX { kind: CmpKind::Eq, md, x, scalar } => {
-            state.regs.read_elems_into(*x, sew, vl, xs);
+            state.regs.read_elems_into(*x, vl, xs);
             state.snapshot_active(masked, vl, bs2);
-            let mask = sew.value_mask();
             bs.clear();
-            bs.extend(xs.iter().map(|&a| a & mask == scalar & mask));
+            bs.extend(xs.iter().map(|a| a == scalar));
             state.regs.write_mask_bits_where(*md, bs, bs2);
             info.active = bs2.iter().filter(|&&a| a).count();
         }
@@ -744,33 +664,33 @@ pub fn exec_into<M: VMemory>(
             info.active = vl;
         }
         VOp::Red { kind, vd, x, acc } => {
-            state.regs.read_elems_into(*x, sew, vl, xs);
-            let seed = state.regs.get(*acc, sew, 0);
+            state.regs.read_elems_into(*x, vl, xs);
+            let seed = state.regs.get(*acc, 0);
             let r = if masked {
                 state.regs.read_mask_bits_into(0, vl, bs2);
                 info.active = bs2.iter().filter(|&&a| a).count();
-                reduce_batch(sew, *kind, seed, xs, Some(bs2))
+                reduce_batch(*kind, seed, xs, Some(bs2))
             } else {
                 info.active = vl;
-                reduce_batch(sew, *kind, seed, xs, None)
+                reduce_batch(*kind, seed, xs, None)
             };
-            state.regs.set(*vd, sew, 0, r);
+            state.regs.set(*vd, 0, r);
         }
         VOp::Mv { vd, x } => {
-            state.regs.read_elems_into(*x, sew, vl, xs);
-            info.active = write_lanes(state, masked, *vd, sew, xs, bs);
+            state.regs.read_elems_into(*x, vl, xs);
+            info.active = write_lanes(state, masked, *vd, xs, bs);
         }
         VOp::MvVX { vd, scalar } => {
             zs.clear();
             zs.resize(vl, *scalar);
-            info.active = write_lanes(state, masked, *vd, sew, zs, bs);
+            info.active = write_lanes(state, masked, *vd, zs, bs);
         }
         VOp::MvSX { vd, scalar } => {
-            state.regs.set(*vd, sew, 0, *scalar);
+            state.regs.set(*vd, 0, *scalar);
             info.active = 1;
         }
         VOp::MvXS { x } => {
-            info.scalar = Some(state.regs.get(*x, sew, 0));
+            info.scalar = Some(state.regs.get(*x, 0));
             info.active = 1;
         }
     }
@@ -781,19 +701,16 @@ pub fn exec_into<M: VMemory>(
 // ---------------------------------------------------------------------------
 
 /// The pre-batch per-element interpreter, kept as the oracle for the
-/// differential tests: every element re-dispatches on SEW x op kind x mask.
+/// differential tests: every element re-dispatches on op kind x mask.
 /// Slow but obvious -- each arm is a direct transcription of the RVV
-/// semantics, with no staging buffers and no bulk register accessors.
+/// semantics, with no staging buffers and no bulk paths.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
 
-    /// Execute one instruction the slow way. Matches [`exec`] exactly for
-    /// every program the batch backend accepts (the differential tests below
-    /// assert this), except that malformed FP/SEW combinations may panic at
-    /// a different point when no lane is active.
+    /// Execute one instruction the slow way. Matches [`exec`] exactly (the
+    /// differential tests below assert this).
     pub(crate) fn exec_ref<M: VMemory>(inst: &VInst, state: &mut VState, mem: &mut M) -> ExecInfo {
-        let sew = state.vtype.sew;
         let vl = state.vl;
         let masked = inst.masked;
         let mut out = ExecInfo::default();
@@ -808,121 +725,91 @@ pub(crate) mod reference {
 
         match &inst.op {
             VOp::Load { vd, addr } => {
-                if let (MemAddr::Unit { base }, false) = (addr, masked) {
-                    // Bulk path: one memcpy into the contiguous register group.
-                    // Registers and memory are both little-endian, so the bytes
-                    // land exactly where the per-element loop would put them.
-                    info.unit_stride = true;
-                    if vl > 0 {
-                        let nbytes = vl * sew.bytes();
-                        mem.read_bytes(*base, state.regs.group_bytes_mut(*vd, nbytes));
-                        info.mem.push_run(*base, sew.bytes() as u8, vl as u32, MemAccessKind::Read);
-                        info.active = vl;
-                    }
-                } else {
-                    let unit = element_addrs_into(state, addr, masked, addrs);
-                    info.unit_stride = unit;
-                    for (i, a) in addrs.iter().enumerate() {
-                        if let Some(a) = *a {
-                            let v = mem.read_uint(a, sew.bytes());
-                            state.regs.set(*vd, sew, i, v);
-                            info.mem.push(MemAccess { addr: a, size: sew.bytes() as u8, kind: MemAccessKind::Read });
-                            info.active += 1;
-                        }
+                info.unit_stride = element_addrs_into(state, addr, masked, addrs);
+                for (i, a) in addrs.iter().enumerate() {
+                    if let Some(a) = *a {
+                        state.regs.set(*vd, i, mem.read_uint(a, 8));
+                        info.mem.push(MemAccess { addr: a, size: 8, kind: MemAccessKind::Read });
+                        info.active += 1;
                     }
                 }
             }
             VOp::LoadWiden { vd, base } => {
-                let half = sew.half().expect("widening load requires SEW >= 16");
-                let hb = half.bytes();
                 info.unit_stride = true;
                 for i in 0..vl {
                     if state.active(masked, i) {
-                        let a = base + (i * hb) as u64;
-                        let v = mem.read_uint(a, hb);
-                        state.regs.set(*vd, sew, i, v);
-                        info.mem.push(MemAccess { addr: a, size: hb as u8, kind: MemAccessKind::Read });
+                        let a = base + (i * WIDEN_BYTES) as u64;
+                        state.regs.set(*vd, i, mem.read_uint(a, WIDEN_BYTES));
+                        let size = WIDEN_BYTES as u8;
+                        info.mem.push(MemAccess { addr: a, size, kind: MemAccessKind::Read });
                         info.active += 1;
                     }
                 }
             }
             VOp::Store { vs, addr } => {
-                if let (MemAddr::Unit { base }, false) = (addr, masked) {
-                    // Bulk path: one memcpy out of the contiguous register group.
-                    info.unit_stride = true;
-                    if vl > 0 {
-                        let nbytes = vl * sew.bytes();
-                        mem.write_bytes(*base, state.regs.group_bytes(*vs, nbytes));
-                        info.mem.push_run(*base, sew.bytes() as u8, vl as u32, MemAccessKind::Write);
-                        info.active = vl;
-                    }
-                } else {
-                    let unit = element_addrs_into(state, addr, masked, addrs);
-                    info.unit_stride = unit;
-                    for (i, a) in addrs.iter().enumerate() {
-                        if let Some(a) = *a {
-                            let v = state.regs.get(*vs, sew, i);
-                            mem.write_uint(a, sew.bytes(), v);
-                            info.mem.push(MemAccess { addr: a, size: sew.bytes() as u8, kind: MemAccessKind::Write });
-                            info.active += 1;
-                        }
+                info.unit_stride = element_addrs_into(state, addr, masked, addrs);
+                for (i, a) in addrs.iter().enumerate() {
+                    if let Some(a) = *a {
+                        mem.write_uint(a, 8, state.regs.get(*vs, i));
+                        info.mem.push(MemAccess { addr: a, size: 8, kind: MemAccessKind::Write });
+                        info.active += 1;
                     }
                 }
             }
             VOp::ArithVX { kind, vd, x, scalar } => {
-                state.regs.read_elems_into(*x, sew, vl, xs);
+                state.regs.read_elems_into(*x, vl, xs);
                 for i in 0..vl {
                     if state.active(masked, i) {
-                        state.regs.set(*vd, sew, i, int_bin(sew, *kind, xs[i], *scalar));
+                        state.regs.set(*vd, i, int_bin(*kind, xs[i], *scalar));
                         info.active += 1;
                     }
                 }
             }
             VOp::FArithVV { kind, vd, x, y } => {
-                state.regs.read_elems_into(*x, sew, vl, xs);
-                state.regs.read_elems_into(*y, sew, vl, ys);
+                state.regs.read_elems_into(*x, vl, xs);
+                state.regs.read_elems_into(*y, vl, ys);
                 for i in 0..vl {
                     if state.active(masked, i) {
-                        state.regs.set(*vd, sew, i, fp_bin(sew, *kind, xs[i], ys[i]));
+                        state.regs.set(*vd, i, fp_bin(*kind, xs[i], ys[i]));
                         info.active += 1;
                     }
                 }
             }
             VOp::FArithVF { kind, vd, x, scalar } => {
-                state.regs.read_elems_into(*x, sew, vl, xs);
+                state.regs.read_elems_into(*x, vl, xs);
                 for i in 0..vl {
                     if state.active(masked, i) {
-                        state.regs.set(*vd, sew, i, fp_bin(sew, *kind, xs[i], *scalar));
+                        state.regs.set(*vd, i, fp_bin(*kind, xs[i], *scalar));
                         info.active += 1;
                     }
                 }
             }
             VOp::FmaVV { kind, vd, x, y } => {
-                state.regs.read_elems_into(*x, sew, vl, xs);
-                state.regs.read_elems_into(*y, sew, vl, ys);
+                state.regs.read_elems_into(*x, vl, xs);
+                state.regs.read_elems_into(*y, vl, ys);
                 for i in 0..vl {
                     if state.active(masked, i) {
-                        let acc = state.regs.get(*vd, sew, i);
-                        state.regs.set(*vd, sew, i, fp_fma(sew, *kind, acc, xs[i], ys[i]));
+                        let acc = state.regs.get(*vd, i);
+                        state.regs.set(*vd, i, fp_fma(*kind, acc, xs[i], ys[i]));
                         info.active += 1;
                     }
                 }
             }
             VOp::FmaVF { kind, vd, scalar, y } => {
-                state.regs.read_elems_into(*y, sew, vl, ys);
+                state.regs.read_elems_into(*y, vl, ys);
                 for i in 0..vl {
                     if state.active(masked, i) {
-                        let acc = state.regs.get(*vd, sew, i);
-                        state.regs.set(*vd, sew, i, fp_fma(sew, *kind, acc, *scalar, ys[i]));
+                        let acc = state.regs.get(*vd, i);
+                        state.regs.set(*vd, i, fp_fma(*kind, acc, *scalar, ys[i]));
                         info.active += 1;
                     }
                 }
             }
             VOp::CmpVX { kind: CmpKind::Eq, md, x, scalar } => {
-                state.regs.read_elems_into(*x, sew, vl, xs);
-                fill_active(state, masked, vl, bs2);
+                state.regs.read_elems_into(*x, vl, xs);
+                state.snapshot_active(masked, vl, bs2);
                 bs.clear();
-                bs.extend((0..vl).map(|i| xs[i] & sew.value_mask() == scalar & sew.value_mask()));
+                bs.extend((0..vl).map(|i| xs[i] == *scalar));
                 state.regs.write_mask_bits_where(*md, bs, bs2);
                 info.active = bs2.iter().filter(|&&a| a).count();
             }
@@ -950,25 +837,25 @@ pub(crate) mod reference {
                 info.active = vl;
             }
             VOp::Red { kind, vd, x, acc } => {
-                state.regs.read_elems_into(*x, sew, vl, xs);
-                let mut r = state.regs.get(*acc, sew, 0);
+                state.regs.read_elems_into(*x, vl, xs);
+                let mut r = state.regs.get(*acc, 0);
                 for (i, &v) in xs.iter().enumerate() {
                     if !state.active(masked, i) {
                         continue;
                     }
                     info.active += 1;
                     r = match kind {
-                        RedKind::Sum => r.wrapping_add(v) & sew.value_mask(),
-                        RedKind::Fsum => fp_bin(sew, FArithKind::Fadd, r, v),
+                        RedKind::Sum => r.wrapping_add(v),
+                        RedKind::Fsum => fp_bin(FArithKind::Fadd, r, v),
                     };
                 }
-                state.regs.set(*vd, sew, 0, r);
+                state.regs.set(*vd, 0, r);
             }
             VOp::Mv { vd, x } => {
-                state.regs.read_elems_into(*x, sew, vl, xs);
+                state.regs.read_elems_into(*x, vl, xs);
                 for i in 0..vl {
                     if state.active(masked, i) {
-                        state.regs.set(*vd, sew, i, xs[i]);
+                        state.regs.set(*vd, i, xs[i]);
                         info.active += 1;
                     }
                 }
@@ -976,17 +863,17 @@ pub(crate) mod reference {
             VOp::MvVX { vd, scalar } => {
                 for i in 0..vl {
                     if state.active(masked, i) {
-                        state.regs.set(*vd, sew, i, *scalar);
+                        state.regs.set(*vd, i, *scalar);
                         info.active += 1;
                     }
                 }
             }
             VOp::MvSX { vd, scalar } => {
-                state.regs.set(*vd, sew, 0, *scalar);
+                state.regs.set(*vd, 0, *scalar);
                 info.active = 1;
             }
             VOp::MvXS { x } => {
-                info.scalar = Some(state.regs.get(*x, sew, 0));
+                info.scalar = Some(state.regs.get(*x, 0));
                 info.active = 1;
             }
         }
@@ -998,10 +885,10 @@ pub(crate) mod reference {
 mod tests {
     use super::*;
     use crate::mem::FlatMemory;
-    use crate::vtype::Lmul;
+    use crate::{Lmul, Sew};
 
     fn st(vl: usize) -> VState {
-        let mut s = VState::new(2048); // 32 f64 per register
+        let mut s = VState::paper_vpu();
         s.set_vl(vl, Sew::E64, Lmul::M1);
         s
     }
@@ -1026,8 +913,8 @@ mod tests {
         let info = exec(&VInst::new(VOp::Load { vd: 1, addr: MemAddr::Unit { base: 0 } }), &mut s, &mut mem);
         assert_eq!(info.mem.len(), 8);
         assert!(info.unit_stride);
-        assert_eq!(s.regs.get(1, Sew::E64, 0), 100);
-        assert_eq!(s.regs.get(1, Sew::E64, 7), 107);
+        assert_eq!(s.regs.get(1, 0), 100);
+        assert_eq!(s.regs.get(1, 7), 107);
         let info = exec(&VInst::new(VOp::Store { vs: 1, addr: MemAddr::Unit { base: 512 } }), &mut s, &mut mem);
         assert_eq!(info.mem.len(), 8);
         assert_eq!(mem.read_uint(512 + 7 * 8, 8), 107);
@@ -1046,7 +933,7 @@ mod tests {
             &mut mem,
         );
         for i in 0..4 {
-            assert_eq!(s.regs.get(2, Sew::E64, i), i as u64 + 1);
+            assert_eq!(s.regs.get(2, i), i as u64 + 1);
         }
     }
 
@@ -1058,7 +945,7 @@ mod tests {
         mem.write_uint(8, 8, 9);
         // offsets: 40, 8, 40, 8
         for (i, off) in [40u64, 8, 40, 8].iter().enumerate() {
-            s.regs.set(3, Sew::E64, i, *off);
+            s.regs.set(3, i, *off);
         }
         let info = exec(
             &VInst::new(VOp::Load { vd: 4, addr: MemAddr::Indexed { base: 0, index: 3 } }),
@@ -1066,10 +953,10 @@ mod tests {
             &mut mem,
         );
         assert!(!info.unit_stride);
-        assert_eq!(s.regs.get(4, Sew::E64, 0), 7);
-        assert_eq!(s.regs.get(4, Sew::E64, 1), 9);
-        assert_eq!(s.regs.get(4, Sew::E64, 2), 7);
-        assert_eq!(s.regs.get(4, Sew::E64, 3), 9);
+        assert_eq!(s.regs.get(4, 0), 7);
+        assert_eq!(s.regs.get(4, 1), 9);
+        assert_eq!(s.regs.get(4, 2), 7);
+        assert_eq!(s.regs.get(4, 3), 9);
     }
     #[test]
     fn widening_load_unit_stride() {
@@ -1086,10 +973,10 @@ mod tests {
         );
         assert!(info.unit_stride);
         assert_eq!(info.mem.len(), 4);
-        assert_eq!(info.mem.access(1).addr, 4, "element footprint is SEW/2 bytes");
+        assert_eq!(info.mem.access(1).addr, 4, "element footprint is 4 bytes");
         assert_eq!(info.mem.access(0).size, 4);
         for i in 0..4 {
-            assert_eq!(s.regs.get(2, Sew::E64, i), 0x8000_0000 + i as u64, "zero-extended");
+            assert_eq!(s.regs.get(2, i), 0x8000_0000 + i as u64, "zero-extended");
         }
     }
 
@@ -1102,7 +989,7 @@ mod tests {
         }
         s.regs.set_mask(0, 0, true);
         s.regs.set_mask(0, 2, true);
-        s.regs.set(5, Sew::E64, 1, 999); // will stay undisturbed
+        s.regs.set(5, 1, 999); // will stay undisturbed
         let info = exec(
             &VInst::masked(VOp::Load { vd: 5, addr: MemAddr::Unit { base: 0 } }),
             &mut s,
@@ -1110,49 +997,38 @@ mod tests {
         );
         assert_eq!(info.mem.len(), 2);
         assert_eq!(info.active, 2);
-        assert_eq!(s.regs.get(5, Sew::E64, 0), 50);
-        assert_eq!(s.regs.get(5, Sew::E64, 1), 999);
-        assert_eq!(s.regs.get(5, Sew::E64, 2), 52);
+        assert_eq!(s.regs.get(5, 0), 50);
+        assert_eq!(s.regs.get(5, 1), 999);
+        assert_eq!(s.regs.get(5, 2), 52);
     }
 
     #[test]
     fn int_add_and_tail_undisturbed() {
         let mut s = st(4);
-        s.regs.set(10, Sew::E64, 4, 777); // beyond vl: must stay
+        s.regs.set(10, 4, 777); // beyond vl: must stay
         for i in 0..4 {
-            s.regs.set(8, Sew::E64, i, i as u64);
+            s.regs.set(8, i, i as u64);
         }
         run(&mut s, VOp::ArithVX { kind: ArithKind::Add, vd: 10, x: 8, scalar: 10 });
         for i in 0..4 {
-            assert_eq!(s.regs.get(10, Sew::E64, i), i as u64 + 10);
+            assert_eq!(s.regs.get(10, i), i as u64 + 10);
         }
-        assert_eq!(s.regs.get(10, Sew::E64, 4), 777, "tail must be undisturbed");
+        assert_eq!(s.regs.get(10, 4), 777, "tail must be undisturbed");
     }
 
     #[test]
     fn arith_vx_add_and_sll() {
         let mut s = st(3);
         for i in 0..3 {
-            s.regs.set(1, Sew::E64, i, 5);
+            s.regs.set(1, i, 5);
         }
         run(&mut s, VOp::ArithVX { kind: ArithKind::Add, vd: 2, x: 1, scalar: 20 });
-        assert_eq!(s.regs.get(2, Sew::E64, 0), 25);
+        assert_eq!(s.regs.get(2, 0), 25);
         run(&mut s, VOp::ArithVX { kind: ArithKind::Sll, vd: 2, x: 1, scalar: 3 });
-        assert_eq!(s.regs.get(2, Sew::E64, 0), 40); // 5 << 3
-    }
-
-    #[test]
-    fn int_ops_wrap_at_narrow_sew() {
-        let mut s = VState::new(2048);
-        s.set_vl(2, Sew::E8, Lmul::M1);
-        s.regs.set(1, Sew::E8, 0, 0xF0);
-        s.regs.set(1, Sew::E8, 1, 0x03);
-        run(&mut s, VOp::ArithVX { kind: ArithKind::Add, vd: 3, x: 1, scalar: 0x20 });
-        assert_eq!(s.regs.get(3, Sew::E8, 0), 0x10, "0xF0 + 0x20 wraps at 8 bits");
-        // Shift amounts are taken mod SEW: 9 & 7 = 1.
-        run(&mut s, VOp::ArithVX { kind: ArithKind::Sll, vd: 3, x: 1, scalar: 9 });
-        assert_eq!(s.regs.get(3, Sew::E8, 1), 0x06);
-        assert_eq!(s.regs.get(3, Sew::E8, 0), 0xE0, "0xF0 << 1 wraps at 8 bits");
+        assert_eq!(s.regs.get(2, 0), 40); // 5 << 3
+        // Shift amounts are taken mod 64: 67 & 63 = 3.
+        run(&mut s, VOp::ArithVX { kind: ArithKind::Sll, vd: 2, x: 1, scalar: 67 });
+        assert_eq!(s.regs.get(2, 0), 40);
     }
 
     #[test]
@@ -1181,18 +1057,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "FP ops require SEW=64")]
-    fn fp_at_sew32_is_a_malformed_program() {
-        let mut s = VState::new(2048);
-        s.set_vl(2, Sew::E32, Lmul::M1);
-        run(&mut s, VOp::FArithVV { kind: FArithKind::Fadd, vd: 3, x: 1, y: 2 });
-    }
-
-    #[test]
     fn compare_sets_mask_bits() {
         let mut s = st(4);
         for (i, v) in [1u64, 5, 3, 5].iter().enumerate() {
-            s.regs.set(1, Sew::E64, i, *v);
+            s.regs.set(1, i, *v);
         }
         run(&mut s, VOp::CmpVX { kind: CmpKind::Eq, md: 7, x: 1, scalar: 5 });
         assert!(!s.regs.get_mask(7, 0));
@@ -1257,11 +1125,11 @@ mod tests {
     fn int_reduction_sum() {
         let mut s = st(4);
         for (i, v) in [5u64, 2, 9, 1].iter().enumerate() {
-            s.regs.set(1, Sew::E64, i, *v);
+            s.regs.set(1, i, *v);
         }
-        s.regs.set(2, Sew::E64, 0, 100);
+        s.regs.set(2, 0, 100);
         run(&mut s, VOp::Red { kind: RedKind::Sum, vd: 3, x: 1, acc: 2 });
-        assert_eq!(s.regs.get(3, Sew::E64, 0), 117);
+        assert_eq!(s.regs.get(3, 0), 117);
     }
 
     #[test]
@@ -1269,40 +1137,40 @@ mod tests {
         let mut s = st(3);
         run(&mut s, VOp::MvVX { vd: 1, scalar: 42 });
         for i in 0..3 {
-            assert_eq!(s.regs.get(1, Sew::E64, i), 42);
+            assert_eq!(s.regs.get(1, i), 42);
         }
         run(&mut s, VOp::MvSX { vd: 2, scalar: 7 });
-        assert_eq!(s.regs.get(2, Sew::E64, 0), 7);
-        assert_eq!(s.regs.get(2, Sew::E64, 1), 0);
+        assert_eq!(s.regs.get(2, 0), 7);
+        assert_eq!(s.regs.get(2, 1), 0);
         let info = run(&mut s, VOp::MvXS { x: 2 });
         assert_eq!(info.scalar, Some(7));
         run(&mut s, VOp::Mv { vd: 3, x: 1 });
-        assert_eq!(s.regs.get(3, Sew::E64, 2), 42);
+        assert_eq!(s.regs.get(3, 2), 42);
     }
 
     #[test]
     fn masked_arith_leaves_inactive_undisturbed() {
         let mut s = st(4);
         for i in 0..4 {
-            s.regs.set(1, Sew::E64, i, 10);
-            s.regs.set(3, Sew::E64, i, 555);
+            s.regs.set(1, i, 10);
+            s.regs.set(3, i, 555);
             s.regs.set_mask(0, i, i >= 2);
         }
         let info = run_masked(&mut s, VOp::ArithVX { kind: ArithKind::Add, vd: 3, x: 1, scalar: 1 });
         assert_eq!(info.active, 2);
-        assert_eq!(s.regs.get(3, Sew::E64, 0), 555);
-        assert_eq!(s.regs.get(3, Sew::E64, 1), 555);
-        assert_eq!(s.regs.get(3, Sew::E64, 2), 11);
-        assert_eq!(s.regs.get(3, Sew::E64, 3), 11);
+        assert_eq!(s.regs.get(3, 0), 555);
+        assert_eq!(s.regs.get(3, 1), 555);
+        assert_eq!(s.regs.get(3, 2), 11);
+        assert_eq!(s.regs.get(3, 3), 11);
     }
 
     #[test]
     fn vl_zero_is_a_nop() {
         let mut s = st(0);
-        s.regs.set(2, Sew::E64, 0, 123);
+        s.regs.set(2, 0, 123);
         let info = run(&mut s, VOp::ArithVX { kind: ArithKind::Add, vd: 2, x: 1, scalar: 1 });
         assert_eq!(info.active, 0);
-        assert_eq!(s.regs.get(2, Sew::E64, 0), 123);
+        assert_eq!(s.regs.get(2, 0), 123);
     }
 
     #[test]
@@ -1316,46 +1184,6 @@ mod tests {
         for i in 0..4 {
             assert_eq!(s.regs.get_f64(1, i), 2.0 * (i as f64 + 1.0));
         }
-    }
-
-    #[test]
-    fn lmul_groups_span_registers() {
-        // VLEN=2048 bits -> 32 f64 per register; LMUL=4 -> VL up to 128.
-        let mut s = VState::new(2048);
-        let vl = s.set_vl(100, Sew::E64, Lmul::M4);
-        assert_eq!(vl, 100);
-        let mut mem = FlatMemory::new(8 * 128);
-        for i in 0..100u64 {
-            mem.write_uint(i * 8, 8, 1000 + i);
-        }
-        // Load into group v8..v11, add a scalar, store from group v12..v15.
-        exec(&VInst::new(VOp::Load { vd: 8, addr: MemAddr::Unit { base: 0 } }), &mut s, &mut mem);
-        assert_eq!(s.regs.get(8, Sew::E64, 0), 1000);
-        assert_eq!(s.regs.get(8, Sew::E64, 99), 1099, "element 99 lives in v11");
-        assert_eq!(s.regs.get(11, Sew::E64, 3), 1099, "group indexing matches raw register");
-        exec(
-            &VInst::new(VOp::ArithVX { kind: ArithKind::Add, vd: 12, x: 8, scalar: 5 }),
-            &mut s,
-            &mut mem,
-        );
-        exec(&VInst::new(VOp::Store { vs: 12, addr: MemAddr::Unit { base: 0 } }), &mut s, &mut mem);
-        for i in 0..100u64 {
-            assert_eq!(mem.read_uint(i * 8, 8), 1005 + i);
-        }
-    }
-
-    #[test]
-    fn lmul_reduction_covers_whole_group() {
-        let mut s = VState::new(2048);
-        let vl = s.set_vl(64, Sew::E64, Lmul::M2);
-        assert_eq!(vl, 64);
-        let mut mem = FlatMemory::new(1);
-        for i in 0..64 {
-            s.regs.set(2, Sew::E64, i, 1); // group v2..v3
-        }
-        s.regs.set(6, Sew::E64, 0, 0);
-        exec(&VInst::new(VOp::Red { kind: RedKind::Sum, vd: 8, x: 2, acc: 6 }), &mut s, &mut mem);
-        assert_eq!(s.regs.get(8, Sew::E64, 0), 64);
     }
 
     #[test]
@@ -1437,9 +1265,7 @@ mod tests {
             assert_eq!(info, fresh[i], "instruction {i}");
         }
         for r in 0..8u8 {
-            for e in 0..8 {
-                assert_eq!(s1.regs.get(r, Sew::E64, e), s2.regs.get(r, Sew::E64, e));
-            }
+            assert_eq!(s1.regs.reg(r), s2.regs.reg(r));
         }
         assert_eq!(m1.read_uint(256 + 7 * 8, 8), m2.read_uint(256 + 7 * 8, 8));
     }
@@ -1458,30 +1284,13 @@ mod tests {
         let r = info.mem.runs()[0];
         assert_eq!((r.addr, r.size, r.count, r.kind), (64, 8, 8, MemAccessKind::Read));
     }
-
-    #[test]
-    fn lmul_mask_bits_cover_group_length() {
-        let mut s = VState::new(2048);
-        s.set_vl(128, Sew::E64, Lmul::M4);
-        let mut mem = FlatMemory::new(1);
-        for i in 0..128 {
-            s.regs.set(4, Sew::E64, i, (i >= 100) as u64);
-        }
-        exec(
-            &VInst::new(VOp::CmpVX { kind: CmpKind::Eq, md: 1, x: 4, scalar: 1 }),
-            &mut s,
-            &mut mem,
-        );
-        let info = exec(&VInst::new(VOp::Popc { m: 1 }), &mut s, &mut mem);
-        assert_eq!(info.scalar, Some(28), "elements 100..127 hold 1");
-    }
 }
 #[cfg(test)]
 mod differential {
     //! Differential tests: the batch kernels behind [`exec_into`] — the one
     //! execution engine — against the naive per-element [`reference`]
-    //! interpreter, swept over every op family × SEW × mask pattern × edge
-    //! VLs, plus destination aliasing, a seeded mixed program, and the pinned
+    //! interpreter, swept over every op family × mask pattern × edge VLs,
+    //! plus destination aliasing, a seeded mixed program, and the pinned
     //! FP-reduction fold. Equality is exact: the returned [`ExecInfo`]
     //! (including the memory trace), all 32 registers, and the full memory
     //! image must match bit for bit.
@@ -1489,7 +1298,8 @@ mod differential {
     use super::reference::exec_ref;
     use super::*;
     use crate::mem::FlatMemory;
-    use crate::vtype::Lmul;
+    use crate::regfile::VLMAX;
+    use crate::{Lmul, Sew};
     use sdv_engine::Rng;
 
     const MEM_SIZE: usize = 128 * 1024;
@@ -1501,27 +1311,17 @@ mod differential {
         [FArithKind::Fadd, FArithKind::Fsub, FArithKind::Fmul, FArithKind::Fdiv];
     const FMA: [FmaKind; 2] = [FmaKind::Macc, FmaKind::Nmsac];
 
-    /// Deterministic byte filler (splitmix-style LCG on the seed).
-    fn fill(buf: &mut [u8], mut seed: u64) {
-        for b in buf.iter_mut() {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            *b = (seed >> 33) as u8;
-        }
-    }
-
     /// A fully-random starting state: every register and every memory byte
     /// seeded, so undisturbed-element and tail behaviour can't hide behind
     /// zeroes.
     fn templates() -> (VState, FlatMemory) {
+        let mut rng = Rng::new(0x9e37_79b9_7f4a_7c15);
         let mut s = VState::paper_vpu();
         for r in 0..32u8 {
-            fill(s.regs.reg_bytes_mut(r), 0x9e37_79b9_7f4a_7c15 ^ ((r as u64) << 8));
+            s.regs.reg_mut(r).fill_with(|| rng.next_u64());
         }
         let mut m = FlatMemory::new(MEM_SIZE);
-        let mut bytes = vec![0u8; MEM_SIZE];
-        fill(&mut bytes, 0x0123_4567_89ab_cdef);
+        let bytes: Vec<u8> = (0..MEM_SIZE / 8).flat_map(|_| rng.next_u64().to_le_bytes()).collect();
         m.write_bytes(0, &bytes);
         (s, m)
     }
@@ -1559,11 +1359,11 @@ mod differential {
         }
     }
 
-    /// The op catalog at one SEW. Register conventions: `v0` is the mask,
-    /// `v4` holds controlled byte offsets for indexed addressing, and every
-    /// destination is `>= 1` so masked runs never overwrite the mask
-    /// register mid-instruction.
-    fn catalog(sew: Sew) -> Vec<VOp> {
+    /// The op catalog. Register conventions: `v0` is the mask, `v4` holds
+    /// controlled byte offsets for indexed addressing, and every destination
+    /// is `>= 1` so masked runs never overwrite the mask register
+    /// mid-instruction.
+    fn catalog() -> Vec<VOp> {
         use VOp::*;
         let mut ops = vec![
             Load { vd: 6, addr: MemAddr::Unit { base: 4096 } },
@@ -1576,6 +1376,7 @@ mod differential {
             Store { vs: 6, addr: MemAddr::Strided { base: 65536, stride: -48 } },
             Load { vd: 6, addr: MemAddr::Indexed { base: 8192, index: 4 } },
             Store { vs: 6, addr: MemAddr::Indexed { base: 8192, index: 4 } },
+            LoadWiden { vd: 6, base: 4096 },
         ];
         for kind in ARITH {
             ops.push(ArithVX { kind, vd: 1, x: 2, scalar: 0x1234_5678_9abc_def0 });
@@ -1590,39 +1391,32 @@ mod differential {
         ops.push(MvVX { vd: 1, scalar: 0xfeed_face });
         ops.push(MvSX { vd: 1, scalar: 0xfeed_face });
         ops.push(MvXS { x: 2 });
-        if sew.half().is_some() {
-            ops.push(LoadWiden { vd: 6, base: 4096 });
+        for kind in FARITH {
+            ops.push(FArithVV { kind, vd: 1, x: 2, y: 3 });
+            ops.push(FArithVF { kind, vd: 1, x: 2, scalar: (-0.75f64).to_bits() });
         }
-        if sew == Sew::E64 {
-            for kind in FARITH {
-                ops.push(FArithVV { kind, vd: 1, x: 2, y: 3 });
-                ops.push(FArithVF { kind, vd: 1, x: 2, scalar: (-0.75f64).to_bits() });
-            }
-            for kind in FMA {
-                ops.push(FmaVV { kind, vd: 1, x: 2, y: 3 });
-                ops.push(FmaVF { kind, vd: 1, scalar: 2.5f64.to_bits(), y: 3 });
-            }
-            ops.push(Red { kind: RedKind::Fsum, vd: 1, x: 2, acc: 3 });
+        for kind in FMA {
+            ops.push(FmaVV { kind, vd: 1, x: 2, y: 3 });
+            ops.push(FmaVF { kind, vd: 1, scalar: 2.5f64.to_bits(), y: 3 });
         }
+        ops.push(Red { kind: RedKind::Fsum, vd: 1, x: 2, acc: 3 });
         ops
     }
 
     /// Run one instruction through the engine and the reference from
     /// identical state and assert bit-exact agreement on trace, registers,
     /// and memory.
-    fn run_case(op: &VOp, pat: MaskPat, sew: Sew, lmul: Lmul, vl: usize, st: &VState, mt: &FlatMemory) {
+    fn run_case(op: &VOp, pat: MaskPat, vl: usize, st: &VState, mt: &FlatMemory) {
         let mut s1 = st.clone();
-        let granted = s1.set_vl(vl, sew, lmul);
-        assert_eq!(granted, vl, "test VL {vl} must be grantable at {sew:?}/{lmul:?}");
+        assert_eq!(s1.set_vl(vl, Sew::E64, Lmul::M1), vl, "test VL {vl} must be grantable");
         for i in 0..vl {
             s1.regs.set_mask(0, i, pat.bit(i));
         }
-        // Controlled byte offsets for indexed addressing: in-bounds at every
-        // SEW (they truncate at E8/E16, which both sides must agree on),
+        // Controlled byte offsets for indexed addressing: in bounds,
         // unaligned on odd elements, colliding across elements.
         for i in 0..vl {
             let off = (((i * 37) % 512) * 8 + (i % 2) * 4) as u64;
-            s1.regs.set(4, sew, i, off);
+            s1.regs.set(4, i, off);
         }
         let mut m1 = mt.clone();
         let mut s2 = s1.clone();
@@ -1630,7 +1424,7 @@ mod differential {
         let inst = VInst { op: op.clone(), masked: pat.masked() };
         let got = exec(&inst, &mut s1, &mut m1);
         let want = exec_ref(&inst, &mut s2, &mut m2);
-        let ctx = format!("{op:?} pat={pat:?} sew={sew:?} lmul={lmul:?} vl={vl}");
+        let ctx = format!("{op:?} pat={pat:?} vl={vl}");
         assert_eq!(got, want, "ExecInfo diverged: {ctx}");
         assert_regs_match(&s1, &s2, &ctx);
         assert_mem_match(&m1, &m2, &ctx);
@@ -1638,7 +1432,7 @@ mod differential {
 
     fn assert_regs_match(s1: &VState, s2: &VState, ctx: &str) {
         for r in 0..32u8 {
-            assert_eq!(s1.regs.reg_bytes(r), s2.regs.reg_bytes(r), "v{r} diverged: {ctx}");
+            assert_eq!(s1.regs.reg(r), s2.regs.reg(r), "v{r} diverged: {ctx}");
         }
     }
 
@@ -1650,59 +1444,17 @@ mod differential {
         assert!(b1 == b2, "memory diverged: {ctx}");
     }
 
-    fn sweep(sew: Sew) {
-        let (st, mt) = templates();
-        for op in catalog(sew) {
-            for pat in ALL_PATS {
-                for vl in EDGE_VLS {
-                    run_case(&op, pat, sew, Lmul::M1, vl, &st, &mt);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_matches_reference_e8() {
-        sweep(Sew::E8);
-    }
-
-    #[test]
-    fn batch_matches_reference_e16() {
-        sweep(Sew::E16);
-    }
-
-    #[test]
-    fn batch_matches_reference_e32() {
-        sweep(Sew::E32);
-    }
-
     #[test]
     fn batch_matches_reference_e64() {
-        sweep(Sew::E64);
-    }
-
-    /// LMUL=4 register groups: element indices spill across registers and
-    /// mask bits cover the whole group length.
-    #[test]
-    fn batch_matches_reference_at_lmul4() {
         let (st, mt) = templates();
-        let ops = [
-            VOp::Load { vd: 8, addr: MemAddr::Unit { base: 4096 } },
-            VOp::Store { vs: 8, addr: MemAddr::Unit { base: 4096 } },
-            VOp::Load { vd: 8, addr: MemAddr::Indexed { base: 8192, index: 4 } },
-            VOp::FArithVV { kind: FArithKind::Fadd, vd: 8, x: 12, y: 16 },
-            VOp::FmaVV { kind: FmaKind::Macc, vd: 8, x: 12, y: 16 },
-            VOp::Red { kind: RedKind::Fsum, vd: 8, x: 12, acc: 16 },
-        ];
-        for op in &ops {
-            for pat in [MaskPat::Unmasked, MaskPat::Alternating, MaskPat::Random] {
-                for vl in [1usize, 7, 1000, 1024] {
-                    run_case(op, pat, Sew::E64, Lmul::M4, vl, &st, &mt);
+        for op in catalog() {
+            for pat in ALL_PATS {
+                for vl in EDGE_VLS {
+                    run_case(&op, pat, vl, &st, &mt);
                 }
             }
         }
     }
-
 
     /// Every family whose kernel stages lanes before writing, with the
     /// destination aliasing a source (`vd == x`, `vd == y`) or the mask
@@ -1712,34 +1464,29 @@ mod differential {
     fn aliased_destinations_match_reference() {
         use VOp::*;
         let (st, mt) = templates();
-        for sew in [Sew::E8, Sew::E16, Sew::E32, Sew::E64] {
-            let mut ops = Vec::new();
-            for kind in ARITH {
-                ops.push(ArithVX { kind, vd: 2, x: 2, scalar: 0x0123_4567_89ab_cdef });
-            }
-            ops.push(CmpVX { kind: CmpKind::Eq, md: 0, x: 2, scalar: 77 });
-            if sew == Sew::E64 {
-                for kind in FARITH {
-                    ops.push(FArithVV { kind, vd: 3, x: 2, y: 3 });
-                }
-                for kind in FMA {
-                    ops.push(FmaVV { kind, vd: 2, x: 2, y: 3 });
-                    ops.push(FmaVV { kind, vd: 3, x: 2, y: 3 });
-                }
-            }
-            for op in &ops {
-                for pat in ALL_PATS {
-                    for vl in EDGE_VLS {
-                        run_case(op, pat, sew, Lmul::M1, vl, &st, &mt);
-                    }
+        let mut ops = Vec::new();
+        for kind in ARITH {
+            ops.push(ArithVX { kind, vd: 2, x: 2, scalar: 0x0123_4567_89ab_cdef });
+        }
+        ops.push(CmpVX { kind: CmpKind::Eq, md: 0, x: 2, scalar: 77 });
+        for kind in FARITH {
+            ops.push(FArithVV { kind, vd: 3, x: 2, y: 3 });
+        }
+        for kind in FMA {
+            ops.push(FmaVV { kind, vd: 2, x: 2, y: 3 });
+            ops.push(FmaVV { kind, vd: 3, x: 2, y: 3 });
+        }
+        for op in &ops {
+            for pat in ALL_PATS {
+                for vl in EDGE_VLS {
+                    run_case(op, pat, vl, &st, &mt);
                 }
             }
         }
     }
 
-
-    /// The destination of a floating-point instruction (those run at SEW=64
-    /// only), `None` for every other instruction.
+    /// The destination of a floating-point instruction, `None` for every
+    /// other instruction.
     fn fp_dest(op: &VOp) -> Option<u8> {
         use VOp::*;
         match op {
@@ -1760,23 +1507,20 @@ mod differential {
     /// both sides, so the two states stay in lockstep for later integer ops.
     fn canonicalize_fp_result(s: &mut VState, op: &VOp, vl: usize) {
         let Some(vd) = fp_dest(op) else { return };
-        let mut lanes = Vec::new();
-        s.regs.read_elems_into(vd, Sew::E64, vl, &mut lanes);
-        for v in &mut lanes {
+        for v in &mut s.regs.reg_mut(vd)[..vl] {
             if f64::from_bits(*v).is_nan() {
                 *v = f64::NAN.to_bits();
             }
         }
-        s.regs.write_elems(vd, Sew::E64, &lanes);
     }
 
     /// A 600-step seeded program mixing the staged families with loads,
-    /// stores and reductions at random SEW/LMUL/VL/masking (FP instructions
-    /// always at SEW=64), so state carried between instructions (mask
-    /// registers, aliased groups, memory the store region shares with the
-    /// load region) flows through the engine and the reference identically.
-    /// Registers and `ExecInfo` are compared after every step (FP results
-    /// modulo NaN payload), the memory image at the end.
+    /// stores and reductions at random VL and masking, so state carried
+    /// between instructions (mask registers, aliased registers, memory the
+    /// store region shares with the load region) flows through the engine
+    /// and the reference identically. Registers and `ExecInfo` are compared
+    /// after every step (FP results modulo NaN payload), the memory image at
+    /// the end.
     #[test]
     fn seeded_mixed_program_matches_reference() {
         use VOp::*;
@@ -1810,15 +1554,13 @@ mod differential {
                 2 => Red { kind: [RedKind::Fsum, RedKind::Sum][rng.index(2)], vd: 20, x: 4, acc: 8 },
                 _ => pool[rng.index(pool.len())].clone(),
             };
-            let sew = if fp_dest(&op).is_some() { Sew::E64 } else { [Sew::E32, Sew::E64][rng.index(2)] };
-            let lmul = [Lmul::M1, Lmul::M2, Lmul::M4][rng.index(3)];
-            let vl = rng.index(s1.regs.vlen_bits() / sew.bits() * lmul.factor() + 1);
-            assert_eq!(s1.set_vl(vl, sew, lmul), vl);
-            s2.set_vl(vl, sew, lmul);
+            let vl = rng.index(VLMAX + 1);
+            assert_eq!(s1.set_vl(vl, Sew::E64, Lmul::M1), vl);
+            s2.set_vl(vl, Sew::E64, Lmul::M1);
             let inst = VInst { op, masked: rng.chance(0.4) };
             exec_into(&inst, &mut s1, &mut m1, &mut scratch, &mut info);
             let want = exec_ref(&inst, &mut s2, &mut m2);
-            let ctx = format!("step {step}: {inst:?} sew={sew:?} lmul={lmul:?} vl={vl}");
+            let ctx = format!("step {step}: {inst:?} vl={vl}");
             assert_eq!(info, want, "ExecInfo diverged: {ctx}");
             canonicalize_fp_result(&mut s1, &inst.op, vl);
             canonicalize_fp_result(&mut s2, &inst.op, vl);
@@ -1838,15 +1580,15 @@ mod differential {
             let mut m = FlatMemory::new(64);
             s.set_vl(lanes.len(), Sew::E64, Lmul::M1);
             for (i, &v) in lanes.iter().enumerate() {
-                s.regs.set(4, Sew::E64, i, v.to_bits());
+                s.regs.set_f64(4, i, v);
             }
-            s.regs.set(8, Sew::E64, 0, seed.to_bits());
+            s.regs.set_f64(8, 0, seed);
             let (mut s2, mut m2) = (s.clone(), m.clone());
             let inst = VInst::new(VOp::Red { kind: RedKind::Fsum, vd: 20, x: 4, acc: 8 });
             exec(&inst, &mut s, &mut m);
             exec_ref(&inst, &mut s2, &mut m2);
-            let got = s.regs.get(20, Sew::E64, 0);
-            assert_eq!(got, s2.regs.get(20, Sew::E64, 0), "engine and reference fold differently");
+            let got = s.regs.get(20, 0);
+            assert_eq!(got, s2.regs.get(20, 0), "engine and reference fold differently");
             got
         };
         // Catastrophic cancellation: 1e16 + 1.0 rounds the 1.0 away, then

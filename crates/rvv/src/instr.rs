@@ -31,8 +31,7 @@ pub enum MemAddr {
     Indexed {
         /// Base byte address.
         base: u64,
-        /// Register holding unsigned byte offsets, one per element, at the
-        /// current SEW.
+        /// Register holding unsigned byte offsets, one per element.
         index: Reg,
     },
 }
@@ -43,12 +42,12 @@ pub enum MemAddr {
 pub enum ArithKind {
     /// Wrapping addition.
     Add,
-    /// Logical shift left by `scalar & (sew-1)`.
+    /// Logical shift left by `scalar & 63`.
     Sll,
 }
 
 /// Floating-point element-wise operations (VV and VF forms). Every FP
-/// instruction is double precision: it requires SEW=64.
+/// instruction is double precision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FArithKind {
     /// Addition.
@@ -100,25 +99,25 @@ pub enum RedKind {
 pub enum VOp {
     /// Vector load: `vd <- memory`.
     Load {
-        /// Destination register (group).
+        /// Destination register.
         vd: Reg,
         /// Addressing mode.
         addr: MemAddr,
     },
-    /// Widening unit-stride load (`vlwu.v`, RVV v0.7.1): reads SEW/2-wide
-    /// unsigned elements from memory and zero-extends them into SEW-wide
-    /// register elements. Used to stream u32 index/adjacency arrays under
-    /// SEW=64 without paying double traffic.
+    /// Widening unit-stride load (`vlwu.v`, RVV v0.7.1): reads u32
+    /// elements from memory and zero-extends them into the 64-bit register
+    /// elements. Used to stream u32 index/adjacency arrays without paying
+    /// double traffic.
     LoadWiden {
-        /// Destination register (group), written at SEW.
+        /// Destination register.
         vd: Reg,
-        /// Byte address of element 0; element footprint in memory is SEW/2
+        /// Byte address of element 0; element footprint in memory is 4
         /// bytes.
         base: u64,
     },
     /// Vector store: `memory <- vs`.
     Store {
-        /// Source register (group).
+        /// Source register.
         vs: Reg,
         /// Addressing mode.
         addr: MemAddr,
@@ -131,7 +130,7 @@ pub enum VOp {
         vd: Reg,
         /// Vector operand.
         x: Reg,
-        /// Scalar operand (truncated to SEW).
+        /// Scalar operand.
         scalar: u64,
     },
     /// FP arithmetic, vector-vector.
@@ -186,7 +185,7 @@ pub enum VOp {
         md: Reg,
         /// Vector operand.
         x: Reg,
-        /// Scalar operand (truncated to SEW).
+        /// Scalar operand.
         scalar: u64,
     },
     /// Mask-register logical op: `md = op(m1, m2)` over all VLEN bits up to vl.

@@ -1,49 +1,43 @@
-//! Architectural vector state: register file + dynamic configuration.
+//! Architectural vector state: register file + vector length.
 
-use crate::regfile::VRegFile;
-use crate::vtype::{vsetvl, Lmul, Sew, VType};
+use crate::regfile::{VRegFile, VLMAX};
+use crate::{Lmul, Sew};
 
 /// The complete architectural state of the vector unit.
 #[derive(Debug, Clone)]
 pub struct VState {
     /// The vector register file.
     pub regs: VRegFile,
-    /// Current `(SEW, LMUL)` configuration.
-    pub vtype: VType,
     /// Current vector length in elements.
     pub vl: usize,
     /// The paper's custom MAXVL CSR: an experiment knob capping the VL
-    /// granted by `vsetvl` (§2.1). Defaults to "no cap".
+    /// granted by `vsetvli` (§2.1). Defaults to "no cap".
     pub maxvl_cap: usize,
 }
 
 impl VState {
-    /// Fresh state for a machine with the given VLEN in bits.
-    pub fn new(vlen_bits: usize) -> Self {
-        Self {
-            regs: VRegFile::new(vlen_bits),
-            vtype: VType::default(),
-            vl: 0,
-            maxvl_cap: usize::MAX,
-        }
-    }
-
     /// State matching the paper's VPU: VLEN = 16384 bits (256 × f64).
     pub fn paper_vpu() -> Self {
-        Self::new(16384)
+        Self { regs: VRegFile::default(), vl: 0, maxvl_cap: usize::MAX }
     }
 
-    /// Execute `vsetvl`: request `avl` elements at `(sew, lmul)`. Returns the
-    /// granted VL, which also becomes the current VL.
-    pub fn set_vl(&mut self, avl: usize, sew: Sew, lmul: Lmul) -> usize {
-        self.vtype = VType::new(sew, lmul);
-        self.vl = vsetvl(avl, self.vtype, self.regs.vlen_bits(), self.maxvl_cap);
+    /// The most `vsetvli` grants: VLMAX under the MAXVL CSR.
+    #[inline]
+    pub fn maxvl(&self) -> usize {
+        VLMAX.min(self.maxvl_cap)
+    }
+
+    /// Execute `vsetvli`: request `avl` elements. Returns the granted VL,
+    /// `min(avl, VLMAX, MAXVL cap)`, which also becomes the current VL.
+    /// `Sew` and `Lmul` have one value each (see their docs).
+    pub fn set_vl(&mut self, avl: usize, _: Sew, _: Lmul) -> usize {
+        self.vl = avl.min(self.maxvl());
         self.vl
     }
 
     /// Program the MAXVL CSR (the experiment knob). Does not retroactively
     /// shrink the current `vl`; like the hardware, it takes effect at the
-    /// next `vsetvl`.
+    /// next `vsetvli`.
     pub fn set_maxvl_cap(&mut self, cap: usize) {
         assert!(cap > 0, "MAXVL cap must be positive");
         self.maxvl_cap = cap;
@@ -69,12 +63,10 @@ impl VState {
         }
     }
 
-    /// Reset to the power-on state (all registers zero, no configuration),
-    /// keeping the register-file allocation. Equivalent to a fresh
-    /// [`VState::new`] at the same VLEN.
+    /// Reset to the power-on state (all registers zero, VL 0, no cap),
+    /// keeping the register-file allocation.
     pub fn reset(&mut self) {
         self.regs.clear();
-        self.vtype = VType::default();
         self.vl = 0;
         self.maxvl_cap = usize::MAX;
     }
@@ -84,31 +76,38 @@ impl VState {
 mod tests {
     use super::*;
 
+    fn set_vl(st: &mut VState, avl: usize) -> usize {
+        st.set_vl(avl, Sew::E64, Lmul::M1)
+    }
+
     #[test]
     fn paper_vpu_vlmax() {
         let mut st = VState::paper_vpu();
-        assert_eq!(st.set_vl(1 << 20, Sew::E64, Lmul::M1), 256);
+        assert_eq!(set_vl(&mut st, 1 << 20), 256);
+        assert_eq!(st.maxvl(), 256);
     }
 
     #[test]
     fn maxvl_csr_caps_grants() {
         let mut st = VState::paper_vpu();
         st.set_maxvl_cap(32);
-        assert_eq!(st.set_vl(1000, Sew::E64, Lmul::M1), 32);
+        assert_eq!(set_vl(&mut st, 1000), 32);
         st.set_maxvl_cap(8);
-        assert_eq!(st.set_vl(1000, Sew::E64, Lmul::M1), 8);
+        assert_eq!(st.maxvl(), 8);
+        assert_eq!(set_vl(&mut st, 1000), 8);
+        assert_eq!(set_vl(&mut st, 0), 0);
     }
 
     #[test]
     fn set_vl_grants_avl_when_small() {
         let mut st = VState::paper_vpu();
-        assert_eq!(st.set_vl(13, Sew::E64, Lmul::M1), 13);
+        assert_eq!(set_vl(&mut st, 13), 13);
         assert_eq!(st.vl, 13);
     }
 
     #[test]
     fn active_respects_mask_flag() {
-        let mut st = VState::new(256);
+        let mut st = VState::paper_vpu();
         st.regs.set_mask(0, 1, true);
         assert!(st.active(false, 0)); // unmasked: everything active
         assert!(!st.active(true, 0));
@@ -117,7 +116,7 @@ mod tests {
 
     #[test]
     fn snapshot_active_matches_elementwise() {
-        let mut st = VState::new(256);
+        let mut st = VState::paper_vpu();
         for i in 0..16 {
             st.regs.set_mask(0, i, i % 3 == 1);
         }

@@ -44,7 +44,7 @@ pub struct MemHierConfig {
     pub recall_latency: Cycle,
     /// L1 stream-prefetch depth: on an L1 read, prefetch the next
     /// `l1_prefetch_depth` lines (0 = off, the paper's configuration; the
-    /// `ablation_prefetch` bin studies what a prefetcher would change).
+    /// `study ablation_prefetch` shows what a prefetcher would change).
     pub l1_prefetch_depth: usize,
 }
 

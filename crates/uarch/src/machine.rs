@@ -172,7 +172,7 @@ impl SdvTiming {
             Op::Branch { taken } => self.tiles[tile].scalar.branch(*taken),
             Op::Vector(vop) => {
                 // Vector instructions consume a scalar issue slot, then run
-                // decoupled. `vsetvl` stays on the scalar side entirely.
+                // decoupled. `vsetvli` stays on the scalar side entirely.
                 self.tiles[tile].scalar.int_ops(1);
                 if vop.class == VClass::SetVl {
                     return;

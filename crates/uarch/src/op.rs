@@ -19,7 +19,7 @@ pub enum VClass {
     Reduction,
     /// Memory instruction (the footprint rides in [`VectorOp::mem`]).
     Memory,
-    /// `vsetvl` — handled on the scalar side but kept for accounting.
+    /// `vsetvli` — handled on the scalar side but kept for accounting.
     SetVl,
 }
 

@@ -198,7 +198,7 @@ impl VpuTiming {
         self.last_completion = completion;
         if self.probe.tracing() {
             let name = match vop.class {
-                VClass::SetVl => "vsetvl",
+                VClass::SetVl => "vsetvli",
                 VClass::Arith => "varith",
                 VClass::ArithLong => "varith.long",
                 VClass::Reduction => "vreduce",

@@ -7,7 +7,7 @@ use sdv_core::{SdvMachine, Vm};
 use sdv_rvv::{Lmul, Sew};
 
 /// y <- a*x + y over `n` doubles, strip-mined VL-agnostically (the RVV
-/// idiom: `vsetvl` grants whatever the machine allows per iteration).
+/// idiom: `vsetvli` grants whatever the machine allows per iteration).
 fn axpy(vm: &mut impl Vm, a: f64, x: u64, y: u64, n: usize) {
     let mut i = 0usize;
     while i < n {

@@ -84,17 +84,13 @@ print(f"metrics JSON valid: {len(cells)} cells")
 PYEOF
 rm -f "$tmp_metrics"
 
-echo "== golden CSV diff (small fig3, must be bit-identical) =="
-tmp_csv="$(mktemp /tmp/fig3_small.XXXXXX.csv)"
-tmp_csv2="$(mktemp /tmp/fig3_small2.XXXXXX.csv)"
-trap 'rm -f "$tmp_csv" "$tmp_csv2"' EXIT
-./target/release/fig3_latency --small --csv "$tmp_csv" >/dev/null
-diff -u results/golden/fig3_small.csv "$tmp_csv"
-echo "golden CSV matches"
-
 echo "== results/ is what the binaries print (paper scale: eleven studies, three figure CSVs) =="
 # results/NAME.txt is `study NAME`'s stdout and results/figN.csv the figure
 # binary's CSV, byte for byte; calibrate prints wall times and has no file.
+# The --small golden CSVs, at one and two threads, are a `cargo test` case
+# (crates/bench/tests/study.rs).
+tmp_csv2="$(mktemp /tmp/fig_paper.XXXXXX.csv)"
+trap 'rm -f "$tmp_csv2"' EXIT
 for name in $(./target/release/study --list | awk '$1 != "calibrate" { print $1 }'); do
     ./target/release/study "$name" --threads 2 | diff -u "results/$name.txt" -
 done
@@ -103,11 +99,6 @@ for fig in fig3_latency:fig3 fig4_slowdown:fig4 fig5_bandwidth:fig5; do
     diff -u "results/${fig##*:}.csv" "$tmp_csv2"
 done
 echo "results/*.txt and results/fig{3,4,5}.csv match"
-
-echo "== determinism (two fig3 runs, different thread counts, same CSV) =="
-./target/release/fig3_latency --small --threads 1 --csv "$tmp_csv2" >/dev/null
-diff -u "$tmp_csv" "$tmp_csv2"
-echo "runs are bit-identical"
 
 echo "== result-cache gate (warm rerun byte-identical at <25% of cold wall-clock) =="
 cache_dir="$(mktemp -d /tmp/sdv_cache.XXXXXX)"
