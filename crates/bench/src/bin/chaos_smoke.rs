@@ -8,7 +8,7 @@
 //! maps to (normally 4). If the fault is *not* caught, exits 1: that means
 //! the watchdog/auditor net has a hole and CI should go red.
 //!
-//! Usage: `chaos_smoke --fault KIND [--fault-seed N] [--cycle-budget N]`
+//! Usage: `chaos_smoke --fault KIND [--fault-seed N] [--cycle-budget N] [--watchdog]`
 //!
 //! With `--fault none` (or no `--fault`), the cell must instead complete
 //! cleanly — exits 0 with the cycle count, 1 otherwise. This double-checks
@@ -21,11 +21,13 @@ const BIN: &str = "chaos_smoke";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    cli::reject_sweep_acceleration(
+    // No --cache or --server: failed cells are never cached, so either
+    // could only mask the live fault-injection path under test.
+    cli::check_flags_or_die(
         BIN,
         &args,
-        "chaos_smoke must exercise the live fault-injection path; failed \
-         cells are never cached, so a cache or server can only mask the test",
+        &["--watchdog"],
+        &["--fault", "--fault-seed", "--cycle-budget"],
     );
     let cfg = cli::hardening_config(&args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
 

@@ -46,12 +46,9 @@ fn grid() -> Vec<Cell> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    cli::reject_sweep_acceleration(
-        BIN,
-        &args,
-        "chaos_soak manages its own servers and cache directories; an \
-         external --server or --cache would mask the faults under test",
-    );
+    // No --cache or --server: the soak manages its own servers and cache
+    // directories, and an outside one would mask the faults under test.
+    cli::check_flags_or_die(BIN, &args, &[], &["--runs", "--seed-base", "--threads"]);
     let runs = match cli::parse_arg::<u64>(&args, "--runs") {
         Ok(Some(0)) => cli::die_usage(BIN, "--runs must be positive"),
         Ok(v) => v.unwrap_or(20),

@@ -42,6 +42,14 @@ fn main() {
     let Some(cmd) = args.get(1).map(String::as_str) else {
         cli::die_usage(BIN, "usage: sweepd serve|submit|ping|stats|status|shutdown|gc|fsck [flags]");
     };
+    let Some((switches, valued)) = flag_table(cmd) else {
+        cli::die_usage(BIN, &format!("unknown subcommand '{cmd}'"));
+    };
+    let positional =
+        cli::check_flags(&args, &switches, &valued).unwrap_or_else(|e| cli::die_usage(BIN, &e));
+    if let Some(arg) = positional.get(1) {
+        cli::die_usage(BIN, &format!("unexpected argument '{arg}'"));
+    }
     let addr = match cli::parse_arg::<String>(&args, "--addr") {
         Ok(v) => v.unwrap_or_else(|| server::DEFAULT_ADDR.to_string()),
         Err(e) => cli::die_usage(BIN, &e),
@@ -49,11 +57,37 @@ fn main() {
     match cmd {
         "serve" => serve(&args, &addr),
         "submit" => submit(&args, &addr),
-        "ping" | "stats" | "status" | "shutdown" => control(&args, cmd, &addr),
         "gc" => gc(&args),
         "fsck" => fsck(&args),
-        other => cli::die_usage(BIN, &format!("unknown subcommand '{other}'")),
+        _ => control(&args, cmd, &addr),
     }
+}
+
+/// A subcommand's `(switches, valued)` flags, `None` for an unknown one.
+/// `serve` and `submit` share the flags [`timing_config`] reads.
+fn flag_table(cmd: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
+    const TIMING_SWITCHES: [&str; 3] = ["--small", "--watchdog", "--probe-sampling"];
+    const TIMING_VALUED: [&str; 6] =
+        ["--addr", "--cycle-budget", "--fault", "--fault-seed", "--tiles", "--mesh"];
+    #[rustfmt::skip]
+    const SERVE_VALUED: [&str; 8] = [
+        "--port", "--threads", "--cache-dir", "--max-queue", "--io-timeout-ms", "--cell-wall-ms",
+        "--chaos", "--chaos-seed",
+    ];
+    const SUBMIT_VALUED: [&str; 3] = ["--cells", "--retries", "--retry-seed"];
+    Some(match cmd {
+        "serve" => (
+            [&TIMING_SWITCHES[..], &["--cache"]].concat(),
+            [&TIMING_VALUED[..], &SERVE_VALUED].concat(),
+        ),
+        "submit" => (TIMING_SWITCHES.to_vec(), [&TIMING_VALUED[..], &SUBMIT_VALUED].concat()),
+        "ping" | "stats" | "status" | "shutdown" => {
+            (Vec::new(), vec!["--addr", "--retries", "--retry-seed"])
+        }
+        "gc" => (vec!["--cache"], vec!["--cache-dir", "--max-bytes"]),
+        "fsck" => (vec!["--cache"], vec!["--cache-dir"]),
+        _ => return None,
+    })
 }
 
 /// The timing configuration shared by `serve` and `submit` — both sides
@@ -187,6 +221,7 @@ fn serve(args: &[String], addr: &str) {
 
 fn submit(args: &[String], addr: &str) {
     let small = args.iter().any(|a| a == "--small");
+    let cfg = timing_config(args);
     let cells_spec = match cli::parse_arg::<String>(args, "--cells") {
         Ok(Some(s)) => s,
         Ok(None) => cli::die_usage(BIN, "submit needs --cells \"KERNEL,impl,lat,bw;...\""),
@@ -196,7 +231,7 @@ fn submit(args: &[String], addr: &str) {
         .split(';')
         .filter(|s| !s.trim().is_empty())
         .map(|spec| {
-            parse_cell(spec.trim())
+            parse_cell(spec.trim(), &cfg)
                 .unwrap_or_else(|e| cli::die_usage(BIN, &format!("--cells: '{spec}': {e}")))
         })
         .collect();
@@ -204,7 +239,6 @@ fn submit(args: &[String], addr: &str) {
         cli::die_usage(BIN, "--cells named no cells");
     }
     let policy = cli::retry_policy(args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
-    let cfg = timing_config(args);
     let w = if small { Workloads::small() } else { Workloads::paper() };
     let mut failures = 0usize;
     let summary = server::client_sweep(
@@ -256,20 +290,22 @@ fn submit(args: &[String], addr: &str) {
 }
 
 /// `KERNEL,impl,extra_latency,bandwidth` — a `submit` output line without
-/// the trailing cycles column.
-fn parse_cell(spec: &str) -> Result<Cell, String> {
+/// the trailing cycles column — with knobs `cfg` can run.
+fn parse_cell(spec: &str, cfg: &TimingConfig) -> Result<Cell, String> {
     let fields: Vec<&str> = spec.split(',').collect();
     if fields.len() != 4 {
         return Err(format!("expected 4 comma-separated fields, found {}", fields.len()));
     }
-    Ok(Cell {
+    let cell = Cell {
         kernel: fields[0].parse()?,
         imp: fields[1].parse()?,
         extra_latency: fields[2]
             .parse()
             .map_err(|_| format!("bad extra_latency '{}'", fields[2]))?,
         bandwidth: fields[3].parse().map_err(|_| format!("bad bandwidth '{}'", fields[3]))?,
-    })
+    };
+    cell.check_knobs(cfg)?;
+    Ok(cell)
 }
 
 fn control(args: &[String], op: &str, addr: &str) {

@@ -91,17 +91,22 @@ pub fn check_flags<'a>(
     Ok(positional)
 }
 
-/// [`check_flags`] for a `Sweeper`-driven figure binary, which exits
-/// [`EXIT_USAGE`] on any violation: the flags of [`hardening_config`],
-/// [`configure_sweeper`] and `--metrics-json` plus the binary's own
-/// `switches` and `valued`, and no positional argument.
-pub fn check_sweep_flags(bin: &str, args: &[String], switches: &[&str], valued: &[&str]) {
-    let switches = [SWEEP_SWITCHES, switches].concat();
-    let valued = [SWEEP_VALUED, valued].concat();
-    let stray = check_flags(args, &switches, &valued).unwrap_or_else(|e| die_usage(bin, &e));
+/// [`check_flags`] for a binary that takes no positional argument: exit
+/// [`EXIT_USAGE`] on any violation.
+pub fn check_flags_or_die(bin: &str, args: &[String], switches: &[&str], valued: &[&str]) {
+    let stray = check_flags(args, switches, valued).unwrap_or_else(|e| die_usage(bin, &e));
     if let Some(arg) = stray.first() {
         die_usage(bin, &format!("unexpected argument '{arg}'"));
     }
+}
+
+/// [`check_flags_or_die`] for a `Sweeper`-driven figure binary: the flags
+/// of [`hardening_config`], [`configure_sweeper`] and `--metrics-json` plus
+/// the binary's own `switches` and `valued`.
+pub fn check_sweep_flags(bin: &str, args: &[String], switches: &[&str], valued: &[&str]) {
+    let switches = [SWEEP_SWITCHES, switches].concat();
+    let valued = [SWEEP_VALUED, valued].concat();
+    check_flags_or_die(bin, args, &switches, &valued);
 }
 
 const SWEEP_SWITCHES: &[&str] = &["--small", "--watchdog", "--cache", "--fallback-local"];
@@ -239,8 +244,7 @@ pub fn mesh_for_tiles(tiles: usize) -> sdv_noc::MeshConfig {
 /// flag is a usage error anyway ([`check_flags`]); these three say what
 /// replaced them — a user passing `--checkpoint P --resume` should learn
 /// that the cache directory is how a killed sweep is recovered. Also called
-/// from [`hardening_config`] and [`reject_sweep_acceleration`], which
-/// binaries that do not check their whole flag set still run.
+/// from [`hardening_config`].
 fn reject_removed_flags(args: &[String]) -> Result<(), String> {
     for a in args {
         let replacement = match a.as_str() {
@@ -324,23 +328,6 @@ pub fn configure_sweeper(bin: &str, args: &[String], sweeper: &mut Sweeper, work
     }
     if args.iter().any(|a| a == "--fallback-local") {
         sweeper.set_fallback_local(true);
-    }
-}
-
-/// Exit with a usage error if the sweep-acceleration flags are present —
-/// for binaries where cached or remote results would be *wrong*:
-/// `chaos_smoke` and `chaos_soak` exercise fault injection, which a cache or
-/// an outside server would mask (failures are never cached by design). Not every
-/// caller also runs [`hardening_config`], so the removed flags are refused
-/// here too.
-pub fn reject_sweep_acceleration(bin: &str, args: &[String], why: &str) {
-    if let Err(e) = reject_removed_flags(args) {
-        die_usage(bin, &e);
-    }
-    for flag in ["--cache", "--cache-dir", "--server"] {
-        if args.iter().any(|a| a == flag) {
-            die_usage(bin, &format!("{flag} is not supported: {why}"));
-        }
     }
 }
 

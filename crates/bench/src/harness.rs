@@ -5,7 +5,7 @@ use sdv_core::{Knobs, SdvMachine, Vm};
 use sdv_engine::{SimError, StableHash, Stats};
 use sdv_kernels::fft::{self, Complexes};
 use sdv_kernels::{bfs, pagerank, spmv, CsrMatrix, Graph, SellCS};
-use sdv_uarch::TimingConfig;
+use sdv_uarch::{TimingConfig, WatchdogConfig};
 
 /// Which kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -229,6 +229,25 @@ impl Cell {
     pub fn partitionable(&self) -> bool {
         self.kernel.partitionable() && matches!(self.imp, ImplKind::Vector { .. })
     }
+
+    /// The one range check of a cell's knobs, made wherever a cell enters:
+    /// a bandwidth the Bandwidth Limiter can program (`1..=line_bytes`
+    /// bytes/cycle under `cfg`) and an extra latency below the armed
+    /// watchdog's progress window. A longer one would look like a wedged
+    /// resource to that watchdog, and the bound keeps the DRAM path's
+    /// arithmetic clear of overflow.
+    pub fn check_knobs(&self, cfg: &TimingConfig) -> Result<(), String> {
+        let line = cfg.mem.dram.line_bytes;
+        if !(1..=line).contains(&self.bandwidth) {
+            return Err(format!("bandwidth {} B/cy is outside 1-{line}", self.bandwidth));
+        }
+        let window = WatchdogConfig::default_on().progress_window;
+        if self.extra_latency >= window {
+            let lat = self.extra_latency;
+            return Err(format!("extra latency {lat} is not below {window} cycles"));
+        }
+        Ok(())
+    }
 }
 
 /// `cells` without its repeats, in first-seen order: the one dedup every
@@ -357,6 +376,22 @@ pub fn try_run_group(
         cells.iter().all(|c| (c.kernel, c.imp) == (program.kernel, program.imp)),
         "a group shares one program: {cells:?}"
     );
+    // A cell whose knobs are out of range fails alone; the rest of the group
+    // runs without it.
+    if cells.iter().any(|c| c.check_knobs(&cfg).is_err()) {
+        let valid: Vec<Cell> =
+            cells.iter().copied().filter(|c| c.check_knobs(&cfg).is_ok()).collect();
+        let mut ran =
+            if valid.is_empty() { Vec::new() } else { try_run_group(m, w, &valid, cfg, wall) }
+                .into_iter();
+        return cells
+            .iter()
+            .map(|c| match c.check_knobs(&cfg) {
+                Ok(()) => ran.next().expect("one result per valid cell"),
+                Err(what) => Err(SimError::BadInput { what }),
+            })
+            .collect();
+    }
     let tiles = cfg.mem.tiles;
     if tiles > 1 && cells.len() > 1 {
         return cells
@@ -915,7 +950,7 @@ pub(crate) fn run_group_cached(
 
 /// Summed [`predicted_cost`] of a group.
 fn group_cost(cells: &[Cell]) -> u64 {
-    cells.iter().map(predicted_cost).sum()
+    cells.iter().map(predicted_cost).fold(0, u64::saturating_add)
 }
 
 /// Unique `cells` as the groups a sweep runs: cells with equal
@@ -970,7 +1005,9 @@ pub(crate) fn predicted_cost(c: &Cell) -> u64 {
         ImplKind::Scalar => 30,
         ImplKind::Vector { maxvl } => 20 + (256 / maxvl.max(1)) as u64,
     };
-    kernel * imp * (1024 + c.extra_latency)
+    // Saturating: a grid is scheduled before `try_run_group` rejects a cell
+    // whose latency is out of range.
+    (kernel * imp).saturating_mul(c.extra_latency.saturating_add(1024))
 }
 
 #[cfg(test)]

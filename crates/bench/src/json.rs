@@ -141,9 +141,8 @@ impl Json {
     }
 }
 
-/// Append `s` as a quoted JSON string — the one string escaper every JSON
-/// writer in this crate uses.
-pub(crate) fn write_escaped(s: &str, out: &mut String) {
+/// Append `s` as a quoted JSON string.
+fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

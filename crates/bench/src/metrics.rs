@@ -14,9 +14,9 @@
 
 use crate::cli;
 use crate::harness::{try_run_traced, Cell, CellOutcome, Workloads};
+use crate::json::Json;
 use sdv_engine::Stats;
 use sdv_uarch::TimingConfig;
-use std::fmt::Write as _;
 
 /// Per-cause stall attribution of one completed cell, extracted from the
 /// component statistics the timing model exports.
@@ -77,57 +77,51 @@ impl StallBreakdown {
     }
 }
 
-/// Render cell outcomes as an `sdv-metrics-v1` JSON document.
+/// Render cell outcomes as an `sdv-metrics-v1` JSON document: one line,
+/// newline-terminated.
 pub fn metrics_json(bin: &str, outcomes: &[CellOutcome]) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":\"sdv-metrics-v1\",\"bin\":\"{bin}\",\"build\":\"{}\",\"cells\":[",
-        sdv_engine::build_info()
-    );
-    for (i, o) in outcomes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let c = o.cell();
-        let _ = write!(
-            out,
-            "\n{{\"kernel\":\"{}\",\"impl\":\"{}\",\"extra_latency\":{},\"bandwidth\":{}",
-            c.kernel.name(),
-            c.imp,
-            c.extra_latency,
-            c.bandwidth,
-        );
-        match o {
-            CellOutcome::Done(r) => {
-                let _ = write!(out, ",\"cycles\":{}", r.cycles);
-                match StallBreakdown::from_stats(r.cycles, &r.stats) {
-                    Some(b) => {
-                        let _ = write!(
-                            out,
-                            ",\"stalls\":{{\"scalar_memory\":{},\"vpu_memory\":{},\
-                             \"vpu_queue\":{},\"vpu_sync\":{},\"branch\":{},\
-                             \"memory_stall_fraction\":{:.6}}}",
-                            b.scalar_memory,
-                            b.vpu_memory,
-                            b.vpu_queue,
-                            b.vpu_sync,
-                            b.branch,
-                            b.memory_stall_fraction(),
-                        );
-                    }
-                    None => out.push_str(",\"stalls\":null"),
+    let cells = outcomes
+        .iter()
+        .map(|o| {
+            let c = o.cell();
+            let mut fields = vec![
+                ("kernel", Json::str(c.kernel.name())),
+                ("impl", Json::str(c.imp.to_string())),
+                ("extra_latency", Json::num(c.extra_latency)),
+                ("bandwidth", Json::num(c.bandwidth)),
+            ];
+            match o {
+                CellOutcome::Done(r) => {
+                    let breakdown = StallBreakdown::from_stats(r.cycles, &r.stats);
+                    let stalls = breakdown.map_or(Json::Null, |b| {
+                        let fraction = format!("{:.6}", b.memory_stall_fraction());
+                        Json::obj([
+                            ("scalar_memory", Json::num(b.scalar_memory)),
+                            ("vpu_memory", Json::num(b.vpu_memory)),
+                            ("vpu_queue", Json::num(b.vpu_queue)),
+                            ("vpu_sync", Json::num(b.vpu_sync)),
+                            ("branch", Json::num(b.branch)),
+                            ("memory_stall_fraction", Json::Num(fraction)),
+                        ])
+                    });
+                    fields.extend([("cycles", Json::num(r.cycles)), ("stalls", stalls)]);
                 }
+                CellOutcome::Failed { error, .. } => fields.extend([
+                    ("cycles", Json::Null),
+                    ("stalls", Json::Null),
+                    ("error", Json::str(error.to_string())),
+                ]),
             }
-            CellOutcome::Failed { error, .. } => {
-                out.push_str(",\"cycles\":null,\"stalls\":null,\"error\":");
-                crate::json::write_escaped(&error.to_string(), &mut out);
-            }
-        }
-        out.push('}');
-    }
-    out.push_str("\n]}\n");
-    out
+            Json::obj(fields)
+        })
+        .collect();
+    let doc = Json::obj([
+        ("schema", Json::str("sdv-metrics-v1")),
+        ("bin", Json::str(bin)),
+        ("build", Json::str(sdv_engine::build_info())),
+        ("cells", Json::Arr(cells)),
+    ]);
+    doc.to_line() + "\n"
 }
 
 /// Handle `--metrics-json PATH`: write the per-cell stall breakdown.

@@ -853,12 +853,14 @@ fn cell_to_json(c: Cell) -> Json {
 
 fn cell_from_json(v: &Json) -> Result<Cell, String> {
     let field = |k: &str| v.get(k).ok_or_else(|| format!("missing field '{k}'"));
-    Ok(Cell {
+    let cell = Cell {
         kernel: field("kernel")?.as_str().ok_or("kernel must be a string")?.parse()?,
         imp: field("imp")?.as_str().ok_or("imp must be a string")?.parse()?,
         extra_latency: field("lat")?.as_u64().ok_or("lat must be a u64")?,
         bandwidth: field("bw")?.as_u64().ok_or("bw must be a u64")?,
-    })
+    };
+    cell.check_knobs(&TimingConfig::default())?;
+    Ok(cell)
 }
 
 fn outcome_to_json(out: &CellOutcome) -> Json {
@@ -1395,6 +1397,22 @@ mod tests {
             v.get("error").and_then(Json::as_str).unwrap().contains("truncated"),
             "{line}"
         );
+
+        // Knobs outside the Bandwidth Limiter's range or past the watchdog
+        // window: refused as a bad cell, never handed to a worker.
+        let w = Workloads::small();
+        let vl256 = spmv256().imp;
+        for (imp, extra_latency, bandwidth) in
+            [(ImplKind::Scalar, 0, 0), (ImplKind::Scalar, 0, 65), (vl256, u64::MAX, 64)]
+        {
+            let cell = Cell { imp, extra_latency, bandwidth, ..spmv256() };
+            let line = served_line(&addr, &w, TimingConfig::default(), cell);
+            let v = Json::parse(&line).unwrap();
+            let error = v.get("error").and_then(Json::as_str).unwrap_or_default();
+            assert!(error.starts_with("bad cell: "), "{line}");
+        }
+        let stats = client_request(&addr, "stats", &RetryPolicy::none()).unwrap();
+        assert_eq!(stats.get("simulated").and_then(Json::as_u64), Some(0));
 
         client_request(&addr, "shutdown", &RetryPolicy::none()).unwrap();
         handle.join().unwrap();

@@ -5,6 +5,10 @@ use sdv_bench::{CacheKey, Cell, ImplKind, KernelKind, ResultCache, Sweeper, Work
 use sdv_rvv::Backend;
 use sdv_uarch::TimingConfig;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
+
+mod common;
+use common::{golden, ok, path_in, scratch};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("sdv_cache_it_{tag}_{}", std::process::id()));
@@ -182,4 +186,61 @@ fn corrupted_entry_is_resimulated_not_trusted() {
     assert_eq!(third.sweep(&w, &[cell], 1)[0].cycles, truth);
     assert_eq!(third.fresh_simulations(), 0, "repaired entry must hit");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `sweepd fsck`'s `quarantined now` count for `dir`.
+fn fsck_quarantined(dir: &str) -> usize {
+    let stdout = ok(env!("CARGO_BIN_EXE_sweepd"), &["fsck", "--cache-dir", dir]).0;
+    let count = stdout.lines().find_map(|l| l.trim().strip_prefix("quarantined now"));
+    count.and_then(|n| n.trim().parse().ok()).unwrap_or_else(|| panic!("no count: {stdout}"))
+}
+
+/// Files in `dir` (none while it does not exist) whose name contains `part`.
+fn files_named(dir: &str, part: &str) -> Vec<PathBuf> {
+    let names = std::fs::read_dir(dir).into_iter().flatten().flatten();
+    names.filter(|e| e.file_name().to_string_lossy().contains(part)).map(|e| e.path()).collect()
+}
+
+/// The cache is the one way to resume a killed sweep. Every cell was
+/// published with fsync + rename before the SIGKILL, so the rerun writes the
+/// golden figure, and a killed writer can leave only its own tmp file, which
+/// fsck quarantines and nothing else. A flipped byte is quarantined and
+/// re-simulated; `gc` to one byte empties the cache.
+#[cfg(unix)]
+#[test]
+fn a_killed_sweep_resumes_from_its_cache_and_fsck_and_gc_keep_it_sound() {
+    let scratch = scratch("kill");
+    let (dir, csv) = (path_in(&scratch, "cache"), path_in(&scratch, "fig3.csv"));
+    let fig3 = env!("CARGO_BIN_EXE_fig3_latency");
+    let writes_golden = |threads: &[&str]| {
+        ok(fig3, &[&["--small", "--cache-dir", &dir, "--csv", &csv][..], threads].concat());
+        let got = std::fs::read_to_string(&csv).expect("fig3 wrote its CSV");
+        assert!(got == golden("fig3_small.csv"), "fig3 {threads:?} over the cache is not golden");
+    };
+    // SIGKILL part-way: once the first cell is cached.
+    let mut killed = Command::new(fig3)
+        .args(["--small", "--threads", "1", "--cache-dir", &dir])
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("fig3 starts");
+    while files_named(&dir, ".entry").is_empty() && killed.try_wait().unwrap().is_none() {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    killed.kill().expect("SIGKILL");
+    killed.wait().expect("reaped");
+    let strays = files_named(&dir, ".tmp").len();
+    writes_golden(&["--threads", "1"]);
+    assert_eq!(fsck_quarantined(&dir), strays, "fsck quarantines the stray tmp files, no entry");
+
+    let entry = files_named(&dir, ".entry").pop().expect("the sweep cached its cells");
+    let mut bytes = std::fs::read(&entry).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 1;
+    std::fs::write(&entry, bytes).unwrap();
+    assert_eq!(fsck_quarantined(&dir), 1, "fsck quarantines the corrupted entry");
+    writes_golden(&[]); // a quarantined entry is a miss, never wrong data
+
+    ok(env!("CARGO_BIN_EXE_sweepd"), &["gc", "--cache-dir", &dir, "--max-bytes", "1"]);
+    assert!(files_named(&dir, ".entry").is_empty(), "gc --max-bytes 1 left entries behind");
+    let _ = std::fs::remove_dir_all(&scratch);
 }

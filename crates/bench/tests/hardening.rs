@@ -9,6 +9,9 @@ use sdv_bench::{Cell, CellOutcome, ImplKind, KernelKind, ResultCache, Sweeper, W
 use sdv_engine::{FaultKind, FaultPlan, SimError};
 use sdv_uarch::{TimingConfig, WatchdogConfig};
 
+mod common;
+use common::{ok, run};
+
 fn cell(kernel: KernelKind, maxvl: usize, extra_latency: u64) -> Cell {
     Cell { kernel, imp: ImplKind::Vector { maxvl }, extra_latency, bandwidth: 64 }
 }
@@ -192,4 +195,42 @@ fn paper_scale_fft_scalar_passes_the_coherence_audit() {
         Cell { kernel: KernelKind::Fft, imp: ImplKind::Scalar, extra_latency: 0, bandwidth: 64 };
     let r = sdv_bench::try_run_with_config(&w, fft_scalar, TimingConfig::default());
     assert_eq!(r.map(|r| r.cycles).map_err(|e| e.to_string()), Ok(601181));
+}
+
+/// Knobs outside what the Latency Controller and the Bandwidth Limiter
+/// model fail their own cell as bad input; the rest of the group (one
+/// program, one functional pass) still gets its golden fig3 cycles.
+#[test]
+fn out_of_range_knobs_fail_their_own_cell_and_the_group_runs_on() {
+    let w = Workloads::small();
+    let at = |extra_latency, bandwidth| Cell {
+        extra_latency,
+        bandwidth,
+        ..cell(KernelKind::Spmv, 256, 0)
+    };
+    let grid = [at(0, 64), at(u64::MAX, 64), at(0, 0), at(512, 64), at(0, 65)];
+    let outcomes = Sweeper::new().sweep_outcomes(&w, &grid, 1);
+    let cycles: Vec<Option<u64>> = outcomes.iter().map(CellOutcome::cycles).collect();
+    assert_eq!(cycles, [Some(25805), None, None, Some(38705), None], "golden SPMV,vl=256 rows");
+    for o in outcomes.iter().filter(|o| !o.is_done()) {
+        assert!(matches!(o.error(), Some(SimError::BadInput { .. })), "{o:?}");
+    }
+}
+
+/// The service-layer soak through its binary: 20 seeds with every service
+/// fault armed, each healed over the same cache, all bit-identical to the
+/// fault-free baseline.
+#[test]
+fn twenty_seeded_chaos_soak_runs_are_bit_identical_to_the_baseline() {
+    ok(env!("CARGO_BIN_EXE_chaos_soak"), &["--runs", "20", "--threads", "2"]);
+}
+
+/// A wedged VPU line credit dies cleanly through the binary: the watchdog's
+/// `Deadlock` diagnostic and exit 4, not a hang and not a bare panic.
+#[test]
+fn chaos_smoke_turns_a_wedged_credit_into_a_deadlock_and_exit_4() {
+    let out = run(env!("CARGO_BIN_EXE_chaos_smoke"), &["--fault", "wedge-credit"]);
+    let text = String::from_utf8_lossy(&[out.stdout, out.stderr].concat()).into_owned();
+    assert_eq!(out.status.code(), Some(4), "{text}");
+    assert!(text.contains("Deadlock at cycle"), "no Deadlock diagnostic: {text}");
 }

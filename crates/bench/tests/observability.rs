@@ -14,6 +14,9 @@ use sdv_bench::{try_run_traced, Cell, CellOutcome, ImplKind, KernelKind, Sweeper
 use sdv_engine::ProbeConfig;
 use sdv_uarch::TimingConfig;
 
+mod common;
+use common::{ok, path_in, scratch};
+
 fn traced_cell() -> Cell {
     Cell {
         kernel: KernelKind::Spmv,
@@ -149,4 +152,20 @@ fn memory_stall_fraction_falls_as_maxvl_grows() {
         fractions[maxvls.len() - 1] < fractions[0] || fractions[0] >= 1.0 - 1e-9,
         "expected a strict fall (or full saturation at vl=8): {fractions:?}"
     );
+}
+
+/// `fig_stalls --check` through the binary: exit 0 only if every kernel's
+/// memory-stall fraction at +1024 falls as MAXVL grows — the paper's claim
+/// as a gate — and its `--metrics-json` has cycles and stalls on every cell.
+#[test]
+fn fig_stalls_check_passes_and_exports_parseable_metrics() {
+    let dir = scratch("fig_stalls");
+    let path = path_in(&dir, "metrics.json");
+    ok(env!("CARGO_BIN_EXE_fig_stalls"), &["--small", "--check", "--metrics-json", &path]);
+    let doc = Json::parse(&std::fs::read_to_string(&path).expect("metrics written")).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("sdv-metrics-v1"));
+    let cells = doc.get("cells").and_then(Json::as_arr).expect("cells array");
+    assert!(!cells.is_empty(), "metrics export has no cells");
+    assert!(cells.iter().all(|c| c.get("stalls").is_some() && c.get("cycles").is_some()));
 }

@@ -28,15 +28,12 @@ use sdv_core::{SdvMachine, Vm};
 use sdv_kernels::{bfs, pagerank, spmv, CsrMatrix, Graph, SellCS, SlicedGraph};
 use sdv_uarch::TimingConfig;
 
-/// A committed golden CSV, whole.
-fn golden_text(name: &str) -> String {
-    let path = format!("{}/../../results/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
-}
+mod common;
+use common::{golden, ok, path_in, scratch};
 
 /// A committed golden CSV as rows of fields (header dropped).
 fn golden_rows(name: &str) -> Vec<Vec<String>> {
-    golden_text(name).lines().skip(1).map(|l| l.split(',').map(str::to_string).collect()).collect()
+    golden(name).lines().skip(1).map(|l| l.split(',').map(str::to_string).collect()).collect()
 }
 
 fn vector_cell(kernel: &str, imp: &str) -> Cell {
@@ -115,21 +112,24 @@ fn fig_scale_golden_csv_is_reproduced_byte_for_byte() {
     // All 1,704 rows, not only the 18 `cycles` ones: per-tile stalls,
     // per-bank directory traffic and per-link busy cycles are the rows a
     // wrong interleaving moves first. `--check` also enforces the binary's
-    // exact-sum gates on every topology.
-    let csv = std::env::temp_dir().join(format!("sdv_fig_scale_{}.csv", std::process::id()));
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fig_scale"))
-        .args(["--small", "--check", "--tiles", "1,4,16", "--vls", "8,256", "--csv"])
-        .arg(&csv)
-        .output()
-        .expect("fig_scale runs");
-    assert!(out.status.success(), "fig_scale failed: {}", String::from_utf8_lossy(&out.stderr));
-    let got = std::fs::read_to_string(&csv).expect("fig_scale wrote its CSV");
-    let _ = std::fs::remove_file(&csv);
-    let want = golden_text("fig_scale_small.csv");
-    for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-        assert_eq!(g, w, "line {} moved off the golden CSV", n + 1);
+    // exact-sum gates on every topology. The warm rerun, at another thread
+    // count, replays every multi-tile cell from the cache: topology is part
+    // of every cache key.
+    let dir = scratch("fig_scale");
+    let want = golden("fig_scale_small.csv");
+    let cache = path_in(&dir, "cache");
+    for (run, threads) in [("cold", &[][..]), ("warm", &["--threads", "1"])] {
+        let csv = path_in(&dir, &format!("{run}.csv"));
+        let args = ["--small", "--check", "--tiles", "1,4,16", "--vls", "8,256", "--cache-dir"];
+        let args = [&args[..], &[cache.as_str(), "--csv", csv.as_str()], threads].concat();
+        ok(env!("CARGO_BIN_EXE_fig_scale"), &args);
+        let got = std::fs::read_to_string(&csv).expect("fig_scale wrote its CSV");
+        for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+            assert_eq!(g, w, "{run}: line {} moved off the golden CSV", n + 1);
+        }
+        assert!(got == want, "{run}: row count or line endings differ from the golden CSV");
     }
-    assert!(got == want, "row count or line endings differ from the golden CSV");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -13,8 +13,8 @@
 //! `figN --small >results/golden/figN_small.txt`, in the commit that moves
 //! `results/golden/fig3_small.csv`.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
+use common::{golden, ok, path_in, results_dir, run, scratch};
 
 const STUDY: &str = env!("CARGO_BIN_EXE_study");
 
@@ -33,38 +33,6 @@ const DETERMINISTIC: [&str; 11] = [
     "roofline",
 ];
 
-fn results_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
-}
-
-fn golden(name: &str) -> String {
-    let path = results_dir().join("golden").join(name);
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
-}
-
-fn run(bin: &str, args: &[&str]) -> Output {
-    Command::new(bin).args(args).output().unwrap_or_else(|e| panic!("{bin}: {e}"))
-}
-
-/// Stdout of a run that must succeed.
-fn stdout_of(bin: &str, args: &[&str]) -> String {
-    let out = run(bin, args);
-    assert!(
-        out.status.success(),
-        "{bin} {args:?} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("utf-8 stdout")
-}
-
-/// A fresh scratch directory (the caller removes it).
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sdv_study_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
 fn entries(cache_dir: &str) -> usize {
     std::fs::read_dir(cache_dir)
         .expect("cache directory exists")
@@ -78,13 +46,13 @@ fn every_study_reproduces_its_golden_bytes_at_any_thread_count_cold_and_warm() {
     let dir = scratch("golden");
     for name in DETERMINISTIC {
         let want = golden(&format!("study_small/{name}.txt"));
-        assert_eq!(stdout_of(STUDY, &[name, "--small", "--threads", "1"]), want, "{name}");
-        let cache = dir.join(name).to_str().expect("utf-8 temp path").to_string();
+        assert_eq!(ok(STUDY, &[name, "--small", "--threads", "1"]).0, want, "{name}");
+        let cache = path_in(&dir, name);
         let cached = [name, "--small", "--threads", "2", "--cache-dir", &cache];
-        assert_eq!(stdout_of(STUDY, &cached), want, "{name}, two threads, cold cache");
+        assert_eq!(ok(STUDY, &cached).0, want, "{name}, two threads, cold cache");
         let stored = entries(&cache);
         assert!(stored > 0, "{name} stored nothing");
-        assert_eq!(stdout_of(STUDY, &cached), want, "{name}, warm cache");
+        assert_eq!(ok(STUDY, &cached).0, want, "{name}, warm cache");
         assert_eq!(entries(&cache), stored, "{name}: a warm rerun must not store a new entry");
         // One entry per distinct cell is what says two inputs never share a
         // key: three σ values × two latencies, five input families × three
@@ -100,7 +68,7 @@ fn every_study_reproduces_its_golden_bytes_at_any_thread_count_cold_and_warm() {
 
 #[test]
 fn the_list_names_every_study_and_every_results_file_has_one() {
-    let list = stdout_of(STUDY, &["--list"]);
+    let list = ok(STUDY, &["--list"]).0;
     let listed: Vec<&str> = list.lines().filter_map(|l| l.split_whitespace().next()).collect();
     assert_eq!(listed.len(), 12, "{list}");
     let mut deterministic: Vec<&str> =
@@ -123,7 +91,7 @@ fn the_list_names_every_study_and_every_results_file_has_one() {
 fn calibrate_cycles_are_the_golden_fig3_cycles() {
     // kernel impl lat=L bw=B cycles=C dram_lines=D wall=…; the wall time is
     // the one column that may differ from run to run.
-    let out = stdout_of(STUDY, &["calibrate", "--small"]);
+    let out = ok(STUDY, &["calibrate", "--small"]).0;
     let fig3 = golden("fig3_small.csv");
     let mut shared = 0;
     for line in out.lines().filter(|l| l.contains("cycles=")) {
@@ -139,27 +107,39 @@ fn calibrate_cycles_are_the_golden_fig3_cycles() {
         shared += 1;
     }
     assert_eq!(shared, 32, "four kernels × four implementations × two latencies");
-    let one = stdout_of(STUDY, &["calibrate", "--small", "fft"]);
+    let one = ok(STUDY, &["calibrate", "--small", "fft"]).0;
     assert_eq!(one.lines().filter(|l| l.contains("cycles=")).count(), 12, "kernel filter");
 }
 
 #[test]
 fn figures_reproduce_their_golden_stdout_and_csv() {
     let dir = scratch("figures");
-    // fig3 twice: the CSV must not depend on the thread count.
+    // fig3 twice: the CSV must not depend on the thread count. Each run goes
+    // cold, then warm, through a cache directory of its own, and the warm
+    // CSV must be the cold one's bytes. fig_stalls has no golden file.
     for (bin, fig, threads) in [
         (env!("CARGO_BIN_EXE_fig3_latency"), "fig3", "2"),
         (env!("CARGO_BIN_EXE_fig3_latency"), "fig3", "1"),
         (env!("CARGO_BIN_EXE_fig4_slowdown"), "fig4", "2"),
         (env!("CARGO_BIN_EXE_fig5_bandwidth"), "fig5", "2"),
+        (env!("CARGO_BIN_EXE_fig_stalls"), "fig_stalls", "2"),
     ] {
-        let csv = dir.join(format!("{fig}_t{threads}.csv"));
-        let csv = csv.to_str().expect("utf-8 temp path").to_string();
-        let got = stdout_of(bin, &["--small", "--threads", threads, "--csv", &csv]);
-        let want = format!("{}wrote {csv}\n", golden(&format!("{fig}_small.txt")));
-        assert_eq!(got, want, "{fig} stdout, {threads} threads");
-        let got_csv = std::fs::read_to_string(&csv).expect("figure wrote its CSV");
-        assert_eq!(got_csv, golden(&format!("{fig}_small.csv")), "{fig} CSV, {threads} threads");
+        let cache = path_in(&dir, &format!("{fig}_t{threads}"));
+        let [cold, warm] = ["cold", "warm"].map(|run| {
+            let csv = format!("{cache}_{run}.csv");
+            let args = ["--small", "--threads", threads, "--cache-dir", &cache, "--csv", &csv];
+            (ok(bin, &args).0, std::fs::read_to_string(&csv).expect("figure wrote its CSV"), csv)
+        });
+        assert_eq!(warm.1, cold.1, "{fig}, {threads} threads: warm CSV");
+        if fig == "fig_stalls" {
+            continue;
+        }
+        for (stdout, csv_text, csv) in [cold, warm] {
+            let want = format!("{}wrote {csv}\n", golden(&format!("{fig}_small.txt")));
+            assert_eq!(stdout, want, "{fig} stdout, {threads} threads");
+            let want = golden(&format!("{fig}_small.csv"));
+            assert_eq!(csv_text, want, "{fig} CSV, {threads} threads");
+        }
     }
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -177,6 +157,9 @@ fn a_mistyped_or_foreign_flag_is_a_usage_error_not_a_different_simulation() {
         (STUDY, &[], "ablation_sigma"),
         (STUDY, &["calibrate", "--paper"], "--small"),
         (STUDY, &["lanes_study", "--checkpoint", "ck"], "--cache-dir"),
+        (env!("CARGO_BIN_EXE_chaos_smoke"), &["--fualt", "wedge-credit"], "--fualt"),
+        (env!("CARGO_BIN_EXE_chaos_soak"), &["--run", "1"], "--run"),
+        (env!("CARGO_BIN_EXE_sweepd"), &["ping", "--adr", "127.0.0.1:1"], "--adr"),
     ] {
         let out = run(bin, args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -1,7 +1,12 @@
 //! Integration tests for the sweep job server: real TCP, real workers,
 //! concurrent clients with overlapping grids.
 
+use std::io::BufRead;
+use std::process::{Child, Command, Stdio};
 use std::time::Duration;
+
+mod common;
+use common::{golden, ok, run};
 
 use sdv_bench::json::Json;
 use sdv_bench::server::{client_request, client_sweep, RetryPolicy, ShutdownSignal, SweepSummary};
@@ -337,7 +342,7 @@ fn raw_sweep_lines(addr: &str, w: &Workloads, cells: &[Cell]) -> Vec<String> {
 /// every PR-13 client sends is served.
 #[test]
 fn a_simd_request_is_refused_and_a_scalar_one_served_on_the_same_connection() {
-    use std::io::{BufRead, Write};
+    use std::io::Write;
     let (addr, handle) = spawn_server(1);
     let w = Workloads::small();
     let cells = [spmv(ImplKind::Vector { maxvl: 256 })];
@@ -473,4 +478,140 @@ fn a_runaway_cell_trips_the_wall_deadline_as_a_failed_cell() {
     assert_eq!(pong.get("ok").and_then(|v| v.as_bool()), Some(true));
     ask(&addr, "shutdown");
     handle.join().unwrap();
+}
+
+// The `sweepd` binary, driven as a shell would.
+
+const SWEEPD: &str = env!("CARGO_BIN_EXE_sweepd");
+
+/// A `sweepd serve` child, killed on drop.
+struct Daemon {
+    child: Child,
+    addr: String,
+    /// The rest of its stderr, after the serving line.
+    stderr: std::io::BufReader<std::process::ChildStderr>,
+}
+
+/// `sweepd serve --port PORT ARGS` (0: an ephemeral port), its address read
+/// off the serving line on stderr.
+fn serve_bin(port: u16, args: &[&str]) -> Daemon {
+    let mut child = Command::new(SWEEPD)
+        .args(["serve", "--port", &port.to_string()])
+        .args(args)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("sweepd serve starts");
+    let mut stderr = std::io::BufReader::new(child.stderr.take().expect("piped stderr"));
+    let mut line = String::new();
+    while !line.contains("serving workload") {
+        line.clear();
+        assert!(stderr.read_line(&mut line).unwrap() > 0, "sweepd exited before serving");
+    }
+    let addr = line.split(" on ").nth(1).and_then(|at| at.split(' ').next()).expect("address");
+    Daemon { child, addr: addr.to_string(), stderr }
+}
+
+impl Daemon {
+    /// Wait for exit status 0, after `sweepd shutdown` if `shut`; the stderr.
+    fn exit_ok(mut self, shut: bool) -> String {
+        if shut {
+            ok(SWEEPD, &["shutdown", "--addr", &self.addr]);
+        }
+        let status = self.child.wait().expect("sweepd exits");
+        let mut log = String::new();
+        std::io::Read::read_to_string(&mut self.stderr, &mut log).expect("stderr");
+        assert!(status.success(), "sweepd exited {status}: {log}");
+        log
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Duplicates collapse, `status` shows the workers, and the fig3 grid through
+/// the server is the golden CSV cold and again warm, from the memo alone.
+#[test]
+fn the_binary_collapses_duplicates_and_answers_a_warm_fig3_from_its_memo() {
+    let d = serve_bin(0, &["--small", "--threads", "2"]);
+    let cells = "SPMV,scalar,0,64;SPMV,vl=64,0,64;SPMV,scalar,0,64";
+    let (_, summary) = ok(SWEEPD, &["submit", "--addr", &d.addr, "--small", "--cells", cells]);
+    assert!(summary.contains("2 unique cells; server lifetime: 2 simulated"), "{summary}");
+    assert!(ok(SWEEPD, &["status", "--addr", &d.addr]).0.contains("workers"));
+    let csv = std::env::temp_dir().join(format!("sdv_sweepd_fig3_{}.csv", std::process::id()));
+    let fig3 = || {
+        let args = ["--small", "--server", &d.addr, "--csv", csv.to_str().expect("utf-8 path")];
+        ok(env!("CARGO_BIN_EXE_fig3_latency"), &args);
+        let stats = ok(SWEEPD, &["stats", "--addr", &d.addr]).0;
+        let simulated = stats.lines().find(|l| l.starts_with("simulated ")).map(str::to_string);
+        (std::fs::read_to_string(&csv).expect("fig3 wrote its CSV"), simulated.expect("stats"))
+    };
+    let (cold, warm) = (fig3(), fig3());
+    let _ = std::fs::remove_file(&csv);
+    assert_eq!(cold.0, golden("fig3_small.csv"));
+    assert_eq!(warm, cold, "the warm pass is the cold bytes, and simulates nothing");
+    d.exit_ok(true);
+}
+
+/// SIGTERM while a submit streams: the in-flight sweep drains to its last
+/// cell, and both processes exit 0.
+#[cfg(unix)]
+#[test]
+fn sigterm_mid_submit_drains_every_cell_and_both_processes_exit_0() {
+    let d = serve_bin(0, &["--small", "--threads", "1"]);
+    let cells = "SPMV,scalar,0,64;SPMV,vl=64,0,64;SPMV,vl=256,0,64;BFS,scalar,0,64;PR,scalar,0,64;\
+                 FFT,scalar,0,64";
+    let mut submit = Command::new(SWEEPD)
+        .args(["submit", "--addr", &d.addr, "--small", "--cells", cells])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("sweepd submit starts");
+    let mut lines = std::io::BufReader::new(submit.stdout.take().expect("piped")).lines();
+    // TERM the server as soon as the first result lands (sweep in flight).
+    assert!(lines.next().is_some_and(|l| l.is_ok()), "submit streamed nothing before TERM");
+    let kill = Command::new("kill").args(["-TERM", &d.child.id().to_string()]).status();
+    assert!(kill.expect("kill runs").success());
+    let streamed = 1 + lines.map_while(Result::ok).count();
+    assert!(submit.wait().expect("submit exits").success(), "in-flight submit failed");
+    let log = d.exit_ok(false);
+    assert_eq!(streamed, 6, "drained submit returned {streamed} of 6 cells");
+    assert!(log.contains("draining") && log.contains("shut down cleanly"), "{log}");
+}
+
+/// `submit --retries` outlives a server started 0.7 s late; a second
+/// `serve` on that busy port is exit 5 naming the cause.
+#[test]
+fn a_retrying_submit_outlives_a_late_server_and_a_second_serve_on_its_port_exits_5() {
+    let port = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port();
+    let late = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(700));
+        serve_bin(port, &["--small", "--threads", "1"])
+    });
+    let addr = format!("127.0.0.1:{port}");
+    let submit = ["submit", "--addr", &addr, "--retries", "10", "--small", "--cells"];
+    let (_, summary) = ok(SWEEPD, &[&submit[..], &["SPMV,scalar,0,64"]].concat());
+    assert!(summary.contains("1 unique cells"), "unexpected summary: {summary}");
+    let d = late.join().expect("late server started");
+    let dup = run(SWEEPD, &["serve", "--port", &port.to_string(), "--small"]);
+    let stderr = String::from_utf8_lossy(&dup.stderr);
+    assert_eq!(dup.status.code(), Some(5), "a bind conflict is exit 5: {stderr}");
+    assert!(stderr.contains("address already in use"), "unhelpful bind error: {stderr}");
+    d.exit_ok(true);
+}
+
+/// A 4-tile server streams a topology-matched submit and refuses a one-tile
+/// client rather than serve it another topology's numbers.
+#[test]
+fn a_four_tile_server_serves_a_matched_submit_and_refuses_a_mismatched_one() {
+    let d = serve_bin(0, &["--small", "--threads", "2", "--tiles", "4"]);
+    let submit = ["submit", "--addr", &d.addr, "--small", "--cells"];
+    let matched = [&submit[..], &["SPMV,vl=256,0,64;BFS,vl=256,0,64", "--tiles", "4"]].concat();
+    let (lines, _) = ok(SWEEPD, &matched);
+    assert_eq!(lines.lines().count(), 2, "tiled submit returned: {lines}");
+    let mismatched = run(SWEEPD, &[&submit[..], &["SPMV,vl=256,0,64"]].concat());
+    assert!(!mismatched.status.success(), "a topology-mismatched submit was accepted");
+    d.exit_ok(true);
 }

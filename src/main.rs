@@ -8,7 +8,7 @@
 //!   --kernel spmv|bfs|pr|fft            (default spmv)
 //!   --impl scalar|vector                (default vector)
 //!   --vl N                              MAXVL cap for vector runs (default 256)
-//!   --latency N                         extra DRAM latency cycles (default 0)
+//!   --latency N                         extra DRAM latency cycles, below 2^32 (default 0)
 //!   --bw N                              bandwidth cap, 1-64 bytes/cycle (default 64)
 //!   --small                             reduced workloads
 //!   --stats                             print component statistics after a run
@@ -17,22 +17,15 @@
 //! A malformed command line is exit 2 naming the offending argument. Sweeps
 //! of either knob are `fig3_latency` and `fig5_bandwidth` (`crates/bench`).
 
-use sdv_bench::cli::{check_flags, die_usage, parse_arg};
+use sdv_bench::cli::{check_flags_or_die, die_usage, parse_arg};
 use sdv_bench::{run, Cell, ImplKind, KernelKind, Workloads};
 use sdv_core::SdvMachine;
+use sdv_uarch::TimingConfig;
 
 const BIN: &str = "longvec-sdv";
 const USAGE: &str = "longvec-sdv — FPGA-SDV platform model (see README.md)\n\n\
      usage: longvec-sdv describe\n       \
      longvec-sdv run [--kernel K] [--impl I] [--vl N] [--latency N] [--bw N] [--small] [--stats]";
-
-/// Exit 2 unless every argument after the command is one of these flags.
-fn check(args: &[String], switches: &[&str], valued: &[&str]) {
-    let stray = check_flags(args, switches, valued).unwrap_or_else(|e| die_usage(BIN, &e));
-    if let Some(arg) = stray.first() {
-        die_usage(BIN, &format!("unexpected argument '{arg}'"));
-    }
-}
 
 /// The value of `key`, `default` when absent; exit 2 when malformed.
 fn value<T>(args: &[String], key: &str, default: T) -> T
@@ -44,7 +37,8 @@ where
 }
 
 fn parse_cell(args: &[String]) -> Cell {
-    check(args, &["--small", "--stats"], &["--kernel", "--impl", "--vl", "--latency", "--bw"]);
+    let valued = ["--kernel", "--impl", "--vl", "--latency", "--bw"];
+    check_flags_or_die(BIN, args, &["--small", "--stats"], &valued);
     let kernel: String = value(args, "--kernel", "spmv".into());
     let kernel = kernel.to_ascii_uppercase().parse::<KernelKind>().unwrap_or_else(|_| {
         die_usage(BIN, &format!("--kernel: unknown kernel '{kernel}' (spmv|bfs|pr|fft)"))
@@ -58,11 +52,16 @@ fn parse_cell(args: &[String]) -> Cell {
         "vector" => ImplKind::Vector { maxvl },
         other => die_usage(BIN, &format!("--impl: unknown implementation '{other}' (scalar|vector)")),
     };
-    let bandwidth: u64 = value(args, "--bw", 64);
-    if !(1..=64).contains(&bandwidth) {
-        die_usage(BIN, "--bw must be 1-64 bytes/cycle");
+    let cell = Cell {
+        kernel,
+        imp,
+        extra_latency: value(args, "--latency", 0),
+        bandwidth: value(args, "--bw", 64),
+    };
+    if let Err(e) = cell.check_knobs(&TimingConfig::default()) {
+        die_usage(BIN, &format!("--latency {} --bw {}: {e}", cell.extra_latency, cell.bandwidth));
     }
-    Cell { kernel, imp, extra_latency: value(args, "--latency", 0), bandwidth }
+    cell
 }
 
 fn main() {
@@ -70,7 +69,7 @@ fn main() {
     match args.first().map(String::as_str) {
         None | Some("help" | "--help" | "-h") => println!("{USAGE}"),
         Some("describe") => {
-            check(&args, &[], &[]);
+            check_flags_or_die(BIN, &args, &[], &[]);
             println!("{}", SdvMachine::new(1 << 12).describe());
         }
         Some("run") => {

@@ -20,6 +20,7 @@ fn a_bad_command_line_is_a_usage_error_naming_the_argument() {
         (&["run", "--small", "--latnecy", "512"], "--latnecy"),
         (&["run", "--small", "--kernel", "dgemm"], "dgemm"),
         (&["run", "--small", "--bw", "0"], "--bw"),
+        (&["run", "--small", "--latency", "18446744073709551615"], "--latency"),
         (&["runn", "--small"], "runn"),
         (&["sweep", "--small"], "fig3_latency"),
         (&["describe", "extra"], "extra"),
