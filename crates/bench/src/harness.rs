@@ -176,7 +176,14 @@ impl Workloads {
     /// SELL-C-σ layout, graph adjacency, FFT signal — not the generator
     /// seeds, so any change to workload construction is key-visible. The
     /// struct is exhaustively destructured: adding an input field without
-    /// fingerprinting it is a compile error.
+    /// fingerprinting it is a compile error. `sell` is hashed too, although
+    /// `paper()` and `small()` derive it from `mat`: the fields are public,
+    /// so a caller can pair any two.
+    ///
+    /// Nothing can skip this before a warm sweep's first cache lookup, so the
+    /// arrays go through [`StableHash::u32s`] and [`StableHash::f64s`], whose
+    /// eight independent lanes run at memory speed rather than one dependent
+    /// multiply a word.
     pub fn fingerprint(&self) -> String {
         let Workloads { mat, sell, graph, signal, bfs_src, pr_iters, heap } = self;
         let mut h = StableHash::new();

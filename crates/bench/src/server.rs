@@ -585,13 +585,13 @@ fn corrupt_file(path: &std::path::Path) {
 fn handle_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
+    let mut frame = Vec::new();
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        frame.clear();
+        if reader.read_until(b'\n', &mut frame)? == 0 {
             return Ok(()); // client closed cleanly
         }
-        if !line.ends_with('\n') {
+        if !frame.ends_with(b"\n") {
             // Partial frame at EOF: the client died mid-request. Never
             // treat it as a complete request — reject and close.
             respond(
@@ -601,7 +601,10 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> 
             )?;
             return Ok(());
         }
-        let req = match Json::parse(line.trim_end()) {
+        // A frame that is not UTF-8 is one bad request, like any other
+        // frame that does not parse, not a reason to drop the connection.
+        let text = std::str::from_utf8(&frame).map_err(|_| "frame is not UTF-8".to_string());
+        let req = match text.and_then(|t| Json::parse(t.trim_end())) {
             Ok(v) => v,
             Err(e) => {
                 respond(shared, &mut writer, &error_line(&format!("bad request: {e}")))?;
@@ -1242,20 +1245,25 @@ mod tests {
         }
     }
 
-    /// The line a server under `cfg` answers a one-cell sweep with, read raw
-    /// off the socket.
-    fn served_line(addr: &str, w: &Workloads, cfg: TimingConfig, cell: Cell) -> String {
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut wr = BufWriter::new(stream.try_clone().unwrap());
-        let req = Json::obj([
+    /// A one-cell `sweep` frame for the small workload, as a client sends it.
+    fn sweep_frame(w: &Workloads, cfg: TimingConfig, cell: Cell) -> String {
+        Json::obj([
             ("op", Json::str("sweep")),
             ("workload", Json::str("small")),
             ("workload_fp", Json::str(w.fingerprint())),
             ("cfg", Json::str(cfg.canonical())),
             ("backend", Json::str(BACKEND_TOKEN)),
             ("cells", Json::Arr(vec![cell_to_json(cell)])),
-        ]);
-        writeln!(wr, "{}", req.to_line()).unwrap();
+        ])
+        .to_line()
+    }
+
+    /// The line a server under `cfg` answers a one-cell sweep with, read raw
+    /// off the socket.
+    fn served_line(addr: &str, w: &Workloads, cfg: TimingConfig, cell: Cell) -> String {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut wr = BufWriter::new(stream.try_clone().unwrap());
+        writeln!(wr, "{}", sweep_frame(w, cfg, cell)).unwrap();
         wr.flush().unwrap();
         let mut line = String::new();
         BufReader::new(stream).read_line(&mut line).unwrap();
@@ -1310,6 +1318,24 @@ mod tests {
         handle.join().unwrap();
     }
 
+    /// One to three seeded edits of `line`: a random byte, a JSON syntax byte
+    /// written or inserted, a byte removed, or the tail cut off.
+    fn mutate(rng: &mut Rng, line: &str) -> Vec<u8> {
+        const SYNTAX: &[u8] = b"\"\\{}[]:,0-e.u";
+        let mut bytes = line.as_bytes().to_vec();
+        for _ in 0..1 + rng.below(3) {
+            let at = rng.index(bytes.len());
+            match rng.below(5) {
+                0 => bytes[at] = rng.below(256) as u8,
+                1 => bytes[at] = SYNTAX[rng.index(SYNTAX.len())],
+                2 => bytes.insert(at, SYNTAX[rng.index(SYNTAX.len())]),
+                3 if bytes.len() > 1 => drop(bytes.remove(at)),
+                _ => bytes.truncate(at.max(1)),
+            }
+        }
+        bytes
+    }
+
     /// Hostile bytes (ROADMAP 4(c)): seeded mutations of real response lines
     /// must come back from both decoders as a value or an error — never a
     /// panic, never a hang.
@@ -1328,21 +1354,10 @@ mod tests {
             outcome_to_json(&failed).to_line(),
             summary.to_line(),
         ];
-        const SYNTAX: &[u8] = b"\"\\{}[]:,0-e.u";
         let mut rng = Rng::new(0x4d);
         let (mut decoded, mut refused) = (0u32, 0u32);
         for case in 0..6000 {
-            let mut bytes = lines[case % lines.len()].clone().into_bytes();
-            for _ in 0..1 + rng.below(3) {
-                let at = rng.index(bytes.len());
-                match rng.below(5) {
-                    0 => bytes[at] = rng.below(256) as u8,
-                    1 => bytes[at] = SYNTAX[rng.index(SYNTAX.len())],
-                    2 => bytes.insert(at, SYNTAX[rng.index(SYNTAX.len())]),
-                    3 if bytes.len() > 1 => drop(bytes.remove(at)),
-                    _ => bytes.truncate(at.max(1)),
-                }
-            }
+            let bytes = mutate(&mut rng, &lines[case % lines.len()]);
             // A line that is not UTF-8 never reaches a decoder: read_line
             // refuses it first.
             let Ok(text) = String::from_utf8(bytes) else { continue };
@@ -1355,6 +1370,85 @@ mod tests {
             }
         }
         assert!(decoded > 100 && refused > 1000, "{decoded} decoded, {refused} refused");
+    }
+
+    /// Hostile bytes on the request side (ROADMAP 4(c)): seeded mutations of
+    /// a real `sweep` frame and a `ping` frame, newline included, sent to a
+    /// live server. Every complete frame gets exactly one reply: an error
+    /// line, a pong, or a result stream closed by the `done` summary. The
+    /// connection then still answers a ping, unless the mutation cut the
+    /// frame short: that gets the `truncated` error and the server closes.
+    #[test]
+    fn mutated_request_frames_each_get_one_reply() {
+        let w = Workloads::small();
+        let fft = Cell {
+            kernel: KernelKind::Fft,
+            imp: ImplKind::Scalar,
+            extra_latency: 0,
+            bandwidth: 64,
+        };
+        let frames = [
+            sweep_frame(&w, TimingConfig::default(), fft) + "\n",
+            Json::obj([("op", Json::str("ping"))]).to_line() + "\n",
+        ];
+        let (addr, handle) = spawn_raw_server();
+        let connect = || {
+            let stream = TcpStream::connect(&addr).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+            stream.set_nodelay(true).unwrap();
+            let reader = BufReader::new(stream.try_clone().unwrap());
+            (stream, reader)
+        };
+        let reply = |r: &mut BufReader<TcpStream>| {
+            let mut line = String::new();
+            r.read_line(&mut line).unwrap();
+            assert_eq!(line.pop(), Some('\n'), "a whole reply line: {line:?}");
+            line
+        };
+        let pong = |line: &str| {
+            let v = Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            v.get("ok").and_then(Json::as_bool) == Some(true)
+        };
+        let mut rng = Rng::new(0x5eed);
+        let (mut conn, mut reader) = connect();
+        let (mut sweeps, mut errors, mut truncated) = (0u64, 0u64, 0u32);
+        for case in 0..2000 {
+            let bytes = mutate(&mut rng, &frames[case % frames.len()]);
+            conn.write_all(&bytes).unwrap();
+            let cut = !bytes.ends_with(b"\n");
+            if cut {
+                conn.shutdown(std::net::Shutdown::Write).unwrap();
+            }
+            for _ in bytes.split_inclusive(|&b| b == b'\n').filter(|f| f.ends_with(b"\n")) {
+                let line = reply(&mut reader);
+                match decode_reply(&line) {
+                    Ok(SweepReply::Rejected(_)) => errors += 1,
+                    Ok(SweepReply::Outcome(_)) => {
+                        while let Ok(SweepReply::Outcome(_)) = decode_reply(&reply(&mut reader)) {}
+                        sweeps += 1;
+                    }
+                    Ok(SweepReply::Done(_)) => sweeps += 1,
+                    Err(_) => assert!(pong(&line), "case {case}: {line}"),
+                }
+            }
+            if cut {
+                let line = reply(&mut reader);
+                assert!(line.contains("truncated"), "case {case}: {line}");
+                assert_eq!(reader.read_line(&mut String::new()).unwrap(), 0, "closed after");
+                truncated += 1;
+                (conn, reader) = connect();
+            } else {
+                conn.write_all(frames[1].as_bytes()).unwrap();
+                let line = reply(&mut reader);
+                assert!(pong(&line), "case {case}: still usable, {line}");
+            }
+        }
+        let stats = client_request(&addr, "stats", &RetryPolicy::none()).unwrap();
+        let simulated = stats.get("simulated").and_then(Json::as_u64).unwrap();
+        assert!((1..=sweeps).contains(&simulated), "{simulated} simulated, {sweeps} sweeps");
+        assert!(errors > 1000 && truncated > 100, "{errors} errors, {truncated} truncated");
+        client_request(&addr, "shutdown", &RetryPolicy::none()).unwrap();
+        handle.join().unwrap();
     }
 
     #[test]

@@ -77,6 +77,9 @@ impl Hasher for FxHasher {
     }
 }
 
+/// Independent lanes of [`StableHash`]'s bulk folds.
+const LANES: usize = 8;
+
 /// A deterministic 128-bit content hash for fingerprints that live on disk.
 ///
 /// [`FxHasher`] is tuned for map lookups; cache keys and workload
@@ -87,6 +90,11 @@ impl Hasher for FxHasher {
 /// are never a practical concern. Two independent mix lanes with distinct
 /// odd multipliers feed a final avalanche; every input is folded word-at-a-
 /// time with explicit little-endian widths, so `usize` never leaks in.
+///
+/// The bulk folds [`u32s`](Self::u32s) and [`f64s`](Self::f64s) carry the
+/// workload fingerprint's megabytes of input arrays. One `mix` chain costs a
+/// dependent multiply per word, so they spread whole blocks of eight words
+/// over eight independent lanes instead.
 #[derive(Debug, Clone)]
 pub struct StableHash {
     a: u64,
@@ -158,20 +166,55 @@ impl StableHash {
         }
     }
 
-    /// Fold a slice of `u32`s (widened; width is part of the digest via the
-    /// distinct length prefix path).
+    /// Fold a slice of `u32`s: length-prefixed, then two elements to a
+    /// little-endian word through the eight lanes, the last fewer than
+    /// sixteen elements widened one by one.
     pub fn u32s(&mut self, vs: &[u32]) {
         self.mix(vs.len() as u64);
-        for &v in vs {
+        let mut blocks = vs.chunks_exact(2 * LANES);
+        self.fold_blocks(
+            blocks
+                .by_ref()
+                .map(|b| std::array::from_fn(|i| b[2 * i] as u64 | (b[2 * i + 1] as u64) << 32)),
+        );
+        for &v in blocks.remainder() {
             self.mix(v as u64);
         }
     }
 
-    /// Fold a slice of `f64`s by bit pattern.
+    /// Fold a slice of `f64`s by bit pattern: length-prefixed, then eight
+    /// elements at a time through the eight lanes, the last fewer than eight
+    /// one by one.
     pub fn f64s(&mut self, vs: &[f64]) {
         self.mix(vs.len() as u64);
-        for &v in vs {
+        let mut blocks = vs.chunks_exact(LANES);
+        self.fold_blocks(blocks.by_ref().map(|b| std::array::from_fn(|i| b[i].to_bits())));
+        for &v in blocks.remainder() {
             self.mix(v.to_bits());
+        }
+    }
+
+    /// Fold blocks of eight words through eight independent lanes, word `i`
+    /// of every block into lane `i`, then each lane into the running state
+    /// through [`Self::mix`], in lane order.
+    ///
+    /// A lane step is the same rotate-xor-multiply as `mix`'s first lane, a
+    /// bijection of the lane for a fixed word and of the word for a fixed
+    /// lane, so changing any one word changes its lane's final value and so
+    /// the digest. Lanes start from the running state, each at a distinct
+    /// offset, so equal words in different lanes do not fold alike, and
+    /// `mix`'s order sensitivity keeps a swap between lanes visible. The eight
+    /// chains are independent: they cost multiply throughput, not latency.
+    fn fold_blocks(&mut self, blocks: impl Iterator<Item = [u64; LANES]>) {
+        let mut lanes: [u64; LANES] =
+            std::array::from_fn(|i| self.a ^ self.b.wrapping_add(i as u64).wrapping_mul(Self::K2));
+        for block in blocks {
+            for (lane, word) in lanes.iter_mut().zip(block) {
+                *lane = (lane.rotate_left(5) ^ word).wrapping_mul(K);
+            }
+        }
+        for lane in lanes {
+            self.mix(lane);
         }
     }
 
@@ -273,9 +316,12 @@ mod tests {
 
     #[test]
     fn stable_hash_known_answer_pins_cross_version_stability() {
-        // Cache entries persist across processes and PRs: the digest of a
-        // fixed input is pinned so an accidental algorithm change (which
-        // would silently orphan every cached result) fails loudly here.
+        // Every cache key also carries `build_info()`, so a new build starts
+        // cold whatever the digest does. What the pins guard is agreement
+        // within one build: a `sweepd` client and server compare workload
+        // fingerprints, and each may run on another platform or come from
+        // another compiler, so the digest of a fixed input must not depend
+        // on either.
         let mut h = StableHash::new();
         h.str("sdv");
         h.u64(42);
@@ -284,6 +330,82 @@ mod tests {
         h.u64s(&[1, 2, 3]);
         h.bytes(b"longvec-sdv");
         assert_eq!(h.finish_hex(), "f8af65efa0813283aff53ff0c17246ca");
+    }
+
+    fn u32s_of(vs: &[u32]) -> u128 {
+        let mut h = StableHash::new();
+        h.u32s(vs);
+        h.finish()
+    }
+
+    fn f64s_of(vs: &[f64]) -> u128 {
+        let mut h = StableHash::new();
+        h.f64s(vs);
+        h.finish()
+    }
+
+    /// Lengths either side of one and two lane blocks (16 `u32`s, 8 `f64`s)
+    /// and one long slice, pinned like the digests above.
+    #[test]
+    fn bulk_fold_known_answers_straddle_the_lane_block() {
+        let pins: [(usize, &str, &str); 9] = [
+            (0, "02cfa43b8908c4ecae182fbeb4e2bc0d", "02cfa43b8908c4ecae182fbeb4e2bc0d"),
+            (1, "065595601fb7de0c9665680e7c5a5ab0", "44a19083f3b3a381b253d13f2184f528"),
+            (7, "ae5cf98a35be3c73b9f3a3133cb65b57", "4494ad1662d43354ac39eb5ea13d4e1a"),
+            (8, "12e8ae7bf33d76d754829429a158cce3", "d3c4cd3af9fa65129768028b54fa80e4"),
+            (9, "7ea46831754c867784d1c70bd79d2a54", "710547362857bb74461d7f1c26f14209"),
+            (15, "eb707fb8d7f9b3d0412cfac106dfdaa6", "3a1325ab50d93256b9b430494152832b"),
+            (16, "080ac2e11400f903108c1ccbe23aed51", "872a0fc004ebbc918629893db96355d2"),
+            (17, "7572c246f206016c95c45e8580ddca68", "4e8dd5f11ae22a53eda6ef41af48bb07"),
+            (1000, "daa8289130226fa07e5939d5e5f44fad", "f1642fd7584132632cf811ee1f0cfc3f"),
+        ];
+        for (len, want_u32s, want_f64s) in pins {
+            let u: Vec<u32> = (0..len as u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+            let f: Vec<f64> = (0..len).map(|i| i as f64 * 0.75 - 3.5).collect();
+            assert_eq!(format!("{:032x}", u32s_of(&u)), want_u32s, "u32s, {len} elements");
+            assert_eq!(format!("{:032x}", f64s_of(&f)), want_f64s, "f64s, {len} elements");
+        }
+    }
+
+    /// Every bit of every element reaches the digest: 500 seeded single-bit
+    /// flips in a 100k-element slice of each type each change it.
+    #[test]
+    fn every_single_bit_flip_changes_a_bulk_digest() {
+        let mut rng = crate::Rng::new(0xF11B);
+        let mut u: Vec<u32> = (0..100_000).map(|_| rng.next_u64() as u32).collect();
+        let mut f: Vec<f64> = (0..100_000).map(|_| rng.range_f64(-1e3, 1e3)).collect();
+        let (u0, f0) = (u32s_of(&u), f64s_of(&f));
+        for _ in 0..500 {
+            let (at, bit) = (rng.index(u.len()), rng.below(32));
+            u[at] ^= 1 << bit;
+            assert_ne!(u32s_of(&u), u0, "u32s: bit {bit} of element {at}");
+            u[at] ^= 1 << bit;
+            let (at, bit) = (rng.index(f.len()), rng.below(64));
+            f[at] = f64::from_bits(f[at].to_bits() ^ 1 << bit);
+            assert_ne!(f64s_of(&f), f0, "f64s: bit {bit} of element {at}");
+            f[at] = f64::from_bits(f[at].to_bits() ^ 1 << bit);
+        }
+        assert_eq!((u32s_of(&u), f64s_of(&f)), (u0, f0));
+    }
+
+    /// Lanes fold back in order, so moving words between lanes, or between
+    /// a lane and the tail, is visible.
+    #[test]
+    fn swapping_elements_across_lanes_changes_a_bulk_digest() {
+        let u: Vec<u32> = (0..40).collect();
+        let f: Vec<f64> = (0..20).map(f64::from).collect();
+        // u32 i sits in lane (i / 2) % 8 of a block, f64 i in lane i % 8;
+        // u32s 32.. and f64s 16.. are the tail.
+        for (i, j) in [(0, 2), (3, 12), (1, 15), (5, 19), (14, 33)] {
+            let mut v = u.clone();
+            v.swap(i, j);
+            assert_ne!(u32s_of(&v), u32s_of(&u), "u32s: swap {i} and {j}");
+        }
+        for (i, j) in [(0, 1), (2, 7), (3, 12), (6, 17)] {
+            let mut v = f.clone();
+            v.swap(i, j);
+            assert_ne!(f64s_of(&v), f64s_of(&f), "f64s: swap {i} and {j}");
+        }
     }
 
     #[test]

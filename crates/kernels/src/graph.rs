@@ -21,24 +21,49 @@ pub struct Graph {
 impl Graph {
     /// Build from an edge list (deduplicated, self-loops dropped, both
     /// directions inserted).
+    ///
+    /// One flat CSR pass, no per-vertex list: count degrees, prefix-sum them
+    /// into segment starts, scatter both directions of every edge, then sort
+    /// and deduplicate each segment while compacting `adj` in place.
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut row_ptr = vec![0u32; n + 1];
         for &(u, v) in edges {
             assert!((u as usize) < n && (v as usize) < n, "edge ({u},{v}) out of range");
             if u != v {
-                lists[u as usize].push(v);
-                lists[v as usize].push(u);
+                row_ptr[u as usize + 1] += 1;
+                row_ptr[v as usize + 1] += 1;
             }
         }
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut adj = Vec::new();
-        row_ptr.push(0u32);
-        for mut l in lists {
-            l.sort_unstable();
-            l.dedup();
-            adj.extend_from_slice(&l);
-            row_ptr.push(adj.len() as u32);
+        for i in 0..n {
+            row_ptr[i + 1] += row_ptr[i];
         }
+        let mut fill = row_ptr[..n].to_vec();
+        let mut adj = vec![0u32; row_ptr[n] as usize];
+        for &(u, v) in edges {
+            if u != v {
+                adj[fill[u as usize] as usize] = v;
+                fill[u as usize] += 1;
+                adj[fill[v as usize] as usize] = u;
+                fill[v as usize] += 1;
+            }
+        }
+        // Compact as we go: `kept <= lo`, so no write reaches an entry that
+        // is still to be read.
+        let mut kept = 0;
+        for i in 0..n {
+            let (lo, hi) = (row_ptr[i] as usize, row_ptr[i + 1] as usize);
+            let start = kept;
+            row_ptr[i] = start as u32;
+            adj[lo..hi].sort_unstable();
+            for k in lo..hi {
+                if kept == start || adj[kept - 1] != adj[k] {
+                    adj[kept] = adj[k];
+                    kept += 1;
+                }
+            }
+        }
+        row_ptr[n] = kept as u32;
+        adj.truncate(kept);
         Self { n, row_ptr, adj }
     }
 
@@ -60,39 +85,13 @@ impl Graph {
     /// Uniform random graph: `n * avg_degree / 2` undirected edges at
     /// uniform endpoints.
     pub fn uniform(n: usize, avg_degree: usize, seed: u64) -> Self {
-        let mut rng = Rng::new(seed);
-        let m = n * avg_degree / 2;
-        let edges: Vec<(u32, u32)> =
-            (0..m).map(|_| (rng.below(n as u64) as u32, rng.below(n as u64) as u32)).collect();
-        Self::from_edges(n, &edges)
+        Self::from_edges(n, &uniform_edges(n, avg_degree, seed))
     }
 
     /// RMAT (Kronecker) graph with the canonical (0.57, 0.19, 0.19, 0.05)
     /// partition probabilities; `n = 2^scale` vertices.
     pub fn rmat(scale: u32, avg_degree: usize, seed: u64) -> Self {
-        let n = 1usize << scale;
-        let mut rng = Rng::new(seed);
-        let m = n * avg_degree / 2;
-        let mut edges = Vec::with_capacity(m);
-        for _ in 0..m {
-            let (mut u, mut v) = (0u32, 0u32);
-            for _ in 0..scale {
-                let r = rng.f64();
-                let (bu, bv) = if r < 0.57 {
-                    (0, 0)
-                } else if r < 0.76 {
-                    (0, 1)
-                } else if r < 0.95 {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
-                u = (u << 1) | bu;
-                v = (v << 1) | bv;
-            }
-            edges.push((u, v));
-        }
-        Self::from_edges(n, &edges)
+        Self::from_edges(1 << scale, &rmat_edges(scale, avg_degree, seed))
     }
 
     /// The paper's evaluation instance: 2^15 vertices.
@@ -140,6 +139,40 @@ impl Graph {
         }
         pr
     }
+}
+
+/// The edge list of [`Graph::uniform`].
+fn uniform_edges(n: usize, avg_degree: usize, seed: u64) -> Vec<(u32, u32)> {
+    let mut rng = Rng::new(seed);
+    let m = n * avg_degree / 2;
+    (0..m).map(|_| (rng.below(n as u64) as u32, rng.below(n as u64) as u32)).collect()
+}
+
+/// The edge list of [`Graph::rmat`].
+fn rmat_edges(scale: u32, avg_degree: usize, seed: u64) -> Vec<(u32, u32)> {
+    let n = 1usize << scale;
+    let mut rng = Rng::new(seed);
+    let m = n * avg_degree / 2;
+    let mut edges = Vec::with_capacity(m);
+    for _ in 0..m {
+        let (mut u, mut v) = (0u32, 0u32);
+        for _ in 0..scale {
+            let r = rng.f64();
+            let (bu, bv) = if r < 0.57 {
+                (0, 0)
+            } else if r < 0.76 {
+                (0, 1)
+            } else if r < 0.95 {
+                (1, 0)
+            } else {
+                (1, 1)
+            };
+            u = (u << 1) | bu;
+            v = (v << 1) | bv;
+        }
+        edges.push((u, v));
+    }
+    edges
 }
 
 /// A SELL-style sliced layout of a graph's adjacency, used by the vectorized
@@ -214,6 +247,44 @@ mod tests {
     fn path_graph(n: usize) -> Graph {
         let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i as u32, i as u32 + 1)).collect();
         Graph::from_edges(n, &edges)
+    }
+
+    /// The per-vertex-list build that the flat CSR pass replaced, kept as
+    /// the reference it must equal.
+    fn from_edges_reference(n: usize, edges: &[(u32, u32)]) -> Graph {
+        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for &(u, v) in edges {
+            if u != v {
+                lists[u as usize].push(v);
+                lists[v as usize].push(u);
+            }
+        }
+        let mut row_ptr = vec![0u32];
+        let mut adj = Vec::new();
+        for mut l in lists {
+            l.sort_unstable();
+            l.dedup();
+            adj.extend_from_slice(&l);
+            row_ptr.push(adj.len() as u32);
+        }
+        Graph { n, row_ptr, adj }
+    }
+
+    #[test]
+    fn from_edges_equals_the_per_vertex_list_reference() {
+        let hand = vec![(0, 1), (1, 0), (2, 2), (1, 3), (0, 1), (3, 1), (6, 6), (6, 0), (3, 6)];
+        let cases = [
+            ("paper_graph(0x6AF)", 1 << 15, uniform_edges(1 << 15, 16, 0x6AF)),
+            ("uniform(1 << 11, 16, 0x6AF)", 1 << 11, uniform_edges(1 << 11, 16, 0x6AF)),
+            ("rmat(12, 16, 5)", 1 << 12, rmat_edges(12, 16, 5)),
+            ("self-loops and duplicates", 8, hand),
+        ];
+        for (what, n, edges) in cases {
+            let (g, want) = (Graph::from_edges(n, &edges), from_edges_reference(n, &edges));
+            assert_eq!(g.n, want.n, "{what}");
+            assert_eq!(g.row_ptr, want.row_ptr, "{what}");
+            assert_eq!(g.adj, want.adj, "{what}");
+        }
     }
 
     #[test]

@@ -77,9 +77,18 @@ impl CsrMatrix {
 
     /// Synthetic CAGE10-like matrix (see module docs). `n = 11397` and
     /// `seed` fixed reproduce the evaluation input; tests use smaller `n`.
+    ///
+    /// Rows are appended straight to the CSR arrays through one reused
+    /// column buffer. Per row the `Rng` draws the degree, then the columns,
+    /// then the values in ascending column order.
     pub fn cage_like(n: usize, seed: u64) -> Self {
         let mut rng = Rng::new(seed);
-        let mut rows = Vec::with_capacity(n);
+        let band = (n / 64).max(8) as i64;
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut col_idx = Vec::new();
+        let mut vals = Vec::new();
+        let mut cols = Vec::with_capacity(33);
+        row_ptr.push(0u32);
         for r in 0..n {
             // Row degree: 5..=33, mean ~13 (clamped geometric-ish mixture).
             let deg = {
@@ -87,10 +96,10 @@ impl CsrMatrix {
                 let extra = if rng.chance(0.35) { rng.below(21) } else { 0 };
                 (base + extra).min(33) as usize
             };
-            let mut cols = Vec::with_capacity(deg);
-            cols.push((r as u32, 0.0)); // diagonal, value set below
-            // Near-diagonal band (electrophoresis locality).
-            let band = (n / 64).max(8) as i64;
+            // The diagonal, then a near-diagonal band (electrophoresis
+            // locality).
+            cols.clear();
+            cols.push(r as u32);
             while cols.len() < deg {
                 let c = if rng.chance(0.85) {
                     let off = rng.below(2 * band as u64) as i64 - band;
@@ -99,20 +108,21 @@ impl CsrMatrix {
                     // Long-range scatter.
                     rng.below(n as u64) as u32
                 };
-                cols.push((c, 0.0));
+                cols.push(c);
             }
-            cols.sort_by_key(|&(c, _)| c);
-            cols.dedup_by_key(|&mut (c, _)| c);
-            for (c, v) in cols.iter_mut() {
-                *v = if *c as usize == r {
+            cols.sort_unstable();
+            cols.dedup();
+            for &c in &cols {
+                col_idx.push(c);
+                vals.push(if c as usize == r {
                     1.0 + rng.f64() // diagonally dominant-ish
                 } else {
                     rng.range_f64(-0.25, 0.25)
-                };
+                });
             }
-            rows.push(cols);
+            row_ptr.push(col_idx.len() as u32);
         }
-        Self::from_rows(n, rows)
+        Self { nrows: n, ncols: n, row_ptr, col_idx, vals }
     }
 
     /// The paper's evaluation instance: CAGE10-scale (n = 11397).
@@ -209,16 +219,22 @@ impl SellCS {
             w.sort_by_key(|&r| std::cmp::Reverse(m.row_len(r as usize)));
         }
         let num_slices = n.div_ceil(c);
+        let slice_width: Vec<u32> = perm
+            .chunks(c)
+            .map(|rows| rows.iter().map(|&r| m.row_len(r as usize)).max().unwrap_or(0) as u32)
+            .collect();
+        // Size the layout once: slice s holds width × height entries.
         let mut slice_ptr = Vec::with_capacity(num_slices + 1);
-        let mut slice_width = Vec::with_capacity(num_slices);
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
+        let mut stored = 0;
         slice_ptr.push(0u64);
-        for s in 0..num_slices {
-            let rows = &perm[s * c..((s + 1) * c).min(n)];
-            let h = rows.len();
-            let w = rows.iter().map(|&r| m.row_len(r as usize)).max().unwrap_or(0);
-            for j in 0..w {
+        for (rows, &w) in perm.chunks(c).zip(&slice_width) {
+            stored += w as usize * rows.len();
+            slice_ptr.push(stored as u64);
+        }
+        let mut cols = Vec::with_capacity(stored);
+        let mut vals = Vec::with_capacity(stored);
+        for (rows, &w) in perm.chunks(c).zip(&slice_width) {
+            for j in 0..w as usize {
                 for &r in rows {
                     let (start, end) =
                         (m.row_ptr[r as usize] as usize, m.row_ptr[r as usize + 1] as usize);
@@ -231,8 +247,6 @@ impl SellCS {
                     }
                 }
             }
-            slice_width.push(w as u32);
-            slice_ptr.push(slice_ptr[s] + (w * h) as u64);
         }
         Self { c, nrows: n, perm, slice_ptr, slice_width, cols, vals }
     }
@@ -276,6 +290,90 @@ mod tests {
 
     fn close(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-9 * (1.0 + x.abs()))
+    }
+
+    /// `cage_like` as it was before it appended straight to the CSR arrays:
+    /// one `Vec` per row, sorted there and again in `from_rows`.
+    fn cage_like_reference(n: usize, seed: u64) -> CsrMatrix {
+        let mut rng = Rng::new(seed);
+        let mut rows = Vec::with_capacity(n);
+        for r in 0..n {
+            let deg = {
+                let base = 5 + rng.below(9);
+                let extra = if rng.chance(0.35) { rng.below(21) } else { 0 };
+                (base + extra).min(33) as usize
+            };
+            let mut cols = Vec::with_capacity(deg);
+            cols.push((r as u32, 0.0));
+            let band = (n / 64).max(8) as i64;
+            while cols.len() < deg {
+                let c = if rng.chance(0.85) {
+                    let off = rng.below(2 * band as u64) as i64 - band;
+                    (r as i64 + off).rem_euclid(n as i64) as u32
+                } else {
+                    rng.below(n as u64) as u32
+                };
+                cols.push((c, 0.0));
+            }
+            cols.sort_by_key(|&(c, _)| c);
+            cols.dedup_by_key(|&mut (c, _)| c);
+            for (c, v) in cols.iter_mut() {
+                *v = if *c as usize == r { 1.0 + rng.f64() } else { rng.range_f64(-0.25, 0.25) };
+            }
+            rows.push(cols);
+        }
+        CsrMatrix::from_rows(n, rows)
+    }
+
+    /// `SellCS::from_csr` as it was before it sized `cols` and `vals` once.
+    fn from_csr_reference(m: &CsrMatrix, c: usize, sigma: usize) -> SellCS {
+        let n = m.nrows;
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        for w in perm.chunks_mut(sigma) {
+            w.sort_by_key(|&r| std::cmp::Reverse(m.row_len(r as usize)));
+        }
+        let (mut slice_ptr, mut slice_width) = (vec![0u64], Vec::new());
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        for s in 0..n.div_ceil(c) {
+            let rows = &perm[s * c..((s + 1) * c).min(n)];
+            let w = rows.iter().map(|&r| m.row_len(r as usize)).max().unwrap_or(0);
+            for j in 0..w {
+                for &r in rows {
+                    let (start, end) =
+                        (m.row_ptr[r as usize] as usize, m.row_ptr[r as usize + 1] as usize);
+                    cols.push(if start + j < end { m.col_idx[start + j] } else { 0 });
+                    vals.push(if start + j < end { m.vals[start + j] } else { 0.0 });
+                }
+            }
+            slice_width.push(w as u32);
+            slice_ptr.push(slice_ptr[s] + (w * rows.len()) as u64);
+        }
+        SellCS { c, nrows: n, perm, slice_ptr, slice_width, cols, vals }
+    }
+
+    fn bits(vs: &[f64]) -> Vec<u64> {
+        vs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn cage_like_and_from_csr_equal_their_per_row_references() {
+        for n in [11397, 1200] {
+            let (m, want) = (CsrMatrix::cage_like(n, 0xCA6E), cage_like_reference(n, 0xCA6E));
+            assert_eq!((m.nrows, m.ncols), (want.nrows, want.ncols), "n={n}");
+            assert_eq!(m.row_ptr, want.row_ptr, "n={n}");
+            assert_eq!(m.col_idx, want.col_idx, "n={n}");
+            assert_eq!(bits(&m.vals), bits(&want.vals), "n={n}");
+            for (c, sigma) in [(256, 256), (64, n), (100, 1)] {
+                let (s, want) = (SellCS::from_csr(&m, c, sigma), from_csr_reference(&m, c, sigma));
+                let what = format!("n={n} C={c} sigma={sigma}");
+                assert_eq!((s.c, s.nrows, &s.perm), (want.c, want.nrows, &want.perm), "{what}");
+                assert_eq!(s.slice_ptr, want.slice_ptr, "{what}");
+                assert_eq!(s.slice_width, want.slice_width, "{what}");
+                assert_eq!(s.cols, want.cols, "{what}");
+                assert_eq!(bits(&s.vals), bits(&want.vals), "{what}");
+                assert_eq!(s.cols.capacity(), s.cols.len(), "{what}: sized once");
+            }
+        }
     }
 
     #[test]
