@@ -1,27 +1,34 @@
-//! study — the design-choice ablations (ABL1–4) and extension studies
-//! (EXT1–7) behind the headline figures, plus the `calibrate` smoke.
+//! study — the paper's grid figures (FIG3–5), the design-choice ablations
+//! (ABL1–4) and extension studies (EXT1–7), plus the `calibrate` smoke.
 //!
 //! Usage: `study --list`
 //!        `study NAME [--small] [--threads N] [--cache | --cache-dir DIR]`
+//!        `study all --out DIR [--small] [--threads N] [--cache | --cache-dir DIR]`
 //!
-//! `roofline` also takes `--bw N`; `calibrate` also takes kernel names
-//! (`study calibrate SPMV BFS`). Every study runs the paper-scale inputs
-//! unless `--small` is given.
+//! `roofline` also takes `--bw N`, `calibrate` kernel names (`study
+//! calibrate SPMV BFS`), and `fig3`/`fig4`/`fig5` [`FIGURE_FLAGS`]. Every
+//! study runs the paper-scale inputs unless `--small` is given.
 //!
 //! A study is a plain function in [`STUDIES`]: it builds its [`Cell`]s, runs
 //! them through [`Run::grid`] — a [`Sweeper`], so every study inherits worker
 //! threads, the persistent result cache with content-fingerprinted keys and
-//! per-cell fault isolation (`FAILED` cells, exit 4) — and formats rows with
-//! `table::render`. `results/NAME.txt` is `study NAME`'s stdout.
+//! per-cell fault isolation (`FAILED` cells, exit 4) — and writes tables to
+//! its [`Run`]. `results/NAME.txt` is `study NAME`'s stdout and
+//! `results/figN.csv` a figure's CSV; `study all` writes every one of them
+//! from one process, which simulates each distinct cell once.
 
 use sdv_bench::cache::{CacheKey, ResultCache};
+use sdv_bench::figure::{self, Figure};
 use sdv_bench::table::{render, slowdown_cell};
-use sdv_bench::{cli, Cell, CellOutcome, ImplKind, KernelKind, RunResult, Sweeper, Workloads};
+use sdv_bench::Workloads;
+use sdv_bench::{cli, metrics, Cell, CellOutcome, ImplKind, KernelKind, RunResult, Sweeper};
 use sdv_core::{SdvMachine, Vm};
 use sdv_engine::Stats;
 use sdv_kernels::{dense, spmv, CsrMatrix, Graph, SellCS};
 use sdv_noc::MeshConfig;
 use sdv_uarch::{estimate_energy, EnergyConfig, TimingConfig};
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 const BIN: &str = "study";
 
@@ -29,7 +36,12 @@ const BIN: &str = "study";
 /// `id` is DESIGN.md's experiment index.
 type Study = (&'static str, &'static str, &'static str, fn(&mut Run));
 
+/// In `study all`'s order: every cell of Fig. 4, a sixth of Fig. 5's and
+/// most default-config cells of the studies are Fig. 3 cells.
 const STUDIES: &[Study] = &[
+    ("fig3", "FIG3", "Fig. 3: cycles vs added latency", |run| figure_study(run, Figure::Latency)),
+    ("fig4", "FIG4", "Fig. 4: slowdown, §4.1 anchors", |run| figure_study(run, Figure::Slowdown)),
+    ("fig5", "FIG5", "Fig. 5: time vs bandwidth cap", |run| figure_study(run, Figure::Bandwidth)),
     ("ablation_spmv", "ABL1", "SpMV format: SELL-C-σ vs row-at-a-time CSR gather", ablation_spmv),
     ("ablation_mlp", "ABL2", "MLP is the mechanism: MSHRs, run-ahead, VPU queue", ablation_mlp),
     ("ablation_banks", "ABL3", "L2HN banking: 1x1 vs 2x2 vs 4x4 mesh", ablation_banks),
@@ -44,17 +56,21 @@ const STUDIES: &[Study] = &[
     ("calibrate", "-", "reduced grid with wall time per cell: speed and shape smoke", calibrate),
 ];
 
+/// Flags of the figure entries alone, two switches first (`--bw` is `roofline`'s).
+#[rustfmt::skip]
+const FIGURE_FLAGS: &[&str] = &["--watchdog", "--fallback-local", "--csv", "--server",
+    "--retries", "--retry-seed", "--metrics-json", "--trace", "--trace-kernel", "--cycle-budget",
+    "--fault", "--fault-seed"];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--paper") {
         cli::die_usage(BIN, "--paper was removed: studies run paper scale unless --small is given");
     }
-    let positional = cli::check_flags(
-        &args,
-        &["--list", "--small", "--cache"],
-        &["--threads", "--cache-dir", "--bw"],
-    )
-    .unwrap_or_else(|e| cli::die_usage(BIN, &e));
+    let switches = [&["--list", "--small", "--cache"], &FIGURE_FLAGS[..2]].concat();
+    let valued = [&["--threads", "--cache-dir", "--bw", "--out"], &FIGURE_FLAGS[2..]].concat();
+    let positional =
+        cli::check_flags(&args, &switches, &valued).unwrap_or_else(|e| cli::die_usage(BIN, &e));
     if args.iter().any(|a| a == "--list") {
         for (name, id, about, _) in STUDIES {
             println!("{name:<18} {id:<5} {about}");
@@ -63,108 +79,211 @@ fn main() {
     }
     let names = STUDIES.iter().map(|s| s.0).collect::<Vec<_>>().join(", ");
     let Some((name, rest)) = positional.split_first() else {
-        cli::die_usage(BIN, &format!("name a study (or --list): {names}"));
+        cli::die_usage(BIN, &format!("name a study or all (or --list): {names}"));
     };
-    let Some((.., study)) = STUDIES.iter().find(|s| s.0 == *name) else {
-        cli::die_usage(BIN, &format!("unknown study '{name}'; studies: {names}"));
-    };
+    let entry = STUDIES.iter().find(|s| s.0 == *name);
+    if entry.is_none() && *name != "all" {
+        cli::die_usage(BIN, &format!("unknown study '{name}'; studies: {names}, all"));
+    }
+    let figure_flag = FIGURE_FLAGS.iter().find(|f| args.iter().any(|a| a == *f));
+    if let Some(flag) = figure_flag.filter(|_| !entry.is_some_and(|s| s.1.starts_with("FIG"))) {
+        cli::die_usage(BIN, &format!("{flag} belongs to study fig3, fig4 and fig5"));
+    }
     let bw = cli::parse_arg::<u64>(&args, "--bw").unwrap_or_else(|e| cli::die_usage(BIN, &e));
     if bw.is_some() && *name != "roofline" {
         cli::die_usage(BIN, "--bw belongs to `study roofline`");
+    }
+    let out_dir = cli::arg_value(&args, "--out").map(PathBuf::from);
+    if out_dir.is_some() != (*name == "all") {
+        cli::die_usage(BIN, "--out DIR belongs to `study all`, which needs it");
     }
     if let Some(arg) = rest.first().filter(|_| *name != "calibrate") {
         cli::die_usage(BIN, &format!("unexpected argument '{arg}'"));
     }
     let mut run = Run {
+        args: &args,
         small: args.iter().any(|a| a == "--small"),
         threads: cli::threads(BIN, &args),
-        cache_dir: cli::cache_dir(BIN, &args),
         bw,
         rest,
+        csv: cli::arg_value(&args, "--csv").map(PathBuf::from),
+        out: None,
         outcomes: Vec::new(),
+        memo: Default::default(),
+        requested: 0,
+        simulated: 0,
     };
-    study(&mut run);
+    match (entry, out_dir) {
+        (Some((.., study)), _) => study(&mut run),
+        (None, dir) => all(&mut run, &dir.expect("`all` has --out")),
+    }
     cli::report_failures_and_exit(BIN, &run.outcomes);
 }
 
-/// What the command line asked of one study, and every outcome it produced.
+/// `study all --out DIR`: every entry but `calibrate` (it prints wall times),
+/// stdout to `DIR/NAME.txt`, cell counts to stderr.
+fn all(run: &mut Run, dir: &Path) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        cli::die_bad_input(BIN, &format!("cannot create {}: {e}", dir.display()));
+    }
+    for (name, id, _, study) in STUDIES.iter().filter(|s| s.0 != "calibrate") {
+        let (requested, simulated) = (run.requested, run.simulated);
+        run.csv = id.starts_with("FIG").then(|| dir.join(format!("{name}.csv")));
+        run.out = Some(String::new());
+        study(run);
+        let path = dir.join(format!("{name}.txt"));
+        if let Err(e) = std::fs::write(&path, run.out.take().expect("set above")) {
+            cli::die_bad_input(BIN, &format!("cannot write {}: {e}", path.display()));
+        }
+        let (r, s) = (run.requested - requested, run.simulated - simulated);
+        eprintln!("{BIN} all: {name}: {r} cells requested, {s} simulated");
+    }
+    eprintln!("{BIN} all: {} cells requested, {} simulated", run.requested, run.simulated);
+}
+
+/// What the command line asked of a study, what it printed, and every
+/// outcome it produced.
 struct Run<'a> {
+    args: &'a [String],
     small: bool,
     threads: usize,
-    cache_dir: Option<std::path::PathBuf>,
     /// `roofline`'s bandwidth cap.
     bw: Option<u64>,
     /// Positional arguments after the study's name (`calibrate`'s kernels).
     rest: &'a [&'a str],
+    /// Where a figure writes its CSV: `--csv`, or `DIR/NAME.csv` in `all`.
+    csv: Option<PathBuf>,
+    /// The running study's stdout, through `Run`'s [`std::fmt::Write`]:
+    /// kept for `DIR/NAME.txt` under `study all`, printed at once otherwise.
+    out: Option<String>,
     outcomes: Vec<CellOutcome>,
+    /// Every completed cell and program by result-cache key text, so memo and
+    /// cache agree on what is the same cell; like the cache, no failures.
+    memo: std::collections::HashMap<String, (u64, Stats)>,
+    /// Cells and programs asked for, and those simulated in this process.
+    requested: usize,
+    simulated: usize,
 }
 
 impl Run<'_> {
     fn workloads(&self) -> Workloads {
-        if self.small {
-            Workloads::small()
-        } else {
-            Workloads::paper()
-        }
+        (if self.small { Workloads::small } else { Workloads::paper })()
     }
 
-    fn cache(&self) -> Option<ResultCache> {
-        self.cache_dir.as_ref().map(|dir| {
-            ResultCache::open(dir).unwrap_or_else(|e| cli::die_bad_input(BIN, &e.to_string()))
-        })
-    }
-
-    /// Run `cells` on inputs `w` under `cfg`, in input order. One `Sweeper`
-    /// serves one `(Workloads, TimingConfig)` pair, so each grid gets its own
-    /// and drops it (machines and memo) when done.
+    /// Run `cells` on inputs `w` under `cfg`, in input order. The memo
+    /// answers what it holds; the rest go to a `Sweeper`, which serves one
+    /// `(Workloads, TimingConfig)` pair, so each grid gets its own and drops
+    /// it (machines included) when done.
     fn grid(&mut self, w: &Workloads, cfg: TimingConfig, cells: &[Cell]) -> Vec<CellOutcome> {
-        let mut sweeper = Sweeper::with_config(cfg);
-        if let Some(cache) = self.cache() {
-            sweeper.set_cache(cache);
+        let (input_fp, cfg_text) = (w.fingerprint(), cfg.canonical());
+        let key = |c| CacheKey::for_cell(c, &input_fp, &cfg_text, sdv_rvv::Backend).text().into();
+        let todo: Vec<Cell> =
+            cells.iter().copied().filter(|&c| !self.memo.contains_key(&key(c))).collect();
+        let mut fresh = std::collections::HashMap::new();
+        if !todo.is_empty() {
+            let mut sweeper = Sweeper::with_config(cfg);
+            let scale = if self.small { "small" } else { "paper" };
+            cli::configure_sweeper(BIN, self.args, &mut sweeper, scale);
+            for out in sweeper.sweep_outcomes(w, &todo, self.threads) {
+                if let CellOutcome::Done(r) = &out {
+                    self.memo.insert(key(r.cell), (r.cycles, r.stats.clone()));
+                }
+                fresh.insert(out.cell(), out);
+            }
+            self.simulated += sweeper.fresh_simulations();
         }
-        let outcomes = sweeper.sweep_outcomes(w, cells, self.threads);
+        self.requested += cells.len();
+        let outcomes: Vec<CellOutcome> = cells
+            .iter()
+            .map(|&cell| match self.memo.get(&key(cell)) {
+                Some((cycles, stats)) => {
+                    CellOutcome::Done(RunResult { cell, cycles: *cycles, stats: stats.clone() })
+                }
+                None => fresh[&cell].clone(),
+            })
+            .collect();
         self.outcomes.extend(outcomes.iter().cloned());
         outcomes
     }
 
     /// Cycles of a program that is not a [`Cell`] — TRIAD, DGEMM and
     /// CSR-gather SpMV; `KernelKind` is the paper's four kernels — through
-    /// the result cache when one was requested. The only execution in this
-    /// binary that is not a `Sweeper`'s. `input_fp` must determine the input
-    /// content, or `knobs` must carry every parameter it is generated from.
+    /// the memo and the result cache. The only execution in this binary that
+    /// is not a `Sweeper`'s. `input_fp` must determine the input content, or
+    /// `knobs` must carry every parameter it is generated from.
     fn custom_cycles(
-        &self,
+        &mut self,
         program: &str,
         input_fp: &str,
         knobs: &str,
         cfg: &TimingConfig,
         simulate: impl FnOnce() -> u64,
     ) -> u64 {
-        let Some(cache) = self.cache() else {
-            return simulate();
-        };
+        self.requested += 1;
         let key = CacheKey::new(program, input_fp, &cfg.canonical(), knobs);
-        if let Some(hit) = cache.load(&key) {
-            return hit.cycles;
+        if let Some(&(cycles, _)) = self.memo.get(key.text()) {
+            return cycles;
         }
-        let cycles = simulate();
-        cache.store(&key, cycles, &Stats::new());
+        let cache = cli::cache_dir(BIN, self.args).map(|dir| {
+            ResultCache::open(&dir).unwrap_or_else(|e| cli::die_bad_input(BIN, &e.to_string()))
+        });
+        let cycles = cache.as_ref().and_then(|c| c.load(&key)).map_or_else(
+            || {
+                self.simulated += 1;
+                let cycles = simulate();
+                cache.iter().for_each(|c| c.store(&key, cycles, &Stats::new()));
+                cycles
+            },
+            |hit| hit.cycles,
+        );
+        self.memo.insert(key.text().into(), (cycles, Stats::new()));
         cycles
     }
+
+    fn table(&mut self, title: &str, row_header: &str, col_headers: &[String], rows: &Rows) {
+        writeln!(self, "{}", render(title, row_header, col_headers, rows)).unwrap();
+    }
+
+    fn line(&mut self, text: &str) {
+        writeln!(self, "{text}").unwrap();
+    }
+}
+
+impl std::fmt::Write for Run<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        match &mut self.out {
+            Some(buffer) => buffer.push_str(s),
+            None => print!("{s}"),
+        }
+        Ok(())
+    }
+}
+
+/// FIG3–5 — the paper's grid figures ([`figure`]). The hardening flags set
+/// every cell's config, and `--server` ships the grid to `sweepd`.
+fn figure_study(run: &mut Run, fig: Figure) {
+    let cfg = cli::hardening_config(run.args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
+    let w = run.workloads();
+    let outcomes = run.grid(&w, cfg, &figure::cells(fig));
+    let (text, csv) = figure::text_and_csv(fig, &outcomes);
+    write!(run, "{text}").unwrap();
+    if let Some(path) = run.csv.clone() {
+        if let Err(e) = std::fs::write(&path, csv) {
+            cli::die_bad_input(BIN, &format!("cannot write {}: {e}", path.display()));
+        }
+        writeln!(run, "wrote {}", path.display()).unwrap();
+    }
+    // Only `study figN` takes these two, and it prints as it goes.
+    metrics::write_metrics_if_requested(BIN, run.args, &outcomes);
+    metrics::write_trace_if_requested(BIN, run.args, &w, cfg, figure::traced_cell(fig));
 }
 
 /// Kernels × implementations × added latencies at full bandwidth, the last
 /// varying fastest: cell `(k, i, l)` is `[(k * impls.len() + i) * lats.len() + l]`.
 fn cross(kernels: &[KernelKind], impls: &[ImplKind], lats: &[u64]) -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for &kernel in kernels {
-        for &imp in impls {
-            for &extra_latency in lats {
-                cells.push(Cell { kernel, imp, extra_latency, bandwidth: 64 });
-            }
-        }
-    }
-    cells
+    let per_kernel = |&k| impls.iter().flat_map(move |&i| lats.iter().map(move |&l| (k, i, l)));
+    let cell = |(kernel, imp, extra_latency)| Cell { kernel, imp, extra_latency, bandwidth: 64 };
+    kernels.iter().flat_map(per_kernel).map(cell).collect()
 }
 
 /// The stat-derived columns of a completed cell, or one `FAILED` column.
@@ -181,10 +300,6 @@ const VL256: ImplKind = ImplKind::Vector { maxvl: 256 };
 
 /// Table rows: a label and one string per column.
 type Rows = Vec<(String, Vec<String>)>;
-
-fn table(title: &str, row_header: &str, col_headers: &[String], rows: &Rows) {
-    println!("{}", render(title, row_header, col_headers, rows));
-}
 
 fn strings(xs: &[&str]) -> Vec<String> {
     xs.iter().map(|s| s.to_string()).collect()
@@ -245,8 +360,8 @@ fn ablation_spmv(run: &mut Run) {
         rows.push((format!("CsrGather vl={maxvl}"), row));
     }
     let headers: Vec<String> = latencies.iter().map(|l| format!("+{l}")).collect();
-    table("ABL1 — SpMV format ablation: cycles vs added latency", "format", &headers, &rows);
-    println!("Expected: SELL improves steeply with VL; CsrGather barely moves (row length caps its effective VL).");
+    run.table("ABL1 — SpMV format ablation: cycles vs added latency", "format", &headers, &rows);
+    run.line("Expected: SELL improves steeply with VL; CsrGather barely moves (row length caps its effective VL).");
 }
 
 /// ABL2 — MLP ablation: the *mechanism* behind Figure 3.
@@ -259,18 +374,34 @@ fn ablation_spmv(run: &mut Run) {
 /// result is produced by MLP, not by incidental parameters.
 fn ablation_mlp(run: &mut Run) {
     let w = run.workloads();
-    let mut slowdown = |imp, cfg| {
-        let o = run.grid(&w, cfg, &cross(&[KernelKind::Spmv], &[imp], &[0, 1024]));
-        ratio(&o[1], &o[0], slowdown_cell)
-    };
-
-    // One table: `rows` × `cols` values of two structures, set by `set`.
-    let mut sweep = |title,
-                     row_header,
-                     rows: [(usize, String); 3],
-                     cols: [(usize, String); 3],
-                     imp,
-                     set: fn(&mut TimingConfig, usize, usize)| {
+    // One table each: `rows` × `cols` values of two structures, set by `set`.
+    type Axis = [(usize, String); 3];
+    type Set = fn(&mut TimingConfig, usize, usize);
+    let tables: [(&str, &str, Axis, Axis, ImplKind, Set); 2] = [
+        (
+            "ABL2a — scalar SpMV +1024-latency slowdown vs MSHRs x run-ahead window",
+            "scalar",
+            [1, 4, 16].map(|m| (m, format!("{m} MSHRs"))),
+            [8, 32, 128].map(|w| (w, format!("win={w}"))),
+            ImplKind::Scalar,
+            |cfg, mshrs, window| {
+                cfg.scalar.max_outstanding_loads = mshrs;
+                cfg.scalar.runahead_window = window;
+            },
+        ),
+        (
+            "ABL2b — vl=256 SpMV +1024-latency slowdown vs VPU queue depth x request window",
+            "vpu",
+            [1, 4, 16].map(|d| (d, format!("queue={d}"))),
+            [16, 64, 256].map(|o| (o, format!("out={o}"))),
+            VL256,
+            |cfg, depth, outstanding| {
+                cfg.vpu.queue_depth = depth;
+                cfg.vpu.vmem_outstanding = outstanding;
+            },
+        ),
+    ];
+    for (title, row_header, rows, cols, imp, set) in tables {
         let body: Rows = rows
             .iter()
             .map(|(r, label)| {
@@ -279,42 +410,21 @@ fn ablation_mlp(run: &mut Run) {
                     .map(|(c, _)| {
                         let mut cfg = TimingConfig::default();
                         set(&mut cfg, *r, *c);
-                        slowdown(imp, cfg)
+                        let o = run.grid(&w, cfg, &cross(&[KernelKind::Spmv], &[imp], &[0, 1024]));
+                        ratio(&o[1], &o[0], slowdown_cell)
                     })
                     .collect();
                 (label.clone(), row)
             })
             .collect();
-        table(title, row_header, &cols.map(|(_, label)| label), &body);
-    };
-    sweep(
-        "ABL2a — scalar SpMV +1024-latency slowdown vs MSHRs x run-ahead window",
-        "scalar",
-        [1, 4, 16].map(|m| (m, format!("{m} MSHRs"))),
-        [8, 32, 128].map(|w| (w, format!("win={w}"))),
-        ImplKind::Scalar,
-        |cfg, mshrs, window| {
-            cfg.scalar.max_outstanding_loads = mshrs;
-            cfg.scalar.runahead_window = window;
-        },
-    );
-    sweep(
-        "ABL2b — vl=256 SpMV +1024-latency slowdown vs VPU queue depth x request window",
-        "vpu",
-        [1, 4, 16].map(|d| (d, format!("queue={d}"))),
-        [16, 64, 256].map(|o| (o, format!("out={o}"))),
-        VL256,
-        |cfg, depth, outstanding| {
-            cfg.vpu.queue_depth = depth;
-            cfg.vpu.vmem_outstanding = outstanding;
-        },
-    );
-    println!(
+        run.table(title, row_header, &cols.map(|(_, label)| label), &body);
+    }
+    run.line(
         "Reading the tables: MLP is min(window-limited, MSHR/queue-limited), so growing a\n\
          non-binding structure changes little (flat rows/columns away from the diagonal),\n\
          and shrinking the queue can even *lower* the ratio by inflating the zero-latency\n\
          baseline. The bottom-right corners — both structures deep — give the paper's\n\
-         latency tolerance; the top-left corners behave like the scalar core."
+         latency tolerance; the top-left corners behave like the scalar core.",
     );
 }
 
@@ -355,19 +465,19 @@ fn ablation_banks(run: &mut Run) {
                 )
             })
             .collect();
-        table(
+        run.table(
             &format!("ABL3 — {} cycles vs L2HN banking (total L2 capacity fixed)", kernel.name()),
             "impl",
             &headers,
             &rows,
         );
     }
-    println!(
+    run.line(
         "Reading the tables: vl=256 gains from 1x1 to 2x2 (parallel banks serve its\n\
          concurrent line requests) and saturates by 4x4 (smaller per-bank slices, longer\n\
          routes); the latency-bound scalar core actually *loses* as the mesh grows —\n\
          banking is a vector-unit design decision, which is why EPAC pairs the VPU with\n\
-         a banked L2HN."
+         a banked L2HN.",
     );
 }
 
@@ -394,19 +504,19 @@ fn ablation_sigma(run: &mut Run) {
             (label.to_string(), vec![fill, cycles(&o[0]), cycles(&o[1])])
         })
         .collect();
-    table(
+    run.table(
         &format!("ABL4 — SELL-C-σ sorting window on a cage-like matrix (n={n}, C={c})"),
         "window",
         &strings(&["fill ratio", "cycles +0", "cycles +1024"]),
         &rows,
     );
-    println!(
+    run.line(
         "Two competing effects: σ=n eliminates padding (fill →1.0) and is fastest at\n\
               zero latency, but globally-sorted slices scatter the x-gathers' banded\n\
               locality, so its +1024 slowdown is ~2x worse than σ=C's; σ=C keeps rows\n\
               near the diagonal together, preserving the latency tolerance the paper\n\
               measures (the figure harness uses σ=C). On cage-like matrices σ=1 buys\n\
-              nothing over σ=C: row lengths within a 256-row window are already similar."
+              nothing over σ=C: row lengths within a 256-row window are already similar.",
     );
 }
 
@@ -449,11 +559,11 @@ fn inputs_study(run: &mut Run) {
             })
             .collect();
         let title = format!("EXT1 — {title} +{lat}-latency slowdown across {family} families");
-        table(&title, family, &headers, &rows);
+        run.table(&title, family, &headers, &rows);
     }
-    println!(
+    run.line(
         "Expected: the scalar column dominates every row — latency tolerance of long\n\
-              vectors is input-independent, even where absolute locality differs wildly."
+              vectors is input-independent, even where absolute locality differs wildly.",
     );
 }
 
@@ -467,7 +577,7 @@ enum Dense {
 /// Its input is generated from `(n, seed 1)` — TRIAD's scale is the constant
 /// 3.0 — so the program tag and knobs determine the cell.
 fn dense_cycles(
-    run: &Run,
+    run: &mut Run,
     kernel: Dense,
     n: usize,
     imp: ImplKind,
@@ -523,37 +633,35 @@ fn dense_contrast(run: &mut Run) {
     let impls = [ImplKind::Scalar, VL8, VL64, VL256];
     let headers: Vec<String> = impls.iter().map(|i| i.to_string()).collect();
     for (name, kernel, n) in [("TRIAD", Dense::Triad, triad_n), ("DGEMM", Dense::Gemm, gemm_n)] {
-        // Both tables divide by a baseline cell; simulate each cell once.
-        let mut memo = std::collections::HashMap::new();
-        let mut cycles_at = |imp: ImplKind, lat: u64, bw: u64| {
-            *memo.entry((imp, lat, bw)).or_insert_with(|| {
-                dense_cycles(run, kernel, n, imp, TimingConfig::default(), lat, bw) as f64
-            })
+        // Both tables divide by a baseline cell, which the memo runs once.
+        let cycles_at = |run: &mut Run, imp, lat, bw| {
+            dense_cycles(run, kernel, n, imp, TimingConfig::default(), lat, bw) as f64
         };
         // Latency slowdowns (the Fig. 4 view, dense edition).
         let rows: Rows = [0, 256, 1024]
             .iter()
             .map(|&lat| {
                 let slowdown =
-                    |&imp| slowdown_cell(cycles_at(imp, lat, 64) / cycles_at(imp, 0, 64));
+                    |&imp| slowdown_cell(cycles_at(run, imp, lat, 64) / cycles_at(run, imp, 0, 64));
                 (format!("+{lat}"), impls.iter().map(slowdown).collect())
             })
             .collect();
-        table(&format!("EXT2 — {name} latency slowdown (n={n})"), "+latency", &headers, &rows);
+        run.table(&format!("EXT2 — {name} latency slowdown (n={n})"), "+latency", &headers, &rows);
         // Bandwidth exploitation (the Fig. 5 view).
         let rows: Rows = [1, 8, 64]
             .iter()
             .map(|&bw| {
-                let norm = |&imp| format!("{:.3}", cycles_at(imp, 0, bw) / cycles_at(imp, 0, 1));
+                let norm =
+                    |&imp| format!("{:.3}", cycles_at(run, imp, 0, bw) / cycles_at(run, imp, 0, 1));
                 (format!("{bw} B/cy"), impls.iter().map(norm).collect())
             })
             .collect();
         let title = format!("EXT2 — {name} time vs bandwidth cap (normalized to 1 B/cy)");
-        table(&title, "bandwidth", &headers, &rows);
+        run.table(&title, "bandwidth", &headers, &rows);
     }
-    println!(
+    run.line(
         "Dense kernels show the same two effects, amplified — the paper's non-dense codes\n\
-              retain most of this benefit, which is its 'hope beyond dense algebra' message."
+              retain most of this benefit, which is its 'hope beyond dense algebra' message.",
     );
 }
 
@@ -599,18 +707,18 @@ fn ablation_prefetch(run: &mut Run) {
                 by_depth.iter().map(|o| cycles(&o[ki * lats.len() + li])).collect(),
             ));
         }
-        table(
+        run.table(
             &format!("EXT3 — scalar cycles at +{lat} DRAM latency vs prefetch depth"),
             "kernel",
             &headers,
             &rows,
         );
     }
-    println!(
+    run.line(
         "Expected: streaming rows (TRIAD, FFT) improve with depth; gather rows (SpMV,\n\
               PR) move far less — and even depth-16 covers only a few hundred cycles of\n\
               lookahead, nowhere near +1024. The VPU hides the same latency for gathers\n\
-              with hundreds of outstanding requests; that is the paper's point."
+              with hundreds of outstanding requests; that is the paper's point.",
     );
 }
 
@@ -647,17 +755,17 @@ fn energy_study(run: &mut Run) {
                 (imp.to_string(), columns)
             })
             .collect();
-        table(
+        run.table(
             &format!("EXT4 — SpMV energy estimate at +{lat} cycles of DRAM latency"),
             "impl",
             &headers,
             &rows,
         );
     }
-    println!(
+    run.line(
         "Long vectors cut static energy (shorter runs) and scalar-control energy;\n\
               DRAM energy is workload-bound — so the energy win tracks the speedup but\n\
-              saturates once runtime is DRAM-dominated."
+              saturates once runtime is DRAM-dominated.",
     );
 }
 
@@ -683,7 +791,7 @@ fn roofline(run: &mut Run) {
     let outcomes = run.grid(&w, TimingConfig::default(), &cells);
 
     let lanes_peak = 8.0; // FLOP/cycle at SEW=64 (8 lanes, 1 op each)
-    println!("machine roofs: compute {lanes_peak:.0} FLOP/cy, memory {bw} B/cy\n");
+    writeln!(run, "machine roofs: compute {lanes_peak:.0} FLOP/cy, memory {bw} B/cy\n").unwrap();
     let headers = strings(&["FLOPs", "DRAM bytes", "intensity", "FLOP/cy", "bound by"]);
     for (imp, block) in impls.iter().zip(outcomes.chunks(KernelKind::all().len())) {
         let rows: Rows = block
@@ -710,18 +818,18 @@ fn roofline(run: &mut Run) {
                 (format!("{} {imp}", o.cell().kernel.name()), columns)
             })
             .collect();
-        table(&format!("EXT5 — roofline placement ({imp})"), "kernel", &headers, &rows);
+        run.table(&format!("EXT5 — roofline placement ({imp})"), "kernel", &headers, &rows);
     }
-    println!(
-        "Ridge point at {bw} B/cy: {:.3} FLOP/byte. The four kernels sit at or below the\n\
+    let (ridge, ridge16, ridge1) = (lanes_peak / bw as f64, lanes_peak / 16.0, lanes_peak / 1.0);
+    writeln!(
+        run,
+        "Ridge point at {bw} B/cy: {ridge:.3} FLOP/byte. The four kernels sit at or below the\n\
          ridge even at full bandwidth (BFS is integer-only: intensity 0), and under the\n\
-         paper's throttled settings (1-16 B/cy) the ridge moves to {:.2}-{:.2} FLOP/byte —\n\
+         paper's throttled settings (1-16 B/cy) the ridge moves to {ridge16:.2}-{ridge1:.2} FLOP/byte —\n\
          every kernel is then firmly memory-bound, which is why VL, latency, and\n\
-         bandwidth (not FP throughput) decide their performance.",
-        lanes_peak / bw as f64,
-        lanes_peak / 16.0,
-        lanes_peak / 1.0,
-    );
+         bandwidth (not FP throughput) decide their performance."
+    )
+    .unwrap();
 }
 
 /// EXT6 — lane-count study (extension).
@@ -752,16 +860,16 @@ fn lanes_study(run: &mut Run) {
         })
         .collect();
     let headers: Vec<String> = lane_counts.iter().map(|l| format!("{l} lanes")).collect();
-    table(
+    run.table(
         "EXT6 — vl=256 cycles vs VPU lane count (VLEN fixed at 16384 bits)",
         "kernel",
         &headers,
         &rows,
     );
-    println!(
+    run.line(
         "Expected: clear gains up to ~8 lanes, then saturation — the non-dense kernels\n\
               are memory-bound, so datapath width stops being the bottleneck (the paper's\n\
-              Vitruvius ships 8 lanes)."
+              Vitruvius ships 8 lanes).",
     );
 }
 
@@ -796,11 +904,11 @@ fn ablation_rows(run: &mut Run) {
         })
         .collect();
     let headers = strings(&["flat DRAM", "open-row DRAM", "row hit rate"]);
-    table("EXT7 — cycles under flat vs open-row DRAM models", "kernel", &headers, &rows);
-    println!(
+    run.table("EXT7 — cycles under flat vs open-row DRAM models", "kernel", &headers, &rows);
+    run.line(
         "Streaming traffic keeps high row-hit rates (small delta); scattered gathers\n\
               activate constantly. Either way the knobs' semantics are unchanged — the\n\
-              calibrated figures use the flat model."
+              calibrated figures use the flat model.",
     );
 }
 
@@ -818,7 +926,8 @@ fn calibrate(run: &mut Run) {
         .collect();
     let kernels = if named.is_empty() { KernelKind::all().to_vec() } else { named };
     let w = run.workloads();
-    println!(
+    writeln!(
+        run,
         "workloads: {} (matrix n={} nnz={}, graph n={} edges={}, fft n={})",
         if run.small { "small" } else { "paper" },
         w.mat.nrows,
@@ -826,7 +935,8 @@ fn calibrate(run: &mut Run) {
         w.graph.n,
         w.graph.num_edges(),
         w.signal.0.len()
-    );
+    )
+    .unwrap();
     for kernel in kernels {
         for imp in [ImplKind::Scalar, VL8, VL64, VL256] {
             for (lat, bw) in [(0u64, 64u64), (1024, 64), (0, 1)] {
@@ -836,18 +946,15 @@ fn calibrate(run: &mut Run) {
                 let wall = t0.elapsed();
                 let dram_lines =
                     stat_columns(&o, |r| vec![r.stats.get("dram.requests").to_string()]);
-                println!(
-                    "{:<5} {:<8} lat={:<5} bw={:<3} cycles={:<12} dram_lines={:<9} wall={:?}",
-                    kernel.name(),
-                    imp,
-                    lat,
-                    bw,
-                    cycles(&o),
-                    dram_lines[0],
-                    wall
-                );
+                let (name, cycles, dram_lines) = (kernel.name(), cycles(&o), &dram_lines[0]);
+                writeln!(
+                    run,
+                    "{name:<5} {imp:<8} lat={lat:<5} bw={bw:<3} cycles={cycles:<12} \
+                     dram_lines={dram_lines:<9} wall={wall:?}"
+                )
+                .unwrap();
             }
         }
-        println!();
+        writeln!(run).unwrap();
     }
 }

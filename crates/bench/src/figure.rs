@@ -1,16 +1,14 @@
-//! The paper's three grid figures, written once.
+//! The paper's three grid figures, rendered once.
 //!
-//! `fig3_latency`, `fig4_slowdown` and `fig5_bandwidth` are the same
-//! program: sweep kernel × implementation × one knob axis through a
-//! [`Sweeper`], print one table (and chart) per kernel, export a CSV. A
+//! Figs. 3, 4 and 5 are one program: sweep kernel × implementation × one
+//! knob axis, print one table (and chart) per kernel, export a CSV. A
 //! [`Figure`] decides exactly four things — the knob axis, what a cell shows,
-//! the chart, and which cell `--trace` re-runs; everything else (flag
-//! checking, hardening, cache/server wiring, `FAILED` cells, metrics export,
-//! exit code 4) is the one loop in [`main`].
+//! the chart, and which cell `--trace` re-runs. `study fig3`, `fig4` and
+//! `fig5` run the grid and write the files.
 
 use crate::plot::{line_chart, Series};
 use crate::table::{render, slowdown_cell};
-use crate::{cli, metrics, Cell, CellOutcome, ImplKind, KernelKind, Sweeper, Workloads};
+use crate::{Cell, CellOutcome, ImplKind, KernelKind};
 use std::fmt::Write as _;
 
 /// Which of the paper's grid figures to print.
@@ -29,52 +27,50 @@ pub enum Figure {
 const LATENCIES: &[u64] = &[0, 16, 32, 64, 128, 256, 512, 1024];
 const BANDWIDTHS: &[u64] = &[1, 2, 4, 8, 16, 32, 64];
 
-/// Run one figure binary end to end (parses `std::env::args`, exits the
-/// process on usage errors and failed cells).
-pub fn main(fig: Figure) {
-    // The axis's first value is every implementation's baseline column.
-    let (bin, axis, row_header, csv_header) = match fig {
-        Figure::Latency => {
-            ("fig3_latency", LATENCIES, "+latency", "kernel,impl,extra_latency,cycles\n")
-        }
-        Figure::Slowdown => {
-            ("fig4_slowdown", LATENCIES, "+latency", "kernel,impl,extra_latency,slowdown\n")
-        }
-        Figure::Bandwidth => (
-            "fig5_bandwidth",
-            BANDWIDTHS,
-            "bandwidth",
-            "kernel,impl,bandwidth_bytes_per_cycle,normalized_time\n",
-        ),
-    };
-    let cell_at = |kernel, imp, x| match fig {
+/// The knob axis. Its first value is every implementation's baseline column.
+fn axis(fig: Figure) -> &'static [u64] {
+    match fig {
+        Figure::Latency | Figure::Slowdown => LATENCIES,
+        Figure::Bandwidth => BANDWIDTHS,
+    }
+}
+
+fn cell_at(fig: Figure, kernel: KernelKind, imp: ImplKind, x: u64) -> Cell {
+    match fig {
         Figure::Latency | Figure::Slowdown => Cell { kernel, imp, extra_latency: x, bandwidth: 64 },
         Figure::Bandwidth => Cell { kernel, imp, extra_latency: 0, bandwidth: x },
-    };
+    }
+}
 
-    let args: Vec<String> = std::env::args().collect();
-    cli::check_sweep_flags(bin, &args, &[], &["--trace", "--trace-kernel"]);
-    let small = args.iter().any(|a| a == "--small");
-    let threads = cli::threads(bin, &args);
-    let csv = cli::arg_value(&args, "--csv");
-    let cfg = cli::hardening_config(&args).unwrap_or_else(|e| cli::die_usage(bin, &e));
-
-    let w = if small { Workloads::small() } else { Workloads::paper() };
+/// The whole figure as one grid, so that the long-pole-first schedule orders
+/// cells across all four kernels: kernel × the paper's implementations × the
+/// axis, the axis varying fastest.
+pub fn cells(fig: Figure) -> Vec<Cell> {
     let impls = ImplKind::paper_set();
+    let per_kernel = |k| impls.iter().flat_map(move |&i| axis(fig).iter().map(move |&x| (k, i, x)));
+    let cell = |(k, i, x)| cell_at(fig, k, i, x);
+    KernelKind::all().into_iter().flat_map(per_kernel).map(cell).collect()
+}
 
-    // The whole figure is ONE grid: the long-pole-first schedule then orders
-    // cells across all four kernels, so workers never idle at a per-kernel
-    // boundary, and the pooled machines are reused from kernel to kernel.
-    let mut sweeper = Sweeper::with_config(cfg);
-    cli::configure_sweeper(bin, &args, &mut sweeper, if small { "small" } else { "paper" });
-    let cells: Vec<Cell> = KernelKind::all()
-        .into_iter()
-        .flat_map(|kernel| {
-            impls.iter().flat_map(move |&imp| axis.iter().map(move |&x| cell_at(kernel, imp, x)))
-        })
-        .collect();
-    let outcomes = sweeper.sweep_outcomes(&w, &cells, threads);
+/// The cell `--trace` re-runs: SpMV at vl=256 under the figure's harshest
+/// setting (the highest latency, or the tightest bandwidth cap).
+pub fn traced_cell(fig: Figure) -> Cell {
+    let axis = axis(fig);
+    let stress = if fig == Figure::Bandwidth { axis[0] } else { axis[axis.len() - 1] };
+    cell_at(fig, KernelKind::Spmv, ImplKind::Vector { maxvl: 256 }, stress)
+}
 
+/// The figure's stdout and CSV for `outcomes`, [`cells`]'s outcomes in order.
+pub fn text_and_csv(fig: Figure, outcomes: &[CellOutcome]) -> (String, String) {
+    let (axis, impls) = (axis(fig), ImplKind::paper_set());
+    let (row_header, csv_header) = match fig {
+        Figure::Latency => ("+latency", "kernel,impl,extra_latency,cycles\n"),
+        Figure::Slowdown => ("+latency", "kernel,impl,extra_latency,slowdown\n"),
+        Figure::Bandwidth => {
+            ("bandwidth", "kernel,impl,bandwidth_bytes_per_cycle,normalized_time\n")
+        }
+    };
+    let mut text = String::new();
     let mut csv_out = String::from(csv_header);
     let headers: Vec<String> = impls.iter().map(|i| i.to_string()).collect();
     let mut anchor = None;
@@ -85,6 +81,13 @@ pub fn main(fig: Figure) {
         // normalized figures, a failed baseline — is None and shows FAILED.
         let cycles = |ii: usize, xi: usize| block[ii * axis.len() + xi].cycles();
         let norm = |ii, xi| Some(cycles(ii, xi)? as f64 / cycles(ii, 0)? as f64);
+        // A cell's table and CSV text.
+        let shown = |ii, xi| match fig {
+            Figure::Latency => cycles(ii, xi).map(|c| [c.to_string(), c.to_string()]),
+            Figure::Slowdown => norm(ii, xi).map(|s| [slowdown_cell(s), format!("{s:.4}")]),
+            Figure::Bandwidth => norm(ii, xi).map(|n| [format!("{n:.3}"), format!("{n:.4}")]),
+        };
+        let failed = || ["FAILED".to_string(), "FAILED".to_string()];
         let rows: Vec<(String, Vec<String>)> = axis
             .iter()
             .enumerate()
@@ -93,24 +96,9 @@ pub fn main(fig: Figure) {
                     .iter()
                     .enumerate()
                     .map(|(ii, imp)| {
-                        let (table, csv) = match fig {
-                            Figure::Latency => {
-                                let c = cycles(ii, xi).map(|c| c.to_string());
-                                (c.clone(), c)
-                            }
-                            Figure::Slowdown => {
-                                let s = norm(ii, xi);
-                                (s.map(slowdown_cell), s.map(|s| format!("{s:.4}")))
-                            }
-                            Figure::Bandwidth => {
-                                let n = norm(ii, xi);
-                                (n.map(|n| format!("{n:.3}")), n.map(|n| format!("{n:.4}")))
-                            }
-                        };
-                        let failed = || "FAILED".to_string();
-                        writeln!(csv_out, "{name},{imp},{x},{}", csv.unwrap_or_else(failed))
-                            .unwrap();
-                        table.unwrap_or_else(failed)
+                        let [table, csv] = shown(ii, xi).unwrap_or_else(failed);
+                        writeln!(csv_out, "{name},{imp},{x},{csv}").unwrap();
+                        table
                     })
                     .collect();
                 let label = match fig {
@@ -121,18 +109,13 @@ pub fn main(fig: Figure) {
                 (label, shown)
             })
             .collect();
-        let title = match fig {
-            Figure::Latency => {
-                format!("Figure 3 — {name} execution time [cycles] vs added latency")
-            }
-            Figure::Slowdown => {
-                format!("Figure 4 — {name} slowdown vs own 0-latency run (scalar .. vl=256)")
-            }
-            Figure::Bandwidth => format!(
-                "Figure 5 — {name} execution time vs bandwidth cap (normalized to 1 B/cycle)"
-            ),
+        let (number, what) = match fig {
+            Figure::Latency => (3, "execution time [cycles] vs added latency"),
+            Figure::Slowdown => (4, "slowdown vs own 0-latency run (scalar .. vl=256)"),
+            Figure::Bandwidth => (5, "execution time vs bandwidth cap (normalized to 1 B/cycle)"),
         };
-        println!("{}", render(&title, row_header, &headers, &rows));
+        let title = format!("Figure {number} — {name} {what}");
+        writeln!(text, "{}", render(&title, row_header, &headers, &rows)).unwrap();
 
         if fig == Figure::Slowdown {
             if kernel == KernelKind::Spmv {
@@ -153,7 +136,7 @@ pub fn main(fig: Figure) {
         // The chart needs every point; skip it when any cell of this kernel
         // failed (the table above still shows which ones).
         if !block.iter().all(CellOutcome::is_done) {
-            println!("{name}: chart skipped — kernel has failed cells\n");
+            writeln!(text, "{name}: chart skipped — kernel has failed cells\n").unwrap();
             continue;
         }
         let log = fig == Figure::Latency;
@@ -168,41 +151,18 @@ pub fn main(fig: Figure) {
                     .collect(),
             })
             .collect();
-        let (title, x_labels): (String, Vec<String>) = if log {
-            (
-                format!("{name} (log cycles; paper Fig. 3 shape: darker/longer VL = flatter)"),
-                axis.iter().map(|l| format!("+{l}")).collect(),
-            )
+        let x_labels: Vec<String> =
+            axis.iter().map(|x| if log { format!("+{x}") } else { format!("{x}B/cy") }).collect();
+        let shape = if log {
+            "log cycles; paper Fig. 3 shape: darker/longer VL = flatter"
         } else {
-            (
-                format!("{name} (normalized time; paper Fig. 5 shape: longer VL = later plateau)"),
-                axis.iter().map(|b| format!("{b}B/cy")).collect(),
-            )
+            "normalized time; paper Fig. 5 shape: longer VL = later plateau"
         };
-        println!("{}", line_chart(&title, &x_labels, &series, 16, log));
+        let title = format!("{name} ({shape})");
+        writeln!(text, "{}", line_chart(&title, &x_labels, &series, 16, log)).unwrap();
     }
     if let Some(a) = anchor {
-        println!("{a}\n");
+        writeln!(text, "{a}\n").unwrap();
     }
-    if let Some(path) = csv {
-        if let Err(e) = std::fs::write(path, csv_out) {
-            cli::die_bad_input(bin, &format!("cannot write {path}: {e}"));
-        }
-        println!("wrote {path}");
-    }
-    metrics::write_metrics_if_requested(bin, &args, &outcomes);
-    // The traced cell: SpMV at vl=256 under the figure's harshest setting
-    // (the highest latency, or the tightest bandwidth cap).
-    let stress = match fig {
-        Figure::Latency | Figure::Slowdown => *axis.last().expect("axis is not empty"),
-        Figure::Bandwidth => axis[0],
-    };
-    metrics::write_trace_if_requested(
-        bin,
-        &args,
-        &w,
-        cfg,
-        cell_at(KernelKind::Spmv, ImplKind::Vector { maxvl: 256 }, stress),
-    );
-    cli::report_failures_and_exit(bin, &outcomes);
+    (text, csv_out)
 }

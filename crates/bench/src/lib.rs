@@ -13,9 +13,9 @@
 //!   and per-cell fault isolation: the one way a cell is keyed and executed.
 //!   Cells that differ only in a knob share one functional pass
 //!   ([`try_run_group`]),
-//! * binaries `fig3_latency`, `fig4_slowdown`, `fig5_bandwidth` print the
-//!   paper's figures through [`figure::main`]; `study NAME` runs the
-//!   design-choice ablations and extension studies.
+//! * binary `study` prints the paper's figures ([`figure`]), the ablations
+//!   and the extension studies (`study NAME`), or every one of them from
+//!   one process (`study all --out DIR`).
 
 pub mod cache;
 pub mod chaos;

@@ -211,15 +211,16 @@ fn files_named(dir: &str, part: &str) -> Vec<PathBuf> {
 fn a_killed_sweep_resumes_from_its_cache_and_fsck_and_gc_keep_it_sound() {
     let scratch = scratch("kill");
     let (dir, csv) = (path_in(&scratch, "cache"), path_in(&scratch, "fig3.csv"));
-    let fig3 = env!("CARGO_BIN_EXE_fig3_latency");
+    let study = env!("CARGO_BIN_EXE_study");
     let writes_golden = |threads: &[&str]| {
-        ok(fig3, &[&["--small", "--cache-dir", &dir, "--csv", &csv][..], threads].concat());
+        let args = ["fig3", "--small", "--cache-dir", &dir, "--csv", &csv];
+        ok(study, &[&args[..], threads].concat());
         let got = std::fs::read_to_string(&csv).expect("fig3 wrote its CSV");
         assert!(got == golden("fig3_small.csv"), "fig3 {threads:?} over the cache is not golden");
     };
     // SIGKILL part-way: once the first cell is cached.
-    let mut killed = Command::new(fig3)
-        .args(["--small", "--threads", "1", "--cache-dir", &dir])
+    let mut killed = Command::new(study)
+        .args(["fig3", "--small", "--threads", "1", "--cache-dir", &dir])
         .stdout(Stdio::null())
         .spawn()
         .expect("fig3 starts");

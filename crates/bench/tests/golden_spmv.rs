@@ -6,7 +6,7 @@
 //!
 //! If a deliberate *model* change (new timing rule, new cache policy) moves
 //! these numbers, regenerate the golden CSV with
-//! `cargo run --release --bin fig3_latency -- --small --csv results/golden/fig3_small.csv`
+//! `cargo run --release --bin study -- fig3 --small --csv results/golden/fig3_small.csv`
 //! and update the constants here in the same commit, explaining why.
 
 use sdv_bench::{run, Cell, ImplKind, KernelKind, Sweeper, Workloads};

@@ -1,17 +1,19 @@
-//! Golden output of the study driver and the three grid figures, driven
-//! through the built binaries.
+//! Golden output of the study driver, the three grid figures among its
+//! entries, driven through the built binary.
 //!
 //! Every file under `results/golden/study_small/` and every
 //! `results/golden/fig{3,4,5}_small.*` was written by the binaries of the
 //! commit *before* the twelve study binaries became `study NAME` and the
 //! three figure mains became `figure::main` — they pin stdout and CSV bytes
-//! across that refactor and any later one. The same studies at paper scale
-//! are `results/NAME.txt`; `scripts/check.sh` diffs those.
+//! across that refactor, the figures' move into `study`, and any later one.
+//! The same entries at paper scale are `results/`, which `scripts/check.sh`
+//! regenerates with `study all` and diffs.
 //!
-//! Regenerate after a deliberate model change with
-//! `study NAME --small >results/golden/study_small/NAME.txt` and
-//! `figN --small >results/golden/figN_small.txt`, in the commit that moves
-//! `results/golden/fig3_small.csv`.
+//! Regenerate after a deliberate model change, in the commit that moves
+//! `results/golden/fig3_small.csv`, with
+//! `study all --small --out results/golden/study_small`, then move each
+//! `fig{3,4,5}.{txt,csv}` it wrote there to `results/golden/figN_small.*`,
+//! dropping the `.txt`'s last line (`wrote …`).
 
 mod common;
 use common::{golden, ok, path_in, results_dir, run, scratch};
@@ -33,6 +35,8 @@ const DETERMINISTIC: [&str; 11] = [
     "roofline",
 ];
 
+const FIGURES: [&str; 3] = ["fig3", "fig4", "fig5"];
+
 fn entries(cache_dir: &str) -> usize {
     std::fs::read_dir(cache_dir)
         .expect("cache directory exists")
@@ -41,48 +45,101 @@ fn entries(cache_dir: &str) -> usize {
         .count()
 }
 
-#[test]
-fn every_study_reproduces_its_golden_bytes_at_any_thread_count_cold_and_warm() {
-    let dir = scratch("golden");
+/// `(requested, simulated)` from `study all`'s stderr line for `what` (a
+/// study's name, or `None` for the total).
+fn cells(stderr: &str, what: Option<&str>) -> (usize, usize) {
+    let prefix = what.map_or("study all: ".to_string(), |name| format!("study all: {name}: "));
+    let line = stderr
+        .lines()
+        .find(|l| l.strip_prefix(&prefix).is_some_and(|rest| rest.starts_with(char::is_numeric)))
+        .unwrap_or_else(|| panic!("no line for {what:?} in {stderr}"));
+    let numbers: Vec<usize> =
+        line.split_whitespace().filter_map(|w| w.trim_end_matches(',').parse().ok()).collect();
+    assert_eq!(numbers.len(), 2, "{line}");
+    (numbers[0], numbers[1])
+}
+
+/// `study all --small --out DIR` wrote every golden file and nothing else;
+/// returns its stderr.
+fn all_writes_the_golden_files(dir: &str, extra: &[&str]) -> String {
+    let (_, stderr) = ok(STUDY, &[&["all", "--small", "--out", dir][..], extra].concat());
+    let file = |name: &str| {
+        let path = std::path::Path::new(dir).join(name);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
     for name in DETERMINISTIC {
         let want = golden(&format!("study_small/{name}.txt"));
-        assert_eq!(ok(STUDY, &[name, "--small", "--threads", "1"]).0, want, "{name}");
+        assert!(file(&format!("{name}.txt")) == want, "{name} {extra:?}");
+    }
+    for fig in FIGURES {
+        let csv = path_in(std::path::Path::new(dir), &format!("{fig}.csv"));
+        let want = format!("{}wrote {csv}\n", golden(&format!("{fig}_small.txt")));
+        assert!(file(&format!("{fig}.txt")) == want, "{fig} stdout {extra:?}");
+        assert!(file(&format!("{fig}.csv")) == golden(&format!("{fig}_small.csv")), "{fig} CSV");
+    }
+    let written = std::fs::read_dir(dir).expect("--out DIR exists").count();
+    assert_eq!(written, DETERMINISTIC.len() + 2 * FIGURES.len(), "{dir} holds only its files");
+    stderr
+}
+
+#[test]
+fn all_reproduces_every_golden_file_at_any_thread_count_cold_and_warm() {
+    let dir = scratch("all");
+    let stderr = all_writes_the_golden_files(&path_in(&dir, "t1"), &["--threads", "1"]);
+    let (requested, simulated) = cells(&stderr, None);
+    assert!(simulated < requested, "the memo answered nothing: {stderr}");
+    // Fig. 4 is Fig. 3's grid; Fig. 5's 64 B/cycle column is its +0 column.
+    assert_eq!(cells(&stderr, Some("fig3")), (224, 224), "{stderr}");
+    assert_eq!(cells(&stderr, Some("fig4")), (224, 0), "{stderr}");
+    assert_eq!(cells(&stderr, Some("fig5")), (196, 168), "{stderr}");
+
+    // Each distinct cell once: a cold cache stores one entry per simulation.
+    let cache = path_in(&dir, "cache");
+    let cached = ["--threads", "2", "--cache-dir", &cache];
+    let cold = all_writes_the_golden_files(&path_in(&dir, "t2_cold"), &cached);
+    assert_eq!(cells(&cold, None), (requested, simulated), "{cold}");
+    assert_eq!(entries(&cache), simulated, "one entry per simulated cell");
+    let warm = all_writes_the_golden_files(&path_in(&dir, "t2_warm"), &cached);
+    assert_eq!(cells(&warm, None), (requested, 0), "{warm}");
+    assert_eq!(entries(&cache), simulated, "a warm rerun must not store a new entry");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn each_input_is_keyed_by_its_content() {
+    // One entry per distinct cell is what says two inputs never share a key:
+    // three σ values × two latencies, five input families × three
+    // implementations × two latencies.
+    let dir = scratch("keys");
+    for (name, want) in [("ablation_sigma", 6), ("inputs_study", 30)] {
         let cache = path_in(&dir, name);
-        let cached = [name, "--small", "--threads", "2", "--cache-dir", &cache];
-        assert_eq!(ok(STUDY, &cached).0, want, "{name}, two threads, cold cache");
-        let stored = entries(&cache);
-        assert!(stored > 0, "{name} stored nothing");
-        assert_eq!(ok(STUDY, &cached).0, want, "{name}, warm cache");
-        assert_eq!(entries(&cache), stored, "{name}: a warm rerun must not store a new entry");
-        // One entry per distinct cell is what says two inputs never share a
-        // key: three σ values × two latencies, five input families × three
-        // implementations × two latencies.
-        match name {
-            "ablation_sigma" => assert_eq!(stored, 6, "each σ is keyed by its own SELL layout"),
-            "inputs_study" => assert_eq!(stored, 30, "each input family is keyed by its content"),
-            _ => {}
-        }
+        let args = [name, "--small", "--threads", "2", "--cache-dir", &cache];
+        let golden = golden(&format!("study_small/{name}.txt"));
+        assert_eq!(ok(STUDY, &args).0, golden, "{name}, cold cache");
+        assert_eq!(entries(&cache), want, "{name}: each input is keyed by its content");
+        assert_eq!(ok(STUDY, &args).0, golden, "{name}, warm cache");
+        assert_eq!(entries(&cache), want, "{name}: a warm rerun must not store a new entry");
     }
     let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
-fn the_list_names_every_study_and_every_results_file_has_one() {
+fn the_list_names_every_entry_and_every_results_file_has_one() {
     let list = ok(STUDY, &["--list"]).0;
     let listed: Vec<&str> = list.lines().filter_map(|l| l.split_whitespace().next()).collect();
-    assert_eq!(listed.len(), 12, "{list}");
+    assert_eq!(listed.len(), 15, "{list}");
     let mut deterministic: Vec<&str> =
         listed.iter().copied().filter(|n| *n != "calibrate").collect();
     deterministic.sort_unstable();
-    assert_eq!(deterministic, DETERMINISTIC, "the golden set is the listed set");
+    let mut want = [&DETERMINISTIC[..], &FIGURES].concat();
+    want.sort_unstable();
+    assert_eq!(deterministic, want, "the golden set is the listed set");
     for entry in std::fs::read_dir(results_dir()).expect("results/").flatten() {
         let file = entry.file_name().to_string_lossy().into_owned();
         let Some(stem) = file.strip_suffix(".txt") else { continue };
-        if !["fig3", "fig4", "fig5"].contains(&stem) {
-            assert!(listed.contains(&stem), "results/{file} has no study behind it");
-        }
+        assert!(listed.contains(&stem), "results/{file} has no study behind it");
     }
-    for name in DETERMINISTIC {
+    for name in want {
         assert!(results_dir().join(format!("{name}.txt")).exists(), "results/{name}.txt missing");
     }
 }
@@ -114,20 +171,27 @@ fn calibrate_cycles_are_the_golden_fig3_cycles() {
 #[test]
 fn figures_reproduce_their_golden_stdout_and_csv() {
     let dir = scratch("figures");
-    // fig3 twice: the CSV must not depend on the thread count. Each run goes
-    // cold, then warm, through a cache directory of its own, and the warm
-    // CSV must be the cold one's bytes. fig_stalls has no golden file.
+    // fig3 twice: the CSV must not depend on the thread count, nor on an
+    // armed watchdog. Each run goes cold, then warm, through a cache
+    // directory of its own, and the warm CSV must be the cold one's bytes.
+    // fig_stalls has no golden file.
+    let fig_stalls = env!("CARGO_BIN_EXE_fig_stalls");
     for (bin, fig, threads) in [
-        (env!("CARGO_BIN_EXE_fig3_latency"), "fig3", "2"),
-        (env!("CARGO_BIN_EXE_fig3_latency"), "fig3", "1"),
-        (env!("CARGO_BIN_EXE_fig4_slowdown"), "fig4", "2"),
-        (env!("CARGO_BIN_EXE_fig5_bandwidth"), "fig5", "2"),
-        (env!("CARGO_BIN_EXE_fig_stalls"), "fig_stalls", "2"),
+        (STUDY, "fig3", "2"),
+        (STUDY, "fig3", "1"),
+        (STUDY, "fig4", "2"),
+        (STUDY, "fig5", "2"),
+        (fig_stalls, "fig_stalls", "2"),
     ] {
         let cache = path_in(&dir, &format!("{fig}_t{threads}"));
         let [cold, warm] = ["cold", "warm"].map(|run| {
             let csv = format!("{cache}_{run}.csv");
             let args = ["--small", "--threads", threads, "--cache-dir", &cache, "--csv", &csv];
+            let args = match (bin == STUDY, threads) {
+                (true, "1") => [&[fig][..], &args, &["--watchdog"]].concat(),
+                (true, _) => [&[fig][..], &args].concat(),
+                (false, _) => args.to_vec(),
+            };
             (ok(bin, &args).0, std::fs::read_to_string(&csv).expect("figure wrote its CSV"), csv)
         });
         assert_eq!(warm.1, cold.1, "{fig}, {threads} threads: warm CSV");
@@ -146,11 +210,13 @@ fn figures_reproduce_their_golden_stdout_and_csv() {
 
 #[test]
 fn a_mistyped_or_foreign_flag_is_a_usage_error_not_a_different_simulation() {
-    let fig3 = env!("CARGO_BIN_EXE_fig3_latency");
     for (bin, args, named) in [
-        (fig3, &["--smal"][..], "--smal"),
-        (fig3, &["--small", "--csv"], "--csv"),
+        (STUDY, &["fig3", "--smal"][..], "--smal"),
+        (STUDY, &["fig3", "--small", "--csv"], "--csv"),
         (STUDY, &["lanes_study", "--server", "x"], "--server"),
+        (STUDY, &["lanes_study", "--csv", "x"], "study fig3, fig4 and fig5"),
+        (STUDY, &["all", "--small"], "--out"),
+        (STUDY, &["fig3", "--out", "x"], "study all"),
         (STUDY, &["roofline", "--small", "--bw", "x"], "--bw"),
         (STUDY, &["lanes_study", "--small", "--bw", "8"], "roofline"),
         (STUDY, &["nosuch"], "ablation_sigma"),

@@ -543,8 +543,8 @@ fn the_binary_collapses_duplicates_and_answers_a_warm_fig3_from_its_memo() {
     assert!(ok(SWEEPD, &["status", "--addr", &d.addr]).0.contains("workers"));
     let csv = std::env::temp_dir().join(format!("sdv_sweepd_fig3_{}.csv", std::process::id()));
     let fig3 = || {
-        let args = ["--small", "--server", &d.addr, "--csv", csv.to_str().expect("utf-8 path")];
-        ok(env!("CARGO_BIN_EXE_fig3_latency"), &args);
+        let path = csv.to_str().expect("utf-8 path");
+        ok(env!("CARGO_BIN_EXE_study"), &["fig3", "--small", "--server", &d.addr, "--csv", path]);
         let stats = ok(SWEEPD, &["stats", "--addr", &d.addr]).0;
         let simulated = stats.lines().find(|l| l.starts_with("simulated ")).map(str::to_string);
         (std::fs::read_to_string(&csv).expect("fig3 wrote its CSV"), simulated.expect("stats"))

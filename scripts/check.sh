@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo gate: build, lint, test, paper-scale exactness and a loose wall gate,
-# results/ as the binaries print it, and the warm-cache wall ratio. Every
+# results/ as `study all` writes it, and the warm-cache wall ratio. Every
 # --small behaviour of the binaries (golden CSVs, warm identity, kill and
 # resume, fsck, gc, sweepd, chaos) is a `cargo test` case in
 # crates/bench/tests/. Run from anywhere.
@@ -69,20 +69,23 @@ PYEOF
 done
 rm -f "$exact_line" "$wall_line"
 
-echo "== results/ is what the binaries print (paper scale: eleven studies, three figure CSVs) =="
-# results/NAME.txt is `study NAME`'s stdout and results/figN.csv the figure
-# binary's CSV, byte for byte; calibrate prints wall times and has no file.
-# The --small golden CSVs, at one and two threads, are a `cargo test` case
+echo "== results/ is what study all writes (paper scale: every study, three figure CSVs) =="
+# results/NAME.txt is `study NAME`'s stdout and results/figN.csv a figure's
+# CSV, byte for byte; calibrate prints wall times and has no file. One
+# process regenerates them all, each distinct cell simulated once, and the
+# diff covers every tracked file under results/. The --small golden files,
+# at one and two threads, are a `cargo test` case
 # (crates/bench/tests/study.rs).
-tmp_csv2="$(mktemp /tmp/fig_paper.XXXXXX.csv)"
-trap 'rm -f "$tmp_csv2"' EXIT
-for name in $(./target/release/study --list | awk '$1 != "calibrate" { print $1 }'); do
-    ./target/release/study "$name" --threads 2 | diff -u "results/$name.txt" -
-done
-for fig in fig3_latency:fig3 fig4_slowdown:fig4 fig5_bandwidth:fig5; do
-    ./target/release/"${fig%%:*}" --threads 2 --csv "$tmp_csv2" >/dev/null
-    diff -u "results/${fig##*:}.csv" "$tmp_csv2"
-done
+./target/release/study all --threads 2 --out results
+git diff --exit-code -- results/
+# git diff does not see a file it does not track: a new file here is one
+# that no commit pins (the default --cache directory is ignored).
+untracked="$(git ls-files --others --exclude-standard -- results/)"
+if [ -n "$untracked" ]; then
+    echo "study all left untracked files under results/:" >&2
+    echo "$untracked" >&2
+    exit 1
+fi
 echo "results/*.txt and results/fig{3,4,5}.csv match"
 
 echo "== result-cache gate (warm rerun byte-identical at <25% of cold wall-clock) =="
@@ -91,9 +94,9 @@ cache_dir="$(mktemp -d /tmp/sdv_cache.XXXXXX)"
 cache_cold="$(mktemp /tmp/fig3_cold.XXXXXX.csv)"
 cache_warm="$(mktemp /tmp/fig3_warm.XXXXXX.csv)"
 t0=$(date +%s%N)
-./target/release/fig3_latency --small --cache-dir "$cache_dir" --csv "$cache_cold" >/dev/null
+./target/release/study fig3 --small --cache-dir "$cache_dir" --csv "$cache_cold" >/dev/null
 t1=$(date +%s%N)
-./target/release/fig3_latency --small --cache-dir "$cache_dir" --csv "$cache_warm" >/dev/null
+./target/release/study fig3 --small --cache-dir "$cache_dir" --csv "$cache_warm" >/dev/null
 t2=$(date +%s%N)
 diff -u "$cache_cold" "$cache_warm"
 diff -u results/golden/fig3_small.csv "$cache_warm"

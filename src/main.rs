@@ -15,7 +15,7 @@
 //! ```
 //!
 //! A malformed command line is exit 2 naming the offending argument. Sweeps
-//! of either knob are `fig3_latency` and `fig5_bandwidth` (`crates/bench`).
+//! of either knob are `study fig3` and `study fig5` (`crates/bench`).
 
 use sdv_bench::cli::{check_flags_or_die, die_usage, parse_arg};
 use sdv_bench::{run, Cell, ImplKind, KernelKind, Workloads};
@@ -94,7 +94,7 @@ fn main() {
         }
         Some("sweep") => die_usage(
             BIN,
-            "sweep was removed: fig3_latency sweeps the latency knob and fig5_bandwidth the \
+            "sweep was removed: study fig3 sweeps the latency knob and study fig5 the \
              bandwidth knob, grouped and cached",
         ),
         Some(other) => die_usage(BIN, &format!("unknown command '{other}'\n{USAGE}")),

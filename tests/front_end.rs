@@ -22,7 +22,7 @@ fn a_bad_command_line_is_a_usage_error_naming_the_argument() {
         (&["run", "--small", "--bw", "0"], "--bw"),
         (&["run", "--small", "--latency", "18446744073709551615"], "--latency"),
         (&["runn", "--small"], "runn"),
-        (&["sweep", "--small"], "fig3_latency"),
+        (&["sweep", "--small"], "study fig3"),
         (&["describe", "extra"], "extra"),
     ] {
         let out = run(args);
