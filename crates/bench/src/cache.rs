@@ -31,6 +31,7 @@
 use crate::harness::Cell;
 use sdv_engine::{SimError, StableHash, Stats};
 use sdv_rvv::Backend;
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
@@ -245,7 +246,7 @@ impl ResultCache {
     ) -> std::io::Result<()> {
         let mut body = format!("{MAGIC}\nkey {}\ncycles {cycles}\n", key.text());
         for (name, value) in stats.iter() {
-            body.push_str(&format!("stat {name} {value}\n"));
+            let _ = writeln!(body, "stat {name} {value}");
         }
         let mut h = StableHash::new();
         h.str(&body);
@@ -444,7 +445,49 @@ mod tests {
         assert_eq!(got.cycles, 42_000);
         assert_eq!(got.stats.get("l2.miss"), 1234);
         assert_eq!(got.stats.get("scalar.stall.mem"), 9);
+
+        // Filled out of order (`tile10.` sorts between `tile1.` and
+        // `tile2.`): stored in byte order, loaded back equal.
+        let mut names = ["tile2.x", "tile10.x", "a0", "tile1.x", "a", "a.b", "dram.bytes"];
+        sdv_engine::Rng::new(36).shuffle(&mut names);
+        let mut stats = Stats::new();
+        for (i, name) in names.iter().enumerate() {
+            stats.set(name, i as u64 * 1000 + 1);
+        }
+        let k = key("FFT/vl=8");
+        cache.store(&k, 7, &stats);
+        let text = std::fs::read_to_string(cache.entry_file(&k)).unwrap();
+        let stored: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("stat "))
+            .map(|l| l.rsplit_once(' ').unwrap().0)
+            .collect();
+        let mut sorted = names.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(stored, sorted, "stat lines in byte order");
+        let got = cache.load(&k).expect("warm cache must hit");
+        assert!(got.stats.iter().eq(stats.iter()));
         let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// A checksum-valid entry whose `stat` lines are shuffled and repeat a
+    /// name decodes to what the same `set` calls give: the last value wins.
+    #[test]
+    fn shuffled_and_repeated_stat_lines_decode_like_sets() {
+        let lines = [("tile2.x", 5), ("a", 1), ("tile10.x", 3), ("a", 9), ("tile1.x", 2)];
+        let mut body = format!("{MAGIC}\nkey k\ncycles 11\n");
+        let mut want = Stats::new();
+        for (name, value) in lines {
+            body += &format!("stat {name} {value}\n");
+            want.set(name, value);
+        }
+        let mut h = StableHash::new();
+        h.str(&body);
+        let text = format!("{body}sum {}\n", h.finish_hex());
+        let (_, got) = parse_entry(&text).expect("a valid entry");
+        assert_eq!(got.cycles, 11);
+        assert!(got.stats.iter().eq(want.iter()), "{:?} != {want:?}", got.stats);
+        assert_eq!(got.stats.get("a"), 9);
     }
 
     #[test]

@@ -1189,6 +1189,37 @@ mod tests {
         assert!(err.to_string().contains("Deadlock"), "original class text survives: {err}");
     }
 
+    /// A result line whose `stats` object is shuffled and repeats a key
+    /// decodes to what the same `set` calls give: the last value wins.
+    #[test]
+    fn shuffled_and_repeated_stats_keys_decode_like_sets() {
+        let pairs = [("tile2.x", 5), ("a", 1), ("tile10.x", 3), ("a", 9), ("tile1.x", 2)];
+        let cell = Cell {
+            kernel: KernelKind::Fft,
+            imp: ImplKind::Scalar,
+            extra_latency: 0,
+            bandwidth: 64,
+        };
+        let head = cell_to_json(cell).to_line();
+        let stats: Vec<String> = pairs.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        let line = format!(
+            "{},\"cycles\":12345,\"stats\":{{{}}}}}",
+            head.strip_suffix('}').unwrap(),
+            stats.join(",")
+        );
+        let mut want = Stats::new();
+        for (k, v) in pairs {
+            want.set(k, v);
+        }
+        match decode_outcome(&line) {
+            CellOutcome::Done(r) => {
+                assert!(r.stats.iter().eq(want.iter()), "{:?} != {want:?}", r.stats);
+                assert_eq!(r.stats.get("a"), 9);
+            }
+            other => panic!("expected Done, got {other:?}"),
+        }
+    }
+
     #[test]
     fn retry_backoff_is_seeded_deterministic_and_capped() {
         let p = RetryPolicy::retries(6, 42);

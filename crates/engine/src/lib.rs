@@ -13,8 +13,8 @@
 //!   `BinaryHeap`,
 //! * [`Ring`] / [`MonotoneRing`] — the fixed-capacity rings every hardware
 //!   queue with backpressure is modelled on,
-//! * [`Stats`] / [`Counter`] / [`Histogram`] — a lightweight statistics
-//!   registry every component reports into,
+//! * [`Stats`] / [`Histogram`] — a lightweight statistics registry every
+//!   component reports into,
 //! * [`Rng`] — a small, seedable xoshiro256** generator so workload
 //!   generation does not depend on external crates in the runtime path,
 //! * [`SimError`] — structured, recoverable failure values returned by the
@@ -55,4 +55,4 @@ pub fn build_info() -> &'static str {
 pub use probe::{chrome_trace_json, Probe, ProbeConfig, TraceEvent};
 pub use ring::{MonotoneRing, Ring};
 pub use rng::Rng;
-pub use stats::{Counter, Histogram, Stats};
+pub use stats::{Histogram, Stats};

@@ -5,39 +5,17 @@
 //! string keys, u64 values — so benches and tests can assert on any metric
 //! without plumbing typed accessors through the machine.
 //!
-//! Counter updates sit on the simulator's hottest paths (every scalar op,
-//! every cache line, every NoC packet), so the registry is tuned for them:
-//! lookups hash the borrowed `&str` key directly (no allocation once a
-//! counter exists) through the deterministic [`crate::FxHasher`], and the
-//! name-ordered view required by reports is produced by sorting at read
-//! time, where it is cold.
+//! Components keep their own counters as plain struct fields and build one
+//! registry per cell, when a report is assembled; the registry's traffic is
+//! a cached result being read back (the cache, the `sweepd` wire, the
+//! sweeper's memo), cloned and walked in name order. So it is laid out for
+//! that: the names sit in one arena `String`, the counters in a `Vec` sorted
+//! by name, and the histograms in a name-sorted `Vec`. A registry filled in
+//! name order (every decoder, which reads what [`Stats::iter`] wrote) appends,
+//! `iter` needs no sort, `clone` copies two buffers, and [`Stats::absorb`]
+//! merges two sorted runs in one pass.
 
-use crate::hash::FastMap;
 use std::fmt;
-
-/// A named monotonically increasing counter.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Add `n` events.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Add one event.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
 
 /// A fixed-bucket histogram over u64 samples.
 ///
@@ -136,11 +114,24 @@ impl Histogram {
     }
 }
 
-/// A registry of named counters and histograms.
-#[derive(Debug, Default, Clone)]
+/// A registry of named counters and histograms, kept in name (byte) order.
+///
+/// Counter names live back to back in one arena `String`; each counter is an
+/// [`Entry`] pointing into it, and the entries are sorted by name. Histograms
+/// sit in a name-sorted `Vec`.
+#[derive(Default, Clone)]
 pub struct Stats {
-    counters: FastMap<String, u64>,
-    histograms: FastMap<String, Histogram>,
+    keys: String,
+    counters: Vec<Entry>,
+    histograms: Vec<(String, Histogram)>,
+}
+
+/// One counter: its name is `keys[at..at + len]`.
+#[derive(Clone, Copy)]
+struct Entry {
+    at: u32,
+    len: u32,
+    value: u64,
 }
 
 impl Stats {
@@ -149,15 +140,52 @@ impl Stats {
         Self::default()
     }
 
-    /// Add `n` to counter `key`, creating it at zero if absent. Allocates
-    /// only the first time a key is seen.
+    fn name(&self, e: &Entry) -> &str {
+        &self.keys[e.at as usize..(e.at + e.len) as usize]
+    }
+
+    /// Copy `key` into the arena and return an entry for it.
+    fn intern(&mut self, key: &str, value: u64) -> Entry {
+        let at = u32::try_from(self.keys.len()).expect("counter names exceed 4 GiB");
+        self.keys.push_str(key);
+        Entry { at, len: key.len() as u32, value }
+    }
+
+    /// The position of `key`, or where it would be inserted.
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.counters.binary_search_by(|e| self.name(e).cmp(key))
+    }
+
+    /// Counter `key`, created at zero if absent. A key that sorts after
+    /// every existing one (the common case when a registry is filled in name
+    /// order) is an append; any other new key is inserted in place.
+    fn slot(&mut self, key: &str) -> &mut u64 {
+        let i = match self.counters.last() {
+            Some(e) if self.name(e) >= key => match self.find(key) {
+                Ok(i) => i,
+                Err(i) => {
+                    let e = self.intern(key, 0);
+                    self.counters.insert(i, e);
+                    i
+                }
+            },
+            _ => {
+                let e = self.intern(key, 0);
+                self.counters.push(e);
+                self.counters.len() - 1
+            }
+        };
+        &mut self.counters[i].value
+    }
+
+    fn histogram_slot(&self, key: &str) -> Result<usize, usize> {
+        self.histograms.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    }
+
+    /// Add `n` to counter `key`, creating it at zero if absent.
     #[inline]
     pub fn add(&mut self, key: &str, n: u64) {
-        if let Some(c) = self.counters.get_mut(key) {
-            *c += n;
-        } else {
-            self.counters.insert(key.to_string(), n);
-        }
+        *self.slot(key) += n;
     }
 
     /// Increment counter `key`.
@@ -168,73 +196,79 @@ impl Stats {
 
     /// Set counter `key` to an absolute value (for gauges like final cycle count).
     pub fn set(&mut self, key: &str, v: u64) {
-        if let Some(c) = self.counters.get_mut(key) {
-            *c = v;
-        } else {
-            self.counters.insert(key.to_string(), v);
-        }
+        *self.slot(key) = v;
     }
 
     /// Read counter `key` (0 if never touched).
     pub fn get(&self, key: &str) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
+        self.find(key).map_or(0, |i| self.counters[i].value)
     }
 
     /// Record a histogram sample, creating the histogram with the
     /// [`DEFAULT_POW2_BOUNDS`] ladder on first use.
     pub fn record(&mut self, key: &str, v: u64) {
-        if let Some(h) = self.histograms.get_mut(key) {
-            h.record(v);
-        } else {
-            let mut h = Histogram::default_pow2();
-            h.record(v);
-            self.histograms.insert(key.to_string(), h);
-        }
+        let i = match self.histogram_slot(key) {
+            Ok(i) => i,
+            Err(i) => {
+                self.histograms.insert(i, (key.to_string(), Histogram::default_pow2()));
+                i
+            }
+        };
+        self.histograms[i].1.record(v);
     }
 
     /// Install (or merge into) a histogram under `key`. Used by components
     /// that accumulate their own [`Histogram`] off the string-keyed path and
     /// publish it when a report is assembled.
     pub fn put_histogram(&mut self, key: &str, h: &Histogram) {
-        if let Some(mine) = self.histograms.get_mut(key) {
-            mine.merge(h);
-        } else {
-            self.histograms.insert(key.to_string(), h.clone());
+        match self.histogram_slot(key) {
+            Ok(i) => self.histograms[i].1.merge(h),
+            Err(i) => self.histograms.insert(i, (key.to_string(), h.clone())),
         }
     }
 
     /// Access a histogram by name.
     pub fn histogram(&self, key: &str) -> Option<&Histogram> {
-        self.histograms.get(key)
+        self.histogram_slot(key).ok().map(|i| &self.histograms[i].1)
     }
 
     /// Iterate counters in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        let mut entries: Vec<(&str, u64)> =
-            self.counters.iter().map(|(k, &v)| (k.as_str(), v)).collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        entries.into_iter()
+        self.counters.iter().map(|e| (self.name(e), e.value))
     }
 
     /// Merge another registry into this one: counters add, and histograms
     /// that exist on both sides are merged sample-for-sample (they must have
     /// identical bounds). Sweeper shards absorb into one registry, so
     /// dropping either side's samples would silently lose data.
+    ///
+    /// Both counter lists are sorted, so they merge in one pass.
     pub fn absorb(&mut self, other: &Stats) {
-        for (k, &v) in other.counters.iter() {
-            self.add(k, v);
-        }
-        for (k, h) in other.histograms.iter() {
-            if let Some(mine) = self.histograms.get_mut(k) {
-                mine.merge(h);
-            } else {
-                self.histograms.insert(k.clone(), h.clone());
+        let mut merged = Vec::with_capacity(self.counters.len() + other.counters.len());
+        let mut mine = std::mem::take(&mut self.counters).into_iter().peekable();
+        for theirs in &other.counters {
+            let key = other.name(theirs);
+            while let Some(e) = mine.next_if(|e| self.name(e) < key) {
+                merged.push(e);
             }
+            match mine.next_if(|e| self.name(e) == key) {
+                Some(mut e) => {
+                    e.value += theirs.value;
+                    merged.push(e);
+                }
+                None => merged.push(self.intern(key, theirs.value)),
+            }
+        }
+        merged.extend(mine);
+        self.counters = merged;
+        for (k, h) in &other.histograms {
+            self.put_histogram(k, h);
         }
     }
 
     /// Remove everything.
     pub fn clear(&mut self) {
+        self.keys.clear();
         self.counters.clear();
         self.histograms.clear();
     }
@@ -245,27 +279,25 @@ impl fmt::Display for Stats {
         for (k, v) in self.iter() {
             writeln!(f, "{k:<48} {v}")?;
         }
-        let mut hists: Vec<(&str, &Histogram)> =
-            self.histograms.iter().map(|(k, h)| (k.as_str(), h)).collect();
-        hists.sort_unstable_by_key(|&(k, _)| k);
-        for (k, h) in hists {
+        for (k, h) in &self.histograms {
             writeln!(f, "{k:<48} n={} mean={:.2} max={}", h.samples(), h.mean(), h.max())?;
         }
         Ok(())
     }
 }
 
+impl fmt::Debug for Stats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.iter())
+            .entries(self.histograms.iter().map(|(k, h)| (k, h)))
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn stats_counters_accumulate() {
@@ -376,6 +408,131 @@ mod tests {
         let out = s.to_string();
         assert!(out.contains("alpha"));
         assert!(out.contains("lat"));
+    }
+
+    /// What a [`Stats`] should hold: counters and, per histogram, its
+    /// (samples, sum, max), each keyed in name order.
+    #[derive(Default, Clone)]
+    struct Model {
+        counters: std::collections::BTreeMap<String, u64>,
+        hists: std::collections::BTreeMap<String, (u64, u64, u64)>,
+    }
+
+    impl Model {
+        fn sample(&mut self, key: &str, samples: u64, sum: u64, max: u64) {
+            let h = self.hists.entry(key.to_string()).or_default();
+            *h = (h.0 + samples, h.1 + sum, h.2.max(max));
+        }
+
+        fn absorb(&mut self, other: &Model) {
+            for (k, v) in &other.counters {
+                *self.counters.entry(k.clone()).or_default() += v;
+            }
+            for (k, &(n, sum, max)) in &other.hists {
+                self.sample(k, n, sum, max);
+            }
+        }
+
+        fn display(&self) -> String {
+            let mut out = String::new();
+            for (k, v) in &self.counters {
+                out += &format!("{k:<48} {v}\n");
+            }
+            for (k, &(n, sum, max)) in &self.hists {
+                let mean = if n == 0 { 0.0 } else { sum as f64 / n as f64 };
+                out += &format!("{k:<48} n={n} mean={mean:.2} max={max}\n");
+            }
+            out
+        }
+    }
+
+    /// Byte-prefix neighbours, the 16-tile shape (`tile10.` sorts between
+    /// `tile1.` and `tile2.`), the empty key and a non-ASCII one.
+    const POOL: [&str; 11] =
+        ["a", "a.b", "a0", "tile1.x", "tile10.x", "tile2.x", "", "größe", "l2.miss", "b", "z"];
+
+    fn check(s: &Stats, m: &Model, step: &str) {
+        let got: Vec<(String, u64)> = s.iter().map(|(k, v)| (k.to_string(), v)).collect();
+        let want: Vec<(String, u64)> = m.counters.iter().map(|(k, &v)| (k.clone(), v)).collect();
+        assert_eq!(got, want, "iter after {step}");
+        for k in POOL {
+            assert_eq!(s.get(k), m.counters.get(k).copied().unwrap_or(0), "get({k:?}) after {step}");
+            let h = s.histogram(k).map(|h| (h.samples(), h.sum, h.max()));
+            assert_eq!(h, m.hists.get(k).copied(), "histogram({k:?}) after {step}");
+        }
+        assert_eq!(s.to_string(), m.display(), "Display after {step}");
+    }
+
+    /// One random mutation of `s` and `m` alike; returns what it did.
+    fn step(rng: &mut crate::Rng, s: &mut Stats, m: &mut Model) -> String {
+        let key = POOL[rng.index(POOL.len())];
+        let v = rng.below(1000);
+        match rng.below(7) {
+            0 => {
+                s.set(key, v);
+                m.counters.insert(key.to_string(), v);
+                format!("set({key:?}, {v})")
+            }
+            1 => {
+                s.add(key, v);
+                *m.counters.entry(key.to_string()).or_default() += v;
+                format!("add({key:?}, {v})")
+            }
+            2 => {
+                s.inc(key);
+                *m.counters.entry(key.to_string()).or_default() += 1;
+                format!("inc({key:?})")
+            }
+            3 => {
+                s.record(key, v);
+                m.sample(key, 1, v, v);
+                format!("record({key:?}, {v})")
+            }
+            4 => {
+                let mut h = Histogram::default_pow2();
+                let n = rng.below(3);
+                for _ in 0..n {
+                    h.record(rng.below(20_000));
+                }
+                s.put_histogram(key, &h);
+                m.sample(key, n, h.sum, h.max());
+                format!("put_histogram({key:?}, n={n})")
+            }
+            5 => {
+                let (mut other, mut om) = (Stats::new(), Model::default());
+                for _ in 0..rng.below(12) {
+                    step(rng, &mut other, &mut om);
+                }
+                s.absorb(&other);
+                m.absorb(&om);
+                "absorb".to_string()
+            }
+            _ if rng.chance(0.2) => {
+                s.clear();
+                *m = Model::default();
+                "clear".to_string()
+            }
+            _ => {
+                let _ = s.get(key);
+                format!("get({key:?})")
+            }
+        }
+    }
+
+    /// Seeded differential test: random operation sequences against a
+    /// `BTreeMap` reference, compared after every step. An insertion-ordered
+    /// or unsorted `iter()` fails the `iter` comparison.
+    #[test]
+    fn matches_a_btreemap_reference() {
+        for seed in 0..200 {
+            let mut rng = crate::Rng::new(seed);
+            let (mut s, mut m) = (Stats::new(), Model::default());
+            for i in 0..60 {
+                let what = step(&mut rng, &mut s, &mut m);
+                check(&s, &m, &format!("seed {seed} step {i}: {what}"));
+                check(&s.clone(), &m, &format!("clone, seed {seed} step {i}: {what}"));
+            }
+        }
     }
 
     #[test]
