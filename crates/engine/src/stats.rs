@@ -117,7 +117,7 @@ impl Histogram {
 /// A registry of named counters and histograms, kept in name (byte) order.
 ///
 /// Counter names live back to back in one arena `String`; each counter is an
-/// [`Entry`] pointing into it, and the entries are sorted by name. Histograms
+/// `Entry` pointing into it, and the entries are sorted by name. Histograms
 /// sit in a name-sorted `Vec`.
 #[derive(Default, Clone)]
 pub struct Stats {
@@ -146,9 +146,11 @@ impl Stats {
 
     /// Copy `key` into the arena and return an entry for it.
     fn intern(&mut self, key: &str, value: u64) -> Entry {
-        let at = u32::try_from(self.keys.len()).expect("counter names exceed 4 GiB");
         self.keys.push_str(key);
-        Entry { at, len: key.len() as u32, value }
+        let end = u32::try_from(self.keys.len()).expect("a registry's names fit in 4 GiB");
+        // `key.len() <= end`, so the cast is lossless and `at + len` cannot overflow.
+        let len = key.len() as u32;
+        Entry { at: end - len, len, value }
     }
 
     /// The position of `key`, or where it would be inserted.
@@ -160,21 +162,15 @@ impl Stats {
     /// every existing one (the common case when a registry is filled in name
     /// order) is an append; any other new key is inserted in place.
     fn slot(&mut self, key: &str) -> &mut u64 {
-        let i = match self.counters.last() {
-            Some(e) if self.name(e) >= key => match self.find(key) {
-                Ok(i) => i,
-                Err(i) => {
-                    let e = self.intern(key, 0);
-                    self.counters.insert(i, e);
-                    i
-                }
-            },
-            _ => {
-                let e = self.intern(key, 0);
-                self.counters.push(e);
-                self.counters.len() - 1
-            }
+        let found = match self.counters.last() {
+            Some(last) if self.name(last) >= key => self.find(key),
+            _ => Err(self.counters.len()),
         };
+        let i = found.unwrap_or_else(|i| {
+            let e = self.intern(key, 0);
+            self.counters.insert(i, e);
+            i
+        });
         &mut self.counters[i].value
     }
 
@@ -207,13 +203,10 @@ impl Stats {
     /// Record a histogram sample, creating the histogram with the
     /// [`DEFAULT_POW2_BOUNDS`] ladder on first use.
     pub fn record(&mut self, key: &str, v: u64) {
-        let i = match self.histogram_slot(key) {
-            Ok(i) => i,
-            Err(i) => {
-                self.histograms.insert(i, (key.to_string(), Histogram::default_pow2()));
-                i
-            }
-        };
+        let i = self.histogram_slot(key).unwrap_or_else(|i| {
+            self.histograms.insert(i, (key.to_string(), Histogram::default_pow2()));
+            i
+        });
         self.histograms[i].1.record(v);
     }
 
