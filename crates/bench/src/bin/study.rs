@@ -1,4 +1,5 @@
-//! study — the paper's grid figures (FIG3–5), the design-choice ablations
+//! study — the paper's grid figures (FIG3–5), the stall attribution behind
+//! them (STALL), the tile scale-out (EXT8), the design-choice ablations
 //! (ABL1–4) and extension studies (EXT1–7), plus the `calibrate` smoke.
 //!
 //! Usage: `study --list`
@@ -6,19 +7,24 @@
 //!        `study all --out DIR [--small] [--threads N] [--cache | --cache-dir DIR]`
 //!
 //! `roofline` also takes `--bw N`, `calibrate` kernel names (`study
-//! calibrate SPMV BFS`), and `fig3`/`fig4`/`fig5` [`FIGURE_FLAGS`]. Every
-//! study runs the paper-scale inputs unless `--small` is given.
+//! calibrate SPMV BFS`), `fig3`/`fig4`/`fig5`/`fig_stalls` [`FIGURE_FLAGS`]
+//! and `fig_scale` [`SCALE_FLAGS`] ([`own_flags`]). Every study runs the
+//! paper-scale inputs unless `--small` is given.
 //!
 //! A study is a plain function in [`STUDIES`]: it builds its [`Cell`]s, runs
 //! them through [`Run::grid`] — a [`Sweeper`], so every study inherits worker
 //! threads, the persistent result cache with content-fingerprinted keys and
 //! per-cell fault isolation (`FAILED` cells, exit 4) — and writes tables to
 //! its [`Run`]. `results/NAME.txt` is `study NAME`'s stdout and
-//! `results/figN.csv` a figure's CSV; `study all` writes every one of them
-//! from one process, which simulates each distinct cell once.
+//! `results/NAME.csv` a figure's CSV; `study all` writes every one of them
+//! from one process, which simulates each distinct cell once. `fig_stalls`
+//! and `fig_scale` each check a gate on what they print ([`stall_verdict`],
+//! [`check_sums`]); a violated gate is exit 1 once every file is written,
+//! unless a failed cell already makes it exit 4.
 
 use sdv_bench::cache::{CacheKey, ResultCache};
 use sdv_bench::figure::{self, Figure};
+use sdv_bench::metrics::StallBreakdown;
 use sdv_bench::table::{render, slowdown_cell};
 use sdv_bench::Workloads;
 use sdv_bench::{cli, metrics, Cell, CellOutcome, ImplKind, KernelKind, RunResult, Sweeper};
@@ -36,12 +42,15 @@ const BIN: &str = "study";
 /// `id` is DESIGN.md's experiment index.
 type Study = (&'static str, &'static str, &'static str, fn(&mut Run));
 
-/// In `study all`'s order: every cell of Fig. 4, a sixth of Fig. 5's and
-/// most default-config cells of the studies are Fig. 3 cells.
+/// In `study all`'s order: every cell of Fig. 4 and of the stall
+/// breakdown, a sixth of Fig. 5's, a third of the scale-out's and most
+/// default-config cells of the studies are Fig. 3 cells.
 const STUDIES: &[Study] = &[
     ("fig3", "FIG3", "Fig. 3: cycles vs added latency", |run| figure_study(run, Figure::Latency)),
     ("fig4", "FIG4", "Fig. 4: slowdown, §4.1 anchors", |run| figure_study(run, Figure::Slowdown)),
     ("fig5", "FIG5", "Fig. 5: time vs bandwidth cap", |run| figure_study(run, Figure::Bandwidth)),
+    ("fig_stalls", "STALL", "stall breakdown at +0/+1024; gate: monotone in MAXVL", fig_stalls),
+    ("fig_scale", "EXT8", "tile scale-out: 1/4/16 tiles x vl; gate: exact counter sums", fig_scale),
     ("ablation_spmv", "ABL1", "SpMV format: SELL-C-σ vs row-at-a-time CSR gather", ablation_spmv),
     ("ablation_mlp", "ABL2", "MLP is the mechanism: MSHRs, run-ahead, VPU queue", ablation_mlp),
     ("ablation_banks", "ABL3", "L2HN banking: 1x1 vs 2x2 vs 4x4 mesh", ablation_banks),
@@ -56,11 +65,28 @@ const STUDIES: &[Study] = &[
     ("calibrate", "-", "reduced grid with wall time per cell: speed and shape smoke", calibrate),
 ];
 
-/// Flags of the figure entries alone, two switches first (`--bw` is `roofline`'s).
+/// Flags of the grid figures and `fig_stalls` alone, two switches first.
 #[rustfmt::skip]
 const FIGURE_FLAGS: &[&str] = &["--watchdog", "--fallback-local", "--csv", "--server",
     "--retries", "--retry-seed", "--metrics-json", "--trace", "--trace-kernel", "--cycle-budget",
     "--fault", "--fault-seed"];
+
+/// `fig_scale`'s share of [`FIGURE_FLAGS`]: its three topologies cannot share
+/// one server, and it has no traced cell.
+#[rustfmt::skip]
+const SCALE_FLAGS: &[&str] = &["--watchdog", "--csv", "--metrics-json", "--cycle-budget",
+    "--fault", "--fault-seed"];
+
+/// The flags beyond `--small`, `--threads` and the cache's that entry `name`
+/// takes; `study all` takes none of them.
+fn own_flags(name: &str) -> &'static [&'static str] {
+    match name {
+        "fig3" | "fig4" | "fig5" | "fig_stalls" => FIGURE_FLAGS,
+        "fig_scale" => SCALE_FLAGS,
+        "roofline" => &["--bw"],
+        _ => &[],
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -85,14 +111,13 @@ fn main() {
     if entry.is_none() && *name != "all" {
         cli::die_usage(BIN, &format!("unknown study '{name}'; studies: {names}, all"));
     }
-    let figure_flag = FIGURE_FLAGS.iter().find(|f| args.iter().any(|a| a == *f));
-    if let Some(flag) = figure_flag.filter(|_| !entry.is_some_and(|s| s.1.starts_with("FIG"))) {
-        cli::die_usage(BIN, &format!("{flag} belongs to study fig3, fig4 and fig5"));
+    let foreign = |f: &&str| !own_flags(name).contains(f) && args.iter().any(|a| a == f);
+    if let Some(flag) = FIGURE_FLAGS.iter().chain(&["--bw"]).find(|f| foreign(f)) {
+        let owners: Vec<&str> =
+            STUDIES.iter().map(|s| s.0).filter(|s| own_flags(s).contains(flag)).collect();
+        cli::die_usage(BIN, &format!("{flag} belongs to study {}", owners.join(", ")));
     }
     let bw = cli::parse_arg::<u64>(&args, "--bw").unwrap_or_else(|e| cli::die_usage(BIN, &e));
-    if bw.is_some() && *name != "roofline" {
-        cli::die_usage(BIN, "--bw belongs to `study roofline`");
-    }
     let out_dir = cli::arg_value(&args, "--out").map(PathBuf::from);
     if out_dir.is_some() != (*name == "all") {
         cli::die_usage(BIN, "--out DIR belongs to `study all`, which needs it");
@@ -112,12 +137,16 @@ fn main() {
         memo: Default::default(),
         requested: 0,
         simulated: 0,
+        gate_failed: false,
     };
     match (entry, out_dir) {
         (Some((.., study)), _) => study(&mut run),
         (None, dir) => all(&mut run, &dir.expect("`all` has --out")),
     }
     cli::report_failures_and_exit(BIN, &run.outcomes);
+    if run.gate_failed {
+        std::process::exit(1);
+    }
 }
 
 /// `study all --out DIR`: every entry but `calibrate` (it prints wall times),
@@ -126,9 +155,9 @@ fn all(run: &mut Run, dir: &Path) {
     if let Err(e) = std::fs::create_dir_all(dir) {
         cli::die_bad_input(BIN, &format!("cannot create {}: {e}", dir.display()));
     }
-    for (name, id, _, study) in STUDIES.iter().filter(|s| s.0 != "calibrate") {
+    for (name, _, _, study) in STUDIES.iter().filter(|s| s.0 != "calibrate") {
         let (requested, simulated) = (run.requested, run.simulated);
-        run.csv = id.starts_with("FIG").then(|| dir.join(format!("{name}.csv")));
+        run.csv = own_flags(name).contains(&"--csv").then(|| dir.join(format!("{name}.csv")));
         run.out = Some(String::new());
         study(run);
         let path = dir.join(format!("{name}.txt"));
@@ -151,7 +180,8 @@ struct Run<'a> {
     bw: Option<u64>,
     /// Positional arguments after the study's name (`calibrate`'s kernels).
     rest: &'a [&'a str],
-    /// Where a figure writes its CSV: `--csv`, or `DIR/NAME.csv` in `all`.
+    /// Where a figure writes its CSV: `--csv`, or `DIR/NAME.csv` in `all`
+    /// ([`Run::write_csv`]).
     csv: Option<PathBuf>,
     /// The running study's stdout, through `Run`'s [`std::fmt::Write`]:
     /// kept for `DIR/NAME.txt` under `study all`, printed at once otherwise.
@@ -163,6 +193,8 @@ struct Run<'a> {
     /// Cells and programs asked for, and those simulated in this process.
     requested: usize,
     simulated: usize,
+    /// Whether a study's gate failed ([`Run::fail_gate`]).
+    gate_failed: bool,
 }
 
 impl Run<'_> {
@@ -240,6 +272,22 @@ impl Run<'_> {
         cycles
     }
 
+    /// Write a figure's CSV where [`Run::csv`] says, if anywhere, and say so.
+    fn write_csv(&mut self, csv: String) {
+        let Some(path) = self.csv.clone() else { return };
+        if let Err(e) = std::fs::write(&path, csv) {
+            cli::die_bad_input(BIN, &format!("cannot write {}: {e}", path.display()));
+        }
+        writeln!(self, "wrote {}", path.display()).unwrap();
+    }
+
+    /// The running study's gate failed: say why now, and exit 1 once every
+    /// file is written.
+    fn fail_gate(&mut self, why: &str) {
+        eprintln!("{BIN}: gate failed: {why}");
+        self.gate_failed = true;
+    }
+
     fn table(&mut self, title: &str, row_header: &str, col_headers: &[String], rows: &Rows) {
         writeln!(self, "{}", render(title, row_header, col_headers, rows)).unwrap();
     }
@@ -267,15 +315,275 @@ fn figure_study(run: &mut Run, fig: Figure) {
     let outcomes = run.grid(&w, cfg, &figure::cells(fig));
     let (text, csv) = figure::text_and_csv(fig, &outcomes);
     write!(run, "{text}").unwrap();
-    if let Some(path) = run.csv.clone() {
-        if let Err(e) = std::fs::write(&path, csv) {
-            cli::die_bad_input(BIN, &format!("cannot write {}: {e}", path.display()));
-        }
-        writeln!(run, "wrote {}", path.display()).unwrap();
-    }
+    run.write_csv(csv);
     // Only `study figN` takes these two, and it prints as it goes.
     metrics::write_metrics_if_requested(BIN, run.args, &outcomes);
     metrics::write_trace_if_requested(BIN, run.args, &w, cfg, figure::traced_cell(fig));
+}
+
+/// STALL's added latency, beside +0: Fig. 3's harshest.
+const STRESSED: u64 = 1024;
+
+/// STALL — where each implementation's time goes: memory stalls, VPU queue
+/// backpressure, VPU sync waits and branch bubbles as shares of wall time,
+/// one table per kernel at +0 and at [`STRESSED`], then the paper's claim as
+/// one monotone sequence per kernel ([`stall_verdict`], the gate). Its cells
+/// are Fig. 3's; the CSV has the raw counters, one row per cell.
+fn fig_stalls(run: &mut Run) {
+    let cfg = cli::hardening_config(run.args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
+    let w = run.workloads();
+    let (impls, lats) = (ImplKind::paper_set(), [0, STRESSED]);
+    let outcomes = run.grid(&w, cfg, &cross(&KernelKind::all(), &impls, &lats));
+    let headers = strings(&["cycles", "mem%", "vpu-queue%", "vpu-sync%", "branch%"]);
+    let pct = |part: u64, total: u64| format!("{:.1}%", 100.0 * part as f64 / total as f64);
+    for block in outcomes.chunks(impls.len() * lats.len()) {
+        let name = block[0].cell().kernel.name();
+        for (li, lat) in lats.iter().enumerate() {
+            let rows: Rows = block[li..]
+                .iter()
+                .step_by(lats.len())
+                .map(|o| {
+                    let columns = stat_columns(o, |r| {
+                        let b = breakdown(r);
+                        vec![
+                            r.cycles.to_string(),
+                            pct(b.memory_cycles(), b.cycles),
+                            pct(b.vpu_queue, b.cycles),
+                            pct(b.vpu_sync, b.cycles),
+                            pct(b.branch, b.cycles),
+                        ]
+                    });
+                    (o.cell().imp.to_string(), columns)
+                })
+                .collect();
+            let title = format!("Stall breakdown — {name} at +{lat} cycles added latency");
+            run.table(&title, "impl", &headers, &rows);
+        }
+        let (holds, verdict) = stall_verdict(block);
+        run.line(&format!("{verdict}\n"));
+        if !holds {
+            run.fail_gate(&verdict);
+        }
+    }
+    let mut csv =
+        String::from("kernel,impl,extra_latency,cycles,mem_stall,vpu_queue,vpu_sync,branch\n");
+    for o in &outcomes {
+        let Cell { kernel, imp, extra_latency: lat, .. } = o.cell();
+        let k = kernel.name();
+        match o {
+            CellOutcome::Done(r) => {
+                let b = breakdown(r);
+                let (mem, queue, sync) = (b.memory_cycles(), b.vpu_queue, b.vpu_sync);
+                writeln!(csv, "{k},{imp},{lat},{},{mem},{queue},{sync},{}", r.cycles, b.branch)
+            }
+            CellOutcome::Failed { .. } => writeln!(csv, "{k},{imp},{lat},FAILED,,,,"),
+        }
+        .unwrap();
+    }
+    run.write_csv(csv);
+    // Only `study fig_stalls` takes these two, and it prints as it goes.
+    metrics::write_metrics_if_requested(BIN, run.args, &outcomes);
+    let traced = figure::traced_cell(Figure::Latency);
+    metrics::write_trace_if_requested(BIN, run.args, &w, cfg, traced);
+}
+
+/// A completed cell's stall breakdown (every completed cell carries stats).
+fn breakdown(r: &RunResult) -> StallBreakdown {
+    StallBreakdown::from_stats(r.cycles, &r.stats).expect("completed cells carry stats")
+}
+
+/// STALL's gate on one kernel's outcomes (implementations × {+0,
+/// [`STRESSED`]}, as [`cross`] orders them): whether the vector
+/// implementations' memory-stall fraction at [`STRESSED`] is nonincreasing
+/// in MAXVL, and the verdict line. At +1024 every implementation is nearly
+/// fully memory-bound, so adjacent small-MAXVL fractions are ties near 1.0
+/// that jitter in the 4th decimal; a rise of up to 2e-3 forgives that jitter
+/// without masking a real rise. A failed cell fails the gate.
+fn stall_verdict(block: &[CellOutcome]) -> (bool, String) {
+    let name = block[0].cell().kernel.name();
+    let fractions: Option<Vec<(usize, f64)>> = block
+        .iter()
+        .filter(|o| o.cell().extra_latency == STRESSED)
+        .filter_map(|o| match o.cell().imp {
+            ImplKind::Vector { maxvl } => Some((maxvl, o)),
+            ImplKind::Scalar => None,
+        })
+        .map(|(maxvl, o)| match o {
+            CellOutcome::Done(r) => Some((maxvl, breakdown(r).memory_stall_fraction())),
+            CellOutcome::Failed { .. } => None,
+        })
+        .collect();
+    let Some(f) = fractions else {
+        return (false, format!("{name}: verdict skipped — kernel has failed cells"));
+    };
+    let holds = f.windows(2).all(|w| w[1].1 <= w[0].1 + 2e-3);
+    let shown: Vec<String> = f.iter().map(|(vl, fr)| format!("vl{vl}={fr:.3}")).collect();
+    let verdict = if holds {
+        "monotone falling with MAXVL (longer vectors hide more latency)"
+    } else {
+        "NOT monotone — latency tolerance claim violated"
+    };
+    (
+        holds,
+        format!("{name}: memory-stall fraction at +{STRESSED}: {} — {verdict}", shown.join(" ")),
+    )
+}
+
+/// EXT8 — the tile scale-out: the three partitionable kernels (SpMV by SELL
+/// slice ranges, BFS by frontier slices, PageRank by vertex chunks) on 1, 4
+/// and 16 tiles sharing the banked L2, MESI directory and DRAM channel
+/// through the mesh, at vl=8, 64 and 256. Per kernel, a cycles table with
+/// each topology's speedup over one tile, then a traffic line per topology
+/// at vl=256: directory recalls, invalidations and downgrades summed over
+/// banks, and the busiest NoC link. Every completed cell's counters must add
+/// up ([`check_sums`], the gate).
+///
+/// A tile count runs on the smallest of the square meshes (2×2, 4×4, 8×8)
+/// that seats it, one L2HN bank per node ([`cli::with_tiles`]). One tile is
+/// the paper's machine running its single-stream programs, so those nine
+/// cells are Fig. 3's. The CSV is long-format (`kernel,impl,tiles,mesh,
+/// kind,name,value`): cycles, per-tile stall attribution (`stall`), per-bank
+/// directory traffic (`directory`) and per-link busy cycles (`noc`), one row
+/// per counter, so a new topology never changes the column set.
+fn fig_scale(run: &mut Run) {
+    let base = cli::hardening_config(run.args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
+    let w = run.workloads();
+    let kernels: Vec<KernelKind> =
+        KernelKind::all().into_iter().filter(|k| k.partitionable()).collect();
+    let vls = [VL8, VL64, VL256];
+    let cells = cross(&kernels, &vls, &[0]);
+    // One grid per topology: the tile count and mesh are part of the timing
+    // configuration, and so of every cache key. The first is one tile.
+    let grids: Vec<(usize, String, Vec<CellOutcome>)> = [1, 4, 16]
+        .into_iter()
+        .map(|tiles| {
+            let cfg = cli::with_tiles(base, tiles);
+            let mesh = format!("{}x{}", cfg.mem.mesh.width, cfg.mem.mesh.height);
+            (tiles, mesh, run.grid(&w, cfg, &cells))
+        })
+        .collect();
+    let headers: Vec<String> =
+        vls.iter().flat_map(|vl| [vl.to_string(), "speedup".to_string()]).collect();
+    for (ki, kernel) in kernels.iter().enumerate() {
+        let at = |grid: &[CellOutcome], vi: usize| grid[ki * vls.len() + vi].cycles();
+        let rows: Rows = grids
+            .iter()
+            .map(|(tiles, mesh, grid)| {
+                let columns = (0..vls.len())
+                    .flat_map(|vi| match (at(grid, vi), at(&grids[0].2, vi)) {
+                        (Some(c), Some(one)) => {
+                            [c.to_string(), format!("{:.2}x", one as f64 / c as f64)]
+                        }
+                        (Some(c), None) => [c.to_string(), "-".to_string()],
+                        (None, _) => ["FAILED".to_string(), "-".to_string()],
+                    })
+                    .collect();
+                (format!("tiles={tiles} ({mesh})"), columns)
+            })
+            .collect();
+        run.table(&format!("Tile scale-out — {}", kernel.name()), "topology", &headers, &rows);
+        for (tiles, mesh, grid) in &grids {
+            if let CellOutcome::Done(r) = &grid[ki * vls.len() + vls.len() - 1] {
+                let link = busiest_link(r).map_or("no NoC traffic".to_string(), |(l, busy)| {
+                    format!("link {l} busy {:.1}%", 100.0 * busy as f64 / r.cycles as f64)
+                });
+                let [recalls, invalidations, downgrades] =
+                    [".recalls", ".invalidations", ".downgrades"].map(|c| bank_sum(r, c));
+                run.line(&format!(
+                    "  tiles={tiles} ({mesh}): directory recalls={recalls} \
+                     invalidations={invalidations} downgrades={downgrades}; busiest {link}"
+                ));
+            }
+        }
+        run.line("");
+    }
+    let mut csv = String::from("kernel,impl,tiles,mesh,kind,name,value\n");
+    for (ki, kernel) in kernels.iter().enumerate() {
+        for (tiles, mesh, grid) in &grids {
+            for o in &grid[ki * vls.len()..][..vls.len()] {
+                let (k, imp) = (kernel.name(), o.cell().imp);
+                let CellOutcome::Done(r) = o else {
+                    writeln!(csv, "{k},{imp},{tiles},{mesh},cycles,total,FAILED").unwrap();
+                    continue;
+                };
+                if let Err(e) = check_sums(r, *tiles) {
+                    run.fail_gate(&format!("fig_scale {k}/{imp}/tiles={tiles}: {e}"));
+                }
+                writeln!(csv, "{k},{imp},{tiles},{mesh},cycles,total,{}", r.cycles).unwrap();
+                for (key, v) in r.stats.iter() {
+                    // One tile's stats carry no tile prefix; exported under
+                    // tile0 so the column is uniform.
+                    let key = if *tiles == 1 && key.starts_with("scalar.stall.") {
+                        format!("tile0.{key}")
+                    } else {
+                        key.to_string()
+                    };
+                    if let Some(kind) = exported_kind(&key) {
+                        writeln!(csv, "{k},{imp},{tiles},{mesh},{kind},{key},{v}").unwrap();
+                    }
+                }
+            }
+        }
+    }
+    run.write_csv(csv);
+    let all: Vec<CellOutcome> = grids.into_iter().flat_map(|(.., grid)| grid).collect();
+    metrics::write_metrics_if_requested(BIN, run.args, &all);
+}
+
+/// EXT8's CSV kind of counter `key`, `None` for a counter it does not export.
+fn exported_kind(key: &str) -> Option<&'static str> {
+    let directory = [".recalls", ".invalidations", ".downgrades"];
+    if key.starts_with("tile") && key.contains(".scalar.stall.") {
+        Some("stall")
+    } else if key.starts_with("l2.bank") && directory.iter().any(|c| key.ends_with(c)) {
+        Some("directory")
+    } else if key.starts_with("noc.link") && key.ends_with(".busy_cycles") {
+        Some("noc")
+    } else {
+        None
+    }
+}
+
+/// Sum of `l2.bank{i}.<counter>` over all banks.
+fn bank_sum(r: &RunResult, counter: &str) -> u64 {
+    r.stats
+        .iter()
+        .filter(|(k, _)| k.starts_with("l2.bank") && k.ends_with(counter))
+        .map(|(_, v)| v)
+        .sum()
+}
+
+/// The busiest NoC link: `(from_to label, busy cycles)`.
+fn busiest_link(r: &RunResult) -> Option<(String, u64)> {
+    r.stats
+        .iter()
+        .filter(|(k, _)| k.starts_with("noc.link") && k.ends_with(".busy_cycles"))
+        .max_by_key(|&(_, v)| v)
+        .map(|(k, v)| {
+            let label = k.trim_start_matches("noc.link").trim_end_matches(".busy_cycles");
+            (label.to_string(), v)
+        })
+}
+
+/// EXT8's gate on one completed cell of a `tiles`-tile machine: per-bank
+/// directory counters sum to the aggregate coherence counters, and per-tile
+/// stall and op counters to the unprefixed aggregates the tables read.
+fn check_sums(r: &RunResult, tiles: usize) -> Result<(), String> {
+    let recalls = bank_sum(r, ".recalls") + bank_sum(r, ".downgrades");
+    let mut sums = vec![
+        ("bank recalls+downgrades".to_string(), recalls, "coherence.recall"),
+        ("bank invalidations".to_string(), bank_sum(r, ".invalidations"), "coherence.invalidate"),
+    ];
+    if tiles > 1 {
+        for key in ["scalar.stall_cycles", "scalar.stall.vpu_sync_cycles", "scalar.ops"] {
+            let per_tile = (0..tiles).map(|t| r.stats.get(&format!("tile{t}.{key}"))).sum();
+            sums.push((format!("per-tile {key} sum"), per_tile, key));
+        }
+    }
+    match sums.into_iter().find(|(_, sum, key)| *sum != r.stats.get(key)) {
+        Some((what, sum, key)) => Err(format!("{what} {sum} != {key} {}", r.stats.get(key))),
+        None => Ok(()),
+    }
 }
 
 /// Kernels × implementations × added latencies at full bandwidth, the last
@@ -956,5 +1264,71 @@ fn calibrate(run: &mut Run) {
             }
         }
         writeln!(run).unwrap();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdv_engine::SimError;
+
+    fn result(cell: Cell, counters: &[(&str, u64)]) -> RunResult {
+        let mut stats = Stats::new();
+        counters.iter().for_each(|&(key, v)| stats.set(key, v));
+        RunResult { cell, cycles: 1_000_000, stats }
+    }
+
+    /// One kernel's STALL outcomes in which the vector cells at +1024 have
+    /// memory-stall fractions `at_stressed`, vl=8 first.
+    fn stall_block(at_stressed: [f64; 6]) -> Vec<CellOutcome> {
+        let mut fractions = at_stressed.into_iter();
+        cross(&[KernelKind::Spmv], &ImplKind::paper_set(), &[0, STRESSED])
+            .into_iter()
+            .map(|cell| {
+                let gated = cell.extra_latency == STRESSED && cell.imp != ImplKind::Scalar;
+                let fraction =
+                    if gated { fractions.next().expect("six vector cells") } else { 0.5 };
+                let wait = (fraction * 1e6) as u64;
+                CellOutcome::Done(result(cell, &[("vpu.mem_wait_cycles", wait)]))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_stall_gate_forgives_ties_and_fails_a_rise_or_a_failed_cell() {
+        let (holds, line) = stall_verdict(&stall_block([1.0, 1.0, 0.999, 1.0, 0.9, 0.8]));
+        assert!(holds && line.contains("vl64=1.000 vl128=0.900"), "a 1e-3 rise is a tie: {line}");
+
+        let (holds, line) = stall_verdict(&stall_block([1.0, 0.99, 0.95, 0.953, 0.9, 0.8]));
+        assert!(!holds && line.contains("NOT monotone"), "a 3e-3 rise fails: {line}");
+
+        let mut block = stall_block([1.0, 0.9, 0.8, 0.7, 0.6, 0.5]);
+        let vl256_stressed = block.len() - 1;
+        let cell = block[vl256_stressed].cell();
+        assert_eq!((cell.imp, cell.extra_latency), (VL256, STRESSED));
+        block[vl256_stressed] =
+            CellOutcome::Failed { cell, error: SimError::Panic { what: "x".into() } };
+        let (holds, line) = stall_verdict(&block);
+        assert!(!holds && line.contains("failed cells"), "{line}");
+    }
+
+    #[test]
+    fn the_scale_out_gate_fails_a_counter_sum_that_misses_by_one() {
+        let cell = Cell { kernel: KernelKind::Bfs, imp: VL256, extra_latency: 0, bandwidth: 64 };
+        #[rustfmt::skip]
+        let consistent = [
+            ("l2.bank0.recalls", 2), ("l2.bank1.recalls", 1), ("l2.bank1.downgrades", 3),
+            ("coherence.recall", 6), ("l2.bank0.invalidations", 4), ("coherence.invalidate", 4),
+            ("tile0.scalar.ops", 5), ("tile1.scalar.ops", 7), ("scalar.ops", 12),
+        ];
+        let with = |change: &[(&str, u64)]| result(cell, &[&consistent[..], change].concat());
+        assert_eq!(check_sums(&with(&[]), 2), Ok(()));
+
+        let e = check_sums(&with(&[("coherence.recall", 7)]), 2).unwrap_err();
+        assert!(e.contains("recalls+downgrades 6 != coherence.recall 7"), "{e}");
+
+        let e = check_sums(&with(&[("tile1.scalar.ops", 6)]), 2).unwrap_err();
+        assert!(e.contains("per-tile scalar.ops sum 11 != scalar.ops 12"), "{e}");
+        assert_eq!(check_sums(&with(&[("tile1.scalar.ops", 6)]), 1), Ok(()), "one tile: no sum");
     }
 }

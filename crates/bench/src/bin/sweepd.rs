@@ -3,18 +3,16 @@
 //! Usage:
 //!
 //! * `sweepd serve [--addr A | --port N] [--small] [--threads N]
-//!   [--cache|--cache-dir D] [--probe-sampling]
-//!   [--tiles N] [--mesh WxH] [--watchdog] [--cycle-budget N]
-//!   [--max-queue N] [--io-timeout-ms N] [--cell-wall-ms N]
+//!   [--cache|--cache-dir D] [--tiles N] [--mesh WxH] [--watchdog]
+//!   [--cycle-budget N] [--max-queue N] [--io-timeout-ms N] [--cell-wall-ms N]
 //!   [--chaos all|KIND [--chaos-seed S]]`
 //!   — run the server until a `shutdown` request or SIGTERM/SIGINT (both
 //!   drain in-flight work, flush the cache, and exit 0). Holds the workload
 //!   arrays, pooled machines, and result memo resident; every unique cell is
 //!   simulated at most once for the server's lifetime. `--port 0` binds an
 //!   ephemeral port; the bound address is printed on stderr either way.
-//! * `sweepd submit [--addr A] [--small] [--probe-sampling]
-//!   [--tiles N] [--mesh WxH] [--watchdog] [--cycle-budget N]
-//!   [--retries N [--retry-seed S]]
+//! * `sweepd submit [--addr A] [--small] [--tiles N] [--mesh WxH]
+//!   [--watchdog] [--cycle-budget N] [--retries N [--retry-seed S]]
 //!   --cells "SPMV,scalar,0,64;FFT,vl=256,128,64"`
 //!   — submit a grid and stream results to stdout as
 //!   `kernel,impl,extra_latency,bandwidth,cycles` lines (completion order).
@@ -66,7 +64,7 @@ fn main() {
 /// A subcommand's `(switches, valued)` flags, `None` for an unknown one.
 /// `serve` and `submit` share the flags [`timing_config`] reads.
 fn flag_table(cmd: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
-    const TIMING_SWITCHES: [&str; 3] = ["--small", "--watchdog", "--probe-sampling"];
+    const TIMING_SWITCHES: [&str; 2] = ["--small", "--watchdog"];
     const TIMING_VALUED: [&str; 6] =
         ["--addr", "--cycle-budget", "--fault", "--fault-seed", "--tiles", "--mesh"];
     #[rustfmt::skip]
@@ -95,9 +93,6 @@ fn flag_table(cmd: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
 /// reject the sweep.
 fn timing_config(args: &[String]) -> TimingConfig {
     let mut cfg = cli::hardening_config(args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
-    if args.iter().any(|a| a == "--probe-sampling") {
-        cfg.probe = sdv_engine::ProbeConfig::sampling();
-    }
     cli::apply_topology(args, &mut cfg).unwrap_or_else(|e| cli::die_usage(BIN, &e));
     cfg
 }

@@ -1,4 +1,4 @@
-//! Shared command-line plumbing for the figure binaries.
+//! Shared command-line plumbing for the workspace binaries.
 //!
 //! Centralizes argument parsing (with positions in error messages) and the
 //! workspace exit-code convention, so every binary fails the same way:
@@ -99,22 +99,6 @@ pub fn check_flags_or_die(bin: &str, args: &[String], switches: &[&str], valued:
         die_usage(bin, &format!("unexpected argument '{arg}'"));
     }
 }
-
-/// [`check_flags_or_die`] for a `Sweeper`-driven figure binary: the flags
-/// of [`hardening_config`], [`configure_sweeper`] and `--metrics-json` plus
-/// the binary's own `switches` and `valued`.
-pub fn check_sweep_flags(bin: &str, args: &[String], switches: &[&str], valued: &[&str]) {
-    let switches = [SWEEP_SWITCHES, switches].concat();
-    let valued = [SWEEP_VALUED, valued].concat();
-    check_flags_or_die(bin, args, &switches, &valued);
-}
-
-const SWEEP_SWITCHES: &[&str] = &["--small", "--watchdog", "--cache", "--fallback-local"];
-#[rustfmt::skip]
-const SWEEP_VALUED: &[&str] = &[
-    "--threads", "--csv", "--metrics-json", "--cycle-budget", "--fault", "--fault-seed",
-    "--cache-dir", "--server", "--retries", "--retry-seed",
-];
 
 /// `--threads N`: worker threads for a sweep. Defaults to the host's
 /// available parallelism; zero or a non-number is a usage error.
@@ -392,17 +376,18 @@ mod tests {
         let ok = args(&["study", "roofline", "--small", "--bw", "8", "spmv"]);
         assert_eq!(check_flags(&ok, &["--small"], &["--bw"]).unwrap(), ["roofline", "spmv"]);
 
+        let (switches, valued) = (&["--small", "--cache"][..], &["--threads", "--csv"][..]);
         let typo = args(&["fig3", "--smal"]);
-        let e = check_flags(&typo, SWEEP_SWITCHES, SWEEP_VALUED).unwrap_err();
+        let e = check_flags(&typo, switches, valued).unwrap_err();
         assert!(e.contains("'--smal'") && e.contains("argument 1") && e.contains("--small"), "{e}");
 
         for dangling in [&["fig3", "--csv"][..], &["fig3", "--csv", "--small"]] {
-            let e = check_flags(&args(dangling), SWEEP_SWITCHES, SWEEP_VALUED).unwrap_err();
+            let e = check_flags(&args(dangling), switches, valued).unwrap_err();
             assert!(e.contains("--csv") && e.contains("needs a value"), "{e}");
         }
 
         let removed = args(&["fig3", "--checkpoint", "ck.csv"]);
-        let e = check_flags(&removed, SWEEP_SWITCHES, SWEEP_VALUED).unwrap_err();
+        let e = check_flags(&removed, switches, valued).unwrap_err();
         assert!(e.contains("removed") && e.contains("--cache-dir"), "{e}");
     }
 

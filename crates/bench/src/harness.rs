@@ -232,7 +232,7 @@ impl Cell {
     /// implementation of a partitionable kernel (scalar codes are one
     /// instruction stream). The one statement of which cells have a
     /// partitioned driver — the sweep rejection, `drive_kernel` and
-    /// `fig_scale`'s kernel list all read it.
+    /// `study fig_scale`'s kernel list all read it.
     pub fn partitionable(&self) -> bool {
         self.kernel.partitionable() && matches!(self.imp, ImplKind::Vector { .. })
     }
@@ -627,8 +627,8 @@ impl Sweeper {
         Self::with_config(TimingConfig::default())
     }
 
-    /// An empty runner whose cells run under `cfg` — how figure binaries
-    /// arm the watchdog or a fault plan for every cell of a sweep.
+    /// An empty runner whose cells run under `cfg` — how `study` arms the
+    /// watchdog or a fault plan for every cell of a sweep.
     pub fn with_config(cfg: TimingConfig) -> Self {
         Self {
             machines: Vec::new(),

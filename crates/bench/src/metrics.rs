@@ -1,5 +1,5 @@
-//! Stall-breakdown extraction and machine-readable exports for the figure
-//! binaries.
+//! Stall-breakdown extraction and machine-readable exports for `study`'s
+//! figures.
 //!
 //! Two flags build on the timing model's cycle-attribution counters:
 //!

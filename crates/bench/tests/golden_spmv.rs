@@ -33,7 +33,7 @@ fn spmv_small_golden_cycles() {
     for (c, want) in anchors {
         assert_eq!(run(&w, c).cycles, want, "golden cycles moved for {c:?}");
     }
-    // ...and via the pooled runner the figure binaries use.
+    // ...and via the pooled runner `study` uses.
     let mut sweeper = Sweeper::new();
     for (c, want) in anchors {
         assert_eq!(

@@ -2,7 +2,8 @@
 //! caught as structured per-cell failures, panics are isolated to their cell,
 //! cycle budgets split a grid without killing it, a killed sweep resumes from
 //! its cache directory bit-identically (and only for the inputs that filled
-//! it), and the armed watchdog never perturbs healthy runs.
+//! it), a failed cell's exit 4 outranks a failed gate's exit 1, and the armed
+//! watchdog never perturbs healthy runs.
 
 use sdv_bench::metrics::metrics_json;
 use sdv_bench::{Cell, CellOutcome, ImplKind, KernelKind, ResultCache, Sweeper, Workloads};
@@ -233,4 +234,18 @@ fn chaos_smoke_turns_a_wedged_credit_into_a_deadlock_and_exit_4() {
     let text = String::from_utf8_lossy(&[out.stdout, out.stderr].concat()).into_owned();
     assert_eq!(out.status.code(), Some(4), "{text}");
     assert!(text.contains("Deadlock at cycle"), "no Deadlock diagnostic: {text}");
+}
+
+/// A failed cell outranks a failed gate: under a cycle budget `study
+/// fig_stalls` fails cells, and with them every kernel's verdict, yet exits
+/// 4 (a simulation fault), not 1, after printing every table.
+#[test]
+fn a_failed_cell_outranks_a_failed_gate() {
+    let args = ["fig_stalls", "--small", "--cycle-budget", "50000"];
+    let out = run(env!("CARGO_BIN_EXE_study"), &args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(stderr.contains("gate failed: SPMV: verdict skipped"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("Stall breakdown — FFT at +1024"), "tables first: {stdout}");
 }

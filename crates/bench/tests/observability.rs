@@ -133,7 +133,7 @@ fn memory_stall_fraction_falls_as_maxvl_grows() {
             CellOutcome::Failed { error, .. } => panic!("cell failed: {error}"),
         })
         .collect();
-    // Same saturation tolerance as the fig_stalls --check gate: adjacent
+    // Same saturation tolerance as `study fig_stalls`'s gate: adjacent
     // small-MAXVL fractions are ties near 1.0 that jitter in the 4th
     // decimal; a real rise would far exceed 0.2%.
     for (w, (&vl_lo, &vl_hi)) in
@@ -154,18 +154,18 @@ fn memory_stall_fraction_falls_as_maxvl_grows() {
     );
 }
 
-/// `fig_stalls --check` through the binary: exit 0 only if every kernel's
+/// `study fig_stalls` through the binary: exit 0 only if every kernel's
 /// memory-stall fraction at +1024 falls as MAXVL grows — the paper's claim
 /// as a gate — and its `--metrics-json` has cycles and stalls on every cell.
 #[test]
-fn fig_stalls_check_passes_and_exports_parseable_metrics() {
+fn fig_stalls_gate_passes_and_exports_parseable_metrics() {
     let dir = scratch("fig_stalls");
     let path = path_in(&dir, "metrics.json");
-    ok(env!("CARGO_BIN_EXE_fig_stalls"), &["--small", "--check", "--metrics-json", &path]);
+    ok(env!("CARGO_BIN_EXE_study"), &["fig_stalls", "--small", "--metrics-json", &path]);
     let doc = Json::parse(&std::fs::read_to_string(&path).expect("metrics written")).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(doc.get("schema").and_then(Json::as_str), Some("sdv-metrics-v1"));
     let cells = doc.get("cells").and_then(Json::as_arr).expect("cells array");
-    assert!(!cells.is_empty(), "metrics export has no cells");
+    assert_eq!(cells.len(), 56, "four kernels × seven implementations × two latencies");
     assert!(cells.iter().all(|c| c.get("stalls").is_some() && c.get("cycles").is_some()));
 }

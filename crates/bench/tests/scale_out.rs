@@ -7,11 +7,12 @@
 //!   exactly 23,497,211 cycles, and the tiles=1 column of the scale-out
 //!   study is the golden fig3 column.
 //! * **Multi-tile is pinned** — every row of
-//!   `results/golden/fig_scale_small.csv` (1, 4 and 16 tiles × vl 8 and 256
-//!   × SpMV/BFS/PageRank, recorded before the two machine types were
-//!   folded into one: cycles, per-tile stalls, per-bank directory traffic,
-//!   per-link NoC busy cycles) is reproduced byte for byte by the built
-//!   `fig_scale` binary.
+//!   `results/golden/fig_scale_small.csv` (1, 4 and 16 tiles × vl 8, 64 and
+//!   256 × SpMV/BFS/PageRank: cycles, per-tile stalls, per-bank directory
+//!   traffic, per-link NoC busy cycles; its vl 8 and 256 rows were recorded
+//!   before the two machine types were folded into one) is reproduced byte
+//!   for byte by `study fig_scale`, cold and warm from a cache, and by
+//!   `study all` (`tests/study.rs`).
 //! * **Multi-tile is reproducible** — the same topology swept twice (and
 //!   across thread counts) returns byte-identical cycles and stats; the
 //!   merge's interleaving is a pure function of the tiles' op streams.
@@ -19,9 +20,8 @@
 //!   tile ever holds more than one slice's ops, however large the epoch.
 //!
 //! If a deliberate model change moves a pinned number, update the constant
-//! or regenerate the golden file (`fig_scale --small --check --tiles 1,4,16
-//! --vls 8,256 --csv results/golden/fig_scale_small.csv`) and the `/verify`
-//! skill note in the same commit, explaining why.
+//! or regenerate the golden files as `tests/study.rs` says, in the same
+//! commit, explaining why.
 
 use sdv_bench::{Cell, CellOutcome, ImplKind, KernelKind, Sweeper, Workloads};
 use sdv_core::{SdvMachine, Vm};
@@ -29,7 +29,7 @@ use sdv_kernels::{bfs, pagerank, spmv, CsrMatrix, Graph, SellCS, SlicedGraph};
 use sdv_uarch::TimingConfig;
 
 mod common;
-use common::{golden, ok, path_in, scratch};
+use common::golden;
 
 /// A committed golden CSV as rows of fields (header dropped).
 fn golden_rows(name: &str) -> Vec<Vec<String>> {
@@ -108,31 +108,6 @@ fn multi_tile_sweep_is_reproducible_across_runs_and_threads() {
 }
 
 #[test]
-fn fig_scale_golden_csv_is_reproduced_byte_for_byte() {
-    // All 1,704 rows, not only the 18 `cycles` ones: per-tile stalls,
-    // per-bank directory traffic and per-link busy cycles are the rows a
-    // wrong interleaving moves first. `--check` also enforces the binary's
-    // exact-sum gates on every topology. The warm rerun, at another thread
-    // count, replays every multi-tile cell from the cache: topology is part
-    // of every cache key.
-    let dir = scratch("fig_scale");
-    let want = golden("fig_scale_small.csv");
-    let cache = path_in(&dir, "cache");
-    for (run, threads) in [("cold", &[][..]), ("warm", &["--threads", "1"])] {
-        let csv = path_in(&dir, &format!("{run}.csv"));
-        let args = ["--small", "--check", "--tiles", "1,4,16", "--vls", "8,256", "--cache-dir"];
-        let args = [&args[..], &[cache.as_str(), "--csv", csv.as_str()], threads].concat();
-        ok(env!("CARGO_BIN_EXE_fig_scale"), &args);
-        let got = std::fs::read_to_string(&csv).expect("fig_scale wrote its CSV");
-        for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-            assert_eq!(g, w, "{run}: line {} moved off the golden CSV", n + 1);
-        }
-        assert!(got == want, "{run}: row count or line endings differ from the golden CSV");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn one_tile_scale_out_column_is_the_golden_fig3_column() {
     // kernel,impl,extra_latency,cycles at vl=256, +0 latency.
     let w = Workloads::small();
@@ -140,7 +115,7 @@ fn one_tile_scale_out_column_is_the_golden_fig3_column() {
     assert_eq!(
         cfg.canonical(),
         TimingConfig::default().canonical(),
-        "tiles=1 must share cache entries with every other figure binary"
+        "tiles=1 must share cache entries with every other study"
     );
     let mut checked = 0;
     for row in golden_rows("fig3_small.csv") {

@@ -1,18 +1,20 @@
-//! Golden output of the study driver, the three grid figures among its
-//! entries, driven through the built binary.
+//! Golden output of the study driver, the five figures among its entries,
+//! driven through the built binary.
 //!
 //! Every file under `results/golden/study_small/` and every
 //! `results/golden/fig{3,4,5}_small.*` was written by the binaries of the
 //! commit *before* the twelve study binaries became `study NAME` and the
-//! three figure mains became `figure::main` — they pin stdout and CSV bytes
-//! across that refactor, the figures' move into `study`, and any later one.
-//! The same entries at paper scale are `results/`, which `scripts/check.sh`
-//! regenerates with `study all` and diffs.
+//! three figure mains became `figure::main`; `fig_stalls_small.*` and
+//! `fig_scale_small.*` by the `fig_stalls` and `fig_scale` binaries before
+//! they became `study` entries. They pin stdout and CSV bytes across those
+//! refactors and any later one. The same entries at paper scale are
+//! `results/`, which `scripts/check.sh` regenerates with `study all` and
+//! diffs.
 //!
 //! Regenerate after a deliberate model change, in the commit that moves
 //! `results/golden/fig3_small.csv`, with
 //! `study all --small --out results/golden/study_small`, then move each
-//! `fig{3,4,5}.{txt,csv}` it wrote there to `results/golden/figN_small.*`,
+//! figure's `NAME.{txt,csv}` it wrote there to `results/golden/NAME_small.*`,
 //! dropping the `.txt`'s last line (`wrote …`).
 
 mod common;
@@ -35,7 +37,8 @@ const DETERMINISTIC: [&str; 11] = [
     "roofline",
 ];
 
-const FIGURES: [&str; 3] = ["fig3", "fig4", "fig5"];
+/// The entries that write a CSV beside their stdout.
+const FIGURES: [&str; 5] = ["fig3", "fig4", "fig5", "fig_stalls", "fig_scale"];
 
 fn entries(cache_dir: &str) -> usize {
     std::fs::read_dir(cache_dir)
@@ -88,10 +91,14 @@ fn all_reproduces_every_golden_file_at_any_thread_count_cold_and_warm() {
     let stderr = all_writes_the_golden_files(&path_in(&dir, "t1"), &["--threads", "1"]);
     let (requested, simulated) = cells(&stderr, None);
     assert!(simulated < requested, "the memo answered nothing: {stderr}");
-    // Fig. 4 is Fig. 3's grid; Fig. 5's 64 B/cycle column is its +0 column.
+    // Fig. 4 is Fig. 3's grid; Fig. 5's 64 B/cycle column is its +0 column;
+    // the stall breakdown is Fig. 3's +0 and +1024 columns; the scale-out's
+    // one-tile cells are Fig. 3 cells, and its 4- and 16-tile ones new.
     assert_eq!(cells(&stderr, Some("fig3")), (224, 224), "{stderr}");
     assert_eq!(cells(&stderr, Some("fig4")), (224, 0), "{stderr}");
     assert_eq!(cells(&stderr, Some("fig5")), (196, 168), "{stderr}");
+    assert_eq!(cells(&stderr, Some("fig_stalls")), (56, 0), "{stderr}");
+    assert_eq!(cells(&stderr, Some("fig_scale")), (27, 18), "{stderr}");
 
     // Each distinct cell once: a cold cache stores one entry per simulation.
     let cache = path_in(&dir, "cache");
@@ -127,7 +134,7 @@ fn each_input_is_keyed_by_its_content() {
 fn the_list_names_every_entry_and_every_results_file_has_one() {
     let list = ok(STUDY, &["--list"]).0;
     let listed: Vec<&str> = list.lines().filter_map(|l| l.split_whitespace().next()).collect();
-    assert_eq!(listed.len(), 15, "{list}");
+    assert_eq!(listed.len(), 17, "{list}");
     let mut deterministic: Vec<&str> =
         listed.iter().copied().filter(|n| *n != "calibrate").collect();
     deterministic.sort_unstable();
@@ -173,36 +180,28 @@ fn figures_reproduce_their_golden_stdout_and_csv() {
     let dir = scratch("figures");
     // fig3 twice: the CSV must not depend on the thread count, nor on an
     // armed watchdog. Each run goes cold, then warm, through a cache
-    // directory of its own, and the warm CSV must be the cold one's bytes.
-    // fig_stalls has no golden file.
-    let fig_stalls = env!("CARGO_BIN_EXE_fig_stalls");
-    for (bin, fig, threads) in [
-        (STUDY, "fig3", "2"),
-        (STUDY, "fig3", "1"),
-        (STUDY, "fig4", "2"),
-        (STUDY, "fig5", "2"),
-        (fig_stalls, "fig_stalls", "2"),
+    // directory of its own, and both must be the golden bytes: the warm
+    // fig_scale run replays every multi-tile cell from the cache, so
+    // topology is part of every cache key.
+    for (fig, threads) in [
+        ("fig3", "2"),
+        ("fig3", "1"),
+        ("fig4", "2"),
+        ("fig5", "2"),
+        ("fig_stalls", "2"),
+        ("fig_scale", "2"),
     ] {
         let cache = path_in(&dir, &format!("{fig}_t{threads}"));
-        let [cold, warm] = ["cold", "warm"].map(|run| {
+        for run in ["cold", "warm"] {
             let csv = format!("{cache}_{run}.csv");
-            let args = ["--small", "--threads", threads, "--cache-dir", &cache, "--csv", &csv];
-            let args = match (bin == STUDY, threads) {
-                (true, "1") => [&[fig][..], &args, &["--watchdog"]].concat(),
-                (true, _) => [&[fig][..], &args].concat(),
-                (false, _) => args.to_vec(),
-            };
-            (ok(bin, &args).0, std::fs::read_to_string(&csv).expect("figure wrote its CSV"), csv)
-        });
-        assert_eq!(warm.1, cold.1, "{fig}, {threads} threads: warm CSV");
-        if fig == "fig_stalls" {
-            continue;
-        }
-        for (stdout, csv_text, csv) in [cold, warm] {
+            let args = [fig, "--small", "--threads", threads, "--cache-dir", &cache, "--csv", &csv];
+            let watchdog: &[&str] = if threads == "1" { &["--watchdog"] } else { &[] };
+            let stdout = ok(STUDY, &[&args[..], watchdog].concat()).0;
             let want = format!("{}wrote {csv}\n", golden(&format!("{fig}_small.txt")));
-            assert_eq!(stdout, want, "{fig} stdout, {threads} threads");
+            assert_eq!(stdout, want, "{fig} stdout, {threads} threads, {run}");
+            let csv_text = std::fs::read_to_string(&csv).expect("figure wrote its CSV");
             let want = golden(&format!("{fig}_small.csv"));
-            assert_eq!(csv_text, want, "{fig} CSV, {threads} threads");
+            assert!(csv_text == want, "{fig} CSV, {threads} threads, {run}");
         }
     }
     let _ = std::fs::remove_dir_all(dir);
@@ -214,7 +213,12 @@ fn a_mistyped_or_foreign_flag_is_a_usage_error_not_a_different_simulation() {
         (STUDY, &["fig3", "--smal"][..], "--smal"),
         (STUDY, &["fig3", "--small", "--csv"], "--csv"),
         (STUDY, &["lanes_study", "--server", "x"], "--server"),
-        (STUDY, &["lanes_study", "--csv", "x"], "study fig3, fig4 and fig5"),
+        (STUDY, &["lanes_study", "--csv", "x"], "study fig3, fig4, fig5, fig_stalls, fig_scale"),
+        (STUDY, &["fig_scale", "--server", "x"], "--server"),
+        (STUDY, &["fig_scale", "--trace", "x"], "--trace"),
+        (STUDY, &["fig_scale", "--tiles", "4"], "--tiles"),
+        (STUDY, &["fig_stalls", "--latency", "512"], "--latency"),
+        (STUDY, &["fig_stalls", "--check"], "--check"),
         (STUDY, &["all", "--small"], "--out"),
         (STUDY, &["fig3", "--out", "x"], "study all"),
         (STUDY, &["roofline", "--small", "--bw", "x"], "--bw"),
@@ -226,6 +230,7 @@ fn a_mistyped_or_foreign_flag_is_a_usage_error_not_a_different_simulation() {
         (env!("CARGO_BIN_EXE_chaos_smoke"), &["--fualt", "wedge-credit"], "--fualt"),
         (env!("CARGO_BIN_EXE_chaos_soak"), &["--run", "1"], "--run"),
         (env!("CARGO_BIN_EXE_sweepd"), &["ping", "--adr", "127.0.0.1:1"], "--adr"),
+        (env!("CARGO_BIN_EXE_sweepd"), &["serve", "--probe-sampling"], "--probe-sampling"),
     ] {
         let out = run(bin, args);
         let stderr = String::from_utf8_lossy(&out.stderr);

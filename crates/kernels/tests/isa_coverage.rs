@@ -83,7 +83,7 @@ fn isa() -> BTreeSet<&'static str> {
 const NOT_TRACED: [(&str, &str); 3] = [
     ("vfsub.vf", "`FArithKind` is shared by the .vv and .vf forms; FFT subtracts vectors"),
     ("vfdiv.vf", "`FArithKind` is shared by the .vv and .vf forms; PageRank divides vectors"),
-    ("vmor", "only `bfs_vector_tiled` on two or more tiles executes it (a peer may have reached the vertex); `fig_scale`'s golden rows pin that op stream"),
+    ("vmor", "only `bfs_vector_tiled` on two or more tiles executes it (a peer may have reached the vertex); `study fig_scale`'s golden rows pin that op stream"),
 ];
 
 #[test]

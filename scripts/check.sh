@@ -69,12 +69,14 @@ PYEOF
 done
 rm -f "$exact_line" "$wall_line"
 
-echo "== results/ is what study all writes (paper scale: every study, three figure CSVs) =="
-# results/NAME.txt is `study NAME`'s stdout and results/figN.csv a figure's
-# CSV, byte for byte; calibrate prints wall times and has no file. One
-# process regenerates them all, each distinct cell simulated once, and the
-# diff covers every tracked file under results/. The --small golden files,
-# at one and two threads, are a `cargo test` case
+echo "== results/ is what study all writes (paper scale: every study, five figure CSVs, both gates) =="
+# results/NAME.txt is `study NAME`'s stdout and results/NAME.csv a figure's
+# CSV (fig3, fig4, fig5, fig_stalls, fig_scale), byte for byte; calibrate
+# prints wall times and has no file. One process regenerates them all, each
+# distinct cell simulated once, and the diff covers every tracked file under
+# results/. It also runs fig_stalls' and fig_scale's gates at paper scale:
+# a violated gate is exit 1, which fails this stage. The --small golden
+# files, at one and two threads, are a `cargo test` case
 # (crates/bench/tests/study.rs).
 ./target/release/study all --threads 2 --out results
 git diff --exit-code -- results/
@@ -86,7 +88,7 @@ if [ -n "$untracked" ]; then
     echo "$untracked" >&2
     exit 1
 fi
-echo "results/*.txt and results/fig{3,4,5}.csv match"
+echo "results/*.txt and the five figure CSVs match; both gates pass"
 
 echo "== result-cache gate (warm rerun byte-identical at <25% of cold wall-clock) =="
 # A host-time ratio, so it only means something on a release build.
