@@ -4,15 +4,14 @@
 //!
 //! * `sweepd serve [--addr A | --port N] [--small] [--threads N]
 //!   [--cache|--cache-dir D] [--tiles N] [--mesh WxH] [--watchdog]
-//!   [--cycle-budget N] [--max-queue N] [--io-timeout-ms N] [--cell-wall-ms N]
-//!   [--chaos all|KIND [--chaos-seed S]]`
+//!   [--cycle-budget N] [--max-queue N] [--io-timeout-ms N] [--cell-wall-ms N]`
 //!   — run the server until a `shutdown` request or SIGTERM/SIGINT (both
 //!   drain in-flight work, flush the cache, and exit 0). Holds the workload
 //!   arrays, pooled machines, and result memo resident; every unique cell is
 //!   simulated at most once for the server's lifetime. `--port 0` binds an
 //!   ephemeral port; the bound address is printed on stderr either way.
 //! * `sweepd submit [--addr A] [--small] [--tiles N] [--mesh WxH]
-//!   [--watchdog] [--cycle-budget N] [--retries N [--retry-seed S]]
+//!   [--watchdog] [--cycle-budget N] [--retries N]
 //!   --cells "SPMV,scalar,0,64;FFT,vl=256,128,64"`
 //!   — submit a grid and stream results to stdout as
 //!   `kernel,impl,extra_latency,bandwidth,cycles` lines (completion order).
@@ -28,9 +27,11 @@
 //! Exit codes follow the uniform table in `cli`: 2 usage, 3 bad input,
 //! 4 simulation fault, 5 service unavailable (bind conflict, overloaded,
 //! draining). The wire protocol is line-delimited JSON; see EXPERIMENTS.md.
+//! Service faults ([`ChaosPlan`](sdv_bench::ChaosPlan)) are armed by tests,
+//! in-process; no flag here sets one.
 
 use sdv_bench::json::Json;
-use sdv_bench::{cli, server, Cell, CellOutcome, ChaosPlan, ResultCache, Workloads};
+use sdv_bench::{cli, server, Cell, CellOutcome, ResultCache, Workloads};
 use sdv_uarch::TimingConfig;
 
 const BIN: &str = "sweepd";
@@ -67,21 +68,16 @@ fn flag_table(cmd: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
     const TIMING_SWITCHES: [&str; 2] = ["--small", "--watchdog"];
     const TIMING_VALUED: [&str; 6] =
         ["--addr", "--cycle-budget", "--fault", "--fault-seed", "--tiles", "--mesh"];
-    #[rustfmt::skip]
-    const SERVE_VALUED: [&str; 8] = [
-        "--port", "--threads", "--cache-dir", "--max-queue", "--io-timeout-ms", "--cell-wall-ms",
-        "--chaos", "--chaos-seed",
-    ];
-    const SUBMIT_VALUED: [&str; 3] = ["--cells", "--retries", "--retry-seed"];
+    const SERVE_VALUED: [&str; 6] =
+        ["--port", "--threads", "--cache-dir", "--max-queue", "--io-timeout-ms", "--cell-wall-ms"];
+    const SUBMIT_VALUED: [&str; 2] = ["--cells", "--retries"];
     Some(match cmd {
         "serve" => (
             [&TIMING_SWITCHES[..], &["--cache"]].concat(),
             [&TIMING_VALUED[..], &SERVE_VALUED].concat(),
         ),
         "submit" => (TIMING_SWITCHES.to_vec(), [&TIMING_VALUED[..], &SUBMIT_VALUED].concat()),
-        "ping" | "stats" | "status" | "shutdown" => {
-            (Vec::new(), vec!["--addr", "--retries", "--retry-seed"])
-        }
+        "ping" | "stats" | "status" | "shutdown" => (Vec::new(), vec!["--addr", "--retries"]),
         "gc" => (vec!["--cache"], vec!["--cache-dir", "--max-bytes"]),
         "fsck" => (vec!["--cache"], vec!["--cache-dir"]),
         _ => return None,
@@ -129,24 +125,6 @@ fn install_signal_handlers(shutdown: server::ShutdownSignal) {
 #[cfg(not(unix))]
 fn install_signal_handlers(_shutdown: server::ShutdownSignal) {}
 
-/// Parse the `--chaos`/`--chaos-seed` fault-injection flags. Absent flags
-/// mean no chaos; `--chaos all` arms every fault kind.
-fn chaos_plan(args: &[String]) -> ChaosPlan {
-    let seed = match cli::parse_arg::<u64>(args, "--chaos-seed") {
-        Ok(v) => v.unwrap_or(1),
-        Err(e) => cli::die_usage(BIN, &e),
-    };
-    match cli::parse_arg::<String>(args, "--chaos") {
-        Ok(None) => ChaosPlan::none(),
-        Ok(Some(spec)) if spec == "all" => ChaosPlan::all(seed),
-        Ok(Some(spec)) => match spec.parse() {
-            Ok(kind) => ChaosPlan::only(kind, seed),
-            Err(e) => cli::die_usage(BIN, &format!("--chaos: {e}")),
-        },
-        Err(e) => cli::die_usage(BIN, &e),
-    }
-}
-
 fn serve(args: &[String], addr: &str) {
     let small = args.iter().any(|a| a == "--small");
     let threads = cli::threads(BIN, args);
@@ -174,10 +152,6 @@ fn serve(args: &[String], addr: &str) {
         Ok(Some(ms)) => sc.cell_wall = Some(std::time::Duration::from_millis(ms)),
         Ok(None) => {}
         Err(e) => cli::die_usage(BIN, &e),
-    }
-    sc.chaos = chaos_plan(args);
-    if sc.chaos.is_active() {
-        eprintln!("{BIN}: chaos armed: {}", sc.chaos);
     }
 
     // `--port N` is shorthand for a loopback bind; `--port 0` asks the OS

@@ -18,9 +18,11 @@
 //! Trigger ordinals are derived from the seed through the workspace
 //! [`Rng`](sdv_engine::Rng), exactly like [`FaultPlan::arm`]
 //! (sdv_engine::FaultPlan::arm): a chaotic run replays bit-identically from
-//! its seed. The `chaos_soak` binary drives many seeded plans and asserts
-//! every run's sweep results are bit-identical to a fault-free baseline —
-//! chaos may cost retries and respawns, never correctness.
+//! its seed. A plan is armed in-process, through
+//! [`ServerConfig::chaos`](crate::ServerConfig::chaos); no command line sets
+//! one. The soak in `tests/hardening.rs` arms twenty seeded plans and
+//! requires every sweep's results to be bit-identical to a fault-free
+//! baseline — chaos may cost retries and respawns, never correctness.
 //!
 //! Triggers are shared across server threads, so the armed state
 //! ([`ServerChaos`]) counts events with atomics; each action fires at most
@@ -43,49 +45,12 @@ pub enum ChaosKind {
 }
 
 impl ChaosKind {
-    /// All four actions, in wire/CLI order.
-    pub fn all() -> [ChaosKind; 4] {
-        [
-            ChaosKind::DropConnection,
-            ChaosKind::DelayResponse,
-            ChaosKind::KillWorker,
-            ChaosKind::CorruptCacheEntry,
-        ]
-    }
-
-    /// Stable CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ChaosKind::DropConnection => "drop-connection",
-            ChaosKind::DelayResponse => "delay-response",
-            ChaosKind::KillWorker => "kill-worker",
-            ChaosKind::CorruptCacheEntry => "corrupt-cache-entry",
-        }
-    }
-
     fn bit(self) -> u8 {
         match self {
             ChaosKind::DropConnection => 1,
             ChaosKind::DelayResponse => 2,
             ChaosKind::KillWorker => 4,
             ChaosKind::CorruptCacheEntry => 8,
-        }
-    }
-}
-
-impl std::str::FromStr for ChaosKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "drop-connection" => Ok(ChaosKind::DropConnection),
-            "delay-response" => Ok(ChaosKind::DelayResponse),
-            "kill-worker" => Ok(ChaosKind::KillWorker),
-            "corrupt-cache-entry" => Ok(ChaosKind::CorruptCacheEntry),
-            other => Err(format!(
-                "unknown chaos kind '{other}' (expected drop-connection, delay-response, \
-                 kill-worker, corrupt-cache-entry, or all)"
-            )),
         }
     }
 }
@@ -116,11 +81,6 @@ impl ChaosPlan {
         Self { mask: kind.bit(), seed }
     }
 
-    /// Whether any action is armed.
-    pub fn is_active(&self) -> bool {
-        self.mask != 0
-    }
-
     /// Whether `kind` is armed.
     pub fn includes(&self, kind: ChaosKind) -> bool {
         self.mask & kind.bit() != 0
@@ -144,23 +104,6 @@ impl ChaosPlan {
             delay_response: draw(ChaosKind::DelayResponse, 1, 12),
             kill_worker: draw(ChaosKind::KillWorker, 1, 4),
             corrupt_cache_entry: draw(ChaosKind::CorruptCacheEntry, 1, 3),
-        }
-    }
-}
-
-/// Renders as the CLI spelling: `none`, `all`, or a single action name.
-impl std::fmt::Display for ChaosPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.mask {
-            0 => f.write_str("none"),
-            0xF => write!(f, "all(seed={})", self.seed),
-            _ => {
-                let kind = ChaosKind::all().into_iter().find(|k| self.includes(*k));
-                match kind {
-                    Some(k) => write!(f, "{}(seed={})", k.name(), self.seed),
-                    None => f.write_str("none"),
-                }
-            }
         }
     }
 }
@@ -223,9 +166,7 @@ mod tests {
 
     #[test]
     fn default_plan_is_inert() {
-        let p = ChaosPlan::none();
-        assert!(!p.is_active());
-        let armed = p.arm();
+        let armed = ChaosPlan::none().arm();
         assert!(armed.drop_connection.is_none());
         assert!(armed.delay_response.is_none());
         assert!(armed.kill_worker.is_none());
@@ -263,18 +204,15 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_round_trip_and_plans_render() {
-        for k in ChaosKind::all() {
-            assert_eq!(k.name().parse::<ChaosKind>(), Ok(k));
-            assert!(ChaosPlan::only(k, 3).includes(k));
+    fn only_arms_its_own_kind() {
+        use ChaosKind::*;
+        let kinds = [DropConnection, DelayResponse, KillWorker, CorruptCacheEntry];
+        for k in kinds {
+            let armed: Vec<ChaosKind> =
+                kinds.into_iter().filter(|&o| ChaosPlan::only(k, 3).includes(o)).collect();
+            assert_eq!(armed, [k]);
+            assert!(ChaosPlan::all(3).includes(k), "{k:?}");
         }
-        assert!("bogus".parse::<ChaosKind>().is_err());
-        assert_eq!(ChaosPlan::none().to_string(), "none");
-        assert_eq!(ChaosPlan::all(5).to_string(), "all(seed=5)");
-        assert_eq!(
-            ChaosPlan::only(ChaosKind::KillWorker, 9).to_string(),
-            "kill-worker(seed=9)"
-        );
     }
 
     #[test]

@@ -256,19 +256,14 @@ pub fn cache_dir(bin: &str, args: &[String]) -> Option<std::path::PathBuf> {
     }
 }
 
-/// Parse the shared client-resilience flags into a
-/// [`RetryPolicy`](crate::RetryPolicy):
-///
-/// * `--retries N` — total attempts against a `sweepd` server (default 1,
-///   i.e. no retry),
-/// * `--retry-seed S` — seed for the deterministic backoff jitter
-///   (default 1): two runs of the same command retry on the same schedule.
+/// Parse `--retries N`, the total attempts against a `sweepd` server
+/// (default 1, i.e. no retry), into a [`RetryPolicy`](crate::RetryPolicy).
+/// The backoff jitter's seed is fixed, so two runs of the same command retry
+/// on the same schedule.
 pub fn retry_policy(args: &[String]) -> Result<crate::RetryPolicy, String> {
-    let attempts = parse_arg::<u32>(args, "--retries")?;
-    let seed = parse_arg::<u64>(args, "--retry-seed")?.unwrap_or(1);
-    Ok(match attempts {
+    Ok(match parse_arg::<u32>(args, "--retries")? {
         None | Some(0) | Some(1) => crate::RetryPolicy::none(),
-        Some(n) => crate::RetryPolicy::retries(n, seed),
+        Some(n) => crate::RetryPolicy::retries(n, 1),
     })
 }
 
@@ -280,11 +275,9 @@ pub fn retry_policy(args: &[String]) -> Result<crate::RetryPolicy, String> {
 ///   simulating locally. `workload` is the standard-workload name
 ///   (`small`/`paper`) the server must hold; binaries with custom inputs
 ///   must not pass this helper a name their inputs don't match,
-/// * `--retries N` / `--retry-seed S` — retry transient server failures
-///   with seeded exponential backoff,
-/// * `--fallback-local` — if the server stays unreachable past the retry
-///   budget, simulate locally instead of failing the grid (results are
-///   bit-identical either way).
+/// * `--retries N` — retry transient server failures with seeded
+///   exponential backoff; a failure that outlives them fails every cell the
+///   server did not return.
 ///
 /// Both cache and server may be given; remote mode wins (the server has
 /// its own cache).
@@ -297,21 +290,15 @@ pub fn configure_sweeper(bin: &str, args: &[String], sweeper: &mut Sweeper, work
     }
     match parse_arg::<String>(args, "--server") {
         Ok(Some(addr)) => sweeper.set_remote(&addr, workload),
-        Ok(None) => {
-            for flag in ["--retries", "--fallback-local"] {
-                if args.iter().any(|a| a == flag) {
-                    die_usage(bin, &format!("{flag} only makes sense with --server ADDR"));
-                }
-            }
+        Ok(None) if args.iter().any(|a| a == "--retries") => {
+            die_usage(bin, "--retries only makes sense with --server ADDR")
         }
+        Ok(None) => {}
         Err(e) => die_usage(bin, &e),
     }
     match retry_policy(args) {
         Ok(policy) => sweeper.set_retry_policy(policy),
         Err(e) => die_usage(bin, &e),
-    }
-    if args.iter().any(|a| a == "--fallback-local") {
-        sweeper.set_fallback_local(true);
     }
 }
 
@@ -423,8 +410,8 @@ mod tests {
             crate::RetryPolicy::none(),
             "one attempt means no retry"
         );
-        let p = retry_policy(&args(&["b", "--retries", "5", "--retry-seed", "9"])).unwrap();
-        assert_eq!((p.attempts, p.seed), (5, 9));
+        let p = retry_policy(&args(&["b", "--retries", "5"])).unwrap();
+        assert_eq!(p, crate::RetryPolicy::retries(5, 1));
         assert!(retry_policy(&args(&["b", "--retries", "many"])).is_err());
     }
 

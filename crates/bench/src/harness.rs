@@ -599,7 +599,6 @@ pub struct Sweeper {
     cache: Option<ResultCache>,
     remote: Option<RemoteSweep>,
     retry: crate::server::RetryPolicy,
-    fallback_local: bool,
     input_fp: Option<String>,
     fresh_simulations: std::sync::atomic::AtomicUsize,
 }
@@ -637,7 +636,6 @@ impl Sweeper {
             cache: None,
             remote: None,
             retry: crate::server::RetryPolicy::none(),
-            fallback_local: false,
             input_fp: None,
             fresh_simulations: std::sync::atomic::AtomicUsize::new(0),
         }
@@ -665,14 +663,6 @@ impl Sweeper {
     /// exactly-once dedup, and each retry re-requests only missing cells.
     pub fn set_retry_policy(&mut self, policy: crate::server::RetryPolicy) {
         self.retry = policy;
-    }
-
-    /// Degrade gracefully when the remote server stays unreachable after
-    /// the retry budget: fall back to local in-process simulation instead
-    /// of failing the grid (`--fallback-local` on the CLI). Results are
-    /// bit-identical either way — only wall-clock and placement change.
-    pub fn set_fallback_local(&mut self, enabled: bool) {
-        self.fallback_local = enabled;
     }
 
     /// Cells actually simulated by this process (memo/cache/remote hits
@@ -768,36 +758,21 @@ impl Sweeper {
     ) -> Vec<CellOutcome> {
         assert!(threads > 0);
         // Unique not-yet-memoized cells, in first-seen order.
-        let mut todo = unique_cells(cells.iter().copied().filter(|c| !self.memo.contains_key(c)));
+        let todo = unique_cells(cells.iter().copied().filter(|c| !self.memo.contains_key(c)));
         if let Some(remote) = self.remote.clone() {
-            match self.sweep_remote(&remote, w, cells, todo.clone(), &on_cell) {
-                Ok(outcomes) => return outcomes,
-                Err(e) if self.fallback_local && e.transient() => {
-                    // Server gone past the retry budget: degrade to local
-                    // in-process simulation. Deterministic cycles make the
-                    // fallback bit-identical, just slower and on this host.
-                    eprintln!(
-                        "warning: sweepd at {} unavailable ({}); falling back to local simulation",
-                        remote.addr,
-                        e.class()
-                    );
-                }
-                Err(e) => {
-                    // No fallback: every missing cell fails with the
-                    // transport error, and the grid never silently loses
-                    // cells.
-                    for c in todo {
-                        self.memo.insert(
-                            c,
-                            CellOutcome::Failed { cell: c, error: e.clone() },
-                        );
-                    }
-                    return cells.iter().map(|c| self.memo[c].clone()).collect();
-                }
+            // `client_sweep` returns Ok only once every requested cell has
+            // streamed back. Either way a cell the server did not return
+            // fails, with the transport error if there was one: the grid
+            // never silently loses cells.
+            let error = self.sweep_remote(&remote, w, &todo, &on_cell).err().unwrap_or_else(|| {
+                SimError::Remote { what: "server did not return this cell".to_string() }
+            });
+            for c in todo {
+                self.memo
+                    .entry(c)
+                    .or_insert_with(|| CellOutcome::Failed { cell: c, error: error.clone() });
             }
-            // Falling back: anything the server did stream before dying is
-            // memoized already — only simulate the remainder locally.
-            todo.retain(|c| !self.memo.contains_key(c));
+            return cells.iter().map(|c| self.memo[c].clone()).collect();
         }
         // Cells that share a program run as one group, one functional pass
         // (`try_run_group`); a cell with a program to itself is a group of one.
@@ -856,19 +831,16 @@ impl Sweeper {
 
     /// Remote-mode sweep: ship the deduplicated grid to the `sweepd` server
     /// (with retries per the configured [`RetryPolicy`](crate::RetryPolicy))
-    /// and absorb the streamed results. A failure that outlives the retry
-    /// budget comes back as `Err` so the caller can decide between
-    /// per-cell structured failures and the local fallback; results already
-    /// streamed before the failure are kept in the memo either way — a
-    /// fallback only simulates what the server never delivered.
+    /// and memoize the streamed results. A failure that outlives the retry
+    /// budget comes back as `Err`; results streamed before it are memoized
+    /// all the same.
     fn sweep_remote(
         &mut self,
         remote: &RemoteSweep,
         w: &Workloads,
-        cells: &[Cell],
-        todo: Vec<Cell>,
+        todo: &[Cell],
         on_cell: &(impl Fn(&CellOutcome) + Sync),
-    ) -> Result<Vec<CellOutcome>, SimError> {
+    ) -> Result<(), SimError> {
         let input_fp = self.input_fingerprint(w);
         let cfg_text = self.cfg.canonical();
         let mut got: std::collections::HashMap<Cell, CellOutcome> = std::collections::HashMap::new();
@@ -877,7 +849,7 @@ impl Sweeper {
             &remote.workload,
             &input_fp,
             &cfg_text,
-            &todo,
+            todo,
             &self.retry,
             |out| {
                 on_cell(&out);
@@ -889,16 +861,7 @@ impl Sweeper {
         for (c, out) in got {
             self.memo.insert(c, out);
         }
-        transport?;
-        for c in todo {
-            // client_sweep only returns Ok once every requested cell
-            // streamed back; this is pure defense in depth.
-            self.memo.entry(c).or_insert_with(|| CellOutcome::Failed {
-                cell: c,
-                error: SimError::Remote { what: "server did not return this cell".to_string() },
-            });
-        }
-        Ok(cells.iter().map(|c| self.memo[c].clone()).collect())
+        transport.map(|_| ())
     }
 }
 

@@ -62,7 +62,8 @@
 //!   `Ok`.
 //! * **chaos** — a seeded [`ChaosPlan`](crate::ChaosPlan) injects service
 //!   faults (dropped connection, delayed response, killed worker, corrupted
-//!   cache entry) at deterministic points; the `chaos_soak` binary proves
+//!   cache entry) at deterministic points. Tests arm it through
+//!   [`ServerConfig::chaos`]; the seeded soak in `tests/hardening.rs` proves
 //!   sweeps under chaos stay bit-identical to a fault-free run.
 //!
 //! Every cell outcome is also backed by the persistent

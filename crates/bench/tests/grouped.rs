@@ -6,15 +6,16 @@
 use std::time::Duration;
 
 use sdv_bench::json::Json;
-use sdv_bench::server::{client_request, client_sweep, RetryPolicy};
 use sdv_bench::{
-    serve, try_run_group, try_run_with_config, Cell, CellOutcome, ChaosKind, ChaosPlan, ImplKind,
-    KernelKind, ServerConfig, Sweeper, Workloads,
+    try_run_group, try_run_with_config, Cell, CellOutcome, ChaosKind, ChaosPlan, ImplKind,
+    KernelKind, Sweeper, Workloads,
 };
 use sdv_core::SdvMachine;
 use sdv_engine::{FaultKind, FaultPlan, Rng};
-use sdv_rvv::Backend;
 use sdv_uarch::{TimingConfig, WatchdogConfig};
+
+mod common;
+use common::{ask, spawn_server, sweep_from};
 
 const LATENCIES: [u64; 8] = [0, 16, 32, 64, 128, 256, 512, 1024];
 const BANDWIDTHS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
@@ -148,42 +149,6 @@ fn a_cycle_budget_splits_a_group_exactly_as_it_splits_separate_cells() {
     assert_eq!(spmv, [true, true, false], "one group, both verdicts: {outs:?}");
 }
 
-/// Bind port 0 and serve the small workload.
-fn spawn_server(
-    threads: usize,
-    tweak: impl FnOnce(&mut ServerConfig),
-) -> (String, std::thread::JoinHandle<()>) {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let mut sc = ServerConfig::new("small", TimingConfig::default(), Backend, threads);
-    tweak(&mut sc);
-    let handle = std::thread::spawn(move || serve(listener, sc).unwrap());
-    (addr, handle)
-}
-
-fn ask(addr: &str, op: &str) -> Json {
-    client_request(addr, op, &RetryPolicy::none()).unwrap()
-}
-
-fn sweep_from(addr: &str, w: &Workloads, cells: &[Cell]) -> Vec<CellOutcome> {
-    let mut outcomes = Vec::new();
-    client_sweep(
-        addr,
-        "small",
-        &w.fingerprint(),
-        &TimingConfig::default().canonical(),
-        cells,
-        &RetryPolicy::none(),
-        |o| outcomes.push(o),
-    )
-    .unwrap();
-    // Arrival order is completion order; put them back in request order.
-    cells
-        .iter()
-        .map(|c| outcomes.iter().find(|o| o.cell() == *c).expect("every cell streamed").clone())
-        .collect()
-}
-
 #[test]
 fn a_wall_deadline_fails_or_spares_a_group_as_it_does_separate_cells() {
     let w = Workloads::small();
@@ -196,12 +161,12 @@ fn a_wall_deadline_fails_or_spares_a_group_as_it_does_separate_cells() {
     let first_line = |o: &CellOutcome| told(o).lines().next().unwrap().to_string();
 
     let (addr, handle) = spawn_server(1, |sc| sc.cell_wall = Some(Duration::from_micros(1)));
-    let grouped = sweep_from(&addr, &w, &grid);
+    let grouped = sweep_from(&addr, &w, &grid).1;
     ask(&addr, "shutdown");
     handle.join().unwrap();
     let (addr, handle) = spawn_server(1, |sc| sc.cell_wall = Some(Duration::from_micros(1)));
     let alone: Vec<CellOutcome> =
-        grid.iter().flat_map(|c| sweep_from(&addr, &w, std::slice::from_ref(c))).collect();
+        grid.iter().flat_map(|c| sweep_from(&addr, &w, std::slice::from_ref(c)).1).collect();
     ask(&addr, "shutdown");
     handle.join().unwrap();
     for (g, a) in grouped.iter().zip(&alone) {
@@ -212,7 +177,7 @@ fn a_wall_deadline_fails_or_spares_a_group_as_it_does_separate_cells() {
 
     // A deadline nobody reaches changes nothing.
     let (addr, handle) = spawn_server(1, |sc| sc.cell_wall = Some(Duration::from_secs(3600)));
-    let spared = sweep_from(&addr, &w, &grid);
+    let spared = sweep_from(&addr, &w, &grid).1;
     ask(&addr, "shutdown");
     handle.join().unwrap();
     let local = Sweeper::new().sweep_outcomes(&w, &grid, 1);
@@ -269,7 +234,7 @@ fn a_worker_killed_holding_a_group_loses_no_cell_and_repeats_none() {
         // Watch `status` while the sweep runs: whatever a worker holds is one
         // program's cells.
         let (served, seen_groups) = std::thread::scope(|s| {
-            let sweeping = s.spawn(|| sweep_from(&addr, &w, &grid));
+            let sweeping = s.spawn(|| sweep_from(&addr, &w, &grid).1);
             let mut seen = Vec::new();
             while !sweeping.is_finished() {
                 for cells in held(&ask(&addr, "status")) {

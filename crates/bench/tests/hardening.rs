@@ -2,16 +2,22 @@
 //! caught as structured per-cell failures, panics are isolated to their cell,
 //! cycle budgets split a grid without killing it, a killed sweep resumes from
 //! its cache directory bit-identically (and only for the inputs that filled
-//! it), a failed cell's exit 4 outranks a failed gate's exit 1, and the armed
-//! watchdog never perturbs healthy runs.
+//! it), a failed cell's exit 4 outranks a failed gate's exit 1, the armed
+//! watchdog never perturbs healthy runs, and sweeps through a server under
+//! seeded service chaos stay bit-identical to a fault-free run.
+
+use std::time::Duration;
 
 use sdv_bench::metrics::metrics_json;
-use sdv_bench::{Cell, CellOutcome, ImplKind, KernelKind, ResultCache, Sweeper, Workloads};
+use sdv_bench::server::{client_request, RetryPolicy};
+use sdv_bench::{
+    Cell, CellOutcome, ChaosPlan, ImplKind, KernelKind, ResultCache, Sweeper, Workloads,
+};
 use sdv_engine::{FaultKind, FaultPlan, SimError};
 use sdv_uarch::{TimingConfig, WatchdogConfig};
 
 mod common;
-use common::{ok, run};
+use common::{run, scratch, spawn_server, try_sweep_from};
 
 fn cell(kernel: KernelKind, maxvl: usize, extra_latency: u64) -> Cell {
     Cell { kernel, imp: ImplKind::Vector { maxvl }, extra_latency, bandwidth: 64 }
@@ -218,22 +224,68 @@ fn out_of_range_knobs_fail_their_own_cell_and_the_group_runs_on() {
     }
 }
 
-/// The service-layer soak through its binary: 20 seeds with every service
-/// fault armed, each healed over the same cache, all bit-identical to the
-/// fault-free baseline.
+/// The service-layer soak: per seed, a server with every service fault armed
+/// (dropped connection, delayed response, killed worker, corrupted cache
+/// entry) over a fresh cache directory, then a fault-free server over the same
+/// directory, which must quarantine the corrupted entry and simulate it again.
+/// A client retrying on a seed-matched schedule must get, in both phases,
+/// every cell with the fault-free baseline's cycles and statistics.
 #[test]
 fn twenty_seeded_chaos_soak_runs_are_bit_identical_to_the_baseline() {
-    ok(env!("CARGO_BIN_EXE_chaos_soak"), &["--runs", "20", "--threads", "2"]);
+    let w = Workloads::small();
+    let mk = |kernel, imp| Cell { kernel, imp, extra_latency: 0, bandwidth: 64 };
+    // Several kernels and implementations, so the soak covers distinct store
+    // sizes and simulation lengths, and enough distinct cells that every
+    // chaos trigger ordinal is reached.
+    let grid = [
+        mk(KernelKind::Spmv, ImplKind::Scalar),
+        mk(KernelKind::Spmv, ImplKind::Vector { maxvl: 64 }),
+        mk(KernelKind::Spmv, ImplKind::Vector { maxvl: 256 }),
+        mk(KernelKind::Fft, ImplKind::Vector { maxvl: 64 }),
+        mk(KernelKind::Bfs, ImplKind::Scalar),
+    ];
+    // Cycles and every counter; a failed cell fails the soak.
+    let told = |o: &CellOutcome| match o {
+        CellOutcome::Done(r) => {
+            (r.cycles, r.stats.iter().map(|(k, v)| (k.to_string(), v)).collect::<Vec<_>>())
+        }
+        CellOutcome::Failed { cell, error } => panic!("cell {cell:?} failed: {error}"),
+    };
+    let baseline: Vec<_> = Sweeper::new().sweep_outcomes(&w, &grid, 2).iter().map(told).collect();
+    for seed in 1..=20 {
+        let dir = scratch(&format!("chaos_soak_{seed}"));
+        let policy = RetryPolicy::retries(8, seed);
+        for (phase, chaos) in [("chaos", ChaosPlan::all(seed)), ("heal", ChaosPlan::none())] {
+            let cache = ResultCache::open(&dir).unwrap();
+            let (addr, handle) = spawn_server(2, |sc| {
+                sc.cache = Some(cache);
+                sc.chaos = chaos;
+                sc.io_timeout = Some(Duration::from_secs(10));
+            });
+            let swept = try_sweep_from(&addr, &w, &grid, &policy);
+            // Down and joined before any assertion, so a failed seed leaves
+            // no server behind.
+            let shutdown = client_request(&addr, "shutdown", &policy);
+            handle.join().unwrap();
+            shutdown.unwrap_or_else(|e| panic!("seed {seed} {phase}: shutdown: {e}"));
+            let (_, outcomes) = swept.unwrap_or_else(|e| panic!("seed {seed} {phase}: {e}"));
+            for ((o, want), cell) in outcomes.iter().zip(&baseline).zip(&grid) {
+                assert!(told(o) == *want, "seed {seed} {phase}: {cell:?} is not the baseline");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
-/// A wedged VPU line credit dies cleanly through the binary: the watchdog's
+/// A wedged VPU line credit dies cleanly through `study`: the watchdog's
 /// `Deadlock` diagnostic and exit 4, not a hang and not a bare panic.
 #[test]
-fn chaos_smoke_turns_a_wedged_credit_into_a_deadlock_and_exit_4() {
-    let out = run(env!("CARGO_BIN_EXE_chaos_smoke"), &["--fault", "wedge-credit"]);
-    let text = String::from_utf8_lossy(&[out.stdout, out.stderr].concat()).into_owned();
-    assert_eq!(out.status.code(), Some(4), "{text}");
-    assert!(text.contains("Deadlock at cycle"), "no Deadlock diagnostic: {text}");
+fn a_wedged_credit_is_a_deadlock_and_exit_4_through_study() {
+    let args = ["fig_stalls", "--small", "--fault", "wedge-credit"];
+    let out = run(env!("CARGO_BIN_EXE_study"), &args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(stderr.contains("Deadlock at cycle"), "no Deadlock diagnostic: {stderr}");
 }
 
 /// A failed cell outranks a failed gate: under a cycle budget `study

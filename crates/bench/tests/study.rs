@@ -227,10 +227,12 @@ fn a_mistyped_or_foreign_flag_is_a_usage_error_not_a_different_simulation() {
         (STUDY, &[], "ablation_sigma"),
         (STUDY, &["calibrate", "--paper"], "--small"),
         (STUDY, &["lanes_study", "--checkpoint", "ck"], "--cache-dir"),
-        (env!("CARGO_BIN_EXE_chaos_smoke"), &["--fualt", "wedge-credit"], "--fualt"),
-        (env!("CARGO_BIN_EXE_chaos_soak"), &["--run", "1"], "--run"),
+        (STUDY, &["fig4", "--small", "--retry-seed", "5"], "--retry-seed"),
+        (STUDY, &["fig3", "--small", "--fallback-local"], "--fallback-local"),
         (env!("CARGO_BIN_EXE_sweepd"), &["ping", "--adr", "127.0.0.1:1"], "--adr"),
+        (env!("CARGO_BIN_EXE_sweepd"), &["ping", "--retry-seed", "1"], "--retry-seed"),
         (env!("CARGO_BIN_EXE_sweepd"), &["serve", "--probe-sampling"], "--probe-sampling"),
+        (env!("CARGO_BIN_EXE_sweepd"), &["serve", "--chaos", "all"], "--chaos"),
     ] {
         let out = run(bin, args);
         let stderr = String::from_utf8_lossy(&out.stderr);

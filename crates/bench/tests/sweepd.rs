@@ -6,65 +6,20 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 mod common;
-use common::{golden, ok, run};
+use common::{ask, golden, ok, run, spawn_server, sweep_from, try_sweep_from};
 
 use sdv_bench::json::Json;
-use sdv_bench::server::{client_request, client_sweep, RetryPolicy, ShutdownSignal, SweepSummary};
-use sdv_bench::{
-    serve, Cell, CellOutcome, ChaosKind, ChaosPlan, ImplKind, KernelKind, ServerConfig, Sweeper,
-    Workloads,
-};
+use sdv_bench::server::{client_request, client_sweep, RetryPolicy, ShutdownSignal};
+use sdv_bench::{Cell, CellOutcome, ChaosKind, ChaosPlan, ImplKind, KernelKind, Sweeper, Workloads};
 use sdv_engine::SimError;
-use sdv_rvv::Backend;
 use sdv_uarch::TimingConfig;
-
-/// Bind port 0, serve the small workload, and return (addr, join handle).
-fn spawn_server(threads: usize) -> (String, std::thread::JoinHandle<()>) {
-    spawn_server_with(threads, |_| {})
-}
-
-/// [`spawn_server`] with a configuration hook for the hardening knobs.
-fn spawn_server_with(
-    threads: usize,
-    tweak: impl FnOnce(&mut ServerConfig),
-) -> (String, std::thread::JoinHandle<()>) {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let mut sc = ServerConfig::new("small", TimingConfig::default(), Backend, threads);
-    tweak(&mut sc);
-    let handle = std::thread::spawn(move || serve(listener, sc).unwrap());
-    (addr, handle)
-}
-
-fn ask(addr: &str, op: &str) -> Json {
-    client_request(addr, op, &RetryPolicy::none()).unwrap()
-}
-
-fn sweep_from(
-    addr: &str,
-    w: &Workloads,
-    cells: &[Cell],
-) -> (SweepSummary, Vec<CellOutcome>) {
-    let mut outcomes = Vec::new();
-    let summary = client_sweep(
-        addr,
-        "small",
-        &w.fingerprint(),
-        &TimingConfig::default().canonical(),
-        cells,
-        &RetryPolicy::none(),
-        |o| outcomes.push(o),
-    )
-    .unwrap();
-    (summary, outcomes)
-}
 
 /// Two concurrent clients submit duplicate-heavy overlapping grids; every
 /// unique cell is simulated exactly once for the server's lifetime, both
 /// clients get full, agreeing results, and shutdown is clean.
 #[test]
 fn duplicate_heavy_concurrent_clients_simulate_each_cell_once() {
-    let (addr, handle) = spawn_server(2);
+    let (addr, handle) = spawn_server(2, |_| {});
     let w = Workloads::small();
 
     let mk = |imp, extra_latency| Cell {
@@ -121,7 +76,7 @@ fn duplicate_heavy_concurrent_clients_simulate_each_cell_once() {
 /// with a transport-level error, not wrong results.
 #[test]
 fn mismatched_identity_is_rejected() {
-    let (addr, handle) = spawn_server(1);
+    let (addr, handle) = spawn_server(1, |_| {});
     let w = Workloads::small();
     let mut cfg = TimingConfig::default();
     cfg.vpu.lanes = 4;
@@ -145,27 +100,6 @@ fn mismatched_identity_is_rejected() {
     handle.join().unwrap();
 }
 
-/// Like [`sweep_from`] but with a caller-chosen retry policy, surfacing
-/// the error instead of unwrapping.
-fn try_sweep_from(
-    addr: &str,
-    w: &Workloads,
-    cells: &[Cell],
-    policy: &RetryPolicy,
-) -> Result<(SweepSummary, Vec<CellOutcome>), SimError> {
-    let mut outcomes = Vec::new();
-    client_sweep(
-        addr,
-        "small",
-        &w.fingerprint(),
-        &TimingConfig::default().canonical(),
-        cells,
-        policy,
-        |o| outcomes.push(o),
-    )
-    .map(|s| (s, outcomes))
-}
-
 fn spmv(imp: ImplKind) -> Cell {
     Cell { kernel: KernelKind::Spmv, imp, extra_latency: 0, bandwidth: 64 }
 }
@@ -175,7 +109,7 @@ fn spmv(imp: ImplKind) -> Cell {
 /// and the server stays healthy for correctly-sized work.
 #[test]
 fn a_sweep_beyond_the_queue_bound_is_rejected_as_overloaded() {
-    let (addr, handle) = spawn_server_with(1, |sc| sc.max_queue = 1);
+    let (addr, handle) = spawn_server(1, |sc| sc.max_queue = 1);
     let w = Workloads::small();
     let too_big = vec![
         spmv(ImplKind::Scalar),
@@ -200,7 +134,7 @@ fn a_sweep_beyond_the_queue_bound_is_rejected_as_overloaded() {
 #[test]
 fn retry_rides_out_a_chaos_dropped_connection() {
     let (addr, handle) =
-        spawn_server_with(1, |sc| sc.chaos = ChaosPlan::only(ChaosKind::DropConnection, 7));
+        spawn_server(1, |sc| sc.chaos = ChaosPlan::only(ChaosKind::DropConnection, 7));
     let w = Workloads::small();
     let cells = [spmv(ImplKind::Scalar), spmv(ImplKind::Vector { maxvl: 64 })];
     let policy = RetryPolicy::retries(6, 7);
@@ -216,8 +150,7 @@ fn retry_rides_out_a_chaos_dropped_connection() {
 /// clients are unaffected.
 #[test]
 fn a_stalled_client_is_reaped_without_blocking_others() {
-    let (addr, handle) =
-        spawn_server_with(1, |sc| sc.io_timeout = Some(Duration::from_millis(200)));
+    let (addr, handle) = spawn_server(1, |sc| sc.io_timeout = Some(Duration::from_millis(200)));
     let stalled = std::net::TcpStream::connect(&addr).unwrap();
     stalled.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
 
@@ -243,7 +176,7 @@ fn a_stalled_client_is_reaped_without_blocking_others() {
 fn shutdown_signal_drains_in_flight_work_and_rejects_new_sweeps() {
     let signal = ShutdownSignal::new();
     let sig = signal.clone();
-    let (addr, handle) = spawn_server_with(1, move |sc| sc.signal = sig);
+    let (addr, handle) = spawn_server(1, move |sc| sc.signal = sig);
     let w = Workloads::small();
     // A long grid on one worker so the drain window is wide open.
     let grid: Vec<Cell> = [KernelKind::Spmv, KernelKind::Bfs, KernelKind::Pr, KernelKind::Fft]
@@ -343,7 +276,7 @@ fn raw_sweep_lines(addr: &str, w: &Workloads, cells: &[Cell]) -> Vec<String> {
 #[test]
 fn a_simd_request_is_refused_and_a_scalar_one_served_on_the_same_connection() {
     use std::io::Write;
-    let (addr, handle) = spawn_server(1);
+    let (addr, handle) = spawn_server(1, |_| {});
     let w = Workloads::small();
     let cells = [spmv(ImplKind::Vector { maxvl: 256 })];
     let mut stream = std::net::TcpStream::connect(&addr).unwrap();
@@ -373,7 +306,7 @@ fn a_simd_request_is_refused_and_a_scalar_one_served_on_the_same_connection() {
 /// ones the cold client got, and nothing is simulated again.
 #[test]
 fn concurrent_warm_clients_get_byte_identical_lines_and_simulate_nothing() {
-    let (addr, handle) = spawn_server(2);
+    let (addr, handle) = spawn_server(2, |_| {});
     let w = Workloads::small();
     let cells = [
         spmv(ImplKind::Scalar),
@@ -421,35 +354,23 @@ fn concurrent_warm_clients_get_byte_identical_lines_and_simulate_nothing() {
     handle.join().unwrap();
 }
 
-/// With `--fallback-local` semantics enabled, an unreachable server
-/// degrades to in-process simulation; without it, the grid fails loudly.
+/// An unreachable server fails every cell of the grid as `Unavailable`:
+/// nothing is simulated locally in its place.
 #[test]
-fn an_unreachable_server_falls_back_to_local_simulation_only_when_opted_in() {
+fn an_unreachable_server_fails_every_cell_as_unavailable() {
     // Grab an ephemeral port and release it: nothing listens there now.
     let dead_addr = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap().to_string()
     };
     let w = Workloads::small();
-    let cell = spmv(ImplKind::Scalar);
-
-    let mut strict = Sweeper::with_config(TimingConfig::default());
-    strict.set_remote(&dead_addr, "small");
-    let outcomes = strict.sweep_outcomes(&w, &[cell], 1);
-    assert!(
-        matches!(&outcomes[0], CellOutcome::Failed { error, .. } if error.transient()),
-        "without fallback the failure surfaces as a transient error"
-    );
-
-    let mut resilient = Sweeper::with_config(TimingConfig::default());
-    resilient.set_remote(&dead_addr, "small");
-    resilient.set_fallback_local(true);
-    let outcomes = resilient.sweep_outcomes(&w, &[cell], 1);
-    assert!(
-        matches!(outcomes[0], CellOutcome::Done(_)),
-        "with fallback the cell is simulated locally"
-    );
-    assert_eq!(resilient.fresh_simulations(), 1);
+    let cells = [spmv(ImplKind::Scalar), spmv(ImplKind::Vector { maxvl: 64 })];
+    let mut sweeper = Sweeper::with_config(TimingConfig::default());
+    sweeper.set_remote(&dead_addr, "small");
+    for o in sweeper.sweep_outcomes(&w, &cells, 1) {
+        assert!(matches!(o.error(), Some(SimError::Unavailable { .. })), "{o:?}");
+    }
+    assert_eq!(sweeper.fresh_simulations(), 0);
 }
 
 /// A cell that outlives the per-cell wall deadline comes back as a
@@ -459,8 +380,7 @@ fn a_runaway_cell_trips_the_wall_deadline_as_a_failed_cell() {
     // Small-workload cells simulate in milliseconds of host time, so the
     // runaway threshold has to sit at microseconds: the first wall check
     // (every 2^14 cycles) already finds it blown.
-    let (addr, handle) =
-        spawn_server_with(1, |sc| sc.cell_wall = Some(Duration::from_micros(1)));
+    let (addr, handle) = spawn_server(1, |sc| sc.cell_wall = Some(Duration::from_micros(1)));
     let w = Workloads::small();
     let (s, outcomes) =
         try_sweep_from(&addr, &w, &[spmv(ImplKind::Scalar)], &RetryPolicy::none()).unwrap();

@@ -50,11 +50,6 @@ impl FunctionalMachine {
         &self.state
     }
 
-    /// Mutable architectural vector state.
-    pub fn state_mut(&mut self) -> &mut VState {
-        &mut self.state
-    }
-
     /// Retired trace-op count.
     pub fn ops(&self) -> u64 {
         self.ops

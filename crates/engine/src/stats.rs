@@ -87,11 +87,6 @@ impl Histogram {
         self.counts[i]
     }
 
-    /// Number of buckets including overflow.
-    pub fn num_buckets(&self) -> usize {
-        self.counts.len()
-    }
-
     /// The inclusive upper bounds this histogram buckets into.
     pub fn bounds(&self) -> &[u64] {
         &self.bounds

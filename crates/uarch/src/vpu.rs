@@ -394,12 +394,6 @@ impl VpuTiming {
         self.queue.len()
     }
 
-    /// Line credits currently held in the outstanding window (includes
-    /// lazily-unpruned returned credits; see `memory_op`).
-    pub fn outstanding_lines(&self) -> usize {
-        self.outstanding.len()
-    }
-
     /// One-line state dump for watchdog diagnostics.
     pub fn diagnostic(&self) -> String {
         format!(
