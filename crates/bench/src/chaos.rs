@@ -12,8 +12,9 @@
 //! * **kill-worker** — one worker thread dies holding the group of cells it
 //!   just took (the supervisor must requeue every one and respawn the
 //!   worker),
-//! * **corrupt-cache-entry** — flip a byte of a just-written persistent
-//!   cache entry (the next load must quarantine it and re-simulate).
+//! * **corrupt-cache-entry** — flip the low bit of the last digit of a
+//!   just-written persistent cache entry's cycle count, so the entry still
+//!   parses (the next load's checksum must quarantine it and re-simulate).
 //!
 //! Trigger ordinals are derived from the seed through the workspace
 //! [`Rng`](sdv_engine::Rng), exactly like [`FaultPlan::arm`]
@@ -40,7 +41,7 @@ pub enum ChaosKind {
     DelayResponse,
     /// A worker thread exits holding the group of cells it just took.
     KillWorker,
-    /// Flip one byte of a just-stored persistent cache entry.
+    /// Change the cycle count of a just-stored persistent cache entry.
     CorruptCacheEntry,
 }
 

@@ -532,9 +532,10 @@ fn worker(shared: &Shared, id: usize) {
             shared.cell_wall,
             |cache, key| {
                 if ServerChaos::hit(&shared.chaos.corrupt_cache_entry) {
-                    // Chaos: flip one byte of the entry just published. This
-                    // run's in-memory result is unaffected; the next process
-                    // to load it must quarantine and re-simulate.
+                    // Chaos: change the cycle count of the entry just
+                    // published. This run's in-memory result is unaffected;
+                    // the next process to load it must quarantine and
+                    // re-simulate.
                     corrupt_file(&cache.entry_file(key));
                 }
             },
@@ -572,14 +573,18 @@ fn worker(shared: &Shared, id: usize) {
     }
 }
 
-/// Flip one byte near the middle of `path` (chaos: corrupt-cache-entry).
+/// Flip the low bit of the last digit on the `cycles` line of the entry at
+/// `path` (chaos: corrupt-cache-entry). A digit XOR 1 is still a digit, so
+/// the entry parses and holds a wrong count: only its checksum can catch it.
 fn corrupt_file(path: &std::path::Path) {
-    if let Ok(mut bytes) = std::fs::read(path) {
-        if !bytes.is_empty() {
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x01;
-            let _ = std::fs::write(path, &bytes);
-        }
+    const CYCLES: &[u8] = b"\ncycles ";
+    let Ok(mut bytes) = std::fs::read(path) else { return };
+    let Some(at) = bytes.windows(CYCLES.len()).position(|w| w == CYCLES) else { return };
+    let digits = at + CYCLES.len();
+    let end = digits + bytes[digits..].iter().take_while(|b| b.is_ascii_digit()).count();
+    if end > digits {
+        bytes[end - 1] ^= 0x01;
+        let _ = std::fs::write(path, &bytes);
     }
 }
 

@@ -926,6 +926,26 @@ mod tests {
         }
     }
 
+    /// The L2 holds 16 KiB, not the configured 4 × 16 KiB: a bank picks its
+    /// set from the full line index, whose low bits also picked the bank, so
+    /// each bank only ever fills 8 of its 32 sets (DESIGN.md §9). A 256-line
+    /// VPU working set re-hits on its second pass; a 384-line one, which the
+    /// configured capacity would hold, never does. Fixing the aliasing moves
+    /// every cycle count, and must change this test with them.
+    #[test]
+    fn l2_bank_set_aliasing_leaves_a_quarter_of_the_configured_capacity() {
+        for (lines, second_pass_hits) in [(256u64, 256), (384, 0)] {
+            let mut h = hier();
+            let mut t = 0;
+            for _ in 0..2 {
+                for i in 0..lines {
+                    t = h.vpu_access(i * 64, false, t);
+                }
+            }
+            assert_eq!(h.stats().get("l2.hit"), second_pass_hits, "{lines}-line working set");
+        }
+    }
+
     #[test]
     fn l1_capacity_eviction_writes_back_dirty_lines() {
         let mut h = hier();
