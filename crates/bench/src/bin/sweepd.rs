@@ -39,7 +39,10 @@ const BIN: &str = "sweepd";
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let Some(cmd) = args.get(1).map(String::as_str) else {
-        cli::die_usage(BIN, "usage: sweepd serve|submit|ping|stats|status|shutdown|gc|fsck [flags]");
+        cli::die_usage(
+            BIN,
+            "usage: sweepd serve|submit|ping|stats|status|shutdown|gc|fsck [flags]",
+        );
     };
     let Some((switches, valued)) = flag_table(cmd) else {
         cli::die_usage(BIN, &format!("unknown subcommand '{cmd}'"));
@@ -173,8 +176,7 @@ fn serve(args: &[String], addr: &str) {
         }
         cli::die_bad_input(BIN, &format!("cannot bind {bind_addr}: {e}"))
     });
-    let local =
-        listener.local_addr().map_or_else(|_| bind_addr.clone(), |a| a.to_string());
+    let local = listener.local_addr().map_or_else(|_| bind_addr.clone(), |a| a.to_string());
     install_signal_handlers(sc.signal.clone());
     eprintln!(
         "{BIN}: serving workload '{}' on {local} ({} threads, build {})",
@@ -303,8 +305,7 @@ fn gc(args: &[String]) {
         Err(e) => cli::die_usage(BIN, &e),
     };
     let dir = cli::cache_dir(BIN, args).unwrap_or_else(|| cli::DEFAULT_CACHE_DIR.into());
-    let cache = ResultCache::open(&dir)
-        .unwrap_or_else(|e| cli::die_bad_input(BIN, &e.to_string()));
+    let cache = ResultCache::open(&dir).unwrap_or_else(|e| cli::die_bad_input(BIN, &e.to_string()));
     let s = cache.gc(max_bytes);
     println!("cache gc: {}", dir.display());
     println!("  {:<22} {}", "entries scanned", s.scanned);
@@ -316,8 +317,7 @@ fn gc(args: &[String]) {
 
 fn fsck(args: &[String]) {
     let dir = cli::cache_dir(BIN, args).unwrap_or_else(|| cli::DEFAULT_CACHE_DIR.into());
-    let cache = ResultCache::open(&dir)
-        .unwrap_or_else(|e| cli::die_bad_input(BIN, &e.to_string()));
+    let cache = ResultCache::open(&dir).unwrap_or_else(|e| cli::die_bad_input(BIN, &e.to_string()));
     let s = cache.fsck();
     println!("cache fsck: {}", dir.display());
     println!("  {:<22} {}", "entries scanned", s.scanned);

@@ -388,11 +388,8 @@ fn parse_entry(text: &str) -> Result<(String, CachedResult), String> {
     if lines.next() != Some(MAGIC) {
         return Err("bad magic".into());
     }
-    let key = lines
-        .next()
-        .and_then(|l| l.strip_prefix("key "))
-        .ok_or("missing key line")?
-        .to_string();
+    let key =
+        lines.next().and_then(|l| l.strip_prefix("key ")).ok_or("missing key line")?.to_string();
     let cycles: u64 = lines
         .next()
         .and_then(|l| l.strip_prefix("cycles "))

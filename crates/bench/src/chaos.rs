@@ -195,9 +195,8 @@ mod tests {
     fn triggers_fire_exactly_once_across_threads() {
         let t = Trigger::at(50);
         let fires: usize = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| (0..100).filter(|_| t.fire()).count()))
-                .collect();
+            let handles: Vec<_> =
+                (0..4).map(|_| s.spawn(|| (0..100).filter(|_| t.fire()).count())).collect();
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert_eq!(fires, 1, "one fire across 400 racing events");

@@ -386,10 +386,7 @@ mod tests {
             EXIT_SIM_FAULT
         );
         assert_eq!(exit_code_for(&SimError::Panic { what: "x".into() }), EXIT_SIM_FAULT);
-        assert_eq!(
-            exit_code_for(&SimError::Unavailable { what: "x".into() }),
-            EXIT_UNAVAILABLE
-        );
+        assert_eq!(exit_code_for(&SimError::Unavailable { what: "x".into() }), EXIT_UNAVAILABLE);
         assert_eq!(exit_code_for(&SimError::Overloaded { what: "x".into() }), EXIT_UNAVAILABLE);
         assert_eq!(exit_code_for(&SimError::Draining { what: "x".into() }), EXIT_UNAVAILABLE);
         assert_eq!(

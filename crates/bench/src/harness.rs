@@ -79,7 +79,6 @@ impl ImplKind {
         }
         v
     }
-
 }
 
 /// Column label: `scalar` or `vl=N`. Formats straight into the output
@@ -845,7 +844,8 @@ impl Sweeper {
     ) -> Result<(), SimError> {
         let input_fp = self.input_fingerprint(w);
         let cfg_text = self.cfg.canonical();
-        let mut got: std::collections::HashMap<Cell, CellOutcome> = std::collections::HashMap::new();
+        let mut got: std::collections::HashMap<Cell, CellOutcome> =
+            std::collections::HashMap::new();
         let transport = crate::server::client_sweep(
             &remote.addr,
             &remote.workload,
@@ -1042,11 +1042,8 @@ mod tests {
     #[test]
     fn multi_tile_rejects_scalar_and_fft_with_structured_error() {
         let w = Workloads::small();
-        let scalar = try_run_with_config(
-            &w,
-            cell(KernelKind::Spmv, ImplKind::Scalar),
-            tiled_cfg(4),
-        );
+        let scalar =
+            try_run_with_config(&w, cell(KernelKind::Spmv, ImplKind::Scalar), tiled_cfg(4));
         assert!(
             matches!(scalar, Err(SimError::BadInput { .. })),
             "scalar at tiles>1 must be a structured rejection: {scalar:?}"
@@ -1138,11 +1135,19 @@ mod tests {
         let width = sliced.slice_width.iter().copied().max().expect("slices") as usize;
         let peak = slot.as_ref().expect("the failed cell kept its machine").peak_queued_ops();
         let bound = 4 * (32 * (width * 14 + 8) + 16);
-        assert!(0 < peak && peak <= bound, "queued {peak} ops at once; one slice per tile is {bound}");
+        assert!(
+            0 < peak && peak <= bound,
+            "queued {peak} ops at once; one slice per tile is {bound}"
+        );
         for (cfg, want) in [(tiled_cfg(4), &four), (tiled_cfg(1), &one), (tiled_cfg(4), &four)] {
             match run_guarded(&mut slot, &w, c, cfg, None) {
                 CellOutcome::Done(r) => {
-                    assert_eq!((r.cycles, format!("{:?}", r.stats)), *want, "{} tiles", cfg.mem.tiles)
+                    assert_eq!(
+                        (r.cycles, format!("{:?}", r.stats)),
+                        *want,
+                        "{} tiles",
+                        cfg.mem.tiles
+                    )
                 }
                 other => panic!("pooled run failed: {other:?}"),
             }
@@ -1298,7 +1303,12 @@ mod tests {
             [ImplKind::Scalar, ImplKind::Vector { maxvl: 32 }, ImplKind::Vector { maxvl: 256 }]
         {
             for lat in [0, 256] {
-                cells.push(Cell { kernel: KernelKind::Spmv, imp, extra_latency: lat, bandwidth: 64 });
+                cells.push(Cell {
+                    kernel: KernelKind::Spmv,
+                    imp,
+                    extra_latency: lat,
+                    bandwidth: 64,
+                });
             }
         }
         cells.push(cells[0]); // duplicate: exercises the memo path

@@ -338,8 +338,7 @@ impl<'a> Parser<'a> {
             Some(b'b') => '\u{8}',
             Some(b'f') => '\u{c}',
             Some(b'u') => {
-                let hex =
-                    self.bytes().get(self.i + 1..self.i + 5).ok_or("truncated \\u escape")?;
+                let hex = self.bytes().get(self.i + 1..self.i + 5).ok_or("truncated \\u escape")?;
                 let mut code = 0u32;
                 for &h in hex {
                     code = code * 16 + (h as char).to_digit(16).ok_or("bad \\u escape")?;
@@ -436,9 +435,7 @@ mod tests {
         assert_eq!(back, v);
         assert_eq!(back.get("op").and_then(Json::as_str), Some("sweep"));
         assert_eq!(
-            back.get("cells").and_then(Json::as_arr).unwrap()[0]
-                .get("lat")
-                .and_then(Json::as_u64),
+            back.get("cells").and_then(Json::as_arr).unwrap()[0].get("lat").and_then(Json::as_u64),
             Some(128)
         );
         assert_eq!(back.get("stream").and_then(Json::as_bool), Some(true));
@@ -465,8 +462,25 @@ mod tests {
     #[test]
     fn rejects_malformed_input() {
         for bad in [
-            "", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "1 2", "{\"a\" 1}", "01", "-",
-            "1.", "1e", "1e+", ".5", "+1", "\"raw\ttab\"", "\"\\u12\"", "\"\\u+123\"", "\"\\x\"",
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "\"unterminated",
+            "1 2",
+            "{\"a\" 1}",
+            "01",
+            "-",
+            "1.",
+            "1e",
+            "1e+",
+            ".5",
+            "+1",
+            "\"raw\ttab\"",
+            "\"\\u12\"",
+            "\"\\u+123\"",
+            "\"\\x\"",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }

@@ -31,9 +31,8 @@ pub fn line_chart(
     }
     let transform = |v: f64| if log_y { v.max(f64::MIN_POSITIVE).log10() } else { v };
     let all: Vec<f64> = series.iter().flat_map(|s| s.ys.iter().map(|&v| transform(v))).collect();
-    let (mut lo, mut hi) = all
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), &v| (l.min(v), h.max(v)));
+    let (mut lo, mut hi) =
+        all.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), &v| (l.min(v), h.max(v)));
     if (hi - lo).abs() < 1e-12 {
         hi = lo + 1.0;
         lo -= 1.0;
@@ -55,7 +54,8 @@ pub fn line_chart(
             // Connect with a crude vertical run to the previous point.
             if let Some((prow, pcol)) = prev {
                 let (a, b) = if prow < row { (prow, row) } else { (row, prow) };
-                #[allow(clippy::needless_range_loop)] // r is a row coordinate, not an iterator index
+                #[allow(clippy::needless_range_loop)]
+                // r is a row coordinate, not an iterator index
                 for r in a..=b {
                     let c = (pcol + col) / 2;
                     if grid[r][c] == b' ' {
@@ -80,9 +80,8 @@ pub fn line_chart(
     };
     // The y gutter sizes to the widest label (a negative or 6-digit value
     // previously overflowed the fixed 9 chars and bent the axis).
-    let y_labels: Vec<String> = (0..height)
-        .map(|r| fmt_y(hi - (hi - lo) * r as f64 / (height - 1) as f64))
-        .collect();
+    let y_labels: Vec<String> =
+        (0..height).map(|r| fmt_y(hi - (hi - lo) * r as f64 / (height - 1) as f64)).collect();
     let gutter = y_labels.iter().map(|l| l.len()).max().unwrap_or(0).max(9);
     for (label, row) in y_labels.iter().zip(&grid) {
         out.push_str(&format!("{label:>gutter$}"));

@@ -1245,7 +1245,8 @@ mod tests {
 
     #[test]
     fn classed_rejections_map_to_transient_errors() {
-        let over = Json::obj([("error", Json::str("queue full")), ("class", Json::str("overloaded"))]);
+        let over =
+            Json::obj([("error", Json::str("queue full")), ("class", Json::str("overloaded"))]);
         let drain = Json::obj([("error", Json::str("bye")), ("class", Json::str("draining"))]);
         let plain = Json::obj([("error", Json::str("cfg mismatch"))]);
         assert!(matches!(
@@ -1502,10 +1503,7 @@ mod tests {
         let mut line = String::new();
         r.read_line(&mut line).unwrap();
         let v = Json::parse(line.trim_end()).unwrap();
-        assert!(
-            v.get("error").and_then(Json::as_str).unwrap().contains("bad request"),
-            "{line}"
-        );
+        assert!(v.get("error").and_then(Json::as_str).unwrap().contains("bad request"), "{line}");
         line.clear();
         writeln!(w, "{}", Json::obj([("op", Json::str("ping"))]).to_line()).unwrap();
         w.flush().unwrap();
@@ -1524,10 +1522,7 @@ mod tests {
         let mut line = String::new();
         r.read_line(&mut line).unwrap();
         let v = Json::parse(line.trim_end()).unwrap();
-        assert!(
-            v.get("error").and_then(Json::as_str).unwrap().contains("truncated"),
-            "{line}"
-        );
+        assert!(v.get("error").and_then(Json::as_str).unwrap().contains("truncated"), "{line}");
 
         // Knobs outside the Bandwidth Limiter's range or past the watchdog
         // window: refused as a bad cell, never handed to a worker.

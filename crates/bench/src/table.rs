@@ -5,7 +5,12 @@
 /// # Panics
 /// Panics when a row carries more cells than there are column headers — the
 /// extra cells have no column (and previously indexed past the width table).
-pub fn render(title: &str, row_header: &str, col_headers: &[String], rows: &[(String, Vec<String>)]) -> String {
+pub fn render(
+    title: &str,
+    row_header: &str,
+    col_headers: &[String],
+    rows: &[(String, Vec<String>)],
+) -> String {
     for (label, cells) in rows {
         assert!(
             cells.len() <= col_headers.len(),
@@ -17,7 +22,9 @@ pub fn render(title: &str, row_header: &str, col_headers: &[String], rows: &[(St
     let mut widths: Vec<usize> = Vec::new();
     widths.push(row_header.len().max(rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0)));
     for (i, h) in col_headers.iter().enumerate() {
-        let w = h.len().max(rows.iter().map(|(_, cs)| cs.get(i).map_or(0, |c| c.len())).max().unwrap_or(0));
+        let w = h
+            .len()
+            .max(rows.iter().map(|(_, cs)| cs.get(i).map_or(0, |c| c.len())).max().unwrap_or(0));
         widths.push(w);
     }
     let mut out = String::new();

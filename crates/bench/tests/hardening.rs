@@ -36,9 +36,12 @@ fn every_fault_class_is_caught_as_a_structured_failure_without_aborting_the_grid
     let w = Workloads::small();
     let grid =
         [cell(KernelKind::Spmv, 64, 0), cell(KernelKind::Fft, 64, 0), cell(KernelKind::Bfs, 64, 0)];
-    for kind in
-        [FaultKind::StallBank, FaultKind::DropResponse, FaultKind::WedgeCredit, FaultKind::InjectPanic]
-    {
+    for kind in [
+        FaultKind::StallBank,
+        FaultKind::DropResponse,
+        FaultKind::WedgeCredit,
+        FaultKind::InjectPanic,
+    ] {
         let mut sweeper = Sweeper::with_config(fault_config(kind, 7));
         let outcomes = sweeper.sweep_outcomes(&w, &grid, 2);
         assert_eq!(outcomes.len(), grid.len(), "{kind:?}: the grid must complete");
@@ -95,12 +98,8 @@ fn cycle_budget_fails_slow_cells_and_passes_fast_ones_in_the_same_grid() {
     // Golden small-workload cycles: SPMV vl=64 ≈ 31k (under budget),
     // SPMV scalar ≈ 134k (over budget).
     let fast = cell(KernelKind::Spmv, 64, 0);
-    let slow = Cell {
-        kernel: KernelKind::Spmv,
-        imp: ImplKind::Scalar,
-        extra_latency: 0,
-        bandwidth: 64,
-    };
+    let slow =
+        Cell { kernel: KernelKind::Spmv, imp: ImplKind::Scalar, extra_latency: 0, bandwidth: 64 };
     let mut cfg = TimingConfig::default();
     cfg.watchdog.cycle_budget = 50_000;
     let mut sweeper = Sweeper::with_config(cfg);

@@ -33,10 +33,8 @@ fn trace_export_is_valid_trace_event_json() {
     assert!(r.cycles > 0);
 
     let doc = Json::parse(&json).expect("trace must parse as JSON");
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .expect("top-level traceEvents array");
+    let events =
+        doc.get("traceEvents").and_then(Json::as_arr).expect("top-level traceEvents array");
     assert!(!events.is_empty());
 
     let mut spans = 0usize;
@@ -93,10 +91,8 @@ fn metrics_export_is_valid_json_with_stall_breakdowns() {
     for cell in parsed {
         let stalls = cell.get("stalls").expect("stalls key present");
         assert_ne!(*stalls, Json::Null, "live sweeps always carry stats");
-        let frac = stalls
-            .get("memory_stall_fraction")
-            .and_then(Json::as_f64)
-            .expect("fraction present");
+        let frac =
+            stalls.get("memory_stall_fraction").and_then(Json::as_f64).expect("fraction present");
         assert!((0.0..=1.0).contains(&frac), "fraction in [0,1]: {frac}");
         // At +1024 both cells are memory-crushed.
         assert!(frac > 0.9, "fraction={frac}");
@@ -136,8 +132,7 @@ fn memory_stall_fraction_falls_as_maxvl_grows() {
     // Same saturation tolerance as `study fig_stalls`'s gate: adjacent
     // small-MAXVL fractions are ties near 1.0 that jitter in the 4th
     // decimal; a real rise would far exceed 0.2%.
-    for (w, (&vl_lo, &vl_hi)) in
-        fractions.windows(2).zip(maxvls.iter().zip(maxvls.iter().skip(1)))
+    for (w, (&vl_lo, &vl_hi)) in fractions.windows(2).zip(maxvls.iter().zip(maxvls.iter().skip(1)))
     {
         assert!(
             w[1] <= w[0] + 2e-3,

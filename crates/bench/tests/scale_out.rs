@@ -52,7 +52,8 @@ const SUITE_TOTAL: u64 = 23_497_211;
 fn suite_cells() -> Vec<Cell> {
     let mut cells = Vec::new();
     for kernel in KernelKind::all() {
-        for imp in [ImplKind::Scalar, ImplKind::Vector { maxvl: 8 }, ImplKind::Vector { maxvl: 256 }]
+        for imp in
+            [ImplKind::Scalar, ImplKind::Vector { maxvl: 8 }, ImplKind::Vector { maxvl: 256 }]
         {
             for extra_latency in [0, 512] {
                 cells.push(Cell { kernel, imp, extra_latency, bandwidth: 64 });

@@ -10,7 +10,9 @@ use common::{ask, golden, ok, run, spawn_server, sweep_from, try_sweep_from};
 
 use sdv_bench::json::Json;
 use sdv_bench::server::{client_request, client_sweep, RetryPolicy, ShutdownSignal};
-use sdv_bench::{Cell, CellOutcome, ChaosKind, ChaosPlan, ImplKind, KernelKind, Sweeper, Workloads};
+use sdv_bench::{
+    Cell, CellOutcome, ChaosKind, ChaosPlan, ImplKind, KernelKind, Sweeper, Workloads,
+};
 use sdv_engine::SimError;
 use sdv_uarch::TimingConfig;
 
@@ -22,16 +24,15 @@ fn duplicate_heavy_concurrent_clients_simulate_each_cell_once() {
     let (addr, handle) = spawn_server(2, |_| {});
     let w = Workloads::small();
 
-    let mk = |imp, extra_latency| Cell {
-        kernel: KernelKind::Spmv,
-        imp,
-        extra_latency,
-        bandwidth: 64,
-    };
+    let mk =
+        |imp, extra_latency| Cell { kernel: KernelKind::Spmv, imp, extra_latency, bandwidth: 64 };
     // 3 unique cells; client A asks for two of them (one duplicated in the
     // same request), client B overlaps on both of A's plus one of its own.
-    let a_cells =
-        vec![mk(ImplKind::Scalar, 0), mk(ImplKind::Vector { maxvl: 64 }, 0), mk(ImplKind::Scalar, 0)];
+    let a_cells = vec![
+        mk(ImplKind::Scalar, 0),
+        mk(ImplKind::Vector { maxvl: 64 }, 0),
+        mk(ImplKind::Scalar, 0),
+    ];
     let b_cells = vec![
         mk(ImplKind::Scalar, 0),
         mk(ImplKind::Vector { maxvl: 64 }, 0),
@@ -156,8 +157,8 @@ fn a_stalled_client_is_reaped_without_blocking_others() {
 
     // A healthy client sweeps to completion while the stall is pending.
     let w = Workloads::small();
-    let (s, outcomes) = try_sweep_from(&addr, &w, &[spmv(ImplKind::Scalar)], &RetryPolicy::none())
-        .unwrap();
+    let (s, outcomes) =
+        try_sweep_from(&addr, &w, &[spmv(ImplKind::Scalar)], &RetryPolicy::none()).unwrap();
     assert_eq!(s.cells, 1);
     assert!(matches!(outcomes[0], CellOutcome::Done(_)));
 
@@ -204,16 +205,10 @@ fn shutdown_signal_drains_in_flight_work_and_rejects_new_sweeps() {
     assert_eq!(s.cells as usize, grid.len());
     assert!(outcomes.iter().all(|o| matches!(o, CellOutcome::Done(_))));
     let err = rejected.expect_err("a sweep submitted mid-drain is turned away");
-    assert!(
-        matches!(err, SimError::Draining { .. } | SimError::Unavailable { .. }),
-        "got: {err}"
-    );
+    assert!(matches!(err, SimError::Draining { .. } | SimError::Unavailable { .. }), "got: {err}");
     // serve() returns without a shutdown op ever being sent.
     handle.join().unwrap();
-    assert!(
-        std::net::TcpStream::connect(&addr).is_err(),
-        "the drained server no longer listens"
-    );
+    assert!(std::net::TcpStream::connect(&addr).is_err(), "the drained server no longer listens");
     // The acceptor thread owned the listener; serve() joined it, so the
     // port is free for the next server the moment serve() is back.
     std::net::TcpListener::bind(&addr).expect("the drained server released its port");

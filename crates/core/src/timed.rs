@@ -1048,10 +1048,7 @@ mod tests {
             }
             m.try_finish().expect("clean run")
         };
-        assert!(
-            four * 2 < one,
-            "4 tiles must speed up compute-bound work by >2x: {four} vs {one}"
-        );
+        assert!(four * 2 < one, "4 tiles must speed up compute-bound work by >2x: {four} vs {one}");
     }
 
     #[test]

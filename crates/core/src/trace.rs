@@ -109,7 +109,10 @@ impl<V: Vm> TracingMachine<V> {
     pub fn dump(&self) -> String {
         let mut s: String = self.events.iter().map(|e| e.render() + "\n").collect();
         if self.dropped > 0 {
-            s.push_str(&format!("... {} further events dropped (cap {})\n", self.dropped, self.cap));
+            s.push_str(&format!(
+                "... {} further events dropped (cap {})\n",
+                self.dropped, self.cap
+            ));
         }
         s
     }

@@ -13,8 +13,7 @@
 //! provided methods are one-to-one with RVV instructions.
 
 use sdv_rvv::{
-    ArithKind, CmpKind, FArithKind, FmaKind, Lmul, MaskKind, MemAddr, RedKind, Reg, Sew, VInst,
-    VOp,
+    ArithKind, CmpKind, FArithKind, FmaKind, Lmul, MaskKind, MemAddr, RedKind, Reg, Sew, VInst, VOp,
 };
 
 /// The machine interface kernels program against.

@@ -18,9 +18,8 @@ fn main() {
     println!("cargo:rerun-if-changed=../../.git/HEAD");
     println!("cargo:rerun-if-changed=../../.git/refs");
     println!("cargo:rerun-if-changed=../../.git/packed-refs");
-    let info = git_fingerprint().unwrap_or_else(|| {
-        format!("v{}", std::env::var("CARGO_PKG_VERSION").unwrap_or_default())
-    });
+    let info = git_fingerprint()
+        .unwrap_or_else(|| format!("v{}", std::env::var("CARGO_PKG_VERSION").unwrap_or_default()));
     println!("cargo:rustc-env=SDV_BUILD_INFO={info}");
 }
 
@@ -28,8 +27,8 @@ fn main() {
 /// uncommitted modifications. `None` when git or the repository is absent.
 fn git_fingerprint() -> Option<String> {
     let hash = git(&["rev-parse", "--short=12", "HEAD"])?;
-    let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
-        .is_some_and(|s| !s.is_empty());
+    let dirty =
+        git(&["status", "--porcelain", "--untracked-files=no"]).is_some_and(|s| !s.is_empty());
     Some(format!("g{hash}{}", if dirty { "-dirty" } else { "" }))
 }
 

@@ -134,10 +134,7 @@ impl std::fmt::Display for SimError {
                 write!(f, "Deadlock at cycle {cycle}: no forward progress\n{diagnostic}")
             }
             SimError::CycleBudgetExceeded { budget, cycle, diagnostic } => {
-                write!(
-                    f,
-                    "CycleBudgetExceeded: cycle {cycle} past budget {budget}\n{diagnostic}"
-                )
+                write!(f, "CycleBudgetExceeded: cycle {cycle} past budget {budget}\n{diagnostic}")
             }
             SimError::InvariantViolation { cycle, what } => {
                 write!(f, "InvariantViolation at cycle {cycle}: {what}")
@@ -149,7 +146,10 @@ impl std::fmt::Display for SimError {
             SimError::Overloaded { what } => write!(f, "Overloaded: {what}"),
             SimError::Draining { what } => write!(f, "Draining: {what}"),
             SimError::DeadlineExceeded { limit_ms, diagnostic } => {
-                write!(f, "DeadlineExceeded: cell ran past the {limit_ms} ms wall deadline\n{diagnostic}")
+                write!(
+                    f,
+                    "DeadlineExceeded: cell ran past the {limit_ms} ms wall deadline\n{diagnostic}"
+                )
             }
         }
     }

@@ -134,7 +134,15 @@ impl Probe {
     /// Record a span event: something named `name` occupied `track` from
     /// `ts` for `dur` cycles. `value` is an auxiliary argument (e.g. `vl`).
     #[inline]
-    pub fn span(&mut self, cat: &'static str, name: &'static str, track: u32, ts: Cycle, dur: Cycle, value: u64) {
+    pub fn span(
+        &mut self,
+        cat: &'static str,
+        name: &'static str,
+        track: u32,
+        ts: Cycle,
+        dur: Cycle,
+        value: u64,
+    ) {
         let Some(p) = self.inner.as_deref_mut() else { return };
         if !p.trace {
             return;
@@ -220,7 +228,10 @@ mod tests {
         let mut s = Stats::new();
         p.export(&mut s);
         assert!(s.histogram("x").is_none());
-        assert!(Probe::new(ProbeConfig::default()).inner.is_none(), "all-off config allocates nothing");
+        assert!(
+            Probe::new(ProbeConfig::default()).inner.is_none(),
+            "all-off config allocates nothing"
+        );
     }
 
     #[test]

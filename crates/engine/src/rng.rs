@@ -25,12 +25,8 @@ impl Rng {
     /// Seed the generator. Any seed (including 0) produces a valid stream.
     pub fn new(seed: u64) -> Self {
         let mut sm = seed;
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
+        let s =
+            [splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm)];
         Self { s }
     }
 

@@ -96,10 +96,7 @@ impl Histogram {
     /// have identical bounds — merging differently-shaped histograms would
     /// silently misbucket, so that is a caller bug.
     pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different bounds"
-        );
+        assert_eq!(self.bounds, other.bounds, "cannot merge histograms with different bounds");
         for (c, &o) in self.counts.iter_mut().zip(other.counts.iter()) {
             *c += o;
         }
@@ -444,7 +441,11 @@ mod tests {
         let want: Vec<(String, u64)> = m.counters.iter().map(|(k, &v)| (k.clone(), v)).collect();
         assert_eq!(got, want, "iter after {step}");
         for k in POOL {
-            assert_eq!(s.get(k), m.counters.get(k).copied().unwrap_or(0), "get({k:?}) after {step}");
+            assert_eq!(
+                s.get(k),
+                m.counters.get(k).copied().unwrap_or(0),
+                "get({k:?}) after {step}"
+            );
             let h = s.histogram(k).map(|h| (h.samples(), h.sum, h.max()));
             assert_eq!(h, m.hists.get(k).copied(), "histogram({k:?}) after {step}");
         }

@@ -334,8 +334,7 @@ mod tests {
         let dev = setup_pagerank(&mut vm, &g, 16, 0.85, 20);
         pagerank_vector(&mut vm, &dev);
         let pr = read_pr(&vm, &dev);
-        let max_idx =
-            (0..32).max_by(|&a, &b| pr[a].partial_cmp(&pr[b]).unwrap()).unwrap();
+        let max_idx = (0..32).max_by(|&a, &b| pr[a].partial_cmp(&pr[b]).unwrap()).unwrap();
         assert_eq!(max_idx, 0);
     }
 

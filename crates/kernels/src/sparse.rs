@@ -378,12 +378,15 @@ mod tests {
 
     #[test]
     fn from_rows_sorts_and_dedups() {
-        let m = CsrMatrix::from_rows(4, vec![
-            vec![(2, 1.0), (0, 2.0), (2, 3.0)],
-            vec![],
-            vec![(3, 4.0)],
-            vec![(1, 5.0), (0, 6.0)],
-        ]);
+        let m = CsrMatrix::from_rows(
+            4,
+            vec![
+                vec![(2, 1.0), (0, 2.0), (2, 3.0)],
+                vec![],
+                vec![(3, 4.0)],
+                vec![(1, 5.0), (0, 6.0)],
+            ],
+        );
         assert_eq!(m.nnz(), 5);
         assert_eq!(m.row_len(0), 2);
         assert_eq!(m.row_len(1), 0);

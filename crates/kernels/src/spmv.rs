@@ -15,8 +15,8 @@
 //!   range per tile of an [`SdvMachine`]; slices own disjoint output rows,
 //!   one barrier at the end.
 
-use crate::sparse::{CsrMatrix, SellCS};
 use crate::sliced_epoch;
+use crate::sparse::{CsrMatrix, SellCS};
 use sdv_core::{SdvMachine, Vm};
 use sdv_rvv::{Lmul, Reg, Sew};
 

@@ -51,7 +51,9 @@ fn pair(op: &VOp) -> (&'static str, Option<VOp>) {
         FmaVV { kind: Fma::Macc, .. } => ("vfmacc.vv", mvv(Fma::Nmsac)),
         FmaVV { kind: Fma::Nmsac, .. } => ("vfnmsac.vv", mvf(Fma::Macc)),
         FmaVF { kind: Fma::Macc, .. } => ("vfmacc.vf", mvf(Fma::Nmsac)),
-        FmaVF { kind: Fma::Nmsac, .. } => ("vfnmsac.vf", CmpVX { kind: CmpKind::Eq, md, x, scalar }),
+        FmaVF { kind: Fma::Nmsac, .. } => {
+            ("vfnmsac.vf", CmpVX { kind: CmpKind::Eq, md, x, scalar })
+        }
         CmpVX { kind: CmpKind::Eq, .. } => ("vmseq.vx", mask(MaskKind::And)),
         MaskOp { kind: MaskKind::And, .. } => ("vmand", mask(MaskKind::Or)),
         MaskOp { kind: MaskKind::Or, .. } => ("vmor", Popc { m }),

@@ -175,10 +175,7 @@ impl Cache {
             base + lru.iter().enumerate().min_by_key(|(_, &t)| t).map(|(w, _)| w).unwrap()
         };
         let victim = if self.tags[slot] != INVALID_TAG {
-            Some(Victim {
-                addr: self.tags[slot] * self.cfg.line_bytes,
-                dirty: self.dirty[slot],
-            })
+            Some(Victim { addr: self.tags[slot] * self.cfg.line_bytes, dirty: self.dirty[slot] })
         } else {
             None
         };

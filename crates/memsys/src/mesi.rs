@@ -322,7 +322,7 @@ mod tests {
         let mut d = Directory::new();
         d.caching_read(0xC0, L1);
         d.noncaching_read(0xC0, VPU); // downgrades E(L1) -> Shared{L1}
-        // After the noncaching read, L1 retains a shared copy.
+                                      // After the noncaching read, L1 retains a shared copy.
         let a = d.noncaching_write(0xC0, VPU);
         assert_eq!(a.invalidate, bit(L1));
         assert_eq!(d.invalidations(), 1);

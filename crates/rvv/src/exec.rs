@@ -910,12 +910,20 @@ mod tests {
         for i in 0..8 {
             mem.write_uint(i * 8, 8, 100 + i);
         }
-        let info = exec(&VInst::new(VOp::Load { vd: 1, addr: MemAddr::Unit { base: 0 } }), &mut s, &mut mem);
+        let info = exec(
+            &VInst::new(VOp::Load { vd: 1, addr: MemAddr::Unit { base: 0 } }),
+            &mut s,
+            &mut mem,
+        );
         assert_eq!(info.mem.len(), 8);
         assert!(info.unit_stride);
         assert_eq!(s.regs.get(1, 0), 100);
         assert_eq!(s.regs.get(1, 7), 107);
-        let info = exec(&VInst::new(VOp::Store { vs: 1, addr: MemAddr::Unit { base: 512 } }), &mut s, &mut mem);
+        let info = exec(
+            &VInst::new(VOp::Store { vs: 1, addr: MemAddr::Unit { base: 512 } }),
+            &mut s,
+            &mut mem,
+        );
         assert_eq!(info.mem.len(), 8);
         assert_eq!(mem.read_uint(512 + 7 * 8, 8), 107);
     }
@@ -966,11 +974,7 @@ mod tests {
         for i in 0..4u64 {
             mem.write_uint(i * 4, 4, 0x8000_0000 + i);
         }
-        let info = exec(
-            &VInst::new(VOp::LoadWiden { vd: 2, base: 0 }),
-            &mut s,
-            &mut mem,
-        );
+        let info = exec(&VInst::new(VOp::LoadWiden { vd: 2, base: 0 }), &mut s, &mut mem);
         assert!(info.unit_stride);
         assert_eq!(info.mem.len(), 4);
         assert_eq!(info.mem.access(1).addr, 4, "element footprint is 4 bytes");
@@ -1026,7 +1030,7 @@ mod tests {
         assert_eq!(s.regs.get(2, 0), 25);
         run(&mut s, VOp::ArithVX { kind: ArithKind::Sll, vd: 2, x: 1, scalar: 3 });
         assert_eq!(s.regs.get(2, 0), 40); // 5 << 3
-        // Shift amounts are taken mod 64: 67 & 63 = 3.
+                                          // Shift amounts are taken mod 64: 67 & 63 = 3.
         run(&mut s, VOp::ArithVX { kind: ArithKind::Sll, vd: 2, x: 1, scalar: 67 });
         assert_eq!(s.regs.get(2, 0), 40);
     }
@@ -1045,7 +1049,10 @@ mod tests {
         run(&mut s, VOp::FmaVV { kind: FmaKind::Macc, vd: 3, x: 1, y: 2 });
         assert_eq!(s.regs.get_f64(3, 0), 12.0);
         assert_eq!(s.regs.get_f64(3, 1), -4.0);
-        run(&mut s, VOp::FArithVF { kind: FArithKind::Fadd, vd: 3, x: 3, scalar: 1.0f64.to_bits() });
+        run(
+            &mut s,
+            VOp::FArithVF { kind: FArithKind::Fadd, vd: 3, x: 3, scalar: 1.0f64.to_bits() },
+        );
         assert_eq!(s.regs.get_f64(3, 0), 13.0);
         // vd -= s*y
         run(&mut s, VOp::FmaVF { kind: FmaKind::Nmsac, vd: 3, scalar: 2.0f64.to_bits(), y: 2 });
@@ -1077,9 +1084,15 @@ mod tests {
             s.regs.set_mask(2, i, i < 2); //       1100
         }
         run(&mut s, VOp::MaskOp { kind: MaskKind::And, md: 3, m1: 1, m2: 2 });
-        assert_eq!((0..4).map(|i| s.regs.get_mask(3, i)).collect::<Vec<_>>(), vec![true, false, false, false]);
+        assert_eq!(
+            (0..4).map(|i| s.regs.get_mask(3, i)).collect::<Vec<_>>(),
+            vec![true, false, false, false]
+        );
         run(&mut s, VOp::MaskOp { kind: MaskKind::Or, md: 3, m1: 1, m2: 2 });
-        assert_eq!((0..4).map(|i| s.regs.get_mask(3, i)).collect::<Vec<_>>(), vec![true, true, true, false]);
+        assert_eq!(
+            (0..4).map(|i| s.regs.get_mask(3, i)).collect::<Vec<_>>(),
+            vec![true, true, true, false]
+        );
     }
 
     #[test]
@@ -1156,7 +1169,8 @@ mod tests {
             s.regs.set(3, i, 555);
             s.regs.set_mask(0, i, i >= 2);
         }
-        let info = run_masked(&mut s, VOp::ArithVX { kind: ArithKind::Add, vd: 3, x: 1, scalar: 1 });
+        let info =
+            run_masked(&mut s, VOp::ArithVX { kind: ArithKind::Add, vd: 3, x: 1, scalar: 1 });
         assert_eq!(info.active, 2);
         assert_eq!(s.regs.get(3, 0), 555);
         assert_eq!(s.regs.get(3, 1), 555);
@@ -1551,7 +1565,9 @@ mod differential {
             let op = match rng.index(10) {
                 0 => Load { vd: 4, addr: MemAddr::Unit { base: 64 } },
                 1 => Store { vs: 8, addr: MemAddr::Unit { base: 4096 } },
-                2 => Red { kind: [RedKind::Fsum, RedKind::Sum][rng.index(2)], vd: 20, x: 4, acc: 8 },
+                2 => {
+                    Red { kind: [RedKind::Fsum, RedKind::Sum][rng.index(2)], vd: 20, x: 4, acc: 8 }
+                }
                 _ => pool[rng.index(pool.len())].clone(),
             };
             let vl = rng.index(VLMAX + 1);

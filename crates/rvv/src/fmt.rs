@@ -115,7 +115,8 @@ mod tests {
         assert_eq!(i.to_string(), "vle.v v3, (0x1000)");
         let i = VInst::masked(VOp::Load { vd: 3, addr: MemAddr::Indexed { base: 0x20, index: 7 } });
         assert_eq!(i.to_string(), "vlxe.v v3, (0x20), v7, v0.t");
-        let i = VInst::new(VOp::Store { vs: 2, addr: MemAddr::Strided { base: 0x40, stride: -16 } });
+        let i =
+            VInst::new(VOp::Store { vs: 2, addr: MemAddr::Strided { base: 0x40, stride: -16 } });
         assert_eq!(i.to_string(), "vsse.v v2, (0x40), stride=-16");
         let i = VInst::new(VOp::LoadWiden { vd: 1, base: 0 });
         assert_eq!(i.to_string(), "vlwu.v v1, (0x0)");
@@ -127,7 +128,12 @@ mod tests {
         assert_eq!(i.to_string(), "vfmacc.vv v1, v2, v3");
         let i = VInst::new(VOp::ArithVX { kind: ArithKind::Sll, vd: 4, x: 5, scalar: 3 });
         assert_eq!(i.to_string(), "vsll.vx v4, v5, 3");
-        let i = VInst::new(VOp::FArithVF { kind: FArithKind::Fmul, vd: 1, x: 1, scalar: 2.5f64.to_bits() });
+        let i = VInst::new(VOp::FArithVF {
+            kind: FArithKind::Fmul,
+            vd: 1,
+            x: 1,
+            scalar: 2.5f64.to_bits(),
+        });
         assert_eq!(i.to_string(), "vfmul.vf v1, v1, 2.5");
     }
 

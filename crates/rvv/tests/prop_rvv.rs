@@ -162,7 +162,11 @@ fn mask_lanes_are_the_lsb_first_bits_of_loaded_bytes() {
     let vl = 200;
     st.set_vl(vl, Sew::E64, Lmul::M1);
     exec(&VInst::new(VOp::MvVX { vd: 1, scalar: 1000 }), &mut st, &mut mem);
-    exec(&VInst::masked(VOp::ArithVX { kind: ArithKind::Add, vd: 1, x: 1, scalar: 7 }), &mut st, &mut mem);
+    exec(
+        &VInst::masked(VOp::ArithVX { kind: ArithKind::Add, vd: 1, x: 1, scalar: 7 }),
+        &mut st,
+        &mut mem,
+    );
     exec(&VInst::new(VOp::Store { vs: 1, addr: MemAddr::Unit { base: 1024 } }), &mut st, &mut mem);
     let popc = exec(&VInst::new(VOp::Popc { m: 0 }), &mut st, &mut mem).scalar;
     let bit = |i: usize| (bytes[i / 8] >> (i % 8)) & 1 == 1;

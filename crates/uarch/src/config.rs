@@ -251,12 +251,8 @@ fn mem_canonical(mem: &MemHierConfig, s: &mut String) {
          banks={num_banks} "
     );
     let MeshConfig { width, height, router_latency, link_latency, flit_bytes } = *mesh;
-    let _ = write!(
-        s,
-        "mesh={width}x{height}/{router_latency}/{link_latency}/{flit_bytes} "
-    );
-    let DramConfig { service_latency, line_bytes, row_bits, dram_banks, row_miss_penalty } =
-        *dram;
+    let _ = write!(s, "mesh={width}x{height}/{router_latency}/{link_latency}/{flit_bytes} ");
+    let DramConfig { service_latency, line_bytes, row_bits, dram_banks, row_miss_penalty } = *dram;
     let _ = write!(
         s,
         "dram={service_latency}/{line_bytes}/{row_bits}/{dram_banks}/{row_miss_penalty} \
@@ -312,8 +308,10 @@ mod tests {
         assert_eq!(c.vpu.lanes, 8, "paper's Vitruvius has 8 lanes");
         assert_eq!(c.mem.num_banks, 4, "paper's 2x2 L2HN mesh");
         assert_eq!(c.mem.mesh.nodes(), 4);
-        assert!(c.scalar.max_outstanding_loads < c.vpu.vmem_outstanding,
-            "the VPU must out-MLP the scalar core or the paper's effect disappears");
+        assert!(
+            c.scalar.max_outstanding_loads < c.vpu.vmem_outstanding,
+            "the VPU must out-MLP the scalar core or the paper's effect disappears"
+        );
     }
 
     #[test]
@@ -344,8 +342,7 @@ mod tests {
         probe.probe = ProbeConfig::sampling();
         let mut fault = base;
         fault.fault = FaultPlan::new(sdv_engine::FaultKind::StallBank, 7);
-        let all =
-            [base, lat, bw, lanes, probe, fault].map(|c| c.canonical());
+        let all = [base, lat, bw, lanes, probe, fault].map(|c| c.canonical());
         let mut dedup = all.to_vec();
         dedup.sort_unstable();
         dedup.dedup();
@@ -356,12 +353,12 @@ mod tests {
     fn unloaded_miss_latency_near_paper_50_cycles() {
         // L1 miss -> mesh -> L2 miss -> DRAM -> back: the static parts.
         let c = MemHierConfig::default();
-        let static_path = c.l1_hit_latency
-            + c.l2_hit_latency
-            + c.dram_path_latency
-            + c.dram.service_latency;
+        let static_path =
+            c.l1_hit_latency + c.l2_hit_latency + c.dram_path_latency + c.dram.service_latency;
         // Mesh adds ~5-8 cycles each way depending on bank.
-        assert!((40..=70).contains(&(static_path + 10)),
-            "static path {static_path} + mesh should land near 50 cycles");
+        assert!(
+            (40..=70).contains(&(static_path + 10)),
+            "static path {static_path} + mesh should land near 50 cycles"
+        );
     }
 }

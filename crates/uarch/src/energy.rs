@@ -79,11 +79,7 @@ impl EnergyReport {
         if self.total_nj == 0.0 {
             return 0.0;
         }
-        self.items
-            .iter()
-            .filter(|i| i.component == component)
-            .map(|i| i.nanojoules)
-            .sum::<f64>()
+        self.items.iter().filter(|i| i.component == component).map(|i| i.nanojoules).sum::<f64>()
             / self.total_nj
     }
 

@@ -226,11 +226,8 @@ impl SdvTiming {
         let budget = self.watchdog.cycle_budget;
         if budget != 0 && now > budget {
             let diagnostic = self.diagnostic();
-            self.fault = Some(Box::new(SimError::CycleBudgetExceeded {
-                budget,
-                cycle: now,
-                diagnostic,
-            }));
+            self.fault =
+                Some(Box::new(SimError::CycleBudgetExceeded { budget, cycle: now, diagnostic }));
         }
     }
 
@@ -462,7 +459,7 @@ mod tests {
                     active: 256,
                     mem: Some(VectorMemOp { is_load: true, unit_stride: true, elems: 256, lines }),
                     produces_scalar: false,
-            is_fp: false,
+                    is_fp: false,
                 }));
                 m.issue(&Op::Vector(VectorOp {
                     class: VClass::Arith,
@@ -470,7 +467,7 @@ mod tests {
                     active: 256,
                     mem: None,
                     produces_scalar: false,
-            is_fp: false,
+                    is_fp: false,
                 }));
             }
             m.finish()
@@ -527,7 +524,7 @@ mod tests {
                         lines,
                     }),
                     produces_scalar: false,
-            is_fp: false,
+                    is_fp: false,
                 }));
                 m.issue(&Op::IntOps(4));
             }

@@ -414,7 +414,13 @@ impl MemHierarchy {
 
     /// A scalar-core access from `tile` (through its L1). Returns the
     /// data-ready cycle.
-    pub fn core_access_tile(&mut self, tile: usize, addr: u64, is_write: bool, now: Cycle) -> Cycle {
+    pub fn core_access_tile(
+        &mut self,
+        tile: usize,
+        addr: u64,
+        is_write: bool,
+        now: Cycle,
+    ) -> Cycle {
         debug_assert!(now >= self.core_now[tile], "core accesses must be issued in cycle order");
         self.core_now[tile] = now;
         let line = self.amap.line_of(addr);
@@ -616,10 +622,9 @@ impl MemHierarchy {
             self.banks[bank].dir.noncaching_read(line, req)
         };
         let t_bank = self.apply_foreign_copies(bank, line, action, is_write, t_bank);
-        let hit = self.banks[bank].cache.access(
-            line,
-            if is_write { AccessKind::Write } else { AccessKind::Read },
-        );
+        let hit = self.banks[bank]
+            .cache
+            .access(line, if is_write { AccessKind::Write } else { AccessKind::Read });
         let t_data = if hit {
             self.ctr.l2_hit += 1;
             self.l2_ready_no_earlier_than(line, t_bank + self.cfg.l2_hit_latency)
@@ -848,7 +853,7 @@ mod tests {
     fn bandwidth_knob_serializes_misses() {
         let mut h = hier();
         h.set_bandwidth_limit(1); // one line per 64 cycles
-        // Distinct lines, all requested at t=0-ish from the same bank group.
+                                  // Distinct lines, all requested at t=0-ish from the same bank group.
         let mut times: Vec<Cycle> = Vec::new();
         for i in 0..8u64 {
             times.push(h.vpu_access(i * 64, false, 0));

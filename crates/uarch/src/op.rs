@@ -126,9 +126,7 @@ pub fn coalesce_lines_into(
         let mut l = first;
         loop {
             if last != Some(l)
-                && (!unit_stride
-                    || max_seen.is_none_or(|m| l > m)
-                    || !lines.contains(&l))
+                && (!unit_stride || max_seen.is_none_or(|m| l > m) || !lines.contains(&l))
             {
                 lines.push(l);
                 if max_seen.is_none_or(|m| l > m) {
@@ -169,10 +167,7 @@ pub fn classify_into(
     };
     let mem = if class == VClass::Memory {
         let is_load = matches!(inst.op, VOp::Load { .. } | VOp::LoadWiden { .. });
-        debug_assert!(info
-            .mem
-            .iter()
-            .all(|a| (a.kind == MemAccessKind::Read) == is_load));
+        debug_assert!(info.mem.iter().all(|a| (a.kind == MemAccessKind::Read) == is_load));
         coalesce_lines_into(&info.mem, line_bytes, info.unit_stride, lines_pool);
         Some(VectorMemOp {
             is_load,
@@ -236,10 +231,8 @@ mod tests {
     fn coalesce_matches_per_element_walk_on_mixed_runs() {
         // A unit-stride burst, a gap, then a strided tail: the run-walking
         // coalesce must reproduce the per-element reference exactly.
-        let mixed: Vec<sdv_rvv::MemAccess> = (0..16)
-            .map(|i| acc(i * 8))
-            .chain((0..5).map(|i| acc(1024 + i * 40)))
-            .collect();
+        let mixed: Vec<sdv_rvv::MemAccess> =
+            (0..16).map(|i| acc(i * 8)).chain((0..5).map(|i| acc(1024 + i * 40))).collect();
         let list: MemList = mixed.iter().copied().collect();
         for unit in [true, false] {
             let mut want: Vec<u64> = Vec::new();

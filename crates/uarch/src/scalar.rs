@@ -305,13 +305,8 @@ impl ScalarCore {
 
     /// Drain: wait for every outstanding load and store.
     pub fn drain(&mut self) {
-        let last = self
-            .pending
-            .iter()
-            .map(|p| p.completion)
-            .chain(self.stores.iter())
-            .max()
-            .unwrap_or(0);
+        let last =
+            self.pending.iter().map(|p| p.completion).chain(self.stores.iter()).max().unwrap_or(0);
         let d = self.advance_counting(last);
         self.ctr.drain_stall_cycles += d;
         self.retire_completed();
@@ -397,7 +392,7 @@ mod tests {
     fn runahead_window_stalls_on_old_loads() {
         let (mut c, mut h) = parts();
         c.load(&mut h, 0); // cold miss, ~50 cycles
-        // Issue more ops than the window allows: the core must stall on the load.
+                           // Issue more ops than the window allows: the core must stall on the load.
         c.int_ops(ScalarConfig::default().runahead_window as u32 + 8);
         assert!(c.now() > 40, "window forces a stall: {}", c.now());
         assert!(c.stats().get("scalar.window_stalls") > 0);

@@ -172,11 +172,8 @@ impl VpuTiming {
                     batches
                 };
                 self.exec_free = start + occupancy;
-                let extra = if vop.class == VClass::Reduction {
-                    self.cfg.reduction_overhead
-                } else {
-                    0
-                };
+                let extra =
+                    if vop.class == VClass::Reduction { self.cfg.reduction_overhead } else { 0 };
                 self.ctr.exec_cycles += occupancy;
                 start + self.cfg.startup + occupancy + extra
             }
@@ -273,7 +270,11 @@ impl VpuTiming {
             let spacing = if mem.unit_stride {
                 // The default burst engine issues one line per cycle; skip
                 // the division entirely in that common configuration.
-                if unit_rate == 1 { k as u64 } else { k as u64 / unit_rate }
+                if unit_rate == 1 {
+                    k as u64
+                } else {
+                    k as u64 / unit_rate
+                }
             } else {
                 let s = index_spacing;
                 index_spacing += index_quot;
@@ -474,7 +475,14 @@ mod tests {
     }
 
     fn arith(vl: usize) -> VectorOp {
-        VectorOp { class: VClass::Arith, vl, active: vl, mem: None, produces_scalar: false, is_fp: false }
+        VectorOp {
+            class: VClass::Arith,
+            vl,
+            active: vl,
+            mem: None,
+            produces_scalar: false,
+            is_fp: false,
+        }
     }
 
     fn load_op(vl: usize, lines: Vec<u64>, unit: bool) -> VectorOp {
@@ -590,7 +598,14 @@ mod tests {
     #[test]
     fn reduction_pays_tree_overhead() {
         let (mut v, mut h) = parts();
-        let red = VectorOp { class: VClass::Reduction, vl: 256, active: 256, mem: None, produces_scalar: false, is_fp: false };
+        let red = VectorOp {
+            class: VClass::Reduction,
+            vl: 256,
+            active: 256,
+            mem: None,
+            produces_scalar: false,
+            is_fp: false,
+        };
         let d = v.dispatch(&red, 0, &mut h);
         let (mut v2, mut h2) = parts();
         let a = v2.dispatch(&arith(256), 0, &mut h2);

@@ -18,10 +18,7 @@ fn main() {
         mat.mean_row_len()
     );
 
-    println!(
-        "{:<28} {:>12} {:>6} {:>14}",
-        "configuration", "cycles", "iters", "residual"
-    );
+    println!("{:<28} {:>12} {:>6} {:>14}", "configuration", "cycles", "iters", "residual");
     for (label, maxvl, lat) in [
         ("vl=256", 256usize, 0u64),
         ("vl=8", 8, 0),
@@ -36,10 +33,7 @@ fn main() {
         let cycles = m.finish();
         let true_res = cg::residual_host(&m, &dev, &mat);
         assert!(true_res < 1e-8, "solver must actually solve: {true_res}");
-        println!(
-            "{label:<28} {cycles:>12} {:>6} {:>14.3e}",
-            out.iterations, out.residual
-        );
+        println!("{label:<28} {cycles:>12} {:>6} {:>14.3e}", out.iterations, out.residual);
     }
     println!(
         "\nSame solution everywhere; the cycle column shows the paper's two effects\n\

@@ -50,7 +50,9 @@ fn parse_cell(args: &[String]) -> Cell {
     let imp = match value(args, "--impl", String::from("vector")).as_str() {
         "scalar" => ImplKind::Scalar,
         "vector" => ImplKind::Vector { maxvl },
-        other => die_usage(BIN, &format!("--impl: unknown implementation '{other}' (scalar|vector)")),
+        other => {
+            die_usage(BIN, &format!("--impl: unknown implementation '{other}' (scalar|vector)"))
+        }
     };
     let cell = Cell {
         kernel,

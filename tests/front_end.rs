@@ -6,10 +6,7 @@
 use std::process::{Command, Output};
 
 fn run(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_longvec-sdv"))
-        .args(args)
-        .output()
-        .expect("longvec-sdv runs")
+    Command::new(env!("CARGO_BIN_EXE_longvec-sdv")).args(args).output().expect("longvec-sdv runs")
 }
 
 #[test]

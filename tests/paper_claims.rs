@@ -26,9 +26,14 @@ fn bw_gain(w: &Workloads, kernel: KernelKind, imp: ImplKind) -> f64 {
 fn claim1_latency_always_hurts() {
     let w = Workloads::small();
     for kernel in KernelKind::all() {
-        for imp in [ImplKind::Scalar, ImplKind::Vector { maxvl: 8 }, ImplKind::Vector { maxvl: 256 }] {
+        for imp in
+            [ImplKind::Scalar, ImplKind::Vector { maxvl: 8 }, ImplKind::Vector { maxvl: 256 }]
+        {
             let s = slowdown(&w, kernel, imp, 512);
-            assert!(s > 1.05, "{kernel:?}/{imp:?}: +512 latency must slow things down, got {s:.3}x");
+            assert!(
+                s > 1.05,
+                "{kernel:?}/{imp:?}: +512 latency must slow things down, got {s:.3}x"
+            );
         }
     }
 }
@@ -81,16 +86,38 @@ fn claim3_bandwidth_exploitation_grows_with_vl() {
 fn claim3_scalar_plateaus_early() {
     // Scalar SpMV barely improves past 2-4 B/cycle (the paper's plateau).
     let w = Workloads::small();
-    let t4 = run(&w, Cell { kernel: KernelKind::Spmv, imp: ImplKind::Scalar, extra_latency: 0, bandwidth: 4 }).cycles as f64;
-    let t64 = run(&w, Cell { kernel: KernelKind::Spmv, imp: ImplKind::Scalar, extra_latency: 0, bandwidth: 64 }).cycles as f64;
-    assert!(
-        t4 / t64 < 1.25,
-        "scalar should gain <25% beyond 4 B/cy, got {:.2}x",
-        t4 / t64
-    );
+    let t4 = run(
+        &w,
+        Cell { kernel: KernelKind::Spmv, imp: ImplKind::Scalar, extra_latency: 0, bandwidth: 4 },
+    )
+    .cycles as f64;
+    let t64 = run(
+        &w,
+        Cell { kernel: KernelKind::Spmv, imp: ImplKind::Scalar, extra_latency: 0, bandwidth: 64 },
+    )
+    .cycles as f64;
+    assert!(t4 / t64 < 1.25, "scalar should gain <25% beyond 4 B/cy, got {:.2}x", t4 / t64);
     // While vl=256 still gains a lot beyond 4 B/cy.
-    let v4 = run(&w, Cell { kernel: KernelKind::Spmv, imp: ImplKind::Vector { maxvl: 256 }, extra_latency: 0, bandwidth: 4 }).cycles as f64;
-    let v64 = run(&w, Cell { kernel: KernelKind::Spmv, imp: ImplKind::Vector { maxvl: 256 }, extra_latency: 0, bandwidth: 64 }).cycles as f64;
+    let v4 = run(
+        &w,
+        Cell {
+            kernel: KernelKind::Spmv,
+            imp: ImplKind::Vector { maxvl: 256 },
+            extra_latency: 0,
+            bandwidth: 4,
+        },
+    )
+    .cycles as f64;
+    let v64 = run(
+        &w,
+        Cell {
+            kernel: KernelKind::Spmv,
+            imp: ImplKind::Vector { maxvl: 256 },
+            extra_latency: 0,
+            bandwidth: 64,
+        },
+    )
+    .cycles as f64;
     assert!(v4 / v64 > 2.0, "vl256 should gain >2x beyond 4 B/cy, got {:.2}x", v4 / v64);
 }
 
@@ -121,8 +148,13 @@ fn vector_wins_at_full_bandwidth() {
     // the throughput-style kernels.
     let w = Workloads::small();
     for kernel in [KernelKind::Spmv, KernelKind::Pr, KernelKind::Fft] {
-        let s = run(&w, Cell { kernel, imp: ImplKind::Scalar, extra_latency: 0, bandwidth: 64 }).cycles;
-        let v = run(&w, Cell { kernel, imp: ImplKind::Vector { maxvl: 256 }, extra_latency: 0, bandwidth: 64 }).cycles;
+        let s =
+            run(&w, Cell { kernel, imp: ImplKind::Scalar, extra_latency: 0, bandwidth: 64 }).cycles;
+        let v = run(
+            &w,
+            Cell { kernel, imp: ImplKind::Vector { maxvl: 256 }, extra_latency: 0, bandwidth: 64 },
+        )
+        .cycles;
         assert!(v * 2 < s, "{kernel:?}: vl256 ({v}) should be >2x faster than scalar ({s})");
     }
 }
