@@ -326,7 +326,8 @@ const STRESSED: u64 = 1024;
 /// STALL — where each implementation's time goes: memory stalls, VPU queue
 /// backpressure, VPU sync waits and branch bubbles as shares of wall time,
 /// one table per kernel at +0 and at [`STRESSED`], then the paper's claim as
-/// one monotone sequence per kernel ([`stall_verdict`], the gate). Its cells
+/// two monotone sequences per kernel, memory-stall fraction and cycles
+/// ([`stall_verdict`], the gate). Its cells
 /// are Fig. 3's; the CSV has the raw counters, one row per cell.
 fn fig_stalls(run: &mut Run) {
     let cfg = cli::hardening_config(run.args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
@@ -393,16 +394,18 @@ fn breakdown(r: &RunResult) -> StallBreakdown {
 
 /// STALL's gate on one kernel's outcomes (implementations × {+0,
 /// [`STRESSED`]}, as [`cross`] orders them): whether the vector
-/// implementations' memory-stall fraction at [`STRESSED`] is nonincreasing
-/// in MAXVL, and the verdict line. At +1024 every implementation is nearly
-/// fully memory-bound, so adjacent small-MAXVL fractions are ties near 1.0
-/// that jitter in the 4th decimal; a rise of up to 2e-3 forgives that jitter
-/// without masking a real rise. A kernel whose fractions all lie within 2e-3
-/// of each other passes on ties alone, and its verdict says it is flat rather
-/// than falling. A failed cell fails the gate.
+/// implementations' memory-stall fraction and cycles at [`STRESSED`] are both
+/// nonincreasing in MAXVL, and the verdict line. At +1024 every
+/// implementation is nearly fully memory-bound, so adjacent small-MAXVL
+/// fractions are ties near 1.0 that jitter in the 4th decimal; a rise of up
+/// to 2e-3 forgives that jitter without masking a real rise. A kernel whose
+/// fractions all lie within 2e-3 of each other passes the fraction half on
+/// ties alone, and its verdict says it is flat rather than falling; the
+/// cycles half, which forgives nothing, is what discriminates such a kernel.
+/// A failed cell fails the gate.
 fn stall_verdict(block: &[CellOutcome]) -> (bool, String) {
     let name = block[0].cell().kernel.name();
-    let fractions: Option<Vec<(usize, f64)>> = block
+    let points: Option<Vec<(usize, f64, u64)>> = block
         .iter()
         .filter(|o| o.cell().extra_latency == STRESSED)
         .filter_map(|o| match o.cell().imp {
@@ -410,28 +413,37 @@ fn stall_verdict(block: &[CellOutcome]) -> (bool, String) {
             ImplKind::Scalar => None,
         })
         .map(|(maxvl, o)| match o {
-            CellOutcome::Done(r) => Some((maxvl, breakdown(r).memory_stall_fraction())),
+            CellOutcome::Done(r) => Some((maxvl, breakdown(r).memory_stall_fraction(), r.cycles)),
             CellOutcome::Failed { .. } => None,
         })
         .collect();
-    let Some(f) = fractions else {
+    let Some(p) = points else {
         return (false, format!("{name}: verdict skipped — kernel has failed cells"));
     };
     let tie = 2e-3;
-    let holds = f.windows(2).all(|w| w[1].1 <= w[0].1 + tie);
+    let fraction_holds = p.windows(2).all(|w| w[1].1 <= w[0].1 + tie);
+    let cycles_rise = p.windows(2).find(|w| w[1].2 > w[0].2);
     let (lo, hi) =
-        f.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &(_, fr)| (lo.min(fr), hi.max(fr)));
-    let shown: Vec<String> = f.iter().map(|(vl, fr)| format!("vl{vl}={fr:.3}")).collect();
-    let verdict = if !holds {
+        p.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &(_, fr, _)| (lo.min(fr), hi.max(fr)));
+    let shown: Vec<String> = p.iter().map(|(vl, fr, _)| format!("vl{vl}={fr:.3}")).collect();
+    let fraction = if !fraction_holds {
         "NOT monotone — latency tolerance claim violated".to_string()
     } else if hi - lo <= tie {
         format!("flat (saturated at +{STRESSED})")
     } else {
         "monotone falling with MAXVL (longer vectors hide more latency)".to_string()
     };
+    let cycles = match cycles_rise {
+        Some(w) => format!("cycles RISE from vl{} to vl{} — claim violated", w[0].0, w[1].0),
+        None if p.windows(2).all(|w| w[1].2 < w[0].2) => "cycles fall with MAXVL".to_string(),
+        None => "cycles never rise with MAXVL".to_string(),
+    };
     (
-        holds,
-        format!("{name}: memory-stall fraction at +{STRESSED}: {} — {verdict}", shown.join(" ")),
+        fraction_holds && cycles_rise.is_none(),
+        format!(
+            "{name}: memory-stall fraction at +{STRESSED}: {} — {fraction}; {cycles}",
+            shown.join(" ")
+        ),
     )
 }
 
@@ -1293,7 +1305,8 @@ mod tests {
     }
 
     /// One kernel's STALL outcomes in which the vector cells at +1024 have
-    /// memory-stall fractions `at_stressed`, vl=8 first.
+    /// memory-stall fractions `at_stressed`, vl=8 first, and cycles that
+    /// halve from one MAXVL to the next.
     fn stall_block(at_stressed: [f64; 6]) -> Vec<CellOutcome> {
         let mut fractions = at_stressed.into_iter();
         cross(&[KernelKind::Spmv], &ImplKind::paper_set(), &[0, STRESSED])
@@ -1302,10 +1315,27 @@ mod tests {
                 let gated = cell.extra_latency == STRESSED && cell.imp != ImplKind::Scalar;
                 let fraction =
                     if gated { fractions.next().expect("six vector cells") } else { 0.5 };
-                let wait = (fraction * 1e6) as u64;
-                CellOutcome::Done(result(cell, &[("vpu.mem_wait_cycles", wait)]))
+                let cycles = match cell.imp {
+                    ImplKind::Vector { maxvl } => 256_000_000 / maxvl as u64,
+                    ImplKind::Scalar => 1_000_000,
+                };
+                let wait = (fraction * cycles as f64) as u64;
+                let mut r = result(cell, &[("vpu.mem_wait_cycles", wait)]);
+                r.cycles = cycles;
+                CellOutcome::Done(r)
             })
             .collect()
+    }
+
+    /// `block`'s cell at `(imp, STRESSED)` with its cycles set to `cycles`
+    /// and its memory-stall fraction kept.
+    fn set_stressed_cycles(block: &mut [CellOutcome], imp: ImplKind, cycles: u64) {
+        let o =
+            block.iter_mut().find(|o| o.cell().imp == imp && o.cell().extra_latency == STRESSED);
+        let Some(CellOutcome::Done(r)) = o else { panic!("no completed {imp} cell") };
+        let wait = r.stats.get("vpu.mem_wait_cycles") * cycles / r.cycles;
+        r.stats.set("vpu.mem_wait_cycles", wait);
+        r.cycles = cycles;
     }
 
     #[test]
@@ -1329,9 +1359,29 @@ mod tests {
     #[test]
     fn the_stall_gate_calls_a_kernel_flat_when_every_fraction_is_a_tie() {
         let (holds, line) = stall_verdict(&stall_block([1.0, 1.0, 0.999, 1.0, 0.9995, 0.9985]));
-        assert!(holds && line.ends_with("— flat (saturated at +1024)"), "all ties: {line}");
+        assert!(holds && line.contains("— flat (saturated at +1024);"), "all ties: {line}");
+        assert!(line.ends_with("; cycles fall with MAXVL"), "{line}");
         let (holds, line) = stall_verdict(&stall_block([1.0, 1.0, 1.0, 1.0, 1.0, 0.997]));
         assert!(holds && line.contains("monotone falling"), "a 3e-3 fall is a fall: {line}");
+    }
+
+    #[test]
+    fn the_stall_gate_fails_cycles_that_rise_with_maxvl_even_when_fractions_are_flat() {
+        let mut block = stall_block([1.0; 6]);
+        set_stressed_cycles(&mut block, VL256, 256_000_000 / 128 + 1);
+        let (holds, line) = stall_verdict(&block);
+        assert!(!holds && line.contains("— flat (saturated at +1024);"), "{line}");
+        assert!(line.ends_with("; cycles RISE from vl128 to vl256 — claim violated"), "{line}");
+
+        let mut block = stall_block([1.0, 0.9, 0.8, 0.7, 0.6, 0.5]);
+        set_stressed_cycles(&mut block, ImplKind::Vector { maxvl: 16 }, 256_000_000 / 8 + 1);
+        let (holds, line) = stall_verdict(&block);
+        assert!(!holds && line.contains("RISE from vl8 to vl16"), "one cycle is a rise: {line}");
+
+        let mut block = stall_block([1.0; 6]);
+        set_stressed_cycles(&mut block, VL256, 256_000_000 / 128);
+        let (holds, line) = stall_verdict(&block);
+        assert!(holds && line.ends_with("; cycles never rise with MAXVL"), "a tie holds: {line}");
     }
 
     #[test]

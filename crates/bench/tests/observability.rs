@@ -150,8 +150,9 @@ fn memory_stall_fraction_falls_as_maxvl_grows() {
 }
 
 /// `study fig_stalls` through the binary: exit 0 only if every kernel's
-/// memory-stall fraction at +1024 falls as MAXVL grows — the paper's claim
-/// as a gate — and its `--metrics-json` has cycles and stalls on every cell.
+/// memory-stall fraction and cycles at +1024 never rise as MAXVL grows — the
+/// paper's claim as a gate — and its `--metrics-json` has cycles and stalls
+/// on every cell.
 #[test]
 fn fig_stalls_gate_passes_and_exports_parseable_metrics() {
     let dir = scratch("fig_stalls");

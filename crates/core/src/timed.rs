@@ -16,25 +16,27 @@
 //!   closure: "capture this tile's next *piece* of program, say whether it
 //!   has more before the barrier". A piece runs functionally against the
 //!   shared memory and queues the dynamic [`Op`]s it produces on its tile's
-//!   ring. The machine, not the driver, decides when each tile's next piece
-//!   is captured: only when the merge needs an op from a tile whose ring is
-//!   empty. No tile ever holds more than one piece.
+//!   ring, as 16-byte records whose line addresses wait in a per-tile arena
+//!   (`queued`). The machine, not the driver, decides when each tile's next
+//!   piece is captured: only when the merge needs an op from a tile whose
+//!   ring is empty. No tile ever holds more than one piece.
 //! * **The merge** — every tile with an op is scheduled on an
 //!   [`EventQueue`] at its scalar clock (first pieces pulled
 //!   in capture order, tiles seeded in logical order); the earliest
 //!   `(cycle, tile, seq)` event pops, that tile issues exactly one op, its
 //!   ring refills from `step` if that was its last, and it reschedules at its
-//!   advanced clock iff it still has an op. FIFO-on-tie makes the
-//!   interleaving — and so every shared-resource conflict (bank
-//!   reservations, directory state, DRAM admission, mesh links) — a pure
-//!   function of the per-tile op streams.
+//!   advanced clock iff it still has an op (when that clock is below every
+//!   queued time it would pop straight back, so it just issues again).
+//!   FIFO-on-tie makes the interleaving — and so every shared-resource
+//!   conflict (bank reservations, directory state, DRAM admission, mesh
+//!   links) — a pure function of the per-tile op streams.
 //! * **Why a partial merge is exact** — whether a tile is rescheduled after
 //!   an op depends only on whether *it* has another op, and the time it is
 //!   scheduled at only on its own clock. Capturing a tile's stream a piece
-//!   at a time therefore produces the same `schedule(time, tile)` calls in
-//!   the same order as capturing every stream whole and merging afterwards
-//!   (the `cfg(test)` reference the differential test drives), provided the
-//!   op streams themselves do not depend on when they are captured. That is
+//!   at a time therefore issues the ops in the same order as capturing every
+//!   stream whole and merging afterwards (the `cfg(test)` reference the
+//!   differential test drives), provided the op streams themselves do not
+//!   depend on when they are captured. That is
 //!   the partitioned kernels' contract: within an epoch, cross-tile writes
 //!   are disjoint or idempotent and classified identically either way, so a
 //!   tile's ops are the same whether its neighbours' pieces ran before or
@@ -68,8 +70,11 @@
 //! replica only: the merge order follows the tiles' clocks, and those are
 //! the replica's.
 
+mod queued;
+
 use crate::memory::SimMemory;
 use crate::vm::Vm;
+use queued::QueuedOp;
 use sdv_engine::{Cycle, EventQueue, SimError, Stats};
 use sdv_rvv::{exec_into, ExecInfo, ExecScratch, Lmul, Sew, VInst, VState, VLEN, VLMAX};
 use sdv_uarch::op::classify_into;
@@ -122,7 +127,10 @@ pub struct SdvMachine {
     /// Captured-but-not-yet-issued ops, per tile: at most one piece each
     /// while an epoch merges. Stays empty on a one-tile machine, which
     /// issues inline.
-    rings: Vec<VecDeque<Op>>,
+    rings: Vec<VecDeque<QueuedOp>>,
+    /// Per tile, the line addresses of the memory ops on its ring, in ring
+    /// order: the ring's records hold only their counts.
+    ring_lines: Vec<VecDeque<u64>>,
     /// The merge's scheduler: each tile with an op queued, at its scalar
     /// clock. Empty between merges; a field so its buffer survives from
     /// epoch to epoch.
@@ -142,7 +150,8 @@ pub struct SdvMachine {
     /// The line-address buffer the next vector memory instruction is
     /// classified into; it leaves with that instruction's op.
     lines_pool: Vec<u64>,
-    /// Line buffers handed back by issued ops, restocking `lines_pool`.
+    /// Line buffers handed back by issued or queued ops, restocking
+    /// `lines_pool` and the merge's decoded memory ops.
     lines_free: Vec<Vec<u64>>,
 }
 
@@ -165,6 +174,7 @@ impl SdvMachine {
             line_bytes: cfg.mem.l1.line_bytes,
             extra_latency_for_display: 0,
             rings: (0..tiles).map(|_| VecDeque::new()).collect(),
+            ring_lines: (0..tiles).map(|_| VecDeque::new()).collect(),
             tiles_by_clock: EventQueue::new(),
             capture_order: (0..tiles).collect(),
             epoch_start: 0,
@@ -284,6 +294,9 @@ impl SdvMachine {
         self.rings.truncate(tiles);
         self.rings.iter_mut().for_each(VecDeque::clear);
         self.rings.resize_with(tiles, VecDeque::new);
+        self.ring_lines.truncate(tiles);
+        self.ring_lines.iter_mut().for_each(VecDeque::clear);
+        self.ring_lines.resize_with(tiles, VecDeque::new);
         // Only a program that unwound mid-merge leaves events behind.
         while self.tiles_by_clock.pop().is_some() {}
         self.capture_order.clear();
@@ -387,14 +400,26 @@ impl SdvMachine {
             }
         }
         while let Some((_, t)) = self.tiles_by_clock.pop() {
-            let op = self.rings[t].pop_front().expect("a scheduled tile has an op queued");
-            self.replicas[0].issue_on(t, &op);
-            self.recycle(op);
-            if self.rings[t].is_empty() {
-                self.refill(t, &mut more, step);
-            }
-            if !self.rings[t].is_empty() {
-                self.tiles_by_clock.schedule(self.replicas[0].now_of(t), t);
+            loop {
+                let queued = self.rings[t].pop_front().expect("a scheduled tile has an op queued");
+                let op = queued.decode(&mut self.ring_lines[t], &mut self.lines_free);
+                self.replicas[0].issue_on(t, &op);
+                self.recycle(op);
+                if self.rings[t].is_empty() {
+                    self.refill(t, &mut more, step);
+                    if self.rings[t].is_empty() {
+                        break;
+                    }
+                }
+                // Rescheduled now, `t` would carry the newest sequence
+                // number, so it pops next exactly when its clock is below
+                // every queued time: keep issuing from it without the round
+                // trip.
+                let now = self.replicas[0].now_of(t);
+                if self.tiles_by_clock.peek_time().is_some_and(|next| next <= now) {
+                    self.tiles_by_clock.schedule(now, t);
+                    break;
+                }
             }
         }
     }
@@ -512,7 +537,8 @@ impl SdvMachine {
     #[inline]
     fn emit(&mut self, tile: usize, op: Op) {
         if self.states.len() > 1 {
-            self.rings[tile].push_back(op);
+            self.rings[tile].push_back(QueuedOp::encode(&op, &mut self.ring_lines[tile]));
+            self.recycle(op);
             return;
         }
         if let [only] = &mut self.replicas[..] {
@@ -541,8 +567,9 @@ impl SdvMachine {
         self.chunk = chunk;
     }
 
-    /// Take an issued op's line buffer back for a later memory instruction
-    /// (an instruction with no active element never allocated one).
+    /// Take an issued or queued op's line buffer back for a later memory
+    /// instruction (an instruction with no active element never allocated
+    /// one).
     #[inline]
     fn recycle(&mut self, op: Op) {
         if let Op::Vector(VectorOp { mem: Some(mut m), .. }) = op {
@@ -1480,8 +1507,11 @@ mod tests {
             assert_eq!(r.alloc(1 << 19, 64), base);
             let mut want_barriers = Vec::new();
             let collect_and_replay = |r: &mut SdvMachine| {
-                let pending: Vec<Vec<Op>> =
-                    r.rings.iter_mut().map(|q| q.drain(..).collect()).collect();
+                let pending: Vec<Vec<Op>> = (r.rings.iter_mut().zip(&mut r.ring_lines))
+                    .map(|(q, lines)| {
+                        q.drain(..).map(|op| op.decode(lines, &mut Vec::new())).collect()
+                    })
+                    .collect();
                 replay_reference(&mut r.replicas[0], &pending);
             };
             for st in &program {

@@ -45,6 +45,13 @@ impl<T: Ord> EventQueue<T> {
     pub fn pop(&mut self) -> Option<(Cycle, T)> {
         self.heap.pop().map(|Reverse((time, _, payload))| (time, payload))
     }
+
+    /// The time of the event [`EventQueue::pop`] would return next. An event
+    /// scheduled now at a time strictly below it would pop first; at the
+    /// same time it would pop after it.
+    pub fn peek_time(&self) -> Option<Cycle> {
+        self.heap.peek().map(|Reverse((time, _, _))| *time)
+    }
 }
 
 #[cfg(test)]
@@ -86,6 +93,20 @@ mod tests {
         assert_eq!(q.pop(), Some((5, 4)));
         assert_eq!(q.pop(), Some((15, 3)));
         assert_eq!(q.pop(), Some((20, 2)));
+    }
+
+    #[test]
+    fn peek_time_is_the_next_pops_time() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.schedule(20, "b");
+        q.schedule(10, "a");
+        q.schedule(10, "c");
+        for want in [(10, "a"), (10, "c"), (20, "b")] {
+            assert_eq!(q.peek_time(), Some(want.0));
+            assert_eq!(q.pop(), Some(want));
+        }
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
-# Repo gate: build, lint, test, paper-scale exactness and a loose wall gate,
-# results/ as `study all` writes it, and the warm-cache wall ratio. Every
-# --small behaviour of the binaries (golden CSVs, warm identity, kill and
-# resume, fsck, gc, sweepd, a `--fault` run's exit 4) and the in-process
-# 20-seed service-chaos soak are `cargo test` cases in crates/bench/tests/.
+# Repo gate: formatting, build, lint, test, paper-scale exactness and a
+# loose wall gate, results/ as `study all` writes it, and the warm-cache wall
+# ratio. Every --small behaviour of the binaries (golden CSVs, warm identity,
+# kill and resume, fsck, gc, sweepd, a `--fault` run's exit 4) and the
+# in-process 20-seed service-chaos soak are `cargo test` cases in
+# crates/bench/tests/.
 # Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== rustfmt (rustfmt.toml; benchmark/ is its own workspace and not checked) =="
+cargo fmt --all --check
 
 echo "== build (release) =="
 cargo build --release --workspace
