@@ -36,12 +36,11 @@
 //!   at a time therefore issues the ops in the same order as capturing every
 //!   stream whole and merging afterwards (the `cfg(test)` reference the
 //!   differential test drives), provided the op streams themselves do not
-//!   depend on when they are captured. That is
-//!   the partitioned kernels' contract: within an epoch, cross-tile writes
-//!   are disjoint or idempotent and classified identically either way, so a
-//!   tile's ops are the same whether its neighbours' pieces ran before or
-//!   after. The same contract makes results independent of the capture
-//!   permutation.
+//!   depend on when they are captured. That is the partitioned kernels'
+//!   contract: within an epoch, cross-tile writes are disjoint or idempotent
+//!   and classified identically either way, so a tile's ops are the same
+//!   whether its neighbours' pieces ran before or after. The same contract
+//!   makes results independent of the capture permutation.
 //!
 //! Ops queued by plain [`SdvMachine::vm`] calls outside an epoch wait on the
 //! rings and merge at the next [`SdvMachine::barrier`] (an epoch with no
@@ -74,12 +73,11 @@ mod queued;
 
 use crate::memory::SimMemory;
 use crate::vm::Vm;
-use queued::QueuedOp;
+use queued::TileQueue;
 use sdv_engine::{Cycle, EventQueue, SimError, Stats};
 use sdv_rvv::{exec_into, ExecInfo, ExecScratch, Lmul, Sew, VInst, VState, VLEN, VLMAX};
 use sdv_uarch::op::classify_into;
 use sdv_uarch::{Op, SdvTiming, TimingConfig, VClass, VectorOp};
-use std::collections::VecDeque;
 
 /// One timing replica's setting of the paper's two memory knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,10 +125,7 @@ pub struct SdvMachine {
     /// Captured-but-not-yet-issued ops, per tile: at most one piece each
     /// while an epoch merges. Stays empty on a one-tile machine, which
     /// issues inline.
-    rings: Vec<VecDeque<QueuedOp>>,
-    /// Per tile, the line addresses of the memory ops on its ring, in ring
-    /// order: the ring's records hold only their counts.
-    ring_lines: Vec<VecDeque<u64>>,
+    rings: Vec<TileQueue>,
     /// The merge's scheduler: each tile with an op queued, at its scalar
     /// clock. Empty between merges; a field so its buffer survives from
     /// epoch to epoch.
@@ -173,8 +168,7 @@ impl SdvMachine {
             cfg,
             line_bytes: cfg.mem.l1.line_bytes,
             extra_latency_for_display: 0,
-            rings: (0..tiles).map(|_| VecDeque::new()).collect(),
-            ring_lines: (0..tiles).map(|_| VecDeque::new()).collect(),
+            rings: (0..tiles).map(|_| TileQueue::default()).collect(),
             tiles_by_clock: EventQueue::new(),
             capture_order: (0..tiles).collect(),
             epoch_start: 0,
@@ -292,11 +286,8 @@ impl SdvMachine {
         self.cfg = cfg;
         self.extra_latency_for_display = 0;
         self.rings.truncate(tiles);
-        self.rings.iter_mut().for_each(VecDeque::clear);
-        self.rings.resize_with(tiles, VecDeque::new);
-        self.ring_lines.truncate(tiles);
-        self.ring_lines.iter_mut().for_each(VecDeque::clear);
-        self.ring_lines.resize_with(tiles, VecDeque::new);
+        self.rings.iter_mut().for_each(TileQueue::clear);
+        self.rings.resize_with(tiles, TileQueue::default);
         // Only a program that unwound mid-merge leaves events behind.
         while self.tiles_by_clock.pop().is_some() {}
         self.capture_order.clear();
@@ -401,8 +392,8 @@ impl SdvMachine {
         }
         while let Some((_, t)) = self.tiles_by_clock.pop() {
             loop {
-                let queued = self.rings[t].pop_front().expect("a scheduled tile has an op queued");
-                let op = queued.decode(&mut self.ring_lines[t], &mut self.lines_free);
+                let op = self.rings[t].pop(&mut self.lines_free);
+                let op = op.expect("a scheduled tile has an op queued");
                 self.replicas[0].issue_on(t, &op);
                 self.recycle(op);
                 if self.rings[t].is_empty() {
@@ -437,7 +428,7 @@ impl SdvMachine {
         }
         // Rings only grow inside `step` (or before the merge, which pulls
         // through here for every tile first), so this sees every peak.
-        let queued = self.rings.iter().map(VecDeque::len).sum();
+        let queued = self.rings.iter().map(TileQueue::len).sum();
         self.peak_queued = self.peak_queued.max(queued);
     }
 
@@ -537,7 +528,7 @@ impl SdvMachine {
     #[inline]
     fn emit(&mut self, tile: usize, op: Op) {
         if self.states.len() > 1 {
-            self.rings[tile].push_back(QueuedOp::encode(&op, &mut self.ring_lines[tile]));
+            self.rings[tile].push(&op);
             self.recycle(op);
             return;
         }
@@ -1156,7 +1147,7 @@ mod tests {
             assert_eq!(m.tiles(), tiles);
             assert_eq!(m.capture_order(), (0..tiles).collect::<Vec<_>>(), "identity order");
             assert!(
-                m.rings.len() == tiles && m.rings.iter().all(VecDeque::is_empty),
+                m.rings.len() == tiles && m.rings.iter().all(TileQueue::is_empty),
                 "reset must leave one empty ring per tile"
             );
             assert_eq!(m.peak_queued_ops(), 0, "the high-water mark is per cell");
@@ -1491,7 +1482,7 @@ mod tests {
                     }
                     next[t] < st.pieces[t].len()
                 }));
-                assert!(m.rings.iter().all(VecDeque::is_empty), "case {case}: an epoch drains");
+                assert!(m.rings.iter().all(TileQueue::is_empty), "case {case}: an epoch drains");
             }
             tail.iter().for_each(|&i| apply(&mut m.vm(tiles - 1), base, i));
             let got = m.try_finish().expect("clean run");
@@ -1507,10 +1498,8 @@ mod tests {
             assert_eq!(r.alloc(1 << 19, 64), base);
             let mut want_barriers = Vec::new();
             let collect_and_replay = |r: &mut SdvMachine| {
-                let pending: Vec<Vec<Op>> = (r.rings.iter_mut().zip(&mut r.ring_lines))
-                    .map(|(q, lines)| {
-                        q.drain(..).map(|op| op.decode(lines, &mut Vec::new())).collect()
-                    })
+                let pending: Vec<Vec<Op>> = (r.rings.iter_mut())
+                    .map(|q| std::iter::from_fn(|| q.pop(&mut Vec::new())).collect())
                     .collect();
                 replay_reference(&mut r.replicas[0], &pending);
             };

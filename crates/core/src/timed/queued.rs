@@ -6,15 +6,54 @@
 //! [`QueuedOp`] is a `Copy` record of 16 bytes: a scalar op carries its
 //! payload, a vector op its class, flags and counts narrowed to `u16`, and a
 //! memory op's line addresses go to the tile's line arena, a `VecDeque<u64>`
-//! that drains in step with the ring. The narrowing is checked: a count that
-//! does not fit panics at [`QueuedOp::encode`] instead of wrapping.
+//! that drains in step with the ring ([`TileQueue`] keeps the two together).
+//! The narrowing is checked: a count that does not fit panics at
+//! [`QueuedOp::encode`] instead of wrapping.
 
 use sdv_uarch::{Op, VClass, VectorMemOp, VectorOp};
 use std::collections::VecDeque;
 
+/// One tile's captured-but-not-issued ops: their records, and the line
+/// addresses of the memory ops among them in the same order.
+#[derive(Debug, Default)]
+pub(super) struct TileQueue {
+    ops: VecDeque<QueuedOp>,
+    lines: VecDeque<u64>,
+}
+
+impl TileQueue {
+    /// Queue `op` behind everything already queued.
+    pub(super) fn push(&mut self, op: &Op) {
+        let queued = QueuedOp::encode(op, &mut self.lines);
+        self.ops.push_back(queued);
+    }
+
+    /// The oldest op, decoded; a memory op's line buffer comes from `spare`
+    /// when there is one.
+    pub(super) fn pop(&mut self, spare: &mut Vec<Vec<u64>>) -> Option<Op> {
+        self.ops.pop_front().map(|queued| queued.decode(&mut self.lines, spare))
+    }
+
+    /// Ops queued.
+    pub(super) fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Whether no op is queued.
+    pub(super) fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+
+    /// Drop everything queued, keeping the allocations.
+    pub(super) fn clear(&mut self) {
+        self.ops.clear();
+        self.lines.clear();
+    }
+}
+
 /// One queued op. Decodes to exactly the [`Op`] it was encoded from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum QueuedOp {
+enum QueuedOp {
     IntOps(u32),
     FpOps(u32),
     Load {
@@ -41,7 +80,7 @@ pub(super) enum QueuedOp {
 
 /// A vector memory op's footprint; its `lines` addresses wait in the arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct QueuedMem {
+struct QueuedMem {
     is_load: bool,
     unit_stride: bool,
     elems: u16,
@@ -56,7 +95,7 @@ fn narrow(x: usize, what: &str) -> u16 {
 
 impl QueuedOp {
     /// The record of `op`; a memory op's lines are appended to `arena`.
-    pub(super) fn encode(op: &Op, arena: &mut VecDeque<u64>) -> Self {
+    fn encode(op: &Op, arena: &mut VecDeque<u64>) -> Self {
         match *op {
             Op::IntOps(n) => Self::IntOps(n),
             Op::FpOps(n) => Self::FpOps(n),
@@ -86,7 +125,7 @@ impl QueuedOp {
 
     /// The op this record was encoded from. A memory op takes its lines off
     /// the front of `arena`, into a buffer from `spare` when there is one.
-    pub(super) fn decode(self, arena: &mut VecDeque<u64>, spare: &mut Vec<Vec<u64>>) -> Op {
+    fn decode(self, arena: &mut VecDeque<u64>, spare: &mut Vec<Vec<u64>>) -> Op {
         match self {
             Self::IntOps(n) => Op::IntOps(n),
             Self::FpOps(n) => Op::FpOps(n),
@@ -162,14 +201,16 @@ mod tests {
             vector(VClass::Arith, 1, None),
             Op::Sync,
         ];
-        let mut arena = VecDeque::new();
-        let queued: Vec<QueuedOp> = ops.iter().map(|op| QueuedOp::encode(op, &mut arena)).collect();
-        assert_eq!(arena.len(), 256 + 2, "only memory ops put lines in the arena");
+        let mut queue = TileQueue::default();
+        ops.iter().for_each(|op| queue.push(op));
+        assert_eq!(queue.len(), ops.len());
+        assert_eq!(queue.lines.len(), 256 + 2, "only memory ops put lines in the arena");
         let mut spare = vec![Vec::with_capacity(4)];
-        for (q, want) in queued.into_iter().zip(&ops) {
-            assert_eq!(&q.decode(&mut arena, &mut spare), want);
+        for want in &ops {
+            assert_eq!(queue.pop(&mut spare).as_ref(), Some(want));
         }
-        assert!(arena.is_empty(), "the arena drains in step with the ring");
+        assert!(queue.pop(&mut spare).is_none() && queue.is_empty());
+        assert!(queue.lines.is_empty(), "the arena drains in step with the ring");
     }
 
     #[test]
