@@ -64,16 +64,17 @@
 //! nothing flows back: a program's control flow and addresses depend on
 //! functional state only, and a replica shares no state with another (each
 //! latches its own fault; `rdcycle`, which no kernel calls, reads the first
-//! replica). Ops reach the replicas a [`REPLAY_CHUNK`] at a time; a single
-//! replica issues inline and never buffers. More than one tile allows one
-//! replica only: the merge order follows the tiles' clocks, and those are
-//! the replica's.
+//! replica). Ops reach the replicas a [`REPLAY_CHUNK`] at a time, queued as
+//! a tile's ring queues them; a single replica issues inline and never
+//! buffers. Either way an op hands the machine's one line buffer back as soon
+//! as it is issued or queued. More than one tile allows one replica only: the
+//! merge order follows the tiles' clocks, and those are the replica's.
 
 mod queued;
 
 use crate::memory::SimMemory;
 use crate::vm::Vm;
-use queued::TileQueue;
+use queued::{reclaim, TileQueue};
 use sdv_engine::{Cycle, EventQueue, SimError, Stats};
 use sdv_rvv::{exec_into, ExecInfo, ExecScratch, Lmul, Sew, VInst, VState, VLEN, VLMAX};
 use sdv_uarch::op::classify_into;
@@ -93,10 +94,11 @@ pub struct Knobs {
 /// in-flight maps, credit window) is what the host cache has to hold while it
 /// is being issued to: handing every op to all replicas as it is produced
 /// walks all of them per op, which costs nothing while they are small and
-/// several points once they are not, and a long chunk only adds buffered line
-/// lists. Host time of a whole fig3 grid run as groups of eight, over the
-/// same cells run one at a time by the same binary (one thread, medians;
-/// every run in `results/perf/pr21_pairs.json`):
+/// several points once they are not. A longer chunk costs only its records
+/// (16 bytes each) and their lines in its arena. Host time of a whole fig3
+/// grid run as groups of eight, over the same cells run one at a time by the
+/// same binary (one thread, medians; every run, from when the chunk held
+/// `Op`s, in `results/perf/pr21_pairs.json`):
 ///
 /// | ops per chunk | `--small`, 224 cells | paper scale, 224 cells | its PageRank cells |
 /// |---------------|----------------------|------------------------|--------------------|
@@ -115,9 +117,9 @@ pub struct SdvMachine {
     /// The timing models this machine's one op stream feeds: never empty,
     /// exactly one unless [`SdvMachine::reset_with_replicas`] asked for more.
     replicas: Vec<SdvTiming>,
-    /// Ops waiting to be replayed through every replica. Stays empty with
-    /// one replica, which issues inline.
-    chunk: Vec<Op>,
+    /// Ops waiting to be replayed through every replica, at most
+    /// [`REPLAY_CHUNK`]. Stays empty with one replica, which issues inline.
+    chunk: TileQueue,
     cfg: TimingConfig,
     line_bytes: u64,
     /// The §2.2 knob lives in the DRAM channel; kept here for `describe`.
@@ -142,12 +144,10 @@ pub struct SdvMachine {
     /// Reusable execution buffers: no per-instruction heap traffic.
     scratch: ExecScratch,
     info: ExecInfo,
-    /// The line-address buffer the next vector memory instruction is
-    /// classified into; it leaves with that instruction's op.
-    lines_pool: Vec<u64>,
-    /// Line buffers handed back by issued or queued ops, restocking
-    /// `lines_pool` and the merge's decoded memory ops.
-    lines_free: Vec<Vec<u64>>,
+    /// The one line buffer, which a vector memory op from `classify_into` or a
+    /// decoded record holds until it is issued or queued. Reserved at `VLMAX`
+    /// lines (a gather touches at most one per element), so it never grows.
+    lines: Vec<u64>,
 }
 
 impl SdvMachine {
@@ -164,7 +164,7 @@ impl SdvMachine {
             states: (0..tiles).map(|_| VState::paper_vpu()).collect(),
             mem: SimMemory::new(heap),
             replicas: vec![SdvTiming::new(cfg)],
-            chunk: Vec::new(),
+            chunk: TileQueue::default(),
             cfg,
             line_bytes: cfg.mem.l1.line_bytes,
             extra_latency_for_display: 0,
@@ -175,8 +175,7 @@ impl SdvMachine {
             peak_queued: 0,
             scratch: ExecScratch::default(),
             info: ExecInfo::default(),
-            lines_pool: Vec::new(),
-            lines_free: Vec::new(),
+            lines: Vec::with_capacity(VLMAX),
         }
     }
 
@@ -213,7 +212,7 @@ impl SdvMachine {
 
     /// Rewind this machine to the state `with_config(heap, cfg)` would build,
     /// reusing the allocations (register files, simulated heap, exec scratch,
-    /// op rings, line buffers, the merge's scheduler). `cfg` may name a
+    /// op queues, the line buffer, the merge's scheduler). `cfg` may name a
     /// different tile count than the machine has: the per-tile states and
     /// rings are resized, anything still queued is dropped and the capture
     /// order returns to the identity. Timing state is rebuilt from scratch —
@@ -392,10 +391,10 @@ impl SdvMachine {
         }
         while let Some((_, t)) = self.tiles_by_clock.pop() {
             loop {
-                let op = self.rings[t].pop(&mut self.lines_free);
+                let op = self.rings[t].pop(&mut self.lines);
                 let op = op.expect("a scheduled tile has an op queued");
                 self.replicas[0].issue_on(t, &op);
-                self.recycle(op);
+                reclaim(op, &mut self.lines);
                 if self.rings[t].is_empty() {
                     self.refill(t, &mut more, step);
                     if self.rings[t].is_empty() {
@@ -522,53 +521,39 @@ impl SdvMachine {
         )
     }
 
-    /// The one place a timing op leaves the functional half of the machine.
-    /// One tile: issue now, or with several replicas once the chunk fills.
-    /// More tiles: queue for the merge.
+    /// The one place a timing op leaves the functional half of the machine:
+    /// one tile with one replica issues it now, anything else queues it.
     #[inline]
     fn emit(&mut self, tile: usize, op: Op) {
-        if self.states.len() > 1 {
-            self.rings[tile].push(&op);
-            self.recycle(op);
-            return;
+        match &mut self.replicas[..] {
+            [only] if self.states.len() == 1 => only.issue(&op),
+            _ => return self.enqueue(tile, op),
         }
-        if let [only] = &mut self.replicas[..] {
-            only.issue(&op);
-            self.recycle(op);
-            return;
-        }
-        self.chunk.push(op);
-        if self.chunk.len() >= REPLAY_CHUNK {
+        reclaim(op, &mut self.lines);
+    }
+
+    /// Queue `op` on its tile's ring, or on one tile in the replica chunk,
+    /// which replays once it is full. Out of line: the inline path that
+    /// every one-tile `Vm` call takes stays small.
+    #[inline(never)]
+    fn enqueue(&mut self, tile: usize, op: Op) {
+        let one_tile = self.states.len() == 1;
+        let queue = if one_tile { &mut self.chunk } else { &mut self.rings[tile] };
+        queue.push(&op);
+        reclaim(op, &mut self.lines);
+        if one_tile && self.chunk.len() >= REPLAY_CHUNK {
             self.flush();
         }
     }
 
-    /// Replay the buffered ops through each replica in turn, then take their
-    /// line buffers back. Runs before anything reads or moves a replica's
-    /// clock (`rdcycle`, barriers, finish).
+    /// Replay the chunk through each replica in turn, then empty it. Runs
+    /// before anything reads or moves a replica's clock (`rdcycle`, barriers,
+    /// finish).
     fn flush(&mut self) {
-        if self.chunk.is_empty() {
-            return;
-        }
-        let mut chunk = std::mem::take(&mut self.chunk);
         for timing in &mut self.replicas {
-            chunk.iter().for_each(|op| timing.issue(op));
+            self.chunk.replay(&mut self.lines, |op| timing.issue(op));
         }
-        chunk.drain(..).for_each(|op| self.recycle(op));
-        self.chunk = chunk;
-    }
-
-    /// Take an issued or queued op's line buffer back for a later memory
-    /// instruction (an instruction with no active element never allocated
-    /// one).
-    #[inline]
-    fn recycle(&mut self, op: Op) {
-        if let Op::Vector(VectorOp { mem: Some(mut m), .. }) = op {
-            if m.lines.capacity() != 0 {
-                m.lines.clear();
-                self.lines_free.push(m.lines);
-            }
-        }
+        self.chunk.clear();
     }
 
     /// A scalar load or store as a timing op.
@@ -690,14 +675,7 @@ impl Vm for TileVm<'_> {
     fn exec_v(&mut self, inst: VInst) -> Option<u64> {
         let m = &mut *self.m;
         exec_into(&inst, &mut m.states[self.tile], &mut m.mem, &mut m.scratch, &mut m.info);
-        if m.lines_pool.capacity() == 0 {
-            // The last memory instruction's op left with the buffer. A new
-            // one is sized once, for a full vector of the current length: a
-            // gather touches at most one line per element.
-            let fresh = || Vec::with_capacity(m.info.vl);
-            m.lines_pool = m.lines_free.pop().unwrap_or_else(fresh);
-        }
-        let vop = classify_into(&inst, &m.info, m.line_bytes, &mut m.lines_pool);
+        let vop = classify_into(&inst, &m.info, m.line_bytes, &mut m.lines);
         m.emit(self.tile, Op::Vector(vop));
         m.info.scalar
     }
@@ -1220,8 +1198,24 @@ mod tests {
         Vle(u64),
         Vse(u64),
         Vlse(u64, i64),
+        Gather(u64),
         Fma,
+        Reduce,
+        Div,
+        Popc,
         Fence,
+    }
+
+    /// The register `Ins::Gather` takes its byte offsets from.
+    const GATHER_INDEX: u8 = 4;
+
+    /// Fill every tile's gather index, as set-up outside the op stream: 256
+    /// offsets in 128 groups 320 bytes apart, each group hit twice and never
+    /// by neighbouring elements, so a full-length gather lists 256 lines and
+    /// revisits each one.
+    fn fill_gather_index(m: &mut SdvMachine) {
+        let offsets: Vec<u64> = (0..VLMAX as u64).map(|i| i * 97 % 128 * 320 + i % 8 * 8).collect();
+        m.states.iter_mut().for_each(|s| s.regs.write_elems(GATHER_INDEX, &offsets));
     }
 
     fn apply<V: Vm>(vm: &mut V, base: u64, ins: Ins) {
@@ -1238,14 +1232,20 @@ mod tests {
             Ins::Vle(off) => vm.vle(1, base + off),
             Ins::Vse(off) => vm.vse(1, base + off),
             Ins::Vlse(off, stride) => vm.vlse(2, base + off, stride),
+            Ins::Gather(off) => vm.vlxe(3, base + off, GATHER_INDEX),
             Ins::Fma => vm.vfmacc_vf(1, 1.5, 2),
+            Ins::Reduce => vm.vfredsum(5, 1, 5),
+            Ins::Div => vm.vfdiv_vv(6, 1, 2),
+            Ins::Popc => {
+                vm.vpopc(0);
+            }
             Ins::Fence => vm.fence(),
         }
     }
 
     fn random_ins(rng: &mut sdv_engine::Rng) -> Ins {
         let off = 8 * rng.below(1 << 15);
-        match rng.below(20) {
+        match rng.below(24) {
             0..=3 => Ins::Int(1 + rng.below(6) as u32),
             4..=6 => Ins::Load(off),
             7..=8 => Ins::Store(off),
@@ -1254,7 +1254,11 @@ mod tests {
             12..=13 => Ins::Vle(off),
             14..=15 => Ins::Vse(off),
             16 => Ins::Vlse(off, 8 * (1 + rng.below(40)) as i64),
-            17..=18 => Ins::Fma,
+            17 => Ins::Gather(off),
+            18..=19 => Ins::Fma,
+            20 => Ins::Reduce,
+            21 => Ins::Div,
+            22 => Ins::Popc,
             _ => Ins::Fence,
         }
     }
@@ -1270,6 +1274,7 @@ mod tests {
         m.set_extra_latency(knobs.extra_latency);
         m.set_bandwidth_limit(knobs.bandwidth);
         let base = m.alloc(1 << 19, 64);
+        fill_gather_index(&mut m);
         program.iter().for_each(|&i| apply(&mut m, base, i));
         (m.try_finish(), format!("{:?}", m.stats()))
     }
@@ -1295,6 +1300,7 @@ mod tests {
             m.reset_with_replicas(cfg, &REPLICA_KNOBS);
             assert_eq!(m.replicas(), REPLICA_KNOBS.len());
             let base = m.alloc(1 << 19, 64);
+            fill_gather_index(&mut m);
             program.iter().for_each(|&i| apply(&mut m, base, i));
             assert_eq!(m.chunk.len(), n % REPLAY_CHUNK, "{n} ops: one op an instruction");
             let got = m.try_finish_each();
@@ -1323,6 +1329,7 @@ mod tests {
         r.set_extra_latency(REPLICA_KNOBS[0].extra_latency);
         r.set_bandwidth_limit(REPLICA_KNOBS[0].bandwidth);
         let base = r.alloc(1 << 19, 64);
+        fill_gather_index(&mut r);
         a.iter().for_each(|&i| apply(&mut r, base, i));
         let want_clock = r.rdcycle();
         b.iter().for_each(|&i| apply(&mut r, base, i));
@@ -1332,6 +1339,7 @@ mod tests {
         let mut m = SdvMachine::new(1 << 20);
         m.reset_with_replicas(cfg, &REPLICA_KNOBS);
         assert_eq!(m.alloc(1 << 19, 64), base);
+        fill_gather_index(&mut m);
         a.iter().for_each(|&i| apply(&mut m, base, i));
         assert_eq!(m.chunk.len(), a.len(), "a fence is one more buffered op");
         assert_eq!(m.rdcycle(), want_clock, "a clock read replays the chunk first");
@@ -1349,6 +1357,7 @@ mod tests {
             r.set_extra_latency(knobs.extra_latency);
             r.set_bandwidth_limit(knobs.bandwidth);
             assert_eq!(r.alloc(1 << 19, 64), base);
+            fill_gather_index(&mut r);
             a.iter().chain(&b).for_each(|&ins| apply(&mut r, base, ins));
             r.barrier();
             c.iter().for_each(|&ins| apply(&mut r, base, ins));
@@ -1379,6 +1388,7 @@ mod tests {
         let mut m = SdvMachine::new(1 << 20);
         m.reset_with_replicas(cfg, &REPLICA_KNOBS);
         let base = m.alloc(1 << 19, 64);
+        fill_gather_index(&mut m);
         program.iter().for_each(|&i| apply(&mut m, base, i));
         let got = m.try_finish_each();
         assert!(got.iter().any(Result::is_ok) && got.iter().any(Result::is_err), "{got:?}");
@@ -1455,6 +1465,7 @@ mod tests {
             let mut m = SdvMachine::with_config(heap, tiled_cfg(tiles));
             m.set_capture_order(order.clone());
             let base = m.alloc(1 << 19, 64);
+            fill_gather_index(&mut m);
             let mut got_barriers = Vec::new();
             let mut bound = 0;
             for st in &program {
@@ -1485,6 +1496,8 @@ mod tests {
                 assert!(m.rings.iter().all(TileQueue::is_empty), "case {case}: an epoch drains");
             }
             tail.iter().for_each(|&i| apply(&mut m.vm(tiles - 1), base, i));
+            // The tail is direct ops too: all of it waits for `try_finish`.
+            bound = bound.max(tail.len());
             let got = m.try_finish().expect("clean run");
             assert!(
                 m.peak_queued_ops() <= bound,
@@ -1496,6 +1509,7 @@ mod tests {
             // whole, tile after tile, then merged by the old loop.
             let mut r = SdvMachine::with_config(heap, tiled_cfg(tiles));
             assert_eq!(r.alloc(1 << 19, 64), base);
+            fill_gather_index(&mut r);
             let mut want_barriers = Vec::new();
             let collect_and_replay = |r: &mut SdvMachine| {
                 let pending: Vec<Vec<Op>> = (r.rings.iter_mut())

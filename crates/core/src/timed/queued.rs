@@ -1,20 +1,19 @@
-//! The form an op takes while it waits on a tile's ring for the merge.
-//!
-//! A multi-tile epoch holds every tile's captured-but-not-issued ops at once
-//! (paper-scale 16-tile BFS at MAXVL 8 peaks near 205 k). As [`Op`]s that is
-//! 64 bytes a slot plus one heap buffer per vector memory op. A
-//! [`QueuedOp`] is a `Copy` record of 16 bytes: a scalar op carries its
-//! payload, a vector op its class, flags and counts narrowed to `u16`, and a
-//! memory op's line addresses go to the tile's line arena, a `VecDeque<u64>`
-//! that drains in step with the ring ([`TileQueue`] keeps the two together).
-//! The narrowing is checked: a count that does not fit panics at
-//! [`QueuedOp::encode`] instead of wrapping.
+//! The form an op takes while it waits to issue: on a tile's ring for the
+//! merge, or in a one-tile machine's replica chunk. A multi-tile epoch holds
+//! every tile's captured-but-not-issued ops at once (paper-scale 16-tile BFS
+//! at MAXVL 8 peaks near 205 k). As [`Op`]s that is 64 bytes a slot plus one
+//! heap buffer per vector memory op. A [`QueuedOp`] is a `Copy` record of 16
+//! bytes: a scalar op carries its payload, a vector op its class, flags and
+//! counts narrowed to `u16`, and a memory op's line addresses go to the
+//! queue's line arena, a `VecDeque<u64>` that drains in step with the records
+//! ([`TileQueue`] keeps the two together). The narrowing is checked: a count
+//! that does not fit panics at [`QueuedOp::encode`] instead of wrapping.
 
 use sdv_uarch::{Op, VClass, VectorMemOp, VectorOp};
 use std::collections::VecDeque;
 
-/// One tile's captured-but-not-issued ops: their records, and the line
-/// addresses of the memory ops among them in the same order.
+/// Captured-but-not-issued ops: their records, and the line addresses of
+/// the memory ops among them in the same order.
 #[derive(Debug, Default)]
 pub(super) struct TileQueue {
     ops: VecDeque<QueuedOp>,
@@ -28,10 +27,21 @@ impl TileQueue {
         self.ops.push_back(queued);
     }
 
-    /// The oldest op, decoded; a memory op's line buffer comes from `spare`
-    /// when there is one.
-    pub(super) fn pop(&mut self, spare: &mut Vec<Vec<u64>>) -> Option<Op> {
-        self.ops.pop_front().map(|queued| queued.decode(&mut self.lines, spare))
+    /// The oldest op, decoded; a memory op takes `lines`, filled.
+    pub(super) fn pop(&mut self, lines: &mut Vec<u64>) -> Option<Op> {
+        let arena = std::iter::from_fn(|| self.lines.pop_front());
+        self.ops.pop_front().map(|queued| queued.decode(lines, arena))
+    }
+
+    /// Hand every queued op, oldest first, to `issue`, decoded into `lines`
+    /// and reclaimed after; the queue is left as it was.
+    pub(super) fn replay(&self, lines: &mut Vec<u64>, mut issue: impl FnMut(&Op)) {
+        let mut arena = self.lines.iter().copied();
+        for queued in &self.ops {
+            let op = queued.decode(lines, arena.by_ref());
+            issue(&op);
+            reclaim(op, lines);
+        }
     }
 
     /// Ops queued.
@@ -48,6 +58,16 @@ impl TileQueue {
     pub(super) fn clear(&mut self) {
         self.ops.clear();
         self.lines.clear();
+    }
+}
+
+/// Give an issued or queued op's line buffer back to `lines`, emptied: a
+/// vector memory op took it from there when it was classified or decoded.
+#[inline]
+pub(super) fn reclaim(op: Op, lines: &mut Vec<u64>) {
+    if let Op::Vector(VectorOp { mem: Some(m), .. }) = op {
+        *lines = m.lines;
+        lines.clear();
     }
 }
 
@@ -123,9 +143,9 @@ impl QueuedOp {
         }
     }
 
-    /// The op this record was encoded from. A memory op takes its lines off
-    /// the front of `arena`, into a buffer from `spare` when there is one.
-    fn decode(self, arena: &mut VecDeque<u64>, spare: &mut Vec<Vec<u64>>) -> Op {
+    /// The op this record was encoded from. A memory op takes its lines
+    /// off the front of `arena`, in the buffer `lines`.
+    fn decode(self, lines: &mut Vec<u64>, arena: impl Iterator<Item = u64>) -> Op {
         match self {
             Self::IntOps(n) => Op::IntOps(n),
             Self::FpOps(n) => Op::FpOps(n),
@@ -139,12 +159,11 @@ impl QueuedOp {
                     vl: vl.into(),
                     active: active.into(),
                     mem: mem.map(|m| {
-                        let mut lines = spare.pop().unwrap_or_default();
-                        lines.extend(arena.drain(..usize::from(m.lines)));
+                        lines.extend(arena.take(m.lines.into()));
                         VectorMemOp {
                             is_load: m.is_load,
                             unit_stride: m.unit_stride,
-                            lines,
+                            lines: std::mem::take(lines),
                             elems: m.elems.into(),
                         }
                     }),
@@ -173,10 +192,12 @@ mod tests {
         assert!(std::mem::size_of::<QueuedOp>() <= 16, "{}", std::mem::size_of::<QueuedOp>());
     }
 
-    #[test]
-    fn every_op_round_trips_in_queue_order() {
+    /// Every shape of op a queue carries: 4- and 8-byte scalar accesses, a
+    /// 256-element gather listing 256 lines, a memory op with no line, and
+    /// every vector class with both flags.
+    fn every_shape() -> Vec<Op> {
         let gather: Vec<u64> = (0..256).map(|i| (i * 7919 % 4093) * 64).collect();
-        let ops = vec![
+        vec![
             Op::IntOps(3),
             Op::FpOps(u32::MAX),
             Op::Load { addr: 0x1000_0004, size: 4 },
@@ -200,17 +221,43 @@ mod tests {
             vector(VClass::ArithLong, 8, None),
             vector(VClass::Arith, 1, None),
             Op::Sync,
-        ];
+        ]
+    }
+
+    #[test]
+    fn every_op_round_trips_in_queue_order() {
+        let ops = every_shape();
         let mut queue = TileQueue::default();
         ops.iter().for_each(|op| queue.push(op));
         assert_eq!(queue.len(), ops.len());
         assert_eq!(queue.lines.len(), 256 + 2, "only memory ops put lines in the arena");
-        let mut spare = vec![Vec::with_capacity(4)];
+        let mut lines = Vec::with_capacity(4);
         for want in &ops {
-            assert_eq!(queue.pop(&mut spare).as_ref(), Some(want));
+            let op = queue.pop(&mut lines);
+            assert_eq!(op.as_ref(), Some(want));
+            reclaim(op.expect("just compared"), &mut lines);
         }
-        assert!(queue.pop(&mut spare).is_none() && queue.is_empty());
+        assert!(queue.pop(&mut lines).is_none() && queue.is_empty());
         assert!(queue.lines.is_empty(), "the arena drains in step with the ring");
+    }
+
+    #[test]
+    fn a_replay_decodes_every_op_and_leaves_the_queue_as_it_was() {
+        let ops = every_shape();
+        let mut queue = TileQueue::default();
+        ops.iter().for_each(|op| queue.push(op));
+        let (records, arena) = (queue.ops.clone(), queue.lines.clone());
+        let mut lines = Vec::with_capacity(256);
+        for pass in 0..2 {
+            let mut got = Vec::new();
+            queue.replay(&mut lines, |op| got.push(op.clone()));
+            assert_eq!(got, ops, "pass {pass}: every op, in queue order");
+            assert_eq!(queue.ops, records, "pass {pass}: the records stay queued");
+            assert_eq!(queue.lines, arena, "pass {pass}: the arena stays full");
+            assert!(lines.is_empty() && lines.capacity() >= 256, "pass {pass}: buffer returned");
+        }
+        queue.clear();
+        assert!(queue.is_empty() && queue.lines.is_empty());
     }
 
     #[test]
